@@ -26,9 +26,7 @@ come from ``benchmarks/expectations.toml`` (``--expectations`` to
 substitute), and per-section time ratios are checked against a baseline --
 either a committed JSON record (``--baseline BENCH_runner.json``) or a
 named snapshot frozen in the store (``--compare-baseline NAME``;
-``--snapshot-baseline NAME`` freezes the current run). The legacy
-``--max-slowdown`` / ``--min-*-speedup`` / ``--max-peak-ratio`` flags
-remain as one-shot overrides of the corresponding expectation entries. A
+``--snapshot-baseline NAME`` freezes the current run). A
 baseline recorded at a different scale is a categorized ``scale-mismatch``
 outcome (ratios skipped, absolute gates still enforced), not a hard error.
 Exit code 1 means the comparison report failed.
@@ -61,7 +59,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro._compiled import HAS_NUMBA
 from repro.apps.timing import (
     COSTING_BYTES_PER_CELL,
     estimate_cycles,
@@ -82,7 +79,6 @@ from repro.eval.regression import (
     format_comparison_report,
     format_trends,
     load_expectations,
-    set_expectation,
 )
 from repro.runtime.cache import ProfileCache
 from repro.runtime.cli import _parse_scale
@@ -377,11 +373,8 @@ def _bench_chunked(profiles) -> dict:
       geometric means float for float;
     * ``peak_ratio`` -- the traced peak of streaming all 4096 variants
       under the budget against the traced peak of a plain 128-variant run;
-      flat-memory streaming keeps the ratio near 1 (the CI gate allows
-      ``--max-peak-ratio``);
-    * ``spmu_numba_speedup`` -- with numba installed, the compiled
-      per-cycle SpMU kernel against the lock-step engine over a cold
-      32-variant microbenchmark grid (``None`` when numba is absent).
+      flat-memory streaming keeps the ratio near 1 (``chunked.max.peak_ratio``
+      in the expectations).
     """
     import repro.core.spmu as spmu_module
     from repro.runtime.dse import prefill_throughputs
@@ -446,37 +439,6 @@ def _bench_chunked(profiles) -> dict:
             lambda: estimate_cycles_batch(profiles, small)
         )
         peak_streamed_mb = _traced_peak_mb(_streamed_gmeans)
-
-        spmu_numba_speedup = None
-        if HAS_NUMBA:
-            micro = [
-                SpMUVariant(
-                    ordering=ordering,
-                    bank_mapping=mapping,
-                    allocator_kind=allocator,
-                    config=SpMUConfig(queue_depth=depth),
-                )
-                for ordering, mapping, allocator, depth in itertools.product(
-                    list(OrderingMode),
-                    ("hash", "linear"),
-                    ("separable", "greedy"),
-                    (8, 16),
-                )
-            ]
-            # Warm the JIT before timing the compiled path.
-            spmu_module._THROUGHPUT_CACHE.clear()
-            effective_bank_throughput_batch(micro, backend="numba")
-            numpy_s = numba_s = float("inf")
-            for _ in range(2):
-                spmu_module._THROUGHPUT_CACHE.clear()
-                start = time.perf_counter()
-                effective_bank_throughput_batch(micro)
-                numpy_s = min(numpy_s, time.perf_counter() - start)
-                spmu_module._THROUGHPUT_CACHE.clear()
-                start = time.perf_counter()
-                effective_bank_throughput_batch(micro, backend="numba")
-                numba_s = min(numba_s, time.perf_counter() - start)
-            spmu_numba_speedup = round(numpy_s / numba_s, 1)
     finally:
         spmu_module._THROUGHPUT_CACHE.clear()
         if saved_disable is None:
@@ -495,8 +457,6 @@ def _bench_chunked(profiles) -> dict:
         "peak_small_mb": round(peak_small_mb, 2),
         "peak_streamed_mb": round(peak_streamed_mb, 2),
         "peak_ratio": round(peak_streamed_mb / peak_small_mb, 2),
-        "numba_available": HAS_NUMBA,
-        "spmu_numba_speedup": spmu_numba_speedup,
         "identical": bool(identical),
     }
 
@@ -646,7 +606,7 @@ def _bench_dse(profiles, workers, executor) -> dict:
 
 
 def _resolve_expectations(args) -> dict:
-    """Load the declarative gate and apply any legacy flag overrides.
+    """Load the declarative gate.
 
     Sections skipped by ``--no-*`` flags are pruned so a deliberately
     partial run does not read as a ``missing-section`` failure.
@@ -658,22 +618,6 @@ def _resolve_expectations(args) -> dict:
         expectations = (
             load_expectations(bundled) if bundled.exists() else default_expectations()
         )
-    if args.max_slowdown is not None:
-        for spec in expectations["sections"].values():
-            for metric in spec.get("compare", {}):
-                spec["compare"][metric] = args.max_slowdown
-    overrides = (
-        (args.min_batch_speedup, "costing", "min", "batch_speedup"),
-        (args.min_spmu_speedup, "spmu", "min", "speedup"),
-        (args.min_formats_speedup, "formats", "min", "speedup"),
-        (args.min_numba_speedup, "chunked", "min", "spmu_numba_speedup"),
-        (args.max_peak_ratio, "chunked", "max", "peak_ratio"),
-        (args.min_hypervolume_ratio, "dse", "min", "hypervolume_ratio"),
-        (args.max_eval_fraction, "dse", "max", "eval_fraction"),
-    )
-    for value, section, kind, metric in overrides:
-        if value is not None:
-            set_expectation(expectations, section, kind, value, metric)
     for skipped, section in (
         (args.no_costing, "costing"),
         (args.no_spmu, "spmu"),
@@ -824,21 +768,9 @@ def main(argv=None) -> int:
         help="append the comparison report as markdown here (e.g. $GITHUB_STEP_SUMMARY)",
     )
     parser.add_argument(
-        "--max-slowdown",
-        type=float,
-        default=None,
-        help="override every per-section baseline ratio limit (expectations default: 2.0)",
-    )
-    parser.add_argument(
         "--no-costing",
         action="store_true",
         help="skip the batched-costing benchmark",
-    )
-    parser.add_argument(
-        "--min-batch-speedup",
-        type=float,
-        default=None,
-        help="override the batched-costing speedup floor (expectations default: 5.0)",
     )
     parser.add_argument(
         "--no-spmu",
@@ -851,59 +783,14 @@ def main(argv=None) -> int:
         help="skip the format-substrate (scan/convert/construct) benchmark",
     )
     parser.add_argument(
-        "--min-formats-speedup",
-        type=float,
-        default=None,
-        help="override the format-substrate speedup floor (expectations default: 3.0)",
-    )
-    parser.add_argument(
-        "--min-spmu-speedup",
-        type=float,
-        default=None,
-        help="override the array-SpMU speedup floor (expectations default: 6.0)",
-    )
-    parser.add_argument(
         "--no-chunked",
         action="store_true",
         help="skip the memory-bounded chunked-execution benchmark",
     )
     parser.add_argument(
-        "--max-peak-ratio",
-        type=float,
-        default=None,
-        help="override the streamed-peak ratio limit (expectations default: 1.5)",
-    )
-    parser.add_argument(
         "--no-dse",
         action="store_true",
         help="skip the adaptive-search vs exhaustive-enumeration benchmark",
-    )
-    parser.add_argument(
-        "--min-hypervolume-ratio",
-        type=float,
-        default=None,
-        help=(
-            "override the search-vs-exhaustive hypervolume floor "
-            "(expectations default: 0.95)"
-        ),
-    )
-    parser.add_argument(
-        "--max-eval-fraction",
-        type=float,
-        default=None,
-        help=(
-            "override the search evaluation-budget ceiling "
-            "(expectations default: 0.25)"
-        ),
-    )
-    parser.add_argument(
-        "--min-numba-speedup",
-        type=float,
-        default=None,
-        help=(
-            "override the compiled-SpMU speedup floor (expectations default: "
-            "3.0; only checked when numba is installed)"
-        ),
     )
     parser.add_argument(
         "--output",

@@ -46,6 +46,10 @@ from .spmu_array import (
     simulate_variants,
 )
 
+#: Simulation engines: the lock-step array engine (default) and the
+#: per-cycle object loop it is checked against.
+SPMU_BACKENDS = ("array", "reference")
+
 
 class RMWOp(Enum):
     """Read-modify-write operations supported by the per-bank FPU.
@@ -277,7 +281,7 @@ class SparseMemoryUnit:
         backend: str = "array",
         record_trace: bool = False,
     ):
-        if backend not in ("array", "numba", "reference"):
+        if backend not in SPMU_BACKENDS:
             raise SimulationError(f"unknown SpMU backend {backend!r}")
         self._config = config or SpMUConfig()
         self._config.validate()
@@ -401,14 +405,7 @@ class SparseMemoryUnit:
 
     @property
     def backend(self) -> str:
-        """The configured backend (``"array"``, ``"numba"``, or ``"reference"``).
-
-        ``"numba"`` routes stats-only batch simulation through the compiled
-        per-cycle kernel; paths that need issue collection or trace
-        recording (including :meth:`simulate`'s functional execution) run
-        on the array engine either way, so the two backends are
-        interchangeable here.
-        """
+        """The configured backend (``"array"`` or ``"reference"``)."""
         return self._backend
 
     def simulate(self, vectors) -> SpMUStats:
@@ -969,10 +966,9 @@ def effective_bank_throughput_batch(
 
     Args:
         variants: The SpMU configuration points to measure.
-        backend: ``None`` (process default), ``"array"``/``"numpy"``
-            (lock-step engine), ``"numba"`` (compiled per-cycle kernel,
-            numpy fallback when absent), or ``"reference"`` (scalar loop
-            per variant, for benchmarking and verification).
+        backend: ``None``/``"array"`` (lock-step engine) or
+            ``"reference"`` (scalar loop per variant, for benchmarking and
+            verification); anything else raises :class:`SimulationError`.
         memory_budget: Byte budget bounding the cold-variant lock-step
             state (see :func:`~repro.core.spmu_array.simulate_variants`);
             ``None`` defers to ``REPRO_MEMORY_BUDGET``.
@@ -981,6 +977,8 @@ def effective_bank_throughput_batch(
         Sustained random-access requests per cycle, aligned with
         ``variants``.
     """
+    if backend is not None and backend not in SPMU_BACKENDS:
+        raise SimulationError(f"unknown SpMU backend {backend!r}")
     variants = list(variants)
     results = np.empty(len(variants), dtype=np.float64)
     if backend == "reference":
@@ -1040,7 +1038,6 @@ def effective_bank_throughput_batch(
     simulated = simulate_variants(
         cold_variants,
         [traces[v.lanes] for v in cold_variants],
-        backend=backend,
         memory_budget=memory_budget,
     )
     fresh: Dict[str, float] = {}

@@ -44,7 +44,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .._budget import resolve_memory_budget
-from .._compiled import resolve_backend
 from ..config import SpMUConfig
 from ..errors import SimulationError
 from .allocator import SeparableAllocator
@@ -900,83 +899,6 @@ def _simulate_scheduled_lockstep(
 
 
 # --------------------------------------------------------------------------- #
-# Compiled single-variant backend
-# --------------------------------------------------------------------------- #
-
-
-def _simulate_scheduled_compiled(
-    variants: Sequence[SpMUVariant], preps: Sequence[_PreparedTrace]
-) -> List[SimResult]:
-    """Run scheduled variants through the scalar per-cycle kernel.
-
-    One :func:`~repro.core.spmu_kernel.simulate_scheduled_single` call per
-    variant; with numba installed the kernel is JIT-compiled, without it
-    the same function runs as plain Python (which is how the equivalence
-    tests pin it against the lock-step engine). Trace recording and issue
-    collection are not supported here -- callers route those to the
-    lock-step engine.
-    """
-    from .spmu_kernel import simulate_scheduled_single
-
-    results: List[SimResult] = []
-    for variant, prep in zip(variants, preps):
-        config = variant.config
-        banks = config.banks
-        pend = prep.bank_mat(variant.bank_mapping, banks).astype(np.int64)
-        remaining = prep.kept_counts.astype(np.int64)
-        is_ao = variant.ordering is OrderingMode.ADDRESS_ORDERED
-        entries = config.bloom_filter_entries if is_ao else 1
-        if is_ao and prep.n_vectors and prep.width:
-            safe = np.where(prep.kept, prep.addr_mat, 0)
-            slots0 = np.where(prep.kept, _bloom_slots(safe, entries, 0), 0)
-            slots1 = np.where(prep.kept, _bloom_slots(safe, entries, 1), 0)
-        else:
-            slots0 = np.zeros(pend.shape, dtype=np.int64)
-            slots1 = slots0
-        if variant.allocator_kind == "separable":
-            allocator = SeparableAllocator(
-                lanes=variant.lanes,
-                banks=banks,
-                iterations=config.allocator_iterations,
-                priorities=config.allocator_priorities,
-                queue_depth=config.queue_depth,
-            )
-            cutoffs = np.asarray(allocator.age_cutoffs, dtype=np.int64)
-        else:
-            cutoffs = np.zeros(0, dtype=np.int64)
-        cycles, executed, stalls = simulate_scheduled_single(
-            pend,
-            remaining,
-            np.ascontiguousarray(slots0, dtype=np.int64),
-            np.ascontiguousarray(slots1, dtype=np.int64),
-            prep.has_dup.astype(np.int64),
-            np.zeros(entries, dtype=np.int64),
-            cutoffs,
-            variant.allocator_kind == "separable",
-            is_ao,
-            prep.total_kept,
-            config.queue_depth,
-            banks,
-            max(1, config.crossbar_inputs // variant.lanes),
-            max(1, variant.pipeline_latency),
-            64 * (prep.total_kept + prep.n_vectors + 8),
-        )
-        if cycles < 0:
-            raise SimulationError("SpMU simulation did not converge")
-        results.append(
-            SimResult(
-                cycles=int(cycles),
-                requests=int(executed),
-                elided_reads=prep.elided,
-                bank_busy_cycles=int(executed),
-                vectors=prep.n_vectors,
-                stall_cycles_ordering=int(stalls),
-            )
-        )
-    return results
-
-
-# --------------------------------------------------------------------------- #
 # Public entry point
 # --------------------------------------------------------------------------- #
 
@@ -1022,7 +944,6 @@ def _simulate_chunk(
     chunk: List[Tuple[SpMUVariant, _PreparedTrace]],
     record_trace: bool,
     collect_issues: bool,
-    backend: str,
 ) -> List[SimResult]:
     """Simulate one chunk of (variant, prepared trace) pairs."""
     results: List[Optional[SimResult]] = [None] * len(chunk)
@@ -1038,18 +959,13 @@ def _simulate_chunk(
     # per-cycle tensor work is dominated by fixed per-operation overhead,
     # so batching every queue-scheduled variant into a single loop
     # amortizes it best (finished variants are compacted out of the tail).
-    # The compiled backend instead runs each variant through the scalar
-    # per-cycle kernel; it covers the stats-only path, so trace recording
-    # and issue collection stay on the lock-step engine.
     if scheduled:
-        sched_variants = [chunk[i][0] for i in scheduled]
-        sched_preps = [chunk[i][1] for i in scheduled]
-        if backend == "numba" and not record_trace and not collect_issues:
-            batch = _simulate_scheduled_compiled(sched_variants, sched_preps)
-        else:
-            batch = _simulate_scheduled_lockstep(
-                sched_variants, sched_preps, record_trace, collect_issues
-            )
+        batch = _simulate_scheduled_lockstep(
+            [chunk[i][0] for i in scheduled],
+            [chunk[i][1] for i in scheduled],
+            record_trace,
+            collect_issues,
+        )
         for i, result in zip(scheduled, batch):
             results[i] = result
     return results  # type: ignore[return-value]
@@ -1061,7 +977,6 @@ def simulate_variants(
     *,
     record_trace: bool = False,
     collect_issues: bool = False,
-    backend: Optional[str] = None,
     memory_budget: Union[int, str, None] = None,
     chunk_variants: Optional[int] = None,
 ) -> List[SimResult]:
@@ -1076,9 +991,6 @@ def simulate_variants(
         record_trace: Collect the per-cycle active-bank trace.
         collect_issues: Collect every request's ``(vector, lane)`` issue
             coordinates in issue order (needed for functional execution).
-        backend: ``None`` (process default), ``"numpy"`` (the lock-step
-            engine), or ``"numba"`` (the compiled per-cycle kernel; falls
-            back to numpy with a warning when numba is absent).
         memory_budget: Byte budget bounding the lock-step state; the
             variant grid is streamed through in budget-sized chunks whose
             results are bit-identical to one unchunked pass. ``None``
@@ -1091,7 +1003,6 @@ def simulate_variants(
         reference simulator on the same trace.
     """
     budget = resolve_memory_budget(memory_budget)
-    backend = resolve_backend(backend, feature="SpMU scheduling")
 
     # Prepared traces are cached by trace identity; the trace object is
     # kept alongside so a caller-side generator cannot recycle an id.
@@ -1111,11 +1022,11 @@ def simulate_variants(
             (chunk_variants is not None and len(chunk) >= chunk_variants)
             or (budget is not None and chunk_bytes + footprint > budget)
         ):
-            results.extend(_simulate_chunk(chunk, record_trace, collect_issues, backend))
+            results.extend(_simulate_chunk(chunk, record_trace, collect_issues))
             chunk = []
             chunk_bytes = 0
         chunk.append((variant, prep))
         chunk_bytes += footprint
     if chunk:
-        results.extend(_simulate_chunk(chunk, record_trace, collect_issues, backend))
+        results.extend(_simulate_chunk(chunk, record_trace, collect_issues))
     return results

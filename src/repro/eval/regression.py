@@ -1,9 +1,7 @@
 """Regression analytics over the experiment run store.
 
-The CI gate used to be a flag zoo: one committed JSON snapshot compared
-inline by ``bench_runner.py`` with a hand-tuned ``--max-*``/``--min-*``
-flag per section. This module replaces that with three declarative
-pieces layered on :class:`~repro.runtime.runstore.RunStore`:
+The bench gate is three declarative pieces layered on
+:class:`~repro.runtime.runstore.RunStore`:
 
 * **expectations** -- a TOML file (or :data:`DEFAULT_EXPECTATIONS`)
   stating, per record section, which identity flags must hold
@@ -26,25 +24,17 @@ an error: the ratio checks are recorded as ``scale-mismatch`` and skipped
 (different workloads are not comparable) while identity flags and
 absolute bounds -- which are scale-independent contracts -- still apply,
 so a deliberate scale bump cannot hard-fail CI with no artifact.
-
-Expectations files parse with :mod:`tomllib` where available (3.11+) and
-fall back to a minimal built-in parser (dotted table headers and scalar
-assignments -- exactly the subset the format needs) on older pythons.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import tomllib
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import CapstanError
 from ..runtime.runstore import BaselineRecord, RunStore, record_sections
-
-try:  # Python 3.11+
-    import tomllib
-except ImportError:  # pragma: no cover - exercised on 3.9/3.10 only
-    tomllib = None
 
 #: Check categories (`Check.category`).
 PASS = "pass"
@@ -54,10 +44,10 @@ MISSING_SECTION = "missing-section"
 SCALE_MISMATCH = "scale-mismatch"
 SKIPPED = "skipped"
 
-#: The built-in gate, mirroring the flag defaults the bench runner shipped
-#: with before the store existed: every batch path bit-identical to its
-#: reference, the recorded acceptance speedups, and at most a 2x ratio
-#: against the baseline for each section's headline time.
+#: The built-in gate, equal to ``benchmarks/expectations.toml``: every batch
+#: path bit-identical to its reference, the recorded acceptance speedups,
+#: and at most a 2x ratio against the baseline for each section's headline
+#: time.
 DEFAULT_EXPECTATIONS: Dict[str, Any] = {
     "sections": {
         "runner": {"compare": {"cold_serial_s": 2.0}},
@@ -78,7 +68,6 @@ DEFAULT_EXPECTATIONS: Dict[str, Any] = {
         },
         "chunked": {
             "identical": True,
-            "min": {"spmu_numba_speedup": 3.0},
             "max": {"peak_ratio": 1.5},
             "compare": {"chunked_s": 2.0},
         },
@@ -166,61 +155,6 @@ class ComparisonReport:
 # --------------------------------------------------------------- expectations
 
 
-def _parse_toml_scalar(text: str) -> Any:
-    if text.startswith('"'):
-        closing = text.find('"', 1)
-        if closing < 0:
-            raise CapstanError(f"unterminated string in expectations: {text!r}")
-        return text[1:closing]
-    text = text.split("#", 1)[0].strip()
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise CapstanError(f"unsupported expectations value: {text!r}") from None
-
-
-def parse_minimal_toml(text: str) -> Dict[str, Any]:
-    """Parse the TOML subset expectations files use (3.9/3.10 fallback).
-
-    Supports comments, dotted table headers (``[sections.costing.min]``)
-    and ``key = scalar`` assignments with string/bool/int/float values --
-    deliberately nothing more.
-    """
-    data: Dict[str, Any] = {}
-    current = data
-    for line_number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise CapstanError(f"malformed table header (line {line_number}): {raw!r}")
-            current = data
-            for part in line[1:-1].strip().split("."):
-                part = part.strip().strip('"')
-                if not part:
-                    raise CapstanError(f"empty table name (line {line_number}): {raw!r}")
-                current = current.setdefault(part, {})
-                if not isinstance(current, dict):
-                    raise CapstanError(
-                        f"table {part!r} collides with a value (line {line_number})"
-                    )
-            continue
-        key, separator, value = line.partition("=")
-        if not separator:
-            raise CapstanError(f"expected KEY = VALUE (line {line_number}): {raw!r}")
-        current[key.strip().strip('"')] = _parse_toml_scalar(value.strip())
-    return data
-
-
 def normalize_expectations(data: Dict[str, Any]) -> Dict[str, Any]:
     """Validate a parsed expectations document into canonical shape.
 
@@ -278,14 +212,10 @@ def normalize_expectations(data: Dict[str, Any]) -> Dict[str, Any]:
 
 def load_expectations(path: Union[str, Path]) -> Dict[str, Any]:
     """Load and validate one ``expectations.toml``."""
-    text = Path(path).read_text()
-    if tomllib is not None:
-        try:
-            data = tomllib.loads(text)
-        except tomllib.TOMLDecodeError as exc:
-            raise CapstanError(f"malformed expectations file {path}: {exc}") from None
-    else:  # pragma: no cover - exercised on 3.9/3.10 only
-        data = parse_minimal_toml(text)
+    try:
+        data = tomllib.loads(Path(path).read_text())
+    except tomllib.TOMLDecodeError as exc:
+        raise CapstanError(f"malformed expectations file {path}: {exc}") from None
     return normalize_expectations(data)
 
 
@@ -294,19 +224,6 @@ def default_expectations() -> Dict[str, Any]:
     import copy
 
     return copy.deepcopy(DEFAULT_EXPECTATIONS)
-
-
-def set_expectation(
-    expectations: Dict[str, Any], section: str, kind: str, value: Any, metric: str = ""
-) -> None:
-    """Override one entry in place (the CLI flag -> expectations bridge)."""
-    entry = expectations.setdefault("sections", {}).setdefault(section, {})
-    if kind == "identical":
-        entry["identical"] = bool(value)
-    elif kind in ("min", "max", "compare"):
-        entry.setdefault(kind, {})[metric] = float(value)
-    else:
-        raise CapstanError(f"unknown expectation kind {kind!r}")
 
 
 # ---------------------------------------------------------------- evaluation

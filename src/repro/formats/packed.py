@@ -33,102 +33,12 @@ import sys
 
 import numpy as np
 
-from .._compiled import HAS_NUMBA, default_backend, njit
 from ..errors import FormatError
 
 #: Bits per packed word: the substrate packs into 64-bit words natively.
 WORD_BITS = 64
 
 _LITTLE_ENDIAN = sys.byteorder == "little"
-
-
-def _use_compiled() -> bool:
-    """Route the hot kernels through the numba loops?
-
-    Only when numba is both requested (process default backend) and
-    actually importable -- the plain-Python rendition of the loop kernels
-    exists for equivalence testing, not production use.
-    """
-    return HAS_NUMBA and default_backend() == "numba"
-
-
-# --------------------------------------------------------------------------- #
-# Scalar loop kernels (the optional numba backend)
-#
-# Each kernel is the loop-form of one numpy kernel below, decorated with the
-# import-guarded :func:`~repro._compiled.njit`: compiled to machine code
-# when numba is installed, plain Python otherwise. Property tests pin them
-# element-for-element against the numpy implementations either way.
-# --------------------------------------------------------------------------- #
-
-
-@njit
-def _pack_indices_kernel(indices, n_words, word_bits):
-    """Loop form of :func:`pack_indices` over validated unique indices."""
-    words = np.zeros(n_words, dtype=np.uint64)
-    for i in range(indices.shape[0]):
-        index = indices[i]
-        words[index // word_bits] |= np.uint64(1) << np.uint64(index % word_bits)
-    return words
-
-
-@njit
-def _popcount_kernel(words):
-    """Loop form of :func:`popcount` (Kernighan bit-clearing)."""
-    out = np.empty(words.shape[0], dtype=np.int64)
-    for i in range(words.shape[0]):
-        word = words[i]
-        count = 0
-        while word != np.uint64(0):
-            word &= word - np.uint64(1)
-            count += 1
-        out[i] = count
-    return out
-
-
-@njit
-def _rank_kernel(words, positions):
-    """Loop form of :func:`rank` over validated positions (64-bit words)."""
-    n_words = words.shape[0]
-    prefix = np.empty(n_words + 1, dtype=np.int64)
-    prefix[0] = 0
-    for i in range(n_words):
-        word = words[i]
-        count = 0
-        while word != np.uint64(0):
-            word &= word - np.uint64(1)
-            count += 1
-        prefix[i + 1] = prefix[i] + count
-    out = np.empty(positions.shape[0], dtype=np.int64)
-    for i in range(positions.shape[0]):
-        position = positions[i]
-        below = words[position >> 6] & (
-            (np.uint64(1) << np.uint64(position & 63)) - np.uint64(1)
-        )
-        count = 0
-        while below != np.uint64(0):
-            below &= below - np.uint64(1)
-            count += 1
-        out[i] = prefix[position >> 6] + count
-    return out
-
-
-@njit
-def _intersect_kernel(a, b):
-    """Loop form of :func:`intersect_words` over flat same-length arrays."""
-    out = np.empty(a.shape[0], dtype=np.uint64)
-    for i in range(a.shape[0]):
-        out[i] = a[i] & b[i]
-    return out
-
-
-@njit
-def _union_kernel(a, b):
-    """Loop form of :func:`union_words` over flat same-length arrays."""
-    out = np.empty(a.shape[0], dtype=np.uint64)
-    for i in range(a.shape[0]):
-        out[i] = a[i] | b[i]
-    return out
 
 
 def word_count(length: int, word_bits: int = WORD_BITS) -> int:
@@ -163,8 +73,6 @@ def pack_indices(
         raise FormatError("bit index out of range for packed length")
     if index_array.size > 1 and np.any(np.diff(index_array) < 0):
         index_array = np.sort(index_array)
-    if _use_compiled():
-        return _pack_indices_kernel(index_array, words.size, word_bits)
     word_ids = index_array // word_bits
     bits = np.uint64(1) << (index_array % word_bits).astype(np.uint64)
     # Indices are sorted, so equal word ids form runs; OR each run in one
@@ -219,10 +127,6 @@ _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 def popcount(words: np.ndarray) -> np.ndarray:
     """Per-word set-bit counts (the scanner's popcount tree)."""
     array = np.asarray(words, dtype=np.uint64)
-    if _use_compiled():
-        return _popcount_kernel(np.ascontiguousarray(array).reshape(-1)).reshape(
-            array.shape
-        )
     if _HAS_BITWISE_COUNT:
         return np.bitwise_count(array).astype(np.int64)
     if array.size == 0:  # pragma: no cover - numpy < 2.0 fallback
@@ -256,8 +160,6 @@ def rank(words: np.ndarray, positions: np.ndarray) -> np.ndarray:
     pos = np.asarray(positions, dtype=np.int64)
     if pos.size and (pos.min() < 0 or pos.max() >= array.size * WORD_BITS):
         raise FormatError("rank position outside the packed words")
-    if _use_compiled():
-        return _rank_kernel(np.ascontiguousarray(array), pos)
     word_ids = pos // WORD_BITS
     offsets = (pos % WORD_BITS).astype(np.uint64)
     below = array[word_ids] & ((np.uint64(1) << offsets) - np.uint64(1))
@@ -290,22 +192,12 @@ def test_bits(words: np.ndarray, positions: np.ndarray) -> np.ndarray:
 def intersect_words(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Word-wise AND of two packed occupancy arrays."""
     left, right = _check_same_words(a, b)
-    if _use_compiled():
-        return _intersect_kernel(
-            np.ascontiguousarray(left).reshape(-1),
-            np.ascontiguousarray(right).reshape(-1),
-        ).reshape(left.shape)
     return left & right
 
 
 def union_words(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Word-wise OR of two packed occupancy arrays."""
     left, right = _check_same_words(a, b)
-    if _use_compiled():
-        return _union_kernel(
-            np.ascontiguousarray(left).reshape(-1),
-            np.ascontiguousarray(right).reshape(-1),
-        ).reshape(left.shape)
     return left | right
 
 

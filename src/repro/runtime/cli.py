@@ -35,7 +35,6 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .._budget import ENV_MEMORY_BUDGET, parse_memory_budget
-from .._compiled import set_default_backend
 from ..errors import CapstanError
 from .cache import ProfileCache, default_cache_dir, profile_to_dict
 from .dse import explore, prefill_throughputs
@@ -76,19 +75,6 @@ def _apply_memory_budget(parser: argparse.ArgumentParser, args: argparse.Namespa
     os.environ[ENV_MEMORY_BUDGET] = str(budget)
 
 
-def _resolve_backend(backend: str) -> str:
-    """Map the CLI backend onto the profiling-kernel backend seam.
-
-    ``numba`` selects the compiled process default (SpMU scheduling and the
-    packed-word kernels); the profiling kernels themselves stay on the
-    vectorized path, which the compiled engines treat as their fallback.
-    """
-    if backend == "numba":
-        set_default_backend("numba")
-        return "vectorized"
-    return backend
-
-
 def _parse_scale(text: str) -> float:
     """Parse a scale given as a float (``0.015625``) or ratio (``1/64``)."""
     if "/" in text:
@@ -124,13 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend",
-        choices=("vectorized", "reference", "numba"),
+        choices=("vectorized", "reference"),
         default="vectorized",
-        help=(
-            "kernel backend (reference = per-element loop kernels; numba = "
-            "compiled SpMU/packed kernels when numba is installed, falling "
-            "back to the vectorized path otherwise)"
-        ),
+        help="kernel backend (reference = per-element loop kernels)",
     )
     _add_memory_budget_argument(parser)
     parser.add_argument(
@@ -235,9 +217,9 @@ def build_dse_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend",
-        choices=("vectorized", "reference", "numba"),
+        choices=("vectorized", "reference"),
         default="vectorized",
-        help="kernel backend (numba = compiled kernels when installed)",
+        help="kernel backend (reference = per-element loop kernels)",
     )
     _add_memory_budget_argument(parser)
     parser.add_argument(
@@ -470,7 +452,7 @@ def _dse_main(argv: List[str]) -> int:
         scale=args.scale,
         pagerank_iterations=args.pagerank_iterations,
         conv_scale=args.conv_scale,
-        backend=_resolve_backend(args.backend),
+        backend=args.backend,
     )
 
     if args.search is not None:
@@ -788,14 +770,21 @@ def _worker_main(argv: List[str]) -> int:
             continue
         try:
             request = json.loads(line)
-            payload = request["payload"]
-        except (ValueError, KeyError, TypeError):
+            warmup = request.get("warmup") is True
+            payload = None if warmup else request["payload"]
+        except (AttributeError, ValueError, KeyError, TypeError):
             response: Dict[str, Any] = {
                 "id": None,
                 "ok": False,
                 "error": f"malformed request line: {line[:200]!r}",
             }
             protocol.write(json.dumps(response) + "\n")
+            protocol.flush()
+            continue
+        if warmup:
+            # The spawn handshake runs no unit, so no unit or protocol fault
+            # fires on it (startup stalls are the slow_start fault's job).
+            protocol.write(json.dumps({"id": request.get("id"), "ok": True}) + "\n")
             protocol.flush()
             continue
         started = time.perf_counter()
@@ -874,9 +863,9 @@ def build_sweep_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend",
-        choices=("vectorized", "reference", "numba"),
+        choices=("vectorized", "reference"),
         default="vectorized",
-        help="kernel backend (numba = compiled kernels when installed)",
+        help="kernel backend (reference = per-element loop kernels)",
     )
     _add_memory_budget_argument(parser)
     parser.add_argument(
@@ -1024,7 +1013,7 @@ def _sweep_main(argv: List[str]) -> int:
                 scale=args.scale,
                 pagerank_iterations=args.pagerank_iterations,
                 conv_scale=args.conv_scale,
-                backend=_resolve_backend(args.backend),
+                backend=args.backend,
             )
             try:
                 if axes:
@@ -1132,7 +1121,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         scale=args.scale,
         pagerank_iterations=args.pagerank_iterations,
         conv_scale=args.conv_scale,
-        backend=_resolve_backend(args.backend),
+        backend=args.backend,
     )
     runner = ExperimentRunner(
         context=context,

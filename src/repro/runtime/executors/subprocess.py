@@ -3,9 +3,15 @@
 Each of ``workers`` driver threads owns one long-lived worker process and
 speaks a JSON-lines protocol over its stdin/stdout::
 
+    -> {"id": 1, "warmup": true}
+    <- {"id": 1, "ok": true}
     -> {"id": 7, "payload": {"kind": "profile", ...}}
     <- {"id": 7, "ok": true, "result": {...}, "duration_s": 0.42}
     <- {"id": 8, "ok": false, "error": "...", "traceback": "...", ...}
+
+The ``warmup`` handshake opens every fresh worker's conversation. It runs
+no unit, under its own ``WARMUP_TIMEOUT_S`` cap, so interpreter startup
+never counts against a unit's ``timeout_s`` and no unit fault fires on it.
 
 The worker command is an arbitrary prefix (default: this interpreter
 running ``repro.runtime.cli``) with ``worker`` appended -- the SSH-shaped
@@ -135,9 +141,20 @@ class _Worker:
         Raises :class:`TimeoutError` past ``timeout_s`` (caller kills the
         worker) and :class:`_WorkerDied` if the process goes away.
         """
+        return self._converse({"payload": payload}, timeout_s)
+
+    def warm_up(self) -> None:
+        """Block until the worker answers the spawn handshake.
+
+        The handshake executes no unit, so an armed unit fault cannot turn
+        it into a stall that only ``WARMUP_TIMEOUT_S`` would cut.
+        """
+        self._converse({"warmup": True}, WARMUP_TIMEOUT_S)
+
+    def _converse(self, message: Dict[str, Any], timeout_s: Optional[float]) -> Dict[str, Any]:
         self._next_id += 1
         request_id = self._next_id
-        line = json.dumps({"id": request_id, "payload": payload}) + "\n"
+        line = json.dumps({"id": request_id, **message}) + "\n"
         stdin = self.proc.stdin
         assert stdin is not None
         try:
@@ -321,10 +338,10 @@ class SubprocessExecutor(Executor):
             holder["worker"] = worker
             with self._workers_lock:
                 self._live_workers.append(worker)
-            # Warm the fresh worker with a no-op probe so its startup cost
+            # Warm the fresh worker with a handshake so its startup cost
             # (interpreter + imports) is paid here, not inside the first
             # real unit's timeout window.
-            worker.request({"kind": "probe"}, WARMUP_TIMEOUT_S)
+            worker.warm_up()
         return worker
 
     def _retire(self, holder: Dict[str, Any]) -> None:

@@ -52,6 +52,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlsplit
 
+from ..apps.common import BACKENDS
 from ..config import SpMUConfig
 from ..core.ordering import OrderingMode
 from ..errors import CapstanError
@@ -123,6 +124,10 @@ def _context_from_query(query: Dict[str, str]) -> RunContext:
         if "conv_scale" in query:
             kwargs["conv_scale"] = _parse_scale_text(query["conv_scale"])
         if "backend" in query:
+            if query["backend"] not in BACKENDS:
+                raise _BadRequest(
+                    f"unknown backend {query['backend']!r}; expected one of {BACKENDS}"
+                )
             kwargs["backend"] = query["backend"]
     except (ValueError, ZeroDivisionError) as exc:
         raise _BadRequest(f"bad context parameter: {exc}") from None

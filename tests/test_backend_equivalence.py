@@ -12,10 +12,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.apps import bfs, sparse_add, spmv_csr, sssp
+from repro.apps import BACKENDS, bfs, sparse_add, spmv_csr, sssp
 from repro.errors import WorkloadError
 from repro.formats import to_csr
-from repro.runtime import registry
+from repro.runtime import cli, registry
 from repro.runtime.cache import profile_to_dict
 from repro.runtime.registry import RunContext
 from repro.workloads import load_dataset
@@ -53,6 +53,18 @@ def test_unknown_backend_rejected():
     matrix = to_csr(load_dataset("Trefethen_20000", scale=1 / 256).matrix)
     with pytest.raises(WorkloadError):
         spmv_csr(matrix, np.ones(matrix.shape[1]), backend="loops")
+
+
+@pytest.mark.parametrize(
+    "build_parser",
+    (cli.build_parser, cli.build_dse_parser, cli.build_sweep_parser),
+    ids=("run", "dse", "sweep"),
+)
+def test_cli_backend_choices_are_the_profiling_backends(build_parser):
+    """Every ``--backend`` flag offers exactly the backends the apps run."""
+    [action] = [a for a in build_parser()._actions if "--backend" in a.option_strings]
+    assert tuple(action.choices) == BACKENDS
+    assert action.default in BACKENDS
 
 
 def test_backend_functional_outputs_agree():

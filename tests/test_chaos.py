@@ -13,13 +13,20 @@ from __future__ import annotations
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.runtime.executors import LocalExecutor, SubprocessExecutor
-from repro.runtime.executors.subprocess import _worker_env
-from repro.runtime.faults import Fault, FaultPlan, FaultyExecutor
+from repro.runtime.executors.subprocess import WARMUP_TIMEOUT_S, _worker_env
+from repro.runtime.faults import (
+    PROTOCOL_FAULT_KINDS,
+    UNIT_FAULT_KINDS,
+    Fault,
+    FaultPlan,
+    FaultyExecutor,
+)
 from repro.runtime.jobs import (
     JOB_DONE,
     JOB_FAILED,
@@ -63,10 +70,47 @@ class TestWorkerFaults:
             [Fault(kind="hang", times=1)], state_dir=str(tmp_path / "faults")
         )
         executor = SubprocessExecutor(workers=1, timeout_s=1.0, retries=1, backoff_s=0.01)
+        started = time.perf_counter()
+        with plan.installed():
+            outcomes = executor.run_units([_probe(3)])
+        elapsed = time.perf_counter() - started
+        assert outcomes[0].status == "ok"
+        assert outcomes[0].attempts == 2
+        # The hang fires on the unit, not the spawn handshake, so the 1s
+        # unit cap cuts it -- not the much longer warmup cap.
+        assert elapsed < WARMUP_TIMEOUT_S / 4
+
+    @pytest.mark.parametrize("kind", UNIT_FAULT_KINDS + PROTOCOL_FAULT_KINDS)
+    def test_first_unit_takes_the_fault_not_the_warmup(self, tmp_path, kind):
+        # unit_index=0 arms on the first unit a worker process executes. The
+        # spawn handshake is not a unit, so the real unit pays the fault and
+        # one retry; the fault is never fired (or spent) on the warmup.
+        plan = FaultPlan(
+            [Fault(kind=kind, unit_index=0, times=1, delay_s=5.0 if kind == "slow" else 0.0)],
+            state_dir=str(tmp_path / "faults"),
+        )
+        executor = SubprocessExecutor(workers=1, timeout_s=1.0, retries=1, backoff_s=0.01)
+        started = time.perf_counter()
+        with plan.installed():
+            outcomes = executor.run_units([_probe(3)])
+        elapsed = time.perf_counter() - started
+        assert outcomes[0].status == "ok"
+        assert outcomes[0].result["value"] == 6
+        assert outcomes[0].attempts == 2
+        assert elapsed < WARMUP_TIMEOUT_S / 4
+
+    def test_slow_start_is_absorbed_by_the_warmup(self, tmp_path):
+        # A worker that stalls before answering anything costs the spawn
+        # handshake time, not the unit's timeout or an attempt.
+        plan = FaultPlan(
+            [Fault(kind="slow_start", delay_s=2.0, times=1)],
+            state_dir=str(tmp_path / "faults"),
+        )
+        executor = SubprocessExecutor(workers=1, timeout_s=1.0, retries=0)
         with plan.installed():
             outcomes = executor.run_units([_probe(3)])
         assert outcomes[0].status == "ok"
-        assert outcomes[0].attempts == 2
+        assert outcomes[0].attempts == 1
 
     def test_malformed_line_kills_worker_not_the_run(self, tmp_path):
         # A garbage protocol line must cost one attempt on a fresh worker,

@@ -3,9 +3,10 @@
 Covers the tentpole contract end to end: schema round-trips, fingerprint
 keying, baseline snapshot/compare, expectation evaluation with every
 failure category, trend detection on synthetic run histories, the
-``bench-history`` / ``bench-compare`` CLI JSON outputs, and the migration
-proof that the legacy ``--baseline`` flag path and the store-backed path
-reach the same verdict on the committed ``BENCH_runner.json``.
+``bench-history`` / ``bench-compare`` CLI JSON outputs, and the proof
+that a committed-file baseline (``--baseline FILE``) and a named store
+baseline (``--compare-baseline NAME``) reach the same verdict on the
+committed ``BENCH_runner.json``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from repro.eval import regression
 from repro.eval.regression import (
     DEFAULT_EXPECTATIONS,
     compare_to_baseline,
-    default_expectations,
     detect_trends,
     evaluate_expectations,
     format_comparison_markdown,
@@ -31,8 +31,6 @@ from repro.eval.regression import (
     format_trends,
     load_expectations,
     normalize_expectations,
-    parse_minimal_toml,
-    set_expectation,
 )
 from repro.runtime import cli
 from repro.runtime.runstore import (
@@ -108,8 +106,10 @@ class TestRunStore:
         # Nested format-axis metrics flatten into dotted rows.
         history = store.metric_history("formats", "scan.speedup", limit=5)
         assert history == [(run_id, BENCH_RECORD["formats"]["scan"]["speedup"])]
-        # Null metrics (numba absent) are unrecorded, not stored as NULL hits.
-        assert store.metric_history("chunked", "spmu_numba_speedup") == []
+        # Null metrics are unrecorded, not stored as NULL history rows.
+        null_run = store.record_run(make_record(**{"spmu.probe_speedup": None}))
+        assert store.sections(null_run)["spmu"]["probe_speedup"] is None
+        assert store.metric_history("spmu", "probe_speedup") == []
 
     def test_wal_mode_and_user_version(self, store):
         connection = sqlite3.connect(store.path)
@@ -191,18 +191,21 @@ class TestExpectations:
     def test_committed_file_matches_builtin_gate(self):
         assert load_expectations(EXPECTATIONS_TOML) == DEFAULT_EXPECTATIONS
 
-    def test_minimal_parser_agrees_with_tomllib(self):
-        # The 3.9/3.10 fallback must read the committed file identically.
-        parsed = parse_minimal_toml(EXPECTATIONS_TOML.read_text())
-        assert normalize_expectations(parsed) == DEFAULT_EXPECTATIONS
-
-    def test_minimal_parser_rejects_garbage(self):
-        with pytest.raises(CapstanError):
-            parse_minimal_toml("[unclosed\n")
-        with pytest.raises(CapstanError):
-            parse_minimal_toml("just words\n")
-        with pytest.raises(CapstanError):
-            parse_minimal_toml("key = [1, 2]\n")
+    @pytest.mark.parametrize(
+        "text",
+        (
+            "[unclosed\n",
+            "version = 1\nversion = 2\n",
+            "[sections.spmu.min]\nspeedup =\n",
+            '[sections.spmu.min]\nspeedup = "fast\n',
+        ),
+        ids=("unclosed-table", "duplicate-key", "missing-value", "unterminated-string"),
+    )
+    def test_malformed_file_raises_capstan_error(self, tmp_path, text):
+        path = tmp_path / "expectations.toml"
+        path.write_text(text)
+        with pytest.raises(CapstanError, match="malformed expectations file"):
+            load_expectations(path)
 
     def test_normalize_rejects_unknown_keys(self):
         with pytest.raises(CapstanError, match="unknown expectations keys"):
@@ -212,13 +215,6 @@ class TestExpectations:
         with pytest.raises(CapstanError, match="must be a number"):
             normalize_expectations({"sections": {"spmu": {"min": {"speedup": True}}}})
 
-    def test_set_expectation_overrides(self):
-        expectations = default_expectations()
-        set_expectation(expectations, "spmu", "min", 12.0, "speedup")
-        set_expectation(expectations, "new-section", "compare", 1.5, "wall_s")
-        assert expectations["sections"]["spmu"]["min"]["speedup"] == 12.0
-        assert expectations["sections"]["new-section"]["compare"]["wall_s"] == 1.5
-
 
 # ------------------------------------------------------------- evaluation
 
@@ -226,10 +222,17 @@ class TestExpectations:
 class TestEvaluation:
     def test_committed_record_passes(self):
         checks = evaluate_expectations(BENCH_RECORD)
+        assert checks and all(check.passed for check in checks)
+        # A null metric is skipped, not failed.
+        expectations = normalize_expectations(
+            {"sections": {"spmu": {"min": {"speedup": 6.0, "probe_speedup": 3.0}}}}
+        )
+        checks = evaluate_expectations(
+            make_record(**{"spmu.probe_speedup": None}), expectations
+        )
         assert all(check.passed for check in checks)
-        # The null numba speedup is skipped, not failed.
         skipped = [c for c in checks if c.category == regression.SKIPPED]
-        assert [c.name for c in skipped] == ["min:spmu_numba_speedup"]
+        assert [c.name for c in skipped] == ["min:probe_speedup"]
 
     def test_speedup_floor_regression(self):
         checks = evaluate_expectations(make_record(**{"costing.batch_speedup": 2.0}))
@@ -492,7 +495,7 @@ def _load_bench_runner():
 
 
 class TestBenchRunnerGate:
-    """The migration proof: legacy flags and the store gate agree."""
+    """The file baseline and the stored baseline gate alike."""
 
     @pytest.fixture(scope="class")
     def bench_runner(self):
@@ -510,36 +513,46 @@ class TestBenchRunnerGate:
         return bench_runner.main(["--replay", str(path), *argv])
 
     def test_flag_and_store_paths_agree_on_committed_record(self, bench_runner):
-        legacy = self._replay(
+        from_file = self._replay(
             bench_runner,
             BENCH_RECORD,
             "--baseline",
             str(REPO_ROOT / "BENCH_runner.json"),
-            "--max-slowdown",
-            "2.0",
-            "--min-batch-speedup",
-            "5.0",
-            "--min-spmu-speedup",
-            "6.0",
-            "--min-formats-speedup",
-            "3.0",
-            "--max-peak-ratio",
-            "1.5",
             "--snapshot-baseline",
             "main",
         )
         stored = self._replay(
             bench_runner, BENCH_RECORD, "--compare-baseline", "main"
         )
-        assert legacy == stored == 0
+        assert from_file == stored == 0
         with RunStore(self.db) as store:
             assert len(store) == 2  # both paths recorded their run
+
+    @pytest.mark.parametrize(
+        "flag",
+        (
+            "--max-slowdown",
+            "--min-batch-speedup",
+            "--min-spmu-speedup",
+            "--min-formats-speedup",
+            "--max-peak-ratio",
+            "--min-hypervolume-ratio",
+            "--max-eval-fraction",
+        ),
+    )
+    def test_retired_override_flag_is_a_usage_error(self, bench_runner, flag, capsys):
+        # expectations.toml is the only gate: a retired threshold flag must
+        # fail loudly instead of being accepted and silently ignored.
+        with pytest.raises(SystemExit) as exc:
+            self._replay(bench_runner, BENCH_RECORD, "--no-run-db", flag, "1.0")
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_both_paths_fail_on_injected_regression(self, bench_runner):
         bad = make_record(
             **{"formats.batch_s": BENCH_RECORD["formats"]["batch_s"] * 4}
         )
-        legacy = self._replay(
+        from_file = self._replay(
             bench_runner,
             bad,
             "--baseline",
@@ -548,7 +561,7 @@ class TestBenchRunnerGate:
         # Store-backed path: freeze the committed record, replay the bad run.
         self._replay(bench_runner, BENCH_RECORD, "--snapshot-baseline", "main")
         stored = self._replay(bench_runner, bad, "--compare-baseline", "main")
-        assert legacy == stored == 1
+        assert from_file == stored == 1
 
     def test_identity_failure_without_baseline(self, bench_runner):
         bad = make_record(**{"costing.identical": False})

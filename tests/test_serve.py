@@ -117,6 +117,10 @@ class TestProfileEndpoint:
             == 400
         )
         assert _get(server, "/profile", {"app": "warpdrive", "dataset": dataset})[0] == 400
+        assert (
+            _get(server, "/profile", {"app": APP, "dataset": dataset, "backend": "bogus"})[0]
+            == 400
+        )
 
 
 class TestThroughputEndpoint:

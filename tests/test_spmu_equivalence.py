@@ -11,6 +11,7 @@ throughput API's cache semantics and the shuffle fast path.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -181,9 +182,46 @@ class TestSimulatorEquivalence:
                     vectors if backend == "reference" else RequestTrace.from_vectors(vectors)
                 )
 
+    @pytest.mark.parametrize("ordering", ORDERINGS, ids=lambda o: o.value)
+    def test_mixed_batch_matches_reference(self, ordering):
+        # One lock-step pass over a heterogeneous grid (allocators x queue
+        # depths x crossbar widths x lane counts, one trace each) must equal
+        # every variant simulated alone by the reference loop.
+        grid = itertools.product(("separable", "greedy"), (1, 4, 16), (16, 32), (8, 16))
+        variants, vectors = [], []
+        for seed, (allocator, depth, crossbar, lanes) in enumerate(grid):
+            variants.append(
+                SpMUVariant(
+                    ordering=ordering,
+                    allocator_kind=allocator,
+                    config=SpMUConfig(queue_depth=depth, crossbar_inputs=crossbar),
+                    lanes=lanes,
+                )
+            )
+            vectors.append(
+                random_request_vectors(4, lanes=lanes, address_space=512, seed=seed)
+            )
+        batch = simulate_variants(
+            variants, [RequestTrace.from_vectors(v) for v in vectors]
+        )
+        assert len(batch) == len(variants)
+        for variant, vecs, result in zip(variants, vectors, batch):
+            reference = SparseMemoryUnit(
+                config=variant.config,
+                lanes=variant.lanes,
+                ordering=variant.ordering,
+                bank_mapping=variant.bank_mapping,
+                allocator_kind=variant.allocator_kind,
+                backend="reference",
+            )
+            assert _stats_tuple(result) == _stats_tuple(reference.simulate(vecs))
+
     def test_unknown_backend_rejected(self):
-        with pytest.raises(SimulationError):
-            SparseMemoryUnit(backend="magic")
+        for backend in ("magic", "numpy", "vectorized"):
+            with pytest.raises(SimulationError, match="unknown SpMU backend"):
+                SparseMemoryUnit(backend=backend)
+            with pytest.raises(SimulationError, match="unknown SpMU backend"):
+                effective_bank_throughput_batch([SpMUVariant()], backend=backend)
 
 
 class TestEvaluationConfigurations:
