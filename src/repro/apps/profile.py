@@ -13,10 +13,13 @@ every sensitivity-study variant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Dict, List
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .scan_model import ScanCost
 
 
 @dataclass
@@ -30,7 +33,8 @@ class WorkloadProfile:
             lane-work the Active category counts).
         vector_slots: Vectorized issue slots consumed at 16 lanes, i.e.
             ``sum(ceil(trip / 16))`` over innermost loop instances.
-        scan_cycles: Scanner-busy cycles with the default 256/16 scanner.
+        scan_cycles: Scanner-busy cycles under the run's scanner
+            configuration (``RunContext.scanner``, else the default).
         scan_empty_cycles: Scanner cycles spent on all-zero chunks.
         scan_elements: Elements emitted by scanners.
         sram_random_reads: Random on-chip reads (element granularity).
@@ -102,6 +106,15 @@ class WorkloadProfile:
         if mean <= 0:
             return 0.0
         return max(0.0, max(self.tile_work) / mean - 1.0)
+
+    def with_scan(self, cost: "ScanCost") -> "WorkloadProfile":
+        """A copy with the scan fields taken from ``cost`` (a re-costed run)."""
+        return replace(
+            self,
+            scan_cycles=cost.cycles,
+            scan_empty_cycles=cost.empty_cycles,
+            scan_elements=cost.elements,
+        )
 
     def merge(self, other: "WorkloadProfile") -> "WorkloadProfile":
         """Combine two profiles (e.g. phases of a fused kernel).

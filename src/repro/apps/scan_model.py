@@ -16,13 +16,23 @@ sorted index arrays with ``numpy`` bucket counting:
   occupancy vector, so empty regions of very sparse spaces are skipped.
 
 Equivalence with the hardware model is asserted by property-based tests in
-``tests/test_scan_model.py``.
+``tests/test_scan_batch.py``.
+
+A scanner sweep never re-executes an application. Inside
+:func:`record_scans`, every top-level call of a scan-cost helper is costed
+under each swept :class:`ScannerConfig` as it is made, and the
+:class:`ScanTrace` keeps one merged cost per configuration
+(:meth:`ScanTrace.cost`).
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import inspect
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -70,6 +80,85 @@ def zero_cost() -> ScanCost:
     return _ZERO
 
 
+class ScanTrace:
+    """Merged scan cost of one recording under each of its scanner configurations.
+
+    Every top-level scan-cost call is costed under all the configurations as
+    it is made, so no operand outlives its call.
+    """
+
+    def __init__(self, configs: Sequence[ScannerConfig]) -> None:
+        if not configs:
+            raise SimulationError("record_scans needs at least one scanner configuration")
+        self._totals: Dict[ScannerConfig, ScanCost] = dict.fromkeys(configs, _ZERO)
+
+    def cost(self, config: ScannerConfig) -> ScanCost:
+        """Merged cost of every recorded call under ``config``.
+
+        Calls that named an explicit configuration keep it; the rest are
+        costed as if the scanner had ``config``.
+        """
+        try:
+            return self._totals[config]
+        except KeyError:
+            raise SimulationError(f"{config} was not one of the recorded configurations") from None
+
+    def _record(self, helper: Callable[..., ScanCost], arguments: Dict[str, Any]) -> ScanCost:
+        """Cost one call under every configuration; return its first cost."""
+        if arguments.get("config") is not None:
+            costs = dict.fromkeys(self._totals, helper(**arguments))
+        else:
+            costs = {config: helper(**dict(arguments, config=config)) for config in self._totals}
+        for config, cost in costs.items():
+            self._totals[config] = self._totals[config].merge(cost)
+        return next(iter(costs.values()))
+
+
+#: The trace of the innermost active :func:`record_scans`, if any. A context
+#: variable, so concurrent threads and tasks never see each other's trace.
+_ACTIVE_TRACE: ContextVar[Optional[ScanTrace]] = ContextVar("scan_trace", default=None)
+
+
+@contextlib.contextmanager
+def record_scans(configs: Sequence[ScannerConfig]) -> Iterator[ScanTrace]:
+    """Cost the scan-cost calls made in this context under each of ``configs``.
+
+    Each call returns its cost under ``configs[0]``, so the code inside runs
+    as if the scanner had that configuration; the yielded trace holds the
+    merged cost under every configuration. Recordings nest: an inner
+    ``record_scans`` captures its own calls and the outer trace does not
+    see them.
+    """
+    trace = ScanTrace(configs)
+    token = _ACTIVE_TRACE.set(trace)
+    try:
+        yield trace
+    finally:
+        _ACTIVE_TRACE.reset(token)
+
+
+def _recorded(helper: Callable[..., ScanCost]) -> Callable[..., ScanCost]:
+    """Cost ``helper`` through the active trace, outermost calls only.
+
+    The active trace is cleared while ``helper`` runs, so a helper built on
+    another (``scan_cost_pair`` on ``scan_cost_single``) is recorded once.
+    """
+    signature = inspect.signature(helper)
+
+    @functools.wraps(helper)
+    def recording(*args: Any, **kwargs: Any) -> ScanCost:
+        trace = _ACTIVE_TRACE.get()
+        if trace is None:
+            return helper(*args, **kwargs)
+        token = _ACTIVE_TRACE.set(None)
+        try:
+            return trace._record(helper, signature.bind(*args, **kwargs).arguments)
+        finally:
+            _ACTIVE_TRACE.reset(token)
+
+    return recording
+
+
 def _chunk_cycles(
     set_indices: np.ndarray, space_length: int, config: ScannerConfig
 ) -> ScanCost:
@@ -90,6 +179,7 @@ def _chunk_cycles(
     )
 
 
+@_recorded
 def scan_cost_single(
     indices: np.ndarray,
     space_length: int,
@@ -114,6 +204,7 @@ def scan_cost_single(
     return _bittree_cost(index_array, space_length, config)
 
 
+@_recorded
 def scan_cost_pair(
     indices_a: np.ndarray,
     indices_b: np.ndarray,
@@ -158,7 +249,6 @@ def _bittree_cost(indices: np.ndarray, space_length: int, config: ScannerConfig)
     tile_ids = np.unique(indices // BITTREE_TILE_BITS)
     top = _chunk_cycles(tile_ids, tiles, config)
     # Each occupied tile is scanned as a dense 512-bit region.
-    within = indices - (indices // BITTREE_TILE_BITS) * BITTREE_TILE_BITS
     counts = np.bincount(indices // BITTREE_TILE_BITS, minlength=tiles)[tile_ids]
     out = config.output_vectorization
     chunks_per_tile = (BITTREE_TILE_BITS + config.bit_width - 1) // config.bit_width
@@ -168,7 +258,6 @@ def _bittree_cost(indices: np.ndarray, space_length: int, config: ScannerConfig)
     # otherwise.
     per_tile_cycles = np.maximum(chunks_per_tile, (counts + out - 1) // out)
     tile_cycles = int(per_tile_cycles.sum())
-    del within
     return ScanCost(
         cycles=top.cycles + tile_cycles,
         empty_cycles=top.empty_cycles,
@@ -184,6 +273,7 @@ def _group_starts(sorted_keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
 
 
+@_recorded
 def scan_cost_rows(
     row_ids: np.ndarray,
     positions: np.ndarray,
@@ -284,6 +374,7 @@ def _bittree_rows_cost(
     )
 
 
+@_recorded
 def scan_cost_growing_unions(
     row_ids: np.ndarray,
     positions: np.ndarray,
@@ -411,6 +502,7 @@ def scan_cost_operands(
     return scan_cost_pair(indices_a, indices_b, length_a, mode, config, bittree)
 
 
+@_recorded
 def data_scan_cost(
     values_nonzero: int, total_values: int, config: Optional[ScannerConfig] = None
 ) -> ScanCost:

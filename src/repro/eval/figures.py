@@ -11,6 +11,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..apps.scan_model import record_scans
 from ..apps.timing import CapstanPlatform, default_platform, estimate_cycles
 from ..config import CapstanConfig, MemoryTechnology, ScannerConfig, SpMUConfig
 from ..core.ordering import OrderingMode
@@ -211,35 +212,36 @@ def figure6_scanner_sensitivity(
 ) -> Dict:
     """Slowdown vs scanner bit width and output vectorization.
 
-    Scanner configuration changes the scan-cycle component of each profile;
-    the applications are re-profiled with the swept scanner configuration
-    and re-costed, all relative to the maximal 512-input/16-output scanner.
+    Scanner configuration changes only the scan-cycle component of each
+    profile, so each (app, dataset) runs once with its scans costed under
+    every swept scanner configuration, all relative to the maximal
+    512-input/16-output scanner.
     """
+    reference = ScannerConfig(bit_width=512, output_vectorization=16)
+    bit_configs = [
+        ScannerConfig(bit_width=width, output_vectorization=16) for width in FIGURE6_BIT_WIDTHS
+    ]
+    out_configs = [
+        ScannerConfig(bit_width=512, output_vectorization=out) for out in FIGURE6_OUTPUT_WIDTHS
+    ]
     bit_series: Dict[str, List[float]] = {}
     out_series: Dict[str, List[float]] = {}
-
-    def runtime(app: str, scanner: ScannerConfig) -> float:
-        seconds = []
-        for dataset in APP_DATASETS[app]:
-            profile = _scan_reprofiled(app, dataset, scale, scanner)
-            config = CapstanConfig(scanner=scanner)
-            cycles, _ = estimate_cycles(profile, CapstanPlatform(config=config))
-            seconds.append(cycles)
-        return geometric_mean(seconds)
-
-    reference = ScannerConfig(bit_width=512, output_vectorization=16)
-    for app in FIGURE6_BIT_APPS:
-        base = runtime(app, reference)
-        bit_series[app] = [
-            runtime(app, ScannerConfig(bit_width=width, output_vectorization=16)) / base
-            for width in FIGURE6_BIT_WIDTHS
+    for app in dict.fromkeys(FIGURE6_BIT_APPS + FIGURE6_OUTPUT_APPS):
+        sweeps = []
+        if app in FIGURE6_BIT_APPS:
+            sweeps.append((bit_series, bit_configs))
+        if app in FIGURE6_OUTPUT_APPS:
+            sweeps.append((out_series, out_configs))
+        configs = list(dict.fromkeys([reference] + [c for _, swept in sweeps for c in swept]))
+        per_dataset = [
+            _scan_swept_cycles(app, dataset, scale, configs) for dataset in APP_DATASETS[app]
         ]
-    for app in FIGURE6_OUTPUT_APPS:
-        base = runtime(app, reference)
-        out_series[app] = [
-            runtime(app, ScannerConfig(bit_width=512, output_vectorization=out)) / base
-            for out in FIGURE6_OUTPUT_WIDTHS
-        ]
+        runtime = {
+            config: geometric_mean([cycles[i] for cycles in per_dataset])
+            for i, config in enumerate(configs)
+        }
+        for series, swept in sweeps:
+            series[app] = [runtime[config] / runtime[reference] for config in swept]
     return {
         "bit_widths": list(FIGURE6_BIT_WIDTHS),
         "bit_slowdown": bit_series,
@@ -248,27 +250,24 @@ def figure6_scanner_sensitivity(
     }
 
 
-_SCAN_REPROFILE_CACHE: Dict[tuple, object] = {}
+def _scan_swept_cycles(
+    app: str, dataset: str, scale: float, configs: List[ScannerConfig]
+) -> List[float]:
+    """Capstan cycles of one run costed under each scanner configuration.
 
-
-def _scan_reprofiled(app: str, dataset: str, scale: float, scanner: ScannerConfig):
-    """Re-run one app with a swept scanner configuration (cached in-memory).
-
-    The registry applies the scanner override during execution (the
-    scan-cost helpers construct their default configuration at call time),
-    so the application is profiled as if the hardware had the swept scanner.
-    These off-design-point profiles deliberately bypass the on-disk cache.
+    The app runs once with its scans costed under every configuration as
+    they are made (the run bypasses the profile cache).
     """
     from ..runtime.registry import RunContext, execute
 
-    key = (app, dataset, scale, scanner.bit_width, scanner.output_vectorization)
-    cached = _SCAN_REPROFILE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    context = RunContext(scale=scale, scanner=scanner)
-    profile = execute(app, dataset, context)
-    _SCAN_REPROFILE_CACHE[key] = profile
-    return profile
+    with record_scans(configs) as trace:
+        profile = execute(app, dataset, RunContext(scale=scale))
+    cycles = []
+    for config in configs:
+        swept = profile.with_scan(trace.cost(config))
+        platform = CapstanPlatform(config=CapstanConfig(scanner=config))
+        cycles.append(estimate_cycles(swept, platform)[0])
+    return cycles
 
 
 # --------------------------------------------------------------------------- #

@@ -1095,25 +1095,35 @@ class JobStore:
                     halt = True
         finally:
             heartbeat.stop()
-        counts = self.unit_states(job_id)
-        remaining = counts.get(UNIT_PENDING, 0) + counts.get(UNIT_FAILED, 0)
-        if counts.get(UNIT_RUNNING, 0):
-            # Another live claimant still holds leases; the job is theirs
-            # to finish.
-            state = JOB_RUNNING
-        elif counts.get(UNIT_DONE, 0) == sum(counts.values()):
-            state = JOB_DONE
-        elif (
-            counts.get(UNIT_FAILED, 0) or counts.get(UNIT_DEAD, 0)
-        ) and not counts.get(UNIT_PENDING, 0):
-            state = JOB_FAILED
-        else:
-            state = JOB_PENDING
-        with self._connection:
+        # Read the unit states and write the job state in one write
+        # transaction: otherwise a concurrent claimant that commits its
+        # last unit and marks the job done in between would have that
+        # overwritten by this claimant's stale "running".
+        self._connection.commit()  # close any open implicit transaction
+        self._connection.execute("BEGIN IMMEDIATE")
+        try:
+            counts = self.unit_states(job_id)
+            if counts.get(UNIT_RUNNING, 0):
+                # Another live claimant still holds leases; the job is
+                # theirs to finish.
+                state = JOB_RUNNING
+            elif counts.get(UNIT_DONE, 0) == sum(counts.values()):
+                state = JOB_DONE
+            elif (
+                counts.get(UNIT_FAILED, 0) or counts.get(UNIT_DEAD, 0)
+            ) and not counts.get(UNIT_PENDING, 0):
+                state = JOB_FAILED
+            else:
+                state = JOB_PENDING
             self._connection.execute(
                 "UPDATE jobs SET state=?, updated_at=? WHERE id=?",
                 (state, _utc_now(), job_id),
             )
+            self._connection.execute("COMMIT")
+        except BaseException:
+            self._connection.execute("ROLLBACK")
+            raise
+        remaining = counts.get(UNIT_PENDING, 0) + counts.get(UNIT_FAILED, 0)
         return JobRunSummary(
             job_id=job_id,
             state=state,

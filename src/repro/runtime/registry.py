@@ -51,8 +51,8 @@ class RunContext:
         pagerank_iterations: Power iterations per PageRank run.
         conv_scale: Channel scale for the ResNet layers.
         scanner: Optional scanner-configuration override; when set, the
-            application is profiled as if the default scanner had this
-            configuration (used by the Figure 6 sweep).
+            application's scan costs are computed as if the default
+            scanner had this configuration.
         backend: Profiling-kernel backend every application runs with:
             ``"vectorized"`` (default, batch numpy kernels) or
             ``"reference"`` (the per-element loop implementations the
@@ -115,7 +115,12 @@ class AppSpec:
     context_fields: Optional[Tuple[str, ...]] = CONTEXT_PARAMETERS
 
     def execute(self, dataset: str, context: Optional[RunContext] = None) -> "WorkloadProfile":
-        """Prepare inputs and run this application once on ``dataset``."""
+        """Prepare inputs and run this application once on ``dataset``.
+
+        A scanner override only changes how the run's scans are costed: the
+        run's scan-cost calls are costed under the override (a context-local
+        setting, so concurrent runs keep their own scanner).
+        """
         context = context or RunContext()
         inputs = dict(self.prepare(dataset, context))
         if _accepts_backend(self.run):
@@ -123,9 +128,11 @@ class AppSpec:
         if context.scanner is None:
             result = self.run(**inputs)
         else:
-            result = _run_with_scanner(self.run, inputs, context.scanner)
-        profile = getattr(result, "profile", result)
-        return profile
+            from ..apps.scan_model import record_scans
+
+            with record_scans([context.scanner]):
+                result = self.run(**inputs)
+        return getattr(result, "profile", result)
 
 
 def _accepts_backend(run: Callable[..., Any]) -> bool:
@@ -143,23 +150,6 @@ def _accepts_backend(run: Callable[..., Any]) -> bool:
     if "backend" in parameters:
         return True
     return any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values())
-
-
-def _run_with_scanner(run: Callable[..., Any], inputs: Mapping[str, Any], scanner) -> Any:
-    """Run an application with the default scanner configuration overridden.
-
-    The scan-cost helpers construct their default configuration at call
-    time, so substituting the constructor re-profiles the application as if
-    the hardware had the swept scanner (Figure 6).
-    """
-    from ..apps import scan_model
-
-    original = scan_model.ScannerConfig
-    scan_model.ScannerConfig = lambda: scanner  # type: ignore[assignment]
-    try:
-        return run(**inputs)
-    finally:
-        scan_model.ScannerConfig = original  # type: ignore[assignment]
 
 
 #: All registered specs by name (populated by the app modules on import).

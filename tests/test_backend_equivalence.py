@@ -9,11 +9,16 @@ event counts, so no tolerance is needed).
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.apps import BACKENDS, bfs, sparse_add, spmv_csr, sssp
+from repro.apps.scan_model import record_scans
+from repro.config import ScannerConfig
 from repro.errors import WorkloadError
+from repro.eval.figures import FIGURE6_BIT_APPS
 from repro.formats import to_csr
 from repro.runtime import cli, registry
 from repro.runtime.cache import profile_to_dict
@@ -100,19 +105,49 @@ def test_spadd_output_bit_identical():
 
 
 def test_scanner_override_applies_to_both_backends():
-    """The Figure 6 scanner sweep re-profiles identically per backend."""
-    from repro.config import ScannerConfig
+    """The Figure 6 scanner sweep re-costs identically per backend."""
+    swept_configs = (
+        ScannerConfig(bit_width=64, output_vectorization=4),
+        ScannerConfig(bit_width=1, output_vectorization=16),
+    )
+    for app in FIGURE6_BIT_APPS:
+        dataset = registry.get_spec(app).datasets[0]
+        plain = registry.execute(app, dataset, RunContext(scale=SCALE))
+        for swept in swept_configs:
+            vec = registry.execute(
+                app, dataset, RunContext(scale=SCALE, scanner=swept, backend="vectorized")
+            )
+            ref = registry.execute(
+                app, dataset, RunContext(scale=SCALE, scanner=swept, backend="reference")
+            )
+            assert profile_to_dict(vec) == profile_to_dict(ref), (app, swept)
+            assert vec.scan_cycles != plain.scan_cycles, (app, swept)
+            # Only the scan fields move with the scanner.
+            assert _without_scan(vec) == _without_scan(plain), (app, swept)
 
+
+@pytest.mark.parametrize("app", registry.app_order())
+def test_profile_scan_fields_are_the_recorded_scans(app):
+    """Every app's scan fields are exactly the merge of its scan-cost calls,
+    which is what lets one run be costed under every swept scanner."""
+    dataset = registry.get_spec(app).datasets[0]
     swept = ScannerConfig(bit_width=64, output_vectorization=4)
-    spec = registry.get_spec("spadd")
-    vec = spec.execute(
-        "Trefethen_20000",
-        RunContext(scale=SCALE, scanner=swept, backend="vectorized"),
+    with record_scans([ScannerConfig(), swept]) as trace:
+        profile = registry.execute(app, dataset, _context("vectorized"))
+    overridden = registry.execute(
+        app, dataset, dataclasses.replace(_context("vectorized"), scanner=swept)
     )
-    ref = spec.execute(
-        "Trefethen_20000",
-        RunContext(scale=SCALE, scanner=swept, backend="reference"),
-    )
-    assert profile_to_dict(vec) == profile_to_dict(ref)
-    plain = spec.execute("Trefethen_20000", RunContext(scale=SCALE))
-    assert vec.scan_cycles != plain.scan_cycles
+    for config, expected in ((ScannerConfig(), profile), (swept, overridden)):
+        cost = trace.cost(config)
+        assert (expected.scan_cycles, expected.scan_empty_cycles, expected.scan_elements) == (
+            cost.cycles,
+            cost.empty_cycles,
+            cost.elements,
+        ), config
+
+
+def _without_scan(profile) -> dict:
+    fields = profile_to_dict(profile)
+    for name in ("scan_cycles", "scan_empty_cycles", "scan_elements"):
+        del fields[name]
+    return fields

@@ -8,6 +8,9 @@ where, and which knobs matter.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.eval import (
@@ -18,6 +21,7 @@ from repro.eval import (
     figure5a_bandwidth_sensitivity,
     figure5b_area_sensitivity,
     figure5c_compression_sensitivity,
+    figure6_scanner_sensitivity,
     figure7_stall_breakdown,
     format_mapping,
     format_series,
@@ -32,6 +36,11 @@ from repro.eval import (
     table12_performance,
     table13_asic_comparison,
 )
+
+#: sha256 of Figure 6 at scale 1/256 (``json.dumps(..., sort_keys=True)``),
+#: recorded when the sweep still re-executed every app per scanner config;
+#: re-costing recorded scans must reproduce it byte for byte.
+FIGURE6_GOLDEN_SHA256 = "3c02eecd0474dba3f91ec33a89755fcaa9f22ed629684cafeb20b583dba44300"
 
 #: Small-but-representative subset used for the heavier harness tests.
 SUBSET_APPS = ["spmv-csr", "spmv-coo", "spmv-csc", "bfs", "pagerank-edge", "spadd"]
@@ -158,6 +167,16 @@ class TestFigures:
         assert max(series["spmv-coo"]) >= max(series["spmv-csr"]) - 0.05
         for app in SUBSET_APPS:
             assert all(s >= 0.99 for s in series[app])
+
+    def test_figure6_matches_golden(self):
+        result = figure6_scanner_sensitivity(scale=1 / 256)
+        # The 512-bit / 16-output reference point is the normalizer.
+        for series in result["bit_slowdown"].values():
+            assert series[-1] == 1.0 and series[0] >= series[-1]
+        for series in result["output_slowdown"].values():
+            assert series[-1] == 1.0
+        encoded = json.dumps(result, sort_keys=True).encode()
+        assert hashlib.sha256(encoded).hexdigest() == FIGURE6_GOLDEN_SHA256
 
     def test_figure7_fractions_sum_to_one(self, profile_set):
         breakdown = figure7_stall_breakdown(profile_set)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import threading
 
 import pytest
 
@@ -94,6 +95,38 @@ class TestRegistry:
         )
         assert scan_model.ScannerConfig is default_ctor
         assert narrow.scan_cycles > base.scan_cycles
+
+    def test_scanner_override_is_invisible_to_concurrent_runs(self):
+        """Override and plain runs in parallel threads each get their own
+        sequential profile: an override never leaks into another run."""
+        dataset = "ckt11752_dc_1"
+        contexts = (
+            RunContext(scale=TINY, scanner=ScannerConfig(bit_width=1, output_vectorization=1)),
+            RunContext(scale=TINY),
+        )
+        expected = {
+            context: profile_to_dict(registry_module.execute("spadd", dataset, context))
+            for context in contexts
+        }
+        assert len({str(profile) for profile in expected.values()}) == 2
+        start = threading.Barrier(len(contexts))
+        mismatches = []
+
+        def profile_repeatedly(context: RunContext) -> None:
+            start.wait()
+            for _ in range(40):
+                profile = profile_to_dict(registry_module.execute("spadd", dataset, context))
+                if profile != expected[context]:
+                    mismatches.append((context.scanner, profile["scan_cycles"]))
+
+        threads = [
+            threading.Thread(target=profile_repeatedly, args=(context,)) for context in contexts
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not mismatches
 
 
 class TestProfileCache:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.common import (
     cross_tile_fraction_rows,
@@ -17,6 +19,8 @@ from repro.apps.common import (
 )
 from repro.apps.profile import vector_slots_batch, vector_slots_for
 from repro.apps.scan_model import (
+    data_scan_cost,
+    record_scans,
     scan_cost_growing_unions,
     scan_cost_pair,
     scan_cost_rows,
@@ -155,6 +159,120 @@ class TestScanCostGrowingUnions:
     def test_no_steps_is_free(self):
         empty = np.empty(0, dtype=np.int64)
         assert scan_cost_growing_unions(empty, empty, empty, np.array([0, 0]), 100) == zero_cost()
+
+
+def _random_scan_calls(rng, bittree: bool):
+    """One random operand set per scan-cost helper, as ``(helper, kwargs)``."""
+    space = int(rng.integers(1, 3000))
+
+    def positions(limit: int) -> np.ndarray:
+        count = int(rng.integers(0, min(space, limit)))
+        return np.sort(rng.choice(space, size=count, replace=False))
+
+    rows = np.sort(rng.integers(0, 4, size=30))
+    keys = np.unique(rows * space + rng.integers(0, space, size=30))
+    first = rng.integers(1, 4, size=keys.size)
+    total = int(rng.integers(0, 500))
+    return [
+        (scan_cost_single, dict(indices=positions(300), space_length=space, bittree=bittree)),
+        (
+            scan_cost_pair,
+            dict(
+                indices_a=positions(200),
+                indices_b=positions(200),
+                space_length=space,
+                mode=ScanMode.INTERSECT if rng.random() < 0.5 else ScanMode.UNION,
+                bittree=bittree,
+            ),
+        ),
+        (
+            scan_cost_rows,
+            dict(
+                row_ids=keys // space,
+                positions=keys % space,
+                n_rows=4,
+                space_length=space,
+                bittree=bittree,
+            ),
+        ),
+        (
+            scan_cost_growing_unions,
+            dict(
+                row_ids=keys // space,
+                positions=keys % space,
+                first_steps=first,
+                steps_per_row=np.full(4, 3),
+                space_length=space,
+            ),
+        ),
+        (
+            data_scan_cost,
+            dict(values_nonzero=int(rng.integers(0, total + 1)), total_values=total),
+        ),
+    ]
+
+
+class TestScanTrace:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        bit_width=st.sampled_from([1, 4, 16, 64, 128, 256, 512]),
+        output_vectorization=st.sampled_from([1, 2, 4, 8, 16]),
+        bittree=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_recost_matches_direct_calls(self, seed, bit_width, output_vectorization, bittree):
+        calls = _random_scan_calls(np.random.default_rng(seed), bittree)
+        config = ScannerConfig(bit_width=bit_width, output_vectorization=output_vectorization)
+        with record_scans([ScannerConfig(), config]) as trace:
+            recorded = zero_cost()
+            for helper, kwargs in calls:
+                recorded = recorded.merge(helper(**kwargs))
+        # The calls returned their cost under the first config, and
+        # scan_cost_pair's inner scan_cost_single is not counted again.
+        assert trace.cost(ScannerConfig()) == recorded
+        expected = zero_cost()
+        for helper, kwargs in calls:
+            expected = expected.merge(helper(**kwargs, config=config))
+        assert trace.cost(config) == expected
+
+    def test_calls_inside_run_under_the_first_config(self):
+        narrow = ScannerConfig(bit_width=4, output_vectorization=1)
+        indices = np.arange(0, 1000, 7)
+        with record_scans([narrow, ScannerConfig()]):
+            inside = scan_cost_single(indices, 1000)
+        assert inside == scan_cost_single(indices, 1000, narrow)
+        assert inside != scan_cost_single(indices, 1000)
+
+    def test_explicit_config_is_kept_when_recosting(self):
+        narrow = ScannerConfig(bit_width=4, output_vectorization=1)
+        indices = np.arange(0, 1000, 7)
+        wide = ScannerConfig(bit_width=512)
+        with record_scans([wide]) as trace:
+            scan_cost_single(indices, 1000, narrow)
+            scan_cost_single(indices, 1000)
+        expected = scan_cost_single(indices, 1000, narrow).merge(
+            scan_cost_single(indices, 1000, wide)
+        )
+        assert trace.cost(wide) == expected
+
+    def test_recordings_nest_and_ignore_outside_calls(self):
+        indices = np.arange(10)
+        scan_cost_single(indices, 100)
+        with record_scans([ScannerConfig()]) as outer:
+            with record_scans([ScannerConfig()]) as inner:
+                scan_cost_pair(indices, indices + 1, 100)
+            scan_cost_single(indices, 100)
+        assert inner.cost(ScannerConfig()) == scan_cost_pair(indices, indices + 1, 100)
+        assert outer.cost(ScannerConfig()) == scan_cost_single(indices, 100)
+
+    def test_unrecorded_config_is_an_error(self):
+        with record_scans([ScannerConfig()]) as trace:
+            scan_cost_single(np.arange(10), 100)
+        with pytest.raises(SimulationError):
+            trace.cost(ScannerConfig(bit_width=16))
+        with pytest.raises(SimulationError):
+            with record_scans([]):
+                pass
 
 
 class TestCrossTileBatch:
