@@ -616,6 +616,18 @@ def estimate_cycles_batch(
     ]
     if not parts:
         return _estimate_cycles_batch_columns(profiles, [], energy=energy)
+    return merge_batches(parts)
+
+
+def merge_batches(parts: Sequence[BatchCostResult]) -> BatchCostResult:
+    """Concatenate the column chunks of one grid back into a single result.
+
+    ``parts`` are consecutive platform-axis chunks over the same profiles,
+    as :func:`iter_cycles_batches` yields them; energy is merged when the
+    chunks carry it. A single chunk is returned as is (no copy).
+    """
+    if len(parts) == 1:
+        return parts[0]
     merged = BatchCostResult(
         cycles=np.concatenate([part.cycles for part in parts], axis=1),
         categories={
@@ -623,7 +635,7 @@ def estimate_cycles_batch(
             for name in STALL_CATEGORIES
         },
     )
-    if energy:
+    if parts[0].energy_mj is not None:
         from ..core.energy import ENERGY_CATEGORIES
 
         merged.energy_mj = np.concatenate([part.energy_mj for part in parts], axis=1)

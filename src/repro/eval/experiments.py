@@ -93,4 +93,6 @@ def collect_profiles(
     )
     runner = ExperimentRunner(context=context, workers=workers, cache=cache, executor=executor)
     report = runner.run(apps=apps)
-    return ProfileSet(profiles=dict(report.profiles()), scale=scale)
+    return ProfileSet(
+        profiles={(p.app, p.dataset): p for p in report.profiles()}, scale=scale
+    )

@@ -35,13 +35,13 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .._budget import ENV_MEMORY_BUDGET, parse_memory_budget
-from ..errors import CapstanError
+from ..errors import CapstanError, ConfigurationError
 from .cache import ProfileCache, default_cache_dir, profile_to_dict
 from .dse import explore, prefill_throughputs
 from .registry import RunContext, app_datasets, app_order
 from .runner import ExperimentRunner
 from .runstore import RunStore, default_run_db
-from .sweep import AXIS_VALUE_PARSERS
+from .sweep import AXIS_VALUE_PARSERS, parse_axis_value
 
 #: Executor names accepted by --executor flags.
 _EXECUTOR_CHOICES = ("local", "pool", "subprocess")
@@ -153,15 +153,10 @@ def _parse_axis(text: str) -> Tuple[str, List[Any]]:
     axis = axis.strip()
     if not separator or not raw.strip():
         raise ValueError(f"expected NAME=V1[,V2,...], got {text!r}")
-    parser = AXIS_VALUE_PARSERS.get(axis)
-    if parser is None:
-        known = ", ".join(sorted(AXIS_VALUE_PARSERS))
-        raise ValueError(f"unknown axis {axis!r}; known: {known}")
     try:
-        values = [parser(value.strip()) for value in raw.split(",") if value.strip()]
-    except ValueError as exc:
-        raise ValueError(f"bad value for axis {axis!r}: {exc}") from None
-    return axis, values
+        return axis, [parse_axis_value(axis, v.strip()) for v in raw.split(",") if v.strip()]
+    except ConfigurationError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def _parse_axes(parser: argparse.ArgumentParser, specs: List[str]) -> Dict[str, List[Any]]:
@@ -338,13 +333,14 @@ def _dse_search_main(
 ) -> int:
     from .search import (
         DEFAULT_SEARCH_AXES,
+        OBJECTIVES,
         AdaptiveSearch,
         SearchSpace,
         SearchStore,
         make_strategy,
     )
 
-    objectives = _parse_objectives(parser, args.objective, ("cycles", "area", "energy"))
+    objectives = _parse_objectives(parser, args.objective, OBJECTIVES)
     store: Optional[SearchStore]
     if args.search_store == "none":
         store = None
@@ -361,8 +357,7 @@ def _dse_search_main(
         runner = ExperimentRunner(
             context=context, workers=args.workers, cache=cache, executor=args.executor
         )
-        report = runner.run(apps=apps)
-        profiles = [r.profile for r in report.results if r.profile is not None]
+        profiles = runner.run(apps=apps).profiles()
         engine = AdaptiveSearch(
             space,
             strategy,
@@ -437,10 +432,7 @@ def _dse_main(argv: List[str]) -> int:
         from .sweep import sweep
 
         try:
-            variants = sweep(**axes)
-            for platform in variants.values():
-                platform.config.validate()
-            resolved = prefill_throughputs(variants.values())
+            resolved = prefill_throughputs(sweep(**axes).values())
         except CapstanError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -2,15 +2,21 @@
 
 The paper evaluates one fixed Capstan design point and studies sensitivity
 along one axis at a time (Tables 9-12). This module opens the configuration
-space as a first-class object: :func:`explore` generates a platform grid
-from :func:`~repro.runtime.sweep.sweep` axes -- including the structural
-axes ``lanes`` / ``banks`` / ``compute_units`` / ``queue_depth`` --
-collects workload profiles through the cached
+space as a first-class object: :func:`explore` generates a validated
+platform grid from :func:`~repro.runtime.sweep.sweep` axes -- including
+the structural axes ``lanes`` / ``banks`` / ``compute_units`` /
+``queue_depth`` -- collects workload profiles through the cached
 :class:`~repro.runtime.runner.ExperimentRunner`, costs the whole
-(profile x variant) matrix in one
-:func:`~repro.apps.timing.estimate_cycles_batch` call, attaches the area
-model from :mod:`repro.core.area`, and extracts the cycles-vs-area Pareto
-frontier. ``repro-eval dse`` drives it from the command line.
+(profile x variant) matrix through :func:`cost_variants`, and extracts the
+cycles-vs-area Pareto frontier. ``repro-eval dse`` drives it from the
+command line.
+
+:func:`cost_variants` is the one costing core of the DSE layer: the
+exhaustive :func:`explore`, the adaptive
+:class:`~repro.runtime.search.AdaptiveSearch` and the job layer's
+``dse_chunk`` units all reduce (profiles x platforms) to per-variant
+gmean cycles, area and gmean energy through it, so a variant costs the
+same bits whichever path costs it.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from ..apps.timing import (
     CapstanPlatform,
     estimate_cycles_batch,
     iter_cycles_batches,
+    merge_batches,
     platform_throughput_variant,
 )
 from ..core.area import capstan_area
@@ -84,27 +91,35 @@ def pareto_frontier(costs: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class DSEResult:
+class VariantCosts:
+    """Per-variant objectives of one (profile x variant) costing pass.
+
+    Attributes:
+        gmean_cycles: Geometric-mean cycles over the profiles, per variant.
+        area_mm2: Modelled chip area per variant.
+        gmean_energy_mj: Geometric-mean energy (mJ) per variant when costed
+            with ``energy=True``, else ``None``.
+        batch: The full per-cell costing (cycles and stall categories) when
+            kept, else ``None`` (streamed out under a memory budget).
+    """
+
+    gmean_cycles: np.ndarray
+    area_mm2: np.ndarray
+    gmean_energy_mj: Optional[np.ndarray] = None
+    batch: Optional[BatchCostResult] = None
+
+
+@dataclass(kw_only=True)
+class DSEResult(VariantCosts):
     """Cost/area grid of one design-space exploration.
 
     Attributes:
         variants: The swept platforms by variant name, in sweep order.
         tasks: The ``(app, dataset)`` coordinates of each profile row.
-        batch: The full per-cell costing (cycles and stall categories), or
-            ``None`` when the exploration streamed the grid out under a
-            memory budget instead of materializing it.
-        area_mm2: Modelled chip area per variant.
-        gmean_cycles: Geometric-mean cycles over all profiles per variant.
-        gmean_energy_mj: Geometric-mean energy (mJ) over all profiles per
-            variant when the exploration costed energy, else ``None``.
     """
 
     variants: Dict[str, CapstanPlatform]
     tasks: List[Tuple[str, str]]
-    batch: Optional[BatchCostResult]
-    area_mm2: np.ndarray
-    gmean_cycles: np.ndarray
-    gmean_energy_mj: Optional[np.ndarray] = None
     _frontiers: Dict[Tuple[str, ...], Tuple[str, ...]] = field(
         default_factory=dict, repr=False
     )
@@ -197,6 +212,47 @@ class DSEResult:
         return rows[: max(0, n)]
 
 
+def cost_variants(
+    profiles: Sequence[WorkloadProfile],
+    platforms: Sequence[CapstanPlatform],
+    *,
+    energy: bool = False,
+    memory_budget: Optional[int] = None,
+    keep_grid: bool = False,
+) -> VariantCosts:
+    """Cost every platform on every profile, reduced per variant.
+
+    The grid streams in ``memory_budget``-sized platform chunks (``None``
+    defers to ``REPRO_MEMORY_BUDGET``). Each chunk holds whole profile
+    columns, so the per-variant gmeans are the floats of the full grid,
+    which is only kept (joined by ``merge_batches``) under ``keep_grid``.
+    """
+    cycles: List[float] = []
+    energies: List[float] = []
+    parts: List[BatchCostResult] = []
+    for _chunk, batch in iter_cycles_batches(
+        profiles, platforms, memory_budget=memory_budget, energy=energy
+    ):
+        for j in range(batch.cycles.shape[1]):
+            cycles.append(geometric_mean([float(c) for c in batch.cycles[:, j]]))
+            if energy:
+                energies.append(geometric_mean([float(e) for e in batch.energy_mj[:, j]]))
+        if keep_grid:
+            parts.append(batch)
+    grid: Optional[BatchCostResult] = None
+    if keep_grid:
+        # A budgeted pass over zero platforms yields no chunk at all.
+        grid = merge_batches(parts) if parts else estimate_cycles_batch(
+            profiles, [], energy=energy
+        )
+    return VariantCosts(
+        gmean_cycles=np.asarray(cycles, dtype=np.float64),
+        area_mm2=np.array([capstan_area(p.config).total_mm2 for p in platforms]),
+        gmean_energy_mj=np.asarray(energies, dtype=np.float64) if energy else None,
+        batch=grid,
+    )
+
+
 def explore(
     *,
     base: Optional[CapstanPlatform] = None,
@@ -252,8 +308,6 @@ def explore(
         A :class:`DSEResult` with the cost grid, areas, and Pareto frontier.
     """
     variants = sweep(base, name=name, **axes)
-    for platform in variants.values():
-        platform.config.validate()
     if seed is not None:
         rng = np.random.default_rng(seed)
         names = list(variants)
@@ -266,63 +320,17 @@ def explore(
             cache=cache,
             executor=executor,
         )
-        report = runner.run(apps=list(apps) if apps is not None else None)
-        succeeded = [r for r in report.results if r.profile is not None]
-        tasks = [(r.app, r.dataset) for r in succeeded]
-        collected = [r.profile for r in succeeded]
+        collected = runner.run(apps=list(apps) if apps is not None else None).profiles()
     else:
         collected = list(profiles)
-        tasks = [(p.app, p.dataset) for p in collected]
     budget = resolve_memory_budget(memory_budget)
     if keep_grid is None:
         keep_grid = (
             budget is None
             or len(collected) * len(variants) * COSTING_BYTES_PER_CELL <= budget
         )
-    platform_list = list(variants.values())
-    gmean_energy: Optional[List[float]] = [] if energy else None
-    if keep_grid:
-        batch: Optional[BatchCostResult] = estimate_cycles_batch(
-            collected, platform_list, memory_budget=budget, energy=energy
-        )
-        gmean_cycles = np.array(
-            [
-                geometric_mean([float(c) for c in batch.cycles[:, j]])
-                for j in range(len(variants))
-            ]
-        )
-        if gmean_energy is not None:
-            gmean_energy.extend(
-                geometric_mean([float(e) for e in batch.energy_mj[:, j]])
-                for j in range(len(variants))
-            )
-    else:
-        # Stream the cross-product: each chunk carries complete profile
-        # columns, so per-column gmeans fold in with identical floats and
-        # the per-cell grid never has to exist at once.
-        batch = None
-        gmean_parts: List[float] = []
-        for _, chunk_batch in iter_cycles_batches(
-            collected, platform_list, memory_budget=budget, energy=energy
-        ):
-            gmean_parts.extend(
-                geometric_mean([float(c) for c in chunk_batch.cycles[:, j]])
-                for j in range(chunk_batch.cycles.shape[1])
-            )
-            if gmean_energy is not None:
-                gmean_energy.extend(
-                    geometric_mean([float(e) for e in chunk_batch.energy_mj[:, j]])
-                    for j in range(chunk_batch.cycles.shape[1])
-                )
-        gmean_cycles = np.asarray(gmean_parts, dtype=np.float64)
-    area_mm2 = np.array([capstan_area(v.config).total_mm2 for v in variants.values()])
-    return DSEResult(
-        variants=variants,
-        tasks=tasks,
-        batch=batch,
-        area_mm2=area_mm2,
-        gmean_cycles=gmean_cycles,
-        gmean_energy_mj=(
-            np.asarray(gmean_energy, dtype=np.float64) if gmean_energy is not None else None
-        ),
+    costs = cost_variants(
+        collected, list(variants.values()), energy=energy, memory_budget=budget, keep_grid=keep_grid
     )
+    tasks = [(p.app, p.dataset) for p in collected]
+    return DSEResult(variants=variants, tasks=tasks, **vars(costs))

@@ -259,9 +259,7 @@ def _execute_dse_chunk(payload: Dict[str, Any]) -> Dict[str, Any]:
     the parallelism axis of a DSE job is its units, not a nested pool), so
     every chunk of the same job reuses the same cached profile set.
     """
-    from ..apps.timing import estimate_cycles_batch
-    from ..core.area import capstan_area
-    from ..sim.stats import geometric_mean
+    from .dse import cost_variants
     from .runner import ExperimentRunner
     from .sweep import sweep
 
@@ -270,24 +268,15 @@ def _execute_dse_chunk(payload: Dict[str, Any]) -> Dict[str, Any]:
         for axis, values in payload["axes"].items()
     }
     variants = sweep(**axes)
-    names = list(variants)
-    chunk_names = names[payload["start"] : payload["stop"]]
-    platforms = [variants[name] for name in chunk_names]
-    for platform in platforms:
-        platform.config.validate()
+    chunk_names = list(variants)[payload["start"] : payload["stop"]]
     context = context_from_dict(payload.get("context"))
     runner = ExperimentRunner(context=context, workers=1, cache=payload.get("cache", True))
-    report = runner.run(apps=payload.get("apps"))
-    profiles = [r.profile for r in report.results if r.profile is not None]
-    batch = estimate_cycles_batch(profiles, platforms)
-    gmeans = [
-        geometric_mean([float(c) for c in batch.cycles[:, j]])
-        for j in range(len(platforms))
-    ]
+    profiles = runner.run(apps=payload.get("apps")).profiles()
+    costs = cost_variants(profiles, [variants[name] for name in chunk_names])
     return {
-        "names": list(chunk_names),
-        "gmean_cycles": [float(g) for g in gmeans],
-        "area_mm2": [float(capstan_area(p.config).total_mm2) for p in platforms],
+        "names": chunk_names,
+        "gmean_cycles": costs.gmean_cycles.tolist(),
+        "area_mm2": costs.area_mm2.tolist(),
     }
 
 
@@ -306,22 +295,21 @@ def _execute_dse_search(payload: Dict[str, Any]) -> Dict[str, Any]:
     which stays correct but duplicates work across workers.
     """
     from .runner import ExperimentRunner
-    from .search import AdaptiveSearch, SearchSpace, SearchStore, make_strategy
+    from .search import OBJECTIVES, AdaptiveSearch, SearchSpace, SearchStore, make_strategy
 
     target = int(payload["generation"]) + 1
     space = SearchSpace.from_axes({axis: values for axis, values in payload["axes"]})
     strategy = make_strategy(payload["strategy"], **payload.get("params", {}))
     context = context_from_dict(payload.get("context"))
     runner = ExperimentRunner(context=context, workers=1, cache=payload.get("cache", True))
-    report = runner.run(apps=payload.get("apps"))
-    profiles = [r.profile for r in report.results if r.profile is not None]
+    profiles = runner.run(apps=payload.get("apps")).profiles()
     store_root = payload.get("store_root")
     store = SearchStore(Path(store_root)) if store_root else SearchStore()
     engine = AdaptiveSearch(
         space,
         strategy,
         profiles,
-        objectives=tuple(payload.get("objectives") or ("cycles", "area", "energy")),
+        objectives=tuple(payload.get("objectives") or OBJECTIVES),
         seed=int(payload.get("seed", 0)),
         memory_budget=payload.get("memory_budget"),
         store=store,
@@ -525,8 +513,6 @@ class JobSpec:
             for axis, values in axes.items()
         }
         variants = sweep(**parsed)
-        for platform in variants.values():
-            platform.config.validate()
         context = context or RunContext()
         app_names = list(apps) if apps is not None else list(registry.app_order())
         cells = sum(len(registry.get_spec(app).datasets) for app in app_names)
@@ -564,7 +550,7 @@ class JobSpec:
         strategy: str = "evolve",
         params: Optional[Dict[str, Any]] = None,
         seed: int = 0,
-        objectives: Sequence[str] = ("cycles", "area", "energy"),
+        objectives: Optional[Sequence[str]] = None,
         apps: Optional[Sequence[str]] = None,
         context: Optional[RunContext] = None,
         memory_budget: Optional[int] = None,
@@ -579,20 +565,17 @@ class JobSpec:
         the last committed state, so the search as a whole resumes
         mid-frontier with zero re-evaluation of committed generations.
         Generations depend on each other serially -- run the job with one
-        worker.
+        worker. ``objectives`` defaults to every search objective. The
+        space is built here, so an illegal axis value fails at submit.
         """
-        from .search import DEFAULT_SEARCH_AXES, make_strategy
+        from .search import DEFAULT_SEARCH_AXES, OBJECTIVES, SearchSpace, make_strategy
 
-        if axes is None:
-            axes = {axis: list(values) for axis, values in DEFAULT_SEARCH_AXES.items()}
+        space = SearchSpace.from_axes(axes if axes is not None else DEFAULT_SEARCH_AXES)
         params = dict(params or {})
         built = make_strategy(strategy, **params)
         # A list of pairs: the payload is persisted with sorted keys, and
         # axis order shapes the space (gene order, variant names).
-        axes_json = [
-            [axis, [axis_value_to_json(parse_axis_value(axis, value)) for value in values]]
-            for axis, values in axes.items()
-        ]
+        axes_json = [[axis, values] for axis, values in space.to_json().items()]
         context_dict = context_to_dict(context or RunContext())
         units: List[WorkUnit] = []
         for generation in range(built.total_generations()):
@@ -602,7 +585,7 @@ class JobSpec:
                 "strategy": strategy,
                 "params": params,
                 "seed": int(seed),
-                "objectives": list(objectives),
+                "objectives": list(objectives if objectives is not None else OBJECTIVES),
                 "generation": generation,
                 "apps": None if apps is None else list(apps),
                 "context": context_dict,

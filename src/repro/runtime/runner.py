@@ -68,13 +68,9 @@ class RunReport:
     wall_time_s: float = 0.0
     executor: str = "local"
 
-    def profiles(self) -> Dict[Tuple[str, str], WorkloadProfile]:
-        """Successful profiles keyed by ``(app, dataset)``."""
-        return {
-            (r.app, r.dataset): r.profile
-            for r in self.results
-            if r.profile is not None
-        }
+    def profiles(self) -> List[WorkloadProfile]:
+        """Successful profiles in registry order (failed tasks skipped)."""
+        return [r.profile for r in self.results if r.profile is not None]
 
     def errors(self) -> List[TaskResult]:
         """The failed tasks, if any."""

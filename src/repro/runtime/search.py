@@ -4,13 +4,13 @@
 exhaustively, which caps practical sweeps at 10^3-10^4 variants even with
 the batched costing engines. This module searches instead of enumerating:
 an :class:`AdaptiveSearch` proposes whole variant *batches* per
-generation and evaluates them through the existing fast substrate --
-:func:`~repro.apps.timing.estimate_cycles_batch` for costing (with the
-energy model attached), ``effective_bank_throughput_batch`` plus the
-``ThroughputStore`` as the shared cross-generation microbenchmark cache,
-and the memory-budget planner so generations stream flat-memory -- and
-drives the proposals from multi-objective costs over (cycles gmean, area,
-energy gmean).
+generation, builds them with the sweep's
+:func:`~repro.runtime.sweep.build_variant` and costs them through
+:func:`~repro.runtime.dse.cost_variants` -- the same core ``explore``
+uses, streaming under the memory budget, with
+``effective_bank_throughput_batch`` plus the ``ThroughputStore`` as the
+shared cross-generation microbenchmark cache -- and drives the proposals
+from multi-objective costs over (cycles gmean, area, energy gmean).
 
 Two strategies ship behind one :class:`SearchStrategy` protocol:
 
@@ -44,13 +44,17 @@ import numpy as np
 
 from .._budget import resolve_memory_budget
 from ..apps.profile import WorkloadProfile
-from ..apps.timing import CapstanPlatform, iter_cycles_batches
-from ..core.area import capstan_area
+from ..apps.timing import CapstanPlatform
 from ..errors import ConfigurationError
-from ..sim.stats import geometric_mean
 from .cache import code_fingerprint
-from .dse import pareto_frontier
-from .sweep import _apply_axis, axis_value_to_json, parse_axis_value
+from .dse import cost_variants, pareto_frontier
+from .sweep import (
+    axis_value,
+    axis_value_to_json,
+    build_variant,
+    default_variant_name,
+    parse_axis_value,
+)
 
 #: Objectives the search can minimize, in canonical order.
 OBJECTIVES = ("cycles", "area", "energy")
@@ -74,10 +78,6 @@ DEFAULT_SEARCH_AXES: Dict[str, Tuple[Any, ...]] = {
 }
 
 
-def _value_label(value: Any) -> str:
-    return str(getattr(value, "value", value))
-
-
 @dataclass(frozen=True)
 class SearchSpace:
     """A discrete design space: an ordered list of axes with candidate
@@ -88,13 +88,20 @@ class SearchSpace:
     @classmethod
     def from_axes(cls, axes: Mapping[str, Iterable[Any]]) -> "SearchSpace":
         """Build a space from ``{axis: values}``, parsing CLI/JSON values
-        through the shared sweep parsers."""
+        through the shared sweep parsers.
+
+        Every value is built onto the default design point once, so an
+        illegal one (``lanes=12``) fails here rather than in whichever
+        generation first proposes it. ``validate()`` checks each field on
+        its own, so a value that builds alone builds in every combination.
+        """
         parsed: List[Tuple[str, Tuple[Any, ...]]] = []
         for axis, values in axes.items():
             seen: List[Any] = []
             for value in values:
                 native = parse_axis_value(axis, value)
                 if native not in seen:
+                    build_variant(None, {axis: native}, axis)
                     seen.append(native)
             if not seen:
                 raise ConfigurationError(f"search axis {axis!r} has no values")
@@ -122,22 +129,13 @@ class SearchSpace:
 
     def variant_name(self, combo: Combo) -> str:
         """The sweep-style variant label of one design point."""
-        return "-".join(
-            _value_label(values[i]) for (_, values), i in zip(self.axes, combo)
-        )
+        return default_variant_name(self.combo_values(combo))
 
     def platform(
         self, combo: Combo, base: Optional[CapstanPlatform] = None
     ) -> CapstanPlatform:
         """Materialize one design point as a validated platform."""
-        platform = base if base is not None else CapstanPlatform()
-        for (axis, values), i in zip(self.axes, combo):
-            platform = _apply_axis(platform, axis, values[i])
-        from dataclasses import replace
-
-        platform = replace(platform, name=self.variant_name(combo))
-        platform.config.validate()
-        return platform
+        return build_variant(base, self.combo_values(combo), self.variant_name(combo))
 
     def random_combo(self, rng: np.random.Generator) -> Combo:
         """A uniformly random design point."""
@@ -174,22 +172,9 @@ class SearchSpace:
         default): per axis, the index of the base's current value when it
         is a candidate, else the middle candidate."""
         platform = base if base is not None else CapstanPlatform()
-        current: Dict[str, Any] = {
-            "ordering": platform.ordering,
-            "bank_mapping": platform.bank_mapping,
-            "allocator": platform.allocator,
-            "ideal_sram": platform.ideal_sram,
-            "memory": platform.config.memory,
-            "shuffle": platform.config.shuffle.mode,
-            "lanes": platform.config.lanes,
-            "compute_units": platform.config.compute_units,
-            "banks": platform.config.spmu.banks,
-            "queue_depth": platform.config.spmu.queue_depth,
-            "crossbar_inputs": platform.config.spmu.crossbar_inputs,
-        }
         combo = []
         for axis, values in self.axes:
-            value = current.get(axis)
+            value = axis_value(platform, axis)
             combo.append(
                 values.index(value) if value in values else len(values) // 2
             )
@@ -829,7 +814,6 @@ class AdaptiveSearch:
         self.evaluations = 0.0
         self._full: Dict[Combo, Tuple[float, ...]] = {}
         self._partial: Dict[float, Dict[Combo, Tuple[float, ...]]] = {}
-        self._area_cache: Dict[Combo, float] = {}
         if key is None:
             key = search_key(
                 axes=dict(space.to_json()),
@@ -916,41 +900,19 @@ class AdaptiveSearch:
             indices = self._subset_indices(fraction)
             subset = [self.profiles[i] for i in indices]
             platforms = [self.space.platform(c, self.base) for c in fresh]
-            need_energy = "energy" in self.objectives
-            need_cycles = need_energy or "cycles" in self.objectives
-            cycle_gmeans: List[float] = []
-            energy_gmeans: List[float] = []
-            if need_cycles:
-                for _chunk, batch in iter_cycles_batches(
-                    subset,
-                    platforms,
-                    memory_budget=self.memory_budget,
-                    energy=need_energy,
-                ):
-                    for j in range(batch.cycles.shape[1]):
-                        cycle_gmeans.append(
-                            geometric_mean([float(c) for c in batch.cycles[:, j]])
-                        )
-                        if need_energy:
-                            energy_gmeans.append(
-                                geometric_mean(
-                                    [float(e) for e in batch.energy_mj[:, j]]
-                                )
-                            )
+            costs = cost_variants(
+                subset,
+                platforms,
+                energy="energy" in self.objectives,
+                memory_budget=self.memory_budget,
+            )
+            columns = {
+                "cycles": costs.gmean_cycles,
+                "area": costs.area_mm2,
+                "energy": costs.gmean_energy_mj,
+            }
             for i, combo in enumerate(fresh):
-                costs = []
-                for objective in self.objectives:
-                    if objective == "cycles":
-                        costs.append(cycle_gmeans[i])
-                    elif objective == "energy":
-                        costs.append(energy_gmeans[i])
-                    else:
-                        area = self._area_cache.get(combo)
-                        if area is None:
-                            area = capstan_area(platforms[i].config).total_mm2
-                            self._area_cache[combo] = area
-                        costs.append(area)
-                cache[combo] = tuple(costs)
+                cache[combo] = tuple(float(columns[o][i]) for o in self.objectives)
             self.evaluations += len(fresh) * len(indices) / len(self.profiles)
         return np.array([cache[c] for c in combos], dtype=np.float64).reshape(
             len(combos), len(self.objectives)

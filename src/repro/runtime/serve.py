@@ -617,6 +617,24 @@ def drain_pending_jobs(
             store.run_job(pending[-1].id, executor)
 
 
+def start_drain_thread(db: Optional[Path], stop: threading.Event) -> threading.Thread:
+    """Start :func:`drain_pending_jobs` on a daemon thread.
+
+    Call it only once the server's own store is open: two connections
+    initializing one fresh database at once can fail the WAL pragma with
+    ``database is locked``, which would kill the drain thread silently.
+    """
+    thread = threading.Thread(
+        target=drain_pending_jobs,
+        args=(db,),
+        kwargs={"stop": stop},
+        daemon=True,
+        name="repro-serve-drain",
+    )
+    thread.start()
+    return thread
+
+
 class BackgroundServer:
     """Run a :class:`CacheServer` on a daemon thread (tests, embedding).
 
@@ -658,19 +676,12 @@ class BackgroundServer:
 
     def start(self) -> "BackgroundServer":
         self._thread.start()
-        if self._drain:
-            self._drain_thread = threading.Thread(
-                target=drain_pending_jobs,
-                args=(self._db,),
-                kwargs={"stop": self._stop},
-                daemon=True,
-                name="repro-serve-drain",
-            )
-            self._drain_thread.start()
         if not self._started.wait(timeout=30):
             raise RuntimeError("serve thread failed to start in time")
         if self._error is not None:
             raise RuntimeError(f"serve thread failed: {self._error}")
+        if self._drain:
+            self._drain_thread = start_drain_thread(self._db, self._stop)
         return self
 
     def stop(self) -> None:
@@ -715,11 +726,14 @@ class BackgroundServer:
             handler.close()
 
 
-async def _serve_forever(args: argparse.Namespace) -> None:
+async def _serve_forever(args: argparse.Namespace, stop: threading.Event) -> None:
+    db = Path(args.db) if args.db else None
     handler = CacheServer(
-        db=Path(args.db) if args.db else None,
+        db=db,
         cache_root=Path(args.cache_dir) if args.cache_dir else None,
     )
+    if args.drain:
+        start_drain_thread(db, stop)
     server = await asyncio.start_server(handler.serve_client, args.host, args.port)
     address = server.sockets[0].getsockname()
     print(f"repro-serve listening on http://{address[0]}:{address[1]}")
@@ -767,17 +781,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
     stop = threading.Event()
-    if args.drain:
-        drain_thread = threading.Thread(
-            target=drain_pending_jobs,
-            args=(Path(args.db) if args.db else None,),
-            kwargs={"stop": stop},
-            daemon=True,
-            name="repro-serve-drain",
-        )
-        drain_thread.start()
     try:
-        asyncio.run(_serve_forever(args))
+        asyncio.run(_serve_forever(args, stop))
     except KeyboardInterrupt:
         pass
     finally:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import replace
 from enum import Enum
-from typing import Any, Callable, Dict, Iterable, Optional
+from typing import Any, Callable, Dict, Iterable, Mapping, Optional
 
 from ..apps.timing import CapstanPlatform
 from ..config import MemoryTechnology, ShuffleMode
@@ -51,6 +51,9 @@ _CONFIG_FIELDS = ("lanes", "compute_units")
 
 #: Axes applied by replacing a structural SpMUConfig field.
 _SPMU_FIELDS = ("banks", "queue_depth", "crossbar_inputs")
+
+#: Native type of each enum-valued axis.
+_ENUM_AXES = {"ordering": OrderingMode, "memory": MemoryTechnology, "shuffle": ShuffleMode}
 
 #: Every supported axis name, for error messages.
 KNOWN_AXES = _PLATFORM_FIELDS + ("memory", "shuffle") + _CONFIG_FIELDS + _SPMU_FIELDS
@@ -77,17 +80,11 @@ def _parse_choice(*allowed: str) -> Callable[[str], str]:
 #: Value parser per sweep axis name, shared by the CLI (``--axis NAME=...``)
 #: and the job layer (axis values round-trip through JSON as strings/ints).
 AXIS_VALUE_PARSERS: Dict[str, Callable[[Any], Any]] = {
-    "ordering": OrderingMode,
-    "memory": MemoryTechnology,
-    "shuffle": ShuffleMode,
+    **_ENUM_AXES,
     "ideal_sram": _parse_bool,
-    "lanes": int,
-    "banks": int,
-    "compute_units": int,
-    "queue_depth": int,
-    "crossbar_inputs": int,
-    "bank_mapping": _parse_choice("hash", "linear"),
-    "allocator": _parse_choice("separable", "greedy", "arbitrated"),
+    **{axis: int for axis in _CONFIG_FIELDS + _SPMU_FIELDS},
+    "bank_mapping": _parse_choice(*_PLATFORM_FIELD_VALUES["bank_mapping"]),
+    "allocator": _parse_choice(*_PLATFORM_FIELD_VALUES["allocator"]),
 }
 
 
@@ -104,7 +101,7 @@ def parse_axis_value(axis: str, value: Any) -> Any:
         )
     if isinstance(value, (Enum, bool)):
         return value
-    if isinstance(value, int) and axis not in ("ordering", "memory", "shuffle"):
+    if isinstance(value, int) and axis not in _ENUM_AXES:
         return value
     try:
         return parser(value)
@@ -118,43 +115,69 @@ def axis_value_to_json(value: Any) -> Any:
 
 
 def _apply_axis(platform: CapstanPlatform, axis: str, value: Any) -> CapstanPlatform:
-    if axis in _PLATFORM_FIELDS:
-        if axis == "ordering":
-            if not isinstance(value, OrderingMode):
-                raise ConfigurationError(f"ordering axis takes OrderingMode, got {value!r}")
-        else:
-            allowed = _PLATFORM_FIELD_VALUES[axis]
-            if value not in allowed:
-                raise ConfigurationError(
-                    f"{axis} axis takes one of {allowed}, got {value!r}"
-                )
-        return replace(platform, **{axis: value})
-    if axis == "memory":
-        if not isinstance(value, MemoryTechnology):
-            raise ConfigurationError(f"memory axis takes MemoryTechnology, got {value!r}")
-        return replace(platform, config=platform.config.with_memory(value))
-    if axis == "shuffle":
-        if not isinstance(value, ShuffleMode):
-            raise ConfigurationError(f"shuffle axis takes ShuffleMode, got {value!r}")
-        return replace(platform, config=platform.config.with_shuffle_mode(value))
-    if axis in _CONFIG_FIELDS or axis in _SPMU_FIELDS:
+    if axis in _ENUM_AXES:
+        kind = _ENUM_AXES[axis]
+        if not isinstance(value, kind):
+            raise ConfigurationError(f"{axis} axis takes {kind.__name__}, got {value!r}")
+    elif axis in _PLATFORM_FIELD_VALUES:
+        allowed = _PLATFORM_FIELD_VALUES[axis]
+        if value not in allowed:
+            raise ConfigurationError(f"{axis} axis takes one of {allowed}, got {value!r}")
+    elif axis in _CONFIG_FIELDS or axis in _SPMU_FIELDS:
         if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
             raise ConfigurationError(f"{axis} axis takes positive integers, got {value!r}")
-        if axis in _CONFIG_FIELDS:
-            return replace(platform, config=replace(platform.config, **{axis: value}))
-        spmu = replace(platform.config.spmu, **{axis: value})
-        return replace(platform, config=replace(platform.config, spmu=spmu))
+    else:
+        raise ConfigurationError(f"unknown sweep axis {axis!r}; known: {', '.join(KNOWN_AXES)}")
+    if axis in _PLATFORM_FIELDS:
+        return replace(platform, **{axis: value})
+    config = platform.config
+    if axis == "memory":
+        config = config.with_memory(value)
+    elif axis == "shuffle":
+        config = config.with_shuffle_mode(value)
+    elif axis in _CONFIG_FIELDS:
+        config = replace(config, **{axis: value})
+    else:
+        config = replace(config, spmu=replace(config.spmu, **{axis: value}))
+    return replace(platform, config=config)
+
+
+def axis_value(platform: CapstanPlatform, axis: str) -> Any:
+    """The current value of one sweep axis on ``platform`` (the read side
+    of the axis -> field mapping :func:`build_variant` writes through)."""
+    if axis in _PLATFORM_FIELDS:
+        return getattr(platform, axis)
+    if axis == "memory":
+        return platform.config.memory
+    if axis == "shuffle":
+        return platform.config.shuffle.mode
+    if axis in _CONFIG_FIELDS:
+        return getattr(platform.config, axis)
+    if axis in _SPMU_FIELDS:
+        return getattr(platform.config.spmu, axis)
     raise ConfigurationError(f"unknown sweep axis {axis!r}; known: {', '.join(KNOWN_AXES)}")
 
 
-def _default_name(combo: Dict[str, Any]) -> str:
-    parts = []
-    for value in combo.values():
-        if isinstance(value, Enum):
-            parts.append(str(value.value))
-        else:
-            parts.append(str(value))
-    return "-".join(parts)
+def build_variant(
+    base: Optional[CapstanPlatform], combo: Mapping[str, Any], name: str
+) -> CapstanPlatform:
+    """One named, validated variant: ``base`` (default design point) with
+    every ``{axis: value}`` of ``combo`` applied.
+
+    The only place a swept platform is built: :func:`sweep` and the
+    adaptive search space reject an illegal value (``lanes=12``) alike.
+    """
+    platform = base if base is not None else CapstanPlatform()
+    for axis, value in combo.items():
+        platform = _apply_axis(platform, axis, value)
+    platform = replace(platform, name=name)
+    platform.config.validate()
+    return platform
+
+
+def default_variant_name(combo: Mapping[str, Any]) -> str:
+    """The default variant label: the axis values joined with ``-``."""
+    return "-".join(str(axis_value_to_json(value)) for value in combo.values())
 
 
 def sweep(
@@ -172,22 +195,20 @@ def sweep(
         **axes: One iterable of values per swept axis (see module docstring).
 
     Returns:
-        ``{variant name: platform}`` in deterministic cartesian order, with
-        each platform's ``name`` field set to its variant name.
+        ``{variant name: platform}`` in deterministic cartesian order, each
+        built (and validated) by :func:`build_variant` with its ``name``
+        field set to its variant name.
     """
     if not axes:
         raise ConfigurationError("sweep() needs at least one axis")
     base = base if base is not None else CapstanPlatform()
-    label = name or _default_name
+    label = name or default_variant_name
     keys = list(axes)
     variants: Dict[str, CapstanPlatform] = {}
     for values in itertools.product(*(list(axes[k]) for k in keys)):
         combo = dict(zip(keys, values))
-        platform = base
-        for axis, value in combo.items():
-            platform = _apply_axis(platform, axis, value)
         variant_name = label(combo)
         if variant_name in variants:
             raise ConfigurationError(f"duplicate sweep variant name {variant_name!r}")
-        variants[variant_name] = replace(platform, name=variant_name)
+        variants[variant_name] = build_variant(base, combo, variant_name)
     return variants

@@ -15,7 +15,8 @@ from repro.errors import ConfigurationError
 from repro.runtime.cache import ThroughputStore, throughput_store_enabled
 from repro.runtime.cli import main as cli_main
 from repro.runtime.dse import explore, pareto_frontier
-from repro.runtime.sweep import sweep
+from repro.runtime.search import DEFAULT_SEARCH_AXES
+from repro.runtime.sweep import axis_value, build_variant, parse_axis_value, sweep
 
 
 @pytest.fixture
@@ -140,6 +141,32 @@ class TestSweepConfigAxes:
             sweep(bank_mapping=("linearr",))
         with pytest.raises(ConfigurationError):
             sweep(ordering=("unordered",))  # must be an OrderingMode, not a string
+
+
+    def test_illegal_structural_values_rejected_at_build(self):
+        # Every sweep builds through build_variant, which validates.
+        with pytest.raises(ConfigurationError, match="lanes must be a power of two"):
+            sweep(lanes=(8, 12))
+        with pytest.raises(ConfigurationError, match="banks must be a power of two"):
+            sweep(banks=(24,))
+
+
+class TestVariantBuilder:
+    @pytest.mark.parametrize(
+        "axis, values",
+        list(DEFAULT_SEARCH_AXES.items())
+        + [("shuffle", ("none", "mrg-16")), ("ideal_sram", ("true", "false"))],
+    )
+    def test_axis_value_reads_back_what_build_variant_wrote(self, axis, values):
+        for value in values:
+            native = parse_axis_value(axis, value)
+            platform = build_variant(None, {axis: native}, "probe")
+            assert platform.name == "probe"
+            assert axis_value(platform, axis) == native
+
+    def test_unknown_axis_has_no_value(self):
+        with pytest.raises(ConfigurationError, match="unknown sweep axis"):
+            axis_value(build_variant(None, {}, "base"), "warp")
 
 
 class TestParetoFrontier:

@@ -29,9 +29,11 @@ from repro.runtime.cli import main as cli_main
 from repro.runtime.dse import explore
 from repro.runtime.executors import LocalExecutor
 from repro.runtime.executors.subprocess import _worker_env
-from repro.runtime.jobs import UNIT_DONE, JobSpec, JobStore
+from repro.runtime.jobs import UNIT_DONE, JobSpec, JobStore, execute_unit
 from repro.runtime.registry import RunContext
+from repro.runtime.runner import ExperimentRunner
 from repro.runtime.search import (
+    OBJECTIVES,
     AdaptiveSearch,
     SearchSpace,
     SearchStore,
@@ -41,6 +43,7 @@ from repro.runtime.search import (
     rank_order,
     scalarize,
 )
+from repro.runtime.sweep import parse_axis_value
 
 #: A 128-point space covering structural and platform axes; string values
 #: exercise the shared sweep parsers.
@@ -96,6 +99,18 @@ class TestSearchSpace:
         assert platform.allocator == "greedy"
         with pytest.raises(ConfigurationError):
             SearchSpace.from_axes({"lanes": ["12"]}).platform((0,))
+
+    def test_rejects_illegal_values_at_construction(self):
+        # Before any generation runs: a search over this space used to
+        # commit generation 0 and only then fail on a lanes=12 proposal.
+        with pytest.raises(ConfigurationError, match="lanes must be a power of two"):
+            SearchSpace.from_axes(
+                {"lanes": [8, 12, 16], "banks": [8, 16, 32], "queue_depth": [4, 8, 16]}
+            )
+        with pytest.raises(ConfigurationError, match="banks must be a power of two"):
+            SearchSpace.from_axes({"lanes": [8], "banks": ["16", "24"]})
+        with pytest.raises(ConfigurationError, match="positive integers"):
+            SearchSpace.from_axes({"queue_depth": [4, 0]})
 
     def test_rejects_empty_and_unknown_axes(self):
         with pytest.raises(ConfigurationError):
@@ -335,6 +350,28 @@ class TestDseSearchJob:
             store_root=store_root,
         )
 
+    def test_payload_axes_are_the_parsed_space(self, tmp_path):
+        spec = self._spec(tmp_path / "search", generations=1)
+        payload = spec.units[0].payload
+        # Unchanged unit material for inputs without duplicate values.
+        assert payload["axes"] == [[axis, values] for axis, values in self.SMALL_AXES.items()]
+        assert payload["objectives"] == list(OBJECTIVES)
+        deduped = JobSpec.dse_search({"lanes": ["8", 16, "8"]}, params={"generations": 1})
+        assert deduped.units[0].payload["axes"] == [["lanes", [8, 16]]]
+
+    def test_illegal_axis_value_fails_at_submit(self, tmp_path):
+        with JobStore(tmp_path / "runs.sqlite") as store:
+            with pytest.raises(ConfigurationError, match="lanes must be a power of two"):
+                store.submit(
+                    JobSpec.dse_search(
+                        {"lanes": [8, 12, 16]},
+                        params={"population": 4, "generations": 2},
+                        store_root=tmp_path / "search",
+                    )
+                )
+            assert store.jobs() == []
+        assert not (tmp_path / "search").exists()
+
     def test_one_unit_per_generation(self, tmp_path):
         spec = self._spec(tmp_path / "search", generations=3)
         assert len(spec.units) == 3
@@ -351,12 +388,11 @@ class TestDseSearchJob:
             final = store.results(job.id)[-1][1]
         assert final["done"] is True
 
-        from repro.runtime.runner import ExperimentRunner
-
-        report = ExperimentRunner(context=RunContext(scale=1 / 512), workers=1).run(
-            apps=["spmv-csr"]
+        profiles = (
+            ExperimentRunner(context=RunContext(scale=1 / 512), workers=1)
+            .run(apps=["spmv-csr"])
+            .profiles()
         )
-        profiles = [r.profile for r in report.results if r.profile is not None]
         direct = AdaptiveSearch(
             SearchSpace.from_axes(self.SMALL_AXES),
             make_strategy("evolve", population=4, generations=3),
@@ -415,12 +451,11 @@ class TestDseSearchJob:
         assert committed_after_kill == list(range(1, len(committed_after_kill) + 1))
 
         # The resumed engine starts from the committed frontier, not zero.
-        from repro.runtime.runner import ExperimentRunner
-
-        report = ExperimentRunner(context=RunContext(scale=1 / 512), workers=1).run(
-            apps=["spmv-csr"]
+        profiles = (
+            ExperimentRunner(context=RunContext(scale=1 / 512), workers=1)
+            .run(apps=["spmv-csr"])
+            .profiles()
         )
-        profiles = [r.profile for r in report.results if r.profile is not None]
         probe = AdaptiveSearch(
             SearchSpace.from_axes(self.SMALL_AXES),
             make_strategy("evolve", population=4, generations=8),
@@ -483,6 +518,28 @@ class TestSearchCli:
         assert payload["frontier"]
         assert payload["objectives"] == ["cycles", "area", "energy"]
 
+    def test_illegal_axis_value_exits_before_any_state(
+        self, isolated_caches, tmp_path, capsys
+    ):
+        out = tmp_path / "out.json"
+        rc = cli_main(
+            [
+                "dse",
+                "--apps", "spmv-csr",
+                "--scale", "1/512",
+                "--search", "evolve",
+                "--population", "4",
+                "--seed", "0",
+                "--axis", "lanes=8,12,16",
+                "--json", str(out),
+            ]
+        )
+        assert rc == 1
+        assert "lanes must be a power of two" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (isolated_caches / "search-default").exists()
+        assert not (isolated_caches / "profiles").exists()
+
     def test_search_flags_require_search(self):
         with pytest.raises(SystemExit):
             cli_main(["dse", "--population", "8"])
@@ -490,3 +547,38 @@ class TestSearchCli:
             cli_main(["dse", "--search", "evolve", "--prefill"])
         with pytest.raises(SystemExit):
             cli_main(["dse", "--objective", "cycles,watts"])
+
+
+class TestOneCostingCore:
+    """explore, the search engine and dse_chunk units cost through one core."""
+
+    AXES = {"lanes": [8, 16], "banks": [16, 32], "memory": ["ddr4", "hbm2e"]}
+    APPS = ["spmv-csr", "bfs"]
+
+    def test_every_caller_costs_each_variant_bit_equal(self, isolated_caches):
+        context = RunContext(scale=1 / 512)
+        parsed = {
+            axis: [parse_axis_value(axis, value) for value in values]
+            for axis, values in self.AXES.items()
+        }
+        exhaustive = {
+            row["name"]: (row["gmean_cycles"], row["area_mm2"], row["gmean_energy_mj"])
+            for row in explore(apps=self.APPS, context=context, energy=True, **parsed).rows()
+        }
+        assert len(exhaustive) == 8
+
+        profiles = ExperimentRunner(context=context, workers=1).run(apps=self.APPS).profiles()
+        space = SearchSpace.from_axes(self.AXES)
+        searched = AdaptiveSearch(
+            space, make_strategy("evolve", population=8, generations=1), profiles, seed=0
+        ).run()
+        assert sorted(searched.names) == sorted(exhaustive)
+        for name, costs in zip(searched.names, searched.costs):
+            assert tuple(float(c) for c in costs) == exhaustive[name]
+
+        chunked = {}
+        for unit in JobSpec.dse_grid(self.AXES, apps=self.APPS, context=context, max_chunk=3).units:
+            result = execute_unit(unit.payload)
+            chunked.update(zip(result["names"], zip(result["gmean_cycles"], result["area_mm2"])))
+        # dse_chunk units report cycles and area only.
+        assert chunked == {name: costs[:2] for name, costs in exhaustive.items()}
