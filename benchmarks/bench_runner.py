@@ -348,7 +348,7 @@ def _bench_spmu() -> dict:
             os.environ["REPRO_THROUGHPUT_CACHE_DISABLE"] = saved_disable
     return {
         "variants": len(variants),
-        "vectors": spmu_module._THROUGHPUT_VECTORS,
+        "vectors": spmu_module.THROUGHPUT_VECTORS,
         "reference_s": round(reference_s, 3),
         "array_s": round(array_s, 3),
         "speedup": round(reference_s / array_s, 1),

@@ -32,15 +32,13 @@ import functools
 import inspect
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..config import ScannerConfig
 from ..core.scanner import ScanMode, timing_from_indices
 from ..errors import SimulationError
-from ..formats.bittree import BitTree
-from ..formats.bitvector import BitVector
 
 #: Second-level tile size used by the bit-tree format.
 BITTREE_TILE_BITS = 512
@@ -458,48 +456,6 @@ def scan_cost_growing_unions(
         elements=elements,
         chunks=total_steps * chunks_per_row,
     )
-
-
-SparseOperand = Union[BitVector, BitTree]
-
-
-def _operand_indices(operand: SparseOperand) -> Tuple[np.ndarray, int]:
-    """Set-bit positions and logical length of a bit-vector or bit-tree."""
-    if isinstance(operand, BitTree):
-        return operand.indices(), operand.length
-    return operand.indices, operand.length
-
-
-def scan_cost_operands(
-    operand_a: SparseOperand,
-    operand_b: Optional[SparseOperand] = None,
-    mode: ScanMode = ScanMode.UNION,
-    config: Optional[ScannerConfig] = None,
-) -> ScanCost:
-    """Scanner cost directly from bit-vector / bit-tree operands.
-
-    Bit-tree operands use the two-level traversal (top-level scan plus
-    occupied 512-bit tiles); mixed operand kinds are rejected because the
-    hardware streams both inputs through one scanner configuration.
-    """
-    bittree = isinstance(operand_a, BitTree)
-    if operand_b is not None and isinstance(operand_b, BitTree) != bittree:
-        raise SimulationError("scan operands must share a format")
-    for operand in (operand_a, operand_b):
-        if isinstance(operand, BitTree) and operand.tile_bits != BITTREE_TILE_BITS:
-            raise SimulationError(
-                f"the scan model assumes {BITTREE_TILE_BITS}-bit tiles, "
-                f"got {operand.tile_bits}"
-            )
-    indices_a, length_a = _operand_indices(operand_a)
-    if operand_b is None:
-        return scan_cost_single(indices_a, length_a, config, bittree)
-    indices_b, length_b = _operand_indices(operand_b)
-    if length_a != length_b:
-        raise SimulationError(
-            f"scan operands must have equal length: {length_a} vs {length_b}"
-        )
-    return scan_cost_pair(indices_a, indices_b, length_a, mode, config, bittree)
 
 
 @_recorded

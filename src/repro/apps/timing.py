@@ -32,12 +32,9 @@ import numpy as np
 
 from .._budget import iter_chunked, plan_chunks, resolve_memory_budget
 from ..config import CapstanConfig, MemoryTechnology, ShuffleConfig, ShuffleMode
+from ..core.allocator import ALLOCATOR_KINDS
 from ..core.ordering import OrderingMode
-from ..core.spmu import (
-    SpMUVariant,
-    effective_bank_throughput,
-    effective_bank_throughput_batch,
-)
+from ..core.spmu import SpMUVariant, effective_bank_throughput_batch
 from ..core.shuffle import merge_efficiency
 from ..sim.dram import (
     BURST_BYTES,
@@ -49,6 +46,10 @@ from ..sim.dram import (
 from ..sim.network import NetworkConfig, OnChipNetwork
 from ..sim.stats import STALL_CATEGORIES, RunMetrics, StallBreakdown
 from .profile import WorkloadProfile
+
+#: Every platform allocator: the SpMU allocator kinds plus Table 9's
+#: arbitrated baseline.
+PLATFORM_ALLOCATORS = ALLOCATOR_KINDS + ("arbitrated",)
 
 
 @dataclass(frozen=True)
@@ -186,15 +187,8 @@ def platform_throughput_variant(platform: CapstanPlatform) -> SpMUVariant:
 
 def _platform_throughput(platform: CapstanPlatform) -> float:
     """Calibrated SpMU request throughput for one platform (Table 9 inputs)."""
-    variant = platform_throughput_variant(platform)
-    throughput = effective_bank_throughput(
-        ordering=variant.ordering,
-        bank_mapping=variant.bank_mapping,
-        allocator_kind=variant.allocator_kind,
-        config=variant.config,
-        lanes=variant.lanes,
-    )
-    return max(throughput, 1.0)
+    [throughput] = effective_bank_throughput_batch([platform_throughput_variant(platform)])
+    return max(float(throughput), 1.0)
 
 
 def estimate_cycles(

@@ -58,7 +58,6 @@ from .spmu import (
     RequestTrace,
     SparseMemoryUnit,
     SpMUStats,
-    effective_bank_throughput,
     effective_bank_throughput_batch,
     measure_bank_utilization,
     random_request_trace,
@@ -126,6 +125,5 @@ __all__ = [
     "random_request_vectors",
     "random_request_trace",
     "measure_bank_utilization",
-    "effective_bank_throughput",
     "effective_bank_throughput_batch",
 ]

@@ -239,6 +239,11 @@ class GreedyAllocator:
         return AllocationResult(grants=grants, iterations_used=1, requests_considered=considered)
 
 
+#: Every SpMU allocator kind, Capstan's first. The arbitrated baseline is
+#: an ordering mode of the SpMU, not an allocator.
+ALLOCATOR_KINDS = ("separable", "greedy")
+
+
 def make_allocator(
     kind: str,
     lanes: int = 16,
@@ -250,9 +255,8 @@ def make_allocator(
     """Factory for the allocator variants used in the sensitivity studies.
 
     Args:
-        kind: ``"separable"`` (Capstan), ``"greedy"`` (weak allocation), or
-            ``"none"`` which also returns the greedy allocator -- the
-            arbitrated baseline is modelled at the SpMU level, not here.
+        kind: ``"separable"`` (Capstan) or ``"greedy"`` (weak allocation);
+            anything else raises :class:`ConfigurationError`.
     """
     if kind == "separable":
         return SeparableAllocator(
@@ -262,6 +266,6 @@ def make_allocator(
             priorities=priorities,
             queue_depth=queue_depth,
         )
-    if kind in ("greedy", "weak", "none"):
+    if kind == "greedy":
         return GreedyAllocator(lanes=lanes, banks=banks)
     raise ConfigurationError(f"unknown allocator kind {kind!r}")

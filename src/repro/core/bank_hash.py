@@ -52,6 +52,9 @@ def linear_banks_array(addresses: np.ndarray, banks: int) -> np.ndarray:
     return (np.asarray(addresses, dtype=np.int64) % banks).astype(np.int64)
 
 
+#: Every bank mapping scheme name, Capstan's first.
+BANK_MAPPINGS = ("hash", "linear")
+
 BankMapper = Callable[[int, int], int]
 
 ArrayBankMapper = Callable[[np.ndarray, int], np.ndarray]

@@ -12,13 +12,16 @@ restores positional order when the whole vector has completed.
 This module is a cycle-level simulation of that pipeline. It is used three
 ways:
 
-* directly on random access traces for the Table 4 / Figure 4 / Table 9
-  microbenchmarks (bank utilization under different queue depths, crossbar
-  sizes, priority counts, and ordering modes);
+* through :func:`~repro.core.spmu.effective_bank_throughput_batch`, the one
+  memoized and persisted measurement of the random-access microbenchmark
+  (bank utilization under different queue depths, crossbar sizes, priority
+  counts, and ordering modes) behind Table 4, Table 9 and the application
+  timing model;
+* directly on random access traces where a run's per-cycle trace is
+  needed (Figure 4), and as the scalar equivalence oracle
+  (:func:`measure_bank_utilization`); and
 * as a functional scratchpad (the RMW FPU semantics of step 3 in Figure 3b)
-  by the applications; and
-* through :func:`~repro.core.spmu.effective_bank_throughput` as the
-  calibrated throughput number consumed by the application timing model.
+  by the applications.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 
 from ..config import SpMUConfig
 from ..errors import SimulationError
-from .allocator import GreedyAllocator, SeparableAllocator
+from .allocator import make_allocator
 from .bank_hash import get_bank_mapper
 from .bloom import BloomFilter
 from .ordering import OrderingMode
@@ -289,21 +292,19 @@ class SparseMemoryUnit:
         self._ordering = ordering
         self._bank_mapper = get_bank_mapper(bank_mapping)
         self._bank_mapping_name = bank_mapping
-        self._allocator_kind = "separable" if allocator_kind == "separable" else "greedy"
+        self._allocator_kind = allocator_kind
         self._backend = backend
         self._record_trace = record_trace
         self._pipeline_latency = max(1, pipeline_latency)
         self._issues_per_lane = max(1, self._config.crossbar_inputs // lanes)
-        if allocator_kind == "separable":
-            self._allocator = SeparableAllocator(
-                lanes=lanes,
-                banks=self._config.banks,
-                iterations=self._config.allocator_iterations,
-                priorities=self._config.allocator_priorities,
-                queue_depth=self._config.queue_depth,
-            )
-        else:
-            self._allocator = GreedyAllocator(lanes=lanes, banks=self._config.banks)
+        self._allocator = make_allocator(
+            allocator_kind,
+            lanes=lanes,
+            banks=self._config.banks,
+            iterations=self._config.allocator_iterations,
+            priorities=self._config.allocator_priorities,
+            queue_depth=self._config.queue_depth,
+        )
         self._bloom = BloomFilter(self._config.bloom_filter_entries)
         self._words = self._config.banks * self._config.words_per_bank
         self._data = np.zeros(self._words, dtype=np.float64)
@@ -755,37 +756,6 @@ class SparseMemoryUnit:
                 pass
 
 
-def random_request_vectors(
-    count: int,
-    lanes: int = 16,
-    address_space: int = 4096,
-    seed: int = 0,
-    write_fraction: float = 0.0,
-) -> List[List[MemoryRequest]]:
-    """Generate uniformly random request vectors for microbenchmarks.
-
-    This is the "random access trace" workload used for the Table 4 and
-    Figure 4 sensitivity studies.
-    """
-    rng = np.random.default_rng(seed)
-    vectors: List[List[MemoryRequest]] = []
-    for _ in range(count):
-        addresses = rng.integers(0, address_space, size=lanes)
-        ops = rng.random(lanes) < write_fraction
-        vectors.append(
-            [
-                MemoryRequest(
-                    address=int(addr),
-                    op=RMWOp.ADD if is_write else RMWOp.READ,
-                    value=1.0,
-                    lane=lane,
-                )
-                for lane, (addr, is_write) in enumerate(zip(addresses, ops))
-            ]
-        )
-    return vectors
-
-
 def random_request_trace(
     count: int,
     lanes: int = 16,
@@ -793,12 +763,12 @@ def random_request_trace(
     seed: int = 0,
     write_fraction: float = 0.0,
 ) -> RequestTrace:
-    """Array-native :func:`random_request_vectors` (identical draws).
+    """Generate uniformly random request vectors for microbenchmarks.
 
-    The random stream is drawn vector by vector with the same generator
-    calls as the object-based factory, so
-    ``RequestTrace.from_vectors(random_request_vectors(...))`` and
-    ``random_request_trace(...)`` describe the same workload bit for bit.
+    This is the "random access trace" workload used for the Table 4 and
+    Figure 4 sensitivity studies and for throughput calibration. The
+    stream is drawn vector by vector (addresses, then write flags), so a
+    given ``seed`` always describes the same workload.
     """
     rng = np.random.default_rng(seed)
     address_rows = []
@@ -822,6 +792,18 @@ def random_request_trace(
     )
 
 
+def random_request_vectors(
+    count: int,
+    lanes: int = 16,
+    address_space: int = 4096,
+    seed: int = 0,
+    write_fraction: float = 0.0,
+) -> List[List[MemoryRequest]]:
+    """Object-based :func:`random_request_trace` (same workload), for
+    feeding request objects to the reference backend."""
+    return random_request_trace(count, lanes, address_space, seed, write_fraction).to_vectors()
+
+
 def measure_bank_utilization(
     config: SpMUConfig,
     ordering: OrderingMode = OrderingMode.UNORDERED,
@@ -832,9 +814,10 @@ def measure_bank_utilization(
     seed: int = 7,
     backend: str = "array",
 ) -> float:
-    """Run a random trace through an SpMU and return its bank utilization.
+    """Run a random trace through one SpMU and return its bank utilization.
 
-    Convenience wrapper used by the Table 4 / Table 9 / Figure 4 harnesses.
+    The unmemoized scalar oracle for :func:`effective_bank_throughput_batch`
+    (``utilization * banks`` equals its throughput for the same trace).
     """
     unit = SparseMemoryUnit(
         config=config,
@@ -844,12 +827,7 @@ def measure_bank_utilization(
         allocator_kind=allocator_kind,
         backend=backend,
     )
-    if backend != "reference":
-        trace = random_request_trace(vectors, lanes=lanes, seed=seed)
-    else:
-        trace = random_request_vectors(vectors, lanes=lanes, seed=seed)
-    stats = unit.simulate(trace)
-    return stats.bank_utilization
+    return unit.simulate(random_request_trace(vectors, lanes=lanes, seed=seed)).bank_utilization
 
 
 def _persistent_throughput_store():
@@ -875,100 +853,49 @@ def _persistent_throughput_store():
 _STORE_UNAVAILABLE = False
 
 
-def effective_bank_throughput(
-    ordering: OrderingMode = OrderingMode.UNORDERED,
-    bank_mapping: str = "hash",
-    allocator_kind: str = "separable",
-    config: Optional[SpMUConfig] = None,
-    lanes: int = 16,
-) -> float:
-    """Random-access requests per cycle an SpMU sustains (out of ``banks``).
+#: The calibration microbenchmark behind every effective throughput the
+#: timing model consumes: 120 uniformly random request vectors, seed 7.
+#: Table 4 measures the same seed's trace at a different length.
+THROUGHPUT_VECTORS = 120
+THROUGHPUT_SEED = 7
 
-    The application-level timing model multiplies this by the number of
-    SpMUs involved to convert random on-chip access counts into cycles.
-    Results are memoized in process and persisted to the content-addressed
-    :class:`~repro.runtime.cache.ThroughputStore` because the underlying
-    microbenchmark is stochastic but deterministic for a given
-    configuration -- design-space sweeps re-cost hundreds of SpMU variants,
-    and each fresh process would otherwise re-simulate all of them.
-    """
-    config = config or SpMUConfig()
-    key = (ordering, bank_mapping, allocator_kind, config, lanes)
-    cached = _THROUGHPUT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    store = _persistent_throughput_store()
-    store_key = None
-    if store is not None:
-        store_key = store.key(
-            ordering=ordering,
-            bank_mapping=bank_mapping,
-            allocator_kind=allocator_kind,
-            config=config,
-            lanes=lanes,
-        )
-        persisted = store.load(store_key)
-        if persisted is not None:
-            _THROUGHPUT_CACHE[key] = persisted
-            return persisted
-    utilization = measure_bank_utilization(
-        config,
-        ordering=ordering,
-        vectors=120,
-        lanes=lanes,
-        bank_mapping=bank_mapping,
-        allocator_kind=allocator_kind,
-    )
-    throughput = utilization * config.banks
-    _THROUGHPUT_CACHE[key] = throughput
-    if store is not None and store_key is not None:
-        try:
-            store.store(store_key, throughput)
-        except OSError:
-            pass  # a read-only or full filesystem must never fail costing
-    return throughput
-
-
-_THROUGHPUT_CACHE: Dict[Tuple, float] = {}
-
-#: Microbenchmark workload behind every effective-throughput measurement:
-#: 120 uniformly random 16-bit-address vectors, seed 7 (matching the scalar
-#: path's :func:`measure_bank_utilization` defaults).
-_THROUGHPUT_VECTORS = 120
-_THROUGHPUT_SEED = 7
-
-
-def _variant_cache_key(variant: SpMUVariant) -> Tuple:
-    return (
-        variant.ordering,
-        variant.bank_mapping,
-        variant.allocator_kind,
-        variant.config,
-        variant.lanes,
-    )
+#: In-process memo keyed on ``(variant, vectors)``.
+_THROUGHPUT_CACHE: Dict[Tuple[SpMUVariant, int], float] = {}
 
 
 def effective_bank_throughput_batch(
     variants: Sequence[SpMUVariant],
+    *,
+    vectors: int = THROUGHPUT_VECTORS,
     backend: Optional[str] = None,
     memory_budget=None,
 ) -> np.ndarray:
-    """Batched :func:`effective_bank_throughput` over a variant grid.
+    """Random-access requests per cycle each SpMU variant sustains.
 
-    Resolves every variant through the same in-process memo and persistent
-    :class:`~repro.runtime.cache.ThroughputStore` as the scalar path, but
-    in one pass: cached values are loaded with a single ``load_many``
-    transaction, the cold remainder is simulated in one lock-step
+    A variant's throughput is its bank utilization on a random trace of
+    ``vectors`` request vectors (drawn with :data:`THROUGHPUT_SEED`) times
+    its bank count (out of ``banks``); the application timing model
+    multiplies it by the number of SpMUs involved to convert random
+    on-chip access counts into cycles, and Table 4 divides it back into
+    utilization.
+
+    The microbenchmark is stochastic but deterministic for a given
+    ``(variant, vectors)``, so results are memoized in process and
+    persisted to the content-addressed
+    :class:`~repro.runtime.cache.ThroughputStore` under that key: cached
+    values are loaded with a single ``load_many``, the cold remainder is
+    simulated in one lock-step
     :func:`~repro.core.spmu_array.simulate_variants` call (variants with
     equal lane counts share one trace), and the fresh measurements are
-    persisted with a single ``store_many`` transaction. Values are
-    identical to calling the scalar function variant by variant.
+    persisted with a single ``store_many``.
 
     Args:
         variants: The SpMU configuration points to measure.
+        vectors: The random trace's length.
         backend: ``None``/``"array"`` (lock-step engine) or
-            ``"reference"`` (scalar loop per variant, for benchmarking and
-            verification); anything else raises :class:`SimulationError`.
+            ``"reference"`` (unmemoized :func:`measure_bank_utilization`
+            per variant, for benchmarking and verification); anything else
+            raises :class:`SimulationError`.
         memory_budget: Byte budget bounding the cold-variant lock-step
             state (see :func:`~repro.core.spmu_array.simulate_variants`);
             ``None`` defers to ``REPRO_MEMORY_BUDGET``.
@@ -986,71 +913,58 @@ def effective_bank_throughput_batch(
             utilization = measure_bank_utilization(
                 variant.config,
                 ordering=variant.ordering,
-                vectors=_THROUGHPUT_VECTORS,
+                vectors=vectors,
                 lanes=variant.lanes,
                 bank_mapping=variant.bank_mapping,
                 allocator_kind=variant.allocator_kind,
+                seed=THROUGHPUT_SEED,
                 backend="reference",
             )
             results[i] = utilization * variant.config.banks
         return results
 
-    missing: Dict[Tuple, List[int]] = {}
+    missing: Dict[SpMUVariant, List[int]] = {}
     for i, variant in enumerate(variants):
-        cached = _THROUGHPUT_CACHE.get(_variant_cache_key(variant))
+        cached = _THROUGHPUT_CACHE.get((variant, vectors))
         if cached is not None:
             results[i] = cached
         else:
-            missing.setdefault(_variant_cache_key(variant), []).append(i)
+            missing.setdefault(variant, []).append(i)
     if not missing:
         return results
 
     store = _persistent_throughput_store()
-    store_keys: Dict[Tuple, str] = {}
+    store_keys: Dict[SpMUVariant, str] = {}
     if store is not None:
-        for key, indices in missing.items():
-            variant = variants[indices[0]]
-            store_keys[key] = store.key(
-                ordering=variant.ordering,
-                bank_mapping=variant.bank_mapping,
-                allocator_kind=variant.allocator_kind,
-                config=variant.config,
-                lanes=variant.lanes,
-            )
+        store_keys = {v: store.key(v, vectors=vectors) for v in missing}
         persisted = store.load_many(list(store_keys.values()))
-        for key, indices in list(missing.items()):
-            value = persisted.get(store_keys[key])
+        for variant in list(missing):
+            value = persisted.get(store_keys[variant])
             if value is not None:
-                _THROUGHPUT_CACHE[key] = value
-                results[indices] = value
-                del missing[key]
+                _THROUGHPUT_CACHE[(variant, vectors)] = value
+                results[missing.pop(variant)] = value
     if not missing:
         return results
 
-    cold_keys = list(missing)
-    cold_variants = [variants[missing[key][0]] for key in cold_keys]
-    traces: Dict[int, RequestTrace] = {}
-    for variant in cold_variants:
-        if variant.lanes not in traces:
-            traces[variant.lanes] = random_request_trace(
-                _THROUGHPUT_VECTORS, lanes=variant.lanes, seed=_THROUGHPUT_SEED
-            )
+    cold = list(missing)
+    traces = {
+        lanes: random_request_trace(vectors, lanes=lanes, seed=THROUGHPUT_SEED)
+        for lanes in {variant.lanes for variant in cold}
+    }
     simulated = simulate_variants(
-        cold_variants,
-        [traces[v.lanes] for v in cold_variants],
-        memory_budget=memory_budget,
+        cold, [traces[variant.lanes] for variant in cold], memory_budget=memory_budget
     )
     fresh: Dict[str, float] = {}
-    for key, variant, result in zip(cold_keys, cold_variants, simulated):
+    for variant, result in zip(cold, simulated):
         banks = variant.config.banks
         utilization = (
             result.bank_busy_cycles / (result.cycles * banks) if result.cycles else 0.0
         )
         throughput = utilization * banks
-        _THROUGHPUT_CACHE[key] = throughput
-        results[missing[key]] = throughput
-        if store is not None:
-            fresh[store_keys[key]] = throughput
+        _THROUGHPUT_CACHE[(variant, vectors)] = throughput
+        results[missing[variant]] = throughput
+        if variant in store_keys:
+            fresh[store_keys[variant]] = throughput
     if store is not None and fresh:
         try:
             store.store_many(fresh)

@@ -45,9 +45,9 @@ import numpy as np
 
 from .._budget import resolve_memory_budget
 from ..config import SpMUConfig
-from ..errors import SimulationError
-from .allocator import SeparableAllocator
-from .bank_hash import get_bank_mapper_array
+from ..errors import ConfigurationError, SimulationError
+from .allocator import ALLOCATOR_KINDS, SeparableAllocator
+from .bank_hash import BANK_MAPPINGS, get_bank_mapper_array
 from .ordering import OrderingMode
 
 #: Integer op codes used by array request traces. ``OP_READ`` must stay 0;
@@ -79,6 +79,16 @@ class SpMUVariant:
     config: SpMUConfig = field(default_factory=SpMUConfig)
     lanes: int = 16
     pipeline_latency: int = 3
+
+    def validate(self) -> None:
+        """Raise :class:`ConfigurationError` unless the point is simulable."""
+        if self.bank_mapping not in BANK_MAPPINGS:
+            raise ConfigurationError(f"unknown bank mapping {self.bank_mapping!r}")
+        if self.allocator_kind not in ALLOCATOR_KINDS:
+            raise ConfigurationError(f"unknown allocator {self.allocator_kind!r}")
+        if self.lanes <= 0:
+            raise ConfigurationError(f"lanes must be positive, got {self.lanes}")
+        self.config.validate()
 
 
 @dataclass

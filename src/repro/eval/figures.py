@@ -15,7 +15,7 @@ from ..apps.scan_model import record_scans
 from ..apps.timing import CapstanPlatform, default_platform, estimate_cycles
 from ..config import CapstanConfig, MemoryTechnology, ScannerConfig, SpMUConfig
 from ..core.ordering import OrderingMode
-from ..core.spmu import SparseMemoryUnit, random_request_vectors
+from ..core.spmu import SparseMemoryUnit, random_request_trace
 from ..sim.dram import DRAMModel, TrafficSummary
 from ..sim.stats import STALL_CATEGORIES, geometric_mean
 from .experiments import APP_DATASETS, ProfileSet, collect_profiles
@@ -49,7 +49,7 @@ def figure4_ordering_trace(vectors: int = 120, seed: int = 7) -> Dict:
         ("arbitrated", OrderingMode.ARBITRATED),
     ):
         unit = SparseMemoryUnit(SpMUConfig(), ordering=mode, record_trace=True)
-        stats = unit.simulate(random_request_vectors(vectors, seed=seed))
+        stats = unit.simulate(random_request_trace(vectors, seed=seed))
         results[name] = 100.0 * stats.bank_utilization
         if name == "unordered":
             trace_excerpt = [int(banks) for banks in stats.per_cycle_active_banks[:15]]

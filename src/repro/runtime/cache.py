@@ -15,11 +15,11 @@ them on disk keyed by exactly that content:
 
 :class:`ThroughputStore` applies the same machinery to the stochastic SpMU
 random-access microbenchmark behind
-:func:`~repro.core.spmu.effective_bank_throughput`: the measured
-throughput is deterministic given the full SpMU configuration and the
-simulator code, so persisting it keyed by that content lets design-space
-sweeps skip re-simulating every (ordering, mapping, allocator, structure,
-lanes) point in every fresh process.
+:func:`~repro.core.spmu.effective_bank_throughput_batch`: the measured
+throughput is deterministic given the SpMU variant, the random trace
+(vectors, seed) and the simulator code, so persisting it keyed by that
+content lets Table 4 and design-space sweeps skip re-simulating every
+point in every fresh process.
 
 Entries are JSON files (one per record) written atomically; a corrupt,
 truncated, or version-skewed entry reads as a miss, never as an error.
@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Sequence
 
 from ..apps.profile import WorkloadProfile
+from ..core.spmu import THROUGHPUT_SEED, THROUGHPUT_VECTORS, SpMUVariant
 from .registry import RunContext
 
 #: Bump when the serialized profile layout changes incompatibly.
@@ -265,8 +266,8 @@ class ProfileCache:
 class ThroughputStore:
     """Content-addressed store for SpMU microbenchmark throughputs.
 
-    One entry per (ordering, bank mapping, allocator, SpMU structure,
-    lanes, code) combination; the code fingerprint shares
+    One entry per (SpMU variant, trace vectors, trace seed, code)
+    combination; the code fingerprint shares
     :func:`code_fingerprint`, so any edit to the simulator (or anything
     else that could change a measurement) orphans stale entries.
 
@@ -283,30 +284,32 @@ class ThroughputStore:
 
     def key(
         self,
+        variant: SpMUVariant,
         *,
-        ordering: Any,
-        bank_mapping: str,
-        allocator_kind: str,
-        config: Any,
-        lanes: int,
+        vectors: int = THROUGHPUT_VECTORS,
         fingerprint: Optional[str] = None,
     ) -> str:
-        """Store key for one microbenchmark configuration.
+        """Store key for one microbenchmark measurement.
+
+        The only place the key's fields are spelled out: every field of the
+        :class:`~repro.core.spmu_array.SpMUVariant`, plus the random
+        trace's length and seed, plus the code fingerprint.
 
         Args:
-            ordering: :class:`~repro.core.ordering.OrderingMode` (or any
-                enum with a ``value``).
-            bank_mapping / allocator_kind / lanes: Remaining SpMU knobs.
-            config: The :class:`~repro.config.SpMUConfig` dataclass.
+            variant: The measured SpMU configuration point.
+            vectors: The random trace's length.
             fingerprint: Code-fingerprint override (testing).
         """
         material = {
             "version": THROUGHPUT_CACHE_VERSION,
-            "ordering": getattr(ordering, "value", str(ordering)),
-            "bank_mapping": bank_mapping,
-            "allocator_kind": allocator_kind,
-            "config": dataclasses.asdict(config),
-            "lanes": lanes,
+            "ordering": variant.ordering.value,
+            "bank_mapping": variant.bank_mapping,
+            "allocator_kind": variant.allocator_kind,
+            "config": dataclasses.asdict(variant.config),
+            "lanes": variant.lanes,
+            "pipeline_latency": variant.pipeline_latency,
+            "vectors": vectors,
+            "seed": THROUGHPUT_SEED,
             "code": fingerprint if fingerprint is not None else code_fingerprint(),
         }
         encoded = json.dumps(material, sort_keys=True).encode()

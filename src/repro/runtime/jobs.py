@@ -53,6 +53,9 @@ import uuid
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from ..config import SpMUConfig
+from ..core.ordering import OrderingMode
+from ..core.spmu import SpMUVariant, effective_bank_throughput_batch
 from ..errors import CapstanError
 from . import faults, registry
 from .health import PERMANENT
@@ -234,22 +237,29 @@ def _execute_profile(payload: Dict[str, Any]) -> Any:
     return profile
 
 
+def throughput_variant(payload: Dict[str, Any]) -> SpMUVariant:
+    """The validated SpMU variant a ``throughput`` unit payload measures.
+
+    Serve's ``/throughput`` builds its store key from this too, so the
+    point it looks up is exactly the point the unit simulates. Raises
+    :class:`ValueError` for an unknown ordering and
+    :class:`~repro.errors.ConfigurationError` for any other illegal field.
+    """
+    variant = SpMUVariant(
+        ordering=OrderingMode(payload.get("ordering", "unordered")),
+        bank_mapping=payload.get("bank_mapping", "hash"),
+        allocator_kind=payload.get("allocator", "separable"),
+        config=SpMUConfig(**payload.get("config", {})),
+        lanes=int(payload.get("lanes", 16)),
+    )
+    variant.validate()
+    return variant
+
+
 def _execute_throughput(payload: Dict[str, Any]) -> float:
     """Run one SpMU calibration microbenchmark (persists to its store)."""
-    from ..config import SpMUConfig
-    from ..core.ordering import OrderingMode
-    from ..core.spmu import effective_bank_throughput
-
-    config = SpMUConfig(**payload.get("config", {}))
-    return float(
-        effective_bank_throughput(
-            ordering=OrderingMode(payload.get("ordering", "unordered")),
-            bank_mapping=payload.get("bank_mapping", "hash"),
-            allocator_kind=payload.get("allocator", "separable"),
-            config=config,
-            lanes=int(payload.get("lanes", 16)),
-        )
-    )
+    [throughput] = effective_bank_throughput_batch([throughput_variant(payload)])
+    return float(throughput)
 
 
 def _execute_dse_chunk(payload: Dict[str, Any]) -> Dict[str, Any]:

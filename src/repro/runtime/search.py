@@ -44,7 +44,8 @@ import numpy as np
 
 from .._budget import resolve_memory_budget
 from ..apps.profile import WorkloadProfile
-from ..apps.timing import CapstanPlatform
+from ..apps.timing import PLATFORM_ALLOCATORS, CapstanPlatform
+from ..core.bank_hash import BANK_MAPPINGS
 from ..errors import ConfigurationError
 from .cache import code_fingerprint
 from .dse import cost_variants, pareto_frontier
@@ -73,8 +74,8 @@ DEFAULT_SEARCH_AXES: Dict[str, Tuple[Any, ...]] = {
     "crossbar_inputs": (8, 16, 32, 64),
     "memory": ("ddr4", "hbm2", "hbm2e"),
     "ordering": ("unordered", "address-ordered", "fully-ordered"),
-    "bank_mapping": ("hash", "linear"),
-    "allocator": ("separable", "greedy", "arbitrated"),
+    "bank_mapping": BANK_MAPPINGS,
+    "allocator": PLATFORM_ALLOCATORS,
 }
 
 

@@ -53,8 +53,6 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from ..apps.common import BACKENDS
-from ..config import SpMUConfig
-from ..core.ordering import OrderingMode
 from ..errors import CapstanError
 from . import registry
 from .cache import (
@@ -70,6 +68,7 @@ from .jobs import (
     WorkUnit,
     context_from_dict,
     context_to_dict,
+    throughput_variant,
 )
 from .registry import RunContext
 from .runstore import RunStore, RunStoreError, default_run_db
@@ -311,39 +310,28 @@ class CacheServer:
         return 202, {"status": "enqueued", "key": key, "job": job.id, "job_state": job.state}
 
     def _throughput(self, query: Dict[str, str]) -> Tuple[int, Dict[str, Any]]:
+        payload: Dict[str, Any] = {
+            "kind": "throughput",
+            "ordering": query.get("ordering", "unordered"),
+            "bank_mapping": query.get("bank_mapping", "hash"),
+            "allocator": query.get("allocator", "separable"),
+        }
         try:
-            ordering = OrderingMode(query.get("ordering", "unordered"))
-            lanes = int(query.get("lanes", 16))
-            overrides = {
+            payload["lanes"] = int(query.get("lanes", 16))
+            payload["config"] = {
                 field: int(query[field])
                 for field in ("banks", "queue_depth", "crossbar_inputs")
                 if field in query
             }
-        except ValueError as exc:
+            variant = throughput_variant(payload)
+        except (ValueError, CapstanError) as exc:
             raise _BadRequest(f"bad throughput parameter: {exc}") from None
-        bank_mapping = query.get("bank_mapping", "hash")
-        allocator = query.get("allocator", "separable")
-        config = SpMUConfig(**overrides)
-        key = self.throughput_store.key(
-            ordering=ordering,
-            bank_mapping=bank_mapping,
-            allocator_kind=allocator,
-            config=config,
-            lanes=lanes,
-        )
+        key = self.throughput_store.key(variant)
         throughput = self.throughput_store.load(key)
         if throughput is not None:
             return 200, {"status": "cached", "key": key, "throughput": throughput}
         if not _wants_enqueue(query):
             return 404, {"status": "miss", "key": key}
-        payload = {
-            "kind": "throughput",
-            "ordering": ordering.value,
-            "bank_mapping": bank_mapping,
-            "allocator": allocator,
-            "lanes": lanes,
-            "config": overrides,
-        }
         unit = WorkUnit(key=key, kind="throughput", payload=payload)
         job = self._job_store().submit(
             JobSpec(name=f"serve:throughput:{key[:12]}", units=(unit,))

@@ -29,8 +29,9 @@ from dataclasses import replace
 from enum import Enum
 from typing import Any, Callable, Dict, Iterable, Mapping, Optional
 
-from ..apps.timing import CapstanPlatform
+from ..apps.timing import PLATFORM_ALLOCATORS, CapstanPlatform
 from ..config import MemoryTechnology, ShuffleMode
+from ..core.bank_hash import BANK_MAPPINGS
 from ..core.ordering import OrderingMode
 from ..errors import ConfigurationError
 
@@ -41,8 +42,8 @@ _PLATFORM_FIELDS = ("ordering", "bank_mapping", "allocator", "ideal_sram")
 #: be costed silently (the timing model coerces unknown allocators to
 #: "greedy") or crash deep inside the bank mapper.
 _PLATFORM_FIELD_VALUES = {
-    "bank_mapping": ("hash", "linear"),
-    "allocator": ("separable", "greedy", "arbitrated"),
+    "bank_mapping": BANK_MAPPINGS,
+    "allocator": PLATFORM_ALLOCATORS,
     "ideal_sram": (True, False),
 }
 

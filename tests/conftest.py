@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import spmu as spmu_module
 from repro.formats import COOMatrix, CSCMatrix, CSRMatrix
+from repro.runtime.cache import ThroughputStore
 from repro.workloads import load_dataset
 
 
@@ -59,3 +61,12 @@ def random_dense_matrix():
     matrix = rng.random((24, 31))
     matrix[matrix < 0.7] = 0.0
     return matrix
+
+
+@pytest.fixture
+def isolated_store(tmp_path, monkeypatch):
+    """Point the throughput store at a fresh directory with an empty memo."""
+    monkeypatch.setenv("REPRO_THROUGHPUT_CACHE", str(tmp_path / "throughput"))
+    monkeypatch.delenv("REPRO_THROUGHPUT_CACHE_DISABLE", raising=False)
+    monkeypatch.setattr(spmu_module, "_THROUGHPUT_CACHE", {})
+    return ThroughputStore()

@@ -79,8 +79,13 @@ class TestSeparableAllocator:
     def test_factory(self):
         assert isinstance(make_allocator("separable"), SeparableAllocator)
         assert isinstance(make_allocator("greedy"), GreedyAllocator)
+        for kind in ("bogus", "weak", "none"):
+            with pytest.raises(ConfigurationError):
+                make_allocator(kind)
+        # The SpMU builds its allocator through the factory, so an unknown
+        # kind is an error there too, not a silent greedy allocator.
         with pytest.raises(ConfigurationError):
-            make_allocator("bogus")
+            SparseMemoryUnit(allocator_kind="banana")
 
 
 class TestGreedyAllocator:

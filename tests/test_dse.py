@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from repro.apps.profile import WorkloadProfile
 from repro.config import SpMUConfig
 from repro.core import spmu as spmu_module
 from repro.core.ordering import OrderingMode
+from repro.core.spmu import SpMUVariant
 from repro.errors import ConfigurationError
+from repro.runtime import cache as cache_module
 from repro.runtime.cache import ThroughputStore, throughput_store_enabled
 from repro.runtime.cli import main as cli_main
 from repro.runtime.dse import explore, pareto_frontier
@@ -19,45 +22,36 @@ from repro.runtime.search import DEFAULT_SEARCH_AXES
 from repro.runtime.sweep import axis_value, build_variant, parse_axis_value, sweep
 
 
-@pytest.fixture
-def isolated_store(tmp_path, monkeypatch):
-    """Point the throughput store at a fresh directory with an empty memo."""
-    monkeypatch.setenv("REPRO_THROUGHPUT_CACHE", str(tmp_path / "throughput"))
-    monkeypatch.delenv("REPRO_THROUGHPUT_CACHE_DISABLE", raising=False)
-    monkeypatch.setattr(spmu_module, "_THROUGHPUT_CACHE", {})
-    return ThroughputStore()
-
-
 class TestThroughputStore:
     def test_roundtrip(self, tmp_path):
         store = ThroughputStore(root=tmp_path)
-        key = store.key(
-            ordering=OrderingMode.UNORDERED,
-            bank_mapping="hash",
-            allocator_kind="separable",
-            config=SpMUConfig(),
-            lanes=16,
-        )
+        key = store.key(SpMUVariant())
         assert store.load(key) is None
         store.store(key, 12.625)
         assert store.load(key) == 12.625
         assert len(store) == 1
 
-    def test_key_changes_with_configuration_and_code(self, tmp_path):
+    def test_key_changes_with_configuration_and_code(self, tmp_path, monkeypatch):
         store = ThroughputStore(root=tmp_path)
-        kwargs = dict(
-            ordering=OrderingMode.UNORDERED,
-            bank_mapping="hash",
-            allocator_kind="separable",
-            config=SpMUConfig(),
-            lanes=16,
-        )
-        base = store.key(**kwargs)
-        assert store.key(**{**kwargs, "bank_mapping": "linear"}) != base
-        assert store.key(**{**kwargs, "lanes": 32}) != base
-        assert store.key(**{**kwargs, "config": SpMUConfig(banks=32)}) != base
-        assert store.key(**{**kwargs, "ordering": OrderingMode.ARBITRATED}) != base
-        assert store.key(**kwargs, fingerprint="deadbeef") != base
+        variant = SpMUVariant()
+        base = store.key(variant)
+        for changed in (
+            replace(variant, bank_mapping="linear"),
+            replace(variant, allocator_kind="greedy"),
+            replace(variant, lanes=32),
+            replace(variant, config=SpMUConfig(banks=32)),
+            replace(variant, ordering=OrderingMode.ARBITRATED),
+            replace(variant, pipeline_latency=4),
+        ):
+            assert store.key(changed) != base
+        # The random trace is part of the measurement: Table 4 measures
+        # SpMUConfig() at 160 vectors, timing calibration at 120.
+        assert store.key(variant, vectors=160) != base
+        assert store.key(variant, vectors=120) == base
+        assert store.key(variant, fingerprint="deadbeef") != base
+        assert store.key(SpMUVariant()) == base
+        monkeypatch.setattr(cache_module, "THROUGHPUT_SEED", 8)
+        assert store.key(variant) != base
 
     def test_corrupt_and_skewed_entries_are_misses(self, tmp_path):
         store = ThroughputStore(root=tmp_path)
@@ -81,21 +75,21 @@ class TestThroughputStore:
         self, isolated_store, monkeypatch
     ):
         calls = []
-        original = spmu_module.measure_bank_utilization
+        original = spmu_module.simulate_variants
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting(variants, *args, **kwargs):
+            calls.append(len(variants))
+            return original(variants, *args, **kwargs)
 
-        monkeypatch.setattr(spmu_module, "measure_bank_utilization", counting)
-        config = SpMUConfig(banks=8, words_per_bank=512)
-        first = spmu_module.effective_bank_throughput(config=config, lanes=8)
-        assert len(calls) == 1
+        monkeypatch.setattr(spmu_module, "simulate_variants", counting)
+        variant = SpMUVariant(config=SpMUConfig(banks=8, words_per_bank=512), lanes=8)
+        [first] = spmu_module.effective_bank_throughput_batch([variant])
+        assert calls == [1]
         # Simulate a fresh process: the in-process memo is gone, but the
         # persisted measurement is served without re-simulating.
         spmu_module._THROUGHPUT_CACHE.clear()
-        second = spmu_module.effective_bank_throughput(config=config, lanes=8)
-        assert len(calls) == 1
+        [second] = spmu_module.effective_bank_throughput_batch([variant])
+        assert calls == [1]
         assert second == first
         assert len(isolated_store) == 1
 
@@ -104,8 +98,8 @@ class TestThroughputStore:
         monkeypatch.setenv("REPRO_THROUGHPUT_CACHE_DISABLE", "1")
         monkeypatch.setattr(spmu_module, "_THROUGHPUT_CACHE", {})
         assert not throughput_store_enabled()
-        spmu_module.effective_bank_throughput(
-            config=SpMUConfig(banks=8, words_per_bank=512), lanes=8
+        spmu_module.effective_bank_throughput_batch(
+            [SpMUVariant(config=SpMUConfig(banks=8, words_per_bank=512), lanes=8)]
         )
         assert not (tmp_path / "throughput").exists()
 

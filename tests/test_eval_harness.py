@@ -13,6 +13,9 @@ import json
 
 import pytest
 
+from repro.config import SpMUConfig
+from repro.core import spmu as spmu_module
+from repro.core.spmu import SpMUVariant, effective_bank_throughput_batch, measure_bank_utilization
 from repro.eval import (
     APP_DATASETS,
     APP_ORDER,
@@ -83,6 +86,35 @@ class TestTable4:
         rows = table4_spmu_throughput(depths=(16,), crossbars=(16,), priorities=(3,), vectors=40)
         assert rows[0]["paper_3pri_pct"] == 79.9
         assert rows[0]["scheduler_area_um2"] == 51359
+
+    def test_default_point_is_keyed_on_its_trace(self, isolated_store):
+        # Table 4's (16, 16x16, 3 priorities) point is SpMUConfig(), the
+        # costing default, measured on a longer trace: a throughput key
+        # without the trace length would serve one measurement for the other.
+        config = SpMUConfig()
+        [row] = table4_spmu_throughput(depths=(16,), crossbars=(16,), priorities=(3,))
+        assert row["measured_3pri_pct"] == 100.0 * measure_bank_utilization(config, vectors=160)
+        calibration = config.banks * measure_bank_utilization(config, vectors=120)
+        assert calibration != row["measured_3pri_pct"] / 100.0 * config.banks
+        for _ in range(2):  # warm memo, then the persisted store alone
+            assert list(effective_bank_throughput_batch([SpMUVariant()])) == [calibration]
+            spmu_module._THROUGHPUT_CACHE.clear()
+
+    def test_warm_table4_simulates_nothing(self, isolated_store, monkeypatch):
+        calls = []
+        original = spmu_module.simulate_variants
+
+        def counting(variants, *args, **kwargs):
+            calls.append(len(variants))
+            return original(variants, *args, **kwargs)
+
+        monkeypatch.setattr(spmu_module, "simulate_variants", counting)
+        cold = table4_spmu_throughput()
+        assert calls == [18]  # one lock-step batch
+        spmu_module._THROUGHPUT_CACHE.clear()  # a fresh process
+        assert table4_spmu_throughput() == cold
+        assert calls == [18]
+        assert len(isolated_store) == 18
 
 
 class TestTables5And8:

@@ -149,6 +149,32 @@ class TestThroughputEndpoint:
         status, _ = _get(server, "/throughput", {"ordering": "sideways"})
         assert status == 400
 
+    @pytest.mark.parametrize(
+        "query",
+        [
+            {"bank_mapping": "banana"},
+            {"allocator": "banana"},
+            {"banks": "3"},
+            {"queue_depth": "0"},
+            {"lanes": "0"},
+            {"lanes": "many"},
+        ],
+        ids=lambda query: "-".join(f"{k}={v}" for k, v in query.items()),
+    )
+    def test_invalid_spmu_parameters_rejected_without_a_job(self, server, query):
+        for _ in range(2):  # a repeated bad query enqueues nothing either
+            status, payload = _get(server, "/throughput", query)
+            assert status == 400
+            assert payload["error"].startswith("bad throughput parameter")
+        assert _get(server, "/jobs")[1]["jobs"] == []
+
+    def test_greedy_allocator_keyed_apart_from_separable(self, server):
+        keys = {
+            _get(server, "/throughput", {"allocator": allocator, "enqueue": "0"})[1]["key"]
+            for allocator in ("separable", "greedy")
+        }
+        assert len(keys) == 2
+
 
 class TestJobsEndpoint:
     def test_submit_then_resume_then_inspect(self, server):

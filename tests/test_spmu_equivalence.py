@@ -29,7 +29,6 @@ from repro.core.spmu import (
     RequestTrace,
     SparseMemoryUnit,
     SpMUVariant,
-    effective_bank_throughput,
     effective_bank_throughput_batch,
     measure_bank_utilization,
     random_request_trace,
@@ -80,15 +79,6 @@ def _assert_equivalent(config, lanes, ordering, mapping, allocator, vectors):
     )
     words = reference.capacity_words
     assert np.array_equal(reference.read_data(0, words), array.read_data(0, words))
-
-
-@pytest.fixture
-def isolated_store(tmp_path, monkeypatch):
-    """Point the throughput store at a fresh directory with an empty memo."""
-    monkeypatch.setenv("REPRO_THROUGHPUT_CACHE", str(tmp_path / "throughput"))
-    monkeypatch.delenv("REPRO_THROUGHPUT_CACHE_DISABLE", raising=False)
-    monkeypatch.setattr(spmu_module, "_THROUGHPUT_CACHE", {})
-    return ThroughputStore()
 
 
 class TestSimulatorEquivalence:
@@ -353,16 +343,20 @@ class TestBatchedThroughput:
     def test_matches_scalar_path(self, isolated_store):
         variants = self._grid()
         batched = effective_bank_throughput_batch(variants)
-        spmu_module._THROUGHPUT_CACHE.clear()
         for variant, value in zip(variants, batched):
-            scalar = effective_bank_throughput(
+            scalar = measure_bank_utilization(
+                variant.config,
                 ordering=variant.ordering,
+                vectors=spmu_module.THROUGHPUT_VECTORS,
+                lanes=variant.lanes,
                 bank_mapping=variant.bank_mapping,
                 allocator_kind=variant.allocator_kind,
-                config=variant.config,
-                lanes=variant.lanes,
+                seed=spmu_module.THROUGHPUT_SEED,
             )
-            assert scalar == value
+            assert scalar * variant.config.banks == value
+            # One-element batches (the timing model's scalar lookups) agree.
+            spmu_module._THROUGHPUT_CACHE.clear()
+            assert effective_bank_throughput_batch([variant])[0] == value
 
     def test_matches_reference_backend(self, isolated_store):
         variants = self._grid()[:4]
