@@ -7,6 +7,7 @@ EXPERIMENTS.md render them as tables).
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -87,6 +88,7 @@ def figure5a_bandwidth_sensitivity(
 ) -> Dict[str, List[float]]:
     """Speedup vs DRAM bandwidth, normalized to the lowest point per app."""
     profiles = profiles or collect_profiles(apps=list(FIGURE5_APPS))
+    platform = default_platform(MemoryTechnology.HBM2E)
     series: Dict[str, List[float]] = {}
     for app in profiles.apps():
         app_profiles = profiles.for_app(app)
@@ -94,7 +96,6 @@ def figure5a_bandwidth_sensitivity(
         for bandwidth in bandwidths_gbps:
             seconds = []
             for profile in app_profiles:
-                platform = default_platform(MemoryTechnology.HBM2E)
                 cycles, _ = _cycles_with_bandwidth(profile, platform, bandwidth)
                 seconds.append(cycles)
             runtimes.append(geometric_mean(seconds))
@@ -108,7 +109,6 @@ def _cycles_with_bandwidth(profile, platform: CapstanPlatform, bandwidth_gbps: f
     """Re-cost a profile with an overridden DRAM bandwidth."""
     cycles, breakdown = estimate_cycles(profile, platform)
     # Replace the DRAM component with one computed at the swept bandwidth.
-    dram_default = DRAMModel(platform.config.memory, clock_ghz=platform.config.clock_ghz)
     dram_swept = DRAMModel(
         platform.config.memory, bandwidth_gbps=bandwidth_gbps, clock_ghz=platform.config.clock_ghz
     )
@@ -117,7 +117,6 @@ def _cycles_with_bandwidth(profile, platform: CapstanPlatform, bandwidth_gbps: f
         streaming_write_bytes=profile.dram_stream_write_bytes,
         random_accesses=profile.dram_random_reads + 2 * profile.dram_random_updates,
     )
-    old_dram = max(0.0, dram_default.traffic_cycles(traffic) - breakdown.load_store)
     new_dram = max(0.0, dram_swept.traffic_cycles(traffic) - breakdown.load_store)
     return cycles - breakdown.dram + new_dram, breakdown
 
@@ -128,6 +127,7 @@ def figure5b_area_sensitivity(
 ) -> Dict[str, List[float]]:
     """Speedup vs outer-parallelism (a proxy for weighted on-chip area)."""
     profiles = profiles or collect_profiles(apps=list(FIGURE5_APPS))
+    platform = default_platform(MemoryTechnology.HBM2E)
     series: Dict[str, List[float]] = {}
     for app in profiles.apps():
         app_profiles = profiles.for_app(app)
@@ -136,7 +136,6 @@ def figure5b_area_sensitivity(
             seconds = []
             for profile in app_profiles:
                 scaled = _with_parallelism(profile, units)
-                platform = default_platform(MemoryTechnology.HBM2E)
                 cycles, _ = estimate_cycles(scaled, platform)
                 seconds.append(cycles)
             runtimes.append(geometric_mean(seconds))
@@ -148,8 +147,6 @@ def figure5b_area_sensitivity(
 
 def _with_parallelism(profile, units: int):
     """Copy a profile with a different outer-parallelism and re-split tiles."""
-    import copy
-
     scaled = copy.copy(profile)
     scaled.outer_parallelism = units
     work = np.asarray(profile.tile_work, dtype=np.float64)
@@ -171,6 +168,7 @@ def figure5c_compression_sensitivity(
 ) -> Dict[str, List[float]]:
     """Speedup from read-side DRAM compression across bandwidths."""
     profiles = profiles or collect_profiles(apps=list(FIGURE5_APPS))
+    enabled = default_platform(MemoryTechnology.HBM2E)
     series: Dict[str, List[float]] = {}
     for app in profiles.apps():
         app_profiles = profiles.for_app(app)
@@ -179,10 +177,7 @@ def figure5c_compression_sensitivity(
             with_compression = []
             without_compression = []
             for profile in app_profiles:
-                enabled = default_platform(MemoryTechnology.HBM2E)
                 cycles_on, _ = _cycles_with_bandwidth(profile, enabled, bandwidth)
-                import copy
-
                 stripped = copy.copy(profile)
                 stripped.pointer_compression_ratio = 1.0
                 cycles_off, _ = _cycles_with_bandwidth(stripped, enabled, bandwidth)

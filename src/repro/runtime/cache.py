@@ -1,4 +1,4 @@
-"""Content-addressed on-disk caches for profiles and SpMU throughputs.
+"""Content-addressed on-disk stores: one entry layer, one key per store.
 
 Collecting the evaluation's profiles means functionally executing eleven
 application variants on three datasets each -- by far the most expensive
@@ -7,22 +7,29 @@ part of regenerating any table or figure. Profiles are deterministic given
 them on disk keyed by exactly that content:
 
 * the application and dataset names,
-* the :class:`~repro.runtime.registry.RunContext` fingerprint (scale,
-  iteration counts, scanner override), and
+* the :class:`~repro.runtime.registry.RunContext` fingerprint over the
+  parameters the application declares it reads
+  (:attr:`~repro.runtime.registry.AppSpec.context_fields`, looked up by
+  :meth:`ProfileCache.key` itself), and
 * a fingerprint of the package source that produces profiles (everything
   under ``repro`` except the eval/runtime harness layers), so editing any
   model or application invalidates stale entries automatically.
 
-:class:`ThroughputStore` applies the same machinery to the stochastic SpMU
-random-access microbenchmark behind
+:class:`ThroughputStore` persists the stochastic SpMU random-access
+microbenchmark behind
 :func:`~repro.core.spmu.effective_bank_throughput_batch`: the measured
 throughput is deterministic given the SpMU variant, the random trace
-(vectors, seed) and the simulator code, so persisting it keyed by that
-content lets Table 4 and design-space sweeps skip re-simulating every
-point in every fresh process.
+(vectors, seed) and the simulator code, so Table 4 and design-space sweeps
+skip re-simulating every point in every fresh process.
 
-Entries are JSON files (one per record) written atomically; a corrupt,
-truncated, or version-skewed entry reads as a miss, never as an error.
+Both are one entry layer, :class:`_EntryStore`: a directory of
+``<key>.json`` files stamped ``{"version", "code"}``, written atomically
+(:func:`write_json_atomic`), where an absent, corrupt, truncated or
+version-skewed entry reads as a miss, never as an error
+(:func:`read_json`). Each store spells its key material in its own
+``key`` method and hashes it with :func:`content_key`; the search store
+(:class:`~repro.runtime.search.SearchStore`) and the job keys
+(:mod:`~repro.runtime.jobs`) use the same helpers.
 
 Set ``REPRO_PROFILE_CACHE`` / ``REPRO_THROUGHPUT_CACHE`` to relocate the
 cache directories and ``REPRO_PROFILE_CACHE_DISABLE=1`` /
@@ -37,10 +44,11 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from ..apps.profile import WorkloadProfile
 from ..core.spmu import THROUGHPUT_SEED, THROUGHPUT_VECTORS, SpMUVariant
+from . import registry
 from .registry import RunContext
 
 #: Bump when the serialized profile layout changes incompatibly.
@@ -54,6 +62,43 @@ THROUGHPUT_CACHE_VERSION = 1
 _FINGERPRINT_EXCLUDED = ("eval", "runtime", "__pycache__")
 
 
+def content_key(material: Any) -> str:
+    """SHA-256 hex digest of ``material`` as canonical (key-sorted) JSON."""
+    return hashlib.sha256(json.dumps(material, sort_keys=True, default=str).encode()).hexdigest()
+
+
+def read_json(path: Path) -> Optional[Dict[str, Any]]:
+    """One JSON object from disk; ``None`` if absent, unreadable or not an object."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except (OSError, ValueError):
+        return None
+    return payload if isinstance(payload, dict) else None
+
+
+def write_json_atomic(path: Path, payload: Dict[str, Any]) -> None:
+    """Write one compact JSON entry atomically (write-to-temp, then rename)."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            json.dump(payload, handle)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
+def env_root(variable: str, name: str) -> Path:
+    """A store root: ``$variable`` when set, else ``~/.cache/repro/<name>``."""
+    override = os.environ.get(variable)
+    return Path(override) if override else Path.home() / ".cache" / "repro" / name
+
+
 def cache_enabled() -> bool:
     """Whether the on-disk profile cache is enabled (kill switch honored)."""
     return os.environ.get("REPRO_PROFILE_CACHE_DISABLE", "") not in ("1", "true", "yes")
@@ -61,23 +106,12 @@ def cache_enabled() -> bool:
 
 def default_cache_dir() -> Path:
     """The cache root: ``$REPRO_PROFILE_CACHE`` or ``~/.cache/repro/profiles``."""
-    override = os.environ.get("REPRO_PROFILE_CACHE")
-    if override:
-        return Path(override)
-    return Path.home() / ".cache" / "repro" / "profiles"
+    return env_root("REPRO_PROFILE_CACHE", "profiles")
 
 
 def throughput_store_enabled() -> bool:
     """Whether the on-disk throughput store is enabled (kill switch honored)."""
     return os.environ.get("REPRO_THROUGHPUT_CACHE_DISABLE", "") not in ("1", "true", "yes")
-
-
-def default_throughput_dir() -> Path:
-    """The store root: ``$REPRO_THROUGHPUT_CACHE`` or ``~/.cache/repro/throughput``."""
-    override = os.environ.get("REPRO_THROUGHPUT_CACHE")
-    if override:
-        return Path(override)
-    return Path.home() / ".cache" / "repro" / "throughput"
 
 
 _CODE_FINGERPRINT: Optional[str] = None
@@ -98,22 +132,6 @@ def code_fingerprint(refresh: bool = False) -> str:
         digest.update(path.read_bytes())
     _CODE_FINGERPRINT = digest.hexdigest()
     return _CODE_FINGERPRINT
-
-
-def _write_json_atomic(root: Path, path: Path, payload: Dict[str, Any]) -> None:
-    """Write one JSON entry atomically (write-to-temp, then rename)."""
-    root.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=root, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
 
 
 def _json_default(value: Any):
@@ -141,115 +159,77 @@ def profile_from_dict(data: Dict[str, Any]) -> WorkloadProfile:
     return WorkloadProfile(**{k: v for k, v in data.items() if k in known})
 
 
-class ProfileCache:
-    """Content-addressed :class:`WorkloadProfile` store.
+class _EntryStore:
+    """A directory of ``<key>.json`` entries stamped ``{"version", "code"}``.
+
+    Subclasses spell their key material in ``key`` and their payload in
+    ``load``/``store``; reading, writing, statistics, clearing and pruning
+    live here once.
 
     Attributes:
-        root: Directory holding one ``<key>.json`` file per profile.
+        root: Directory holding one ``<key>.json`` file per entry.
         hits / misses / stores: Per-instance access statistics.
     """
 
-    def __init__(self, root: Optional[Path] = None):
-        self.root = Path(root) if root is not None else default_cache_dir()
+    #: Entry layout version, set by each subclass.
+    version: int
+
+    def __init__(self, root: Path):
+        self.root = Path(root)
         self.hits = 0
         self.misses = 0
         self.stores = 0
 
-    def key(
-        self,
-        app: str,
-        dataset: str,
-        context: RunContext,
-        fingerprint: Optional[str] = None,
-        context_fields: Optional[tuple] = None,
-    ) -> str:
-        """Cache key for one (app, dataset, context, code) combination.
-
-        Args:
-            app / dataset / context: Task coordinates.
-            fingerprint: Code-fingerprint override (testing).
-            context_fields: Which context parameters the application reads
-                (its :attr:`~repro.runtime.registry.AppSpec.context_fields`);
-                ``None`` fingerprints all of them.
-        """
-        material = {
-            "version": CACHE_VERSION,
-            "app": app,
-            "dataset": dataset,
-            "context": context.fingerprint(context_fields),
-            "code": fingerprint if fingerprint is not None else code_fingerprint(),
-        }
-        encoded = json.dumps(material, sort_keys=True).encode()
-        return hashlib.sha256(encoded).hexdigest()
-
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
-    def load(self, key: str) -> Optional[WorkloadProfile]:
-        """Read one cached profile; any malformed entry is a miss."""
-        path = self._path(key)
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
+    def _read(self, key: str, decode: Callable[[Dict[str, Any]], Any]) -> Any:
+        """Decode one entry; absent, malformed or undecodable entries are misses."""
+        payload = read_json(self._path(key))
+        value = None
+        if payload is not None and payload.get("version") == self.version:
+            try:
+                value = decode(payload)
+            except (KeyError, TypeError, AttributeError):
+                pass
+        if value is None:
             self.misses += 1
-            return None
-        if not isinstance(payload, dict) or payload.get("version") != CACHE_VERSION:
-            self.misses += 1
-            return None
-        try:
-            profile = profile_from_dict(payload["profile"])
-        except (KeyError, TypeError, AttributeError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return profile
+        else:
+            self.hits += 1
+        return value
 
-    def store(self, key: str, profile: WorkloadProfile) -> None:
-        """Write one profile atomically (write-to-temp, then rename)."""
-        payload = {
-            "version": CACHE_VERSION,
-            "code": code_fingerprint(),
-            "profile": profile_to_dict(profile),
-        }
-        _write_json_atomic(self.root, self._path(key), payload)
+    def _write(self, key: str, entry: Dict[str, Any]) -> None:
+        """Write one stamped entry atomically."""
+        payload = {"version": self.version, "code": code_fingerprint(), **entry}
+        write_json_atomic(self._path(key), payload)
         self.stores += 1
 
     def clear(self) -> int:
-        """Delete every cache entry (and stray temp files); returns the count."""
-        removed = 0
-        if self.root.is_dir():
-            for path in list(self.root.glob("*.json")) + list(self.root.glob("*.tmp")):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
+        """Delete every entry (and stray temp files); returns the count."""
+        return self._remove(lambda path: True)
 
     def prune(self) -> int:
-        """Remove entries written by other code versions, and stray temps.
+        """Remove entries written by other code or layout versions, and stray temps.
 
         Every source edit changes the code fingerprint and orphans the
-        previous entries; pruning keeps only profiles the current code
-        could still serve. Returns the number of files removed.
+        previous entries; pruning keeps only entries the current code could
+        still serve. Returns the number of files removed.
         """
-        removed = 0
+        current = {"version": self.version, "code": code_fingerprint()}
+
+        def stale(path: Path) -> bool:
+            payload = read_json(path) or {}
+            return {name: payload.get(name) for name in current} != current
+
+        return self._remove(stale)
+
+    def _remove(self, doomed: Callable[[Path], bool]) -> int:
+        """Unlink every stray temp file and every entry ``doomed`` selects."""
         if not self.root.is_dir():
             return 0
-        current = code_fingerprint()
-        for path in self.root.glob("*.tmp"):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        for path in self.root.glob("*.json"):
-            try:
-                payload = json.loads(path.read_text())
-                stale = payload.get("code") != current or payload.get("version") != CACHE_VERSION
-            except (OSError, ValueError, AttributeError):
-                stale = True
-            if stale:
+        removed = 0
+        for path in list(self.root.glob("*.tmp")) + list(self.root.glob("*.json")):
+            if path.suffix == ".tmp" or doomed(path):
                 try:
                     path.unlink()
                     removed += 1
@@ -263,24 +243,71 @@ class ProfileCache:
         return sum(1 for _ in self.root.glob("*.json"))
 
 
-class ThroughputStore:
+class ProfileCache(_EntryStore):
+    """Content-addressed :class:`WorkloadProfile` store."""
+
+    version = CACHE_VERSION
+
+    def __init__(self, root: Optional[Path] = None):
+        super().__init__(root if root is not None else default_cache_dir())
+
+    def key(
+        self,
+        app: str,
+        dataset: str,
+        context: RunContext,
+        fingerprint: Optional[str] = None,
+    ) -> str:
+        """Cache key for one (app, dataset, context, code) combination.
+
+        The only place the key's fields are spelled out. The context is
+        fingerprinted over the parameters the registered application reads
+        (its :attr:`~repro.runtime.registry.AppSpec.context_fields`).
+
+        Args:
+            app / dataset / context: Task coordinates.
+            fingerprint: Code-fingerprint override (testing).
+        """
+        material = {
+            "version": CACHE_VERSION,
+            "app": app,
+            "dataset": dataset,
+            "context": context.fingerprint(registry.get_spec(app).context_fields),
+            "code": fingerprint if fingerprint is not None else code_fingerprint(),
+        }
+        return content_key(material)
+
+    def load(self, key: str) -> Optional[WorkloadProfile]:
+        """Read one cached profile; any malformed entry is a miss."""
+        return self._read(key, lambda payload: profile_from_dict(payload["profile"]))
+
+    def store(self, key: str, profile: WorkloadProfile) -> None:
+        """Write one profile atomically (write-to-temp, then rename)."""
+        self._write(key, {"profile": profile_to_dict(profile)})
+
+
+def _throughput_from_entry(payload: Dict[str, Any]) -> Optional[float]:
+    value = payload.get("throughput")
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return None
+    return float(value)
+
+
+class ThroughputStore(_EntryStore):
     """Content-addressed store for SpMU microbenchmark throughputs.
 
     One entry per (SpMU variant, trace vectors, trace seed, code)
-    combination; the code fingerprint shares
-    :func:`code_fingerprint`, so any edit to the simulator (or anything
-    else that could change a measurement) orphans stale entries.
-
-    Attributes:
-        root: Directory holding one ``<key>.json`` file per measurement.
-        hits / misses / stores: Per-instance access statistics.
+    combination; the code fingerprint shares :func:`code_fingerprint`, so
+    any edit to the simulator (or anything else that could change a
+    measurement) orphans stale entries.
     """
 
+    version = THROUGHPUT_CACHE_VERSION
+
     def __init__(self, root: Optional[Path] = None):
-        self.root = Path(root) if root is not None else default_throughput_dir()
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
+        super().__init__(
+            root if root is not None else env_root("REPRO_THROUGHPUT_CACHE", "throughput")
+        )
 
     def key(
         self,
@@ -312,34 +339,15 @@ class ThroughputStore:
             "seed": THROUGHPUT_SEED,
             "code": fingerprint if fingerprint is not None else code_fingerprint(),
         }
-        encoded = json.dumps(material, sort_keys=True).encode()
-        return hashlib.sha256(encoded).hexdigest()
-
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
+        return content_key(material)
 
     def load(self, key: str) -> Optional[float]:
         """Read one persisted throughput; any malformed entry is a miss."""
-        try:
-            payload = json.loads(self._path(key).read_text())
-        except (OSError, ValueError):
-            self.misses += 1
-            return None
-        if not isinstance(payload, dict) or payload.get("version") != THROUGHPUT_CACHE_VERSION:
-            self.misses += 1
-            return None
-        value = payload.get("throughput")
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return float(value)
+        return self._read(key, _throughput_from_entry)
 
     def store(self, key: str, throughput: float) -> None:
         """Persist one measurement atomically."""
-        payload = {"version": THROUGHPUT_CACHE_VERSION, "throughput": float(throughput)}
-        _write_json_atomic(self.root, self._path(key), payload)
-        self.stores += 1
+        self._write(key, {"throughput": float(throughput)})
 
     def load_many(self, keys: Sequence[str]) -> Dict[str, float]:
         """Load a batch of measurements (one entry file read per key).
@@ -366,20 +374,3 @@ class ThroughputStore:
         """
         for key, value in measurements.items():
             self.store(key, value)
-
-    def clear(self) -> int:
-        """Delete every entry (and stray temp files); returns the count."""
-        removed = 0
-        if self.root.is_dir():
-            for path in list(self.root.glob("*.json")) + list(self.root.glob("*.tmp")):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
-
-    def __len__(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob("*.json"))

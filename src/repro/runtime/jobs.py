@@ -43,7 +43,6 @@ unit used by the executor conformance tests and smoke sweeps).
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import os
 import socket
@@ -63,6 +62,7 @@ from .cache import (
     ProfileCache,
     cache_enabled,
     code_fingerprint,
+    content_key,
     profile_from_dict,
     profile_to_dict,
 )
@@ -226,8 +226,7 @@ def _execute_profile(payload: Dict[str, Any]) -> Any:
     if payload.get("cache", True) and cache_enabled():
         root = payload.get("cache_root")
         cache = ProfileCache(root=Path(root)) if root else ProfileCache()
-        fields = registry.get_spec(app).context_fields
-        key = cache.key(app, dataset, context, context_fields=fields)
+        key = cache.key(app, dataset, context)
         hit = cache.load(key)
         if hit is not None:
             return hit
@@ -430,7 +429,7 @@ def _unit_key(material: Dict[str, Any]) -> str:
     """Content address of one unit: its material plus the code fingerprint."""
     material = dict(material)
     material["code"] = code_fingerprint()
-    return hashlib.sha256(json.dumps(material, sort_keys=True).encode()).hexdigest()
+    return content_key(material)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -456,8 +455,7 @@ class JobSpec:
 
     @property
     def key(self) -> str:
-        material = {"name": self.name, "units": [unit.key for unit in self.units]}
-        return hashlib.sha256(json.dumps(material, sort_keys=True).encode()).hexdigest()
+        return content_key({"name": self.name, "units": [unit.key for unit in self.units]})
 
     @staticmethod
     def profile_grid(
@@ -491,7 +489,7 @@ class JobSpec:
                     payload["cache_root"] = str(cache_root)
                 # The profile-cache key *is* the unit's content address:
                 # done unit <=> its output exists in the cache.
-                key = keyer.key(app, dataset, context, context_fields=spec.context_fields)
+                key = keyer.key(app, dataset, context)
                 units.append(WorkUnit(key=key, kind="profile", payload=payload))
         if not units:
             raise JobError("profile grid resolved to zero units")

@@ -253,8 +253,7 @@ class ExperimentRunner:
         return LocalExecutor(self.workers)
 
     def _key(self, app: str, dataset: str) -> str:
-        context_fields = registry.get_spec(app).context_fields
-        return self.cache.key(app, dataset, self.context, context_fields=context_fields)
+        return self.cache.key(app, dataset, self.context)
 
     def _load_cached(self, app: str, dataset: str) -> Optional[WorkloadProfile]:
         if self.cache is None:

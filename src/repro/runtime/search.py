@@ -31,11 +31,7 @@ the store's latest persisted result.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -47,7 +43,7 @@ from ..apps.profile import WorkloadProfile
 from ..apps.timing import PLATFORM_ALLOCATORS, CapstanPlatform
 from ..core.bank_hash import BANK_MAPPINGS
 from ..errors import ConfigurationError
-from .cache import code_fingerprint
+from .cache import code_fingerprint, content_key, env_root, read_json, write_json_atomic
 from .dse import cost_variants, pareto_frontier
 from .sweep import (
     axis_value,
@@ -533,29 +529,6 @@ def make_strategy(
 # --------------------------------------------------------------------------- #
 
 
-def _default_store_root() -> Path:
-    override = os.environ.get("REPRO_SEARCH_STORE")
-    if override:
-        return Path(override)
-    return Path.home() / ".cache" / "repro" / "search"
-
-
-def _atomic_write_json(path: Path, payload: Dict[str, Any]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 class SearchStore:
     """Durable per-generation search states plus the latest final result.
 
@@ -572,7 +545,7 @@ class SearchStore:
     """
 
     def __init__(self, root: Optional[Path] = None) -> None:
-        self.root = Path(root) if root is not None else _default_store_root()
+        self.root = Path(root) if root is not None else env_root("REPRO_SEARCH_STORE", "search")
 
     def _search_dir(self, key: str) -> Path:
         return self.root / key
@@ -595,17 +568,11 @@ class SearchStore:
 
     def save_state(self, key: str, generation: int, state: Dict[str, Any]) -> Path:
         path = self.state_path(key, generation)
-        _atomic_write_json(path, state)
+        write_json_atomic(path, state)
         return path
 
     def load_state(self, key: str, generation: int) -> Optional[Dict[str, Any]]:
-        path = self.state_path(key, generation)
-        if not path.is_file():
-            return None
-        try:
-            return json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
+        return read_json(self.state_path(key, generation))
 
     def load_latest_state(
         self, key: str
@@ -620,27 +587,15 @@ class SearchStore:
     def save_result(self, key: str, result: Dict[str, Any]) -> Path:
         payload = dict(result)
         payload["search_key"] = key
-        _atomic_write_json(self._search_dir(key) / "result.json", payload)
-        _atomic_write_json(self.root / "latest.json", payload)
+        write_json_atomic(self._search_dir(key) / "result.json", payload)
+        write_json_atomic(self.root / "latest.json", payload)
         return self.root / "latest.json"
 
     def load_result(self, key: str) -> Optional[Dict[str, Any]]:
-        path = self._search_dir(key) / "result.json"
-        if not path.is_file():
-            return None
-        try:
-            return json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
+        return read_json(self._search_dir(key) / "result.json")
 
     def load_latest_result(self) -> Optional[Dict[str, Any]]:
-        path = self.root / "latest.json"
-        if not path.is_file():
-            return None
-        try:
-            return json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
+        return read_json(self.root / "latest.json")
 
 
 def search_key(
@@ -665,10 +620,7 @@ def search_key(
         "tasks": [list(t) for t in tasks],
         "code": code_fingerprint(),
     }
-    digest = hashlib.sha256(
-        json.dumps(material, sort_keys=True, default=str).encode()
-    ).hexdigest()
-    return digest[:16]
+    return content_key(material)[:16]
 
 
 # --------------------------------------------------------------------------- #

@@ -283,7 +283,7 @@ class CacheServer:
                 f"unknown dataset {dataset!r} for {app}; known: {', '.join(spec.datasets)}"
             )
         context = _context_from_query(query)
-        key = self.profile_cache.key(app, dataset, context, context_fields=spec.context_fields)
+        key = self.profile_cache.key(app, dataset, context)
         profile = self.profile_cache.load(key)
         if profile is not None:
             return 200, {

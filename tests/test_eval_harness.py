@@ -200,6 +200,16 @@ class TestFigures:
         for app in SUBSET_APPS:
             assert all(s >= 0.99 for s in series[app])
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="_cycles_with_bandwidth re-derives DRAM cycles from the uncompressed "
+        "stream bytes on both sides, discarding the compression saving "
+        "estimate_cycles applies, so every Figure 5c speedup is exactly 1.0",
+    )
+    def test_figure5c_compression_speeds_up_spmv_coo(self, profile_set):
+        series = figure5c_compression_sensitivity(profile_set, bandwidths_gbps=(20,))
+        assert series["spmv-coo"][0] > 1.0
+
     def test_figure6_matches_golden(self):
         result = figure6_scanner_sensitivity(scale=1 / 256)
         # The 512-bit / 16-output reference point is the normalizer.

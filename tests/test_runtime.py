@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import threading
 
 import pytest
@@ -13,7 +14,16 @@ from repro.config import MemoryTechnology, ScannerConfig
 from repro.errors import ConfigurationError
 from repro.eval.experiments import APP_DATASETS, APP_ORDER
 from repro.runtime import registry as registry_module
-from repro.runtime.cache import ProfileCache, profile_from_dict, profile_to_dict
+from repro.runtime import cache as cache_module
+from repro.runtime.cache import (
+    ProfileCache,
+    ThroughputStore,
+    env_root,
+    profile_from_dict,
+    profile_to_dict,
+    read_json,
+    write_json_atomic,
+)
 from repro.runtime import runner as runner_module
 from repro.runtime.executors import pool as pool_module
 from repro.runtime.registry import AppSpec, RegistryError, RunContext, register
@@ -161,27 +171,28 @@ class TestProfileCache:
         cache = ProfileCache(root=tmp_path)
         base = cache.key("bfs", "flickr", RunContext(scale=1 / 64))
         assert cache.key("bfs", "flickr", RunContext(scale=1 / 128)) != base
-        assert cache.key("bfs", "flickr", RunContext(scale=1 / 64, pagerank_iterations=3)) != base
         assert cache.key("bfs", "usroads-48", RunContext(scale=1 / 64)) != base
         assert cache.key("sssp", "flickr", RunContext(scale=1 / 64)) != base
         assert cache.key("bfs", "flickr", RunContext(scale=1 / 64)) == base
+        pagerank = cache.key("pagerank-pull", "flickr", RunContext(scale=1 / 64))
+        assert (
+            cache.key("pagerank-pull", "flickr", RunContext(scale=1 / 64, pagerank_iterations=3))
+            != pagerank
+        )
 
     def test_key_fingerprints_only_declared_context_fields(self, tmp_path):
         cache = ProfileCache(root=tmp_path)
-        base = cache.key("bfs", "flickr", RunContext(scale=1 / 64), context_fields=("scale",))
+        base = cache.key("bfs", "flickr", RunContext(scale=1 / 64))
         same = cache.key(
-            "bfs",
-            "flickr",
-            RunContext(scale=1 / 64, pagerank_iterations=5, conv_scale=0.5),
-            context_fields=("scale",),
+            "bfs", "flickr", RunContext(scale=1 / 64, pagerank_iterations=5, conv_scale=0.5)
         )
         assert same == base
         assert registry_module.get_spec("bfs").context_fields == ("scale",)
         # SpMSpM hardcodes full scale, so its profiles are scale-independent.
         assert registry_module.get_spec("spmspm").context_fields == ()
-        assert cache.key(
-            "spmspm", "qc324", RunContext(scale=1 / 64), context_fields=()
-        ) == cache.key("spmspm", "qc324", RunContext(scale=1 / 512), context_fields=())
+        assert cache.key("spmspm", "qc324", RunContext(scale=1 / 64)) == cache.key(
+            "spmspm", "qc324", RunContext(scale=1 / 512)
+        )
 
     def test_key_includes_full_scanner_config(self, tmp_path):
         cache = ProfileCache(root=tmp_path)
@@ -225,8 +236,6 @@ class TestProfileCache:
         assert not list(tmp_path.glob("*.tmp"))
 
     def test_prune_removes_stale_code_entries_and_temps(self, tmp_path):
-        import json
-
         cache = ProfileCache(root=tmp_path)
         fresh_key = cache.key("bfs", "flickr", RunContext())
         cache.store(fresh_key, self._profile(app="bfs", dataset="flickr"))
@@ -239,6 +248,44 @@ class TestProfileCache:
         assert cache.load(fresh_key) is not None
         assert not stale_path.exists()
         assert not list(tmp_path.glob("*.tmp"))
+
+
+class TestEntryLayer:
+    """The one atomic-JSON entry layer every on-disk store shares."""
+
+    def test_read_json_treats_absent_corrupt_and_non_objects_as_none(self, tmp_path):
+        path = tmp_path / "entry.json"
+        assert read_json(path) is None
+        path.write_text("{not json")
+        assert read_json(path) is None
+        path.write_text("[1, 2]")
+        assert read_json(path) is None
+        path.write_text('{"a": 1}')
+        assert read_json(path) == {"a": 1}
+
+    def test_write_is_compact_creates_parents_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "nested" / "entry.json"
+        write_json_atomic(path, {"b": [1, 2], "a": "x"})
+        assert path.read_text() == '{"b": [1, 2], "a": "x"}'
+        assert not list(path.parent.glob("*.tmp"))
+
+    def test_env_root(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_SOME_STORE", str(tmp_path))
+        assert env_root("REPRO_SOME_STORE", "some") == tmp_path
+        monkeypatch.delenv("REPRO_SOME_STORE")
+        assert env_root("REPRO_SOME_STORE", "some") == (
+            cache_module.Path.home() / ".cache" / "repro" / "some"
+        )
+
+    def test_throughput_entries_are_stamped_so_prune_serves_them(self, tmp_path):
+        store = ThroughputStore(root=tmp_path)
+        store.store("a" * 64, 1.5)
+        stale = read_json(tmp_path / f"{'a' * 64}.json")
+        assert stale["code"] == cache_module.code_fingerprint()
+        stale["code"] = "an-older-fingerprint"
+        (tmp_path / "stale.json").write_text(json.dumps(stale))
+        assert store.prune() == 1
+        assert store.load("a" * 64) == 1.5 and len(store) == 1
 
 
 class TestExperimentRunner:
@@ -411,10 +458,8 @@ class TestBackendPlumbing:
         assert vectorized != reference
         # The backend is fingerprinted even for apps declaring no context
         # fields (cached profiles always record which kernels produced them).
-        assert cache.key(
-            "spmspm", "qc324", RunContext(backend="vectorized"), context_fields=()
-        ) != cache.key(
-            "spmspm", "qc324", RunContext(backend="reference"), context_fields=()
+        assert cache.key("spmspm", "qc324", RunContext(backend="vectorized")) != cache.key(
+            "spmspm", "qc324", RunContext(backend="reference")
         )
 
 
