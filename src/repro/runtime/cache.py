@@ -22,7 +22,13 @@ throughput is deterministic given the SpMU variant, the random trace
 (vectors, seed) and the simulator code, so Table 4 and design-space sweeps
 skip re-simulating every point in every fresh process.
 
-Both are one entry layer, :class:`_EntryStore`: a directory of
+:class:`ScanCostStore` persists a scanner sweep's per-configuration scan
+costs (:class:`~repro.apps.scan_model.ScanCost`) next to the profiles, in
+a ``scans/`` subdirectory of the profile cache: a scanner configuration
+changes only a run's scan fields, so a cached profile plus one cached cost
+per configuration re-costs Figure 6 without executing anything.
+
+All three are one entry layer, :class:`_EntryStore`: a directory of
 ``<key>.json`` files stamped ``{"version", "code"}``, written atomically
 (:func:`write_json_atomic`), where an absent, corrupt, truncated or
 version-skewed entry reads as a miss, never as an error
@@ -33,7 +39,8 @@ version-skewed entry reads as a miss, never as an error
 
 Set ``REPRO_PROFILE_CACHE`` / ``REPRO_THROUGHPUT_CACHE`` to relocate the
 cache directories and ``REPRO_PROFILE_CACHE_DISABLE=1`` /
-``REPRO_THROUGHPUT_CACHE_DISABLE=1`` to turn either cache off entirely.
+``REPRO_THROUGHPUT_CACHE_DISABLE=1`` to turn either cache off entirely;
+the scan-cost store follows the profile cache's two settings.
 """
 
 from __future__ import annotations
@@ -47,6 +54,8 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Sequence
 
 from ..apps.profile import WorkloadProfile
+from ..apps.scan_model import ScanCost
+from ..config import ScannerConfig
 from ..core.spmu import THROUGHPUT_SEED, THROUGHPUT_VECTORS, SpMUVariant
 from . import registry
 from .registry import RunContext
@@ -56,6 +65,9 @@ CACHE_VERSION = 1
 
 #: Bump when the serialized throughput layout changes incompatibly.
 THROUGHPUT_CACHE_VERSION = 1
+
+#: Bump when the serialized scan-cost layout changes incompatibly.
+SCAN_COST_CACHE_VERSION = 1
 
 #: Package subdirectories excluded from the code fingerprint: they consume
 #: profiles but cannot change what a functional run produces.
@@ -374,3 +386,50 @@ class ThroughputStore(_EntryStore):
         """
         for key, value in measurements.items():
             self.store(key, value)
+
+
+def _scan_cost_from_entry(payload: Dict[str, Any]) -> Optional[ScanCost]:
+    cost = ScanCost(**payload["scan"])
+    return cost if all(type(value) is int for value in dataclasses.astuple(cost)) else None
+
+
+class ScanCostStore(_EntryStore):
+    """Content-addressed store for one run's scan cost per scanner configuration.
+
+    One entry per (profile key, :class:`~repro.config.ScannerConfig`): a
+    scanner configuration changes only a run's three scan fields, so the
+    cached profile under the same profile key plus this cost is the run
+    under that scanner. The profile key carries the code fingerprint, so
+    any source edit orphans stale entries here too.
+
+    Args:
+        cache_root: The profile cache root the store nests under (its
+            ``scans/`` subdirectory); defaults to :func:`default_cache_dir`.
+    """
+
+    version = SCAN_COST_CACHE_VERSION
+
+    def __init__(self, cache_root: Optional[Path] = None):
+        super().__init__(Path(cache_root or default_cache_dir()) / "scans")
+
+    def key(self, profile_key: str, config: ScannerConfig) -> str:
+        """Store key for one run's scan cost under ``config``.
+
+        The only place the key's fields are spelled out: the run's
+        :meth:`ProfileCache.key` and every field of the scanner
+        configuration.
+        """
+        material = {
+            "version": SCAN_COST_CACHE_VERSION,
+            "profile": profile_key,
+            "scanner": dataclasses.asdict(config),
+        }
+        return content_key(material)
+
+    def load(self, key: str) -> Optional[ScanCost]:
+        """Read one persisted scan cost; any malformed entry is a miss."""
+        return self._read(key, _scan_cost_from_entry)
+
+    def store(self, key: str, cost: ScanCost) -> None:
+        """Persist one scan cost atomically."""
+        self._write(key, {"scan": dataclasses.asdict(cost)})

@@ -36,7 +36,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .._budget import ENV_MEMORY_BUDGET, parse_memory_budget
 from ..errors import CapstanError, ConfigurationError
-from .cache import ProfileCache, default_cache_dir, profile_to_dict
+from .cache import ProfileCache, ScanCostStore, default_cache_dir, profile_to_dict
 from .dse import explore, prefill_throughputs
 from .registry import RunContext, app_datasets, app_order
 from .runner import ExperimentRunner
@@ -132,12 +132,14 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"profile cache directory (default: {default_cache_dir()})",
     )
     parser.add_argument(
-        "--clear-cache", action="store_true", help="delete cached profiles, then exit"
+        "--clear-cache",
+        action="store_true",
+        help="delete cached profiles and scan costs, then exit",
     )
     parser.add_argument(
         "--prune-cache",
         action="store_true",
-        help="delete cached profiles from other code versions, then exit",
+        help="delete cached profiles and scan costs from other code versions, then exit",
     )
     parser.add_argument("--list", action="store_true", help="list the registered grid, then exit")
     parser.add_argument(
@@ -1090,9 +1092,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.clear_cache or args.prune_cache:
         target = ProfileCache(root=args.cache_dir) if args.cache_dir else ProfileCache()
-        removed = target.clear() if args.clear_cache else target.prune()
-        verb = "removed" if args.clear_cache else "pruned"
-        print(f"{verb} {removed} cached profiles from {target.root}")
+        scans = ScanCostStore(target.root)
+        if args.clear_cache:
+            verb, profiles, costs = "removed", target.clear(), scans.clear()
+        else:
+            verb, profiles, costs = "pruned", target.prune(), scans.prune()
+        print(f"{verb} {profiles} cached profiles and {costs} scan costs from {target.root}")
         return 0
 
     cache: object

@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.config import SpMUConfig
+from repro.config import ScannerConfig, SpMUConfig
 from repro.core import spmu as spmu_module
 from repro.core.spmu import SpMUVariant, effective_bank_throughput_batch, measure_bank_utilization
 from repro.eval import (
@@ -39,6 +39,10 @@ from repro.eval import (
     table12_performance,
     table13_asic_comparison,
 )
+from repro.eval.figures import _scan_swept_cycles
+from repro.runtime import registry as registry_module
+from repro.runtime.cache import ProfileCache, ScanCostStore
+from repro.runtime.registry import RunContext
 
 #: sha256 of Figure 6 at scale 1/256 (``json.dumps(..., sort_keys=True)``),
 #: recorded when the sweep still re-executed every app per scanner config;
@@ -52,6 +56,24 @@ SUBSET_APPS = ["spmv-csr", "spmv-coo", "spmv-csc", "bfs", "pagerank-edge", "spad
 @pytest.fixture(scope="module")
 def profile_set():
     return collect_profiles(apps=SUBSET_APPS, scale=1 / 256)
+
+
+@pytest.fixture
+def executions(monkeypatch):
+    """Every ``registry.execute`` call, as ``(app, dataset)``."""
+    calls = []
+    original = registry_module.execute
+
+    def counting(app, dataset, context=None):
+        calls.append((app, dataset))
+        return original(app, dataset, context)
+
+    monkeypatch.setattr(registry_module, "execute", counting)
+    return calls
+
+
+def _figure6_sha256(result) -> str:
+    return hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest()
 
 
 class TestExperimentInfrastructure:
@@ -217,8 +239,53 @@ class TestFigures:
             assert series[-1] == 1.0 and series[0] >= series[-1]
         for series in result["output_slowdown"].values():
             assert series[-1] == 1.0
-        encoded = json.dumps(result, sort_keys=True).encode()
-        assert hashlib.sha256(encoded).hexdigest() == FIGURE6_GOLDEN_SHA256
+        assert _figure6_sha256(result) == FIGURE6_GOLDEN_SHA256
+
+    def test_warm_figure6_executes_nothing(self, tmp_path, monkeypatch, executions):
+        monkeypatch.setenv("REPRO_PROFILE_CACHE", str(tmp_path))
+        cold = figure6_scanner_sensitivity(scale=1 / 256)
+        assert len(executions) == 12  # each (app, dataset) once
+        # 3 datasets x (7 configs for bfs/sssp, 11 for spadd/spmspm)
+        assert len(ScanCostStore()) == 108 and len(ProfileCache()) == 12
+        warm = figure6_scanner_sensitivity(scale=1 / 256)
+        assert len(executions) == 12
+        assert _figure6_sha256(cold) == _figure6_sha256(warm) == FIGURE6_GOLDEN_SHA256
+
+    @pytest.mark.parametrize("damage", ["truncated", "corrupt", "version-skewed", "malformed"])
+    def test_damaged_scan_cost_is_a_miss(self, damage, tmp_path, monkeypatch, executions):
+        monkeypatch.setenv("REPRO_PROFILE_CACHE", str(tmp_path))
+        dataset = APP_DATASETS["bfs"][0]
+        configs = [ScannerConfig(bit_width=512), ScannerConfig(bit_width=16)]
+        cold = _scan_swept_cycles("bfs", dataset, 1 / 256, configs)
+        store = ScanCostStore()
+        profile_key = ProfileCache().key("bfs", dataset, RunContext(scale=1 / 256))
+        path = store.root / f"{store.key(profile_key, configs[1])}.json"
+        entry = path.read_text()
+        payload = json.loads(entry)
+        damaged = {
+            "truncated": entry[: len(entry) // 2],
+            "corrupt": "{not json",
+            "version-skewed": json.dumps(dict(payload, version=payload["version"] + 1)),
+            "malformed": json.dumps(dict(payload, scan=dict(payload["scan"], cycles="9"))),
+        }[damage]
+        path.write_text(damaged)
+        assert _scan_swept_cycles("bfs", dataset, 1 / 256, configs) == cold
+        assert executions == [("bfs", dataset)] * 2
+        assert path.read_text() == entry
+        assert _scan_swept_cycles("bfs", dataset, 1 / 256, configs) == cold
+        assert len(executions) == 2
+
+    def test_disabled_cache_executes_every_call_and_writes_nothing(
+        self, tmp_path, monkeypatch, executions
+    ):
+        monkeypatch.setenv("REPRO_PROFILE_CACHE", str(tmp_path / "profiles"))
+        monkeypatch.setenv("REPRO_PROFILE_CACHE_DISABLE", "1")
+        dataset = APP_DATASETS["bfs"][0]
+        configs = [ScannerConfig(bit_width=512), ScannerConfig(bit_width=16)]
+        first = _scan_swept_cycles("bfs", dataset, 1 / 256, configs)
+        assert _scan_swept_cycles("bfs", dataset, 1 / 256, configs) == first
+        assert executions == [("bfs", dataset)] * 2
+        assert not (tmp_path / "profiles").exists()
 
     def test_figure7_fractions_sum_to_one(self, profile_set):
         breakdown = figure7_stall_breakdown(profile_set)

@@ -9,14 +9,17 @@ import threading
 import pytest
 
 from repro.apps.profile import WorkloadProfile
+from repro.apps.scan_model import ScanCost
 from repro.core.ordering import OrderingMode
 from repro.config import MemoryTechnology, ScannerConfig
 from repro.errors import ConfigurationError
 from repro.eval.experiments import APP_DATASETS, APP_ORDER
 from repro.runtime import registry as registry_module
 from repro.runtime import cache as cache_module
+from repro.runtime import cli
 from repro.runtime.cache import (
     ProfileCache,
+    ScanCostStore,
     ThroughputStore,
     env_root,
     profile_from_dict,
@@ -248,6 +251,24 @@ class TestProfileCache:
         assert cache.load(fresh_key) is not None
         assert not stale_path.exists()
         assert not list(tmp_path.glob("*.tmp"))
+
+    def test_cli_clear_and_prune_cover_the_scan_costs(self, tmp_path, capsys):
+        cache, scans = ProfileCache(root=tmp_path), ScanCostStore(tmp_path)
+        key = cache.key("bfs", "flickr", RunContext())
+        cache.store(key, self._profile(app="bfs", dataset="flickr"))
+        cost = ScanCost(cycles=9, empty_cycles=1, elements=40, chunks=3)
+        for config in (ScannerConfig(), ScannerConfig(bit_width=512)):
+            scans.store(scans.key(key, config), cost)
+        stale = read_json(scans.root / f"{scans.key(key, ScannerConfig())}.json")
+        (scans.root / "stale.json").write_text(json.dumps(dict(stale, code="older")))
+        assert cli.main(["--prune-cache", "--cache-dir", str(tmp_path)]) == 0
+        pruned = capsys.readouterr().out
+        assert f"pruned 0 cached profiles and 1 scan costs from {tmp_path}" in pruned
+        assert len(scans) == 2
+        assert cli.main(["--clear-cache", "--cache-dir", str(tmp_path)]) == 0
+        removed = capsys.readouterr().out
+        assert f"removed 1 cached profiles and 2 scan costs from {tmp_path}" in removed
+        assert len(cache) == 0 and len(scans) == 0
 
 
 class TestEntryLayer:

@@ -1,19 +1,21 @@
 """Pinned store and job keys.
 
 Every on-disk store and the job table address their entries by a content
-hash. Existing profile caches, throughput stores, search directories and
-job rows stay addressable only while those hashes stay byte-identical, so
-each key below is pinned as a literal with the code fingerprint fixed.
+hash. Existing profile caches, scan-cost stores, throughput stores, search
+directories and job rows stay addressable only while those hashes stay
+byte-identical, so each key below is pinned as a literal with the code
+fingerprint fixed.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.config import ScannerConfig
 from repro.core.spmu import SpMUVariant
 from repro.runtime import cache as cache_module
 from repro.runtime import jobs as jobs_module
-from repro.runtime.cache import ProfileCache, ThroughputStore
+from repro.runtime.cache import ProfileCache, ScanCostStore, ThroughputStore
 from repro.runtime.jobs import JobSpec
 from repro.runtime.registry import RunContext
 from repro.runtime.runner import ExperimentRunner
@@ -44,6 +46,17 @@ def test_profile_key_is_pinned(app, dataset, tmp_path):
     unit_keys = {unit.payload["dataset"]: unit.key for unit in grid.units}
     runner = ExperimentRunner(context=context, cache=ProfileCache(root=tmp_path))
     assert unit_keys[dataset] == runner._key(app, dataset) == PROFILE_KEYS[app, dataset]
+
+
+def test_scan_cost_keys_are_pinned(tmp_path):
+    store = ScanCostStore(tmp_path)
+    profile_key = PROFILE_KEYS["bfs", "flickr"]
+    assert store.key(profile_key, ScannerConfig()) == (
+        "636652c56f2e179e6410e6a78dd468c7d1d0145071fcadb376b2ab25320a8d0d"
+    )
+    assert store.key(profile_key, ScannerConfig(bit_width=512)) == (
+        "f5a201575938fc68e79983a69db926bf2fef7855e149b31e525315bbf5ea6666"
+    )
 
 
 def test_throughput_keys_are_pinned(tmp_path):
