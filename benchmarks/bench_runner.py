@@ -48,11 +48,13 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -287,6 +289,42 @@ def _bench_formats() -> dict:
     return record
 
 
+@contextlib.contextmanager
+def _fanout_refused():
+    """Keep every lock-step batch in-process while the block runs.
+
+    A second live Python thread is one of the conditions under which the
+    SpMU engine refuses to fork shares, so a parked thread measures the
+    single-process engine through the unmodified code path.
+    """
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, daemon=True)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join()
+
+
+def _forks_during(fn) -> int:
+    """How many processes ``fn()`` forks (lock-step shares beyond the first)."""
+    real_fork, forks = os.fork, []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    os.fork = fork
+    try:
+        fn()
+    finally:
+        os.fork = real_fork
+    return len(forks)
+
+
 def _bench_spmu() -> dict:
     """Time the cold 128-variant SpMU microbenchmark grid on both backends.
 
@@ -294,10 +332,12 @@ def _bench_spmu() -> dict:
     crossbar size, allocator priorities) with the Table 9/10 policy axes
     (ordering, bank mapping, allocator kind). The reference side runs the
     original per-cycle object loop variant by variant; the array side runs
-    one lock-step :func:`effective_bank_throughput_batch` pass. Both are
-    cold: the persistent throughput store is disabled and the in-process
-    memo cleared, so the numbers measure simulation, not caching -- and the
-    resulting throughputs must be bit-identical.
+    one lock-step :func:`effective_bank_throughput_batch` pass, which forks
+    cost-balanced shares on a multi-core host (``shares``), and again with
+    that fan-out refused (``serial_s``; ``parallel_speedup`` is the ratio).
+    All passes are cold: the persistent throughput store is disabled and
+    the in-process memo cleared, so the numbers measure simulation, not
+    caching -- and the resulting throughputs must be bit-identical.
     """
     import repro.core.spmu as spmu_module
 
@@ -323,23 +363,32 @@ def _bench_spmu() -> dict:
     ]
     saved_disable = os.environ.get("REPRO_THROUGHPUT_CACHE_DISABLE")
     os.environ["REPRO_THROUGHPUT_CACHE_DISABLE"] = "1"
+
+    def cold_array():
+        spmu_module._THROUGHPUT_CACHE.clear()
+        return effective_bank_throughput_batch(variants)
+
     try:
-        array_s = reference_s = float("inf")
-        array_values = reference_values = None
+        array_s = serial_s = reference_s = float("inf")
+        array_values = serial_values = reference_values = None
         for _ in range(2):  # best-of-2, like the costing benchmark
-            spmu_module._THROUGHPUT_CACHE.clear()
             start = time.perf_counter()
-            array_values = effective_bank_throughput_batch(variants)
+            array_values = cold_array()
             array_s = min(array_s, time.perf_counter() - start)
+            with _fanout_refused():
+                start = time.perf_counter()
+                serial_values = cold_array()
+                serial_s = min(serial_s, time.perf_counter() - start)
             start = time.perf_counter()
             reference_values = effective_bank_throughput_batch(
                 variants, backend="reference"
             )
             reference_s = min(reference_s, time.perf_counter() - start)
-        spmu_module._THROUGHPUT_CACHE.clear()
-        peak_mb = _traced_peak_mb(
-            lambda: effective_bank_throughput_batch(variants)
-        )
+        shares = 1 + _forks_during(cold_array)
+        # A forked share's allocations are invisible to tracemalloc, so the
+        # peak is taken with the whole batch in this process.
+        with _fanout_refused():
+            peak_mb = _traced_peak_mb(cold_array)
     finally:
         spmu_module._THROUGHPUT_CACHE.clear()
         if saved_disable is None:
@@ -351,10 +400,16 @@ def _bench_spmu() -> dict:
         "vectors": spmu_module.THROUGHPUT_VECTORS,
         "reference_s": round(reference_s, 3),
         "array_s": round(array_s, 3),
+        "serial_s": round(serial_s, 3),
+        "shares": shares,
+        "parallel_speedup": round(serial_s / array_s, 2),
         "speedup": round(reference_s / array_s, 1),
         "peak_mb": round(peak_mb, 2),
         "identical": bool(
-            all(a == r for a, r in zip(array_values, reference_values))
+            all(
+                a == r == s
+                for a, r, s in zip(array_values, reference_values, serial_values)
+            )
         ),
     }
 

@@ -25,6 +25,12 @@ Three scheduling regimes are implemented:
   work (queue refill, separable/greedy allocation, oldest-request
   resolution, retirement) is vectorized across all variants at once.
 
+A cold lock-step batch large enough to pay for a fork is split into
+cost-balanced shares that run side by side: all but the last in processes
+forked for that batch, the last in the calling process (see
+:func:`_share_count` for when it fans out). Variants are independent, so
+the split changes no result.
+
 Every path reproduces the reference loop's statistics *exactly* -- cycles,
 requests, elided reads, bank-busy cycles, ordering stalls, and (when
 requested) the per-cycle active-bank trace -- which the equivalence tests
@@ -38,8 +44,13 @@ wrappers (``SparseMemoryUnit(backend="array")``,
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import sys
+import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -829,7 +840,12 @@ def _simulate_scheduled_lockstep(
                         (state.orig[gvi[sel]], gvecs[sel])
                     )
             if collect_issues:
-                issue_chunks.append((state.orig[gvi], gvecs, gli))
+                # Same-cycle requests hit distinct banks, so their order is
+                # immaterial -- but the allocation path (shallow or not) a
+                # batch takes would leak into it; lane order per pass keeps
+                # a variant's issue order independent of its batch-mates.
+                by_lane = np.argsort(gli, kind="stable")
+                issue_chunks.append((state.orig[gvi[by_lane]], gvecs[by_lane], gli[by_lane]))
 
         if record_trace:
             full = np.zeros(v_total, dtype=np.int64)
@@ -913,8 +929,14 @@ def _simulate_scheduled_lockstep(
 # --------------------------------------------------------------------------- #
 
 
-def _paired_inputs(variants: Iterable[SpMUVariant], traces: Iterable[object]):
-    """Zip variants with traces lazily, rejecting length mismatches."""
+def _prepared_pairs(variants: Iterable[SpMUVariant], traces: Iterable[object]):
+    """Zip variants with prepared, validated traces lazily.
+
+    Prepared traces are cached by trace identity (shared trace objects are
+    prepared once); the trace object is kept alongside so a caller-side
+    generator cannot recycle an id. Length mismatches raise.
+    """
+    prep_cache: Dict[int, Tuple[object, _PreparedTrace]] = {}
     variant_iter = iter(variants)
     trace_iter = iter(traces)
     sentinel = object()
@@ -925,7 +947,12 @@ def _paired_inputs(variants: Iterable[SpMUVariant], traces: Iterable[object]):
             return
         if variant is sentinel or trace is sentinel:
             raise SimulationError("simulate_variants needs one trace per variant")
-        yield variant, trace
+        cached = prep_cache.get(id(trace))
+        if cached is None:
+            cached = (trace, prepare_trace(trace))
+            prep_cache[id(trace)] = cached
+        _validate(variant, cached[1])
+        yield variant, cached[1]
 
 
 def _variant_footprint(variant: SpMUVariant, prep: _PreparedTrace) -> int:
@@ -950,10 +977,222 @@ def _variant_footprint(variant: SpMUVariant, prep: _PreparedTrace) -> int:
     return max(footprint, 1024)
 
 
+_Pair = Tuple[SpMUVariant, _PreparedTrace]
+
+
+def _budget_chunks(
+    pairs: Iterable[_Pair], budget: Optional[int], chunk_variants: Optional[int] = None
+) -> Iterator[List[_Pair]]:
+    """Group pairs, in order, into chunks whose footprints fit ``budget``."""
+    chunk: List[_Pair] = []
+    chunk_bytes = 0
+    for variant, prep in pairs:
+        footprint = _variant_footprint(variant, prep)
+        if chunk and (
+            (chunk_variants is not None and len(chunk) >= chunk_variants)
+            or (budget is not None and chunk_bytes + footprint > budget)
+        ):
+            yield chunk
+            chunk = []
+            chunk_bytes = 0
+        chunk.append((variant, prep))
+        chunk_bytes += footprint
+    if chunk:
+        yield chunk
+
+
+# --------------------------------------------------------------------------- #
+# Fan-out: one lock-step batch as cost-balanced shares in forked processes
+# --------------------------------------------------------------------------- #
+
+
+#: Estimated lock-step cycles a share must carry to be worth a process.
+#: Forking a share and pickling its results back costs ~4.4 ms (median of
+#: 20, 2-core x86-64 Linux, Python 3.11, numpy and the search stack
+#: imported); one variant's lock-step cycle costs 100-250 us there, so a
+#: share of 500 variant-cycles (~0.1 s) repays the fork some 20 times over.
+_SHARE_MIN_CYCLES = 500
+
+#: True in executor worker processes (see :func:`mark_executor_worker`).
+_executor_worker = False
+
+
+def mark_executor_worker() -> None:
+    """Keep every lock-step batch of this process in-process.
+
+    Called by executor worker entry points: their executor already runs
+    one worker per core, so a worker that forked too would oversubscribe.
+    """
+    global _executor_worker
+    _executor_worker = True
+
+
+def _estimated_cycles(variant: SpMUVariant, prep: _PreparedTrace) -> int:
+    """Lock-step cycles one variant should take: its requests spread evenly
+    over its banks, and at least one cycle per vector."""
+    return max(prep.n_vectors, -(-prep.total_kept // variant.config.banks))
+
+
+def _share_count(costs: Sequence[int]) -> int:
+    """How many processes a lock-step batch with these estimated per-variant
+    cycles runs in (1: this process alone).
+
+    A batch fans out only on facts this process can observe: more than one
+    usable core, a single Python thread (forking a threaded process can
+    copy a lock some other thread holds; this excludes serve and the
+    executors' thread pools), not a multiprocessing child or an executor
+    worker (their executor already owns the cores), and at least
+    :data:`_SHARE_MIN_CYCLES` estimated cycles for every share.
+    """
+    if _executor_worker or threading.active_count() != 1:
+        return 1
+    # A multiprocessing child has the module loaded (it bootstrapped it);
+    # a process that never imported it cannot be one.
+    multiprocessing = sys.modules.get("multiprocessing")
+    if multiprocessing is not None and multiprocessing.parent_process() is not None:
+        return 1
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    cores = len(os.sched_getaffinity(0))
+    return max(1, min(cores, len(costs), sum(costs) // _SHARE_MIN_CYCLES))
+
+
+#: Fixed per-cycle lock-step overhead, in variant-cycles: every cycle until
+#: a share's longest variant finishes costs ~140 us for the first variant,
+#: and each further live variant adds only 30-60 us (2-core x86-64 host).
+_CYCLE_OVERHEAD = 3
+
+
+def _contiguous_shares(order: List[int], costs: Sequence[int], capacity: int) -> List[List[int]]:
+    """Cut ``order`` greedily into runs whose modelled lock-step cost --
+    ``_CYCLE_OVERHEAD`` x longest + total estimated cycles -- fits ``capacity``."""
+    shares: List[List[int]] = [[]]
+    longest = total = 0
+    for i in order:
+        longest, total = max(longest, costs[i]), total + costs[i]
+        if shares[-1] and _CYCLE_OVERHEAD * longest + total > capacity:
+            shares.append([])
+            longest = total = costs[i]
+        shares[-1].append(i)
+    return shares
+
+
+def _deal_shares(pairs: Sequence[_Pair]) -> List[List[int]]:
+    """Split a lock-step batch into cost-balanced shares of pair indices.
+
+    Variants are ordered by shape (lanes, banks, ordering) and cut into at
+    most ``k`` contiguous runs with the smallest largest modelled cost. A
+    share of like-shaped variants pads its tensors to a narrower lane x
+    bank extent, and an all-unordered share skips the Bloom-filter work, so
+    a shape cut beats dealing variants round-robin by estimated cycles
+    (240 search-space projections in batches of 48 on 2 cores: 3.3 s dealt,
+    2.9 s cut, medians of 4). Each share keeps input order.
+    """
+    costs = [_estimated_cycles(variant, prep) for variant, prep in pairs]
+    k = _share_count(costs)
+    if k == 1:
+        return [list(range(len(pairs)))]
+    order = sorted(
+        range(len(pairs)),
+        key=lambda i: (pairs[i][0].lanes, pairs[i][0].config.banks, pairs[i][0].ordering.value),
+    )
+    # Binary search for the smallest capacity the greedy cut meets in k runs.
+    low = (_CYCLE_OVERHEAD + 1) * max(costs)
+    high = _CYCLE_OVERHEAD * max(costs) + sum(costs)
+    while low < high:
+        middle = (low + high) // 2
+        if len(_contiguous_shares(order, costs, middle)) <= k:
+            high = middle
+        else:
+            low = middle + 1
+    return [sorted(share) for share in _contiguous_shares(order, costs, low)]
+
+
+def _fork_share(simulate: Callable[[List[int]], List[SimResult]], share: List[int]):
+    """Run ``simulate(share)`` in a forked child; returns ``(pid, read fd)``.
+
+    Fork, not spawn: the child starts with the imported package and the
+    prepared traces already in memory, where a spawned interpreter would
+    pay ~0.5 s of imports -- more than most batches cost. Forking is safe
+    because :func:`_share_count` only fans out in a single-threaded
+    process. The child pickles ``(True, results)`` or ``(False,
+    exception)`` into the pipe and leaves with ``os._exit`` (no inherited
+    atexit handlers or stdio buffers run twice).
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    status = 1
+    try:
+        os.close(read_fd)
+        try:
+            payload = pickle.dumps((True, simulate(share)), pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:  # noqa: BLE001 - re-raised in the parent
+            try:
+                payload = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+            except Exception:  # noqa: BLE001 - an unpicklable exception
+                error = SimulationError(f"{type(exc).__name__}: {exc}")
+                payload = pickle.dumps((False, error), pickle.HIGHEST_PROTOCOL)
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _join_share(pid: int, read_fd: int) -> List[SimResult]:
+    """Read a forked share's results and reap the child (killed first if the
+    read fails); re-raise the child's error."""
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            payload = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if not payload:
+        raise SimulationError(f"lock-step share process {pid} died (wait status {status})")
+    ok, value = pickle.loads(payload)
+    if not ok:
+        raise value
+    return value
+
+
+def _run_shares(
+    simulate: Callable[[List[int]], List[SimResult]], shares: List[List[int]]
+) -> List[List[SimResult]]:
+    """``[simulate(share) for share in shares]``, all but the last forked
+    (a single share runs in this process, with no fork).
+
+    Any failure -- here or in a child -- kills and reaps every child not
+    yet joined before it propagates, so no process outlives the batch (a
+    child is only ever reaped here, so its pid cannot have been reused).
+    """
+    children: List[Tuple[int, int]] = []
+    try:
+        for share in shares[:-1]:
+            children.append(_fork_share(simulate, share))
+        last = simulate(shares[-1])
+        out = []
+        while children:
+            out.append(_join_share(*children.pop(0)))
+        out.append(last)
+        return out
+    finally:
+        for pid, read_fd in children:
+            os.close(read_fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _simulate_chunk(
-    chunk: List[Tuple[SpMUVariant, _PreparedTrace]],
+    chunk: List[_Pair],
     record_trace: bool,
     collect_issues: bool,
+    budget: Optional[int],
 ) -> List[SimResult]:
     """Simulate one chunk of (variant, prepared trace) pairs."""
     results: List[Optional[SimResult]] = [None] * len(chunk)
@@ -965,19 +1204,33 @@ def _simulate_chunk(
             results[i] = _simulate_fully_ordered(variant, prep, record_trace, collect_issues)
         else:
             scheduled.append(i)
-    # Unordered and address-ordered variants share one lock-step loop: the
-    # per-cycle tensor work is dominated by fixed per-operation overhead,
-    # so batching every queue-scheduled variant into a single loop
-    # amortizes it best (finished variants are compacted out of the tail).
-    if scheduled:
-        batch = _simulate_scheduled_lockstep(
-            [chunk[i][0] for i in scheduled],
-            [chunk[i][1] for i in scheduled],
-            record_trace,
-            collect_issues,
-        )
-        for i, result in zip(scheduled, batch):
-            results[i] = result
+    if not scheduled:
+        return results  # type: ignore[return-value]
+    # Unordered and address-ordered variants share one lock-step loop per
+    # share: the per-cycle tensor work is dominated by fixed per-operation
+    # overhead, so batching every queue-scheduled variant of a share into
+    # a single loop amortizes it best (finished variants are compacted out
+    # of the tail). The k shares together hold the chunk's budget.
+    pairs = [chunk[i] for i in scheduled]
+    shares = _deal_shares(pairs)
+    share_budget = None if budget is None else max(budget // len(shares), 1)
+
+    def simulate(share: List[int]) -> List[SimResult]:
+        out: List[SimResult] = []
+        for part in _budget_chunks([pairs[i] for i in share], share_budget):
+            out.extend(
+                _simulate_scheduled_lockstep(
+                    [variant for variant, _ in part],
+                    [prep for _, prep in part],
+                    record_trace,
+                    collect_issues,
+                )
+            )
+        return out
+
+    for share, batch in zip(shares, _run_shares(simulate, shares)):
+        for i, result in zip(share, batch):
+            results[scheduled[i]] = result
     return results  # type: ignore[return-value]
 
 
@@ -1003,7 +1256,9 @@ def simulate_variants(
             coordinates in issue order (needed for functional execution).
         memory_budget: Byte budget bounding the lock-step state; the
             variant grid is streamed through in budget-sized chunks whose
-            results are bit-identical to one unchunked pass. ``None``
+            results are bit-identical to one unchunked pass. A chunk that
+            fans out over ``k`` processes gives each share ``budget / k``,
+            so the shares together stay within the budget. ``None``
             defers to ``REPRO_MEMORY_BUDGET``.
         chunk_variants: Explicit chunk size in variants (overrides the
             cost model; mainly for the equivalence tests).
@@ -1013,30 +1268,7 @@ def simulate_variants(
         reference simulator on the same trace.
     """
     budget = resolve_memory_budget(memory_budget)
-
-    # Prepared traces are cached by trace identity; the trace object is
-    # kept alongside so a caller-side generator cannot recycle an id.
-    prep_cache: Dict[int, Tuple[object, _PreparedTrace]] = {}
     results: List[SimResult] = []
-    chunk: List[Tuple[SpMUVariant, _PreparedTrace]] = []
-    chunk_bytes = 0
-    for variant, trace in _paired_inputs(variants, traces):
-        cached = prep_cache.get(id(trace))
-        if cached is None:
-            cached = (trace, prepare_trace(trace))
-            prep_cache[id(trace)] = cached
-        prep = cached[1]
-        _validate(variant, prep)
-        footprint = _variant_footprint(variant, prep)
-        if chunk and (
-            (chunk_variants is not None and len(chunk) >= chunk_variants)
-            or (budget is not None and chunk_bytes + footprint > budget)
-        ):
-            results.extend(_simulate_chunk(chunk, record_trace, collect_issues))
-            chunk = []
-            chunk_bytes = 0
-        chunk.append((variant, prep))
-        chunk_bytes += footprint
-    if chunk:
-        results.extend(_simulate_chunk(chunk, record_trace, collect_issues))
+    for chunk in _budget_chunks(_prepared_pairs(variants, traces), budget, chunk_variants):
+        results.extend(_simulate_chunk(chunk, record_trace, collect_issues, budget))
     return results

@@ -14,7 +14,9 @@ the unchunked pass:
   :func:`~repro.core.spmu.effective_bank_throughput_batch` chunk the
   variant grid -- each variant's lock-step state is independent (the batch
   dimension only amortizes per-operation overhead), so per-chunk
-  simulation is exact.
+  simulation is exact. A chunk that fans out over ``k`` forked processes
+  gives each share ``budget / k``, so the shares running side by side
+  still hold at most the budget.
 * :meth:`~repro.core.format_conversion.FormatConverter.convert_many`
   chunks tiles -- conversion state restarts at tile boundaries and the
   statistics are per-tile sums.

@@ -747,10 +747,13 @@ def _worker_main(argv: List[str]) -> int:
     import time
     import traceback
 
+    from ..core.spmu_array import mark_executor_worker
     from . import faults, jobs
     from .cache import _json_default
 
     args = build_worker_parser().parse_args(argv)
+    # The executor runs one worker per core already.
+    mark_executor_worker()
     # Stdout is the protocol channel; anything a workload prints must not
     # corrupt it, so the units run with stdout aliased to stderr.
     protocol = sys.stdout

@@ -70,6 +70,22 @@ def prefill_throughputs(platforms: Iterable[CapstanPlatform]) -> int:
     return len(variants)
 
 
+#: :func:`pareto_frontier` sweeps at most this many points per block (64
+#: was fastest of 16-512 on 2,048 x 3 costs) and compares at most
+#: ``_PARETO_BLOCK_PAIRS`` (block point, frontier point) pairs at once.
+_PARETO_BLOCK_ROWS = 64
+_PARETO_BLOCK_PAIRS = 1 << 18
+
+
+def _dominated(points: np.ndarray, by: np.ndarray) -> np.ndarray:
+    """Per row of ``points``: does some row of ``by`` dominate it?"""
+    if not by.shape[0]:
+        return np.zeros(points.shape[0], dtype=bool)
+    below = by[None, :, :] <= points[:, None, :]
+    strict = by[None, :, :] < points[:, None, :]
+    return (below.all(axis=2) & strict.any(axis=2)).any(axis=1)
+
+
 def pareto_frontier(costs: np.ndarray) -> np.ndarray:
     """Indices of the non-dominated rows of a (points x objectives) matrix.
 
@@ -77,16 +93,34 @@ def pareto_frontier(costs: np.ndarray) -> np.ndarray:
     point is no worse in every objective and strictly better in at least
     one; ties (duplicated points) are all kept. Indices come back in input
     order.
+
+    A dominator is no worse everywhere and strictly better somewhere, so it
+    sorts strictly before the point it dominates lexicographically; and
+    dominance is transitive, so a point is dominated iff a non-dominated
+    point dominates it. The sweep therefore visits points in lexicographic
+    order, a block at a time, and tests each block only against the
+    frontier found so far and the block's own survivors.
     """
     costs = np.asarray(costs, dtype=np.float64)
     if costs.ndim != 2:
         raise ConfigurationError("costs must be a 2-D (points x objectives) array")
-    points = costs.shape[0]
-    keep = np.ones(points, dtype=bool)
-    for i in range(points):
-        dominators = np.all(costs <= costs[i], axis=1) & np.any(costs < costs[i], axis=1)
-        if np.any(dominators):
-            keep[i] = False
+    points, objectives = costs.shape
+    if not objectives:
+        return np.arange(points)
+    order = np.lexsort(costs.T[::-1])
+    ranked = costs[order]
+    keep = np.zeros(points, dtype=bool)
+    front = ranked[:0]
+    start = 0
+    while start < points:
+        block = max(1, min(_PARETO_BLOCK_ROWS, _PARETO_BLOCK_PAIRS // (front.shape[0] + 1)))
+        stop = min(start + block, points)
+        rows = np.arange(start, stop)
+        rows = rows[~_dominated(ranked[start:stop], front)]
+        rows = rows[~_dominated(ranked[rows], ranked[rows])]
+        keep[order[rows]] = True
+        front = np.concatenate([front, ranked[rows]])
+        start = stop
     return np.nonzero(keep)[0]
 
 

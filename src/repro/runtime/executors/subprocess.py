@@ -338,6 +338,10 @@ class SubprocessExecutor(Executor):
             holder["worker"] = worker
             with self._workers_lock:
                 self._live_workers.append(worker)
+            if self.cancelled():
+                # cancel() may have listed the live workers before this one
+                # joined them, and would then never kill it.
+                raise _WorkerDied("run cancelled while the worker spawned")
             # Warm the fresh worker with a handshake so its startup cost
             # (interpreter + imports) is paid here, not inside the first
             # real unit's timeout window.
@@ -369,9 +373,11 @@ class SubprocessExecutor(Executor):
         except TimeoutError:
             self._retire(holder)  # the overrunning unit dies with its worker
             health.record(False, time.perf_counter() - start)
+            # With no unit timeout, only the spawn handshake can time out.
+            limit = WARMUP_TIMEOUT_S if self.timeout_s is None else self.timeout_s
             return UnitOutcome(
                 status=OUTCOME_TIMEOUT,
-                error=f"unit exceeded {self.timeout_s:g}s timeout",
+                error=f"unit exceeded {limit:g}s timeout",
                 duration_s=time.perf_counter() - start,
             )
         except _ProtocolError as exc:

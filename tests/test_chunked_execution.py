@@ -29,6 +29,7 @@ from repro._budget import (
 from repro.apps.profile import WorkloadProfile
 from repro.apps.timing import estimate_cycles_batch, iter_cycles_batches
 from repro.config import SpMUConfig
+from repro.core import spmu_array
 from repro.core.format_conversion import FormatConverter
 from repro.core.ordering import OrderingMode
 from repro.core.scanner import BitVectorScanner, ScanMode
@@ -250,6 +251,41 @@ class TestChunkedSpMU:
         full = self._stats(simulate_variants(variants, traces))
         assert self._stats(simulate_variants(variants, traces, memory_budget=2048)) == full
 
+    @pytest.mark.parametrize("budget", [None, 2048])
+    def test_fanned_out_shares_are_identical(self, monkeypatch, budget):
+        variants, traces = self._grid()
+        full = self._stats(simulate_variants(variants, traces))
+        monkeypatch.setattr(spmu_array, "_share_count", lambda costs: min(2, len(costs)))
+        assert self._stats(simulate_variants(variants, traces, memory_budget=budget)) == full
+
+    def test_fanned_out_shares_split_the_budget(self, monkeypatch):
+        # Each of k shares streams its lock-step state in chunks of at most
+        # budget / k (one variant when a single one exceeds it), so the
+        # shares running side by side together stay within the budget.
+        # The shares run in this process here so every chunk is observed.
+        grid = [
+            (v, t)
+            for v, t in zip(*self._grid())
+            if v.ordering in (OrderingMode.UNORDERED, OrderingMode.ADDRESS_ORDERED)
+        ] * 2
+        variants, traces = [v for v, _ in grid], [t for _, t in grid]
+        full = self._stats(simulate_variants(variants, traces))
+        budget, chunks = 16_000, []
+        real = spmu_array._simulate_scheduled_lockstep
+
+        def lockstep(vs, preps, *args):
+            chunks.append(sum(map(spmu_array._variant_footprint, vs, preps)))
+            return real(vs, preps, *args)
+
+        monkeypatch.setattr(spmu_array, "_share_count", lambda costs: min(2, len(costs)))
+        monkeypatch.setattr(spmu_array, "_run_shares", lambda f, shares: list(map(f, shares)))
+        monkeypatch.setattr(spmu_array, "_simulate_scheduled_lockstep", lockstep)
+        assert self._stats(simulate_variants(variants, traces, memory_budget=budget)) == full
+        # Two chunks (five variants, then one): three shares, one of which
+        # exceeds budget / 2 as a whole and streams as two lock-step runs.
+        assert len(chunks) == 4
+        assert max(chunks) <= budget // 2
+
     def test_accepts_generators(self):
         variants, traces = self._grid()
         full = self._stats(simulate_variants(variants, traces))
@@ -391,7 +427,10 @@ class TestCLIBudgetSeam:
     def test_memory_budget_flag_exports_env(self, monkeypatch):
         from repro.runtime.cli import main
 
-        monkeypatch.delenv(ENV_MEMORY_BUDGET, raising=False)
+        # setenv first so the teardown also removes the value main() exports
+        # (delenv of an absent variable records nothing to undo).
+        monkeypatch.setenv(ENV_MEMORY_BUDGET, "")
+        monkeypatch.delenv(ENV_MEMORY_BUDGET)
         assert main(["--list", "--memory-budget", "64K"]) == 0
         import os
 

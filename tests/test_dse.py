@@ -7,6 +7,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.apps.profile import WorkloadProfile
 from repro.config import SpMUConfig
@@ -15,10 +18,12 @@ from repro.core.ordering import OrderingMode
 from repro.core.spmu import SpMUVariant
 from repro.errors import ConfigurationError
 from repro.runtime import cache as cache_module
+from repro.runtime import dse as dse_module
+from repro.runtime import search as search_module
 from repro.runtime.cache import ThroughputStore, throughput_store_enabled
 from repro.runtime.cli import main as cli_main
 from repro.runtime.dse import explore, pareto_frontier
-from repro.runtime.search import DEFAULT_SEARCH_AXES
+from repro.runtime.search import DEFAULT_SEARCH_AXES, pareto_ranks, rank_order
 from repro.runtime.sweep import axis_value, build_variant, parse_axis_value, sweep
 
 
@@ -200,6 +205,55 @@ class TestParetoFrontier:
     def test_rejects_non_2d(self):
         with pytest.raises(ConfigurationError):
             pareto_frontier(np.array([1.0, 2.0]))
+
+    def test_no_objectives_keeps_every_point(self):
+        assert list(pareto_frontier(np.zeros((3, 0)))) == [0, 1, 2]
+
+
+def _pareto_frontier_loop(costs):
+    """The original per-point frontier loop, kept as the sweep's oracle."""
+    costs = np.asarray(costs, dtype=np.float64)
+    keep = np.ones(costs.shape[0], dtype=bool)
+    for i in range(costs.shape[0]):
+        dominators = np.all(costs <= costs[i], axis=1) & np.any(costs < costs[i], axis=1)
+        if np.any(dominators):
+            keep[i] = False
+    return np.nonzero(keep)[0]
+
+
+#: Few distinct values, so ties and duplicated points are common.
+_COST_VALUES = st.sampled_from([-np.inf, -1.0, 0.0, 0.5, 1.0, 2.0, np.inf])
+_COSTS = st.integers(1, 3).flatmap(
+    lambda d: arrays(np.float64, st.tuples(st.integers(0, 40), st.just(d)), elements=_COST_VALUES)
+)
+
+
+class TestParetoSweepMatchesLoop:
+    """The lexsort-then-sweep frontier is index-for-index the original loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(costs=_COSTS, block=st.sampled_from([1, 2, 3, 64]))
+    def test_frontier(self, costs, block):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dse_module, "_PARETO_BLOCK_ROWS", block)
+            swept = pareto_frontier(costs)
+        assert swept.tolist() == _pareto_frontier_loop(costs).tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(costs=_COSTS)
+    def test_ranks_and_rank_order(self, costs):
+        with np.errstate(all="ignore"):  # infinite costs scalarize to nan
+            ranks, order = pareto_ranks(costs), rank_order(costs)
+        with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+            patch.setattr(search_module, "pareto_frontier", _pareto_frontier_loop)
+            assert ranks.tolist() == pareto_ranks(costs).tolist()
+            assert order.tolist() == rank_order(costs).tolist()
+
+    def test_large_grid_with_nan(self):
+        rng = np.random.default_rng(5)
+        costs = rng.integers(0, 12, size=(1500, 3)).astype(np.float64)
+        costs[rng.integers(0, 1500, size=20), rng.integers(0, 3, size=20)] = np.nan
+        assert pareto_frontier(costs).tolist() == _pareto_frontier_loop(costs).tolist()
 
 
 class TestExplore:

@@ -278,3 +278,27 @@ class TestCancellationRaces:
         timer.cancel()
         assert elapsed < 30.0
         assert {o.status for o in outcomes} == {OUTCOME_CANCELLED}
+
+    def test_cancel_while_the_worker_spawns(self, monkeypatch):
+        # cancel() lands after the drain loop's check but before the new
+        # worker is registered, so cancel's kill list misses it: the
+        # spawn itself must notice, not wait out the warmup cap.
+        import sys as _sys
+
+        from repro.runtime.executors import subprocess as subprocess_module
+
+        executor = SubprocessExecutor(
+            workers=1, command=[_sys.executable, "-c", "import time; time.sleep(600)"]
+        )
+        spawn = subprocess_module._Worker.__init__
+
+        def cancel_then_spawn(worker, command):
+            executor.cancel()
+            spawn(worker, command)
+
+        monkeypatch.setattr(subprocess_module, "WARMUP_TIMEOUT_S", 20.0)
+        monkeypatch.setattr(subprocess_module._Worker, "__init__", cancel_then_spawn)
+        started = time.perf_counter()
+        outcomes = executor.run_units([_probe(1), _probe(2)])
+        assert time.perf_counter() - started < 10.0
+        assert {o.status for o in outcomes} == {OUTCOME_CANCELLED}
