@@ -4,16 +4,15 @@ The package is organized by layer:
 
 * :mod:`repro.formats` -- sparse tensor storage formats (CSR, CSC, COO,
   DCSR, BCSR, banded, bit-vector, bit-tree).
-* :mod:`repro.lang` -- the declarative sparse-iteration programming model
-  (Foreach / Reduce loop nests with Scan loop headers).
 * :mod:`repro.core` -- Capstan's hardware components: the sparse memory
   unit with its separable bank allocator, the bit-vector scanner, the
-  butterfly shuffle network, atomic DRAM address generators, DRAM
-  compression, and the calibrated area/power model.
+  butterfly shuffle network, DRAM compression, and the calibrated
+  area/power model.
 * :mod:`repro.sim` -- the simulation substrate (DRAM/SRAM/network models,
   stall accounting).
-* :mod:`repro.apps` -- the paper's applications expressed with the sparse
-  iteration primitives, plus the Capstan timing model.
+* :mod:`repro.apps` -- the paper's applications as functional numpy runs
+  that each record a platform-independent workload profile, plus the
+  Capstan timing model that costs those profiles.
 * :mod:`repro.baselines` -- Plasticine, CPU, GPU, and ASIC baselines.
 * :mod:`repro.workloads` -- synthetic stand-ins for the paper's datasets.
 * :mod:`repro.eval` -- one harness per table and figure of the evaluation.
@@ -34,8 +33,6 @@ from .errors import (
     ConfigurationError,
     ConversionError,
     FormatError,
-    OrderingViolationError,
-    ProgramError,
     SimulationError,
     WorkloadError,
 )
@@ -56,8 +53,6 @@ __all__ = [
     "ConversionError",
     "ConfigurationError",
     "SimulationError",
-    "OrderingViolationError",
-    "ProgramError",
     "WorkloadError",
     "__version__",
 ]

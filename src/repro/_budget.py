@@ -5,10 +5,26 @@ conversion, scanning, DSE) materialize whole grids as numpy tensors. A
 memory budget bounds that: given a byte budget and a per-item cost model,
 :func:`plan_chunks` picks a chunk size and the engines stream chunk by
 chunk, aggregating results that are bit-identical to the unchunked pass.
+Each engine owns its cost model and its chunked axis:
+
+* :func:`~repro.apps.timing.estimate_cycles_batch` chunks the platform
+  axis (``COSTING_BYTES_PER_CELL`` per cell) -- every cost-model term is
+  column-independent, so chunk columns concatenate exactly.
+* :func:`~repro.core.spmu_array.simulate_variants` chunks the variant grid
+  by each variant's lock-step state -- variants are independent, so
+  per-chunk simulation is exact. A chunk that fans out over ``k`` forked
+  processes gives each share ``budget / k``.
+* :meth:`~repro.core.format_conversion.FormatConverter.convert_many`
+  chunks tiles -- conversion restarts at tile boundaries and the
+  statistics are per-tile sums.
+* :meth:`~repro.core.scanner.BitVectorScanner.scan_batch` chunks
+  dense-position ranges -- chunk outputs are position-disjoint and ordered.
+* :func:`~repro.runtime.dse.explore` streams the (profile x platform)
+  cross-product, folding each chunk into running geometric-mean / Pareto
+  state instead of materializing the grid.
 
 This module is deliberately low-level (stdlib-only, importable from
-``repro.core`` and ``repro.apps`` without layering cycles); the public
-planner facade lives in :mod:`repro.runtime.budget`.
+``repro.core`` and ``repro.apps`` without layering cycles).
 
 The budget can come from three places, in precedence order: an explicit
 argument to the engine, the ``REPRO_MEMORY_BUDGET`` environment variable

@@ -61,11 +61,6 @@ def best_source(matrix) -> int:
     return int(np.argmax(degrees))
 
 
-def default_tiles(outer_parallelism: int) -> int:
-    """Number of outer-parallel tiles for the paper's 200-unit grid."""
-    return max(1, outer_parallelism)
-
-
 def tile_rows_by_nnz(matrix: CSRMatrix, tiles: int) -> Partitioning:
     """Balanced row partition weighted by per-row non-zeros."""
     return balanced_partition(matrix.row_lengths().astype(np.float64), tiles)

@@ -533,7 +533,6 @@ def iter_cycles_batches(
     platforms: Iterable[CapstanPlatform],
     *,
     memory_budget: Union[int, str, None] = None,
-    chunk_platforms: Optional[int] = None,
     energy: bool = False,
 ) -> Iterator[Tuple[List[CapstanPlatform], BatchCostResult]]:
     """Stream a costing grid as (platform chunk, chunk result) pairs.
@@ -547,14 +546,12 @@ def iter_cycles_batches(
     """
     profiles = list(profiles)
     budget = resolve_memory_budget(memory_budget)
-    if chunk_platforms is None:
-        if budget is None:
-            chunk = list(platforms)
-            yield chunk, _estimate_cycles_batch_columns(profiles, chunk, energy=energy)
-            return
-        per_platform = max(len(profiles), 1) * COSTING_BYTES_PER_CELL
-        chunk_platforms = plan_chunks(0, per_platform, budget).chunk_items
-    for chunk in iter_chunked(platforms, chunk_platforms):
+    if budget is None:
+        chunk = list(platforms)
+        yield chunk, _estimate_cycles_batch_columns(profiles, chunk, energy=energy)
+        return
+    per_platform = max(len(profiles), 1) * COSTING_BYTES_PER_CELL
+    for chunk in iter_chunked(platforms, plan_chunks(0, per_platform, budget).chunk_items):
         yield chunk, _estimate_cycles_batch_columns(profiles, chunk, energy=energy)
 
 
@@ -563,7 +560,6 @@ def estimate_cycles_batch(
     platforms: Iterable[CapstanPlatform],
     *,
     memory_budget: Union[int, str, None] = None,
-    chunk_platforms: Optional[int] = None,
     energy: bool = False,
 ) -> BatchCostResult:
     """Cost every (profile, platform) pair of a grid in vectorized passes.
@@ -586,8 +582,6 @@ def estimate_cycles_batch(
             platform axis is streamed in budget-sized chunks and the chunk
             columns concatenated (bit-identical to the unchunked pass).
             ``None`` defers to ``REPRO_MEMORY_BUDGET``.
-        chunk_platforms: Explicit platform-axis chunk width (overrides the
-            cost model; mainly for the equivalence tests).
         energy: Also cost per-cell energy through
             :func:`~repro.core.energy.estimate_energy_batch` (attached as
             ``energy_mj`` / ``energy_categories``).
@@ -596,7 +590,7 @@ def estimate_cycles_batch(
         A :class:`BatchCostResult` with per-cell cycles and stall categories.
     """
     profiles = list(profiles)
-    if chunk_platforms is None and resolve_memory_budget(memory_budget) is None:
+    if resolve_memory_budget(memory_budget) is None:
         return _estimate_cycles_batch_columns(profiles, list(platforms), energy=energy)
     parts = [
         result
@@ -604,7 +598,6 @@ def estimate_cycles_batch(
             profiles,
             platforms,
             memory_budget=memory_budget,
-            chunk_platforms=chunk_platforms,
             energy=energy,
         )
     ]

@@ -105,14 +105,3 @@ def reference_spmv_csr(matrix, vector: np.ndarray) -> np.ndarray:
 def reference_spmspm(matrix_a, matrix_b) -> np.ndarray:
     """scipy sparse-sparse matrix product reference."""
     return np.asarray((to_scipy_csr(matrix_a) @ to_scipy_csr(matrix_b)).todense())
-
-
-def reference_bicgstab(matrix, rhs: np.ndarray, tolerance: float = 1e-8):
-    """scipy BiCGStab reference returning (solution, info)."""
-    from scipy.sparse.linalg import bicgstab as scipy_bicgstab
-
-    a = to_scipy_csr(matrix)
-    try:
-        return scipy_bicgstab(a, rhs, rtol=tolerance)
-    except TypeError:  # older scipy uses `tol`
-        return scipy_bicgstab(a, rhs, tol=tolerance)

@@ -21,7 +21,7 @@ those constraints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..config import MemoryTechnology, PlasticineConfig
 from ..apps.profile import WorkloadProfile

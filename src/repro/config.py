@@ -196,11 +196,6 @@ class CapstanConfig:
         return MEMORY_BANDWIDTH_GBPS[self.memory]
 
     @property
-    def memory_latency_ns(self) -> float:
-        """Closed-page latency of the configured memory technology."""
-        return MEMORY_LATENCY_NS[self.memory]
-
-    @property
     def cycle_time_ns(self) -> float:
         """Clock period in nanoseconds."""
         return 1.0 / self.clock_ghz

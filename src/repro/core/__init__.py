@@ -2,14 +2,13 @@
 
 This subpackage contains the paper's primary contribution: the sparse
 memory unit (SpMU) with its separable bank allocator and reordering
-pipeline, the bit-vector/data scanners that implement sparse loop headers,
-the butterfly shuffle networks, atomic DRAM address generators, read-only
-DRAM compression, pointer-to-bit-vector format conversion, the compute-unit
-model, and the calibrated area/power model.
+pipeline, the bit-vector scanner that implements sparse loop headers, the
+butterfly shuffle networks, read-only DRAM compression,
+pointer-to-bit-vector format conversion, and the calibrated area/power
+model.
 """
 
 from .allocator import AllocationResult, GreedyAllocator, SeparableAllocator, make_allocator
-from .address_generator import AGStats, DRAMAddressGenerator, PartitionedDRAM
 from .area import (
     AreaBreakdown,
     area_overhead_vs_plasticine,
@@ -34,14 +33,11 @@ from .compression import (
     compress_pointer_array,
     compression_ratio,
     decompress_packets,
-    estimate_app_compression,
 )
-from .compute_unit import ComputeUnit, LaneActivity, OuterParallelism, distribute_work
 from .format_conversion import ConversionStats, FormatConverter
 from .ordering import OrderingMode
 from .scanner import (
     BitVectorScanner,
-    DataScanner,
     ScanBatch,
     ScanElement,
     ScanMode,
@@ -70,9 +66,6 @@ __all__ = [
     "SeparableAllocator",
     "GreedyAllocator",
     "make_allocator",
-    "AGStats",
-    "DRAMAddressGenerator",
-    "PartitionedDRAM",
     "AreaBreakdown",
     "capstan_area",
     "plasticine_area",
@@ -92,16 +85,10 @@ __all__ = [
     "compress_pointer_array",
     "decompress_packets",
     "compression_ratio",
-    "estimate_app_compression",
-    "ComputeUnit",
-    "LaneActivity",
-    "OuterParallelism",
-    "distribute_work",
     "ConversionStats",
     "FormatConverter",
     "OrderingMode",
     "BitVectorScanner",
-    "DataScanner",
     "ScanMode",
     "ScanElement",
     "ScanTiming",

@@ -71,13 +71,6 @@ class CompressionReport:
             return 1.0
         return self.original_bytes / self.compressed_bytes
 
-    @property
-    def savings_fraction(self) -> float:
-        """Fraction of DRAM traffic eliminated by compression."""
-        if self.original_bytes == 0:
-            return 0.0
-        return 1.0 - min(1.0, self.compressed_bytes / self.original_bytes)
-
 
 def _required_offset_bits(values: np.ndarray, base: int) -> int:
     """Smallest supported offset width that covers ``values - base``."""
@@ -185,17 +178,3 @@ def compression_ratio(values: np.ndarray) -> float:
     """Convenience wrapper returning only the compression ratio."""
     _, report = compress_pointer_array(values)
     return report.ratio
-
-
-def estimate_app_compression(pointer_arrays: List[np.ndarray]) -> CompressionReport:
-    """Aggregate compression across all of an application's pointer streams.
-
-    Uses the report-only vectorized path per stream -- no packets are
-    materialized, only the sizes the DRAM traffic model needs.
-    """
-    reports = [compression_report(array) for array in pointer_arrays]
-    return CompressionReport(
-        original_bytes=sum(r.original_bytes for r in reports),
-        compressed_bytes=sum(r.compressed_bytes for r in reports),
-        packets=sum(r.packets for r in reports),
-    )

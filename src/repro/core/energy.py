@@ -105,12 +105,6 @@ class EnergyBreakdown:
             total = total + getattr(self, name)
         return total
 
-    def as_dict(self) -> Dict[str, float]:
-        """Flatten the breakdown to a plain dictionary for reporting."""
-        out = {name: getattr(self, name) for name in ENERGY_CATEGORIES}
-        out["total_mj"] = self.total_mj
-        return out
-
 
 @dataclass(frozen=True)
 class EnergyParams:

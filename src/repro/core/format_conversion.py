@@ -50,6 +50,16 @@ class ConversionStats:
     spmu_word_conflicts: int
 
 
+def conversion_tile_bytes(length: int, pointers: int) -> int:
+    """Working-set bytes one tile adds to a batched conversion (cost model).
+
+    The tile's packed words plus the flat sort/id temporaries of its
+    ``pointers`` entries; :meth:`FormatConverter.convert_many` chunks tiles
+    so that each chunk's sum stays within the memory budget.
+    """
+    return packed.word_count(length) * 8 + pointers * 48 + 128
+
+
 class FormatConverter:
     """Streaming pointer-to-bit-vector converter attached to a compute tile."""
 
@@ -113,7 +123,6 @@ class FormatConverter:
         pointer_tiles: Iterable[np.ndarray],
         *,
         memory_budget: Optional[int] = None,
-        chunk_tiles: Optional[int] = None,
     ) -> Tuple[List[BitVector], ConversionStats]:
         """Convert a sequence of pointer tiles, aggregating the statistics.
 
@@ -131,16 +140,13 @@ class FormatConverter:
                 state restarts at tile boundaries and the statistics are
                 per-tile sums, so the chunked result is identical to the
                 unchunked one. ``None`` defers to ``REPRO_MEMORY_BUDGET``.
-            chunk_tiles: Explicit chunk size in tiles (overrides the cost
-                model; mainly for the equivalence tests).
         """
         budget = resolve_memory_budget(memory_budget)
-        if budget is None and chunk_tiles is None:
+        if budget is None:
             return self._convert_chunk(
                 length, [np.asarray(tile, dtype=np.int64) for tile in pointer_tiles]
             )
 
-        words_per_tile64 = packed.word_count(length)
         vectors: List[BitVector] = []
         totals = np.zeros(4, dtype=np.int64)
         chunk: List[np.ndarray] = []
@@ -159,12 +165,8 @@ class FormatConverter:
 
         for tile in pointer_tiles:
             tile_array = np.asarray(tile, dtype=np.int64)
-            # Packed words for the tile plus the flat sort/id temporaries.
-            tile_bytes = words_per_tile64 * 8 + tile_array.size * 48 + 128
-            if chunk and (
-                (chunk_tiles is not None and len(chunk) >= chunk_tiles)
-                or (budget is not None and chunk_bytes + tile_bytes > budget)
-            ):
+            tile_bytes = conversion_tile_bytes(length, tile_array.size)
+            if chunk and chunk_bytes + tile_bytes > budget:
                 _flush()
             chunk.append(tile_array)
             chunk_bytes += tile_bytes

@@ -27,20 +27,5 @@ class OrderingMode(Enum):
     FULLY_ORDERED = "fully-ordered"
     ARBITRATED = "arbitrated"
 
-    @property
-    def allows_cross_vector_reordering(self) -> bool:
-        """Whether requests from different vectors may interleave."""
-        return self in (OrderingMode.UNORDERED, OrderingMode.ADDRESS_ORDERED)
-
-    @property
-    def allows_same_address_reordering(self) -> bool:
-        """Whether two requests to the same address may be reordered."""
-        return self is OrderingMode.UNORDERED
-
-    @property
-    def requires_program_order(self) -> bool:
-        """Whether every access must complete in program order."""
-        return self is OrderingMode.FULLY_ORDERED
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value

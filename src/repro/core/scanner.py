@@ -1,4 +1,4 @@
-"""Sparse loop headers: the bit-vector and data scanners (Section 3.3).
+"""Sparse loop headers: the bit-vector scanner (Section 3.3).
 
 The scanner implements Capstan's vectorized sparse iteration. Each cycle the
 bit-vector scanner:
@@ -11,7 +11,8 @@ bit-vector scanner:
    and the running dense counter ``j'``.
 
 The data scanner is the scalar fallback that finds one non-zero 32-bit
-element in a 16-element vector per cycle; it is used in outer loops only.
+element in a 16-element vector per cycle; it is used in outer loops only,
+and :func:`~repro.apps.scan_model.data_scan_cost` models its cycles.
 
 This module provides both a *functional* scan (produce all iteration tuples
 for correctness) and a *timing* scan (how many cycles the hardware needs to
@@ -156,7 +157,6 @@ class BitVectorScanner:
         mode: ScanMode = ScanMode.INTERSECT,
         *,
         memory_budget: Optional[int] = None,
-        chunk_positions: Optional[int] = None,
     ) -> ScanBatch:
         """Produce all iteration tuples of a sparse loop as a columnar batch.
 
@@ -169,23 +169,16 @@ class BitVectorScanner:
                 outputs are position-disjoint and ordered, so concatenation
                 reproduces the unchunked batch exactly. ``None`` defers to
                 ``REPRO_MEMORY_BUDGET``.
-            chunk_positions: Explicit range width in dense positions
-                (overrides the cost model; mainly for equivalence tests).
 
         Returns:
-            A :class:`ScanBatch` ordered by dense index, exactly the values
-            a nested ``Foreach(Scan(...))`` loop body would observe.
+            A :class:`ScanBatch` ordered by dense index: one row per
+            iteration of the sparse loop the scanner heads.
         """
         budget = resolve_memory_budget(memory_budget)
-        if chunk_positions is None and budget is not None:
-            chunk_positions = plan_chunks(
-                vector_a.length, SCAN_BYTES_PER_POSITION, budget
-            ).chunk_items
-        if chunk_positions is not None and (
-            mode is not ScanMode.SINGLE and vector_b is not None
-        ):
+        if budget is not None and mode is not ScanMode.SINGLE and vector_b is not None:
+            width = plan_chunks(vector_a.length, SCAN_BYTES_PER_POSITION, budget).chunk_items
             combined, index_a, index_b = self._combine_arrays_chunked(
-                vector_a, vector_b, mode, chunk_positions
+                vector_a, vector_b, mode, width
             )
         else:
             # SINGLE mode copies one operand's indices -- there is no
@@ -353,23 +346,21 @@ class BitVectorScanner:
         vector_a: BitVector,
         vector_b: BitVector,
         mode: ScanMode,
-        chunk_positions: int,
+        width: int,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stream :meth:`_combine_arrays` over dense position ranges.
+        """Stream :meth:`_combine_arrays` over dense position ranges ``width`` wide.
 
         Each range combines only the candidate set bits it covers; ranges
         are disjoint and ascending and compressed indices are computed
         against the full operands, so concatenating the per-range outputs
         is bit-identical to the one-shot combine.
         """
-        if chunk_positions < 1:
-            raise SimulationError("chunk_positions must be positive")
         self._check_operands(vector_a, vector_b, mode)
         a_indices = vector_a._sorted_indices()
         b_indices = vector_b._sorted_indices()
         parts: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        for start in range(0, vector_a.length, chunk_positions):
-            stop = min(start + chunk_positions, vector_a.length)
+        for start in range(0, vector_a.length, width):
+            stop = min(start + width, vector_a.length)
             a_lo, a_hi = np.searchsorted(a_indices, [start, stop])
             a_slice = a_indices[a_lo:a_hi]
             if mode is ScanMode.INTERSECT:
@@ -441,60 +432,6 @@ class BitVectorScanner:
         a_positions = _prefix_positions(mask_a, mask)
         b_positions = _prefix_positions(mask_b, mask)
         return mask, a_positions, b_positions
-
-
-class DataScanner:
-    """Scalar data scanner: finds non-zero elements, one per cycle.
-
-    The data scanner examines ``data_width`` (16) 32-bit elements per cycle
-    and emits one non-zero element per cycle, so its throughput can never
-    exceed one iteration per cycle; it is only used for outer loops.
-    """
-
-    def __init__(self, config: Optional[ScannerConfig] = None):
-        self._config = config or ScannerConfig()
-        self._config.validate()
-
-    @property
-    def config(self) -> ScannerConfig:
-        """The scanner's width configuration."""
-        return self._config
-
-    def scan(self, values: np.ndarray) -> List[Tuple[int, float]]:
-        """Return ``(index, value)`` pairs of non-zero elements in order."""
-        array = np.asarray(values, dtype=np.float64)
-        if array.ndim != 1:
-            raise SimulationError("data scanner operates on 1-D vectors")
-        indices = np.nonzero(array)[0]
-        return list(zip(indices.tolist(), array[indices].tolist()))
-
-    def timing_cycles(self, values: np.ndarray) -> int:
-        """Cycles to scan ``values``: one per emitted non-zero, plus one per
-        all-zero ``data_width`` chunk traversed."""
-        array = np.asarray(values, dtype=np.float64)
-        if array.ndim != 1:
-            raise SimulationError("data scanner operates on 1-D vectors")
-        width = self._config.data_width
-        if array.size == 0:
-            return 0
-        chunks = (array.size + width - 1) // width
-        counts = np.bincount(
-            np.nonzero(array)[0] // width, minlength=chunks
-        )
-        return int(np.maximum(counts, 1).sum())
-
-    def timing_cycles_reference(self, values: np.ndarray) -> int:
-        """The retained per-chunk loop (equivalence reference)."""
-        array = np.asarray(values, dtype=np.float64)
-        if array.ndim != 1:
-            raise SimulationError("data scanner operates on 1-D vectors")
-        width = self._config.data_width
-        cycles = 0
-        for start in range(0, array.size, width):
-            chunk = array[start : start + width]
-            nonzeros = int(np.count_nonzero(chunk))
-            cycles += max(1, nonzeros)
-        return cycles
 
 
 def timing_from_indices(

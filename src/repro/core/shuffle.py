@@ -67,13 +67,6 @@ class ShuffleStats:
     bypassed_requests: int = 0
     per_destination_vectors: Dict[int, int] = field(default_factory=dict)
 
-    @property
-    def expansion_factor(self) -> float:
-        """Output vectors per input vector; 1.0 means perfect merging."""
-        if self.input_vectors == 0:
-            return 0.0
-        return self.output_vectors / self.input_vectors
-
 
 class MergeUnit:
     """One butterfly merge unit: partition on an address bit, then merge."""
@@ -85,11 +78,6 @@ class MergeUnit:
         self._max_shift = max_shift
         self._fifo_depth = fifo_depth
         self._decision_fifo: List[Tuple[int, ...]] = []
-
-    @property
-    def fifo_occupancy(self) -> int:
-        """Inverse-permutation records currently buffered."""
-        return len(self._decision_fifo)
 
     def merge(
         self,

@@ -80,11 +80,6 @@ class RMWOp(Enum):
         """Whether the operation never modifies memory."""
         return self is RMWOp.READ
 
-    @property
-    def modifies_memory(self) -> bool:
-        """Whether the operation may write to the target word."""
-        return self is not RMWOp.READ
-
 
 @dataclass
 class MemoryRequest:
@@ -227,11 +222,6 @@ class SpMUStats:
         if self.cycles == 0:
             return 0.0
         return self.bank_busy_cycles / (self.cycles * _BANKS_FOR_UTILIZATION(self))
-
-    @property
-    def requests_per_cycle(self) -> float:
-        """Average accepted request throughput."""
-        return self.requests / self.cycles if self.cycles else 0.0
 
 
 def _BANKS_FOR_UTILIZATION(stats: "SpMUStats") -> int:

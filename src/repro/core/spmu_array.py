@@ -980,18 +980,13 @@ def _variant_footprint(variant: SpMUVariant, prep: _PreparedTrace) -> int:
 _Pair = Tuple[SpMUVariant, _PreparedTrace]
 
 
-def _budget_chunks(
-    pairs: Iterable[_Pair], budget: Optional[int], chunk_variants: Optional[int] = None
-) -> Iterator[List[_Pair]]:
+def _budget_chunks(pairs: Iterable[_Pair], budget: Optional[int]) -> Iterator[List[_Pair]]:
     """Group pairs, in order, into chunks whose footprints fit ``budget``."""
     chunk: List[_Pair] = []
     chunk_bytes = 0
     for variant, prep in pairs:
         footprint = _variant_footprint(variant, prep)
-        if chunk and (
-            (chunk_variants is not None and len(chunk) >= chunk_variants)
-            or (budget is not None and chunk_bytes + footprint > budget)
-        ):
+        if chunk and budget is not None and chunk_bytes + footprint > budget:
             yield chunk
             chunk = []
             chunk_bytes = 0
@@ -1241,7 +1236,6 @@ def simulate_variants(
     record_trace: bool = False,
     collect_issues: bool = False,
     memory_budget: Union[int, str, None] = None,
-    chunk_variants: Optional[int] = None,
 ) -> List[SimResult]:
     """Simulate one request trace per variant, batched across variants.
 
@@ -1260,8 +1254,6 @@ def simulate_variants(
             fans out over ``k`` processes gives each share ``budget / k``,
             so the shares together stay within the budget. ``None``
             defers to ``REPRO_MEMORY_BUDGET``.
-        chunk_variants: Explicit chunk size in variants (overrides the
-            cost model; mainly for the equivalence tests).
 
     Returns:
         One :class:`SimResult` per variant, stat-for-stat equal to the
@@ -1269,6 +1261,6 @@ def simulate_variants(
     """
     budget = resolve_memory_budget(memory_budget)
     results: List[SimResult] = []
-    for chunk in _budget_chunks(_prepared_pairs(variants, traces), budget, chunk_variants):
+    for chunk in _budget_chunks(_prepared_pairs(variants, traces), budget):
         results.extend(_simulate_chunk(chunk, record_trace, collect_issues, budget))
     return results

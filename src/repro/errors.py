@@ -35,23 +35,5 @@ class SimulationError(CapstanError):
     """Raised when a hardware component simulation reaches an invalid state."""
 
 
-class OrderingViolationError(SimulationError):
-    """Raised when a memory ordering constraint would be violated.
-
-    The SpMU raises this if a verification pass detects that the completion
-    order of requests is inconsistent with the configured
-    :class:`~repro.core.ordering.OrderingMode`.
-    """
-
-
-class ProgramError(CapstanError):
-    """Raised when a sparse-iteration program is malformed.
-
-    For example nesting a :class:`~repro.lang.loops.Scan` over inputs with
-    mismatched lengths, or reducing with a non-associative operator where the
-    schedule requires reassociation.
-    """
-
-
 class WorkloadError(CapstanError):
     """Raised when a workload/dataset cannot be generated or loaded."""

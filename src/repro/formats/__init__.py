@@ -13,10 +13,6 @@ from .bitvector import BitVector
 from .convert import (
     bittree_to_bitvector,
     bitvector_to_bittree,
-    csc_col_as_bitvector,
-    csc_cols_as_bitvectors,
-    csr_row_as_bitvector,
-    csr_rows_as_bitvectors,
     from_scipy,
     pointers_to_bitvector,
     to_coo,
@@ -59,10 +55,6 @@ __all__ = [
     "pointers_to_bitvector",
     "bitvector_to_bittree",
     "bittree_to_bitvector",
-    "csr_row_as_bitvector",
-    "csc_col_as_bitvector",
-    "csr_rows_as_bitvectors",
-    "csc_cols_as_bitvectors",
     "packed",
     "read_matrix_market",
     "write_matrix_market",

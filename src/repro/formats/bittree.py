@@ -149,16 +149,6 @@ class BitTree:
         keep = np.concatenate(([True], tile_ids[1:] != tile_ids[:-1]))
         return tile_ids[keep]
 
-    def tile_counts(self) -> np.ndarray:
-        """Set bits per occupied tile, aligned with :meth:`occupied_tile_ids`."""
-        if self._indices.size == 0:
-            return np.empty(0, dtype=np.int64)
-        tile_ids = self._indices // self._tile_bits
-        starts = np.flatnonzero(
-            np.concatenate(([True], tile_ids[1:] != tile_ids[:-1]))
-        )
-        return np.diff(np.concatenate((starts, [tile_ids.size])))
-
     def set(self, index: int, value: float) -> None:
         """Set position ``index`` to ``value`` (value must be non-zero)."""
         if index < 0 or index >= self._length:

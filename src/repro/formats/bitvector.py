@@ -16,7 +16,7 @@ vectorized.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -116,18 +116,6 @@ class BitVector:
         return cls._from_trusted(
             array.shape[0], indices.astype(np.int64), array[indices]
         )
-
-    @classmethod
-    def from_mask(cls, mask: np.ndarray) -> "BitVector":
-        """Build a boolean bit-vector (all values 1.0) from a mask array."""
-        array = np.asarray(mask, dtype=bool)
-        if array.ndim != 1:
-            raise FormatError("from_mask requires a 1-D array")
-        vector = cls._from_trusted(
-            array.shape[0], np.nonzero(array)[0].astype(np.int64)
-        )
-        vector._mask = array.copy()
-        return vector
 
     @classmethod
     def from_words(
@@ -267,11 +255,6 @@ class BitVector:
         if slot >= self._indices.size or self._indices[slot] != index:
             raise FormatError(f"bit {index} is not set")
         return slot
-
-    def iter_set_bits(self) -> Iterator[Tuple[int, float]]:
-        """Yield ``(index, value)`` for every set bit in ascending order."""
-        for index, value in zip(self._indices.tolist(), self._values.tolist()):
-            yield index, value
 
     def __len__(self) -> int:
         return self._length

@@ -8,7 +8,7 @@ including scipy interoperability used by the baselines.
 
 from __future__ import annotations
 
-from typing import List, Union
+from typing import Union
 
 import numpy as np
 from scipy import sparse as sp
@@ -131,46 +131,3 @@ def bitvector_to_bittree(vector: BitVector, tile_bits: int = 512) -> BitTree:
 def bittree_to_bitvector(tree: BitTree) -> BitVector:
     """Flatten a bit-tree back into a single bit-vector."""
     return tree.to_bitvector()
-
-
-def csr_row_as_bitvector(matrix: CSRMatrix, row: int) -> BitVector:
-    """Return one CSR row as a bit-vector (the scanner's operand format)."""
-    return matrix.row_bitvector(row)
-
-
-def csc_col_as_bitvector(matrix: CSCMatrix, col: int) -> BitVector:
-    """Return one CSC column as a bit-vector (the scanner's operand format)."""
-    return matrix.col_bitvector(col)
-
-
-def _segments_as_bitvectors(
-    length: int, pointers: np.ndarray, indices: np.ndarray, values: np.ndarray
-) -> List[BitVector]:
-    """Fan a compressed format's segments out into bit-vectors in one pass.
-
-    The pointer/index/value arrays are already validated and per-segment
-    sorted (the compressed formats enforce strictly increasing indices), so
-    every vector is a zero-copy slice through the trusted construction path.
-    """
-    return [
-        BitVector._from_trusted(length, indices[start:end], values[start:end])
-        for start, end in zip(pointers[:-1].tolist(), pointers[1:].tolist())
-    ]
-
-
-def csr_rows_as_bitvectors(matrix: CSRMatrix) -> List[BitVector]:
-    """All CSR rows as bit-vectors, without per-row validation or copies.
-
-    Equivalent to ``[matrix.row_bitvector(r) for r in range(rows)]`` but
-    built in one batched pass over the compressed arrays.
-    """
-    return _segments_as_bitvectors(
-        matrix.shape[1], matrix.row_pointers, matrix.col_indices, matrix.values
-    )
-
-
-def csc_cols_as_bitvectors(matrix: CSCMatrix) -> List[BitVector]:
-    """All CSC columns as bit-vectors, built in one batched pass."""
-    return _segments_as_bitvectors(
-        matrix.shape[0], matrix.col_pointers, matrix.row_indices, matrix.values
-    )

@@ -97,9 +97,5 @@ class COOMatrix(SparseMatrixFormat):
         """Bytes to store row pointers, column pointers, and values (32-bit)."""
         return 4 * 3 * self.nnz
 
-    def row_pointer_bytes(self) -> int:
-        """Bytes of pointer (index) traffic per non-zero: two 32-bit pointers."""
-        return 8 * self.nnz
-
     def __repr__(self) -> str:
         return f"COOMatrix(shape={self._shape}, nnz={self.nnz})"

@@ -121,11 +121,6 @@ class CSCMatrix(SparseMatrixFormat):
         """Values of stored entries, column-major order."""
         return self._values.copy()
 
-    def col_length(self, col: int) -> int:
-        """Number of stored entries in ``col``."""
-        self._check_col(col)
-        return int(self._col_pointers[col + 1] - self._col_pointers[col])
-
     def col_slice(self, col: int) -> Tuple[np.ndarray, np.ndarray]:
         """Return ``(row_indices, values)`` for ``col``."""
         self._check_col(col)

@@ -121,11 +121,6 @@ class CSRMatrix(SparseMatrixFormat):
         """Values of stored entries, row-major order."""
         return self._values.copy()
 
-    def row_length(self, row: int) -> int:
-        """Number of stored entries in ``row``."""
-        self._check_row(row)
-        return int(self._row_pointers[row + 1] - self._row_pointers[row])
-
     def row_slice(self, row: int) -> Tuple[np.ndarray, np.ndarray]:
         """Return ``(col_indices, values)`` for ``row``."""
         self._check_row(row)

@@ -156,11 +156,6 @@ class DCSCMatrix(SparseMatrixFormat):
         """Number of non-empty columns actually stored."""
         return self._transposed.stored_rows
 
-    @property
-    def col_ids(self) -> np.ndarray:
-        """Indices of the stored (non-empty) columns."""
-        return self._transposed.row_ids
-
     def col_slice(self, stored_index: int) -> Tuple[int, np.ndarray, np.ndarray]:
         """Return ``(col_id, row_indices, values)`` of stored column ``stored_index``."""
         return self._transposed.row_slice(stored_index)

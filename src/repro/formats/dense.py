@@ -100,10 +100,6 @@ class DenseVector:
         view.setflags(write=False)
         return view
 
-    def to_numpy(self) -> np.ndarray:
-        """Return a mutable copy of the vector contents."""
-        return self._data.copy()
-
     def nonzero_indices(self) -> np.ndarray:
         """Indices of non-zero elements in ascending order."""
         return np.nonzero(self._data)[0].astype(np.int64)

@@ -1,7 +1,7 @@
 """Experiment runtime: registry, caching, parallel execution, sweeps.
 
 This package is the layer between the applications (:mod:`repro.apps`) and
-the evaluation harnesses (:mod:`repro.eval`). It owns four concerns:
+the evaluation harnesses (:mod:`repro.eval`). It owns these concerns:
 
 * :mod:`repro.runtime.registry` -- a decorator-based :class:`AppSpec`
   registry each application module registers into, replacing hand-written
@@ -18,24 +18,11 @@ the evaluation harnesses (:mod:`repro.eval`). It owns four concerns:
 * :mod:`repro.runtime.dse` -- design-space exploration: batched costing of
   whole configuration grids (including structural axes) with Pareto-frontier
   extraction over cycles and area;
-* :mod:`repro.runtime.budget` -- the memory-budget planner: chunk-shape
-  cost models and the ``REPRO_MEMORY_BUDGET`` seam the batch engines
-  stream under;
 * :mod:`repro.runtime.runstore` -- the SQLite experiment store recording
   every bench run (schema in ``schema.sql``, ``REPRO_RUN_DB`` seam); the
   regression analytics in :mod:`repro.eval.regression` read it.
 """
 
-from .budget import (
-    ENV_MEMORY_BUDGET,
-    ChunkPlan,
-    costing_chunk_platforms,
-    iter_chunked,
-    parse_memory_budget,
-    plan_chunks,
-    resolve_memory_budget,
-    variant_state_bytes,
-)
 from .registry import (
     AppSpec,
     RegistryError,
@@ -60,16 +47,8 @@ from .runstore import BaselineRecord, RunRecord, RunStore, default_run_db
 from .sweep import sweep
 
 __all__ = [
-    "ENV_MEMORY_BUDGET",
-    "ChunkPlan",
     "DSEResult",
     "ThroughputStore",
-    "costing_chunk_platforms",
-    "iter_chunked",
-    "parse_memory_budget",
-    "plan_chunks",
-    "resolve_memory_budget",
-    "variant_state_bytes",
     "explore",
     "pareto_frontier",
     "prefill_throughputs",

@@ -47,7 +47,33 @@ from .sweep import AXIS_VALUE_PARSERS, parse_axis_value
 _EXECUTOR_CHOICES = ("local", "pool", "subprocess")
 
 
-def _add_memory_budget_argument(parser: argparse.ArgumentParser) -> None:
+def _add_run_context_arguments(parser: argparse.ArgumentParser) -> None:
+    """The options naming which applications run and the context they run in.
+
+    ``build_parser``, ``build_dse_parser`` and ``build_sweep_parser`` share
+    them; :func:`_run_setup` turns them into a :class:`RunContext`.
+    """
+    parser.add_argument(
+        "--apps", help="comma-separated application names (default: all registered)"
+    )
+    parser.add_argument(
+        "--scale",
+        type=_parse_scale,
+        default=1.0 / 64.0,
+        help="dataset scale, e.g. 1/64 or 0.015625 (default: 1/64)",
+    )
+    parser.add_argument(
+        "--pagerank-iterations", type=int, default=2, help="power iterations per PageRank run"
+    )
+    parser.add_argument(
+        "--conv-scale", type=_parse_scale, default=0.125, help="ResNet channel scale"
+    )
+    parser.add_argument(
+        "--backend",
+        choices=("vectorized", "reference"),
+        default="vectorized",
+        help="kernel backend (reference = per-element loop kernels)",
+    )
     parser.add_argument(
         "--memory-budget",
         default=None,
@@ -87,34 +113,44 @@ def _parse_scale(text: str) -> float:
     return float(text)
 
 
+def _run_setup(
+    args: argparse.Namespace,
+) -> Optional[Tuple[RunContext, Optional[List[str]], object]]:
+    """Resolve the run-context options into ``(context, apps, cache)``.
+
+    ``apps`` is ``None`` for every registered application. ``cache`` is the
+    policy :class:`ExperimentRunner` takes: ``False`` under ``--no-cache``,
+    a :class:`ProfileCache` at ``--cache-dir``, else ``True`` (the default
+    cache). Returns ``None`` after printing the error when ``--apps`` names
+    an unknown application; the caller exits 2.
+    """
+    apps = [name.strip() for name in args.apps.split(",") if name.strip()] if args.apps else None
+    unknown = set(apps or ()) - set(app_order())
+    if unknown:
+        print(f"unknown applications: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return None
+    context = RunContext(
+        scale=args.scale,
+        pagerank_iterations=args.pagerank_iterations,
+        conv_scale=args.conv_scale,
+        backend=args.backend,
+    )
+    cache: object
+    if getattr(args, "no_cache", False):
+        cache = False
+    elif args.cache_dir is not None:
+        cache = ProfileCache(root=args.cache_dir)
+    else:
+        cache = True
+    return context, apps, cache
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-eval",
         description="Run the Capstan evaluation grid (parallel, profile-cached).",
     )
-    parser.add_argument(
-        "--apps",
-        help="comma-separated application names (default: all registered)",
-    )
-    parser.add_argument(
-        "--scale",
-        type=_parse_scale,
-        default=1.0 / 64.0,
-        help="dataset scale, e.g. 1/64 or 0.015625 (default: 1/64)",
-    )
-    parser.add_argument(
-        "--pagerank-iterations", type=int, default=2, help="power iterations per PageRank run"
-    )
-    parser.add_argument(
-        "--conv-scale", type=_parse_scale, default=0.125, help="ResNet channel scale"
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("vectorized", "reference"),
-        default="vectorized",
-        help="kernel backend (reference = per-element loop kernels)",
-    )
-    _add_memory_budget_argument(parser)
+    _add_run_context_arguments(parser)
     parser.add_argument(
         "-j", "--workers", type=int, default=None,
         help="process-pool size (default: $REPRO_EVAL_WORKERS or serial)",
@@ -197,28 +233,7 @@ def build_dse_parser() -> argparse.ArgumentParser:
             + ". Default: lanes=8,16,32 banks=8,16,32"
         ),
     )
-    parser.add_argument(
-        "--apps", help="comma-separated application names (default: all registered)"
-    )
-    parser.add_argument(
-        "--scale",
-        type=_parse_scale,
-        default=1.0 / 64.0,
-        help="dataset scale, e.g. 1/64 or 0.015625 (default: 1/64)",
-    )
-    parser.add_argument(
-        "--pagerank-iterations", type=int, default=2, help="power iterations per PageRank run"
-    )
-    parser.add_argument(
-        "--conv-scale", type=_parse_scale, default=0.125, help="ResNet channel scale"
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("vectorized", "reference"),
-        default="vectorized",
-        help="kernel backend (reference = per-element loop kernels)",
-    )
-    _add_memory_budget_argument(parser)
+    _add_run_context_arguments(parser)
     parser.add_argument(
         "-j", "--workers", type=int, default=None,
         help="process-pool size for profile collection",
@@ -411,24 +426,18 @@ def _dse_main(argv: List[str]) -> int:
             parser.error("--search-store requires --search")
     elif args.prefill or args.prefill_only:
         parser.error("--prefill/--prefill-only only apply to exhaustive enumeration")
+    elif args.top or args.pareto_only:
+        # The search prints its whole Pareto frontier; nothing ranks it.
+        parser.error("--top/--pareto-only only apply to exhaustive enumeration")
 
     axes = _parse_axes(parser, args.axis)
     if not axes and args.search is None:
         axes = {"lanes": [8, 16, 32], "banks": [8, 16, 32]}
 
-    apps = [name.strip() for name in args.apps.split(",") if name.strip()] if args.apps else None
-    unknown = set(apps or ()) - set(app_order())
-    if unknown:
-        print(f"unknown applications: {', '.join(sorted(unknown))}", file=sys.stderr)
+    setup = _run_setup(args)
+    if setup is None:
         return 2
-
-    cache: object
-    if args.no_cache:
-        cache = False
-    elif args.cache_dir is not None:
-        cache = ProfileCache(root=args.cache_dir)
-    else:
-        cache = True
+    context, apps, cache = setup
 
     if args.prefill or args.prefill_only:
         from .sweep import sweep
@@ -441,13 +450,6 @@ def _dse_main(argv: List[str]) -> int:
         print(f"prefilled SpMU throughputs for {resolved} distinct variants")
         if args.prefill_only:
             return 0
-
-    context = RunContext(
-        scale=args.scale,
-        pagerank_iterations=args.pagerank_iterations,
-        conv_scale=args.conv_scale,
-        backend=args.backend,
-    )
 
     if args.search is not None:
         return _dse_search_main(parser, args, axes, apps, cache, context)
@@ -843,28 +845,7 @@ def build_sweep_parser() -> argparse.ArgumentParser:
             "(repeatable); known axes: " + ", ".join(sorted(AXIS_VALUE_PARSERS))
         ),
     )
-    parser.add_argument(
-        "--apps", help="comma-separated application names (default: all registered)"
-    )
-    parser.add_argument(
-        "--scale",
-        type=_parse_scale,
-        default=1.0 / 64.0,
-        help="dataset scale, e.g. 1/64 or 0.015625 (default: 1/64)",
-    )
-    parser.add_argument(
-        "--pagerank-iterations", type=int, default=2, help="power iterations per PageRank run"
-    )
-    parser.add_argument(
-        "--conv-scale", type=_parse_scale, default=0.125, help="ResNet channel scale"
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("vectorized", "reference"),
-        default="vectorized",
-        help="kernel backend (reference = per-element loop kernels)",
-    )
-    _add_memory_budget_argument(parser)
+    _add_run_context_arguments(parser)
     parser.add_argument(
         "--executor",
         choices=_EXECUTOR_CHOICES,
@@ -975,11 +956,10 @@ def _sweep_main(argv: List[str]) -> int:
     args = parser.parse_args(argv)
     _apply_memory_budget(parser, args)
     axes = _parse_axes(parser, args.axis)
-    apps = [name.strip() for name in args.apps.split(",") if name.strip()] if args.apps else None
-    unknown = set(apps or ()) - set(app_order())
-    if unknown:
-        print(f"unknown applications: {', '.join(sorted(unknown))}", file=sys.stderr)
+    setup = _run_setup(args)
+    if setup is None:
         return 2
+    context, apps, _ = setup
 
     with JobStore(Path(args.db) if args.db else None) as store:
         if args.jobs:
@@ -1006,12 +986,6 @@ def _sweep_main(argv: List[str]) -> int:
                 print(f"no job {args.resume} in {store.path}", file=sys.stderr)
                 return 2
         else:
-            context = RunContext(
-                scale=args.scale,
-                pagerank_iterations=args.pagerank_iterations,
-                conv_scale=args.conv_scale,
-                backend=args.backend,
-            )
             try:
                 if axes:
                     spec = JobSpec.dse_grid(
@@ -1103,26 +1077,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"{verb} {profiles} cached profiles and {costs} scan costs from {target.root}")
         return 0
 
-    cache: object
-    if args.no_cache:
-        cache = False
-    elif args.cache_dir is not None:
-        cache = ProfileCache(root=args.cache_dir)
-    else:
-        cache = True
-
-    apps = [name.strip() for name in args.apps.split(",") if name.strip()] if args.apps else None
-    unknown = set(apps or ()) - set(app_order())
-    if unknown:
-        print(f"unknown applications: {', '.join(sorted(unknown))}", file=sys.stderr)
+    setup = _run_setup(args)
+    if setup is None:
         return 2
-
-    context = RunContext(
-        scale=args.scale,
-        pagerank_iterations=args.pagerank_iterations,
-        conv_scale=args.conv_scale,
-        backend=args.backend,
-    )
+    context, apps, cache = setup
     runner = ExperimentRunner(
         context=context,
         workers=args.workers,

@@ -169,7 +169,7 @@ class DSEResult(VariantCosts):
         if self.batch is None:
             raise ConfigurationError(
                 "per-cell cycles were streamed out under the memory budget; "
-                "pass keep_grid=True (or drop the budget) to materialize them"
+                "drop the budget, or raise it to fit the whole grid, to keep them"
             )
         return self.batch.cycles
 
@@ -298,7 +298,6 @@ def explore(
     cache: Union[ProfileCache, bool, None] = True,
     executor: Union[str, Executor, None] = None,
     memory_budget: Optional[int] = None,
-    keep_grid: Optional[bool] = None,
     energy: bool = False,
     seed: Optional[int] = None,
     **axes: Iterable[Any],
@@ -324,11 +323,10 @@ def explore(
             chunk with the geometric-mean / Pareto state folded
             incrementally (identical floats -- each chunk carries complete
             profile columns). ``None`` defers to ``REPRO_MEMORY_BUDGET``.
-        keep_grid: Materialize the full :class:`BatchCostResult` grid.
-            Defaults to ``True`` without a budget, and under a budget to
-            whether the full grid itself fits in it; when ``False`` the
-            result's ``batch`` is ``None`` and only the aggregate arrays
-            (gmean cycles, area, frontier) are kept.
+            The full :class:`BatchCostResult` grid is kept as ``batch``
+            without a budget, or when the whole grid fits in it; otherwise
+            ``batch`` is ``None`` and only the aggregate arrays (gmean
+            cycles, area, frontier) are kept.
         energy: Also cost per-variant energy through the
             :mod:`repro.core.energy` model (fills ``gmean_energy_mj`` and
             enables the energy-aware frontier).
@@ -358,11 +356,7 @@ def explore(
     else:
         collected = list(profiles)
     budget = resolve_memory_budget(memory_budget)
-    if keep_grid is None:
-        keep_grid = (
-            budget is None
-            or len(collected) * len(variants) * COSTING_BYTES_PER_CELL <= budget
-        )
+    keep_grid = budget is None or len(collected) * len(variants) * COSTING_BYTES_PER_CELL <= budget
     costs = cost_variants(
         collected, list(variants.values()), energy=energy, memory_budget=budget, keep_grid=keep_grid
     )

@@ -34,7 +34,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Callable, Deque, Dict, Tuple
 
 #: Classification labels carried on ``UnitOutcome.classification``.
 TRANSIENT = "transient"
@@ -48,7 +48,6 @@ PERMANENT_ERROR_NAMES = frozenset(
         "UnitSpecError",
         "ConfigurationError",
         "FormatError",
-        "ProgramError",
         "ImportError",
         "ModuleNotFoundError",
         "AttributeError",

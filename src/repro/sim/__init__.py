@@ -1,9 +1,8 @@
-"""Simulation substrate: DRAM, SRAM, network models, queues, and stall stats."""
+"""Simulation substrate: DRAM, SRAM, network models, and stall stats."""
 
 from .dram import BURST_BYTES, DRAMModel, TrafficSummary
 from .network import NetworkConfig, OnChipNetwork, cross_tile_traffic_cycles
-from .queues import BoundedFIFO, CreditLink, stream_through
-from .sram import BankedScratchpad, StaticBankTiming
+from .sram import StaticBankTiming
 from .stats import STALL_CATEGORIES, RunMetrics, StallBreakdown, geometric_mean
 
 __all__ = [
@@ -13,10 +12,6 @@ __all__ = [
     "NetworkConfig",
     "OnChipNetwork",
     "cross_tile_traffic_cycles",
-    "BoundedFIFO",
-    "CreditLink",
-    "stream_through",
-    "BankedScratchpad",
     "StaticBankTiming",
     "STALL_CATEGORIES",
     "RunMetrics",

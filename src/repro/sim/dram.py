@@ -65,16 +65,6 @@ class TrafficSummary:
     random_write_bytes: float = 0.0
     random_accesses: int = 0
 
-    @property
-    def total_bytes(self) -> float:
-        """Total bytes moved, before efficiency derating."""
-        return (
-            self.streaming_read_bytes
-            + self.streaming_write_bytes
-            + self.random_read_bytes
-            + self.random_write_bytes
-        )
-
     def scaled(self, factor: float) -> "TrafficSummary":
         """Return the same traffic scaled by ``factor`` (e.g. compression)."""
         return TrafficSummary(
@@ -119,16 +109,6 @@ class DRAMModel:
         return self._technology
 
     @property
-    def peak_bandwidth_gbps(self) -> float:
-        """Peak bandwidth in GB/s."""
-        return self._peak_gbps
-
-    @property
-    def latency_cycles(self) -> int:
-        """Closed-page access latency in accelerator cycles."""
-        return int(round(self._latency_ns * self._clock_ghz))
-
-    @property
     def bytes_per_cycle_peak(self) -> float:
         """Peak bytes transferred per accelerator cycle."""
         if self._peak_gbps == float("inf"):
@@ -161,16 +141,6 @@ class DRAMModel:
             return 0.0
         efficiency = RANDOM_ACCESS_EFFICIENCY[self._technology]
         bursts = accesses  # one burst per access (worst case, no coalescing)
-        return bursts * BURST_BYTES / (peak * efficiency)
-
-    def random_cycles_from_bursts(self, bursts: int) -> float:
-        """Cycles for a known number of random bursts (post-coalescing)."""
-        if bursts < 0:
-            raise SimulationError("bursts must be non-negative")
-        peak = self.bytes_per_cycle_peak
-        if peak == float("inf"):
-            return 0.0
-        efficiency = RANDOM_ACCESS_EFFICIENCY[self._technology]
         return bursts * BURST_BYTES / (peak * efficiency)
 
     def rmw_cycles(self, updates: int) -> float:

@@ -114,10 +114,6 @@ class OnChipNetwork:
         load = min(offered_load, 0.95)
         return 1.0 + load / (2.0 * (1.0 - load))
 
-    def bisection_vectors_per_cycle(self) -> float:
-        """Vector flits per cycle across the grid bisection."""
-        return self._config.grid_width * self._config.injection_rate
-
 
 def cross_tile_traffic_cycles(
     network: OnChipNetwork, requests_by_destination: Dict[int, int], lanes: int = 16

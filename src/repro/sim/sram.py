@@ -7,16 +7,12 @@ accesses (Section 5, "Plasticine & Spatial"). There is also no
 read-modify-write support, so a consistent random update must serialize the
 read, the modify, and the write with multi-cycle bubbles.
 
-This module provides that baseline memory model plus a simple functional
-banked scratchpad shared by tests.
+This module provides that baseline memory model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
 
 from ..errors import SimulationError
 
@@ -32,12 +28,6 @@ class StaticBankTiming:
 
     rmw_bubble_cycles: int = 4
 
-    def dense_access_cycles(self, vectors: int) -> int:
-        """Dense, statically banked accesses: one vector per cycle."""
-        if vectors < 0:
-            raise SimulationError("vectors must be non-negative")
-        return vectors
-
     def random_read_cycles(self, accesses: int) -> int:
         """Random reads: one access per cycle (15 of 16 banks idle)."""
         if accesses < 0:
@@ -49,84 +39,3 @@ class StaticBankTiming:
         if updates < 0:
             raise SimulationError("updates must be non-negative")
         return updates * (1 + self.rmw_bubble_cycles)
-
-
-class BankedScratchpad:
-    """A functional banked scratchpad with per-cycle conflict accounting.
-
-    Unlike the SpMU this scratchpad does not reorder: a vector of accesses
-    costs as many cycles as its most-contended bank (arbitrated behaviour).
-    It is used by tests and by the Plasticine baseline model.
-    """
-
-    def __init__(self, banks: int = 16, words_per_bank: int = 4096):
-        if banks <= 0 or words_per_bank <= 0:
-            raise SimulationError("banks and words_per_bank must be positive")
-        self._banks = banks
-        self._words_per_bank = words_per_bank
-        self._data = np.zeros(banks * words_per_bank, dtype=np.float64)
-        self._access_cycles = 0
-        self._accesses = 0
-
-    @property
-    def banks(self) -> int:
-        """Number of banks."""
-        return self._banks
-
-    @property
-    def capacity_words(self) -> int:
-        """Total words of storage."""
-        return self._data.size
-
-    @property
-    def access_cycles(self) -> int:
-        """Cycles consumed by accesses so far."""
-        return self._access_cycles
-
-    @property
-    def accesses(self) -> int:
-        """Individual word accesses performed so far."""
-        return self._accesses
-
-    def load(self, base: int, values: np.ndarray) -> None:
-        """Initialise contents without consuming cycles."""
-        values = np.asarray(values, dtype=np.float64)
-        if base < 0 or base + values.size > self._data.size:
-            raise SimulationError("load outside scratchpad capacity")
-        self._data[base : base + values.size] = values
-
-    def read(self, addresses: Sequence[int]) -> np.ndarray:
-        """Read a vector of addresses, serializing on bank conflicts."""
-        self._account(addresses)
-        return np.asarray([self._data[self._check(a)] for a in addresses], dtype=np.float64)
-
-    def write(self, addresses: Sequence[int], values: Iterable[float]) -> None:
-        """Write a vector of addresses, serializing on bank conflicts."""
-        self._account(addresses)
-        for address, value in zip(addresses, values):
-            self._data[self._check(address)] = float(value)
-
-    def accumulate(self, addresses: Sequence[int], values: Iterable[float]) -> None:
-        """Read-modify-write accumulate, serializing on bank conflicts."""
-        self._account(addresses)
-        for address, value in zip(addresses, values):
-            index = self._check(address)
-            self._data[index] += float(value)
-
-    def snapshot(self) -> np.ndarray:
-        """A copy of the full contents."""
-        return self._data.copy()
-
-    def _check(self, address: int) -> int:
-        if address < 0 or address >= self._data.size:
-            raise SimulationError(f"address {address} outside scratchpad")
-        return int(address)
-
-    def _account(self, addresses: Sequence[int]) -> None:
-        if not len(addresses):
-            return
-        counts = np.zeros(self._banks, dtype=np.int64)
-        for address in addresses:
-            counts[self._check(address) % self._banks] += 1
-        self._access_cycles += int(counts.max())
-        self._accesses += len(addresses)

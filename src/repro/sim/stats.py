@@ -60,10 +60,6 @@ class StallBreakdown:
             return {name: 0.0 for name in STALL_CATEGORIES}
         return {name: getattr(self, name) / total for name in STALL_CATEGORIES}
 
-    def as_dict(self) -> Dict[str, float]:
-        """Raw cycles per category."""
-        return {name: getattr(self, name) for name in STALL_CATEGORIES}
-
     def add(self, other: "StallBreakdown") -> "StallBreakdown":
         """Element-wise sum (e.g. across datasets or kernel phases)."""
         merged = StallBreakdown()

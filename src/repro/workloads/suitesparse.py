@@ -183,16 +183,6 @@ GRAPH_DATASET_NAMES = ("usroads-48", "web-Stanford", "flickr")
 SPMSPM_DATASET_NAMES = ("spaceStation_4", "qc324", "mbeacxc")
 
 
-def linear_algebra_datasets(scale: float = DEFAULT_SCALE) -> List[GeneratedDataset]:
-    """The three SpMV / M+M / BiCGStab datasets of Table 6."""
-    return [load_dataset(n, scale) for n in LINEAR_ALGEBRA_DATASET_NAMES]
-
-
 def graph_datasets(scale: float = DEFAULT_SCALE) -> List[GeneratedDataset]:
     """The three PR / BFS / SSSP datasets of Table 6."""
     return [load_dataset(n, scale) for n in GRAPH_DATASET_NAMES]
-
-
-def spmspm_datasets(scale: float = 1.0) -> List[GeneratedDataset]:
-    """The three SpMSpM datasets of Table 6 (small enough for full scale)."""
-    return [load_dataset(n, scale) for n in SPMSPM_DATASET_NAMES]

@@ -34,12 +34,6 @@ class Partitioning:
     tiles: int
     weights: np.ndarray
 
-    def tile_items(self, tile: int) -> np.ndarray:
-        """Indices of the items assigned to ``tile``."""
-        if tile < 0 or tile >= self.tiles:
-            raise WorkloadError(f"tile {tile} out of range")
-        return np.nonzero(self.assignments == tile)[0]
-
     def tile_weights(self) -> np.ndarray:
         """Total weight per tile."""
         totals = np.zeros(self.tiles, dtype=np.float64)
@@ -115,11 +109,6 @@ def partition_rows_round_robin(matrix: CSRMatrix, tiles: int) -> Partitioning:
     return round_robin_partition(
         matrix.shape[0], tiles, matrix.row_lengths().astype(np.float64)
     )
-
-
-def partition_nonzeros(nnz: int, tiles: int) -> Partitioning:
-    """Round-robin partition of non-zero values (COO workloads)."""
-    return round_robin_partition(nnz, tiles)
 
 
 def cross_tile_fraction(matrix: CSRMatrix, partitioning: Partitioning) -> float:

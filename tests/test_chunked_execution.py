@@ -7,8 +7,9 @@ Two contracts, pinned across every batch engine:
   iterables lazily;
 * every engine's chunked execution -- platform-axis costing, the SpMU
   variant grid, tile conversion, scanner position ranges, and streaming
-  DSE -- is *bit-identical* to its unchunked pass for chunk size 1, a
-  prime mid-size, a larger-than-grid size, and an explicit byte budget.
+  DSE -- is *bit-identical* to its unchunked pass for chunks of one item,
+  a prime mid-size and a larger-than-grid size. Each chunk size is reached
+  through ``memory_budget``, sized from the engine's own cost model.
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ from repro._budget import (
     resolve_memory_budget,
 )
 from repro.apps.profile import WorkloadProfile
-from repro.apps.timing import estimate_cycles_batch, iter_cycles_batches
+from repro.apps.timing import COSTING_BYTES_PER_CELL, estimate_cycles_batch, iter_cycles_batches
 from repro.config import SpMUConfig
 from repro.core import spmu_array
+from repro.core import format_conversion
 from repro.core.format_conversion import FormatConverter
 from repro.core.ordering import OrderingMode
-from repro.core.scanner import BitVectorScanner, ScanMode
+from repro.core.scanner import SCAN_BYTES_PER_POSITION, BitVectorScanner, ScanMode
 from repro.core.spmu import RequestTrace, SpMUVariant, random_request_vectors
 from repro.core.spmu_array import simulate_variants
 from repro.errors import ConfigurationError, SimulationError
@@ -144,12 +146,18 @@ def _platforms():
     return list(sweep(lanes=(8, 16), banks=(8, 16), ideal_sram=(True,)).values())
 
 
+def _costing_budget(n_profiles, chunk):
+    """The budget under which costing streams ``chunk`` platforms at a time."""
+    return chunk * max(n_profiles, 1) * COSTING_BYTES_PER_CELL
+
+
 class TestChunkedCosting:
     def test_chunk_sizes_are_bit_identical(self):
         profiles, platforms = _profiles(), _platforms()
         full = estimate_cycles_batch(profiles, platforms)
         for chunk in CHUNK_SIZES:
-            part = estimate_cycles_batch(profiles, platforms, chunk_platforms=chunk)
+            budget = _costing_budget(len(profiles), chunk)
+            part = estimate_cycles_batch(profiles, platforms, memory_budget=budget)
             assert np.array_equal(full.cycles, part.cycles)
             assert full.categories.keys() == part.categories.keys()
             for name in full.categories:
@@ -173,7 +181,7 @@ class TestChunkedCosting:
         profiles, platforms = _profiles(), _platforms()
         full = estimate_cycles_batch(profiles, platforms)
         lazy = estimate_cycles_batch(
-            profiles, (p for p in platforms), chunk_platforms=2
+            profiles, (p for p in platforms), memory_budget=_costing_budget(len(profiles), 2)
         )
         assert np.array_equal(full.cycles, lazy.cycles)
 
@@ -181,23 +189,28 @@ class TestChunkedCosting:
         profiles, platforms = _profiles(), _platforms()
         full = estimate_cycles_batch(profiles, platforms)
         column = 0
+        widths = []
         for chunk, part in iter_cycles_batches(
-            profiles, platforms, chunk_platforms=3
+            profiles, platforms, memory_budget=_costing_budget(len(profiles), 3)
         ):
             width = len(chunk)
+            widths.append(width)
             assert np.array_equal(
                 full.cycles[:, column : column + width], part.cycles
             )
             column += width
         assert column == len(platforms)
+        assert widths == [3, 1]
 
     def test_empty_grids_keep_shapes(self):
         profiles, platforms = _profiles(), _platforms()
-        assert estimate_cycles_batch(profiles, [], chunk_platforms=1).cycles.shape == (
+        budget = _costing_budget(len(profiles), 1)
+        assert estimate_cycles_batch(profiles, [], memory_budget=budget).cycles.shape == (
             len(profiles),
             0,
         )
-        assert estimate_cycles_batch([], platforms, chunk_platforms=2).cycles.shape == (
+        budget = _costing_budget(0, 2)
+        assert estimate_cycles_batch([], platforms, memory_budget=budget).cycles.shape == (
             0,
             len(platforms),
         )
@@ -239,12 +252,28 @@ class TestChunkedSpMU:
             for r in results
         ]
 
-    def test_chunk_sizes_are_identical(self):
+    @staticmethod
+    def _budget(variants, traces, chunk):
+        """A budget whose first lock-step chunk holds ``chunk`` variants."""
+        pairs = list(spmu_array._prepared_pairs(variants, traces))
+        return sum(spmu_array._variant_footprint(v, prep) for v, prep in pairs[:chunk])
+
+    def test_chunk_sizes_are_identical(self, monkeypatch):
         variants, traces = self._grid()
         full = self._stats(simulate_variants(variants, traces))
+        real, sizes = spmu_array._simulate_chunk, []
+
+        def spy(chunk, *args):
+            sizes.append(len(chunk))
+            return real(chunk, *args)
+
+        monkeypatch.setattr(spmu_array, "_simulate_chunk", spy)
         for chunk in CHUNK_SIZES:
-            part = simulate_variants(variants, traces, chunk_variants=chunk)
+            sizes.clear()
+            budget = self._budget(variants, traces, chunk)
+            part = simulate_variants(variants, traces, memory_budget=budget)
             assert self._stats(part) == full
+            assert sizes[0] == min(chunk, len(variants))
 
     def test_memory_budget_is_identical(self):
         variants, traces = self._grid()
@@ -290,7 +319,9 @@ class TestChunkedSpMU:
         variants, traces = self._grid()
         full = self._stats(simulate_variants(variants, traces))
         lazy = simulate_variants(
-            (v for v in variants), (t for t in traces), chunk_variants=2
+            (v for v in variants),
+            (t for t in traces),
+            memory_budget=self._budget(variants, traces, 2),
         )
         assert self._stats(lazy) == full
 
@@ -311,13 +342,30 @@ class TestChunkedConversion:
             for _ in range(n_tiles)
         ]
 
-    def test_chunk_sizes_are_identical(self):
+    @staticmethod
+    def _budget(length, tiles, chunk):
+        """A budget whose first chunk holds ``chunk`` tiles."""
+        return sum(
+            format_conversion.conversion_tile_bytes(length, tile.size) for tile in tiles[:chunk]
+        )
+
+    def test_chunk_sizes_are_identical(self, monkeypatch):
         rng = np.random.default_rng(7)
         converter = FormatConverter(lanes=16, word_bits=32)
         tiles = self._tiles(rng)
         full_vectors, full_stats = converter.convert_many(300, tiles)
+        real, sizes = converter._convert_chunk, []
+
+        def spy(length, chunk):
+            sizes.append(len(chunk))
+            return real(length, chunk)
+
+        monkeypatch.setattr(converter, "_convert_chunk", spy)
         for chunk in CHUNK_SIZES:
-            vectors, stats = converter.convert_many(300, tiles, chunk_tiles=chunk)
+            sizes.clear()
+            budget = self._budget(300, tiles, chunk)
+            vectors, stats = converter.convert_many(300, tiles, memory_budget=budget)
+            assert sizes[0] == min(chunk, len(tiles))
             assert stats == full_stats
             assert len(vectors) == len(full_vectors)
             for got, want in zip(vectors, full_vectors):
@@ -334,7 +382,7 @@ class TestChunkedConversion:
 
     def test_empty_tile_set(self):
         converter = FormatConverter()
-        vectors, stats = converter.convert_many(64, [], chunk_tiles=1)
+        vectors, stats = converter.convert_many(64, [], memory_budget=1)
         assert vectors == []
         assert (stats.pointers, stats.cycles, stats.words_written) == (0, 0, 0)
 
@@ -361,7 +409,8 @@ class TestChunkedScan:
         ) if length else BitVector(0, np.zeros(0, dtype=np.int64))
         scanner = BitVectorScanner()
         full = scanner.scan_batch(vector_a, vector_b, mode)
-        part = scanner.scan_batch(vector_a, vector_b, mode, chunk_positions=chunk)
+        budget = chunk * SCAN_BYTES_PER_POSITION
+        part = scanner.scan_batch(vector_a, vector_b, mode, memory_budget=budget)
         for field in ("dense_index", "ordinal", "index_a", "index_b"):
             want, got = getattr(full, field), getattr(part, field)
             assert want.dtype == got.dtype
@@ -381,14 +430,9 @@ class TestChunkedScan:
         a = BitVector(64, np.asarray([1, 5, 40], dtype=np.int64))
         scanner = BitVectorScanner()
         full = scanner.scan_batch(a, None, ScanMode.SINGLE)
-        part = scanner.scan_batch(a, None, ScanMode.SINGLE, chunk_positions=3)
+        budget = 3 * SCAN_BYTES_PER_POSITION
+        part = scanner.scan_batch(a, None, ScanMode.SINGLE, memory_budget=budget)
         assert np.array_equal(full.dense_index, part.dense_index)
-
-    def test_nonpositive_chunk_rejected(self):
-        a = BitVector(8, np.asarray([1], dtype=np.int64))
-        b = BitVector(8, np.asarray([2], dtype=np.int64))
-        with pytest.raises(SimulationError):
-            BitVectorScanner().scan_batch(a, b, chunk_positions=0)
 
 
 class TestStreamingDSE:
@@ -407,7 +451,9 @@ class TestStreamingDSE:
         profiles = _profiles()
         axes = dict(lanes=(8, 16), banks=(8, 16), ideal_sram=(True,))
         full = explore(profiles=profiles, **axes)
-        kept = explore(profiles=profiles, memory_budget=2048, keep_grid=True, **axes)
+        # A budget that holds the whole grid keeps it.
+        budget = len(profiles) * len(full.variants) * COSTING_BYTES_PER_CELL
+        kept = explore(profiles=profiles, memory_budget=budget, **axes)
         assert kept.batch is not None
         assert np.array_equal(full.cycles, kept.cycles)
 

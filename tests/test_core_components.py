@@ -1,5 +1,5 @@
 """Tests for bank hashing, Bloom filter, shuffle network, compression,
-format conversion, compute unit, address generators, and the area model."""
+format conversion, and the area model."""
 
 from __future__ import annotations
 
@@ -11,12 +11,7 @@ from hypothesis import strategies as st
 from repro.config import CapstanConfig, ShuffleConfig, ShuffleMode
 from repro.core import (
     BloomFilter,
-    ComputeUnit,
-    DRAMAddressGenerator,
     FormatConverter,
-    MemoryRequest,
-    PartitionedDRAM,
-    RMWOp,
     ShuffleNetwork,
     ShuffleRequest,
     area_overhead_vs_plasticine,
@@ -25,7 +20,6 @@ from repro.core import (
     compression_ratio,
     conflict_count,
     decompress_packets,
-    distribute_work,
     hashed_bank,
     hashed_banks_array,
     linear_bank,
@@ -35,6 +29,8 @@ from repro.core import (
     scanner_area_um2,
     scheduler_area_um2,
 )
+from repro.core.bank_hash import BANK_MAPPINGS, get_bank_mapper, get_bank_mapper_array
+from repro.core.compression import compression_report
 from repro.errors import SimulationError
 
 
@@ -62,6 +58,25 @@ class TestBankHashing:
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
             conflict_count([1], 16, "bogus")
+        with pytest.raises(ValueError):
+            get_bank_mapper_array("bogus")
+
+    @pytest.mark.parametrize("banks", [4, 16, 32])
+    @pytest.mark.parametrize("scheme", BANK_MAPPINGS)
+    def test_array_mapper_matches_scalar(self, scheme, banks):
+        addresses = np.random.default_rng(banks).integers(0, 2**22, size=500)
+        array = get_bank_mapper_array(scheme)(addresses, banks)
+        scalar = get_bank_mapper(scheme)
+        assert array.tolist() == [scalar(int(a), banks) for a in addresses]
+        assert array.min() >= 0 and array.max() < banks
+
+    @pytest.mark.parametrize("scheme", BANK_MAPPINGS)
+    def test_conflict_count_is_max_bank_load(self, scheme):
+        addresses = np.random.default_rng(3).integers(0, 4096, size=16)
+        banks = get_bank_mapper_array(scheme)(addresses, 16)
+        expected = int(np.bincount(banks, minlength=16).max())
+        assert conflict_count(addresses.tolist(), 16, scheme) == expected
+        assert conflict_count([], 16, scheme) == 0
 
 
 class TestBloomFilter:
@@ -174,6 +189,35 @@ class TestCompression:
         packets, _ = compress_pointer_array(array)
         assert np.array_equal(decompress_packets(packets), array)
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [7],
+            [5] * 16,
+            list(range(40, 77)),
+            [0, 2**20] * 9,
+            [3, 2**31 - 1, 9, 9, 15, 16, 17, 4000, 65535, 65536] * 5,
+        ],
+        ids=["empty", "single", "constant", "ragged-tail", "wide", "mixed"],
+    )
+    def test_report_matches_packets(self, values):
+        # The report-only fast path equals the report of the full encoding.
+        array = np.array(values, dtype=np.int64)
+        packets, report = compress_pointer_array(array)
+        assert compression_report(array) == report
+        assert report.packets == len(packets)
+        assert report.compressed_bytes == sum(p.encoded_bytes for p in packets)
+
+    def test_packet_encoded_size(self):
+        packets, _ = compress_pointer_array(np.array([100] * 16 + [0, 17]))
+        # Equal values need no offsets: header + base only.
+        assert packets[0].offset_bits == 0
+        assert packets[0].encoded_bits == 40 and packets[0].encoded_bytes == 5
+        # A spread of 17 takes the 8-bit offset width: 40 + 2 * 8 bits.
+        assert packets[1].offset_bits == 8
+        assert packets[1].encoded_bits == 56 and packets[1].encoded_bytes == 7
+
 
 class TestFormatConverter:
     def test_convert_produces_expected_bitvector(self):
@@ -198,71 +242,6 @@ class TestFormatConverter:
         vectors, stats = converter.convert_many(128, [np.array([1]), np.array([2, 3])])
         assert len(vectors) == 2
         assert stats.pointers == 3
-
-
-class TestComputeUnit:
-    def test_map_cycles(self):
-        cu = ComputeUnit(lanes=16)
-        assert cu.map_cycles(32) == 2
-        assert cu.map_cycles(33) == 3
-
-    def test_ragged_counts_empty_rows(self):
-        cu = ComputeUnit(lanes=16)
-        assert cu.map_cycles_ragged([0, 5, 40]) == 1 + 1 + 3
-
-    def test_reduce_cycles(self):
-        cu = ComputeUnit(lanes=16)
-        assert cu.reduce_cycles(16) == 1 + 4
-
-    def test_utilization_tracking(self):
-        cu = ComputeUnit(lanes=16)
-        cu.map_cycles(8)
-        assert cu.activity.utilization == pytest.approx(0.5)
-
-    def test_distribute_work_imbalance(self):
-        distribution = distribute_work([10, 10, 10, 100], units=2)
-        assert distribution.critical_path_cycles == 110
-        assert distribution.imbalance_cycles > 0
-
-    def test_distribute_balanced(self):
-        distribution = distribute_work([5] * 8, units=4)
-        assert distribution.imbalance_fraction == 0.0
-
-
-class TestAddressGenerator:
-    def test_atomic_add_applies(self):
-        ag = DRAMAddressGenerator(region_words=256)
-        ag.process_vector([MemoryRequest(address=5, op=RMWOp.ADD, value=2.0)] * 3)
-        assert ag.data()[5] == 6.0
-
-    def test_burst_coalescing(self):
-        ag = DRAMAddressGenerator(region_words=256)
-        ag.process_vector([MemoryRequest(address=i, op=RMWOp.ADD, value=1.0) for i in range(16)])
-        assert ag.stats.bursts_read == 1
-        assert ag.stats.coalesced_requests == 15
-
-    def test_sequential_streaming(self):
-        ag = DRAMAddressGenerator(region_words=1024)
-        ag.read_sequential(0, 128)
-        assert ag.stats.bursts_read == 8
-        assert ag.stats.sequential_bursts == 7
-
-    def test_eviction_writes_back_dirty(self):
-        ag = DRAMAddressGenerator(region_words=4096, burst_tracking_entries=2)
-        for burst in range(4):
-            ag.process_vector([MemoryRequest(address=burst * 16, op=RMWOp.ADD, value=1.0)])
-        assert ag.stats.bursts_written >= 2
-
-    def test_partitioned_dram_routing(self):
-        dram = PartitionedDRAM(total_words=800, generators=8)
-        dram.process([MemoryRequest(address=750, op=RMWOp.ADD, value=3.0)])
-        ag_index, local = dram.ag_for(750)
-        assert dram.generator(ag_index).data()[local] == 3.0
-
-    def test_out_of_region(self):
-        ag = DRAMAddressGenerator(region_words=16)
-        with pytest.raises(SimulationError):
-            ag.process_vector([MemoryRequest(address=99, op=RMWOp.READ)])
 
 
 class TestAreaModel:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.apps.scan_model import data_scan_cost, scan_cost_pair, scan_cost_single
 from repro.config import ScannerConfig
-from repro.core import BitVectorScanner, DataScanner, ScanMode
+from repro.core import BitVectorScanner, ScanMode
 from repro.errors import SimulationError
 from repro.formats import BitVector
 
@@ -68,22 +68,6 @@ class TestBitVectorScanner:
         vector = BitVector(256, list(range(16)))
         timing = BitVectorScanner().timing(vector, mode=ScanMode.SINGLE)
         assert timing.elements_per_cycle == pytest.approx(16.0)
-
-
-class TestDataScanner:
-    def test_scan_finds_nonzeros(self):
-        values = np.array([0.0, 3.0, 0.0, 5.0])
-        assert DataScanner().scan(values) == [(1, 3.0), (3, 5.0)]
-
-    def test_timing_one_per_nonzero(self):
-        values = np.zeros(64)
-        values[[1, 2, 3]] = 1.0
-        # One chunk has 3 non-zeros (3 cycles); the other 3 chunks are empty.
-        assert DataScanner().timing_cycles(values) == 6
-
-    def test_rejects_2d(self):
-        with pytest.raises(SimulationError):
-            DataScanner().scan(np.zeros((2, 2)))
 
 
 class TestScanCostModel:

@@ -17,7 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.profile import WorkloadProfile
-from repro.apps.timing import CapstanPlatform, estimate_cycles, estimate_cycles_batch
+from repro.apps.timing import (
+    COSTING_BYTES_PER_CELL,
+    CapstanPlatform,
+    estimate_cycles,
+    estimate_cycles_batch,
+)
 from repro.config import CapstanConfig, MemoryTechnology
 from repro.core.energy import (
     ENERGY_CATEGORIES,
@@ -113,8 +118,9 @@ class TestBatchScalarIdentity:
         platforms = _platforms()
         whole = estimate_cycles_batch(profiles, platforms, energy=True)
         for chunk in (1, 3, 10_000):
+            budget = chunk * len(profiles) * COSTING_BYTES_PER_CELL
             split = estimate_cycles_batch(
-                profiles, platforms, energy=True, chunk_platforms=chunk
+                profiles, platforms, energy=True, memory_budget=budget
             )
             assert np.array_equal(split.cycles, whole.cycles)
             assert np.array_equal(split.energy_mj, whole.energy_mj)

@@ -14,6 +14,7 @@ from repro.formats import (
     BitTree,
     BitVector,
     DCSCMatrix,
+    CSRMatrix,
     DCSRMatrix,
     align_trees,
 )
@@ -28,6 +29,14 @@ class TestDCSR:
     def test_roundtrip(self, small_dense):
         assert np.array_equal(DCSRMatrix.from_dense(small_dense).to_dense(), small_dense)
 
+    def test_from_csr_keeps_entries_and_drops_empty_rows(self):
+        dense = np.zeros((6, 5))
+        dense[[1, 1, 4], [0, 3, 2]] = [1.0, 2.0, 3.0]
+        matrix = DCSRMatrix.from_csr(CSRMatrix.from_dense(dense))
+        assert matrix.row_ids.tolist() == [1, 4]
+        assert matrix.nnz == 3
+        assert np.array_equal(matrix.to_dense(), dense)
+
     def test_row_slice(self, small_dense):
         matrix = DCSRMatrix.from_dense(small_dense)
         row_id, cols, values = matrix.row_slice(1)
@@ -39,8 +48,6 @@ class TestDCSR:
         dense = np.zeros((100, 100))
         dense[3, 7] = 1.0
         dcsr = DCSRMatrix.from_dense(dense)
-        from repro.formats import CSRMatrix
-
         assert dcsr.storage_bytes() < CSRMatrix.from_dense(dense).storage_bytes()
 
     def test_out_of_range_slice(self, small_dense):
@@ -186,6 +193,26 @@ class TestBitTree:
         tree = BitTree.from_dense(dense)
         bv = BitVector.from_dense(dense)
         assert tree.storage_bits() < bv.storage_bits()
+
+    @pytest.mark.parametrize(
+        "length, tile_bits",
+        [(2048, 512), (1000, 512), (130, 64), (77, 10)],
+    )
+    def test_tile_geometry(self, length, tile_bits):
+        indices = np.random.default_rng(length).choice(length, size=length // 9, replace=False)
+        values = np.arange(1.0, indices.size + 1.0)
+        tree = BitTree.from_indices(length, indices, values, tile_bits)
+        assert tree.tile_count == -(-length // tile_bits)
+        # Tiles cover the vector exactly; only the last may be short.
+        lengths = [tree.tile_length(t) for t in range(tree.tile_count)]
+        assert sum(lengths) == length
+        assert all(n == tile_bits for n in lengths[:-1])
+        assert tree.occupied_tile_ids().tolist() == np.unique(indices // tile_bits).tolist()
+        flat = tree.to_bitvector()
+        assert flat.length == length
+        assert np.array_equal(flat.to_dense(), tree.to_dense())
+        with pytest.raises(FormatError):
+            tree.tile_length(tree.tile_count)
 
     def test_set_rejects_zero(self):
         tree = BitTree(1024)

@@ -8,13 +8,19 @@ dead-letter logic both depend on.
 
 from __future__ import annotations
 
-from repro.errors import ConfigurationError
+import builtins
+import importlib
+import pkgutil
+
+import repro
+from repro.errors import CapstanError, ConfigurationError
 from repro.runtime.executors.base import WorkerError
 from repro.runtime.health import (
     CLOSED,
     HALF_OPEN,
     OPEN,
     PERMANENT,
+    PERMANENT_ERROR_NAMES,
     TRANSIENT,
     CircuitBreaker,
     HealthRegistry,
@@ -62,6 +68,26 @@ class TestClassifyError:
     def test_unknowns_default_transient(self):
         assert classify_error(None) == TRANSIENT
         assert classify_error(42) == TRANSIENT
+
+    def test_permanent_names_are_live_exception_classes(self):
+        # A classifier entry naming a deleted or renamed class would never
+        # match again; every entry must be a builtin exception or a
+        # CapstanError subclass defined somewhere in the package.
+        for module in pkgutil.walk_packages(repro.__path__, "repro."):
+            importlib.import_module(module.name)
+        defined = set()
+        pending = [CapstanError]
+        while pending:
+            cls = pending.pop()
+            if cls.__module__.split(".")[0] == "repro":
+                defined.add(cls.__name__)
+            pending.extend(cls.__subclasses__())
+        builtin = {
+            name
+            for name, value in vars(builtins).items()
+            if isinstance(value, type) and issubclass(value, BaseException)
+        }
+        assert PERMANENT_ERROR_NAMES - builtin - defined == set()
 
 
 class TestRollingWindow:

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from repro.core.format_conversion import FormatConverter
 from repro.core.scanner import (
     BitVectorScanner,
-    DataScanner,
     ScanMode,
     scan_timing_from_mask,
     scan_timing_from_mask_reference,
@@ -321,13 +320,6 @@ class TestScanBatchEquivalence:
         assert scan_timing_from_mask(empty, config) == scan_timing_from_mask_reference(
             empty, config
         )
-
-    @given(st.lists(st.floats(min_value=0.0, max_value=4.0), max_size=80))
-    @settings(max_examples=60, deadline=None)
-    def test_data_scanner_timing_matches_reference(self, values):
-        scanner = DataScanner()
-        array = np.asarray(values, dtype=np.float64)
-        assert scanner.timing_cycles(array) == scanner.timing_cycles_reference(array)
 
 
 class TestConverterBatch:

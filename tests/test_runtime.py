@@ -484,6 +484,61 @@ class TestBackendPlumbing:
         )
 
 
+
+class TestCLIRunContext:
+    """``repro-eval``, ``dse`` and ``sweep`` read the run context identically."""
+
+    PARSERS = (cli.build_parser, cli.build_dse_parser, cli.build_sweep_parser)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            [],
+            [
+                "--apps=bfs, sssp,",
+                "--scale=1/256",
+                "--pagerank-iterations=3",
+                "--conv-scale=0.25",
+                "--backend=reference",
+                "--memory-budget=64M",
+            ],
+        ],
+    )
+    def test_three_parsers_yield_equal_contexts(self, flags):
+        setups = []
+        for build in self.PARSERS:
+            args = build().parse_args(flags)
+            context, apps, _ = cli._run_setup(args)
+            setups.append((context, apps, args.memory_budget))
+        assert setups[0] == setups[1] == setups[2]
+        if flags:
+            assert setups[0] == (
+                RunContext(
+                    scale=1 / 256, pagerank_iterations=3, conv_scale=0.25, backend="reference"
+                ),
+                ["bfs", "sssp"],
+                "64M",
+            )
+        else:
+            assert setups[0] == (RunContext(), None, None)
+
+    @pytest.mark.parametrize("subcommand", [[], ["dse"], ["sweep"]])
+    def test_unknown_app_exits_2_in_every_command(self, subcommand, tmp_path, capsys):
+        argv = subcommand + ["--apps", "bfs,nope"]
+        if subcommand == ["sweep"]:
+            argv += ["--db", str(tmp_path / "runs.sqlite")]
+        assert cli.main(argv) == 2
+        assert "unknown applications: nope" in capsys.readouterr().err
+        assert not (tmp_path / "runs.sqlite").exists()
+
+    def test_cache_policy_follows_the_cache_flags(self, tmp_path):
+        parse = cli.build_parser().parse_args
+        assert cli._run_setup(parse([]))[2] is True
+        assert cli._run_setup(parse(["--no-cache"]))[2] is False
+        cache = cli._run_setup(parse(["--cache-dir", str(tmp_path)]))[2]
+        assert isinstance(cache, ProfileCache) and cache.root == tmp_path
+
+
 class TestSweep:
     def test_cartesian_order_and_names(self):
         variants = sweep(

@@ -11,7 +11,6 @@ run, with an equal evaluation count.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import signal
@@ -547,6 +546,21 @@ class TestSearchCli:
             cli_main(["dse", "--search", "evolve", "--prefill"])
         with pytest.raises(SystemExit):
             cli_main(["dse", "--objective", "cycles,watts"])
+
+    @pytest.mark.parametrize("flag", [["--top", "1"], ["--pareto-only"]])
+    def test_search_rejects_ranking_flags(self, flag, capsys):
+        # The search prints its whole frontier; a ranking flag it cannot
+        # honour is a usage error, not silently ignored.
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(
+                ["dse", "--search", "evolve", "--population", "4", "--generations", "2"]
+                + ["--apps", "bfs", "--scale", "1/256", "--search-store", "none"]
+                + flag
+            )
+        assert exit_info.value.code == 2
+        assert "--top/--pareto-only only apply to exhaustive enumeration" in (
+            capsys.readouterr().err
+        )
 
 
 class TestOneCostingCore:

@@ -175,6 +175,11 @@ class TestTiling:
         partition = round_robin_partition(10, 3)
         assert partition.assignments.tolist() == [0, 1, 2, 0, 1, 2, 0, 1, 2, 0]
 
+    def test_tile_weights_sum_items_per_tile(self):
+        partition = round_robin_partition(7, 3, [1, 2, 3, 4, 5, 6, 7])
+        assert partition.tile_weights().tolist() == [12.0, 7.0, 9.0]
+        assert partition.imbalance == pytest.approx(12.0 / (28.0 / 3))
+
     def test_balanced_partition_beats_round_robin_on_skew(self):
         weights = [100, 1, 1, 1, 1, 1, 1, 99]
         balanced = balanced_partition(weights, 2)
