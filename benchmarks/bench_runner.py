@@ -83,7 +83,7 @@ from repro.eval.regression import (
     load_expectations,
 )
 from repro.runtime.cache import ProfileCache
-from repro.runtime.cli import _parse_scale
+from repro.runtime.registry import parse_scale
 from repro.runtime.runstore import RunStore
 from repro.runtime.sweep import sweep
 
@@ -866,7 +866,7 @@ def main(argv=None) -> int:
     if args.replay:
         record = json.loads(Path(args.replay).read_text())
     else:
-        record = _run_benchmarks(args, _parse_scale(args.scale))
+        record = _run_benchmarks(args, parse_scale(args.scale))
         Path(args.output).write_text(json.dumps(record, indent=2) + "\n")
         print(json.dumps(record, indent=2))
 

@@ -2,14 +2,14 @@
 
 The package is organized by layer:
 
-* :mod:`repro.formats` -- sparse tensor storage formats (CSR, CSC, COO,
-  DCSR, BCSR, banded, bit-vector, bit-tree).
+* :mod:`repro.formats` -- the sparse tensor storage formats the
+  applications build (CSR, CSC, COO, bit-vector) and the bit-tree builder.
 * :mod:`repro.core` -- Capstan's hardware components: the sparse memory
   unit with its separable bank allocator, the bit-vector scanner, the
   butterfly shuffle network, DRAM compression, and the calibrated
   area/power model.
-* :mod:`repro.sim` -- the simulation substrate (DRAM/SRAM/network models,
-  stall accounting).
+* :mod:`repro.sim` -- the simulation substrate the timing model costs
+  with (DRAM/SRAM/network models, stall accounting).
 * :mod:`repro.apps` -- the paper's applications as functional numpy runs
   that each record a platform-independent workload profile, plus the
   Capstan timing model that costs those profiles.
@@ -31,7 +31,6 @@ from .config import (
 from .errors import (
     CapstanError,
     ConfigurationError,
-    ConversionError,
     FormatError,
     SimulationError,
     WorkloadError,
@@ -50,7 +49,6 @@ __all__ = [
     "default_config",
     "CapstanError",
     "FormatError",
-    "ConversionError",
     "ConfigurationError",
     "SimulationError",
     "WorkloadError",

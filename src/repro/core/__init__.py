@@ -11,15 +11,12 @@ model.
 from .allocator import AllocationResult, GreedyAllocator, SeparableAllocator, make_allocator
 from .area import (
     AreaBreakdown,
-    area_overhead_vs_plasticine,
     capstan_area,
     plasticine_area,
-    power_overhead_vs_plasticine,
     scanner_area_um2,
     scheduler_area_um2,
 )
 from .bank_hash import (
-    conflict_count,
     get_bank_mapper,
     hashed_bank,
     hashed_banks_array,
@@ -31,7 +28,6 @@ from .compression import (
     CompressedPacket,
     CompressionReport,
     compress_pointer_array,
-    compression_ratio,
     decompress_packets,
 )
 from .format_conversion import ConversionStats, FormatConverter
@@ -42,11 +38,10 @@ from .scanner import (
     ScanElement,
     ScanMode,
     ScanTiming,
-    scan_timing_from_mask,
     scan_timing_from_mask_reference,
     timing_from_indices,
 )
-from .shuffle import MergeUnit, ShuffleNetwork, ShuffleRequest, ShuffleStats, merge_efficiency
+from .shuffle import MergeUnit, ShuffleNetwork, ShuffleRequest, merge_efficiency
 from .spmu import (
     MemoryRequest,
     RMWOp,
@@ -69,8 +64,6 @@ __all__ = [
     "AreaBreakdown",
     "capstan_area",
     "plasticine_area",
-    "area_overhead_vs_plasticine",
-    "power_overhead_vs_plasticine",
     "scanner_area_um2",
     "scheduler_area_um2",
     "hashed_bank",
@@ -78,13 +71,11 @@ __all__ = [
     "hashed_banks_array",
     "linear_banks_array",
     "get_bank_mapper",
-    "conflict_count",
     "BloomFilter",
     "CompressedPacket",
     "CompressionReport",
     "compress_pointer_array",
     "decompress_packets",
-    "compression_ratio",
     "ConversionStats",
     "FormatConverter",
     "OrderingMode",
@@ -93,13 +84,11 @@ __all__ = [
     "ScanElement",
     "ScanTiming",
     "ScanBatch",
-    "scan_timing_from_mask",
     "scan_timing_from_mask_reference",
     "timing_from_indices",
     "MergeUnit",
     "ShuffleNetwork",
     "ShuffleRequest",
-    "ShuffleStats",
     "merge_efficiency",
     "MemoryRequest",
     "RMWOp",

@@ -231,17 +231,3 @@ def capstan_area(config: CapstanConfig | None = None) -> AreaBreakdown:
         total_mm2=total,
         power_w=power,
     )
-
-
-def area_overhead_vs_plasticine(config: CapstanConfig | None = None) -> float:
-    """Fractional area overhead of Capstan over Plasticine (paper: 0.16)."""
-    capstan = capstan_area(config)
-    baseline = plasticine_area()
-    return capstan.total_mm2 / baseline.total_mm2 - 1.0
-
-
-def power_overhead_vs_plasticine(config: CapstanConfig | None = None) -> float:
-    """Fractional power overhead of Capstan over Plasticine (paper: 0.12)."""
-    capstan = capstan_area(config)
-    baseline = plasticine_area()
-    return capstan.power_w / baseline.power_w - 1.0

@@ -9,7 +9,7 @@ hashes the address by XOR-folding 4-bit nibbles (``a[0:4] ^ a[4:8] ^ a[8:12]
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -76,16 +76,3 @@ def get_bank_mapper(name: str) -> BankMapper:
     if name == "linear":
         return linear_bank
     raise ValueError(f"unknown bank mapping scheme {name!r}")
-
-
-def conflict_count(addresses: Sequence[int], banks: int, scheme: str = "hash") -> int:
-    """Number of serialization cycles a single vector of addresses needs.
-
-    This is the maximum number of requests mapped to any one bank, i.e. the
-    cycles an arbitrated memory spends executing the vector.
-    """
-    mapper = get_bank_mapper(scheme)
-    counts = np.zeros(banks, dtype=np.int64)
-    for address in addresses:
-        counts[mapper(int(address), banks)] += 1
-    return int(counts.max()) if counts.size else 0

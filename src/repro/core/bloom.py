@@ -69,15 +69,3 @@ class BloomFilter:
     def may_contain(self, address: int) -> bool:
         """Whether ``address`` may be pending (no false negatives)."""
         return all(self._counters[slot] > 0 for slot in self._slots(address))
-
-    def clear(self) -> None:
-        """Reset the filter to empty."""
-        self._counters = [0] * self._entries
-        self._inserted = 0
-
-    def false_positive_rate_estimate(self) -> float:
-        """Rough analytic false-positive probability at the current load."""
-        if self._inserted == 0:
-            return 0.0
-        fill = 1.0 - (1.0 - 1.0 / self._entries) ** (self._hashes * self._inserted)
-        return fill ** self._hashes

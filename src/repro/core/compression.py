@@ -172,9 +172,3 @@ def decompress_packets(packets: List[CompressedPacket]) -> np.ndarray:
                 raise SimulationError("non-zero offset in zero-width packet")
             values.append(packet.base + offset)
     return np.asarray(values, dtype=np.int64)
-
-
-def compression_ratio(values: np.ndarray) -> float:
-    """Convenience wrapper returning only the compression ratio."""
-    _, report = compress_pointer_array(values)
-    return report.ratio

@@ -22,11 +22,10 @@ per-tile Python work. The per-tile loop is retained as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .._budget import resolve_memory_budget
 from ..errors import FormatError, SimulationError
 from ..formats import packed
 from ..formats.bitvector import BitVector
@@ -50,16 +49,6 @@ class ConversionStats:
     spmu_word_conflicts: int
 
 
-def conversion_tile_bytes(length: int, pointers: int) -> int:
-    """Working-set bytes one tile adds to a batched conversion (cost model).
-
-    The tile's packed words plus the flat sort/id temporaries of its
-    ``pointers`` entries; :meth:`FormatConverter.convert_many` chunks tiles
-    so that each chunk's sum stays within the memory budget.
-    """
-    return packed.word_count(length) * 8 + pointers * 48 + 128
-
-
 class FormatConverter:
     """Streaming pointer-to-bit-vector converter attached to a compute tile."""
 
@@ -71,58 +60,12 @@ class FormatConverter:
         self._lanes = lanes
         self._word_bits = word_bits
 
-    @property
-    def lanes(self) -> int:
-        """Pointers consumed per conversion cycle."""
-        return self._lanes
-
     def _words_per_tile(self, length: int) -> int:
         """Output words per converted tile of ``length`` bit positions."""
         return (length + self._word_bits - 1) // self._word_bits
 
-    def convert(
-        self,
-        length: int,
-        pointers: np.ndarray,
-        values: Optional[np.ndarray] = None,
-    ) -> Tuple[BitVector, ConversionStats]:
-        """Convert a pointer tile into a bit-vector tile.
-
-        Args:
-            length: Logical length of the output bit-vector.
-            pointers: Sorted or unsorted unique pointer indices.
-            values: Optional values aligned with ``pointers`` (defaults to 1).
-
-        Returns:
-            The bit-vector and the conversion cost statistics.
-        """
-        pointer_array = np.asarray(pointers, dtype=np.int64)
-        if pointer_array.size and (
-            pointer_array.min() < 0 or pointer_array.max() >= length
-        ):
-            raise SimulationError("pointer outside bit-vector length")
-        if values is not None:
-            value_array = np.asarray(values, dtype=np.float64)
-            if value_array.size != pointer_array.size:
-                raise SimulationError("values must align with pointers")
-        else:
-            value_array = None
-        vector = BitVector(length, pointer_array, value_array)
-        cycles = int(np.ceil(pointer_array.size / self._lanes)) if pointer_array.size else 0
-        stats = ConversionStats(
-            pointers=int(pointer_array.size),
-            cycles=cycles,
-            words_written=self._words_per_tile(length),
-            spmu_word_conflicts=self._count_spmu_conflicts(pointer_array),
-        )
-        return vector, stats
-
     def convert_many(
-        self,
-        length: int,
-        pointer_tiles: Iterable[np.ndarray],
-        *,
-        memory_budget: Optional[int] = None,
+        self, length: int, pointer_tiles: Iterable[np.ndarray]
     ) -> Tuple[List[BitVector], ConversionStats]:
         """Convert a sequence of pointer tiles, aggregating the statistics.
 
@@ -133,56 +76,9 @@ class FormatConverter:
 
         Args:
             length: Logical length of every output bit-vector.
-            pointer_tiles: Pointer tiles; any iterable (consumed lazily when
-                chunking, so generators stream without materializing).
-            memory_budget: Byte budget for the batched build's working set;
-                tiles are converted chunk by chunk under it. Conversion
-                state restarts at tile boundaries and the statistics are
-                per-tile sums, so the chunked result is identical to the
-                unchunked one. ``None`` defers to ``REPRO_MEMORY_BUDGET``.
+            pointer_tiles: Pointer tiles (any iterable of index arrays).
         """
-        budget = resolve_memory_budget(memory_budget)
-        if budget is None:
-            return self._convert_chunk(
-                length, [np.asarray(tile, dtype=np.int64) for tile in pointer_tiles]
-            )
-
-        vectors: List[BitVector] = []
-        totals = np.zeros(4, dtype=np.int64)
-        chunk: List[np.ndarray] = []
-        chunk_bytes = 0
-
-        def _flush() -> None:
-            nonlocal chunk, chunk_bytes
-            chunk_vectors, stats = self._convert_chunk(length, chunk)
-            vectors.extend(chunk_vectors)
-            totals[0] += stats.pointers
-            totals[1] += stats.cycles
-            totals[2] += stats.words_written
-            totals[3] += stats.spmu_word_conflicts
-            chunk = []
-            chunk_bytes = 0
-
-        for tile in pointer_tiles:
-            tile_array = np.asarray(tile, dtype=np.int64)
-            tile_bytes = conversion_tile_bytes(length, tile_array.size)
-            if chunk and chunk_bytes + tile_bytes > budget:
-                _flush()
-            chunk.append(tile_array)
-            chunk_bytes += tile_bytes
-        if chunk:
-            _flush()
-        return vectors, ConversionStats(
-            pointers=int(totals[0]),
-            cycles=int(totals[1]),
-            words_written=int(totals[2]),
-            spmu_word_conflicts=int(totals[3]),
-        )
-
-    def _convert_chunk(
-        self, length: int, tile_arrays: List[np.ndarray]
-    ) -> Tuple[List[BitVector], ConversionStats]:
-        """The single-pass batched build over one chunk of tiles."""
+        tile_arrays = [np.asarray(tile, dtype=np.int64) for tile in pointer_tiles]
         if any(tile.ndim != 1 for tile in tile_arrays):
             raise FormatError("bit-vector indices must be one-dimensional")
         sizes = np.asarray([tile.size for tile in tile_arrays], dtype=np.int64)
@@ -263,21 +159,6 @@ class FormatConverter:
             words_written=words,
             spmu_word_conflicts=conflicts,
         )
-
-    def _count_spmu_conflicts(self, pointers: np.ndarray) -> int:
-        """Same-word collisions a vectorized SpMU conversion would incur.
-
-        Processing ``lanes`` pointers per cycle, any two pointers in the same
-        cycle that touch the same 32-bit word would serialize in the SpMU.
-        Conflicts are total pointers minus distinct ``(cycle, word)`` keys,
-        counted in one vectorized unique pass.
-        """
-        if pointers.size == 0:
-            return 0
-        chunk_ids = np.arange(pointers.size, dtype=np.int64) // self._lanes
-        words = pointers // self._word_bits
-        keys = chunk_ids * self._words_per_tile(int(pointers.max()) + 1) + words
-        return int(pointers.size - np.unique(keys).size)
 
     def _count_conflicts_batch(
         self, flat: np.ndarray, tile_ids: np.ndarray, sizes: np.ndarray

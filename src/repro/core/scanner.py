@@ -229,26 +229,6 @@ class BitVectorScanner:
             )
         return elements
 
-    def count(
-        self,
-        vector_a: BitVector,
-        vector_b: Optional[BitVector] = None,
-        mode: ScanMode = ScanMode.INTERSECT,
-    ) -> int:
-        """Number of iterations the scan would produce.
-
-        The hardware writes this count into the counter chain in the first
-        cycle so one scanner can feed multiple counter levels.
-        """
-        self._check_operands(vector_a, vector_b, mode)
-        if mode is ScanMode.SINGLE or vector_b is None:
-            return vector_a.nnz
-        if mode is ScanMode.INTERSECT:
-            return int(
-                packed.popcount(vector_a._packed() & vector_b._packed()).sum()
-            )
-        return int(packed.popcount(vector_a._packed() | vector_b._packed()).sum())
-
     def timing(
         self,
         vector_a: BitVector,
@@ -289,7 +269,7 @@ class BitVectorScanner:
         vector_b: Optional[BitVector],
         mode: ScanMode,
     ) -> np.ndarray:
-        """Combined set-bit positions only (the timing/count fast path)."""
+        """Combined set-bit positions only (the timing fast path)."""
         self._check_operands(vector_a, vector_b, mode)
         a_indices = vector_a._sorted_indices()
         if mode is ScanMode.SINGLE or vector_b is None:
@@ -439,8 +419,8 @@ def timing_from_indices(
 ) -> ScanTiming:
     """Scanner cycle accounting from combined set-bit positions.
 
-    The shared vectorized core behind :func:`scan_timing_from_mask`,
-    :meth:`BitVectorScanner.timing`, and the application scan model: one
+    The shared vectorized core behind :meth:`BitVectorScanner.timing` and
+    the application scan model: one
     bincount over ``set_indices // bit_width`` yields every chunk's
     occupancy, from which cycles, output-limited cycles, and empty chunks
     all follow. A zero-length space still streams one (empty) chunk,
@@ -471,20 +451,13 @@ def timing_from_indices(
     )
 
 
-def scan_timing_from_mask(mask: np.ndarray, config: ScannerConfig) -> ScanTiming:
-    """Compute scanner cycle cost for a combined occupancy mask.
-
-    This is shared by the bit-vector scanner and by application timing
-    models that already have the combined mask in hand.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    return timing_from_indices(np.flatnonzero(mask), mask.size, config)
-
-
 def scan_timing_from_mask_reference(
     mask: np.ndarray, config: ScannerConfig
 ) -> ScanTiming:
-    """The retained per-chunk timing loop (equivalence reference)."""
+    """The retained per-chunk timing loop over a combined occupancy mask.
+
+    The equivalence reference :func:`timing_from_indices` is pinned against.
+    """
     mask = np.asarray(mask, dtype=bool)
     width = config.bit_width
     out_width = config.output_vectorization

@@ -12,14 +12,15 @@ incoming vectors. Merging may shift a request by at most ``max_shift``
 lanes (+/-1 in the paper's Mrg-1 design point; 0 for Mrg-0; unrestricted
 for the full-crossbar Mrg-16). Requests that cannot be placed within the
 shift budget spill to a follow-up vector, consuming an extra network cycle.
-A 64-entry inverse-permutation FIFO per merge unit records the shuffle
-decisions so replies can be un-permuted.
+The paper's 64-entry inverse-permutation FIFO per merge unit, which
+records the shuffle decisions so replies can be un-permuted, never changes
+where a request lands, so it is not modelled.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -44,87 +45,51 @@ class ShuffleRequest:
     payload: float = 0.0
 
 
-@dataclass
-class ShuffleStats:
-    """Timing statistics for routing one batch of vectors.
-
-    Attributes:
-        input_vectors: Vectors presented at the network inputs.
-        output_vectors: Vectors emitted at the memory-side outputs (summed
-            over all destinations); the merge success rate is
-            ``input_vectors / output_vectors`` folded over stages.
-        merge_cycles: Total merge-unit cycles consumed.
-        spilled_requests: Requests that could not be placed within the lane
-            shift budget and required an extra output vector.
-        bypassed_requests: Requests that skipped the network entirely
-            because they were already at their destination partition.
-    """
-
-    input_vectors: int = 0
-    output_vectors: int = 0
-    merge_cycles: int = 0
-    spilled_requests: int = 0
-    bypassed_requests: int = 0
-    per_destination_vectors: Dict[int, int] = field(default_factory=dict)
-
-
 class MergeUnit:
     """One butterfly merge unit: partition on an address bit, then merge."""
 
-    def __init__(self, lanes: int, max_shift: int, fifo_depth: int = 64):
+    def __init__(self, lanes: int, max_shift: int):
         if lanes <= 0:
             raise SimulationError("lanes must be positive")
         self._lanes = lanes
         self._max_shift = max_shift
-        self._fifo_depth = fifo_depth
-        self._decision_fifo: List[Tuple[int, ...]] = []
 
     def merge(
         self,
         upper: Sequence[Optional[ShuffleRequest]],
         lower: Sequence[Optional[ShuffleRequest]],
-    ) -> Tuple[List[List[Optional[ShuffleRequest]]], int]:
+    ) -> List[List[Optional[ShuffleRequest]]]:
         """Merge two already-partitioned vectors into as few vectors as possible.
 
         Both inputs must contain only requests destined for this unit's half
-        (the caller partitions by address bit). Returns the list of output
-        vectors and the number of requests that spilled past the first
-        output vector.
+        (the caller partitions by address bit). Returns the output vectors;
+        requests that fit nowhere within the shift budget spill into extra
+        vectors.
         """
         slots: List[List[Optional[ShuffleRequest]]] = [[None] * self._lanes]
-        spilled = 0
         for vector in (upper, lower):
             for lane, request in enumerate(vector):
-                if request is None:
-                    continue
-                placed = self._place(slots, lane, request)
-                if placed > 0:
-                    spilled += 1
-        if len(self._decision_fifo) >= self._fifo_depth:
-            # A full inverse-permutation FIFO back-pressures the pipeline;
-            # model it by recycling the oldest entry (replies have returned).
-            self._decision_fifo.pop(0)
-        self._decision_fifo.append(tuple(range(self._lanes)))
-        return slots, spilled
+                if request is not None:
+                    self._place(slots, lane, request)
+        return slots
 
     def _place(
         self,
         slots: List[List[Optional[ShuffleRequest]]],
         preferred_lane: int,
         request: ShuffleRequest,
-    ) -> int:
-        """Place ``request`` near ``preferred_lane``; return the vector index used."""
-        for vector_index, vector in enumerate(slots):
-            candidates = self._candidate_lanes(preferred_lane)
+    ) -> None:
+        """Place ``request`` near ``preferred_lane`` in the first vector with room."""
+        candidates = self._candidate_lanes(preferred_lane)
+        for vector in slots:
             for lane in candidates:
                 if vector[lane] is None:
                     vector[lane] = request
-                    return vector_index
+                    return
         # No room within the shift budget in any existing vector: spill.
         new_vector: List[Optional[ShuffleRequest]] = [None] * self._lanes
         new_vector[preferred_lane] = request
         slots.append(new_vector)
-        return len(slots) - 1
 
     def _candidate_lanes(self, preferred: int) -> List[int]:
         """Lanes reachable from ``preferred`` within the shift budget."""
@@ -143,8 +108,11 @@ class MergeUnit:
 class ShuffleNetwork:
     """A butterfly network of merge units routing vectors to partitions.
 
+    The object-at-a-time oracle of :func:`merge_efficiency`'s bitmask path
+    (``backend="reference"``).
+
     Args:
-        config: Shuffle configuration (mode, endpoints, FIFO depth).
+        config: Shuffle configuration (mode, endpoints).
         lanes: Vector width of each request vector.
     """
 
@@ -152,25 +120,14 @@ class ShuffleNetwork:
         self._config = config or ShuffleConfig()
         self._config.validate()
         self._lanes = lanes
-        self._stages = int(np.log2(self._config.endpoints))
         self._max_shift = self._config.mode.max_shift
-
-    @property
-    def config(self) -> ShuffleConfig:
-        """The network's configuration."""
-        return self._config
-
-    @property
-    def stages(self) -> int:
-        """Number of butterfly stages (log2 of endpoints)."""
-        return self._stages
 
     def route(
         self,
         vectors_by_source: Dict[int, List[ShuffleRequest]],
         partition_of: Optional[Dict[int, int]] = None,
         partitions: Optional[int] = None,
-    ) -> Tuple[Dict[int, List[List[Optional[ShuffleRequest]]]], ShuffleStats]:
+    ) -> Dict[int, List[List[Optional[ShuffleRequest]]]]:
         """Route request vectors from CUs to destination memory partitions.
 
         Args:
@@ -182,29 +139,31 @@ class ShuffleNetwork:
 
         Returns:
             A mapping from destination partition to the list of output
-            vectors delivered there, and the routing statistics.
+            vectors delivered there.
         """
         n_partitions = partitions or self._config.endpoints
-        stats = ShuffleStats(input_vectors=len(vectors_by_source))
         if self._config.mode is ShuffleMode.NONE:
-            return self._route_without_network(vectors_by_source, partition_of, n_partitions, stats)
+            # No network: every request is a separate scalar transfer (one
+            # output vector per request).
+            outputs: Dict[int, List[List[Optional[ShuffleRequest]]]] = {}
+            for vector in vectors_by_source.values():
+                for request in vector:
+                    destination = self._destination(request, partition_of, n_partitions)
+                    padded: List[Optional[ShuffleRequest]] = [None] * self._lanes
+                    padded[request.lane % self._lanes] = request
+                    outputs.setdefault(destination, []).append(padded)
+            return outputs
 
-        # Group requests by destination partition, tracking bypasses.
         grouped: Dict[int, List[ShuffleRequest]] = {p: [] for p in range(n_partitions)}
-        for source, vector in vectors_by_source.items():
+        for vector in vectors_by_source.values():
             for request in vector:
-                destination = self._destination(request, partition_of, n_partitions)
-                if destination == source % n_partitions:
-                    stats.bypassed_requests += 1
-                grouped[destination].append(request)
+                grouped[self._destination(request, partition_of, n_partitions)].append(request)
 
-        outputs: Dict[int, List[List[Optional[ShuffleRequest]]]] = {}
-        merge_unit = MergeUnit(self._lanes, self._max_shift, self._config.permutation_fifo_depth)
+        outputs = {}
+        merge_unit = MergeUnit(self._lanes, self._max_shift)
         for destination, requests in grouped.items():
             if not requests:
                 continue
-            vectors: List[List[Optional[ShuffleRequest]]] = []
-            spilled_total = 0
             # Requests arrive as per-source vectors; merge them pairwise,
             # one butterfly stage per halving, approximated by a single
             # sequence of pairwise merges (log2(sources) deep).
@@ -215,44 +174,14 @@ class ShuffleNetwork:
                     if i + 1 >= len(pending):
                         merged_round.append(pending[i])
                         continue
-                    merged, spilled = merge_unit.merge(pending[i], pending[i + 1])
-                    merged_round.extend(merged)
-                    spilled_total += spilled
-                    stats.merge_cycles += 1
+                    merged_round.extend(merge_unit.merge(pending[i], pending[i + 1]))
                 if len(merged_round) >= len(pending):
                     # No further compaction possible; stop merging.
                     pending = merged_round
                     break
                 pending = merged_round
-            vectors = pending
-            outputs[destination] = vectors
-            stats.output_vectors += len(vectors)
-            stats.spilled_requests += spilled_total
-            stats.per_destination_vectors[destination] = len(vectors)
-        return outputs, stats
-
-    def _route_without_network(
-        self,
-        vectors_by_source: Dict[int, List[ShuffleRequest]],
-        partition_of: Optional[Dict[int, int]],
-        n_partitions: int,
-        stats: ShuffleStats,
-    ) -> Tuple[Dict[int, List[List[Optional[ShuffleRequest]]]], ShuffleStats]:
-        """Model the no-network baseline: every cross-partition request is a
-        separate scalar transfer (one output vector per request)."""
-        outputs: Dict[int, List[List[Optional[ShuffleRequest]]]] = {}
-        for source, vector in vectors_by_source.items():
-            for request in vector:
-                destination = self._destination(request, partition_of, n_partitions)
-                padded: List[Optional[ShuffleRequest]] = [None] * self._lanes
-                padded[request.lane % self._lanes] = request
-                outputs.setdefault(destination, []).append(padded)
-                stats.output_vectors += 1
-                if destination == source % n_partitions:
-                    stats.bypassed_requests += 1
-        for destination, vectors in outputs.items():
-            stats.per_destination_vectors[destination] = len(vectors)
-        return outputs, stats
+            outputs[destination] = pending
+        return outputs
 
     def _destination(
         self,
@@ -494,7 +423,7 @@ def merge_efficiency(
                 vector.append(ShuffleRequest(source=source, lane=lane, address=address))
             vectors_by_source[source] = vector
             total_requests += lanes
-        outputs, stats = network.route(vectors_by_source, partitions=partitions)
+        outputs = network.route(vectors_by_source, partitions=partitions)
         for destination_vectors in outputs.values():
             total_vector_slots += len(destination_vectors) * lanes
     if total_vector_slots == 0:

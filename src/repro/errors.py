@@ -19,10 +19,6 @@ class FormatError(CapstanError):
     """
 
 
-class ConversionError(FormatError):
-    """Raised when a conversion between sparse formats is not possible."""
-
-
 class ConfigurationError(CapstanError):
     """Raised when an architecture configuration is invalid.
 

@@ -10,7 +10,7 @@ arrays so downstream hardware models can assume well-formed inputs.
 from __future__ import annotations
 
 import abc
-from typing import Iterator, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -39,17 +39,9 @@ class SparseMatrixFormat(abc.ABC):
         """Return ``(rows, cols, values)`` arrays of all stored entries.
 
         This is every format's vectorized primitive; each implementation
-        produces the arrays directly from its compressed storage, in the
-        same entry order its former element-at-a-time iterator used.
+        produces the arrays directly from its compressed storage, in its
+        storage order (row-major for CSR and COO, column-major for CSC).
         """
-
-    def iter_nonzeros(self) -> Iterator[Tuple[int, int, float]]:
-        """Yield ``(row, col, value)`` triplets for every stored entry.
-
-        A thin compatibility wrapper over :meth:`to_coo_arrays`.
-        """
-        rows, cols, values = self.to_coo_arrays()
-        yield from zip(rows.tolist(), cols.tolist(), values.tolist())
 
     @property
     def density(self) -> float:

@@ -6,28 +6,21 @@ bit-tree adds a top-level bit-vector whose set bits each point to a
 fixed-size second-level bit-vector tile. A two-level tree with 512-bit tiles
 can encode 262,144 positions in 512 top-level bits.
 
-Streaming iteration over two bit-trees uses a two-pass algorithm: the first
-pass intersects/unions the top-level vectors to realign the second-level
-tiles (dropping unmatched tiles for intersection, inserting zero tiles for
-union), then nested sparse-sparse loops process the aligned tiles.
-
 The tree's occupancy is stored as one dense ``(tiles, words_per_tile)``
 ``uint64`` matrix over the packed-word substrate
-(:mod:`repro.formats.packed`): :meth:`BitTree.from_dense` and
-:meth:`BitTree.from_indices` pack every tile in a single vectorized pass,
-tile occupancy is a per-row popcount, and :func:`align_trees` realigns two
-trees with array operations instead of Python set arithmetic.
+(:mod:`repro.formats.packed`): :meth:`BitTree.from_indices` packs every tile
+in a single vectorized pass. The applications cost bit-tree traversal in
+closed form (:mod:`repro.apps.scan_model`); this builder is what the
+``formats`` benchmark times against the element-at-a-time
+:func:`repro.formats.reference.bittree_from_indices_reference`.
 """
 
 from __future__ import annotations
-
-from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
 from ..errors import FormatError
 from . import packed
-from .bitvector import BitVector
 
 
 class BitTree:
@@ -46,7 +39,6 @@ class BitTree:
         self._words = np.zeros(
             (self.tile_count, self._words_per_tile), dtype=np.uint64
         )
-        self._tile_cache: Dict[int, BitVector] = {}
 
     @classmethod
     def from_dense(cls, dense: np.ndarray, tile_bits: int = 512) -> "BitTree":
@@ -109,17 +101,6 @@ class BitTree:
             self._words = np.zeros(
                 (self.tile_count, self._words_per_tile), dtype=np.uint64
             )
-        self._tile_cache = {}
-
-    @property
-    def length(self) -> int:
-        """Logical number of positions."""
-        return self._length
-
-    @property
-    def tile_bits(self) -> int:
-        """Positions covered by each second-level tile."""
-        return self._tile_bits
 
     @property
     def tile_count(self) -> int:
@@ -127,27 +108,9 @@ class BitTree:
         return (self._length + self._tile_bits - 1) // self._tile_bits
 
     @property
-    def nnz(self) -> int:
-        """Number of stored non-zero positions."""
-        return int(self._indices.size)
-
-    @property
     def words(self) -> np.ndarray:
         """The dense ``(tiles, words_per_tile)`` packed occupancy matrix."""
         return self._words.copy()
-
-    @property
-    def occupied_tiles(self) -> int:
-        """Number of second-level tiles with at least one set bit."""
-        return int(self.occupied_tile_ids().size)
-
-    def occupied_tile_ids(self) -> np.ndarray:
-        """Sorted ids of tiles with at least one set bit."""
-        if self._indices.size == 0:
-            return np.empty(0, dtype=np.int64)
-        tile_ids = self._indices // self._tile_bits
-        keep = np.concatenate(([True], tile_ids[1:] != tile_ids[:-1]))
-        return tile_ids[keep]
 
     def set(self, index: int, value: float) -> None:
         """Set position ``index`` to ``value`` (value must be non-zero)."""
@@ -167,52 +130,6 @@ class BitTree:
             self._words[tile_id, (index % self._tile_bits) // packed.WORD_BITS] |= (
                 np.uint64(1) << np.uint64((index % self._tile_bits) % packed.WORD_BITS)
             )
-        self._tile_cache = {}
-
-    def top_level(self) -> BitVector:
-        """The top-level bit-vector: one bit per occupied tile slot."""
-        return BitVector._from_trusted(self.tile_count, self.occupied_tile_ids())
-
-    def tile_length(self, tile_id: int) -> int:
-        """Logical positions covered by tile ``tile_id``."""
-        if tile_id < 0 or tile_id >= self.tile_count:
-            raise FormatError(f"tile {tile_id} out of range")
-        return min(self._tile_bits, self._length - tile_id * self._tile_bits)
-
-    def tile(self, tile_id: int) -> BitVector:
-        """Return the second-level tile ``tile_id`` (empty if unoccupied)."""
-        cached = self._tile_cache.get(tile_id)
-        if cached is not None:
-            return cached
-        tile_len = self.tile_length(tile_id)
-        base = tile_id * self._tile_bits
-        start = int(np.searchsorted(self._indices, base))
-        end = int(np.searchsorted(self._indices, base + self._tile_bits))
-        vector = BitVector._from_trusted(
-            tile_len,
-            self._indices[start:end] - base,
-            self._values[start:end],
-            self._words[tile_id, : packed.word_count(tile_len)],
-        )
-        self._tile_cache[tile_id] = vector
-        return vector
-
-    def iter_tiles(self) -> Iterator[Tuple[int, BitVector]]:
-        """Yield ``(tile_id, tile)`` for occupied tiles in ascending order."""
-        for tile_id in self.occupied_tile_ids().tolist():
-            yield tile_id, self.tile(tile_id)
-
-    def to_dense(self) -> np.ndarray:
-        """Expand to a dense float64 array."""
-        dense = np.zeros(self._length, dtype=np.float64)
-        dense[self._indices] = self._values
-        return dense
-
-    def to_bitvector(self) -> BitVector:
-        """Flatten the tree into a single (long) bit-vector."""
-        return BitVector._from_trusted(
-            self._length, self._indices.copy(), self._values.copy()
-        )
 
     def indices(self) -> np.ndarray:
         """All stored positions in ascending order."""
@@ -221,56 +138,3 @@ class BitTree:
     def values(self) -> np.ndarray:
         """Stored values aligned with :meth:`indices`."""
         return self._values.copy()
-
-    def storage_bits(self) -> int:
-        """Bits to store the top-level vector, occupied tiles, and values."""
-        top = self.tile_count
-        occupied = self.occupied_tile_ids()
-        tiles = int(
-            np.minimum(
-                self._tile_bits, self._length - occupied * self._tile_bits
-            ).sum()
-        )
-        values = 32 * self.nnz
-        return top + tiles + values
-
-    def __repr__(self) -> str:
-        return (
-            f"BitTree(length={self._length}, tile_bits={self._tile_bits}, "
-            f"tiles={self.occupied_tiles}, nnz={self.nnz})"
-        )
-
-
-def align_trees(
-    left: BitTree, right: BitTree, mode: str = "union"
-) -> List[Tuple[int, BitVector, BitVector]]:
-    """Realign two bit-trees' second-level tiles (the first streaming pass).
-
-    The top-level combination is pure array arithmetic over the trees'
-    occupied-tile id arrays; only the selected tiles are materialized.
-
-    Args:
-        left: First operand.
-        right: Second operand.
-        mode: ``"union"`` keeps tiles occupied in either tree, inserting
-            zero tiles for the missing side; ``"intersect"`` keeps only tiles
-            occupied in both trees.
-
-    Returns:
-        A list of ``(tile_id, left_tile, right_tile)`` triples ordered by
-        tile id, ready for nested sparse-sparse iteration.
-    """
-    if left.length != right.length or left.tile_bits != right.tile_bits:
-        raise FormatError("bit-trees must have matching length and tile size")
-    if mode not in ("union", "intersect"):
-        raise FormatError(f"unknown alignment mode {mode!r}")
-    left_ids = left.occupied_tile_ids()
-    right_ids = right.occupied_tile_ids()
-    if mode == "union":
-        selected = np.union1d(left_ids, right_ids)
-    else:
-        selected = np.intersect1d(left_ids, right_ids, assume_unique=True)
-    return [
-        (tile_id, left.tile(tile_id), right.tile(tile_id))
-        for tile_id in selected.tolist()
-    ]

@@ -91,9 +91,8 @@ class BitVector:
     ) -> "BitVector":
         """Internal fast path: pre-validated sorted indices, no copies.
 
-        Batch builders (the format converter, bit-tree tile extraction, CSR
-        row fan-out) validate whole grids at once and hand each vector its
-        slice directly.
+        The batched format converter validates whole grids at once and
+        hands each vector its slice (and packed words) directly.
         """
         vector = cls.__new__(cls)
         vector._length = int(length)
@@ -116,40 +115,6 @@ class BitVector:
         return cls._from_trusted(
             array.shape[0], indices.astype(np.int64), array[indices]
         )
-
-    @classmethod
-    def from_words(
-        cls,
-        length: int,
-        words: np.ndarray,
-        values: Optional[np.ndarray] = None,
-    ) -> "BitVector":
-        """Build a bit-vector directly from packed 64-bit occupancy words.
-
-        ``values``, when given, must align with the words' set bits in
-        ascending position order.
-        """
-        if length < 0:
-            raise FormatError("bit-vector length must be non-negative")
-        expected = packed.word_count(length)
-        word_array = np.array(
-            np.asarray(words, dtype=np.uint64)[:expected], copy=True
-        )
-        if word_array.size < expected:
-            raise FormatError("packed words do not cover the requested length")
-        # Clear any stray bits at positions >= length so the stored words
-        # stay consistent with the index view (count/scan agree).
-        tail_bits = length % packed.WORD_BITS
-        if expected and tail_bits:
-            word_array[-1] &= (np.uint64(1) << np.uint64(tail_bits)) - np.uint64(1)
-        indices = packed.indices_from_words(word_array, length)
-        if values is not None:
-            value_array = _as_value_array(values)
-            if value_array.size != indices.size:
-                raise FormatError("bit-vector values must match set bits in count")
-        else:
-            value_array = None
-        return cls._from_trusted(length, indices, value_array, word_array)
 
     @classmethod
     def empty(cls, length: int) -> "BitVector":
@@ -217,45 +182,6 @@ class BitVector:
         dense[self._indices] = self._values
         return dense
 
-    def packed_words(self, word_bits: int = 32) -> np.ndarray:
-        """Pack the occupancy mask into ``word_bits``-bit unsigned words.
-
-        This mirrors the on-chip storage layout: a 512-bit tile occupies 16
-        32-bit SRAM words.
-        """
-        return packed.pack_indices(self._indices, self._length, word_bits)
-
-    def storage_bits(self) -> int:
-        """Bits needed to store the mask plus 32-bit compressed values."""
-        return self._length + 32 * self.nnz
-
-    def intersect_mask(self, other: "BitVector") -> np.ndarray:
-        """Boolean AND of the two occupancy masks."""
-        self._check_compatible(other)
-        return packed.unpack_words(
-            self._packed() & other._packed(), self._length
-        )
-
-    def union_mask(self, other: "BitVector") -> np.ndarray:
-        """Boolean OR of the two occupancy masks."""
-        self._check_compatible(other)
-        return packed.unpack_words(
-            self._packed() | other._packed(), self._length
-        )
-
-    def compressed_position(self, index: int) -> int:
-        """Return the compressed-array slot of dense position ``index``.
-
-        Raises :class:`FormatError` if the bit at ``index`` is not set. This
-        is the prefix-sum rank lookup the scanner performs in hardware.
-        """
-        if index < 0 or index >= self._length:
-            raise FormatError(f"index {index} out of range")
-        slot = int(np.searchsorted(self._indices, index))
-        if slot >= self._indices.size or self._indices[slot] != index:
-            raise FormatError(f"bit {index} is not set")
-        return slot
-
     def __len__(self) -> int:
         return self._length
 
@@ -268,14 +194,5 @@ class BitVector:
             and np.allclose(self._values, other._values)
         )
 
-    def __hash__(self) -> int:  # pragma: no cover
-        raise TypeError("BitVector objects are unhashable")
-
     def __repr__(self) -> str:
         return f"BitVector(length={self._length}, nnz={self.nnz})"
-
-    def _check_compatible(self, other: "BitVector") -> None:
-        if self._length != other._length:
-            raise FormatError(
-                f"bit-vector lengths differ: {self._length} vs {other._length}"
-            )

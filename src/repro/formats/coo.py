@@ -93,9 +93,5 @@ class COOMatrix(SparseMatrixFormat):
         """Return ``(rows, cols, values)`` arrays of all stored entries."""
         return self._rows.copy(), self._cols.copy(), self._values.copy()
 
-    def storage_bytes(self) -> int:
-        """Bytes to store row pointers, column pointers, and values (32-bit)."""
-        return 4 * 3 * self.nnz
-
     def __repr__(self) -> str:
         return f"COOMatrix(shape={self._shape}, nnz={self.nnz})"

@@ -14,7 +14,6 @@ import numpy as np
 
 from ..errors import FormatError
 from .base import SparseMatrixFormat, check_indices, check_pointers, check_shape
-from .bitvector import BitVector
 
 
 class CSCMatrix(SparseMatrixFormat):
@@ -127,11 +126,6 @@ class CSCMatrix(SparseMatrixFormat):
         start, end = self._col_pointers[col], self._col_pointers[col + 1]
         return self._row_indices[start:end].copy(), self._values[start:end].copy()
 
-    def col_bitvector(self, col: int) -> BitVector:
-        """The column's occupancy and values as a bit-vector of width ``rows``."""
-        rows, values = self.col_slice(col)
-        return BitVector(self._shape[0], rows, values)
-
     def col_lengths(self) -> np.ndarray:
         """Stored entries per column."""
         return np.diff(self._col_pointers)
@@ -149,10 +143,6 @@ class CSCMatrix(SparseMatrixFormat):
             np.arange(self._shape[1], dtype=np.int64), np.diff(self._col_pointers)
         )
         return self._row_indices.copy(), cols, self._values.copy()
-
-    def storage_bytes(self) -> int:
-        """Bytes to store pointers, indices, and values at 32 bits each."""
-        return 4 * (self._col_pointers.size + self._row_indices.size + self._values.size)
 
     def __repr__(self) -> str:
         return f"CSCMatrix(shape={self._shape}, nnz={self.nnz})"

@@ -13,7 +13,6 @@ import numpy as np
 
 from ..errors import FormatError
 from .base import SparseMatrixFormat, check_indices, check_pointers, check_shape
-from .bitvector import BitVector
 
 
 class CSRMatrix(SparseMatrixFormat):
@@ -127,11 +126,6 @@ class CSRMatrix(SparseMatrixFormat):
         start, end = self._row_pointers[row], self._row_pointers[row + 1]
         return self._col_indices[start:end].copy(), self._values[start:end].copy()
 
-    def row_bitvector(self, row: int) -> BitVector:
-        """The row's occupancy and values as a bit-vector of width ``cols``."""
-        cols, values = self.row_slice(row)
-        return BitVector(self._shape[1], cols, values)
-
     def row_lengths(self) -> np.ndarray:
         """Stored entries per row, for load-balance / imbalance analysis."""
         return np.diff(self._row_pointers)
@@ -149,11 +143,6 @@ class CSRMatrix(SparseMatrixFormat):
             np.arange(self._shape[0], dtype=np.int64), np.diff(self._row_pointers)
         )
         return rows, self._col_indices.copy(), self._values.copy()
-
-    def transpose_to_csr(self) -> "CSRMatrix":
-        """Return the transpose, also in CSR form."""
-        rows, cols, values = self.to_coo_arrays()
-        return CSRMatrix.from_coo_arrays((self._shape[1], self._shape[0]), cols, rows, values)
 
     def storage_bytes(self) -> int:
         """Bytes to store pointers (32-bit), indices (32-bit), and values."""

@@ -1,28 +1,26 @@
 """Retained object-at-a-time reference implementations of the format layer.
 
-The packed-word substrate (:mod:`repro.formats.packed`), the array-native
+The packed-word substrate (:mod:`repro.formats.packed`) and the array-native
 :class:`~repro.formats.bitvector.BitVector` / :class:`~repro.formats.bittree.BitTree`
-builders, the columnar scanner batch path, and the batched format converter
-all replaced element-at-a-time Python loops. Those loops are preserved here,
-unchanged in behaviour, for two purposes:
+builders replaced element-at-a-time Python loops. Those loops are preserved
+here, unchanged in behaviour, for two purposes:
 
-* property tests pin every vectorized kernel element-for-element against
+* property tests pin each vectorized builder element-for-element against
   its reference twin (``tests/test_packed_formats.py``), and
-* ``benchmarks/bench_runner.py`` times the batch paths against them for the
-  ``formats`` section of ``BENCH_runner.json``.
+* ``benchmarks/bench_runner.py`` times the bit-tree build against its
+  reference for the ``formats`` section of ``BENCH_runner.json``.
 
 Nothing in the library's hot paths calls into this module.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ..errors import FormatError
 from .bittree import BitTree
-from .bitvector import BitVector
 
 
 def pack_indices_reference(
@@ -37,45 +35,6 @@ def pack_indices_reference(
             raise FormatError("bit index out of range for packed length")
         words[index // word_bits] |= np.uint64(1) << np.uint64(index % word_bits)
     return words
-
-
-def unpack_words_reference(words: np.ndarray, length: int) -> np.ndarray:
-    """Per-bit loop version of :func:`repro.formats.packed.unpack_words`."""
-    mask = np.zeros(length, dtype=bool)
-    for word_id, word in enumerate(np.asarray(words, dtype=np.uint64).tolist()):
-        for bit in range(64):
-            position = word_id * 64 + bit
-            if position >= length:
-                break
-            mask[position] = bool((word >> bit) & 1)
-    return mask
-
-
-def popcount_reference(words: np.ndarray) -> np.ndarray:
-    """Python bit-string loop version of :func:`repro.formats.packed.popcount`."""
-    return np.asarray(
-        [bin(int(word)).count("1") for word in np.asarray(words, dtype=np.uint64).tolist()],
-        dtype=np.int64,
-    )
-
-
-def rank_reference(words: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Per-position loop version of :func:`repro.formats.packed.rank`."""
-    mask = unpack_words_reference(words, int(np.asarray(words).size * 64))
-    prefix = np.cumsum(mask.astype(np.int64))
-    out = []
-    for position in np.asarray(positions, dtype=np.int64).tolist():
-        out.append(int(prefix[position - 1]) if position > 0 else 0)
-    return np.asarray(out, dtype=np.int64)
-
-
-def select_reference(words: np.ndarray, ranks: np.ndarray, length: int) -> np.ndarray:
-    """Per-rank scan version of :func:`repro.formats.packed.select`."""
-    set_positions = np.flatnonzero(unpack_words_reference(words, length))
-    return np.asarray(
-        [int(set_positions[rank]) for rank in np.asarray(ranks, dtype=np.int64).tolist()],
-        dtype=np.int64,
-    )
 
 
 def bittree_from_indices_reference(
@@ -126,54 +85,8 @@ def bitvector_construct_reference(
     return sorted_indices, sorted_values, mask
 
 
-def align_trees_reference(
-    left: BitTree, right: BitTree, mode: str = "union"
-) -> List[Tuple[int, BitVector, BitVector]]:
-    """Python set-arithmetic tile realignment (the seed-era first pass)."""
-    if left.length != right.length or left.tile_bits != right.tile_bits:
-        raise FormatError("bit-trees must have matching length and tile size")
-    if mode not in ("union", "intersect"):
-        raise FormatError(f"unknown alignment mode {mode!r}")
-    left_ids = {tile_id for tile_id, _ in left.iter_tiles()}
-    right_ids = {tile_id for tile_id, _ in right.iter_tiles()}
-    if mode == "union":
-        selected = sorted(left_ids | right_ids)
-    else:
-        selected = sorted(left_ids & right_ids)
-    return [(tile_id, left.tile(tile_id), right.tile(tile_id)) for tile_id in selected]
-
-
-def to_coo_arrays_reference(matrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The seed-era triple-list materialization over ``iter_nonzeros``."""
-    triples = list(matrix.iter_nonzeros())
-    if not triples:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.float64),
-        )
-    rows, cols, values = zip(*triples)
-    return (
-        np.asarray(rows, dtype=np.int64),
-        np.asarray(cols, dtype=np.int64),
-        np.asarray(values, dtype=np.float64),
-    )
-
-
-def packed_words_reference(vector: BitVector, word_bits: int = 32) -> np.ndarray:
-    """Seed-era per-index repacking of a bit-vector's occupancy."""
-    return pack_indices_reference(vector.indices, vector.length, word_bits)
-
-
 __all__ = [
-    "align_trees_reference",
     "bittree_from_indices_reference",
     "bitvector_construct_reference",
     "pack_indices_reference",
-    "packed_words_reference",
-    "popcount_reference",
-    "rank_reference",
-    "select_reference",
-    "to_coo_arrays_reference",
-    "unpack_words_reference",
 ]

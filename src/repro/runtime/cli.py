@@ -38,7 +38,7 @@ from .._budget import ENV_MEMORY_BUDGET, parse_memory_budget
 from ..errors import CapstanError, ConfigurationError
 from .cache import ProfileCache, ScanCostStore, default_cache_dir, profile_to_dict
 from .dse import explore, prefill_throughputs
-from .registry import RunContext, app_datasets, app_order
+from .registry import RunContext, app_datasets, app_order, parse_scale
 from .runner import ExperimentRunner
 from .runstore import RunStore, default_run_db
 from .sweep import AXIS_VALUE_PARSERS, parse_axis_value
@@ -58,7 +58,7 @@ def _add_run_context_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--scale",
-        type=_parse_scale,
+        type=parse_scale,
         default=1.0 / 64.0,
         help="dataset scale, e.g. 1/64 or 0.015625 (default: 1/64)",
     )
@@ -66,7 +66,7 @@ def _add_run_context_arguments(parser: argparse.ArgumentParser) -> None:
         "--pagerank-iterations", type=int, default=2, help="power iterations per PageRank run"
     )
     parser.add_argument(
-        "--conv-scale", type=_parse_scale, default=0.125, help="ResNet channel scale"
+        "--conv-scale", type=parse_scale, default=0.125, help="ResNet channel scale"
     )
     parser.add_argument(
         "--backend",
@@ -99,18 +99,6 @@ def _apply_memory_budget(parser: argparse.ArgumentParser, args: argparse.Namespa
     except CapstanError as exc:
         parser.error(str(exc))
     os.environ[ENV_MEMORY_BUDGET] = str(budget)
-
-
-def _parse_scale(text: str) -> float:
-    """Parse a scale given as a float (``0.015625``) or ratio (``1/64``)."""
-    if "/" in text:
-        numerator, _, denominator = text.partition("/")
-        try:
-            return float(numerator) / float(denominator)
-        except ZeroDivisionError:
-            # Raise ValueError so argparse prints a clean usage error.
-            raise ValueError(f"zero denominator in {text!r}") from None
-    return float(text)
 
 
 def _run_setup(

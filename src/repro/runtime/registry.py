@@ -37,6 +37,22 @@ class RegistryError(ValueError):
 CONTEXT_PARAMETERS = ("scale", "pagerank_iterations", "conv_scale")
 
 
+def parse_scale(text: str) -> float:
+    """Parse a scale given as a float (``0.015625``) or ratio (``1/64``).
+
+    Raises :class:`ValueError` for anything else, a zero denominator
+    included, so ``argparse`` and the serve query parser both report a
+    clean usage error.
+    """
+    if "/" in text:
+        numerator, _, denominator = text.partition("/")
+        try:
+            return float(numerator) / float(denominator)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
+    return float(text)
+
+
 @dataclass(frozen=True)
 class RunContext:
     """Everything that parameterizes one functional evaluation run.

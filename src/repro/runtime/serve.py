@@ -70,7 +70,7 @@ from .jobs import (
     context_to_dict,
     throughput_variant,
 )
-from .registry import RunContext
+from .registry import RunContext, parse_scale
 from .runstore import RunStore, RunStoreError, default_run_db
 
 _STATUS_PHRASES = {
@@ -105,30 +105,23 @@ class _StoreUnavailable(CapstanError):
     """The run/job store cannot serve this route -> HTTP 503."""
 
 
-def _parse_scale_text(text: str) -> float:
-    if "/" in text:
-        numerator, _, denominator = text.partition("/")
-        return float(numerator) / float(denominator)
-    return float(text)
-
-
 def _context_from_query(query: Dict[str, str]) -> RunContext:
     """Build the run context named by query parameters (defaults apply)."""
     kwargs: Dict[str, Any] = {}
     try:
         if "scale" in query:
-            kwargs["scale"] = _parse_scale_text(query["scale"])
+            kwargs["scale"] = parse_scale(query["scale"])
         if "pagerank_iterations" in query:
             kwargs["pagerank_iterations"] = int(query["pagerank_iterations"])
         if "conv_scale" in query:
-            kwargs["conv_scale"] = _parse_scale_text(query["conv_scale"])
+            kwargs["conv_scale"] = parse_scale(query["conv_scale"])
         if "backend" in query:
             if query["backend"] not in BACKENDS:
                 raise _BadRequest(
                     f"unknown backend {query['backend']!r}; expected one of {BACKENDS}"
                 )
             kwargs["backend"] = query["backend"]
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise _BadRequest(f"bad context parameter: {exc}") from None
     return RunContext(**kwargs)
 

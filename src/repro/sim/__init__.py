@@ -1,7 +1,7 @@
 """Simulation substrate: DRAM, SRAM, network models, and stall stats."""
 
 from .dram import BURST_BYTES, DRAMModel, TrafficSummary
-from .network import NetworkConfig, OnChipNetwork, cross_tile_traffic_cycles
+from .network import NetworkConfig, OnChipNetwork
 from .sram import StaticBankTiming
 from .stats import STALL_CATEGORIES, RunMetrics, StallBreakdown, geometric_mean
 
@@ -11,7 +11,6 @@ __all__ = [
     "TrafficSummary",
     "NetworkConfig",
     "OnChipNetwork",
-    "cross_tile_traffic_cycles",
     "StaticBankTiming",
     "STALL_CATEGORIES",
     "RunMetrics",

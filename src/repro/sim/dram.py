@@ -9,7 +9,8 @@ captures the first-order effects:
 * reduced efficiency for random versus streaming traffic (row-buffer
   locality), calibrated so random-access bandwidth lands near the commonly
   measured ~60% (HBM) / ~40% (DDR4) of peak;
-* read-modify-write traffic counting both the read and the write-back; and
+* read-modify-write traffic counting both the read and the write-back
+  (the caller counts an update as two random accesses); and
 * optional read-side compression (Section 3.4), which shrinks the bytes
   moved for compressible pointer streams.
 """
@@ -65,16 +66,6 @@ class TrafficSummary:
     random_write_bytes: float = 0.0
     random_accesses: int = 0
 
-    def scaled(self, factor: float) -> "TrafficSummary":
-        """Return the same traffic scaled by ``factor`` (e.g. compression)."""
-        return TrafficSummary(
-            streaming_read_bytes=self.streaming_read_bytes * factor,
-            streaming_write_bytes=self.streaming_write_bytes * factor,
-            random_read_bytes=self.random_read_bytes * factor,
-            random_write_bytes=self.random_write_bytes * factor,
-            random_accesses=self.random_accesses,
-        )
-
 
 class DRAMModel:
     """Bandwidth/latency model of one memory technology.
@@ -125,28 +116,6 @@ class DRAMModel:
         efficiency = STREAM_ACCESS_EFFICIENCY[self._technology]
         return data_bytes / (peak * efficiency)
 
-    def random_cycles(self, accesses: int, bytes_per_access: int = 4) -> float:
-        """Cycles for ``accesses`` random element accesses.
-
-        Each random access moves a whole 64 B burst regardless of the
-        element size, and achieves only the random-access efficiency of the
-        technology. A read-modify-write access should be counted as two
-        accesses (read burst + write-back burst) by the caller, or via
-        :meth:`rmw_cycles`.
-        """
-        if accesses < 0:
-            raise SimulationError("accesses must be non-negative")
-        peak = self.bytes_per_cycle_peak
-        if peak == float("inf"):
-            return 0.0
-        efficiency = RANDOM_ACCESS_EFFICIENCY[self._technology]
-        bursts = accesses  # one burst per access (worst case, no coalescing)
-        return bursts * BURST_BYTES / (peak * efficiency)
-
-    def rmw_cycles(self, updates: int) -> float:
-        """Cycles for ``updates`` random read-modify-write element updates."""
-        return self.random_cycles(2 * updates)
-
     def traffic_cycles(self, traffic: TrafficSummary) -> float:
         """Cycles to move a whole :class:`TrafficSummary`.
 
@@ -156,18 +125,13 @@ class DRAMModel:
         streaming = self.streaming_cycles(
             traffic.streaming_read_bytes + traffic.streaming_write_bytes
         )
-        random_bytes = traffic.random_read_bytes + traffic.random_write_bytes
+        peak = self.bytes_per_cycle_peak
+        if peak == float("inf"):
+            return streaming
         if traffic.random_accesses:
-            random = self.random_cycles(traffic.random_accesses)
+            # Each random access moves a whole 64 B burst regardless of the
+            # element size (one burst per access, no coalescing).
+            random_bytes = traffic.random_accesses * BURST_BYTES
         else:
-            peak = self.bytes_per_cycle_peak
-            if peak == float("inf"):
-                random = 0.0
-            else:
-                efficiency = RANDOM_ACCESS_EFFICIENCY[self._technology]
-                random = random_bytes / (peak * efficiency)
-        return streaming + random
-
-    def with_bandwidth(self, bandwidth_gbps: float) -> "DRAMModel":
-        """A copy of this model with a different peak bandwidth."""
-        return DRAMModel(self._technology, bandwidth_gbps, self._clock_ghz)
+            random_bytes = traffic.random_read_bytes + traffic.random_write_bytes
+        return streaming + random_bytes / (peak * RANDOM_ACCESS_EFFICIENCY[self._technology])

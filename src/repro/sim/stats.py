@@ -12,7 +12,7 @@ models fill in and the Figure 7 harness renders.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, List
 
 #: Breakdown categories in the order Figure 7 plots them.
@@ -59,20 +59,6 @@ class StallBreakdown:
         if total <= 0:
             return {name: 0.0 for name in STALL_CATEGORIES}
         return {name: getattr(self, name) / total for name in STALL_CATEGORIES}
-
-    def add(self, other: "StallBreakdown") -> "StallBreakdown":
-        """Element-wise sum (e.g. across datasets or kernel phases)."""
-        merged = StallBreakdown()
-        for item in fields(StallBreakdown):
-            setattr(merged, item.name, getattr(self, item.name) + getattr(other, item.name))
-        return merged
-
-    def scaled(self, factor: float) -> "StallBreakdown":
-        """Every category multiplied by ``factor``."""
-        scaled = StallBreakdown()
-        for item in fields(StallBreakdown):
-            setattr(scaled, item.name, getattr(self, item.name) * factor)
-        return scaled
 
     @property
     def activity_factor(self) -> float:

@@ -23,7 +23,6 @@ from .suitesparse import (
 from .synthetic import (
     banded_fem_matrix,
     circuit_matrix,
-    clustered_sparse_vector,
     make_diagonally_dominant,
     power_law_graph,
     road_network_graph,
@@ -31,14 +30,7 @@ from .synthetic import (
     sparse_vector,
     uniform_random_matrix,
 )
-from .tiling import (
-    Partitioning,
-    balanced_partition,
-    cross_tile_fraction,
-    partition_graph_by_edges,
-    partition_rows_round_robin,
-    round_robin_partition,
-)
+from .tiling import Partitioning, balanced_partition
 
 __all__ = [
     "RESNET_LAYERS",
@@ -64,12 +56,7 @@ __all__ = [
     "uniform_random_matrix",
     "sparse_vector",
     "sparse_bitvector",
-    "clustered_sparse_vector",
     "make_diagonally_dominant",
     "Partitioning",
-    "round_robin_partition",
     "balanced_partition",
-    "partition_graph_by_edges",
-    "partition_rows_round_robin",
-    "cross_tile_fraction",
 ]

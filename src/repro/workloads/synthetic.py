@@ -224,29 +224,6 @@ def sparse_bitvector(length: int, density: float, seed: int = 0) -> BitVector:
     return BitVector(length, positions, values)
 
 
-def clustered_sparse_vector(
-    length: int, density: float, cluster_size: int = 32, seed: int = 0
-) -> np.ndarray:
-    """A sparse vector whose non-zeros appear in contiguous clusters.
-
-    Real datasets cluster near the diagonal or in blocks (Section 2.3); the
-    bit-tree format is evaluated with this kind of input.
-    """
-    if not 0.0 <= density <= 1.0:
-        raise WorkloadError("density must be in [0, 1]")
-    if cluster_size <= 0:
-        raise WorkloadError("cluster_size must be positive")
-    rng = np.random.default_rng(seed)
-    data = np.zeros(length, dtype=np.float64)
-    remaining = int(round(length * density))
-    while remaining > 0:
-        start = int(rng.integers(0, max(1, length - cluster_size)))
-        span = min(cluster_size, remaining, length - start)
-        data[start : start + span] = rng.random(span) + 0.1
-        remaining -= span
-    return data
-
-
 def _make_values(rng: np.random.Generator, count: int, kind: str) -> np.ndarray:
     """Generate non-zero values: uniform (0.1, 1.1) or SPD-friendly."""
     if kind == "uniform":

@@ -31,8 +31,6 @@ from repro.apps.profile import WorkloadProfile
 from repro.apps.timing import COSTING_BYTES_PER_CELL, estimate_cycles_batch, iter_cycles_batches
 from repro.config import SpMUConfig
 from repro.core import spmu_array
-from repro.core import format_conversion
-from repro.core.format_conversion import FormatConverter
 from repro.core.ordering import OrderingMode
 from repro.core.scanner import SCAN_BYTES_PER_POSITION, BitVectorScanner, ScanMode
 from repro.core.spmu import RequestTrace, SpMUVariant, random_request_vectors
@@ -331,60 +329,6 @@ class TestChunkedSpMU:
             simulate_variants(variants, traces[:-1])
         with pytest.raises(SimulationError):
             simulate_variants(variants[:-1], traces)
-
-
-class TestChunkedConversion:
-    def _tiles(self, rng, length=300, n_tiles=9):
-        return [
-            np.sort(
-                rng.choice(length, size=int(rng.integers(0, length)), replace=False)
-            )
-            for _ in range(n_tiles)
-        ]
-
-    @staticmethod
-    def _budget(length, tiles, chunk):
-        """A budget whose first chunk holds ``chunk`` tiles."""
-        return sum(
-            format_conversion.conversion_tile_bytes(length, tile.size) for tile in tiles[:chunk]
-        )
-
-    def test_chunk_sizes_are_identical(self, monkeypatch):
-        rng = np.random.default_rng(7)
-        converter = FormatConverter(lanes=16, word_bits=32)
-        tiles = self._tiles(rng)
-        full_vectors, full_stats = converter.convert_many(300, tiles)
-        real, sizes = converter._convert_chunk, []
-
-        def spy(length, chunk):
-            sizes.append(len(chunk))
-            return real(length, chunk)
-
-        monkeypatch.setattr(converter, "_convert_chunk", spy)
-        for chunk in CHUNK_SIZES:
-            sizes.clear()
-            budget = self._budget(300, tiles, chunk)
-            vectors, stats = converter.convert_many(300, tiles, memory_budget=budget)
-            assert sizes[0] == min(chunk, len(tiles))
-            assert stats == full_stats
-            assert len(vectors) == len(full_vectors)
-            for got, want in zip(vectors, full_vectors):
-                assert np.array_equal(got._packed(), want._packed())
-                assert np.array_equal(got._sorted_indices(), want._sorted_indices())
-
-    def test_budget_and_generator(self):
-        rng = np.random.default_rng(8)
-        converter = FormatConverter()
-        tiles = self._tiles(rng)
-        _, full_stats = converter.convert_many(300, tiles)
-        _, stats = converter.convert_many(300, iter(tiles), memory_budget=2048)
-        assert stats == full_stats
-
-    def test_empty_tile_set(self):
-        converter = FormatConverter()
-        vectors, stats = converter.convert_many(64, [], memory_budget=1)
-        assert vectors == []
-        assert (stats.pointers, stats.cycles, stats.words_written) == (0, 0, 0)
 
 
 class TestChunkedScan:

@@ -14,18 +14,14 @@ from repro.core import (
     FormatConverter,
     ShuffleNetwork,
     ShuffleRequest,
-    area_overhead_vs_plasticine,
     capstan_area,
     compress_pointer_array,
-    compression_ratio,
-    conflict_count,
     decompress_packets,
     hashed_bank,
     hashed_banks_array,
     linear_bank,
     merge_efficiency,
     plasticine_area,
-    power_overhead_vs_plasticine,
     scanner_area_um2,
     scheduler_area_um2,
 )
@@ -40,9 +36,14 @@ class TestBankHashing:
 
     def test_hash_spreads_power_of_two_strides(self):
         # Stride 16 with a linear map hits one bank; the hash spreads it.
-        addresses = [i * 16 for i in range(16)]
-        assert conflict_count(addresses, 16, "linear") == 16
-        assert conflict_count(addresses, 16, "hash") <= 2
+        # The serialization cycles of one vector are its busiest bank's load.
+        addresses = np.arange(16) * 16
+        load = {
+            scheme: np.bincount(get_bank_mapper_array(scheme)(addresses, 16)).max()
+            for scheme in ("linear", "hash")
+        }
+        assert load["linear"] == 16
+        assert load["hash"] <= 2
 
     def test_hash_array_matches_scalar(self):
         addresses = np.arange(0, 1000, 7)
@@ -57,7 +58,7 @@ class TestBankHashing:
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
-            conflict_count([1], 16, "bogus")
+            get_bank_mapper("bogus")
         with pytest.raises(ValueError):
             get_bank_mapper_array("bogus")
 
@@ -69,14 +70,6 @@ class TestBankHashing:
         scalar = get_bank_mapper(scheme)
         assert array.tolist() == [scalar(int(a), banks) for a in addresses]
         assert array.min() >= 0 and array.max() < banks
-
-    @pytest.mark.parametrize("scheme", BANK_MAPPINGS)
-    def test_conflict_count_is_max_bank_load(self, scheme):
-        addresses = np.random.default_rng(3).integers(0, 4096, size=16)
-        banks = get_bank_mapper_array(scheme)(addresses, 16)
-        expected = int(np.bincount(banks, minlength=16).max())
-        assert conflict_count(addresses.tolist(), 16, scheme) == expected
-        assert conflict_count([], 16, scheme) == 0
 
 
 class TestBloomFilter:
@@ -97,19 +90,6 @@ class TestBloomFilter:
         with pytest.raises(ValueError):
             BloomFilter(64).remove(9)
 
-    def test_false_positive_rate_grows_with_load(self):
-        bloom = BloomFilter(64)
-        empty_rate = bloom.false_positive_rate_estimate()
-        for address in range(60):
-            bloom.insert(address)
-        assert bloom.false_positive_rate_estimate() > empty_rate
-
-    def test_clear(self):
-        bloom = BloomFilter(32)
-        bloom.insert(1)
-        bloom.clear()
-        assert not bloom.may_contain(1)
-
 
 class TestShuffleNetwork:
     def _vectors(self, sources=4, lanes=16, partitions=4, cross=0.5, seed=0):
@@ -127,19 +107,18 @@ class TestShuffleNetwork:
     def test_all_requests_delivered(self):
         network = ShuffleNetwork(ShuffleConfig(mode=ShuffleMode.MRG1))
         vectors = self._vectors()
-        outputs, stats = network.route(vectors, partitions=4)
+        outputs = network.route(vectors, partitions=4)
         delivered = sum(
             sum(1 for slot in vector if slot is not None)
             for vecs in outputs.values()
             for vector in vecs
         )
         assert delivered == 4 * 16
-        assert stats.input_vectors == 4
 
     def test_requests_routed_to_correct_partition(self):
         network = ShuffleNetwork(ShuffleConfig(mode=ShuffleMode.MRG16))
         vectors = self._vectors(seed=3)
-        outputs, _ = network.route(vectors, partitions=4)
+        outputs = network.route(vectors, partitions=4)
         for destination, vecs in outputs.items():
             for vector in vecs:
                 for request in vector:
@@ -156,10 +135,6 @@ class TestShuffleNetwork:
         eff_mrg16 = merge_efficiency(ShuffleMode.MRG16, cross_partition_fraction=0.7, vectors=16)
         assert eff_mrg16 >= eff_mrg0 * 0.95
 
-    def test_stage_count(self):
-        network = ShuffleNetwork(ShuffleConfig(endpoints=16))
-        assert network.stages == 4
-
 
 class TestCompression:
     def test_roundtrip(self):
@@ -171,7 +146,7 @@ class TestCompression:
     def test_close_values_compress_well(self):
         clustered = np.arange(1000, 1064)
         spread = np.random.default_rng(0).integers(0, 2**30, size=64)
-        assert compression_ratio(clustered) > compression_ratio(spread)
+        assert compression_report(clustered).ratio > compression_report(spread).ratio
 
     def test_empty_array(self):
         packets, report = compress_pointer_array(np.array([], dtype=np.int64))
@@ -222,7 +197,7 @@ class TestCompression:
 class TestFormatConverter:
     def test_convert_produces_expected_bitvector(self):
         converter = FormatConverter()
-        vector, stats = converter.convert(64, np.array([3, 10, 40]))
+        (vector,), stats = converter.convert_many(64, [np.array([3, 10, 40])])
         assert vector.indices.tolist() == [3, 10, 40]
         assert stats.cycles == 1
         assert stats.pointers == 3
@@ -230,12 +205,12 @@ class TestFormatConverter:
     def test_conflict_counting(self):
         converter = FormatConverter(lanes=16, word_bits=32)
         # Sixteen pointers in the same 32-bit word collide 15 times.
-        _, stats = converter.convert(64, np.arange(16))
+        _, stats = converter.convert_many(64, [np.arange(16)])
         assert stats.spmu_word_conflicts == 15
 
     def test_out_of_range(self):
         with pytest.raises(SimulationError):
-            FormatConverter().convert(8, np.array([9]))
+            FormatConverter().convert_many(8, [np.array([9])])
 
     def test_convert_many_aggregates(self):
         converter = FormatConverter()
@@ -246,8 +221,9 @@ class TestFormatConverter:
 
 class TestAreaModel:
     def test_paper_overheads(self):
-        assert area_overhead_vs_plasticine() == pytest.approx(0.16, abs=0.02)
-        assert power_overhead_vs_plasticine() == pytest.approx(0.12, abs=0.02)
+        capstan, baseline = capstan_area(), plasticine_area()
+        assert capstan.total_mm2 / baseline.total_mm2 - 1.0 == pytest.approx(0.16, abs=0.02)
+        assert capstan.power_w / baseline.power_w - 1.0 == pytest.approx(0.12, abs=0.02)
 
     def test_totals_match_paper(self):
         assert plasticine_area().total_mm2 == pytest.approx(158.6, rel=0.01)
@@ -272,7 +248,9 @@ class TestAreaModel:
         import dataclasses
 
         half = dataclasses.replace(CapstanConfig(), sparse_fraction=0.5)
-        assert area_overhead_vs_plasticine(half) < area_overhead_vs_plasticine() * 0.7
+        baseline = plasticine_area().total_mm2
+        full_overhead = capstan_area().total_mm2 / baseline - 1.0
+        assert capstan_area(half).total_mm2 / baseline - 1.0 < full_overhead * 0.7
 
     def test_area_scales_with_grid(self):
         small = capstan_area(CapstanConfig().scaled(0.5))

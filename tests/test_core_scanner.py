@@ -38,12 +38,12 @@ class TestBitVectorScanner:
         assert [e.dense_index for e in elements] == [1, 4]
         assert all(e.index_b == -1 for e in elements)
 
-    def test_count_matches_scan(self):
+    def test_intersect_and_union_sizes(self):
         a = BitVector(32, [1, 5, 9])
         b = BitVector(32, [5, 9, 30])
         scanner = BitVectorScanner()
-        assert scanner.count(a, b, ScanMode.INTERSECT) == 2
-        assert scanner.count(a, b, ScanMode.UNION) == 4
+        assert len(scanner.scan_batch(a, b, ScanMode.INTERSECT)) == 2
+        assert len(scanner.scan_batch(a, b, ScanMode.UNION)) == 4
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(SimulationError):

@@ -1,4 +1,4 @@
-"""Tests for the dense, CSR, CSC, and COO formats."""
+"""Tests for the CSR, CSC, and COO formats."""
 
 from __future__ import annotations
 
@@ -6,72 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import FormatError
-from repro.formats import (
-    COOMatrix,
-    CSCMatrix,
-    CSRMatrix,
-    DenseMatrix,
-    DenseVector,
-)
-
-
-class TestDenseMatrix:
-    def test_shape_and_nnz(self, small_dense):
-        matrix = DenseMatrix(small_dense)
-        assert matrix.shape == (4, 4)
-        assert matrix.nnz == 6
-
-    def test_zeros_constructor(self):
-        matrix = DenseMatrix.zeros((3, 5))
-        assert matrix.shape == (3, 5)
-        assert matrix.nnz == 0
-
-    def test_to_dense_roundtrip(self, small_dense):
-        matrix = DenseMatrix(small_dense)
-        assert np.array_equal(matrix.to_dense(), small_dense)
-
-    def test_iter_nonzeros(self, small_dense):
-        matrix = DenseMatrix(small_dense)
-        triples = list(matrix.iter_nonzeros())
-        assert len(triples) == 6
-        assert (0, 0, 1.0) in triples
-
-    def test_density(self, small_dense):
-        matrix = DenseMatrix(small_dense)
-        assert matrix.density == pytest.approx(6 / 16)
-
-    def test_rejects_1d(self):
-        with pytest.raises(FormatError):
-            DenseMatrix(np.arange(4.0))
-
-    def test_data_is_read_only(self, small_dense):
-        matrix = DenseMatrix(small_dense)
-        with pytest.raises(ValueError):
-            matrix.data[0, 0] = 9.0
-
-
-class TestDenseVector:
-    def test_basic_properties(self):
-        vector = DenseVector(np.array([0.0, 1.0, 0.0, 2.0]))
-        assert vector.length == 4
-        assert vector.nnz == 2
-        assert vector.density == pytest.approx(0.5)
-
-    def test_nonzero_indices(self):
-        vector = DenseVector(np.array([0.0, 1.0, 0.0, 2.0]))
-        assert vector.nonzero_indices().tolist() == [1, 3]
-
-    def test_zeros(self):
-        assert DenseVector.zeros(7).nnz == 0
-
-    def test_getitem_and_len(self):
-        vector = DenseVector(np.array([5.0, 0.0, 3.0]))
-        assert len(vector) == 3
-        assert vector[2] == 3.0
-
-    def test_rejects_2d(self):
-        with pytest.raises(FormatError):
-            DenseVector(np.zeros((2, 2)))
+from repro.formats import COOMatrix, CSCMatrix, CSRMatrix
 
 
 class TestCSRMatrix:
@@ -91,11 +26,6 @@ class TestCSRMatrix:
         assert cols.tolist() == [0, 1, 3]
         assert values.tolist() == [3.0, 4.0, 5.0]
 
-    def test_row_bitvector(self, small_csr):
-        bv = small_csr.row_bitvector(0)
-        assert bv.length == 4
-        assert bv.indices.tolist() == [0, 2]
-
     def test_from_coo_arrays_sums_duplicates(self):
         matrix = CSRMatrix.from_coo_arrays(
             (2, 2),
@@ -106,13 +36,11 @@ class TestCSRMatrix:
         assert matrix.to_dense()[0, 1] == 3.0
         assert matrix.nnz == 2
 
-    def test_transpose(self, small_csr, small_dense):
-        assert np.array_equal(small_csr.transpose_to_csr().to_dense(), small_dense.T)
-
-    def test_iter_nonzeros_sorted(self, small_csr):
-        triples = list(small_csr.iter_nonzeros())
-        rows = [r for r, _, _ in triples]
-        assert rows == sorted(rows)
+    def test_coo_arrays_row_major(self, small_csr):
+        rows, cols, values = small_csr.to_coo_arrays()
+        assert rows.tolist() == [0, 0, 2, 2, 2, 3]
+        assert cols.tolist() == [0, 2, 0, 1, 3, 1]
+        assert values.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
 
     def test_invalid_pointers_rejected(self):
         with pytest.raises(FormatError):
@@ -147,10 +75,6 @@ class TestCSCMatrix:
         assert rows.tolist() == [2, 3]
         assert values.tolist() == [4.0, 6.0]
 
-    def test_col_bitvector(self, small_csc):
-        bv = small_csc.col_bitvector(0)
-        assert bv.indices.tolist() == [0, 2]
-
     def test_from_coo_matches_dense(self, random_dense_matrix):
         rows, cols = np.nonzero(random_dense_matrix)
         values = random_dense_matrix[rows, cols]
@@ -177,9 +101,6 @@ class TestCOOMatrix:
         )
         assert matrix.nnz == 1
         assert matrix.to_dense()[0, 0] == 5.0
-
-    def test_storage_bytes(self, small_coo):
-        assert small_coo.storage_bytes() == 12 * small_coo.nnz
 
     def test_mismatched_arrays_rejected(self):
         with pytest.raises(FormatError):

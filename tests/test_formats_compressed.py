@@ -1,4 +1,4 @@
-"""Tests for DCSR/DCSC, BCSR, banded, bit-vector, and bit-tree formats."""
+"""Tests for the bit-vector and bit-tree formats."""
 
 from __future__ import annotations
 
@@ -8,116 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FormatError
-from repro.formats import (
-    BandedMatrix,
-    BCSRMatrix,
-    BitTree,
-    BitVector,
-    DCSCMatrix,
-    CSRMatrix,
-    DCSRMatrix,
-    align_trees,
-)
-
-
-class TestDCSR:
-    def test_drops_empty_rows(self, small_dense):
-        matrix = DCSRMatrix.from_dense(small_dense)
-        assert matrix.stored_rows == 3
-        assert matrix.row_ids.tolist() == [0, 2, 3]
-
-    def test_roundtrip(self, small_dense):
-        assert np.array_equal(DCSRMatrix.from_dense(small_dense).to_dense(), small_dense)
-
-    def test_from_csr_keeps_entries_and_drops_empty_rows(self):
-        dense = np.zeros((6, 5))
-        dense[[1, 1, 4], [0, 3, 2]] = [1.0, 2.0, 3.0]
-        matrix = DCSRMatrix.from_csr(CSRMatrix.from_dense(dense))
-        assert matrix.row_ids.tolist() == [1, 4]
-        assert matrix.nnz == 3
-        assert np.array_equal(matrix.to_dense(), dense)
-
-    def test_row_slice(self, small_dense):
-        matrix = DCSRMatrix.from_dense(small_dense)
-        row_id, cols, values = matrix.row_slice(1)
-        assert row_id == 2
-        assert cols.tolist() == [0, 1, 3]
-        assert values.tolist() == [3.0, 4.0, 5.0]
-
-    def test_storage_smaller_than_csr_for_hypersparse(self):
-        dense = np.zeros((100, 100))
-        dense[3, 7] = 1.0
-        dcsr = DCSRMatrix.from_dense(dense)
-        assert dcsr.storage_bytes() < CSRMatrix.from_dense(dense).storage_bytes()
-
-    def test_out_of_range_slice(self, small_dense):
-        with pytest.raises(FormatError):
-            DCSRMatrix.from_dense(small_dense).row_slice(99)
-
-
-class TestDCSC:
-    def test_roundtrip(self, small_dense):
-        assert np.array_equal(DCSCMatrix.from_dense(small_dense).to_dense(), small_dense)
-
-    def test_stored_cols(self, small_dense):
-        matrix = DCSCMatrix.from_dense(small_dense)
-        assert matrix.stored_cols == 4  # every column of the fixture is non-empty
-
-    def test_iter_nonzeros_matches(self, small_dense):
-        matrix = DCSCMatrix.from_dense(small_dense)
-        triples = set(matrix.iter_nonzeros())
-        expected = {(r, c, small_dense[r, c]) for r, c in zip(*np.nonzero(small_dense))}
-        assert triples == expected
-
-
-class TestBCSR:
-    def test_roundtrip(self):
-        dense = np.zeros((8, 8))
-        dense[0:2, 0:2] = 1.0
-        dense[4, 6] = 3.0
-        matrix = BCSRMatrix.from_dense(dense, block_size=2)
-        assert np.array_equal(matrix.to_dense(), dense)
-
-    def test_block_count_and_fill(self):
-        dense = np.zeros((4, 4))
-        dense[0, 0] = 1.0
-        matrix = BCSRMatrix.from_dense(dense, block_size=2)
-        assert matrix.block_count == 1
-        assert matrix.stored_elements == 4
-        assert matrix.block_fill_ratio() == pytest.approx(0.25)
-
-    def test_dimension_must_divide(self):
-        with pytest.raises(FormatError):
-            BCSRMatrix.from_dense(np.zeros((5, 4)), block_size=2)
-
-    def test_nnz_excludes_padding_zeros(self):
-        dense = np.zeros((4, 4))
-        dense[0, 0] = 1.0
-        dense[1, 1] = 2.0
-        matrix = BCSRMatrix.from_dense(dense, block_size=2)
-        assert matrix.nnz == 2
-
-
-class TestBanded:
-    def test_roundtrip_tridiagonal(self):
-        dense = np.diag(np.arange(1.0, 6.0)) + np.diag(np.ones(4), 1)
-        matrix = BandedMatrix.from_dense(dense, offsets=[0, 1])
-        assert np.array_equal(matrix.to_dense(), dense)
-
-    def test_offsets_sorted(self):
-        dense = np.eye(4)
-        matrix = BandedMatrix.from_dense(dense, offsets=[0])
-        assert matrix.offsets == [0]
-
-    def test_missing_diagonal_raises(self):
-        matrix = BandedMatrix.from_dense(np.eye(3), offsets=[0])
-        with pytest.raises(FormatError):
-            matrix.diagonal(1)
-
-    def test_negative_offset(self):
-        dense = np.diag(np.ones(3), -1)
-        matrix = BandedMatrix.from_dense(dense, offsets=[-1])
-        assert np.array_equal(matrix.to_dense(), dense)
+from repro.formats import BitTree, BitVector
 
 
 class TestBitVector:
@@ -133,37 +24,9 @@ class TestBitVector:
         assert bv.mask.tolist() == [False, True, False, True, False]
         assert np.array_equal(bv.to_dense(), dense)
 
-    def test_intersect_union_masks(self):
-        a = BitVector(6, [0, 2, 4])
-        b = BitVector(6, [2, 3, 4])
-        assert np.nonzero(a.intersect_mask(b))[0].tolist() == [2, 4]
-        assert np.nonzero(a.union_mask(b))[0].tolist() == [0, 2, 3, 4]
-
-    def test_compressed_position(self):
-        bv = BitVector(8, [1, 4, 6])
-        assert bv.compressed_position(4) == 1
-        with pytest.raises(FormatError):
-            bv.compressed_position(2)
-
-    def test_packed_words(self):
-        bv = BitVector(40, [0, 33])
-        words = bv.packed_words(32)
-        assert words[0] == 1
-        assert words[1] == 2
-
     def test_duplicate_indices_rejected(self):
         with pytest.raises(FormatError):
             BitVector(4, [1, 1])
-
-    def test_length_mismatch_rejected(self):
-        a = BitVector(4, [0])
-        b = BitVector(5, [0])
-        with pytest.raises(FormatError):
-            a.intersect_mask(b)
-
-    def test_storage_bits(self):
-        bv = BitVector(64, [0, 1, 2])
-        assert bv.storage_bits() == 64 + 3 * 32
 
     @given(st.lists(st.integers(min_value=0, max_value=127), unique=True, max_size=32))
     @settings(max_examples=50, deadline=None)
@@ -178,21 +41,9 @@ class TestBitTree:
         dense = np.zeros(2048)
         dense[[3, 600, 1500]] = [1.0, 2.0, 3.0]
         tree = BitTree.from_dense(dense)
-        assert np.array_equal(tree.to_dense(), dense)
-        assert tree.occupied_tiles == 3
-
-    def test_top_level(self):
-        dense = np.zeros(2048)
-        dense[[3, 600]] = 1.0
-        tree = BitTree.from_dense(dense)
-        assert tree.top_level().indices.tolist() == [0, 1]
-
-    def test_storage_beats_bitvector_when_hypersparse(self):
-        dense = np.zeros(262_144)
-        dense[5] = 1.0
-        tree = BitTree.from_dense(dense)
-        bv = BitVector.from_dense(dense)
-        assert tree.storage_bits() < bv.storage_bits()
+        assert tree.indices().tolist() == [3, 600, 1500]
+        assert tree.values().tolist() == [1.0, 2.0, 3.0]
+        assert np.flatnonzero(tree.words.any(axis=1)).tolist() == [0, 1, 2]
 
     @pytest.mark.parametrize(
         "length, tile_bits",
@@ -203,32 +54,15 @@ class TestBitTree:
         values = np.arange(1.0, indices.size + 1.0)
         tree = BitTree.from_indices(length, indices, values, tile_bits)
         assert tree.tile_count == -(-length // tile_bits)
-        # Tiles cover the vector exactly; only the last may be short.
-        lengths = [tree.tile_length(t) for t in range(tree.tile_count)]
-        assert sum(lengths) == length
-        assert all(n == tile_bits for n in lengths[:-1])
-        assert tree.occupied_tile_ids().tolist() == np.unique(indices // tile_bits).tolist()
-        flat = tree.to_bitvector()
-        assert flat.length == length
-        assert np.array_equal(flat.to_dense(), tree.to_dense())
-        with pytest.raises(FormatError):
-            tree.tile_length(tree.tile_count)
+        words = tree.words
+        assert words.shape == (tree.tile_count, -(-tile_bits // 64))
+        # Each position's bit sits in its tile's row at the in-tile offset.
+        bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+        tiles, offsets = np.nonzero(bits)
+        assert (tiles * tile_bits + offsets).tolist() == np.sort(indices).tolist()
+        assert tree.indices().tolist() == np.sort(indices).tolist()
 
     def test_set_rejects_zero(self):
         tree = BitTree(1024)
         with pytest.raises(FormatError):
             tree.set(0, 0.0)
-
-    def test_align_union_and_intersect(self):
-        a = BitTree.from_dense(np.concatenate([np.ones(10), np.zeros(1014)]))
-        b_dense = np.zeros(1024)
-        b_dense[600] = 1.0
-        b = BitTree.from_dense(b_dense)
-        union = align_trees(a, b, "union")
-        intersect = align_trees(a, b, "intersect")
-        assert [tile_id for tile_id, _, _ in union] == [0, 1]
-        assert intersect == []
-
-    def test_align_rejects_mismatched(self):
-        with pytest.raises(FormatError):
-            align_trees(BitTree(1024), BitTree(2048))

@@ -7,22 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConversionError
 from repro.formats import (
-    BitVector,
-    bittree_to_bitvector,
-    bitvector_to_bittree,
-    from_scipy,
-    pointers_to_bitvector,
     read_matrix_market,
     roundtrip_matches,
     to_coo,
     to_csc,
     to_csr,
-    to_dcsr,
-    to_dense_matrix,
     to_scipy_csr,
-    vector_to_bitvector,
     write_matrix_market,
 )
 from repro.formats.coo import COOMatrix
@@ -35,48 +26,14 @@ class TestConversions:
         back = to_csr(coo)
         assert np.array_equal(back.to_dense(), small_dense)
 
-    def test_to_dcsr(self, small_csr):
-        dcsr = to_dcsr(small_csr)
-        assert dcsr.stored_rows == 3
-        assert np.array_equal(dcsr.to_dense(), small_csr.to_dense())
-
-    def test_to_dense_matrix(self, small_coo, small_dense):
-        assert np.array_equal(to_dense_matrix(small_coo).to_dense(), small_dense)
-
     def test_identity_conversions_return_same_object(self, small_csr, small_coo):
         assert to_csr(small_csr) is small_csr
         assert to_coo(small_coo) is small_coo
 
-    def test_scipy_roundtrip(self, small_csr, small_dense):
-        scipy_matrix = to_scipy_csr(small_csr)
-        back = from_scipy(scipy_matrix, "csr")
-        assert np.array_equal(back.to_dense(), small_dense)
-
-    @pytest.mark.parametrize("fmt", ["csr", "csc", "coo", "dcsr", "dense"])
-    def test_from_scipy_all_targets(self, small_csr, small_dense, fmt):
-        converted = from_scipy(to_scipy_csr(small_csr), fmt)
-        assert np.allclose(converted.to_dense(), small_dense)
-
-    def test_from_scipy_unknown_format(self, small_csr):
-        with pytest.raises(ConversionError):
-            from_scipy(to_scipy_csr(small_csr), "bogus")
-
-    def test_vector_to_bitvector(self):
-        bv = vector_to_bitvector(np.array([0.0, 3.0, 0.0]))
-        assert bv.indices.tolist() == [1]
-        assert bv.values.tolist() == [3.0]
-
-    def test_pointers_to_bitvector(self):
-        bv = pointers_to_bitvector(10, np.array([2, 5]))
-        assert bv.mask[2] and bv.mask[5]
-        with pytest.raises(ConversionError):
-            pointers_to_bitvector(4, np.array([9]))
-
-    def test_bittree_bitvector_roundtrip(self):
-        bv = BitVector(4096, [1, 700, 4000], [1.0, 2.0, 3.0])
-        tree = bitvector_to_bittree(bv)
-        back = bittree_to_bitvector(tree)
-        assert back == bv
+    def test_scipy_csr_matches_dense(self, small_coo, small_dense):
+        scipy_matrix = to_scipy_csr(small_coo)
+        assert scipy_matrix.format == "csr"
+        assert np.array_equal(scipy_matrix.toarray(), small_dense)
 
     @given(
         st.lists(
@@ -97,7 +54,7 @@ class TestConversions:
         dense = coo.to_dense()
         assert np.allclose(to_csr(coo).to_dense(), dense)
         assert np.allclose(to_csc(coo).to_dense(), dense)
-        assert np.allclose(to_dcsr(coo).to_dense(), dense)
+        assert np.allclose(to_scipy_csr(coo).toarray(), dense)
 
 
 class TestMatrixMarketIO:

@@ -29,7 +29,7 @@ from repro.runtime.cache import (
 )
 from repro.runtime import runner as runner_module
 from repro.runtime.executors import pool as pool_module
-from repro.runtime.registry import AppSpec, RegistryError, RunContext, register
+from repro.runtime.registry import AppSpec, RegistryError, RunContext, parse_scale, register
 from repro.runtime.runner import ExperimentRunner, default_workers, pool_is_profitable
 from repro.runtime.sweep import sweep
 
@@ -140,6 +140,19 @@ class TestRegistry:
         for thread in threads:
             thread.join()
         assert not mismatches
+
+
+@pytest.mark.parametrize(
+    "text, expected", [("1/64", 1 / 64), ("0.015625", 0.015625), ("3/4", 0.75), ("1", 1.0)]
+)
+def test_parse_scale_reads_floats_and_ratios(text, expected):
+    assert parse_scale(text) == expected
+
+
+@pytest.mark.parametrize("text", ["1/0", "banana", "1/x", ""])
+def test_parse_scale_raises_value_error(text):
+    with pytest.raises(ValueError):
+        parse_scale(text)
 
 
 class TestProfileCache:
@@ -530,6 +543,15 @@ class TestCLIRunContext:
         assert cli.main(argv) == 2
         assert "unknown applications: nope" in capsys.readouterr().err
         assert not (tmp_path / "runs.sqlite").exists()
+
+    @pytest.mark.parametrize("subcommand", [[], ["dse"], ["sweep"]])
+    @pytest.mark.parametrize("flag", ["--scale", "--conv-scale"])
+    def test_zero_denominator_exits_2_in_every_command(self, subcommand, flag, capsys):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(subcommand + [flag, "1/0"])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: invalid" in err and "'1/0'" in err
 
     def test_cache_policy_follows_the_cache_flags(self, tmp_path):
         parse = cli.build_parser().parse_args

@@ -10,23 +10,19 @@ from repro.formats import to_csr
 from repro.workloads import (
     RESNET_LAYERS,
     TABLE6_DATASETS,
+    Partitioning,
     balanced_partition,
     banded_fem_matrix,
     circuit_matrix,
-    clustered_sparse_vector,
-    cross_tile_fraction,
     dataset_names,
     generate_conv_layer,
     graph_datasets,
     layer_names,
     load_dataset,
     make_diagonally_dominant,
-    partition_graph_by_edges,
-    partition_rows_round_robin,
     power_law_graph,
     reference_convolution,
     road_network_graph,
-    round_robin_partition,
     sparse_vector,
     uniform_random_matrix,
 )
@@ -70,12 +66,6 @@ class TestSyntheticGenerators:
     def test_sparse_vector_density(self):
         vector = sparse_vector(1000, 0.3, seed=1)
         assert abs(np.count_nonzero(vector) - 300) <= 2
-
-    def test_clustered_vector_clusters(self):
-        vector = clustered_sparse_vector(10_000, 0.05, cluster_size=64, seed=1)
-        nonzero = np.nonzero(vector)[0]
-        gaps = np.diff(nonzero)
-        assert np.mean(gaps == 1) > 0.5
 
     def test_diagonally_dominant(self):
         matrix = make_diagonally_dominant(uniform_random_matrix(50, 50, 300, seed=3))
@@ -171,38 +161,28 @@ class TestResNetLayers:
 
 
 class TestTiling:
-    def test_round_robin_assignment(self):
-        partition = round_robin_partition(10, 3)
-        assert partition.assignments.tolist() == [0, 1, 2, 0, 1, 2, 0, 1, 2, 0]
+    @staticmethod
+    def _imbalance(partition):
+        totals = partition.tile_weights()
+        return totals.max() / totals.mean()
 
     def test_tile_weights_sum_items_per_tile(self):
-        partition = round_robin_partition(7, 3, [1, 2, 3, 4, 5, 6, 7])
+        weights = np.arange(1.0, 8.0)
+        partition = Partitioning(np.arange(7) % 3, 3, weights)
         assert partition.tile_weights().tolist() == [12.0, 7.0, 9.0]
-        assert partition.imbalance == pytest.approx(12.0 / (28.0 / 3))
 
     def test_balanced_partition_beats_round_robin_on_skew(self):
-        weights = [100, 1, 1, 1, 1, 1, 1, 99]
+        weights = np.array([100, 1, 1, 1, 1, 1, 1, 99], dtype=np.float64)
         balanced = balanced_partition(weights, 2)
-        naive = round_robin_partition(len(weights), 2, weights)
-        assert balanced.imbalance <= naive.imbalance
+        naive = Partitioning(np.arange(weights.size) % 2, 2, weights)
+        assert self._imbalance(balanced) <= self._imbalance(naive)
 
     def test_graph_partition_by_edges(self, tiny_graph):
         csr = to_csr(tiny_graph.matrix)
-        partition = partition_graph_by_edges(csr, 8)
-        assert partition.imbalance < 1.5
-
-    def test_row_round_robin(self, tiny_matrix_dataset):
-        csr = to_csr(tiny_matrix_dataset.matrix)
-        partition = partition_rows_round_robin(csr, 16)
-        assert partition.tiles == 16
+        partition = balanced_partition(csr.row_lengths().astype(np.float64), 8)
         assert partition.assignments.size == csr.shape[0]
-
-    def test_cross_tile_fraction_range(self, tiny_graph):
-        csr = to_csr(tiny_graph.matrix)
-        partition = partition_graph_by_edges(csr, 8)
-        fraction = cross_tile_fraction(csr, partition)
-        assert 0.0 <= fraction <= 1.0
+        assert self._imbalance(partition) < 1.5
 
     def test_invalid_tiles(self):
         with pytest.raises(WorkloadError):
-            round_robin_partition(5, 0)
+            balanced_partition([1.0], 0)
