@@ -214,10 +214,6 @@ class CapstanConfig:
         """Return a copy of this configuration using ``memory`` off-chip."""
         return replace(self, memory=memory)
 
-    def with_shuffle_mode(self, mode: ShuffleMode) -> "CapstanConfig":
-        """Return a copy of this configuration with a different shuffle mode."""
-        return replace(self, shuffle=replace(self.shuffle, mode=mode))
-
     def scaled(self, factor: float) -> "CapstanConfig":
         """Return a configuration with the grid scaled by ``factor``.
 

@@ -428,10 +428,10 @@ def _dse_main(argv: List[str]) -> int:
     context, apps, cache = setup
 
     if args.prefill or args.prefill_only:
-        from .sweep import sweep
+        from .sweep import spmu_projection_sweep
 
         try:
-            resolved = prefill_throughputs(sweep(**axes).values())
+            resolved = prefill_throughputs(spmu_projection_sweep(None, axes).values())
         except CapstanError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

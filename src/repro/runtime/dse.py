@@ -48,15 +48,20 @@ from .runner import ExperimentRunner
 from .sweep import sweep
 
 
-def prefill_throughputs(platforms: Iterable[CapstanPlatform]) -> int:
+def prefill_throughputs(
+    platforms: Iterable[CapstanPlatform], *, memory_budget: Optional[int] = None
+) -> int:
     """Warm the SpMU throughput caches for a family of platforms.
 
     Deduplicates the platforms' calibration microbenchmarks, simulates
-    every cold one in a single batched lock-step pass, and persists the
-    results with one :class:`~repro.runtime.cache.ThroughputStore`
-    transaction. Running this before launching parallel sweeps (``repro-eval
-    dse --prefill``) means the workers find every microbenchmark warm
-    instead of racing to re-simulate the same cold variants.
+    every cold one in a single batched lock-step pass (its state bounded by
+    ``memory_budget``; ``None`` defers to ``REPRO_MEMORY_BUDGET``), and
+    persists the results with one
+    :class:`~repro.runtime.cache.ThroughputStore` transaction. Running this
+    before launching parallel sweeps (``repro-eval dse --prefill``) means
+    the workers find every microbenchmark warm instead of racing to
+    re-simulate the same cold variants; the adaptive search runs it over a
+    small space's projections before its first generation.
 
     Returns:
         The number of distinct SpMU variants resolved (warm or cold).
@@ -66,7 +71,7 @@ def prefill_throughputs(platforms: Iterable[CapstanPlatform]) -> int:
     }
     if not variants:
         return 0
-    effective_bank_throughput_batch(sorted(variants, key=repr))
+    effective_bank_throughput_batch(sorted(variants, key=repr), memory_budget=memory_budget)
     return len(variants)
 
 

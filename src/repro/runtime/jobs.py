@@ -756,19 +756,21 @@ class _LeaseHeartbeat(threading.Thread):
         self._interval = max(0.05, lease_s / 3.0)
         self._seqs: List[int] = []
         self._lock = threading.Lock()
-        self._stop = threading.Event()
+        # Not ``_stop``: that would shadow the ``threading.Thread._stop``
+        # method a forked child calls on every inherited thread.
+        self._halt = threading.Event()
 
     def watch(self, seqs: List[int]) -> None:
         with self._lock:
             self._seqs = list(seqs)
 
     def stop(self) -> None:
-        self._stop.set()
+        self._halt.set()
 
     def run(self) -> None:
         store = RunStore(self._path)
         try:
-            while not self._stop.wait(self._interval):
+            while not self._halt.wait(self._interval):
                 with self._lock:
                     seqs = list(self._seqs)
                 if not seqs:

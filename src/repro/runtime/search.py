@@ -9,8 +9,10 @@ generation, builds them with the sweep's
 :func:`~repro.runtime.dse.cost_variants` -- the same core ``explore``
 uses, streaming under the memory budget, with
 ``effective_bank_throughput_batch`` plus the ``ThroughputStore`` as the
-shared cross-generation microbenchmark cache -- and drives the proposals
-from multi-objective costs over (cycles gmean, area, energy gmean).
+shared cross-generation microbenchmark cache, filled in one batch before
+generation 0 when the space has few enough SpMU projections -- and drives
+the proposals from multi-objective costs over (cycles gmean, area, energy
+gmean).
 
 Two strategies ship behind one :class:`SearchStrategy` protocol:
 
@@ -44,13 +46,15 @@ from ..apps.timing import PLATFORM_ALLOCATORS, CapstanPlatform
 from ..core.bank_hash import BANK_MAPPINGS
 from ..errors import ConfigurationError
 from .cache import code_fingerprint, content_key, env_root, read_json, write_json_atomic
-from .dse import cost_variants, pareto_frontier
+from .dse import cost_variants, pareto_frontier, prefill_throughputs
 from .sweep import (
     axis_value,
     axis_value_to_json,
     build_variant,
     default_variant_name,
     parse_axis_value,
+    spmu_projection_bound,
+    spmu_projection_sweep,
 )
 
 #: Objectives the search can minimize, in canonical order.
@@ -871,6 +875,25 @@ class AdaptiveSearch:
             len(combos), len(self.objectives)
         )
 
+    def _prefill_projections(self, width: int) -> None:
+        """Resolve every SpMU projection of the space in one batch, when
+        the space has no more of them than the run can evaluate (``width``
+        points in each of the strategy's generations).
+
+        The lock-step simulation's cost is per simulated cycle, not per
+        variant, so one batch of every projection beats one batch of the
+        new ones per generation; each later costing pass then finds its
+        throughputs memoized. A larger space (the default one) keeps the
+        per-generation batches: enumerating it would simulate projections
+        the search never visits.
+        """
+        axes = dict(self.space.axes)
+        if spmu_projection_bound(axes) > width * self.strategy.total_generations():
+            return
+        prefill_throughputs(
+            spmu_projection_sweep(self.base, axes).values(), memory_budget=self.memory_budget
+        )
+
     # -- stepping ----------------------------------------------------------- #
 
     @property
@@ -884,6 +907,8 @@ class AdaptiveSearch:
             raise ConfigurationError("search already finished; nothing to step")
         current = self.generation
         proposal = self.strategy.propose(current, self.rng, self)
+        if current == 0:
+            self._prefill_projections(len(proposal.combos))
         costs = self._evaluate(proposal.combos, proposal.fidelity)
         self.strategy.observe(current, proposal.combos, costs)
         self.generation = current + 1

@@ -20,14 +20,19 @@ given. Supported axes:
   :class:`~repro.config.CapstanConfig` fields (design-space exploration);
 * ``banks`` / ``queue_depth`` / ``crossbar_inputs`` -- structural
   :class:`~repro.config.SpMUConfig` fields (design-space exploration).
+
+:data:`SPMU_AXES` names the axes that decide a platform's SpMU
+microbenchmark; :func:`spmu_projection_sweep` builds just enough of a grid
+to cover all of them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import replace
 from enum import Enum
-from typing import Any, Callable, Dict, Iterable, Mapping, Optional
+from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Sequence
 
 from ..apps.timing import PLATFORM_ALLOCATORS, CapstanPlatform
 from ..config import MemoryTechnology, ShuffleMode
@@ -58,6 +63,21 @@ _ENUM_AXES = {"ordering": OrderingMode, "memory": MemoryTechnology, "shuffle": S
 
 #: Every supported axis name, for error messages.
 KNOWN_AXES = _PLATFORM_FIELDS + ("memory", "shuffle") + _CONFIG_FIELDS + _SPMU_FIELDS
+
+#: The axes that decide a platform's SpMU projection
+#: (:func:`~repro.apps.timing.platform_throughput_variant`), or whether it
+#: has one at all (``ideal_sram``). Every other axis leaves the projection
+#: as it is, so a grid's projections are those of its SpMU sub-grid.
+SPMU_AXES = (
+    "ordering",
+    "bank_mapping",
+    "allocator",
+    "ideal_sram",
+    "lanes",
+    "banks",
+    "queue_depth",
+    "crossbar_inputs",
+)
 
 
 def _parse_bool(text: str) -> bool:
@@ -115,7 +135,8 @@ def axis_value_to_json(value: Any) -> Any:
     return getattr(value, "value", value)
 
 
-def _apply_axis(platform: CapstanPlatform, axis: str, value: Any) -> CapstanPlatform:
+def _check_axis(axis: str, value: Any) -> None:
+    """Reject one ``{axis: value}`` pair before anything is built."""
     if axis in _ENUM_AXES:
         kind = _ENUM_AXES[axis]
         if not isinstance(value, kind):
@@ -129,18 +150,6 @@ def _apply_axis(platform: CapstanPlatform, axis: str, value: Any) -> CapstanPlat
             raise ConfigurationError(f"{axis} axis takes positive integers, got {value!r}")
     else:
         raise ConfigurationError(f"unknown sweep axis {axis!r}; known: {', '.join(KNOWN_AXES)}")
-    if axis in _PLATFORM_FIELDS:
-        return replace(platform, **{axis: value})
-    config = platform.config
-    if axis == "memory":
-        config = config.with_memory(value)
-    elif axis == "shuffle":
-        config = config.with_shuffle_mode(value)
-    elif axis in _CONFIG_FIELDS:
-        config = replace(config, **{axis: value})
-    else:
-        config = replace(config, spmu=replace(config.spmu, **{axis: value}))
-    return replace(platform, config=config)
 
 
 def axis_value(platform: CapstanPlatform, axis: str) -> Any:
@@ -167,11 +176,31 @@ def build_variant(
 
     The only place a swept platform is built: :func:`sweep` and the
     adaptive search space reject an illegal value (``lanes=12``) alike.
+    The values are grouped by the level they live on (platform,
+    :class:`~repro.config.CapstanConfig`, :class:`~repro.config.SpMUConfig`)
+    and each level is rebuilt once, so a variant costs at most three
+    ``replace`` calls (four with a ``shuffle`` axis) whatever its axis count.
     """
     platform = base if base is not None else CapstanPlatform()
+    platform_fields: Dict[str, Any] = {"name": name}
+    config_fields: Dict[str, Any] = {}
+    spmu_fields: Dict[str, Any] = {}
     for axis, value in combo.items():
-        platform = _apply_axis(platform, axis, value)
-    platform = replace(platform, name=name)
+        _check_axis(axis, value)
+        if axis in _PLATFORM_FIELDS:
+            platform_fields[axis] = value
+        elif axis in _SPMU_FIELDS:
+            spmu_fields[axis] = value
+        elif axis == "shuffle":
+            config_fields["shuffle"] = replace(platform.config.shuffle, mode=value)
+        else:
+            config_fields[axis] = value
+    config = platform.config
+    if spmu_fields:
+        config_fields["spmu"] = replace(config.spmu, **spmu_fields)
+    if config_fields:
+        platform_fields["config"] = replace(config, **config_fields)
+    platform = replace(platform, **platform_fields)
     platform.config.validate()
     return platform
 
@@ -213,3 +242,30 @@ def sweep(
             raise ConfigurationError(f"duplicate sweep variant name {variant_name!r}")
         variants[variant_name] = build_variant(base, combo, variant_name)
     return variants
+
+
+def spmu_projection_bound(axes: Mapping[str, Sequence[Any]]) -> int:
+    """Upper bound on the distinct SpMU projections of the ``axes`` grid:
+    the size of its :data:`SPMU_AXES` sub-grid (points of the sub-grid may
+    still share a projection, e.g. an ``ideal_sram`` point has none)."""
+    return math.prod(len(values) for axis, values in axes.items() if axis in SPMU_AXES)
+
+
+def spmu_projection_sweep(
+    base: Optional[CapstanPlatform], axes: Mapping[str, Iterable[Any]]
+) -> Dict[str, CapstanPlatform]:
+    """Platforms covering every SpMU projection of the ``axes`` grid.
+
+    The :data:`SPMU_AXES` sub-grid, with every other axis at its first
+    value: :func:`spmu_projection_bound` builds instead of the whole
+    product. Each value of the other axes is still checked on its own, so
+    an illegal one fails here as it would in the full :func:`sweep`.
+    """
+    grid = {axis: tuple(values) for axis, values in axes.items()}
+    for axis, values in grid.items():
+        if axis not in SPMU_AXES:
+            for value in values:
+                _check_axis(axis, value)
+    return sweep(
+        base, **{axis: values if axis in SPMU_AXES else values[:1] for axis, values in grid.items()}
+    )

@@ -71,11 +71,9 @@ class TestCapstanConfig:
         assert CapstanConfig(memory=MemoryTechnology.DDR4).memory_bandwidth_gbps == 68.0
         assert CapstanConfig(memory=MemoryTechnology.HBM2).memory_bandwidth_gbps == 900.0
 
-    def test_with_memory_and_shuffle(self):
+    def test_with_memory(self):
         config = CapstanConfig().with_memory(MemoryTechnology.DDR4)
         assert config.memory is MemoryTechnology.DDR4
-        shuffled = CapstanConfig().with_shuffle_mode(ShuffleMode.MRG16)
-        assert shuffled.shuffle.mode is ShuffleMode.MRG16
 
     def test_scaled(self):
         scaled = CapstanConfig().scaled(0.5)

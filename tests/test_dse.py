@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import importlib
+import itertools
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +15,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.apps.profile import WorkloadProfile
-from repro.config import SpMUConfig
+from repro.apps.timing import PLATFORM_ALLOCATORS, CapstanPlatform, platform_throughput_variant
+from repro.config import MemoryTechnology, ShuffleMode, SpMUConfig
+from repro.core.bank_hash import BANK_MAPPINGS
 from repro.core import spmu as spmu_module
 from repro.core.ordering import OrderingMode
 from repro.core.spmu import SpMUVariant
@@ -24,7 +29,16 @@ from repro.runtime.cache import ThroughputStore, throughput_store_enabled
 from repro.runtime.cli import main as cli_main
 from repro.runtime.dse import explore, pareto_frontier
 from repro.runtime.search import DEFAULT_SEARCH_AXES, pareto_ranks, rank_order
-from repro.runtime.sweep import axis_value, build_variant, parse_axis_value, sweep
+from repro.runtime.sweep import (
+    KNOWN_AXES,
+    SPMU_AXES,
+    axis_value,
+    build_variant,
+    parse_axis_value,
+    spmu_projection_bound,
+    spmu_projection_sweep,
+    sweep,
+)
 
 
 class TestThroughputStore:
@@ -166,6 +180,157 @@ class TestVariantBuilder:
     def test_unknown_axis_has_no_value(self):
         with pytest.raises(ConfigurationError, match="unknown sweep axis"):
             axis_value(build_variant(None, {}, "base"), "warp")
+
+    @pytest.mark.parametrize(
+        "base, axes",
+        [
+            # The perfbench ``dse`` grid's shape: 2,048 variants.
+            (
+                None,
+                {
+                    "lanes": ("8", "16"),
+                    "banks": ("16", "32"),
+                    "queue_depth": ("8", "16"),
+                    "crossbar_inputs": ("16", "32"),
+                    "compute_units": ("64", "100", "144", "196", "256", "324", "400", "484"),
+                    "bank_mapping": ("hash", "linear"),
+                    "allocator": ("separable", "greedy"),
+                    "ordering": ("unordered", "address-ordered"),
+                    "memory": ("hbm2e", "ddr4"),
+                },
+            ),
+            # Both extremes of every search axis plus shuffle and
+            # ideal_sram, over a base that differs from the default.
+            (
+                CapstanPlatform(ideal_network=True, allocator="greedy"),
+                {
+                    **{axis: (vs[0], vs[-1]) for axis, vs in DEFAULT_SEARCH_AXES.items()},
+                    "shuffle": ("none", "mrg-16"),
+                    "ideal_sram": ("true", "false"),
+                },
+            ),
+        ],
+        ids=["dse-grid", "every-axis"],
+    )
+    def test_sweep_equals_the_per_axis_fold(self, base, axes):
+        native = {axis: [parse_axis_value(axis, v) for v in vs] for axis, vs in axes.items()}
+        variants = sweep(base, **native)
+        keys = list(native)
+        combos = itertools.product(*(native[k] for k in keys))
+        assert len(variants) == math.prod(len(v) for v in native.values())
+        for (name, platform), values in zip(variants.items(), combos):
+            assert platform == _fold_build(base, dict(zip(keys, values)), name)
+
+
+def _fold_build(base, combo, name):
+    """The oracle :func:`build_variant` is pinned against: one ``replace``
+    per axis per level, then the name, then one validation."""
+    platform = base if base is not None else CapstanPlatform()
+    for axis, value in combo.items():
+        if axis in ("ordering", "bank_mapping", "allocator", "ideal_sram"):
+            platform = replace(platform, **{axis: value})
+            continue
+        config = platform.config
+        if axis == "memory":
+            config = config.with_memory(value)
+        elif axis == "shuffle":
+            config = replace(config, shuffle=replace(config.shuffle, mode=value))
+        elif axis in ("lanes", "compute_units"):
+            config = replace(config, **{axis: value})
+        else:
+            config = replace(config, spmu=replace(config.spmu, **{axis: value}))
+        platform = replace(platform, config=config)
+    platform = replace(platform, name=name)
+    platform.config.validate()
+    return platform
+
+
+#: Legal values of every sweep axis, for probing what each one moves.
+_AXIS_PROBES = {
+    "ordering": tuple(OrderingMode),
+    "bank_mapping": BANK_MAPPINGS,
+    "allocator": PLATFORM_ALLOCATORS,
+    "ideal_sram": (True, False),
+    "memory": tuple(MemoryTechnology),
+    "shuffle": tuple(ShuffleMode),
+    "lanes": (4, 8, 32),
+    "compute_units": (64, 484),
+    "banks": (8, 64),
+    "queue_depth": (4, 32),
+    "crossbar_inputs": (8, 64),
+}
+
+
+def _projection(platform):
+    return platform_throughput_variant(platform), platform.ideal_sram
+
+
+class TestSpmuAxes:
+    """``SPMU_AXES`` is exactly the set of axes that move a platform's SpMU
+    projection or its ideal-SRAM filter, so the search's up-front batch
+    (every projection of the SpMU sub-space) misses none."""
+
+    def test_every_axis_is_probed(self):
+        assert set(_AXIS_PROBES) == set(KNOWN_AXES)
+        assert set(SPMU_AXES) <= set(KNOWN_AXES)
+
+    @pytest.mark.parametrize("axis", KNOWN_AXES)
+    def test_only_spmu_axes_move_the_projection(self, axis):
+        default = _projection(CapstanPlatform())
+        moved = [
+            _projection(build_variant(None, {axis: value}, "probe")) != default
+            for value in _AXIS_PROBES[axis]
+        ]
+        assert any(moved) == (axis in SPMU_AXES)
+
+    def test_projection_sweep_covers_the_full_sweep(self):
+        axes = {
+            "lanes": (8, 16),
+            "compute_units": (64, 144, 256),
+            "memory": (MemoryTechnology.DDR4, MemoryTechnology.HBM2E),
+            "allocator": PLATFORM_ALLOCATORS,
+            "ideal_sram": (False, True),
+        }
+        projections = spmu_projection_sweep(None, axes)
+        assert len(projections) == spmu_projection_bound(axes) == 12
+        assert {_projection(p) for p in projections.values()} == {
+            _projection(p) for p in sweep(**axes).values()
+        }
+
+    def test_projection_sweep_checks_every_value(self):
+        # compute_units is not enumerated past its first value, but an
+        # illegal later value still fails as it does in the full sweep.
+        with pytest.raises(ConfigurationError, match="positive integers"):
+            spmu_projection_sweep(None, {"lanes": (8,), "compute_units": (64, 0)})
+        with pytest.raises(ConfigurationError, match="lanes must be a power of two"):
+            spmu_projection_sweep(None, {"lanes": (8, 12), "compute_units": (64,)})
+
+    def test_cli_prefill_builds_only_the_projection_sweep(
+        self, isolated_store, monkeypatch, capsys
+    ):
+        # ``repro.runtime.sweep`` the attribute is the re-exported function.
+        sweep_module = importlib.import_module("repro.runtime.sweep")
+        built = []
+        original = sweep_module.build_variant
+
+        def counting(base, combo, name):
+            built.append(name)
+            return original(base, combo, name)
+
+        monkeypatch.setattr(sweep_module, "build_variant", counting)
+        rc = cli_main(
+            [
+                "dse",
+                "--axis", "lanes=8",
+                "--axis", "compute_units=64,100,144,196",
+                "--axis", "queue_depth=4,8",
+                "--prefill-only",
+            ]
+        )
+        assert rc == 0
+        assert "prefilled SpMU throughputs for 2 distinct variants" in capsys.readouterr().out
+        assert len(built) == 2
+        assert len(isolated_store) == 2
 
 
 class TestParetoFrontier:

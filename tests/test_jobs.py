@@ -407,6 +407,33 @@ class TestLeases:
         with JobStore(db) as store:
             assert store.job(job_id).state == JOB_DONE
 
+    def test_child_forked_under_a_heartbeat_keeps_one_thread(self, tmp_path):
+        import threading
+
+        from repro.runtime.jobs import _LeaseHeartbeat
+
+        heartbeat = _LeaseHeartbeat(tmp_path / "runs.sqlite", 1, "owner", lease_s=60.0)
+        heartbeat.start()
+        read, write = os.pipe()
+        try:
+            pid = os.fork()
+            if pid == 0:
+                # The fork hook stops every inherited thread; a heartbeat
+                # whose attribute shadowed Thread._stop made it raise and
+                # left the parent's threads in the child's bookkeeping.
+                try:
+                    os.write(write, str(threading.active_count()).encode())
+                finally:
+                    os._exit(0)
+            os.close(write)
+            child_threads = os.read(read, 64)
+            os.close(read)
+            os.waitpid(pid, 0)
+        finally:
+            heartbeat.stop()
+            heartbeat.join(timeout=30)
+        assert child_threads == b"1"
+
     def test_cancel_mid_wave_leaves_units_claimable(self, tmp_path):
         import threading
 

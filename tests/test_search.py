@@ -29,6 +29,7 @@ from repro.runtime.dse import explore
 from repro.runtime.executors import LocalExecutor
 from repro.runtime.executors.subprocess import _worker_env
 from repro.runtime.jobs import UNIT_DONE, JobSpec, JobStore, execute_unit
+from repro.runtime import search as search_module
 from repro.runtime.registry import RunContext
 from repro.runtime.runner import ExperimentRunner
 from repro.runtime.search import (
@@ -596,3 +597,107 @@ class TestOneCostingCore:
             chunked.update(zip(result["names"], zip(result["gmean_cycles"], result["area_mm2"])))
         # dse_chunk units report cycles and area only.
         assert chunked == {name: costs[:2] for name, costs in exhaustive.items()}
+
+
+class TestProjectionPrefill:
+    """A fresh search over a space with few SpMU projections simulates them
+    all in one batch before generation 0; any other search does not."""
+
+    #: 24 points but only 4 SpMU projections (lanes x banks).
+    SMALL_AXES = {
+        "lanes": [8, 16],
+        "banks": [16, 32],
+        "compute_units": [64, 144, 256],
+        "memory": ["ddr4", "hbm2e"],
+    }
+
+    @pytest.fixture
+    def simulated(self, isolated_store, monkeypatch):
+        """Every lock-step batch: its variants and its memory budget."""
+        from repro.core import spmu as spmu_module
+
+        calls = []
+        original = spmu_module.simulate_variants
+
+        def recording(variants, *args, **kwargs):
+            calls.append((list(variants), kwargs.get("memory_budget")))
+            return original(variants, *args, **kwargs)
+
+        monkeypatch.setattr(spmu_module, "simulate_variants", recording)
+        return calls
+
+    @staticmethod
+    def _projections(space):
+        from repro.apps.timing import platform_throughput_variant
+        from repro.runtime.sweep import sweep
+
+        return {platform_throughput_variant(p) for p in sweep(**dict(space.axes)).values()}
+
+    def test_fresh_small_space_simulates_every_projection_up_front(self, simulated):
+        space = SearchSpace.from_axes(self.SMALL_AXES)
+        engine = AdaptiveSearch(
+            space, make_strategy("evolve", population=4, generations=3), _profiles(),
+            seed=1, memory_budget=1 << 20,
+        )
+        engine.step()
+        assert len(simulated) == 1
+        variants, budget = simulated[0]
+        assert set(variants) == self._projections(space)
+        assert len(variants) == 4
+        assert budget == engine.memory_budget
+        engine.run()
+        assert len(simulated) == 1
+
+    def test_up_front_batch_costs_the_same_bits(self, isolated_store, monkeypatch):
+        space = SearchSpace.from_axes(self.SMALL_AXES)
+
+        def search():
+            from repro.core import spmu as spmu_module
+
+            monkeypatch.setattr(spmu_module, "_THROUGHPUT_CACHE", {})
+            result = AdaptiveSearch(
+                space, make_strategy("evolve", population=4, generations=3), _profiles(),
+                seed=1,
+            ).run()
+            return json.dumps(result.to_dict(), sort_keys=True)
+
+        monkeypatch.setenv("REPRO_THROUGHPUT_CACHE_DISABLE", "1")
+        prefilled = search()
+        monkeypatch.setattr(AdaptiveSearch, "_prefill_projections", lambda self, width: None)
+        assert search() == prefilled
+
+    def test_space_over_the_budget_gets_no_up_front_batch(self, simulated, monkeypatch):
+        enumerated = []
+        monkeypatch.setattr(
+            search_module, "spmu_projection_sweep", lambda *args: enumerated.append(args)
+        )
+        # 64 projections against a budget of 4 x 2 evaluations.
+        space = SearchSpace.from_axes(AXES)
+        AdaptiveSearch(
+            space, make_strategy("evolve", population=4, generations=2), _profiles(), seed=1
+        ).run()
+        assert enumerated == []
+        assert simulated and all(len(variants) <= 4 for variants, _ in simulated)
+
+    def test_resumed_search_gets_no_up_front_batch(self, simulated, tmp_path, monkeypatch):
+        from repro.core import spmu as spmu_module
+
+        space = SearchSpace.from_axes(self.SMALL_AXES)
+        store = SearchStore(tmp_path / "search")
+        params = dict(population=4, generations=3)
+        AdaptiveSearch(
+            space, make_strategy("evolve", **params), _profiles(), seed=1, store=store
+        ).step()
+        assert len(simulated) == 1
+        monkeypatch.setattr(spmu_module, "_THROUGHPUT_CACHE", {})
+        monkeypatch.setenv("REPRO_THROUGHPUT_CACHE_DISABLE", "1")
+        enumerated = []
+        monkeypatch.setattr(
+            search_module, "spmu_projection_sweep", lambda *args: enumerated.append(args)
+        )
+        resumed = AdaptiveSearch(
+            space, make_strategy("evolve", **params), _profiles(), seed=1, store=store
+        )
+        assert resumed.generation == 1
+        resumed.run()
+        assert enumerated == []
