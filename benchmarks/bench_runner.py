@@ -326,12 +326,13 @@ def _forks_during(fn) -> int:
 
 
 def _bench_spmu() -> dict:
-    """Time the cold 128-variant SpMU microbenchmark grid on both backends.
+    """Time the cold 128-variant SpMU grid on the reference and the lock-step engine.
 
     The grid crosses the paper's Table 4 structural axes (queue depth,
     crossbar size, allocator priorities) with the Table 9/10 policy axes
     (ordering, bank mapping, allocator kind). The reference side runs the
-    original per-cycle object loop variant by variant; the array side runs
+    per-cycle :class:`~repro.core.spmu.SparseMemoryUnit` variant by variant
+    (``banks * measure_bank_utilization``); the array side runs
     one lock-step :func:`effective_bank_throughput_batch` pass, which forks
     cost-balanced shares on a multi-core host (``shares``), and again with
     that fan-out refused (``serial_s``; ``parallel_speedup`` is the ratio).
@@ -380,9 +381,19 @@ def _bench_spmu() -> dict:
                 serial_values = cold_array()
                 serial_s = min(serial_s, time.perf_counter() - start)
             start = time.perf_counter()
-            reference_values = effective_bank_throughput_batch(
-                variants, backend="reference"
-            )
+            reference_values = [
+                variant.config.banks
+                * spmu_module.measure_bank_utilization(
+                    variant.config,
+                    ordering=variant.ordering,
+                    vectors=spmu_module.THROUGHPUT_VECTORS,
+                    lanes=variant.lanes,
+                    bank_mapping=variant.bank_mapping,
+                    allocator_kind=variant.allocator_kind,
+                    seed=spmu_module.THROUGHPUT_SEED,
+                )
+                for variant in variants
+            ]
             reference_s = min(reference_s, time.perf_counter() - start)
         shares = 1 + _forks_during(cold_array)
         # A forked share's allocations are invisible to tracemalloc, so the

@@ -26,7 +26,6 @@ from .config import (
     ShuffleConfig,
     ShuffleMode,
     SpMUConfig,
-    default_config,
 )
 from .errors import (
     CapstanError,
@@ -46,7 +45,6 @@ __all__ = [
     "ShuffleConfig",
     "ShuffleMode",
     "MemoryTechnology",
-    "default_config",
     "CapstanError",
     "FormatError",
     "ConfigurationError",

@@ -1,10 +1,10 @@
 """Memory-budget primitives for chunked batch execution.
 
-The batch engines (platform costing, lock-step SpMU simulation, tile
-conversion, scanning, DSE) materialize whole grids as numpy tensors. A
-memory budget bounds that: given a byte budget and a per-item cost model,
-:func:`plan_chunks` picks a chunk size and the engines stream chunk by
-chunk, aggregating results that are bit-identical to the unchunked pass.
+The batch engines (platform costing, lock-step SpMU simulation, DSE)
+materialize whole grids as numpy tensors. A memory budget bounds that:
+given a byte budget and a per-item cost model, :func:`plan_chunks` picks a
+chunk size and the engines stream chunk by chunk, aggregating results that
+are bit-identical to the unchunked pass.
 Each engine owns its cost model and its chunked axis:
 
 * :func:`~repro.apps.timing.estimate_cycles_batch` chunks the platform
@@ -14,11 +14,6 @@ Each engine owns its cost model and its chunked axis:
   by each variant's lock-step state -- variants are independent, so
   per-chunk simulation is exact. A chunk that fans out over ``k`` forked
   processes gives each share ``budget / k``.
-* :meth:`~repro.core.format_conversion.FormatConverter.convert_many`
-  chunks tiles -- conversion restarts at tile boundaries and the
-  statistics are per-tile sums.
-* :meth:`~repro.core.scanner.BitVectorScanner.scan_batch` chunks
-  dense-position ranges -- chunk outputs are position-disjoint and ordered.
 * :func:`~repro.runtime.dse.explore` streams the (profile x platform)
   cross-product, folding each chunk into running geometric-mean / Pareto
   state instead of materializing the grid.

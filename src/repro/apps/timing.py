@@ -25,7 +25,7 @@ passes while producing bit-identical numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -77,16 +77,6 @@ class CapstanPlatform:
     ideal_network: bool = False
     ideal_memory: bool = False
     name: str = "capstan-hbm2e"
-
-    def with_memory(
-        self, memory: MemoryTechnology, name: Optional[str] = None
-    ) -> "CapstanPlatform":
-        """A copy of this platform with a different memory technology."""
-        return replace(
-            self,
-            config=self.config.with_memory(memory),
-            name=name or f"capstan-{memory.value}",
-        )
 
 
 def default_platform(memory: MemoryTechnology = MemoryTechnology.HBM2E) -> CapstanPlatform:

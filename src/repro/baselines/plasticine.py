@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..config import MemoryTechnology, PlasticineConfig
+from ..config import PlasticineConfig
 from ..apps.profile import WorkloadProfile
 from ..sim.dram import DRAMModel, TrafficSummary
 from ..sim.sram import StaticBankTiming
@@ -45,12 +45,6 @@ class PlasticinePlatform:
 
     config: PlasticineConfig = field(default_factory=PlasticineConfig)
     name: str = "plasticine-hbm2e"
-
-    def with_memory(self, memory: MemoryTechnology) -> "PlasticinePlatform":
-        """A copy with a different off-chip memory technology."""
-        return PlasticinePlatform(
-            config=PlasticineConfig(memory=memory), name=f"plasticine-{memory.value}"
-        )
 
 
 def is_mappable(profile: WorkloadProfile) -> bool:

@@ -8,7 +8,7 @@ a 16-entry reorder queue, and a choice of DDR4 / HBM2 / HBM2E memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict
 
@@ -191,43 +191,9 @@ class CapstanConfig:
         self.shuffle.validate()
 
     @property
-    def memory_bandwidth_gbps(self) -> float:
-        """Peak off-chip bandwidth of the configured memory technology."""
-        return MEMORY_BANDWIDTH_GBPS[self.memory]
-
-    @property
     def cycle_time_ns(self) -> float:
         """Clock period in nanoseconds."""
         return 1.0 / self.clock_ghz
-
-    @property
-    def on_chip_sram_bytes(self) -> int:
-        """Total distributed SRAM capacity across all SpMUs."""
-        return self.memory_units * self.spmu.capacity_bytes
-
-    @property
-    def peak_flops_per_cycle(self) -> int:
-        """Peak multiply-accumulate lanes active per cycle across all CUs."""
-        return self.compute_units * self.lanes
-
-    def with_memory(self, memory: MemoryTechnology) -> "CapstanConfig":
-        """Return a copy of this configuration using ``memory`` off-chip."""
-        return replace(self, memory=memory)
-
-    def scaled(self, factor: float) -> "CapstanConfig":
-        """Return a configuration with the grid scaled by ``factor``.
-
-        Used for the Figure 5b area-sensitivity study where outer
-        parallelization (and therefore the number of active units) varies.
-        """
-        if factor <= 0:
-            raise ConfigurationError("scale factor must be positive")
-        return replace(
-            self,
-            compute_units=max(1, int(round(self.compute_units * factor))),
-            memory_units=max(1, int(round(self.memory_units * factor))),
-            address_generators=max(1, int(round(self.address_generators * factor))),
-        )
 
 
 @dataclass(frozen=True)
@@ -247,18 +213,6 @@ class PlasticineConfig:
     memory: MemoryTechnology = MemoryTechnology.HBM2E
 
     @property
-    def memory_bandwidth_gbps(self) -> float:
-        """Peak off-chip bandwidth of the configured memory technology."""
-        return MEMORY_BANDWIDTH_GBPS[self.memory]
-
-    @property
     def cycle_time_ns(self) -> float:
         """Clock period in nanoseconds."""
         return 1.0 / self.clock_ghz
-
-
-def default_config(memory: MemoryTechnology = MemoryTechnology.HBM2E) -> CapstanConfig:
-    """Return the paper's default Capstan design point with ``memory``."""
-    config = CapstanConfig(memory=memory)
-    config.validate()
-    return config

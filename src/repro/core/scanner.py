@@ -36,15 +36,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .._budget import plan_chunks, resolve_memory_budget
 from ..config import ScannerConfig
 from ..errors import SimulationError
 from ..formats import packed
 from ..formats.bitvector import BitVector
-
-#: Working-set bytes one dense position contributes to a chunked scan
-#: (candidate slices, membership masks, and compressed-index temporaries).
-SCAN_BYTES_PER_POSITION = 64
 
 
 class ScanMode(Enum):
@@ -155,8 +150,6 @@ class BitVectorScanner:
         vector_a: BitVector,
         vector_b: Optional[BitVector] = None,
         mode: ScanMode = ScanMode.INTERSECT,
-        *,
-        memory_budget: Optional[int] = None,
     ) -> ScanBatch:
         """Produce all iteration tuples of a sparse loop as a columnar batch.
 
@@ -164,28 +157,12 @@ class BitVectorScanner:
             vector_a: First operand.
             vector_b: Second operand; required unless ``mode`` is ``SINGLE``.
             mode: Intersection, union, or single-operand scan.
-            memory_budget: Byte budget for the combine's working set; the
-                dense position space is streamed in ranges under it. Range
-                outputs are position-disjoint and ordered, so concatenation
-                reproduces the unchunked batch exactly. ``None`` defers to
-                ``REPRO_MEMORY_BUDGET``.
 
         Returns:
             A :class:`ScanBatch` ordered by dense index: one row per
             iteration of the sparse loop the scanner heads.
         """
-        budget = resolve_memory_budget(memory_budget)
-        if budget is not None and mode is not ScanMode.SINGLE and vector_b is not None:
-            width = plan_chunks(vector_a.length, SCAN_BYTES_PER_POSITION, budget).chunk_items
-            combined, index_a, index_b = self._combine_arrays_chunked(
-                vector_a, vector_b, mode, width
-            )
-        else:
-            # SINGLE mode copies one operand's indices -- there is no
-            # combine working set to bound, so it always runs unchunked.
-            combined, index_a, index_b = self._combine_arrays(
-                vector_a, vector_b, mode
-            )
+        combined, index_a, index_b = self._combine_arrays(vector_a, vector_b, mode)
         return ScanBatch(
             dense_index=combined,
             ordinal=np.arange(combined.size, dtype=np.int64),
@@ -320,67 +297,6 @@ class BitVectorScanner:
             in_b, np.searchsorted(b_indices, combined), -1
         ).astype(np.int64)
         return combined, index_a, index_b
-
-    def _combine_arrays_chunked(
-        self,
-        vector_a: BitVector,
-        vector_b: BitVector,
-        mode: ScanMode,
-        width: int,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stream :meth:`_combine_arrays` over dense position ranges ``width`` wide.
-
-        Each range combines only the candidate set bits it covers; ranges
-        are disjoint and ascending and compressed indices are computed
-        against the full operands, so concatenating the per-range outputs
-        is bit-identical to the one-shot combine.
-        """
-        self._check_operands(vector_a, vector_b, mode)
-        a_indices = vector_a._sorted_indices()
-        b_indices = vector_b._sorted_indices()
-        parts: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        for start in range(0, vector_a.length, width):
-            stop = min(start + width, vector_a.length)
-            a_lo, a_hi = np.searchsorted(a_indices, [start, stop])
-            a_slice = a_indices[a_lo:a_hi]
-            if mode is ScanMode.INTERSECT:
-                if a_slice.size == 0:
-                    continue
-                in_b = packed.test_bits(vector_b._packed(), a_slice)
-                combined = a_slice[in_b]
-                parts.append(
-                    (
-                        combined,
-                        (a_lo + np.flatnonzero(in_b)).astype(np.int64),
-                        np.searchsorted(b_indices, combined).astype(np.int64),
-                    )
-                )
-                continue
-            b_lo, b_hi = np.searchsorted(b_indices, [start, stop])
-            combined = np.union1d(a_slice, b_indices[b_lo:b_hi])
-            if combined.size == 0:
-                continue
-            in_a = packed.test_bits(vector_a._packed(), combined)
-            in_b = packed.test_bits(vector_b._packed(), combined)
-            parts.append(
-                (
-                    combined,
-                    np.where(
-                        in_a, np.searchsorted(a_indices, combined), -1
-                    ).astype(np.int64),
-                    np.where(
-                        in_b, np.searchsorted(b_indices, combined), -1
-                    ).astype(np.int64),
-                )
-            )
-        if not parts:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty.copy(), empty.copy()
-        return (
-            np.concatenate([part[0] for part in parts]),
-            np.concatenate([part[1] for part in parts]),
-            np.concatenate([part[2] for part in parts]),
-        )
 
     def _combine_reference(
         self,

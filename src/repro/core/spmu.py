@@ -9,24 +9,22 @@ request bids for its bank, a separable allocator picks a conflict-free set
 (at most one per lane and per bank), and an inverse-permutation crossbar
 restores positional order when the whole vector has completed.
 
-This module is a cycle-level simulation of that pipeline. It is used three
-ways:
+The random-access microbenchmark (bank utilization under different queue
+depths, crossbar sizes, priority counts, and ordering modes) is measured
+through one path, :func:`effective_bank_throughput_batch`: memoized,
+persisted, and simulated by the lock-step engine of
+:mod:`repro.core.spmu_array`. It feeds Table 4, Tables 9-10, Figure 4 and
+the application timing model.
 
-* through :func:`~repro.core.spmu.effective_bank_throughput_batch`, the one
-  memoized and persisted measurement of the random-access microbenchmark
-  (bank utilization under different queue depths, crossbar sizes, priority
-  counts, and ordering modes) behind Table 4, Table 9 and the application
-  timing model;
-* directly on random access traces where a run's per-cycle trace is
-  needed (Figure 4), and as the scalar equivalence oracle
-  (:func:`measure_bank_utilization`); and
-* as a functional scratchpad (the RMW FPU semantics of step 3 in Figure 3b)
-  by the applications.
+:class:`SparseMemoryUnit` is the per-cycle reference simulator that engine
+is checked against: an object loop over request vectors that also executes
+every request functionally (the RMW FPU semantics of step 3 in Figure 3b),
+so its SRAM image is observable. :func:`measure_bank_utilization` is its
+scalar microbenchmark.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -44,14 +42,9 @@ from .spmu_array import (
     OP_OTHER_BASE,
     OP_READ,
     OP_SUB,
-    SimResult,
     SpMUVariant,
     simulate_variants,
 )
-
-#: Simulation engines: the lock-step array engine (default) and the
-#: per-cycle object loop it is checked against.
-SPMU_BACKENDS = ("array", "reference")
 
 
 class RMWOp(Enum):
@@ -121,7 +114,7 @@ _CODE_TO_OP: Dict[int, RMWOp] = {code: op for op, code in _OP_TO_CODE.items()}
 class RequestTrace:
     """A request-vector stream as flat numpy arrays (one row per request).
 
-    This is the array backend's native trace representation: instead of a
+    This is the lock-step engine's native trace representation: instead of a
     ``List[List[MemoryRequest]]`` it stores one entry per lane request,
     sorted by ``(vector, lane)``. ``lanes`` holds each request's position
     within its vector (the lane the reference pipeline would assign), and
@@ -168,7 +161,7 @@ class RequestTrace:
         )
 
     def to_vectors(self) -> List[List[MemoryRequest]]:
-        """Rebuild the object-based stream (for the reference backend)."""
+        """Rebuild the object-based stream (for :class:`SparseMemoryUnit`)."""
         vectors: List[List[MemoryRequest]] = [[] for _ in range(self.n_vectors)]
         for address, op, value, lane, vector_id in zip(
             self.addresses, self.ops, self.values, self.lanes, self.vector_ids
@@ -244,6 +237,10 @@ class _QueueEntry:
 class SparseMemoryUnit:
     """Cycle-level model of one SpMU: issue queue, allocator, banks, FPUs.
 
+    The reference simulator: the lock-step engine
+    (:func:`~repro.core.spmu_array.simulate_variants`) must match it stat
+    for stat, and the product never runs it.
+
     Args:
         config: Structural parameters (banks, queue depth, crossbar inputs,
             allocator iterations/priorities, Bloom filter size).
@@ -253,10 +250,6 @@ class SparseMemoryUnit:
         allocator_kind: ``"separable"`` (Capstan) or ``"greedy"`` (weak).
         pipeline_latency: Cycles between issue and completion (crossbar,
             SRAM read, FPU, write-back, output crossbar).
-        backend: ``"array"`` (default) simulates through the vectorized
-            engine in :mod:`repro.core.spmu_array`; ``"reference"`` keeps
-            the original per-cycle object loop. Both produce identical
-            statistics and SRAM contents.
         record_trace: Collect :attr:`SpMUStats.per_cycle_active_banks`
             (off by default -- the trace grows one entry per simulated
             cycle).
@@ -270,20 +263,13 @@ class SparseMemoryUnit:
         bank_mapping: str = "hash",
         allocator_kind: str = "separable",
         pipeline_latency: int = 3,
-        seed: int = 0,
-        backend: str = "array",
         record_trace: bool = False,
     ):
-        if backend not in SPMU_BACKENDS:
-            raise SimulationError(f"unknown SpMU backend {backend!r}")
         self._config = config or SpMUConfig()
         self._config.validate()
         self._lanes = lanes
         self._ordering = ordering
         self._bank_mapper = get_bank_mapper(bank_mapping)
-        self._bank_mapping_name = bank_mapping
-        self._allocator_kind = allocator_kind
-        self._backend = backend
         self._record_trace = record_trace
         self._pipeline_latency = max(1, pipeline_latency)
         self._issues_per_lane = max(1, self._config.crossbar_inputs // lanes)
@@ -298,7 +284,6 @@ class SparseMemoryUnit:
         self._bloom = BloomFilter(self._config.bloom_filter_entries)
         self._words = self._config.banks * self._config.words_per_bank
         self._data = np.zeros(self._words, dtype=np.float64)
-        self._rng = random.Random(seed)
 
     # ------------------------------------------------------------------ #
     # Functional interface
@@ -394,11 +379,6 @@ class SparseMemoryUnit:
     # Timing simulation
     # ------------------------------------------------------------------ #
 
-    @property
-    def backend(self) -> str:
-        """The configured backend (``"array"`` or ``"reference"``)."""
-        return self._backend
-
     def simulate(self, vectors) -> SpMUStats:
         """Simulate the pipeline over a stream of request vectors.
 
@@ -413,81 +393,16 @@ class SparseMemoryUnit:
         Returns:
             Aggregate :class:`SpMUStats` for the run.
         """
-        if self._backend != "reference":
-            if isinstance(vectors, RequestTrace):
-                trace = vectors
-            else:
-                trace = RequestTrace.from_vectors(vectors)
-            stats = self._simulate_array(trace)
+        if isinstance(vectors, RequestTrace):
+            vectors = vectors.to_vectors()
+        prepared = [self._prepare_vector(i, vector) for i, vector in enumerate(vectors)]
+        if self._ordering is OrderingMode.ARBITRATED:
+            stats = self._simulate_arbitrated(prepared)
         else:
-            if isinstance(vectors, RequestTrace):
-                vectors = vectors.to_vectors()
-            prepared = [self._prepare_vector(i, vector) for i, vector in enumerate(vectors)]
-            if self._ordering is OrderingMode.ARBITRATED:
-                stats = self._simulate_arbitrated(prepared)
-            else:
-                stats = self._simulate_scheduled(prepared)
-            stats.vectors = len(prepared)
+            stats = self._simulate_scheduled(prepared)
+        stats.vectors = len(prepared)
         stats._banks = self._config.banks  # type: ignore[attr-defined]
         return stats
-
-    def _simulate_array(self, trace: RequestTrace) -> SpMUStats:
-        """Run one trace through the vectorized engine, then apply the
-        functional updates to the local SRAM in issue order."""
-        variant = SpMUVariant(
-            ordering=self._ordering,
-            bank_mapping=self._bank_mapping_name,
-            allocator_kind=self._allocator_kind,
-            config=self._config,
-            lanes=self._lanes,
-            pipeline_latency=self._pipeline_latency,
-        )
-        [result] = simulate_variants(
-            [variant], [trace], record_trace=self._record_trace, collect_issues=True
-        )
-        self._apply_functional(trace, result)
-        return SpMUStats(
-            cycles=result.cycles,
-            requests=result.requests,
-            elided_reads=result.elided_reads,
-            bank_busy_cycles=result.bank_busy_cycles,
-            vectors=result.vectors,
-            stall_cycles_ordering=result.stall_cycles_ordering,
-            per_cycle_active_banks=result.per_cycle_active_banks,
-        )
-
-    def _apply_functional(self, trace: RequestTrace, result: SimResult) -> None:
-        """Apply a simulated run's RMW side effects to the local SRAM.
-
-        Requests issued in the same cycle always target distinct banks (so
-        distinct addresses); only the cross-cycle per-address order matters
-        for the final memory image, and the engine's issue order preserves
-        it exactly. READ/ADD/SUB streams apply as one in-order
-        ``np.add.at`` pass; any other op falls back to scalar execution.
-        """
-        if len(trace) == 0 or result.issue_vectors is None:
-            return
-        position = np.full((trace.n_vectors, int(trace.lanes.max()) + 1), -1, dtype=np.int64)
-        position[trace.vector_ids, trace.lanes] = np.arange(len(trace))
-        flat = position[result.issue_vectors, result.issue_lanes]
-        ops = trace.ops[flat]
-        if not ops.size or int(ops.max()) <= OP_READ:
-            return
-        if int(ops.max()) <= OP_SUB:
-            writes = ops != OP_READ
-            addresses = trace.addresses[flat][writes]
-            deltas = np.where(ops[writes] == OP_ADD, 1.0, -1.0) * trace.values[flat][writes]
-            np.add.at(self._data, addresses, deltas)
-            return
-        for index in flat:
-            self.execute_request(
-                MemoryRequest(
-                    address=int(trace.addresses[index]),
-                    op=_CODE_TO_OP[int(trace.ops[index])],
-                    value=float(trace.values[index]),
-                    lane=int(trace.lanes[index]),
-                )
-            )
 
     def _prepare_vector(
         self, vector_id: int, vector: Sequence[MemoryRequest]
@@ -790,7 +705,7 @@ def random_request_vectors(
     write_fraction: float = 0.0,
 ) -> List[List[MemoryRequest]]:
     """Object-based :func:`random_request_trace` (same workload), for
-    feeding request objects to the reference backend."""
+    feeding request objects to :class:`SparseMemoryUnit`."""
     return random_request_trace(count, lanes, address_space, seed, write_fraction).to_vectors()
 
 
@@ -802,9 +717,9 @@ def measure_bank_utilization(
     bank_mapping: str = "hash",
     allocator_kind: str = "separable",
     seed: int = 7,
-    backend: str = "array",
 ) -> float:
-    """Run a random trace through one SpMU and return its bank utilization.
+    """Run a random trace through the reference SpMU and return its bank
+    utilization.
 
     The unmemoized scalar oracle for :func:`effective_bank_throughput_batch`
     (``utilization * banks`` equals its throughput for the same trace).
@@ -815,7 +730,6 @@ def measure_bank_utilization(
         ordering=ordering,
         bank_mapping=bank_mapping,
         allocator_kind=allocator_kind,
-        backend=backend,
     )
     return unit.simulate(random_request_trace(vectors, lanes=lanes, seed=seed)).bank_utilization
 
@@ -857,7 +771,6 @@ def effective_bank_throughput_batch(
     variants: Sequence[SpMUVariant],
     *,
     vectors: int = THROUGHPUT_VECTORS,
-    backend: Optional[str] = None,
     memory_budget=None,
 ) -> np.ndarray:
     """Random-access requests per cycle each SpMU variant sustains.
@@ -882,10 +795,6 @@ def effective_bank_throughput_batch(
     Args:
         variants: The SpMU configuration points to measure.
         vectors: The random trace's length.
-        backend: ``None``/``"array"`` (lock-step engine) or
-            ``"reference"`` (unmemoized :func:`measure_bank_utilization`
-            per variant, for benchmarking and verification); anything else
-            raises :class:`SimulationError`.
         memory_budget: Byte budget bounding the cold-variant lock-step
             state (see :func:`~repro.core.spmu_array.simulate_variants`);
             ``None`` defers to ``REPRO_MEMORY_BUDGET``.
@@ -894,25 +803,8 @@ def effective_bank_throughput_batch(
         Sustained random-access requests per cycle, aligned with
         ``variants``.
     """
-    if backend is not None and backend not in SPMU_BACKENDS:
-        raise SimulationError(f"unknown SpMU backend {backend!r}")
     variants = list(variants)
     results = np.empty(len(variants), dtype=np.float64)
-    if backend == "reference":
-        for i, variant in enumerate(variants):
-            utilization = measure_bank_utilization(
-                variant.config,
-                ordering=variant.ordering,
-                vectors=vectors,
-                lanes=variant.lanes,
-                bank_mapping=variant.bank_mapping,
-                allocator_kind=variant.allocator_kind,
-                seed=THROUGHPUT_SEED,
-                backend="reference",
-            )
-            results[i] = utilization * variant.config.banks
-        return results
-
     missing: Dict[SpMUVariant, List[int]] = {}
     for i, variant in enumerate(variants):
         cached = _THROUGHPUT_CACHE.get((variant, vectors))

@@ -1,4 +1,4 @@
-"""Array-based SpMU simulation engine (the batched microbenchmark backend).
+"""Array-based SpMU simulation engine (the batched microbenchmark engine).
 
 The reference simulator in :mod:`repro.core.spmu` walks one
 ``List[List[MemoryRequest]]`` trace through the reordering pipeline with
@@ -36,10 +36,11 @@ requests, elided reads, bank-busy cycles, ordering stalls, and (when
 requested) the per-cycle active-bank trace -- which the equivalence tests
 and the ``spmu`` benchmark gate assert configuration by configuration.
 
-The public entry point is :func:`simulate_variants`; the object-level
-wrappers (``SparseMemoryUnit(backend="array")``,
-:func:`~repro.core.spmu.effective_bank_throughput_batch`) live in
-:mod:`repro.core.spmu`.
+The public entry point is :func:`simulate_variants`; the memoized,
+persisted measurement built on it
+(:func:`~repro.core.spmu.effective_bank_throughput_batch`) and the
+reference simulator it is checked against
+(:class:`~repro.core.spmu.SparseMemoryUnit`) live in :mod:`repro.core.spmu`.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ class SpMUVariant:
 
 @dataclass
 class SimResult:
-    """Raw result of one simulated variant (pre-:class:`SpMUStats`).
+    """Raw result of one simulated variant (:class:`~repro.core.spmu.SpMUStats` fields).
 
     Attributes:
         cycles / requests / elided_reads / bank_busy_cycles / vectors /
@@ -113,7 +114,8 @@ class SimResult:
             ``None`` unless the trace was recorded.
         issue_vectors / issue_lanes: The ``(vector, lane)`` coordinates of
             every executed request in issue order, or ``None`` unless issue
-            collection was requested (used for functional execution).
+            collection was requested (the equivalence tests replay it onto
+            an SRAM image).
     """
 
     cycles: int
@@ -1247,7 +1249,7 @@ def simulate_variants(
             shared trace objects are prepared once).
         record_trace: Collect the per-cycle active-bank trace.
         collect_issues: Collect every request's ``(vector, lane)`` issue
-            coordinates in issue order (needed for functional execution).
+            coordinates in issue order (what the SRAM image depends on).
         memory_budget: Byte budget bounding the lock-step state; the
             variant grid is streamed through in budget-sized chunks whose
             results are bit-identical to one unchunked pass. A chunk that

@@ -14,9 +14,16 @@ import numpy as np
 
 from ..apps.scan_model import record_scans
 from ..apps.timing import CapstanPlatform, default_platform, estimate_cycles
-from ..config import CapstanConfig, MemoryTechnology, ScannerConfig, SpMUConfig
+from ..config import CapstanConfig, MemoryTechnology, ScannerConfig
 from ..core.ordering import OrderingMode
-from ..core.spmu import SparseMemoryUnit, random_request_trace
+from ..core.spmu import (
+    THROUGHPUT_SEED,
+    THROUGHPUT_VECTORS,
+    SpMUVariant,
+    effective_bank_throughput_batch,
+    random_request_trace,
+)
+from ..core.spmu_array import simulate_variants
 from ..sim.dram import DRAMModel, TrafficSummary
 from ..sim.stats import STALL_CATEGORIES, geometric_mean
 from .experiments import APP_DATASETS, ProfileSet, collect_profiles
@@ -33,31 +40,40 @@ FIGURE4_PAPER_UTILIZATION = {
 }
 
 
-def figure4_ordering_trace(vectors: int = 120, seed: int = 7) -> Dict:
+def figure4_ordering_trace(vectors: int = THROUGHPUT_VECTORS) -> Dict:
     """Bank utilization of one random request stream under each ordering mode.
 
     The paper shows a traced vector's per-cycle bank grants; the quantity it
     annotates (and that Table 10 confirms at system level) is the bank
     utilization each mode achieves, which is what this harness reports,
     together with a short per-cycle trace excerpt for the unordered mode.
+    The stream is the calibration microbenchmark's (seed
+    :data:`~repro.core.spmu.THROUGHPUT_SEED`, 16 lanes, the default
+    ``SpMUConfig``), so each utilization is a stored throughput divided by
+    the bank count; only the excerpt is simulated here.
     """
-    results: Dict[str, float] = {}
-    trace_excerpt: List[int] = []
-    for name, mode in (
-        ("unordered", OrderingMode.UNORDERED),
-        ("address-ordered", OrderingMode.ADDRESS_ORDERED),
-        ("fully-ordered", OrderingMode.FULLY_ORDERED),
-        ("arbitrated", OrderingMode.ARBITRATED),
-    ):
-        unit = SparseMemoryUnit(SpMUConfig(), ordering=mode, record_trace=True)
-        stats = unit.simulate(random_request_trace(vectors, seed=seed))
-        results[name] = 100.0 * stats.bank_utilization
-        if name == "unordered":
-            trace_excerpt = [int(banks) for banks in stats.per_cycle_active_banks[:15]]
+    modes = {
+        "unordered": OrderingMode.UNORDERED,
+        "address-ordered": OrderingMode.ADDRESS_ORDERED,
+        "fully-ordered": OrderingMode.FULLY_ORDERED,
+        "arbitrated": OrderingMode.ARBITRATED,
+    }
+    variants = [SpMUVariant(ordering=mode) for mode in modes.values()]
+    throughputs = effective_bank_throughput_batch(variants, vectors=vectors)
+    [traced] = simulate_variants(
+        [SpMUVariant(ordering=OrderingMode.UNORDERED)],
+        [random_request_trace(vectors, seed=THROUGHPUT_SEED)],
+        record_trace=True,
+    )
     return {
-        "measured_utilization_pct": results,
+        "measured_utilization_pct": {
+            name: 100.0 * (float(throughput) / variant.config.banks)
+            for name, variant, throughput in zip(modes, variants, throughputs)
+        },
         "paper_utilization_pct": FIGURE4_PAPER_UTILIZATION,
-        "unordered_active_banks_per_cycle": trace_excerpt,
+        "unordered_active_banks_per_cycle": [
+            int(active) for active in traced.per_cycle_active_banks[:15]
+        ],
     }
 
 

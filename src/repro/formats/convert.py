@@ -2,17 +2,21 @@
 
 Every format converts through its ``to_coo_arrays`` primitive.
 :func:`to_scipy_csr` hands a matrix to scipy for the CPU baselines'
-reference kernels (:mod:`repro.baselines.cpu`).
+reference kernels (:mod:`repro.baselines.cpu`); it imports scipy itself,
+so the normal import path never loads it.
 """
 
 from __future__ import annotations
 
-from scipy import sparse as sp
+from typing import TYPE_CHECKING
 
 from .base import SparseMatrixFormat
 from .coo import COOMatrix
 from .csc import CSCMatrix
 from .csr import CSRMatrix
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 
 def to_csr(matrix: SparseMatrixFormat) -> CSRMatrix:
@@ -39,7 +43,9 @@ def to_coo(matrix: SparseMatrixFormat) -> COOMatrix:
     return COOMatrix(matrix.shape, rows, cols, values)
 
 
-def to_scipy_csr(matrix: SparseMatrixFormat) -> sp.csr_matrix:
+def to_scipy_csr(matrix: SparseMatrixFormat) -> scipy.sparse.csr_matrix:
     """Convert any supported matrix format to a ``scipy.sparse.csr_matrix``."""
+    from scipy import sparse
+
     rows, cols, values = matrix.to_coo_arrays()
-    return sp.coo_matrix((values, (rows, cols)), shape=matrix.shape).tocsr()
+    return sparse.coo_matrix((values, (rows, cols)), shape=matrix.shape).tocsr()

@@ -331,6 +331,11 @@ class SearchStrategy:
     def total_generations(self) -> int:
         raise NotImplementedError
 
+    def fresh_generations(self) -> int:
+        """Generations that propose points not evaluated before; each
+        proposes at most as many as the first."""
+        return self.total_generations()
+
     def propose(
         self, generation: int, rng: np.random.Generator, engine: "AdaptiveSearch"
     ) -> Generation:
@@ -403,6 +408,9 @@ class SuccessiveHalving(SearchStrategy):
 
     def total_generations(self) -> int:
         return self.generations
+
+    def fresh_generations(self) -> int:
+        return 1  # later rungs promote from rung 0
 
     def rung_width(self, generation: int) -> int:
         return max(self.min_rung, self.population // (self.eta**generation))
@@ -877,8 +885,8 @@ class AdaptiveSearch:
 
     def _prefill_projections(self, width: int) -> None:
         """Resolve every SpMU projection of the space in one batch, when
-        the space has no more of them than the run can evaluate (``width``
-        points in each of the strategy's generations).
+        the space has no more of them than the run can propose (``width``
+        new points in each of the strategy's fresh generations).
 
         The lock-step simulation's cost is per simulated cycle, not per
         variant, so one batch of every projection beats one batch of the
@@ -888,7 +896,7 @@ class AdaptiveSearch:
         the search never visits.
         """
         axes = dict(self.space.axes)
-        if spmu_projection_bound(axes) > width * self.strategy.total_generations():
+        if spmu_projection_bound(axes) > width * self.strategy.fresh_generations():
             return
         prefill_throughputs(
             spmu_projection_sweep(self.base, axes).values(), memory_budget=self.memory_budget

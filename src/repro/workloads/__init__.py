@@ -5,7 +5,6 @@ from .resnet import (
     ConvLayerSpec,
     ConvWorkload,
     generate_conv_layer,
-    layer_names,
     reference_convolution,
 )
 from .suitesparse import (
@@ -16,8 +15,6 @@ from .suitesparse import (
     TABLE6_DATASETS,
     DatasetSpec,
     GeneratedDataset,
-    dataset_names,
-    graph_datasets,
     load_dataset,
 )
 from .synthetic import (
@@ -37,7 +34,6 @@ __all__ = [
     "ConvLayerSpec",
     "ConvWorkload",
     "generate_conv_layer",
-    "layer_names",
     "reference_convolution",
     "DEFAULT_SCALE",
     "GRAPH_DATASET_NAMES",
@@ -46,9 +42,7 @@ __all__ = [
     "TABLE6_DATASETS",
     "DatasetSpec",
     "GeneratedDataset",
-    "dataset_names",
     "load_dataset",
-    "graph_datasets",
     "banded_fem_matrix",
     "circuit_matrix",
     "power_law_graph",

@@ -11,7 +11,7 @@ pruning leaves unstructured sparsity).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -84,31 +84,12 @@ class ConvWorkload:
         _, kh, kw, out_ch = self.weights.shape
         return in_ch * h * w * kh * kw * out_ch
 
-    def sparse_macs(self) -> int:
-        """Multiply-accumulates a zero-skipping convolution performs.
-
-        Only pairs where both the activation and the weight are non-zero
-        contribute; this is the work SCNN and Capstan's sparse Conv do.
-        """
-        total = 0
-        _, kh, kw, out_ch = self.weights.shape
-        for channel in range(self.activations.shape[0]):
-            act_nnz = int(np.count_nonzero(self.activations[channel]))
-            weight_nnz = int(np.count_nonzero(self.weights[channel]))
-            total += act_nnz * weight_nnz
-        return total
-
-
-def layer_names() -> List[str]:
-    """Names of the registered ResNet-50 layers."""
-    return list(RESNET_LAYERS)
-
 
 def generate_conv_layer(name: str, scale: float = 0.25, seed: int = 5) -> ConvWorkload:
     """Generate a synthetic pruned layer matching the published statistics.
 
     Args:
-        name: One of :func:`layer_names`.
+        name: A key of :data:`RESNET_LAYERS`.
         scale: Channel scale factor (spatial dimensions are kept) so the
             functional simulation stays tractable; densities are preserved.
         seed: Random seed.

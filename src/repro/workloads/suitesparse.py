@@ -13,7 +13,7 @@ substitution precisely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict
 
 from ..errors import WorkloadError
 from ..formats.coo import COOMatrix
@@ -125,15 +125,6 @@ class GeneratedDataset:
 _DATASET_CACHE: Dict[tuple, GeneratedDataset] = {}
 
 
-def dataset_names(app_group: Optional[str] = None) -> List[str]:
-    """Names of registered datasets, optionally filtered by app group."""
-    names = []
-    for name, spec in TABLE6_DATASETS.items():
-        if app_group is None or app_group.lower() in spec.apps.lower():
-            names.append(name)
-    return names
-
-
 def load_dataset(
     name: str, scale: float = DEFAULT_SCALE, seed: int = 11, min_dim: int = 64
 ) -> GeneratedDataset:
@@ -182,7 +173,3 @@ GRAPH_DATASET_NAMES = ("usroads-48", "web-Stanford", "flickr")
 #: The three SpMSpM dataset names of Table 6.
 SPMSPM_DATASET_NAMES = ("spaceStation_4", "qc324", "mbeacxc")
 
-
-def graph_datasets(scale: float = DEFAULT_SCALE) -> List[GeneratedDataset]:
-    """The three PR / BFS / SSSP datasets of Table 6."""
-    return [load_dataset(n, scale) for n in GRAPH_DATASET_NAMES]

@@ -6,18 +6,16 @@ Two contracts, pinned across every batch engine:
   budgets, derive chunk plans from per-item cost models, and stream
   iterables lazily;
 * every engine's chunked execution -- platform-axis costing, the SpMU
-  variant grid, tile conversion, scanner position ranges, and streaming
-  DSE -- is *bit-identical* to its unchunked pass for chunks of one item,
-  a prime mid-size and a larger-than-grid size. Each chunk size is reached
-  through ``memory_budget``, sized from the engine's own cost model.
+  variant grid, and streaming DSE -- is *bit-identical* to its unchunked
+  pass for chunks of one item, a prime mid-size and a larger-than-grid
+  size. Each chunk size is reached through ``memory_budget``, sized from
+  the engine's own cost model.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro._budget import (
     ENV_MEMORY_BUDGET,
@@ -32,11 +30,9 @@ from repro.apps.timing import COSTING_BYTES_PER_CELL, estimate_cycles_batch, ite
 from repro.config import SpMUConfig
 from repro.core import spmu_array
 from repro.core.ordering import OrderingMode
-from repro.core.scanner import SCAN_BYTES_PER_POSITION, BitVectorScanner, ScanMode
 from repro.core.spmu import RequestTrace, SpMUVariant, random_request_vectors
 from repro.core.spmu_array import simulate_variants
 from repro.errors import ConfigurationError, SimulationError
-from repro.formats.bitvector import BitVector
 from repro.runtime.dse import explore
 from repro.runtime.sweep import sweep
 
@@ -329,54 +325,6 @@ class TestChunkedSpMU:
             simulate_variants(variants, traces[:-1])
         with pytest.raises(SimulationError):
             simulate_variants(variants[:-1], traces)
-
-
-class TestChunkedScan:
-    @given(
-        length=st.integers(min_value=0, max_value=400),
-        density_a=st.floats(min_value=0.0, max_value=1.0),
-        density_b=st.floats(min_value=0.0, max_value=1.0),
-        seed=st.integers(min_value=0, max_value=1000),
-        chunk=st.sampled_from(CHUNK_SIZES + (97,)),
-        mode=st.sampled_from((ScanMode.INTERSECT, ScanMode.UNION)),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_chunked_scan_is_bit_identical(
-        self, length, density_a, density_b, seed, chunk, mode
-    ):
-        rng = np.random.default_rng(seed)
-        vector_a = BitVector(
-            length, np.sort(rng.choice(length, int(length * density_a), replace=False))
-        ) if length else BitVector(0, np.zeros(0, dtype=np.int64))
-        vector_b = BitVector(
-            length, np.sort(rng.choice(length, int(length * density_b), replace=False))
-        ) if length else BitVector(0, np.zeros(0, dtype=np.int64))
-        scanner = BitVectorScanner()
-        full = scanner.scan_batch(vector_a, vector_b, mode)
-        budget = chunk * SCAN_BYTES_PER_POSITION
-        part = scanner.scan_batch(vector_a, vector_b, mode, memory_budget=budget)
-        for field in ("dense_index", "ordinal", "index_a", "index_b"):
-            want, got = getattr(full, field), getattr(part, field)
-            assert want.dtype == got.dtype
-            assert np.array_equal(want, got)
-
-    def test_budget_chunks_and_matches(self):
-        rng = np.random.default_rng(11)
-        a = BitVector(512, np.sort(rng.choice(512, 200, replace=False)))
-        b = BitVector(512, np.sort(rng.choice(512, 150, replace=False)))
-        scanner = BitVectorScanner()
-        full = scanner.scan_batch(a, b, ScanMode.UNION)
-        part = scanner.scan_batch(a, b, ScanMode.UNION, memory_budget=1024)
-        assert np.array_equal(full.dense_index, part.dense_index)
-        assert np.array_equal(full.index_a, part.index_a)
-
-    def test_single_mode_ignores_chunking(self):
-        a = BitVector(64, np.asarray([1, 5, 40], dtype=np.int64))
-        scanner = BitVectorScanner()
-        full = scanner.scan_batch(a, None, ScanMode.SINGLE)
-        budget = 3 * SCAN_BYTES_PER_POSITION
-        part = scanner.scan_batch(a, None, ScanMode.SINGLE, memory_budget=budget)
-        assert np.array_equal(full.dense_index, part.dense_index)
 
 
 class TestStreamingDSE:

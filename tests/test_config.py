@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import (
+    MEMORY_BANDWIDTH_GBPS,
     CapstanConfig,
     MemoryTechnology,
     PlasticineConfig,
@@ -12,7 +13,6 @@ from repro.config import (
     ShuffleConfig,
     ShuffleMode,
     SpMUConfig,
-    default_config,
 )
 from repro.errors import ConfigurationError
 
@@ -58,28 +58,18 @@ class TestShuffleConfig:
 
 class TestCapstanConfig:
     def test_defaults_match_table7(self):
-        config = default_config()
+        config = CapstanConfig()
+        config.validate()
         assert config.compute_units == 200
         assert config.memory_units == 200
         assert config.address_generators == 80
         assert config.lanes == 16
         assert config.clock_ghz == 1.6
-        assert config.memory_bandwidth_gbps == 1800.0
-        assert config.on_chip_sram_bytes == 200 * 256 * 1024
+        assert MEMORY_BANDWIDTH_GBPS[config.memory] == 1800.0
 
     def test_memory_bandwidths(self):
-        assert CapstanConfig(memory=MemoryTechnology.DDR4).memory_bandwidth_gbps == 68.0
-        assert CapstanConfig(memory=MemoryTechnology.HBM2).memory_bandwidth_gbps == 900.0
-
-    def test_with_memory(self):
-        config = CapstanConfig().with_memory(MemoryTechnology.DDR4)
-        assert config.memory is MemoryTechnology.DDR4
-
-    def test_scaled(self):
-        scaled = CapstanConfig().scaled(0.5)
-        assert scaled.compute_units == 100
-        with pytest.raises(ConfigurationError):
-            CapstanConfig().scaled(0.0)
+        assert MEMORY_BANDWIDTH_GBPS[MemoryTechnology.DDR4] == 68.0
+        assert MEMORY_BANDWIDTH_GBPS[MemoryTechnology.HBM2] == 900.0
 
     def test_cycle_time(self):
         assert CapstanConfig().cycle_time_ns == pytest.approx(0.625)
@@ -89,9 +79,6 @@ class TestCapstanConfig:
             CapstanConfig(lanes=12).validate()
         with pytest.raises(ConfigurationError):
             CapstanConfig(sparse_fraction=1.5).validate()
-
-    def test_peak_flops(self):
-        assert CapstanConfig().peak_flops_per_cycle == 3200
 
 
 class TestPlasticineConfig:

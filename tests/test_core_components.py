@@ -253,5 +253,11 @@ class TestAreaModel:
         assert capstan_area(half).total_mm2 / baseline - 1.0 < full_overhead * 0.7
 
     def test_area_scales_with_grid(self):
-        small = capstan_area(CapstanConfig().scaled(0.5))
+        import dataclasses
+
+        small = capstan_area(
+            dataclasses.replace(
+                CapstanConfig(), compute_units=100, memory_units=100, address_generators=40
+            )
+        )
         assert small.total_mm2 < capstan_area().total_mm2

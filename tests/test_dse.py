@@ -232,7 +232,7 @@ def _fold_build(base, combo, name):
             continue
         config = platform.config
         if axis == "memory":
-            config = config.with_memory(value)
+            config = replace(config, memory=value)
         elif axis == "shuffle":
             config = replace(config, shuffle=replace(config.shuffle, mode=value))
         elif axis in ("lanes", "compute_units"):

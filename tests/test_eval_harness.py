@@ -15,6 +15,7 @@ import pytest
 
 from repro.config import ScannerConfig, SpMUConfig
 from repro.core import spmu as spmu_module
+from repro.core.ordering import OrderingMode
 from repro.core.spmu import SpMUVariant, effective_bank_throughput_batch, measure_bank_utilization
 from repro.eval import (
     APP_DATASETS,
@@ -203,6 +204,33 @@ class TestFigures:
         assert measured["unordered"] > measured["arbitrated"]
         assert measured["unordered"] > measured["fully-ordered"]
         assert measured["address-ordered"] > measured["fully-ordered"]
+
+    def test_figure4_never_runs_the_reference_unit(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Figure 4 ran the scalar reference SpMU")
+
+        monkeypatch.setattr(spmu_module.SparseMemoryUnit, "simulate", refuse)
+        monkeypatch.setattr(spmu_module, "measure_bank_utilization", refuse)
+        result = figure4_ordering_trace()
+        assert len(result["unordered_active_banks_per_cycle"]) == 15
+
+    def test_figure4_equals_the_reference_unit(self):
+        # The calibration workload: 120 vectors, seed 7, 16 lanes.
+        result = figure4_ordering_trace()
+        trace = spmu_module.random_request_trace(120, seed=spmu_module.THROUGHPUT_SEED)
+        modes = {
+            "unordered": OrderingMode.UNORDERED,
+            "address-ordered": OrderingMode.ADDRESS_ORDERED,
+            "fully-ordered": OrderingMode.FULLY_ORDERED,
+            "arbitrated": OrderingMode.ARBITRATED,
+        }
+        for name, mode in modes.items():
+            unit = spmu_module.SparseMemoryUnit(ordering=mode, record_trace=True)
+            stats = unit.simulate(trace)
+            assert result["measured_utilization_pct"][name] == 100.0 * stats.bank_utilization
+            if mode is OrderingMode.UNORDERED:
+                excerpt = [int(banks) for banks in stats.per_cycle_active_banks[:15]]
+                assert result["unordered_active_banks_per_cycle"] == excerpt
 
     def test_figure5a_memory_bound_apps_scale(self, profile_set):
         series = figure5a_bandwidth_sensitivity(profile_set, bandwidths_gbps=(20, 200, 2000))

@@ -1,15 +1,22 @@
-"""The public package surfaces stay live.
+"""The public package surfaces stay live and cheap to import.
 
 Every name a package lists in ``__all__`` must resolve on the package, so a
 deletion that leaves a stale re-export behind fails here rather than at a
-user's ``from repro.x import *``.
+user's ``from repro.x import *``. The paper harnesses and the CLI start
+without scipy, which only the CPU baselines' reference kernels load.
 """
 
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 PACKAGES = ("repro", "repro.formats", "repro.core", "repro.sim", "repro.workloads")
 
@@ -29,3 +36,17 @@ def test_exported_name_resolves(package, name):
 def test_exports_are_unique(package):
     exported = importlib.import_module(package).__all__
     assert len(set(exported)) == len(exported)
+
+
+@pytest.mark.parametrize("module", ("repro.eval", "repro.runtime.cli"))
+def test_import_leaves_scipy_unloaded(module):
+    paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    result = subprocess.run(
+        [sys.executable, "-c", f"import sys, {module}; print('scipy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -396,7 +396,7 @@ class TestBenchCLI:
             )
             store.snapshot_baseline("main")
             store.record_run(
-                make_record(**{"spmu.array_s": 0.9}),
+                make_record(**{"spmu.array_s": BENCH_RECORD["spmu"]["array_s"] * 2.6}),
                 fingerprint=FINGERPRINT_B,
                 created_at="2026-08-08T01:00:00Z",
             )

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.apps.profile import WorkloadProfile
+from repro.apps.timing import platform_throughput_variant
 from repro.errors import ConfigurationError
 from repro.runtime.cli import main as cli_main
 from repro.runtime.dse import explore
@@ -37,6 +38,7 @@ from repro.runtime.search import (
     AdaptiveSearch,
     SearchSpace,
     SearchStore,
+    SuccessiveHalving,
     hypervolume,
     make_strategy,
     pareto_ranks,
@@ -678,6 +680,65 @@ class TestProjectionPrefill:
         ).run()
         assert enumerated == []
         assert simulated and all(len(variants) <= 4 for variants, _ in simulated)
+
+    #: 48 SpMU projections.
+    HALVING_AXES = {
+        "lanes": [8, 16],
+        "banks": [8, 16, 32],
+        "queue_depth": [4, 8, 16, 32],
+        "bank_mapping": ["hash", "linear"],
+    }
+
+    def test_halving_is_budgeted_by_its_first_rung(self, simulated, monkeypatch):
+        # Halving proposes new points only in rung 0, so 16 x 3 is a budget
+        # of 16 projections, not 48: the search simulates the 16 it costs.
+        from repro.core import spmu as spmu_module
+
+        space = SearchSpace.from_axes(self.HALVING_AXES)
+
+        def search():
+            monkeypatch.setattr(spmu_module, "_THROUGHPUT_CACHE", {})
+            result = AdaptiveSearch(
+                space, make_strategy("halving", population=16, generations=3), _profiles(),
+                seed=1,
+            ).run()
+            return json.dumps(result.to_dict(), sort_keys=True)
+
+        monkeypatch.setenv("REPRO_THROUGHPUT_CACHE_DISABLE", "1")
+        budgeted = search()
+        assert [len(variants) for variants, _ in simulated] == [16]
+        simulated.clear()
+        monkeypatch.setattr(SuccessiveHalving, "fresh_generations", lambda self: 3)
+        assert search() == budgeted
+        assert [len(variants) for variants, _ in simulated] == [48]
+
+    def test_evolve_on_the_dse_grid_prefills_every_projection(self, monkeypatch):
+        # The 2,048-variant grid of the ``dse`` benchmark has 128 projections,
+        # within evolve 48 x 8's budget of 384 new points.
+        axes = {
+            "lanes": [8, 16],
+            "banks": [16, 32],
+            "queue_depth": [8, 16],
+            "crossbar_inputs": [16, 32],
+            "compute_units": [64, 100, 144, 196, 256, 324, 400, 484],
+            "bank_mapping": ["hash", "linear"],
+            "allocator": ["separable", "greedy"],
+            "ordering": ["unordered", "address-ordered"],
+            "memory": ["hbm2e", "ddr4"],
+        }
+        prefilled = []
+        monkeypatch.setattr(
+            search_module,
+            "prefill_throughputs",
+            lambda platforms, **kwargs: prefilled.append(list(platforms)),
+        )
+        space = SearchSpace.from_axes(axes)
+        assert space.size == 2048
+        AdaptiveSearch(
+            space, make_strategy("evolve", population=48, generations=8), _profiles(), seed=1
+        )._prefill_projections(48)
+        [platforms] = prefilled
+        assert len({platform_throughput_variant(p) for p in platforms}) == 128
 
     def test_resumed_search_gets_no_up_front_batch(self, simulated, tmp_path, monkeypatch):
         from repro.core import spmu as spmu_module

@@ -1,12 +1,15 @@
-"""Equivalence tests: the array SpMU / shuffle backends vs the reference loops.
+"""Equivalence tests: the lock-step SpMU engine and the shuffle fast path
+vs the reference loops.
 
-The array engine's contract is *stat-for-stat* equality with the original
-per-cycle simulator -- same cycles, requests, elided reads, bank-busy
-cycles, ordering stalls, per-cycle traces, and SRAM contents -- across
-orderings x bank mappings x allocator kinds x structural parameters, plus
-every configuration the evaluation harnesses (Table 4, Table 9, Figure 4)
-actually measure. These tests pin that contract, together with the batched
-throughput API's cache semantics and the shuffle fast path.
+The lock-step engine (:func:`~repro.core.spmu_array.simulate_variants`)
+must match the per-cycle :class:`~repro.core.spmu.SparseMemoryUnit`
+*stat for stat* -- same cycles, requests, elided reads, bank-busy cycles,
+ordering stalls, per-cycle traces, and SRAM contents (the engine's issue
+order replayed onto an array) -- across orderings x bank mappings x
+allocator kinds x structural parameters, plus every configuration the
+evaluation harnesses (Table 4, Table 9, Figure 4) actually measure. These
+tests pin that contract, together with the batched throughput API's cache
+semantics and the shuffle fast path.
 """
 
 from __future__ import annotations
@@ -54,31 +57,63 @@ def _stats_tuple(stats):
     )
 
 
-def _units(config, lanes, ordering, mapping, allocator):
-    kwargs = dict(
-        config=config,
-        lanes=lanes,
-        ordering=ordering,
-        bank_mapping=mapping,
-        allocator_kind=allocator,
-        record_trace=True,
+def _reference(variant, **kwargs):
+    return SparseMemoryUnit(
+        config=variant.config,
+        lanes=variant.lanes,
+        ordering=variant.ordering,
+        bank_mapping=variant.bank_mapping,
+        allocator_kind=variant.allocator_kind,
+        **kwargs,
     )
-    return (
-        SparseMemoryUnit(backend="reference", **kwargs),
-        SparseMemoryUnit(backend="array", **kwargs),
-    )
+
+
+def _replayed_image(variant, trace, result):
+    """The SRAM image the engine's issue order leaves: every issued request
+    executed in that order on a fresh unit's array."""
+    unit = _reference(variant)
+    position = np.full((trace.n_vectors, variant.lanes), -1, dtype=np.int64)
+    position[trace.vector_ids, trace.lanes] = np.arange(len(trace))
+    for index in position[result.issue_vectors, result.issue_lanes]:
+        unit.execute_request(
+            MemoryRequest(
+                address=int(trace.addresses[index]),
+                op=spmu_module._CODE_TO_OP[int(trace.ops[index])],
+                value=float(trace.values[index]),
+            )
+        )
+    return unit.read_data(0, unit.capacity_words)
+
+
+def _utilization(result, banks):
+    return result.bank_busy_cycles / (result.cycles * banks) if result.cycles else 0.0
+
+
+def _engine_utilization(config, ordering=OrderingMode.UNORDERED, vectors=120, **kwargs):
+    """The lock-step engine's side of :func:`measure_bank_utilization`."""
+    variant = SpMUVariant(ordering=ordering, config=config, **kwargs)
+    [result] = simulate_variants([variant], [random_request_trace(vectors, seed=7)])
+    return _utilization(result, config.banks)
 
 
 def _assert_equivalent(config, lanes, ordering, mapping, allocator, vectors):
-    reference, array = _units(config, lanes, ordering, mapping, allocator)
-    ref_stats = reference.simulate(vectors)
-    arr_stats = array.simulate(RequestTrace.from_vectors(vectors))
-    assert _stats_tuple(ref_stats) == _stats_tuple(arr_stats)
-    assert np.array_equal(
-        ref_stats.per_cycle_active_banks, arr_stats.per_cycle_active_banks
+    variant = SpMUVariant(
+        ordering=ordering,
+        bank_mapping=mapping,
+        allocator_kind=allocator,
+        config=config,
+        lanes=lanes,
     )
+    reference = _reference(variant, record_trace=True)
+    ref_stats = reference.simulate(vectors)
+    trace = RequestTrace.from_vectors(vectors)
+    [result] = simulate_variants([variant], [trace], record_trace=True, collect_issues=True)
+    assert _stats_tuple(ref_stats) == _stats_tuple(result)
+    assert np.array_equal(ref_stats.per_cycle_active_banks, result.per_cycle_active_banks)
     words = reference.capacity_words
-    assert np.array_equal(reference.read_data(0, words), array.read_data(0, words))
+    assert np.array_equal(
+        reference.read_data(0, words), _replayed_image(variant, trace, result)
+    )
 
 
 class TestSimulatorEquivalence:
@@ -154,23 +189,19 @@ class TestSimulatorEquivalence:
         for ordering in ORDERINGS:
             _assert_equivalent(config, 8, ordering, "hash", "separable", vectors)
 
-    def test_oversized_vector_rejected_by_both_backends(self):
+    def test_oversized_vector_rejected_by_both_engines(self):
         vectors = [[MemoryRequest(address=0) for _ in range(5)]]
-        for backend in ("reference", "array"):
-            unit = SparseMemoryUnit(lanes=4, backend=backend)
-            with pytest.raises(SimulationError):
-                unit.simulate(
-                    vectors if backend == "reference" else RequestTrace.from_vectors(vectors)
-                )
+        with pytest.raises(SimulationError):
+            SparseMemoryUnit(lanes=4).simulate(vectors)
+        with pytest.raises(SimulationError):
+            simulate_variants([SpMUVariant(lanes=4)], [RequestTrace.from_vectors(vectors)])
 
-    def test_out_of_range_address_rejected_by_both_backends(self):
+    def test_out_of_range_address_rejected_by_both_engines(self):
         vectors = [[MemoryRequest(address=10**9)]]
-        for backend in ("reference", "array"):
-            unit = SparseMemoryUnit(backend=backend)
-            with pytest.raises(SimulationError):
-                unit.simulate(
-                    vectors if backend == "reference" else RequestTrace.from_vectors(vectors)
-                )
+        with pytest.raises(SimulationError):
+            SparseMemoryUnit().simulate(vectors)
+        with pytest.raises(SimulationError):
+            simulate_variants([SpMUVariant()], [RequestTrace.from_vectors(vectors)])
 
     @pytest.mark.parametrize("ordering", ORDERINGS, ids=lambda o: o.value)
     def test_mixed_batch_matches_reference(self, ordering):
@@ -196,22 +227,7 @@ class TestSimulatorEquivalence:
         )
         assert len(batch) == len(variants)
         for variant, vecs, result in zip(variants, vectors, batch):
-            reference = SparseMemoryUnit(
-                config=variant.config,
-                lanes=variant.lanes,
-                ordering=variant.ordering,
-                bank_mapping=variant.bank_mapping,
-                allocator_kind=variant.allocator_kind,
-                backend="reference",
-            )
-            assert _stats_tuple(result) == _stats_tuple(reference.simulate(vecs))
-
-    def test_unknown_backend_rejected(self):
-        for backend in ("magic", "numpy", "vectorized"):
-            with pytest.raises(SimulationError, match="unknown SpMU backend"):
-                SparseMemoryUnit(backend=backend)
-            with pytest.raises(SimulationError, match="unknown SpMU backend"):
-                effective_bank_throughput_batch([SpMUVariant()], backend=backend)
+            assert _stats_tuple(result) == _stats_tuple(_reference(variant).simulate(vecs))
 
 
 class TestEvaluationConfigurations:
@@ -227,21 +243,15 @@ class TestEvaluationConfigurations:
             allocator_priorities=priorities,
             allocator_iterations=3,
         )
-        reference = measure_bank_utilization(config, vectors=48, backend="reference")
-        array = measure_bank_utilization(config, vectors=48, backend="array")
-        assert reference == array
+        reference = measure_bank_utilization(config, vectors=48)
+        assert reference == _engine_utilization(config, vectors=48)
 
     @pytest.mark.parametrize("ordering", ORDERINGS, ids=lambda o: o.value)
     def test_figure4_orderings(self, ordering):
         # The exact Figure 4 workload: 120 random vectors, seed 7.
         config = SpMUConfig()
-        reference = measure_bank_utilization(
-            config, ordering=ordering, vectors=120, backend="reference"
-        )
-        array = measure_bank_utilization(
-            config, ordering=ordering, vectors=120, backend="array"
-        )
-        assert reference == array
+        reference = measure_bank_utilization(config, ordering=ordering, vectors=120)
+        assert reference == _engine_utilization(config, ordering=ordering, vectors=120)
 
     @pytest.mark.parametrize("mapping", ("hash", "linear"))
     @pytest.mark.parametrize(
@@ -261,17 +271,14 @@ class TestEvaluationConfigurations:
             vectors=120,
             bank_mapping=mapping,
             allocator_kind=allocator,
-            backend="reference",
         )
-        array = measure_bank_utilization(
+        assert reference == _engine_utilization(
             config,
             ordering=ordering,
             vectors=120,
             bank_mapping=mapping,
             allocator_kind=allocator,
-            backend="array",
         )
-        assert reference == array
 
 
 class TestRequestTrace:
@@ -297,20 +304,22 @@ class TestRequestTrace:
         assert rebuilt[1] == []
         assert [r.address for r in rebuilt[2]] == [1, 2]
 
-    def test_reference_backend_accepts_traces(self):
+    def test_reference_accepts_traces(self):
         trace = random_request_trace(6, lanes=4, seed=2)
-        reference = SparseMemoryUnit(lanes=4, backend="reference")
-        array = SparseMemoryUnit(lanes=4, backend="array")
-        assert _stats_tuple(reference.simulate(trace)) == _stats_tuple(array.simulate(trace))
+        [result] = simulate_variants([SpMUVariant(lanes=4)], [trace])
+        reference = SparseMemoryUnit(lanes=4)
+        assert _stats_tuple(reference.simulate(trace)) == _stats_tuple(result)
 
 
 class TestRecordTrace:
     def test_trace_is_opt_in(self):
         vectors = random_request_vectors(10, seed=3)
-        for backend in ("reference", "array"):
-            stats = SparseMemoryUnit(backend=backend).simulate(vectors)
-            assert stats.per_cycle_active_banks is None
-            assert stats.bank_utilization > 0.0
+        stats = SparseMemoryUnit().simulate(vectors)
+        assert stats.per_cycle_active_banks is None
+        assert stats.bank_utilization > 0.0
+        [result] = simulate_variants([SpMUVariant()], [RequestTrace.from_vectors(vectors)])
+        assert result.per_cycle_active_banks is None
+        assert _utilization(result, SpMUConfig().banks) > 0.0
 
     def test_trace_length_and_utilization_consistency(self):
         vectors = random_request_vectors(15, seed=4)
@@ -357,12 +366,6 @@ class TestBatchedThroughput:
             # One-element batches (the timing model's scalar lookups) agree.
             spmu_module._THROUGHPUT_CACHE.clear()
             assert effective_bank_throughput_batch([variant])[0] == value
-
-    def test_matches_reference_backend(self, isolated_store):
-        variants = self._grid()[:4]
-        batched = effective_bank_throughput_batch(variants)
-        reference = effective_bank_throughput_batch(variants, backend="reference")
-        assert np.array_equal(batched, reference)
 
     def test_populates_store_and_memo_in_one_pass(self, isolated_store, monkeypatch):
         variants = self._grid()

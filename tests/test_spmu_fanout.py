@@ -158,7 +158,6 @@ class TestEquivalence:
                 bank_mapping=variant.bank_mapping,
                 allocator_kind=variant.allocator_kind,
                 record_trace=True,
-                backend="reference",
             ).simulate(vectors[variant.lanes])
             assert (stats.cycles, stats.requests, stats.stall_cycles_ordering) == (
                 result.cycles,

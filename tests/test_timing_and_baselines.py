@@ -104,11 +104,6 @@ class TestCapstanTimingModel:
         )
         assert estimate_cycles(rounds)[0] > estimate_cycles(base)[0]
 
-    def test_with_memory_helper(self):
-        platform = default_platform().with_memory(MemoryTechnology.DDR4)
-        assert platform.config.memory is MemoryTechnology.DDR4
-        assert "ddr4" in platform.name
-
 
 class TestBaselines:
     def test_plasticine_slower_for_random_updates(self, spmv_profile):

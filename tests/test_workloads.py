@@ -14,10 +14,7 @@ from repro.workloads import (
     balanced_partition,
     banded_fem_matrix,
     circuit_matrix,
-    dataset_names,
     generate_conv_layer,
-    graph_datasets,
-    layer_names,
     load_dataset,
     make_diagonally_dominant,
     power_law_graph,
@@ -119,13 +116,6 @@ class TestDatasetRegistry:
         with pytest.raises(WorkloadError):
             load_dataset("nonexistent")
 
-    def test_dataset_names_filter(self):
-        assert "usroads-48" in dataset_names("PR")
-        assert "qc324" not in dataset_names("PR")
-
-    def test_group_helpers(self):
-        assert len(graph_datasets(scale=1 / 256)) == 3
-
     def test_scaled_description_mentions_substitution(self):
         dataset = load_dataset("qc324")
         assert "paper" in dataset.scaled_description
@@ -134,7 +124,7 @@ class TestDatasetRegistry:
 
 class TestResNetLayers:
     def test_layers_registered(self):
-        assert set(layer_names()) == {"resnet50-1", "resnet50-2", "resnet50-29"}
+        assert set(RESNET_LAYERS) == {"resnet50-1", "resnet50-2", "resnet50-29"}
 
     def test_density_matches_spec(self):
         workload = generate_conv_layer("resnet50-2", scale=0.25)
@@ -146,10 +136,6 @@ class TestResNetLayers:
         workload = generate_conv_layer("resnet50-1", scale=0.25)
         assert workload.activations.shape[1:] == (56, 56)
         assert workload.weights.shape[1:3] == (1, 1)
-
-    def test_sparse_macs_less_than_dense(self):
-        workload = generate_conv_layer("resnet50-2", scale=0.125)
-        assert workload.sparse_macs() < workload.macs()
 
     def test_reference_convolution_shape(self):
         workload = generate_conv_layer("resnet50-1", scale=0.125)
