@@ -70,6 +70,9 @@ def default_worker_command() -> List[str]:
 #: per-unit ``timeout_s`` so slow spawns never masquerade as unit timeouts.
 WARMUP_TIMEOUT_S = 120.0
 
+#: Longest a blocked read sleeps before re-checking for an interrupt.
+INTERRUPT_POLL_S = 0.1
+
 
 def _worker_env() -> Dict[str, str]:
     """Child environment with this package importable.
@@ -116,9 +119,21 @@ class _Worker:
         )
         self._buffer = bytearray()
         self._next_id = 0
+        self.interrupted = False
         stdout = self.proc.stdout
         assert stdout is not None
         os.set_blocking(stdout.fileno(), False)
+
+    def interrupt(self) -> None:
+        """Kill the process on behalf of another thread (``cancel()``).
+
+        The pipes stay open: closing them under the thread blocked in
+        :meth:`_read_line` would drop the fd from its selector, which then
+        sleeps out the whole deadline. That thread sees the flag (or EOF),
+        raises :class:`_WorkerDied`, and retires the worker itself.
+        """
+        self.interrupted = True
+        self.proc.kill()
 
     def kill(self) -> None:
         if self.proc.poll() is None:
@@ -195,12 +210,15 @@ class _Worker:
                     line = bytes(self._buffer[:newline])
                     del self._buffer[: newline + 1]
                     return line
-                remaining = None
+                if self.interrupted:
+                    raise _WorkerDied("worker killed by cancel")
+                wait = INTERRUPT_POLL_S
                 if deadline is not None:
                     remaining = deadline - time.perf_counter()
                     if remaining <= 0:
                         raise TimeoutError("worker response deadline exceeded")
-                if not selector.select(remaining):
+                    wait = min(wait, remaining)
+                if not selector.select(wait):
                     continue  # timed out or spurious wakeup; re-check deadline
                 try:
                     chunk = os.read(fd, 65536)
@@ -275,7 +293,7 @@ class SubprocessExecutor(Executor):
         with self._workers_lock:
             workers = list(self._live_workers)
         for worker in workers:
-            worker.kill()
+            worker.interrupt()
 
     def run_units(
         self, payloads: List[Dict[str, Any]], *, stop_on_error: bool = False

@@ -6,6 +6,7 @@ import pytest
 
 from repro.config import (
     MEMORY_BANDWIDTH_GBPS,
+    MEMORY_LATENCY_NS,
     CapstanConfig,
     MemoryTechnology,
     PlasticineConfig,
@@ -70,6 +71,16 @@ class TestCapstanConfig:
     def test_memory_bandwidths(self):
         assert MEMORY_BANDWIDTH_GBPS[MemoryTechnology.DDR4] == 68.0
         assert MEMORY_BANDWIDTH_GBPS[MemoryTechnology.HBM2] == 900.0
+
+    def test_memory_tables_cover_every_technology(self):
+        # Any configured memory resolves in both tables the DRAM model reads.
+        assert set(MEMORY_BANDWIDTH_GBPS) == set(MemoryTechnology)
+        assert set(MEMORY_LATENCY_NS) == set(MemoryTechnology)
+        order = (MemoryTechnology.DDR4, MemoryTechnology.HBM2, MemoryTechnology.HBM2E)
+        bandwidths = [MEMORY_BANDWIDTH_GBPS[memory] for memory in order]
+        assert bandwidths == sorted(bandwidths)
+        assert MEMORY_BANDWIDTH_GBPS[MemoryTechnology.IDEAL] == float("inf")
+        assert MEMORY_LATENCY_NS[MemoryTechnology.IDEAL] == 0.0
 
     def test_cycle_time(self):
         assert CapstanConfig().cycle_time_ns == pytest.approx(0.625)

@@ -216,8 +216,16 @@ class TestFigures:
 
     def test_figure4_equals_the_reference_unit(self):
         # The calibration workload: 120 vectors, seed 7, 16 lanes.
-        result = figure4_ordering_trace()
-        trace = spmu_module.random_request_trace(120, seed=spmu_module.THROUGHPUT_SEED)
+        self._assert_figure4_equals_the_reference_unit(figure4_ordering_trace(), 120)
+
+    def test_figure4_vector_count_reaches_both_paths(self, isolated_store):
+        # The stored throughputs and the traced excerpt see the same stream.
+        result = figure4_ordering_trace(vectors=48)
+        self._assert_figure4_equals_the_reference_unit(result, 48)
+
+    @staticmethod
+    def _assert_figure4_equals_the_reference_unit(result, vectors):
+        trace = spmu_module.random_request_trace(vectors, seed=spmu_module.THROUGHPUT_SEED)
         modes = {
             "unordered": OrderingMode.UNORDERED,
             "address-ordered": OrderingMode.ADDRESS_ORDERED,

@@ -279,6 +279,27 @@ class TestCancellationRaces:
         assert elapsed < 30.0
         assert {o.status for o in outcomes} == {OUTCOME_CANCELLED}
 
+    def test_cancel_while_a_grandchild_holds_the_pipe(self):
+        # The silent worker's own child inherits its stdout, so killing the
+        # worker brings no EOF for 15s: the blocked read must notice the
+        # cancel itself rather than wait for the pipe or the warmup cap.
+        import sys as _sys
+
+        code = (
+            "import subprocess, sys, time; "
+            "subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(15)']); "
+            "time.sleep(600)"
+        )
+        executor = SubprocessExecutor(workers=1, command=[_sys.executable, "-c", code])
+        timer = threading.Timer(0.5, executor.cancel)
+        timer.start()
+        started = time.perf_counter()
+        outcomes = executor.run_units([_probe(1)])
+        elapsed = time.perf_counter() - started
+        timer.cancel()
+        assert elapsed < 10.0
+        assert [o.status for o in outcomes] == [OUTCOME_CANCELLED]
+
     def test_cancel_while_the_worker_spawns(self, monkeypatch):
         # cancel() lands after the drain loop's check but before the new
         # worker is registered, so cancel's kill list misses it: the

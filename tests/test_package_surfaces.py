@@ -2,8 +2,9 @@
 
 Every name a package lists in ``__all__`` must resolve on the package, so a
 deletion that leaves a stale re-export behind fails here rather than at a
-user's ``from repro.x import *``. The paper harnesses and the CLI start
-without scipy, which only the CPU baselines' reference kernels load.
+user's ``from repro.x import *``. The package, the paper harnesses and
+both console entry points (``repro-eval``, ``repro-serve``) start without
+scipy, which only the CPU baselines' reference kernels load.
 """
 
 from __future__ import annotations
@@ -38,7 +39,9 @@ def test_exports_are_unique(package):
     assert len(set(exported)) == len(exported)
 
 
-@pytest.mark.parametrize("module", ("repro.eval", "repro.runtime.cli"))
+@pytest.mark.parametrize(
+    "module", ("repro", "repro.eval", "repro.runtime.cli", "repro.runtime.serve")
+)
 def test_import_leaves_scipy_unloaded(module):
     paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
     result = subprocess.run(

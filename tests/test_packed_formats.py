@@ -164,6 +164,29 @@ class TestScanBatchEquivalence:
         assert batch.elements() == reference
         assert len(batch) == len(reference)
 
+    @given(
+        length=st.integers(min_value=0, max_value=400),
+        density_a=st.floats(min_value=0.0, max_value=1.0),
+        density_b=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=1000),
+        mode=st.sampled_from([ScanMode.INTERSECT, ScanMode.UNION]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batch_matches_legacy_at_any_length(self, length, density_a, density_b, seed, mode):
+        # Empty and full operands included; every column stays int64.
+        rng = np.random.default_rng(seed)
+
+        def operand(density):
+            picked = rng.choice(length, int(length * density), replace=False)
+            return BitVector(length, np.sort(picked).astype(np.int64))
+
+        scanner = BitVectorScanner()
+        va, vb = operand(density_a), operand(density_b)
+        batch = scanner.scan_batch(va, vb, mode)
+        for column in (batch.dense_index, batch.ordinal, batch.index_a, batch.index_b):
+            assert column.dtype == np.int64
+        assert batch.elements() == scanner.scan_reference(va, vb, mode)
+
     @pytest.mark.parametrize("density_a", DENSITY_CASES)
     @pytest.mark.parametrize("density_b", DENSITY_CASES)
     @pytest.mark.parametrize(

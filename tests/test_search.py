@@ -712,6 +712,29 @@ class TestProjectionPrefill:
         assert search() == budgeted
         assert [len(variants) for variants, _ in simulated] == [48]
 
+    @pytest.mark.parametrize("name", ("halving", "evolve"))
+    def test_fresh_generations_bound_the_new_points(self, name, isolated_store, monkeypatch):
+        # The prefill budget's premise: new points appear only in the first
+        # fresh_generations() generations, each with at most as many as the first.
+        strategy = make_strategy(name, population=8, generations=3)
+        propose = strategy.propose
+        seen, fresh = set(), []
+
+        def recording(generation, rng, engine):
+            proposal = propose(generation, rng, engine)
+            new = set(proposal.combos) - seen
+            seen.update(new)
+            fresh.append(len(new))
+            return proposal
+
+        monkeypatch.setattr(strategy, "propose", recording)
+        AdaptiveSearch(SearchSpace.from_axes(AXES), strategy, _profiles(), seed=1).run()
+        assert len(fresh) == strategy.total_generations()
+        assert fresh[0] > 0 and max(fresh) == fresh[0]
+        assert sum(1 for count in fresh if count) <= strategy.fresh_generations()
+        if name == "halving":
+            assert strategy.fresh_generations() == 1
+
     def test_evolve_on_the_dse_grid_prefills_every_projection(self, monkeypatch):
         # The 2,048-variant grid of the ``dse`` benchmark has 128 projections,
         # within evolve 48 x 8's budget of 384 new points.

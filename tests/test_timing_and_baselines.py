@@ -104,6 +104,14 @@ class TestCapstanTimingModel:
         )
         assert estimate_cycles(rounds)[0] > estimate_cycles(base)[0]
 
+    def test_default_platform_names_its_memory(self):
+        for memory in (MemoryTechnology.DDR4, MemoryTechnology.HBM2, MemoryTechnology.HBM2E):
+            platform = default_platform(memory)
+            assert platform.config.memory is memory
+            assert platform.name == f"capstan-{memory.value}"
+            assert not (platform.ideal_network or platform.ideal_memory or platform.ideal_sram)
+        assert default_platform() == default_platform(MemoryTechnology.HBM2E)
+
 
 class TestBaselines:
     def test_plasticine_slower_for_random_updates(self, spmv_profile):

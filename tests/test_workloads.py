@@ -8,7 +8,9 @@ import pytest
 from repro.errors import WorkloadError
 from repro.formats import to_csr
 from repro.workloads import (
+    GRAPH_DATASET_NAMES,
     RESNET_LAYERS,
+    SPMSPM_DATASET_NAMES,
     TABLE6_DATASETS,
     Partitioning,
     balanced_partition,
@@ -115,6 +117,24 @@ class TestDatasetRegistry:
     def test_unknown_dataset(self):
         with pytest.raises(WorkloadError):
             load_dataset("nonexistent")
+
+    def test_group_names_match_the_registry(self):
+        # The tuples the graph and SpMSpM apps register are exactly the
+        # Table 6 rows whose application column names them.
+        def group(app):
+            return tuple(
+                name for name, spec in TABLE6_DATASETS.items() if app in spec.apps.split("/")
+            )
+
+        assert GRAPH_DATASET_NAMES == group("PR") == group("BFS") == group("SSSP")
+        assert SPMSPM_DATASET_NAMES == group("SpMSpM")
+
+    def test_graph_datasets_load_square(self):
+        for name in GRAPH_DATASET_NAMES:
+            dataset = load_dataset(name, scale=1 / 256)
+            assert dataset.name == name
+            rows, cols = dataset.matrix.shape
+            assert rows == cols and dataset.matrix.nnz > 0
 
     def test_scaled_description_mentions_substitution(self):
         dataset = load_dataset("qc324")
