@@ -75,7 +75,6 @@ from repro.errors import CapstanError
 from repro.eval.experiments import collect_profiles
 from repro.eval.regression import (
     compare_to_baseline,
-    default_expectations,
     detect_trends,
     format_comparison_markdown,
     format_comparison_report,
@@ -677,13 +676,7 @@ def _resolve_expectations(args) -> dict:
     Sections skipped by ``--no-*`` flags are pruned so a deliberately
     partial run does not read as a ``missing-section`` failure.
     """
-    if args.expectations:
-        expectations = load_expectations(args.expectations)
-    else:
-        bundled = Path(__file__).resolve().parent / "expectations.toml"
-        expectations = (
-            load_expectations(bundled) if bundled.exists() else default_expectations()
-        )
+    expectations = load_expectations(args.expectations)
     for skipped, section in (
         (args.no_costing, "costing"),
         (args.no_spmu, "spmu"),

@@ -58,7 +58,7 @@ driver_plan = FaultPlan(
     state_dir=sys.argv[3],
 )
 executor = FaultyExecutor(
-    SubprocessExecutor(workers=1, timeout_s=30.0, retries=2, backoff_s=0.05),
+    SubprocessExecutor(workers=1, timeout_s=30.0, retries=2),
     driver_plan,
 )
 with JobStore(Path(sys.argv[1])) as store:

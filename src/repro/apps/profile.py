@@ -33,8 +33,9 @@ class WorkloadProfile:
             lane-work the Active category counts).
         vector_slots: Vectorized issue slots consumed at 16 lanes, i.e.
             ``sum(ceil(trip / 16))`` over innermost loop instances.
-        scan_cycles: Scanner-busy cycles under the run's scanner
-            configuration (``RunContext.scanner``, else the default).
+        scan_cycles: Scanner-busy cycles under the default scanner
+            configuration (or ``configs[0]`` inside
+            :func:`~repro.apps.scan_model.record_scans`).
         scan_empty_cycles: Scanner cycles spent on all-zero chunks.
         scan_elements: Elements emitted by scanners.
         sram_random_reads: Random on-chip reads (element granularity).

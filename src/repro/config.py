@@ -211,8 +211,3 @@ class PlasticineConfig:
     lanes: int = 16
     clock_ghz: float = 1.6
     memory: MemoryTechnology = MemoryTechnology.HBM2E
-
-    @property
-    def cycle_time_ns(self) -> float:
-        """Clock period in nanoseconds."""
-        return 1.0 / self.clock_ghz

@@ -108,8 +108,8 @@ class MergeUnit:
 class ShuffleNetwork:
     """A butterfly network of merge units routing vectors to partitions.
 
-    The object-at-a-time oracle of :func:`merge_efficiency`'s bitmask path
-    (``backend="reference"``).
+    The object-at-a-time network :func:`merge_efficiency_reference` walks,
+    the oracle of :func:`merge_efficiency`'s bitmask path.
 
     Args:
         config: Shuffle configuration (mode, endpoints).
@@ -302,36 +302,65 @@ class _RawStreamReplay:
         return product >> 32
 
 
-def _merge_efficiency_fast(
+#: The merge-efficiency microbenchmark's traffic shape: every vector, each
+#: of ``MERGE_SOURCES`` CUs issues one request per lane to one of
+#: ``MERGE_PARTITIONS`` memory partitions, drawn from the ``MERGE_SEED``
+#: stream.
+MERGE_SOURCES = 4
+MERGE_PARTITIONS = 4
+MERGE_SEED = 3
+
+
+def _network_config(mode: ShuffleMode, config: Optional[ShuffleConfig]) -> ShuffleConfig:
+    """``config`` (or the default) reshaped to the microbenchmark, validated."""
+    import dataclasses
+
+    base = config if config is not None else ShuffleConfig()
+    network_config = dataclasses.replace(base, mode=mode, endpoints=MERGE_PARTITIONS)
+    network_config.validate()
+    return network_config
+
+
+def merge_efficiency(
     mode: ShuffleMode,
     cross_partition_fraction: float,
-    sources: int,
-    lanes: int,
-    vectors: int,
-    partitions: int,
-    seed: int,
+    lanes: int = 16,
+    vectors: int = 64,
+    config: Optional[ShuffleConfig] = None,
 ) -> float:
-    """Mask-based fast path of :func:`merge_efficiency`.
+    """Measure how well a shuffle mode compacts cross-partition traffic.
 
-    Draws the identical random request stream (same generator draws in the
-    same order) but routes it as lane-occupancy bitmasks instead of
-    :class:`ShuffleRequest` objects walked through per-slot Python scans.
-    Produces exactly the reference's efficiency for the microbenchmark's
-    traffic shape, where every (source, lane) carries at most one request
-    and the partition stride keeps each address inside its partition.
+    Returns the ratio of delivered request slots to delivered vector slots
+    (higher is better; 1.0 means every output vector is full). Used by the
+    Table 11 harness and the application network model.
+
+    Routes lane-occupancy bitmasks through the merge rules instead of
+    walking :class:`ShuffleRequest` objects through a :class:`ShuffleNetwork`
+    (that walk is :func:`merge_efficiency_reference`, the oracle). It draws
+    the identical random request stream and gives exactly the same value,
+    because every (source, lane) carries at most one request and each
+    address stays inside its partition.
+
+    Args:
+        config: Optional full shuffle configuration to validate; ``mode``
+            and the microbenchmark's partition count override its routing
+            shape, and its crossbar parameters (e.g. the inverse-permutation
+            FIFO depth) cannot change where a request lands. ``None``
+            measures a default-parameter network.
     """
-    rng = _RawStreamReplay(seed)
+    _network_config(mode, config)
+    rng = _RawStreamReplay(MERGE_SEED)
     candidates = _candidate_lane_order(lanes, mode.max_shift)
     none_mode = mode is ShuffleMode.NONE
     total_requests = 0
     total_vector_slots = 0
     for _ in range(vectors):
-        by_destination = [[0] * sources for _ in range(partitions)]
-        for source in range(sources):
-            home = source % partitions
+        by_destination = [[0] * MERGE_SOURCES for _ in range(MERGE_PARTITIONS)]
+        for source in range(MERGE_SOURCES):
+            home = source % MERGE_PARTITIONS
             for lane in range(lanes):
                 if rng.random() < cross_partition_fraction:
-                    destination = rng.integers(partitions)
+                    destination = rng.integers(MERGE_PARTITIONS)
                 else:
                     destination = home
                 rng.integers(1024)  # the address's low bits; routing-neutral
@@ -339,7 +368,7 @@ def _merge_efficiency_fast(
             total_requests += lanes
         if none_mode:
             # Without a network every request is its own output vector.
-            total_vector_slots += lanes * sources * lanes
+            total_vector_slots += lanes * MERGE_SOURCES * lanes
             continue
         for masks in by_destination:
             pending = [mask for mask in masks if mask]
@@ -364,66 +393,37 @@ def _merge_efficiency_fast(
     return total_requests / total_vector_slots
 
 
-def merge_efficiency(
+def merge_efficiency_reference(
     mode: ShuffleMode,
     cross_partition_fraction: float,
-    sources: int = 4,
     lanes: int = 16,
     vectors: int = 64,
-    partitions: int = 4,
-    seed: int = 3,
     config: Optional[ShuffleConfig] = None,
-    backend: str = "array",
 ) -> float:
-    """Measure how well a shuffle mode compacts cross-partition traffic.
+    """The object-at-a-time oracle of :func:`merge_efficiency`.
 
-    Returns the ratio of delivered request slots to delivered vector slots
-    (higher is better; 1.0 means every output vector is full). Used by the
-    Table 11 harness and the application network model.
-
-    Args:
-        config: Optional full shuffle configuration whose crossbar
-            parameters (e.g. the inverse-permutation FIFO depth) the
-            measured network should use; ``mode`` and the microbenchmark's
-            partition count still override its routing shape. ``None``
-            measures a default-parameter network.
-        backend: ``"array"`` (default) measures through the bitmask fast
-            path -- identical results, no per-request object churn;
-            ``"reference"`` walks :class:`ShuffleRequest` objects through
-            the full :class:`ShuffleNetwork`.
+    Walks :class:`ShuffleRequest` objects through the full
+    :class:`ShuffleNetwork`; the equivalence tests pin the two equal.
     """
-    import dataclasses
-
-    base = config if config is not None else ShuffleConfig()
-    network_config = dataclasses.replace(base, mode=mode, endpoints=max(partitions, 2))
-    # Validate up front so an invalid configuration is rejected identically
-    # on both backends (the reference validates when building the network).
-    network_config.validate()
-    if backend == "array" and partitions >= 1 and (2**16) // partitions >= 1024:
-        # The configured crossbar parameters (FIFO depth) cannot change the
-        # measured efficiency, so the fast path ignores them.
-        return _merge_efficiency_fast(
-            mode, cross_partition_fraction, sources, lanes, vectors, partitions, seed
-        )
-
-    rng = np.random.default_rng(seed)
-    network = ShuffleNetwork(network_config, lanes=lanes)
+    rng = np.random.default_rng(MERGE_SEED)
+    network = ShuffleNetwork(_network_config(mode, config), lanes=lanes)
+    stride = 2**16 // MERGE_PARTITIONS
     total_requests = 0
     total_vector_slots = 0
     for _ in range(vectors):
         vectors_by_source: Dict[int, List[ShuffleRequest]] = {}
-        for source in range(sources):
+        for source in range(MERGE_SOURCES):
             vector = []
             for lane in range(lanes):
                 if rng.random() < cross_partition_fraction:
-                    destination = int(rng.integers(0, partitions))
+                    destination = int(rng.integers(0, MERGE_PARTITIONS))
                 else:
-                    destination = source % partitions
-                address = destination * (2 ** 16 // partitions) + int(rng.integers(0, 1024))
+                    destination = source % MERGE_PARTITIONS
+                address = destination * stride + int(rng.integers(0, 1024))
                 vector.append(ShuffleRequest(source=source, lane=lane, address=address))
             vectors_by_source[source] = vector
             total_requests += lanes
-        outputs = network.route(vectors_by_source, partitions=partitions)
+        outputs = network.route(vectors_by_source, partitions=MERGE_PARTITIONS)
         for destination_vectors in outputs.values():
             total_vector_slots += len(destination_vectors) * lanes
     if total_vector_slots == 0:

@@ -19,12 +19,10 @@ from .figures import (
 from .regression import (
     ComparisonReport,
     compare_to_baseline,
-    default_expectations,
     detect_trends,
     evaluate_expectations,
     format_comparison_report,
     load_expectations,
-    snapshot_baseline,
 )
 from .report import (
     format_mapping,
@@ -72,10 +70,8 @@ __all__ = [
     "paper_vs_measured",
     "ComparisonReport",
     "compare_to_baseline",
-    "default_expectations",
     "detect_trends",
     "evaluate_expectations",
     "format_comparison_report",
     "load_expectations",
-    "snapshot_baseline",
 ]

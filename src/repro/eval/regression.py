@@ -3,15 +3,16 @@
 The bench gate is three declarative pieces layered on
 :class:`~repro.runtime.runstore.RunStore`:
 
-* **expectations** -- a TOML file (or :data:`DEFAULT_EXPECTATIONS`)
-  stating, per record section, which identity flags must hold
-  (``identical = true``), which metrics have absolute bounds
+* **expectations** -- a TOML file (:data:`EXPECTATIONS_PATH` unless
+  another is named) stating, per record section, which identity flags
+  must hold (``identical = true``), which metrics have absolute bounds
   (``[sections.NAME.min]`` / ``[sections.NAME.max]``), and which metrics
   may regress at most some ratio against a baseline
   (``[sections.NAME.compare]``, metric -> max current/baseline ratio);
-* **baseline comparison** -- :func:`snapshot_baseline` freezes a recorded
-  run under a name, :func:`compare_to_baseline` evaluates a fresh record
-  against a baseline and the expectations, producing categorized
+* **baseline comparison** --
+  :meth:`~repro.runtime.runstore.RunStore.snapshot_baseline` freezes a
+  recorded run under a name, :func:`compare_to_baseline` evaluates a
+  fresh record against a baseline and the expectations, producing categorized
   :class:`Check` rows (``regression`` / ``identity-broken`` /
   ``missing-section`` / ``scale-mismatch``) and a single pass/fail
   verdict;
@@ -44,42 +45,14 @@ MISSING_SECTION = "missing-section"
 SCALE_MISMATCH = "scale-mismatch"
 SKIPPED = "skipped"
 
-#: The built-in gate, equal to ``benchmarks/expectations.toml``: every batch
-#: path bit-identical to its reference, the recorded acceptance speedups,
-#: and at most a 2x ratio against the baseline for each section's headline
-#: time.
-DEFAULT_EXPECTATIONS: Dict[str, Any] = {
-    "sections": {
-        "runner": {"compare": {"cold_serial_s": 2.0}},
-        "costing": {
-            "identical": True,
-            "min": {"batch_speedup": 5.0},
-            "compare": {"batch_s": 2.0},
-        },
-        "spmu": {
-            "identical": True,
-            "min": {"speedup": 6.0},
-            "compare": {"array_s": 2.0},
-        },
-        "formats": {
-            "identical": True,
-            "min": {"speedup": 3.0},
-            "compare": {"batch_s": 2.0},
-        },
-        "chunked": {
-            "identical": True,
-            "max": {"peak_ratio": 1.5},
-            "compare": {"chunked_s": 2.0},
-        },
-        "dse": {
-            "identical": True,
-            "min": {"hypervolume_ratio": 0.95},
-            "max": {"eval_fraction": 0.25, "kilovariant_s": 300.0},
-            "compare": {"search_s": 2.0},
-        },
-    },
-    "trends": {"window": 5, "min_drift": 1.1},
-}
+#: The bench gate: every batch path bit-identical to its reference, the
+#: recorded acceptance speedups, and at most a 2x ratio against the baseline
+#: for each section's headline time. It lives in the source tree, so an
+#: installed package without ``benchmarks/`` must name one explicitly.
+EXPECTATIONS_PATH = Path(__file__).resolve().parents[3] / "benchmarks" / "expectations.toml"
+
+#: Trend-detection settings for an expectations file without ``[trends]``.
+_TREND_DEFAULTS = {"window": 5, "min_drift": 1.1}
 
 _SECTION_KEYS = ("identical", "min", "max", "compare")
 _MISSING = object()
@@ -202,28 +175,25 @@ def normalize_expectations(data: Dict[str, Any]) -> Dict[str, Any]:
     if bad:
         raise CapstanError(f"unknown keys in expectations trends: {', '.join(sorted(bad))}")
     normalized["trends"] = {
-        "window": int(trends.get("window", DEFAULT_EXPECTATIONS["trends"]["window"])),
-        "min_drift": float(
-            trends.get("min_drift", DEFAULT_EXPECTATIONS["trends"]["min_drift"])
-        ),
+        "window": int(trends.get("window", _TREND_DEFAULTS["window"])),
+        "min_drift": float(trends.get("min_drift", _TREND_DEFAULTS["min_drift"])),
     }
     return normalized
 
 
-def load_expectations(path: Union[str, Path]) -> Dict[str, Any]:
-    """Load and validate one ``expectations.toml``."""
+def load_expectations(path: Union[str, Path, None] = None) -> Dict[str, Any]:
+    """Load and validate one ``expectations.toml`` (``None``: the bench gate)."""
+    if path is None:
+        path = EXPECTATIONS_PATH
     try:
-        data = tomllib.loads(Path(path).read_text())
+        text = Path(path).read_text()
+    except FileNotFoundError:
+        raise CapstanError(f"no expectations file at {path}") from None
+    try:
+        data = tomllib.loads(text)
     except tomllib.TOMLDecodeError as exc:
         raise CapstanError(f"malformed expectations file {path}: {exc}") from None
     return normalize_expectations(data)
-
-
-def default_expectations() -> Dict[str, Any]:
-    """A deep copy of :data:`DEFAULT_EXPECTATIONS` callers may mutate."""
-    import copy
-
-    return copy.deepcopy(DEFAULT_EXPECTATIONS)
 
 
 # ---------------------------------------------------------------- evaluation
@@ -317,10 +287,10 @@ def evaluate_expectations(
 
     Identity flags and absolute ``min``/``max`` bounds only; ratio
     (``compare``) entries need a baseline and are evaluated by
-    :func:`compare_to_baseline`.
+    :func:`compare_to_baseline`. ``expectations`` defaults to the bench gate.
     """
     if expectations is None:
-        expectations = DEFAULT_EXPECTATIONS
+        expectations = load_expectations()
     sections = record_sections(record)
     checks: List[Check] = []
     for name, spec in expectations.get("sections", {}).items():
@@ -440,11 +410,11 @@ def compare_to_baseline(
             record dict (e.g. a committed ``BENCH_runner.json``), or
             ``None`` for a baseline-free evaluation (ratio entries are
             then skipped).
-        expectations: Normalized expectations;
-            :data:`DEFAULT_EXPECTATIONS` when omitted.
+        expectations: Normalized expectations; the bench gate
+            (:data:`EXPECTATIONS_PATH`) when omitted.
     """
     if expectations is None:
-        expectations = DEFAULT_EXPECTATIONS
+        expectations = load_expectations()
     baseline_info: Optional[Dict[str, Any]] = None
     baseline_record: Optional[Dict[str, Any]] = None
     if isinstance(baseline, BaselineRecord):
@@ -494,13 +464,6 @@ def compare_to_baseline(
     )
 
 
-def snapshot_baseline(
-    store: RunStore, name: str, run_id: Optional[int] = None
-) -> BaselineRecord:
-    """Freeze a recorded run as the named baseline (store passthrough)."""
-    return store.snapshot_baseline(name, run_id=run_id)
-
-
 # -------------------------------------------------------------------- trends
 
 
@@ -517,15 +480,15 @@ def detect_trends(
     last ``window`` recorded values; a trend is flagged when each run was
     strictly worse than the one before and the total drift reached
     ``min_drift`` -- the slow-boil regression each individual 2x gate
-    waves through.
+    waves through. ``expectations`` defaults to the bench gate.
     """
     if expectations is None:
-        expectations = DEFAULT_EXPECTATIONS
-    trend_config = expectations.get("trends", DEFAULT_EXPECTATIONS["trends"])
+        expectations = load_expectations()
+    trend_config = expectations.get("trends", _TREND_DEFAULTS)
     if window is None:
-        window = int(trend_config.get("window", 5))
+        window = int(trend_config.get("window", _TREND_DEFAULTS["window"]))
     if min_drift is None:
-        min_drift = float(trend_config.get("min_drift", 1.1))
+        min_drift = float(trend_config.get("min_drift", _TREND_DEFAULTS["min_drift"]))
     trends: List[Trend] = []
     for name, spec in expectations.get("sections", {}).items():
         metrics = set(spec.get("compare", {})) | set(spec.get("max", {}))

@@ -21,7 +21,7 @@ baseline snapshot. Typical uses::
     repro-eval sweep --resume 3                   # continue a killed sweep
     repro-eval worker                             # JSON-lines unit worker (stdin)
     repro-eval bench-history --limit 10 --trends
-    repro-eval bench-compare --baseline main --expectations benchmarks/expectations.toml
+    repro-eval bench-compare --baseline main   # gate: benchmarks/expectations.toml
     repro-eval bench-baseline main        # freeze the latest recorded run
 """
 
@@ -541,7 +541,10 @@ def build_bench_history_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--expectations",
         default=None,
-        help="expectations TOML naming the metrics to trend-check",
+        help=(
+            "expectations TOML naming the metrics to trend-check "
+            "(default: benchmarks/expectations.toml in the source tree)"
+        ),
     )
     parser.add_argument(
         "--markdown", action="store_true", help="render markdown instead of plain text"
@@ -555,12 +558,12 @@ def _bench_history_main(argv: List[str]) -> int:
 
     parser = build_bench_history_parser()
     args = parser.parse_args(argv)
-    try:
-        expectations = (
-            regression.load_expectations(args.expectations) if args.expectations else None
-        )
-    except (CapstanError, OSError) as exc:
-        parser.error(str(exc))
+    expectations = None
+    if args.trends or args.expectations:
+        try:
+            expectations = regression.load_expectations(args.expectations)
+        except (CapstanError, OSError) as exc:
+            parser.error(str(exc))
     with _open_run_store(args) as store:
         runs = store.runs(limit=args.limit)
         if not runs:
@@ -620,7 +623,7 @@ def build_bench_compare_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--expectations",
         default=None,
-        help="expectations TOML (default: the built-in gate)",
+        help="expectations TOML (default: benchmarks/expectations.toml in the source tree)",
     )
     parser.add_argument(
         "--markdown", action="store_true", help="render markdown instead of plain text"
@@ -646,9 +649,7 @@ def _bench_compare_main(argv: List[str]) -> int:
     if len(given) > 1:
         parser.error(f"{' and '.join(given)} are mutually exclusive")
     try:
-        expectations = (
-            regression.load_expectations(args.expectations) if args.expectations else None
-        )
+        expectations = regression.load_expectations(args.expectations)
     except (CapstanError, OSError) as exc:
         parser.error(str(exc))
     with _open_run_store(args) as store:

@@ -13,8 +13,8 @@ shared per-unit timeout, bounded retries with backoff, and cancellation.
 :func:`create_executor` is the factory the runner, DSE, CLI, and serve
 layers use to resolve an executor name. Any backend can be wrapped in a
 :class:`~repro.runtime.faults.FaultyExecutor` to run under a declarative
-:class:`~repro.runtime.faults.FaultPlan`; worker health tracking and
-error classification live in :mod:`repro.runtime.health`.
+:class:`~repro.runtime.faults.FaultPlan`; error classification lives in
+:mod:`repro.runtime.health`.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ def create_executor(name: str, **options: Any) -> Executor:
     """Instantiate the named executor (``local``/``pool``/``subprocess``).
 
     Keyword options are forwarded to the constructor (``workers``,
-    ``timeout_s``, ``retries``, ``backoff_s``, ``jitter``, ``seed``, and
-    for ``subprocess`` also ``command`` and the breaker/health knobs).
+    ``timeout_s``, ``retries``, ``backoff_s``, ``seed``, and for
+    ``subprocess`` also ``command``).
     """
     try:
         factory = EXECUTORS[name]

@@ -10,13 +10,13 @@ class owns the policy knobs so every backend behaves identically:
   killed and respawned);
 * ``retries`` -- extra attempts after a failed or timed-out attempt, with
   exponentially-growing full-jitter backoff: attempt ``n`` waits a uniform
-  draw from ``[cap*(1-jitter), cap]`` where ``cap = backoff_s * 2**(n-1)``
-  and ``jitter`` defaults to 1.0 (full jitter). Jitter keeps the retry
-  storm after a killed wave from hammering the job store in lockstep;
-  ``seed`` pins the draws for deterministic tests. Failures classified
-  *permanent* by :func:`repro.runtime.health.classify_error` (bad spec,
-  import errors) skip the retry loop entirely -- no backoff, no extra
-  attempts -- and every final outcome carries its ``classification``;
+  draw from ``[0, cap]`` where ``cap = backoff_s * 2**(n-1)``. Jitter
+  keeps the retry storm after a killed wave from hammering the job store
+  in lockstep; ``seed`` pins the draws for deterministic tests. Failures
+  classified *permanent* by :func:`repro.runtime.health.classify_error`
+  (bad spec, import errors) skip the retry loop entirely -- no backoff,
+  no extra attempts -- and every final outcome carries its
+  ``classification``;
 * ``cancel()`` -- callable from any thread; units not yet finished report
   ``"cancelled"`` and are left claimable by the job store;
 * ``stop_on_error`` -- per-run flag: after the first unit exhausts its
@@ -125,9 +125,6 @@ class Executor:
         timeout_s: Per-unit attempt cap in seconds (``None`` = unlimited).
         retries: Extra attempts after a failed/timed-out attempt.
         backoff_s: Base of the exponential inter-attempt backoff cap.
-        jitter: Jittered fraction of each backoff, clamped to [0, 1]:
-            0 = the old deterministic exponential sleep, 1 (default) =
-            full jitter (uniform over ``[0, cap]``).
         seed: Seed for the backoff RNG; ``None`` draws entropy (tests pin
             a seed to make retry schedules reproducible).
     """
@@ -141,14 +138,12 @@ class Executor:
         timeout_s: Optional[float] = None,
         retries: int = 0,
         backoff_s: float = 0.05,
-        jitter: float = 1.0,
         seed: Optional[int] = None,
     ):
         self.workers = max(1, int(workers))
         self.timeout_s = timeout_s
         self.retries = max(0, int(retries))
         self.backoff_s = max(0.0, float(backoff_s))
-        self.jitter = min(1.0, max(0.0, float(jitter)))
         self._rng = random.Random(seed)
         self._rng_lock = threading.Lock()
         self._cancel_event = threading.Event()
@@ -169,12 +164,12 @@ class Executor:
     # ----------------------------------------------------------- helpers
 
     def _backoff_delay(self, attempt: int) -> float:
-        """The jittered backoff delay after failed ``attempt`` (1-based)."""
+        """The full-jitter backoff delay after failed ``attempt`` (1-based)."""
         cap = self.backoff_s * (2 ** (attempt - 1))
-        if cap <= 0 or self.jitter <= 0:
+        if cap <= 0:
             return cap
         with self._rng_lock:
-            return cap * (1.0 - self.jitter) + self._rng.uniform(0.0, cap * self.jitter)
+            return self._rng.uniform(0.0, cap)
 
     def _backoff(self, attempt: int) -> None:
         """Sleep the jittered backoff after failed ``attempt`` (1-based)."""

@@ -24,14 +24,10 @@ process is terminated and respawned), so ``timeout_s`` is a hard cap.
 Results are deserialized per unit kind, so callers see the same native
 objects the in-process executors return.
 
-Worker health is tracked per slot (see :mod:`repro.runtime.health`): a
-worker that emits a malformed or truncated protocol line is killed and
-respawned immediately -- one corrupted line must not fail every unit
-subsequently routed to that worker -- and each slot's rolling
-failure/latency window feeds a circuit breaker. An open breaker
-quarantines the slot for ``breaker_cooldown_s`` before the next (re)spawn,
-so a broken worker command degrades into spaced respawn probes instead of
-a tight crash loop.
+Any conversation failure -- the worker died, overran its deadline, or
+emitted a malformed or truncated protocol line -- retires that worker, and
+the slot's next attempt spawns a fresh one: one corrupted line must not
+fail every unit subsequently routed to that worker.
 """
 
 from __future__ import annotations
@@ -48,7 +44,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from ...errors import CapstanError
-from ..health import HealthRegistry, WorkerHealth
 from ..jobs import deserialize_result
 from .base import (
     OUTCOME_CANCELLED,
@@ -240,14 +235,7 @@ class SubprocessExecutor(Executor):
         workers: Worker process count (one driver thread each).
         command: Worker command prefix; ``worker`` is appended. Defaults
             to :func:`default_worker_command`.
-        breaker_threshold: Consecutive worker-level failures (died, timed
-            out, corrupted protocol) that open a slot's circuit breaker.
-        breaker_cooldown_s: Quarantine before an open slot may respawn a
-            replacement worker. The default 0 replaces immediately; raise
-            it to space out respawns of a persistently-broken command.
-        health_window: Observations kept in each slot's rolling window.
-        (plus the shared ``timeout_s``/``retries``/``backoff_s``/
-        ``jitter``/``seed``.)
+        (plus the shared ``timeout_s``/``retries``/``backoff_s``/``seed``.)
     """
 
     name = "subprocess"
@@ -259,33 +247,15 @@ class SubprocessExecutor(Executor):
         timeout_s: Optional[float] = None,
         retries: int = 0,
         backoff_s: float = 0.05,
-        jitter: float = 1.0,
         seed: Optional[int] = None,
         command: Optional[List[str]] = None,
-        breaker_threshold: int = 3,
-        breaker_cooldown_s: float = 0.0,
-        health_window: int = 16,
     ):
         super().__init__(
-            workers,
-            timeout_s=timeout_s,
-            retries=retries,
-            backoff_s=backoff_s,
-            jitter=jitter,
-            seed=seed,
+            workers, timeout_s=timeout_s, retries=retries, backoff_s=backoff_s, seed=seed
         )
         self.command = list(command) if command is not None else default_worker_command()
-        self.health = HealthRegistry(
-            window=health_window,
-            failure_threshold=breaker_threshold,
-            cooldown_s=breaker_cooldown_s,
-        )
         self._live_workers: List[_Worker] = []
         self._workers_lock = threading.Lock()
-
-    def health_report(self) -> Dict[int, Dict[str, object]]:
-        """Per-slot health snapshots (spawns, replacements, windows)."""
-        return self.health.report()
 
     def cancel(self) -> None:
         """Cancel the run and kill live workers (interrupts blocked reads)."""
@@ -305,8 +275,8 @@ class SubprocessExecutor(Executor):
         state = {"failed": False}
         lock = threading.Lock()
 
-        def drain(slot: int) -> None:
-            holder: Dict[str, Any] = {"worker": None, "slot": slot}
+        def drain() -> None:
+            holder: Dict[str, Any] = {"worker": None}
             try:
                 while True:
                     with lock:
@@ -329,7 +299,7 @@ class SubprocessExecutor(Executor):
                 self._retire(holder)
 
         threads = [
-            threading.Thread(target=drain, args=(i,), daemon=True, name=f"repro-exec-{i}")
+            threading.Thread(target=drain, daemon=True, name=f"repro-exec-{i}")
             for i in range(min(self.workers, max(1, total)))
         ]
         for thread in threads:
@@ -343,15 +313,11 @@ class SubprocessExecutor(Executor):
 
     # ------------------------------------------------------ worker mgmt
 
-    def _slot_health(self, holder: Dict[str, Any]) -> WorkerHealth:
-        return self.health.slot(int(holder.get("slot", 0)))
-
     def _obtain(self, holder: Dict[str, Any]) -> _Worker:
         worker = holder.get("worker")
         if worker is None or worker.proc.poll() is not None:
             if worker is not None:
                 self._retire(holder)
-            self._slot_health(holder).note_spawn()
             worker = _Worker(self.command)
             holder["worker"] = worker
             with self._workers_lock:
@@ -377,20 +343,12 @@ class SubprocessExecutor(Executor):
         worker.kill()
 
     def _attempt(self, holder: Dict[str, Any], payload: Dict[str, Any]) -> UnitOutcome:
-        health = self._slot_health(holder)
-        # An open breaker quarantines the slot: hold (cancellably) until
-        # the cooldown admits the next half-open probe spawn.
-        while not health.breaker.allow():
-            if self.cancelled():
-                return UnitOutcome(status=OUTCOME_CANCELLED)
-            self._cancel_event.wait(0.01)
         start = time.perf_counter()
         try:
             worker = self._obtain(holder)
             response = worker.request(payload, self.timeout_s)
         except TimeoutError:
             self._retire(holder)  # the overrunning unit dies with its worker
-            health.record(False, time.perf_counter() - start)
             # With no unit timeout, only the spawn handshake can time out.
             limit = WARMUP_TIMEOUT_S if self.timeout_s is None else self.timeout_s
             return UnitOutcome(
@@ -398,21 +356,10 @@ class SubprocessExecutor(Executor):
                 error=f"unit exceeded {limit:g}s timeout",
                 duration_s=time.perf_counter() - start,
             )
-        except _ProtocolError as exc:
-            # Satellite fix: one corrupted line kills (and replaces) the
-            # worker instead of poisoning every unit routed to it next.
+        except (_ProtocolError, _WorkerDied, OSError) as exc:
+            # A dead or garbling worker is retired; the next attempt on this
+            # slot spawns a fresh one instead of reusing the bad connection.
             self._retire(holder)
-            health.record(False, time.perf_counter() - start)
-            if self.cancelled():
-                return UnitOutcome(status=OUTCOME_CANCELLED)
-            return UnitOutcome(
-                status=OUTCOME_ERROR,
-                error=str(exc),
-                duration_s=time.perf_counter() - start,
-            )
-        except (_WorkerDied, OSError) as exc:
-            self._retire(holder)
-            health.record(False, time.perf_counter() - start)
             if self.cancelled():
                 return UnitOutcome(status=OUTCOME_CANCELLED)
             return UnitOutcome(
@@ -421,10 +368,6 @@ class SubprocessExecutor(Executor):
                 duration_s=time.perf_counter() - start,
             )
         duration = float(response.get("duration_s", time.perf_counter() - start))
-        # Worker health tracks the worker's ability to hold a conversation
-        # (spawn, respond in time, speak JSON) -- a unit-level failure the
-        # worker reported correctly is the unit's problem, not the slot's.
-        health.record(True, duration)
         if response.get("ok"):
             result = deserialize_result(payload["kind"], response.get("result"))
             return UnitOutcome(status=OUTCOME_OK, result=result, duration_s=duration)

@@ -112,30 +112,22 @@ class UnitSpecError(JobError):
 
 def context_to_dict(context: RunContext) -> Dict[str, Any]:
     """Serialize a :class:`RunContext` to a JSON-able dict (lossless)."""
-    material: Dict[str, Any] = {
+    return {
         "scale": context.scale,
         "pagerank_iterations": context.pagerank_iterations,
         "conv_scale": context.conv_scale,
         "backend": context.backend,
     }
-    if context.scanner is not None:
-        material["scanner"] = dataclasses.asdict(context.scanner)
-    return material
 
 
 def context_from_dict(data: Optional[Dict[str, Any]]) -> RunContext:
     """Rebuild a :class:`RunContext` from :func:`context_to_dict` output."""
     data = dict(data or {})
-    scanner = data.pop("scanner", None)
-    if scanner is not None:
-        from ..config import ScannerConfig
-
-        scanner = ScannerConfig(**scanner)
     known = {f.name for f in dataclasses.fields(RunContext)}
     unknown = set(data) - known
     if unknown:
         raise UnitSpecError(f"unknown RunContext fields in payload: {sorted(unknown)}")
-    return RunContext(scanner=scanner, **data)
+    return RunContext(**data)
 
 
 # ------------------------------------------------------------- unit kinds

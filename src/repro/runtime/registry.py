@@ -26,14 +26,13 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, 
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..apps.profile import WorkloadProfile
-    from ..config import ScannerConfig
 
 
 class RegistryError(ValueError):
     """Raised for unknown applications or conflicting registrations."""
 
 
-#: All tunable RunContext parameter names (scanner overrides are separate).
+#: All tunable RunContext parameter names (the kernel backend is separate).
 CONTEXT_PARAMETERS = ("scale", "pagerank_iterations", "conv_scale")
 
 
@@ -66,9 +65,6 @@ class RunContext:
         scale: Dataset scale factor for the Table 6 stand-ins.
         pagerank_iterations: Power iterations per PageRank run.
         conv_scale: Channel scale for the ResNet layers.
-        scanner: Optional scanner-configuration override; when set, the
-            application's scan costs are computed as if the default
-            scanner had this configuration.
         backend: Profiling-kernel backend every application runs with:
             ``"vectorized"`` (default, batch numpy kernels) or
             ``"reference"`` (the per-element loop implementations the
@@ -78,7 +74,6 @@ class RunContext:
     scale: float = 1.0 / 64.0
     pagerank_iterations: int = 2
     conv_scale: float = 0.125
-    scanner: Optional["ScannerConfig"] = None
     backend: str = "vectorized"
 
     def fingerprint(self, fields: Optional[Tuple[str, ...]] = None) -> Dict[str, Any]:
@@ -87,20 +82,15 @@ class RunContext:
         Args:
             fields: The parameter names to include (an application's
                 :attr:`AppSpec.context_fields`); ``None`` includes all of
-                them. A scanner override is always included -- it changes
-                every application's scan-cost profile -- and so is the
-                kernel backend: the two backends must produce identical
-                profiles, but cached entries still record which kernels
-                computed them so an equivalence regression can never be
-                masked (or caused) by a stale cache hit.
+                them. The kernel backend is always included: the two
+                backends must produce identical profiles, but cached
+                entries still record which kernels computed them so an
+                equivalence regression can never be masked (or caused) by
+                a stale cache hit.
         """
-        import dataclasses
-
         selected = CONTEXT_PARAMETERS if fields is None else fields
         material: Dict[str, Any] = {name: getattr(self, name) for name in selected}
         material["backend"] = self.backend
-        if self.scanner is not None:
-            material["scanner"] = dataclasses.asdict(self.scanner)
         return material
 
 
@@ -133,21 +123,14 @@ class AppSpec:
     def execute(self, dataset: str, context: Optional[RunContext] = None) -> "WorkloadProfile":
         """Prepare inputs and run this application once on ``dataset``.
 
-        A scanner override only changes how the run's scans are costed: the
-        run's scan-cost calls are costed under the override (a context-local
-        setting, so concurrent runs keep their own scanner).
+        To cost the run's scans under other scanner configurations, wrap
+        the call in :func:`repro.apps.scan_model.record_scans`.
         """
         context = context or RunContext()
         inputs = dict(self.prepare(dataset, context))
         if _accepts_backend(self.run):
             inputs.setdefault("backend", context.backend)
-        if context.scanner is None:
-            result = self.run(**inputs)
-        else:
-            from ..apps.scan_model import record_scans
-
-            with record_scans([context.scanner]):
-                result = self.run(**inputs)
+        result = self.run(**inputs)
         return getattr(result, "profile", result)
 
 

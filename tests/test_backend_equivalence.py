@@ -9,8 +9,6 @@ event counts, so no tolerance is needed).
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -104,7 +102,7 @@ def test_spadd_output_bit_identical():
     assert np.array_equal(vec.output.row_pointers, ref.output.row_pointers)
 
 
-def test_scanner_override_applies_to_both_backends():
+def test_recorded_scanner_applies_to_both_backends():
     """The Figure 6 scanner sweep re-costs identically per backend."""
     swept_configs = (
         ScannerConfig(bit_width=64, output_vectorization=4),
@@ -114,12 +112,13 @@ def test_scanner_override_applies_to_both_backends():
         dataset = registry.get_spec(app).datasets[0]
         plain = registry.execute(app, dataset, RunContext(scale=SCALE))
         for swept in swept_configs:
-            vec = registry.execute(
-                app, dataset, RunContext(scale=SCALE, scanner=swept, backend="vectorized")
-            )
-            ref = registry.execute(
-                app, dataset, RunContext(scale=SCALE, scanner=swept, backend="reference")
-            )
+            with record_scans([swept]):
+                vec = registry.execute(
+                    app, dataset, RunContext(scale=SCALE, backend="vectorized")
+                )
+                ref = registry.execute(
+                    app, dataset, RunContext(scale=SCALE, backend="reference")
+                )
             assert profile_to_dict(vec) == profile_to_dict(ref), (app, swept)
             assert vec.scan_cycles != plain.scan_cycles, (app, swept)
             # Only the scan fields move with the scanner.
@@ -134,9 +133,8 @@ def test_profile_scan_fields_are_the_recorded_scans(app):
     swept = ScannerConfig(bit_width=64, output_vectorization=4)
     with record_scans([ScannerConfig(), swept]) as trace:
         profile = registry.execute(app, dataset, _context("vectorized"))
-    overridden = registry.execute(
-        app, dataset, dataclasses.replace(_context("vectorized"), scanner=swept)
-    )
+    with record_scans([swept]):
+        overridden = registry.execute(app, dataset, _context("vectorized"))
     for config, expected in ((ScannerConfig(), profile), (swept, overridden)):
         cost = trace.cost(config)
         assert (expected.scan_cycles, expected.scan_empty_cycles, expected.scan_elements) == (

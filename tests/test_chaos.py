@@ -65,6 +65,28 @@ class TestWorkerFaults:
         assert outcomes[0].result["value"] == 6
         assert outcomes[0].attempts == 2
 
+    def test_consecutive_worker_failures_respawn_at_once(self, tmp_path):
+        # Three worker failures in a row on one slot (a crash, then a
+        # garbage line, then a torn line): every retry gets a fresh worker
+        # straight away, and the slot keeps serving the next unit.
+        plan = FaultPlan(
+            [
+                Fault(kind="crash", times=1),
+                Fault(kind="malformed_line", times=1),
+                Fault(kind="truncated_line", times=1),
+            ],
+            state_dir=str(tmp_path / "faults"),
+        )
+        executor = SubprocessExecutor(workers=1, retries=3, backoff_s=0.0)
+        started = time.perf_counter()
+        with plan.installed():
+            outcomes = executor.run_units([_probe(3), _probe(4)])
+        elapsed = time.perf_counter() - started
+        assert [o.status for o in outcomes] == ["ok", "ok"]
+        assert [o.result["value"] for o in outcomes] == [6, 8]
+        assert [o.attempts for o in outcomes] == [4, 1]
+        assert elapsed < WARMUP_TIMEOUT_S / 4
+
     def test_hang_is_cut_by_timeout_and_retried(self, tmp_path):
         plan = FaultPlan(
             [Fault(kind="hang", times=1)], state_dir=str(tmp_path / "faults")
@@ -125,8 +147,6 @@ class TestWorkerFaults:
         assert [o.status for o in outcomes] == ["ok", "ok"]
         assert outcomes[0].attempts == 2
         assert outcomes[1].attempts == 1
-        report = executor.health_report()
-        assert report[0]["failures"] >= 1  # the protocol failure was recorded
 
     def test_truncated_line_surfaces_as_dead_worker(self, tmp_path):
         plan = FaultPlan(

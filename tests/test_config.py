@@ -97,4 +97,3 @@ class TestPlasticineConfig:
         config = PlasticineConfig()
         assert config.compute_units == 200
         assert config.clock_ghz == 1.6
-        assert config.cycle_time_ns == pytest.approx(0.625)

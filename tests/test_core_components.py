@@ -27,7 +27,8 @@ from repro.core import (
 )
 from repro.core.bank_hash import BANK_MAPPINGS, get_bank_mapper, get_bank_mapper_array
 from repro.core.compression import compression_report
-from repro.errors import SimulationError
+from repro.core.shuffle import merge_efficiency_reference
+from repro.errors import ConfigurationError, SimulationError
 
 
 class TestBankHashing:
@@ -134,6 +135,39 @@ class TestShuffleNetwork:
         eff_mrg0 = merge_efficiency(ShuffleMode.MRG0, cross_partition_fraction=0.7, vectors=16)
         eff_mrg16 = merge_efficiency(ShuffleMode.MRG16, cross_partition_fraction=0.7, vectors=16)
         assert eff_mrg16 >= eff_mrg0 * 0.95
+
+
+    def test_no_network_sends_one_request_per_vector(self):
+        for fraction in (0.0, 0.5, 1.0):
+            for lanes in (4, 8, 16):
+                assert merge_efficiency(
+                    ShuffleMode.NONE, fraction, lanes=lanes, vectors=4
+                ) == pytest.approx(1.0 / lanes)
+
+    def test_local_traffic_fills_every_vector(self):
+        # With no cross-partition requests each source's vector lands whole
+        # in its home partition, so every merging mode delivers full vectors.
+        for mode in (ShuffleMode.MRG0, ShuffleMode.MRG1, ShuffleMode.MRG16):
+            assert merge_efficiency(mode, 0.0, lanes=8, vectors=4) == 1.0
+            assert merge_efficiency_reference(mode, 0.0, lanes=8, vectors=4) == 1.0
+
+    def test_crossbar_parameters_leave_efficiency_unchanged(self):
+        # The configured FIFO depth and endpoint count are overridden by the
+        # microbenchmark's routing shape on both paths.
+        odd = ShuffleConfig(permutation_fifo_depth=1, endpoints=64)
+        for mode in (ShuffleMode.MRG1, ShuffleMode.MRG16):
+            plain = merge_efficiency(mode, 0.5, lanes=8, vectors=4)
+            assert merge_efficiency(mode, 0.5, lanes=8, vectors=4, config=odd) == plain
+            assert (
+                merge_efficiency_reference(mode, 0.5, lanes=8, vectors=4, config=odd)
+                == plain
+            )
+
+    def test_invalid_config_rejected_on_both_paths(self):
+        bad = ShuffleConfig(permutation_fifo_depth=0)
+        for measure in (merge_efficiency, merge_efficiency_reference):
+            with pytest.raises(ConfigurationError, match="permutation_fifo_depth"):
+                measure(ShuffleMode.MRG1, 0.5, lanes=8, vectors=2, config=bad)
 
 
 class TestCompression:

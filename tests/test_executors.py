@@ -203,20 +203,34 @@ class TestBackoffJitter:
             cap = 0.1 * 2 ** (attempt - 1)
             assert 0.0 <= executor._backoff_delay(attempt) <= cap
 
-    def test_zero_jitter_is_pure_exponential(self):
-        executor = LocalExecutor(backoff_s=0.05, jitter=0.0)
-        assert [executor._backoff_delay(n) for n in (1, 2, 3)] == [0.05, 0.1, 0.2]
-
-    def test_partial_jitter_keeps_a_deterministic_floor(self):
-        executor = LocalExecutor(backoff_s=0.1, jitter=0.5, seed=3)
-        for attempt in range(1, 8):
+    def test_cap_doubles_with_each_attempt(self):
+        # Each attempt's draws reach past the previous attempt's cap, so
+        # the spread really grows rather than staying at the base.
+        executor = LocalExecutor(backoff_s=0.1, seed=1)
+        for attempt in range(1, 5):
             cap = 0.1 * 2 ** (attempt - 1)
-            delay = executor._backoff_delay(attempt)
-            assert cap * 0.5 <= delay <= cap
+            widest = max(executor._backoff_delay(attempt) for _ in range(200))
+            assert cap / 2 < widest <= cap
 
-    def test_jitter_clamped_to_unit_interval(self):
-        assert LocalExecutor(jitter=7.0).jitter == 1.0
-        assert LocalExecutor(jitter=-1.0).jitter == 0.0
+    def test_zero_backoff_never_sleeps(self):
+        executor = LocalExecutor(backoff_s=0.0, seed=5)
+        assert [executor._backoff_delay(n) for n in range(1, 6)] == [0.0] * 5
+
+    def test_negative_backoff_clamps_to_zero(self):
+        executor = LocalExecutor(backoff_s=-1.0, seed=5)
+        assert executor.backoff_s == 0.0
+        assert executor._backoff_delay(3) == 0.0
+
+    def test_every_backend_takes_the_shared_backoff(self, executor_name):
+        # The subprocess constructor forwards backoff_s and seed to the
+        # base class like the others: same seed, same retry schedule.
+        executor = create_executor(executor_name, backoff_s=0.2, seed=11)
+        twin = LocalExecutor(backoff_s=0.2, seed=11)
+        attempts = list(range(1, 6))
+        assert executor.backoff_s == 0.2
+        assert [executor._backoff_delay(n) for n in attempts] == [
+            twin._backoff_delay(n) for n in attempts
+        ]
 
 
 class TestErrorClassification:
@@ -249,9 +263,10 @@ class TestErrorClassification:
 
 class TestCancellationRaces:
     def test_cancel_during_backoff_sleep(self):
-        # jitter=0 pins the first backoff at 30s; the cancel must wake the
-        # sleeper immediately instead of letting it doze through.
-        executor = LocalExecutor(retries=5, backoff_s=30.0, jitter=0.0)
+        # Seed 2 draws a first backoff of ~28.7s (a same-seed twin shows
+        # it); the cancel must wake the sleeper instead of letting it doze.
+        assert LocalExecutor(backoff_s=30.0, seed=2)._backoff_delay(1) > 20.0
+        executor = LocalExecutor(retries=5, backoff_s=30.0, seed=2)
         timer = threading.Timer(0.3, executor.cancel)
         timer.start()
         started = time.perf_counter()

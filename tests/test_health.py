@@ -1,9 +1,7 @@
-"""Health-layer tests: error classification, windows, circuit breakers.
+"""Error-classification tests.
 
-The breaker tests drive state transitions with an injected clock, so no
-test here sleeps; the classification tests pin the cross-process
-contract (type names in summary strings) that the retry loop and the
-dead-letter logic both depend on.
+They pin the cross-process contract (type names in summary strings) that
+the retry loop and the dead-letter logic both depend on.
 """
 
 from __future__ import annotations
@@ -16,16 +14,9 @@ import repro
 from repro.errors import CapstanError, ConfigurationError
 from repro.runtime.executors.base import WorkerError
 from repro.runtime.health import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
     PERMANENT,
     PERMANENT_ERROR_NAMES,
     TRANSIENT,
-    CircuitBreaker,
-    HealthRegistry,
-    RollingWindow,
-    WorkerHealth,
     classify_error,
 )
 from repro.runtime.jobs import JobError, UnitSpecError
@@ -65,6 +56,16 @@ class TestClassifyError:
         assert classify_error(WorkerError("AttributeError: 'NoneType' ...")) == PERMANENT
         assert classify_error(WorkerError("worker died mid-unit")) == TRANSIENT
 
+    def test_bare_type_names(self):
+        # A summary that is only a type name still classifies by it.
+        assert classify_error("TypeError") == PERMANENT
+        assert classify_error("RuntimeError") == TRANSIENT
+        assert classify_error("") == TRANSIENT
+
+    def test_worker_error_with_dotted_summary(self):
+        error = WorkerError("repro.runtime.jobs.UnitSpecError: unknown work-unit kind 'x'")
+        assert classify_error(error) == PERMANENT
+
     def test_unknowns_default_transient(self):
         assert classify_error(None) == TRANSIENT
         assert classify_error(42) == TRANSIENT
@@ -89,114 +90,3 @@ class TestClassifyError:
         }
         assert PERMANENT_ERROR_NAMES - builtin - defined == set()
 
-
-class TestRollingWindow:
-    def test_bounded_and_aggregated(self):
-        window = RollingWindow(size=4)
-        for i in range(6):
-            window.record(ok=(i % 2 == 0), duration_s=float(i))
-        assert len(window) == 4  # only the last four survive
-        assert window.failures == 2
-        assert window.failure_rate == 0.5
-        assert window.mean_duration_s == (2 + 3 + 4 + 5) / 4
-
-    def test_empty_window_rates(self):
-        window = RollingWindow()
-        assert window.failure_rate == 0.0
-        assert window.mean_duration_s == 0.0
-
-
-class TestCircuitBreaker:
-    def _breaker(self, **kwargs):
-        self.now = 0.0
-        kwargs.setdefault("failure_threshold", 3)
-        kwargs.setdefault("cooldown_s", 10.0)
-        return CircuitBreaker(clock=lambda: self.now, **kwargs)
-
-    def test_closed_until_threshold(self):
-        breaker = self._breaker()
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == CLOSED and breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == OPEN
-        assert not breaker.allow()
-        assert breaker.trips == 1
-
-    def test_success_resets_the_streak(self):
-        breaker = self._breaker()
-        breaker.record_failure()
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == CLOSED  # never three *consecutive* failures
-
-    def test_half_open_admits_exactly_one_probe(self):
-        breaker = self._breaker()
-        for _ in range(3):
-            breaker.record_failure()
-        assert not breaker.allow()  # cooldown not elapsed
-        self.now = 10.0
-        assert breaker.allow()  # the probe
-        assert breaker.state == HALF_OPEN
-        assert not breaker.allow()  # held while the probe is in flight
-
-    def test_probe_success_closes(self):
-        breaker = self._breaker()
-        for _ in range(3):
-            breaker.record_failure()
-        self.now = 10.0
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state == CLOSED and breaker.allow()
-
-    def test_probe_failure_reopens_for_another_cooldown(self):
-        breaker = self._breaker()
-        for _ in range(3):
-            breaker.record_failure()
-        self.now = 10.0
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == OPEN
-        assert breaker.trips == 2
-        assert not breaker.allow()  # a fresh cooldown starts at now=10
-        self.now = 20.0
-        assert breaker.allow()
-
-    def test_zero_cooldown_goes_straight_to_probe(self):
-        # The subprocess executor's default: replace immediately, no stall.
-        breaker = self._breaker(cooldown_s=0.0, failure_threshold=1)
-        breaker.record_failure()
-        assert breaker.state == OPEN
-        assert breaker.allow()
-        assert breaker.state == HALF_OPEN
-
-
-class TestWorkerHealth:
-    def test_record_feeds_window_and_breaker(self):
-        health = WorkerHealth(slot=0)
-        health.record(ok=False, duration_s=0.1)
-        health.record(ok=True, duration_s=0.2)
-        assert health.window.failures == 1
-        assert health.breaker.state == CLOSED
-
-    def test_spawn_after_trip_counts_as_replacement(self):
-        health = WorkerHealth(slot=0, breaker=CircuitBreaker(failure_threshold=1))
-        health.note_spawn()
-        assert (health.launched, health.replaced) == (1, 0)
-        health.record(ok=False, duration_s=0.1)
-        health.breaker.allow()  # quarantine check transitions to half-open
-        health.note_spawn()
-        assert (health.launched, health.replaced) == (2, 1)
-
-    def test_registry_report(self):
-        registry = HealthRegistry(window=8, failure_threshold=2)
-        registry.slot(0).record(ok=True, duration_s=0.5)
-        registry.slot(1).record(ok=False, duration_s=0.1)
-        report = registry.report()
-        assert sorted(report) == [0, 1]
-        assert report[0]["failures"] == 0
-        assert report[1]["failures"] == 1
-        assert report[1]["state"] == CLOSED
-        assert registry.slot(0) is registry.slot(0)  # stable per-slot objects

@@ -8,6 +8,7 @@ markers make re-execution observable across process boundaries.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import signal
@@ -18,7 +19,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import ScannerConfig
 from repro.runtime.executors import LocalExecutor
 from repro.runtime.executors.subprocess import _worker_env
 from repro.runtime.jobs import (
@@ -48,11 +48,18 @@ class TestContextRoundTrip:
         context = RunContext(scale=1 / 64, pagerank_iterations=3, backend="numpy")
         assert context_from_dict(context_to_dict(context)) == context
 
-    def test_scanner_survives(self):
-        context = RunContext(scale=1 / 8, scanner=ScannerConfig(bit_width=128))
-        rebuilt = context_from_dict(context_to_dict(context))
-        assert rebuilt == context
-        assert rebuilt.scanner is not None and rebuilt.scanner.bit_width == 128
+    def test_scanner_is_not_a_context_field(self):
+        # Scanner sweeps cost a run under record_scans; a payload that
+        # names a scanner is a malformed unit, not a silently plain run.
+        assert "scanner" not in context_to_dict(RunContext(scale=1 / 8))
+        with pytest.raises(JobError, match="unknown RunContext fields"):
+            context_from_dict({"scale": 1 / 8, "scanner": {"bit_width": 128}})
+
+    def test_every_context_field_is_serialized(self):
+        # A RunContext field left out of the payload would silently take
+        # its default in a subprocess worker.
+        fields = {f.name for f in dataclasses.fields(RunContext)}
+        assert set(context_to_dict(RunContext())) == fields
 
     def test_unknown_field_rejected(self):
         with pytest.raises(JobError, match="unknown RunContext fields"):

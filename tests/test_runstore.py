@@ -21,7 +21,6 @@ import pytest
 from repro.errors import CapstanError
 from repro.eval import regression
 from repro.eval.regression import (
-    DEFAULT_EXPECTATIONS,
     compare_to_baseline,
     detect_trends,
     evaluate_expectations,
@@ -188,9 +187,6 @@ class TestRunStore:
 
 
 class TestExpectations:
-    def test_committed_file_matches_builtin_gate(self):
-        assert load_expectations(EXPECTATIONS_TOML) == DEFAULT_EXPECTATIONS
-
     @pytest.mark.parametrize(
         "text",
         (
@@ -214,6 +210,42 @@ class TestExpectations:
             normalize_expectations({"sections": {"spmu": {"mni": {"speedup": 1}}}})
         with pytest.raises(CapstanError, match="must be a number"):
             normalize_expectations({"sections": {"spmu": {"min": {"speedup": True}}}})
+
+
+    def test_no_path_loads_the_tree_gate(self):
+        assert regression.EXPECTATIONS_PATH == EXPECTATIONS_TOML
+        assert load_expectations() == load_expectations(EXPECTATIONS_TOML)
+
+    def test_absent_file_raises_capstan_error(self, tmp_path):
+        absent = tmp_path / "absent.toml"
+        with pytest.raises(CapstanError, match="no expectations file at"):
+            load_expectations(absent)
+
+    def test_trend_settings_default_per_key(self):
+        assert normalize_expectations({"sections": {}})["trends"] == {
+            "window": 5,
+            "min_drift": 1.1,
+        }
+        partial = normalize_expectations({"trends": {"window": 3}})
+        assert partial["trends"] == {"window": 3, "min_drift": 1.1}
+
+    def test_evaluation_defaults_to_the_tree_gate(self, tmp_path, monkeypatch):
+        # With no expectations given, evaluation reads EXPECTATIONS_PATH
+        # at call time: a stricter copy there fails the committed record.
+        record = make_record()
+        assert evaluate_expectations(record) == evaluate_expectations(
+            record, load_expectations(EXPECTATIONS_TOML)
+        )
+        strict = tmp_path / "expectations.toml"
+        strict.write_text(
+            EXPECTATIONS_TOML.read_text() + "\n[sections.spmu.max]\narray_s = 0.0\n"
+        )
+        monkeypatch.setattr(regression, "EXPECTATIONS_PATH", strict)
+        failed = [check for check in evaluate_expectations(record) if not check.passed]
+        assert [(check.section, check.name) for check in failed] == [("spmu", "max:array_s")]
+        monkeypatch.setattr(regression, "EXPECTATIONS_PATH", tmp_path / "absent.toml")
+        with pytest.raises(CapstanError, match="no expectations file at"):
+            evaluate_expectations(record)
 
 
 # ------------------------------------------------------------- evaluation
@@ -413,6 +445,37 @@ class TestBenchCLI:
         assert [row["id"] for row in payload["runs"]] == [2, 1]
         assert payload["runs"][0]["fingerprint"] == FINGERPRINT_B[:12]
         assert payload["records"][1]["record"] == BENCH_RECORD
+
+    def test_bench_history_trends_read_the_tree_gate(self, tmp_path, monkeypatch, capsys):
+        # Without --expectations, --trends applies benchmarks/expectations.toml's
+        # [trends]: a copy with a three-run window flags a three-run drift
+        # that the committed five-run window does not.
+        assert regression.EXPECTATIONS_PATH == EXPECTATIONS_TOML
+        db = tmp_path / "drift.sqlite"
+        with RunStore(db) as store:
+            for index, value in enumerate((0.040, 0.044, 0.048)):
+                store.record_run(
+                    make_record(**{"chunked.chunked_s": value}),
+                    fingerprint=FINGERPRINT_A,
+                    created_at=f"2026-08-08T00:{index:02d}:00Z",
+                )
+        code, out = run_cli(capsys, "bench-history", "--db", str(db), "--trends")
+        assert code == 0 and "DRIFT" not in out
+        narrow = tmp_path / "expectations.toml"
+        text = EXPECTATIONS_TOML.read_text()
+        assert "window = 5" in text
+        narrow.write_text(text.replace("window = 5", "window = 3"))
+        monkeypatch.setattr(regression, "EXPECTATIONS_PATH", narrow)
+        code, out = run_cli(capsys, "bench-history", "--db", str(db), "--trends")
+        assert code == 0 and "DRIFT chunked.chunked_s" in out
+        # No gate file at all: a clean usage error, not a silent pass.
+        monkeypatch.setattr(regression, "EXPECTATIONS_PATH", tmp_path / "absent.toml")
+        for command in ("bench-history", "bench-compare"):
+            argv = [command, "--db", str(db)]
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv + ["--trends"] if command == "bench-history" else argv)
+            assert exc.value.code == 2
+            assert "no expectations file" in capsys.readouterr().err
 
     def test_bench_history_empty_store(self, tmp_path, capsys):
         code, out = run_cli(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import threading
@@ -9,7 +10,7 @@ import threading
 import pytest
 
 from repro.apps.profile import WorkloadProfile
-from repro.apps.scan_model import ScanCost
+from repro.apps.scan_model import ScanCost, record_scans
 from repro.core.ordering import OrderingMode
 from repro.config import MemoryTechnology, ScannerConfig
 from repro.errors import ConfigurationError
@@ -96,44 +97,43 @@ class TestRegistry:
         assert profile.dataset == "ckt11752_dc_1"
         assert profile.compute_iterations > 0
 
-    def test_scanner_override_changes_scan_cost_and_restores_default(self):
+    def test_recorded_scanner_changes_scan_cost_and_restores_default(self):
         from repro.apps import scan_model
 
         default_ctor = scan_model.ScannerConfig
         base = registry_module.execute("spadd", "ckt11752_dc_1", RunContext(scale=TINY))
-        narrow = registry_module.execute(
-            "spadd",
-            "ckt11752_dc_1",
-            RunContext(scale=TINY, scanner=ScannerConfig(bit_width=1, output_vectorization=1)),
-        )
+        with record_scans([ScannerConfig(bit_width=1, output_vectorization=1)]):
+            narrow = registry_module.execute("spadd", "ckt11752_dc_1", RunContext(scale=TINY))
+        again = registry_module.execute("spadd", "ckt11752_dc_1", RunContext(scale=TINY))
         assert scan_model.ScannerConfig is default_ctor
         assert narrow.scan_cycles > base.scan_cycles
+        assert again.scan_cycles == base.scan_cycles
 
-    def test_scanner_override_is_invisible_to_concurrent_runs(self):
-        """Override and plain runs in parallel threads each get their own
-        sequential profile: an override never leaks into another run."""
+    def test_recorded_scanner_is_invisible_to_concurrent_runs(self):
+        """Recorded and plain runs in parallel threads each get their own
+        sequential profile: a recording never leaks into another run."""
         dataset = "ckt11752_dc_1"
-        contexts = (
-            RunContext(scale=TINY, scanner=ScannerConfig(bit_width=1, output_vectorization=1)),
-            RunContext(scale=TINY),
-        )
-        expected = {
-            context: profile_to_dict(registry_module.execute("spadd", dataset, context))
-            for context in contexts
-        }
-        assert len({str(profile) for profile in expected.values()}) == 2
-        start = threading.Barrier(len(contexts))
+        context = RunContext(scale=TINY)
+        scanners = (ScannerConfig(bit_width=1, output_vectorization=1), None)
+
+        def profile(scanner):
+            with record_scans([scanner]) if scanner else contextlib.nullcontext():
+                return profile_to_dict(registry_module.execute("spadd", dataset, context))
+
+        expected = {scanner: profile(scanner) for scanner in scanners}
+        assert len({str(result) for result in expected.values()}) == 2
+        start = threading.Barrier(len(scanners))
         mismatches = []
 
-        def profile_repeatedly(context: RunContext) -> None:
+        def profile_repeatedly(scanner) -> None:
             start.wait()
             for _ in range(40):
-                profile = profile_to_dict(registry_module.execute("spadd", dataset, context))
-                if profile != expected[context]:
-                    mismatches.append((context.scanner, profile["scan_cycles"]))
+                result = profile(scanner)
+                if result != expected[scanner]:
+                    mismatches.append((scanner, result["scan_cycles"]))
 
         threads = [
-            threading.Thread(target=profile_repeatedly, args=(context,)) for context in contexts
+            threading.Thread(target=profile_repeatedly, args=(scanner,)) for scanner in scanners
         ]
         for thread in threads:
             thread.start()
@@ -210,14 +210,11 @@ class TestProfileCache:
             "spmspm", "qc324", RunContext(scale=1 / 512)
         )
 
-    def test_key_includes_full_scanner_config(self, tmp_path):
-        cache = ProfileCache(root=tmp_path)
-        wide = cache.key(
-            "conv", "resnet50-1", RunContext(scanner=ScannerConfig(data_width=16))
-        )
-        narrow = cache.key(
-            "conv", "resnet50-1", RunContext(scanner=ScannerConfig(data_width=1))
-        )
+    def test_scan_cost_key_includes_full_scanner_config(self, tmp_path):
+        profile_key = ProfileCache(root=tmp_path).key("conv", "resnet50-1", RunContext())
+        scans = ScanCostStore(tmp_path)
+        wide = scans.key(profile_key, ScannerConfig(data_width=16))
+        narrow = scans.key(profile_key, ScannerConfig(data_width=1))
         assert wide != narrow
 
     def test_key_changes_with_code_fingerprint(self, tmp_path):

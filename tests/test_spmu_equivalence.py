@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from repro.config import ShuffleMode, SpMUConfig
 from repro.core import spmu as spmu_module
 from repro.core.ordering import OrderingMode
-from repro.core.shuffle import merge_efficiency
+from repro.core.shuffle import merge_efficiency, merge_efficiency_reference
 from repro.core.spmu import (
     MemoryRequest,
     RMWOp,
@@ -419,20 +419,14 @@ class TestMergeEfficiencyBackends:
     @pytest.mark.parametrize("mode", tuple(ShuffleMode), ids=lambda m: m.value)
     @pytest.mark.parametrize("fraction", (0.0, 0.3, 0.7, 1.0))
     def test_fast_path_matches_reference(self, mode, fraction):
-        reference = merge_efficiency(
-            mode, fraction, lanes=8, vectors=12, backend="reference"
-        )
-        array = merge_efficiency(mode, fraction, lanes=8, vectors=12, backend="array")
-        assert reference == array
+        reference = merge_efficiency_reference(mode, fraction, lanes=8, vectors=12)
+        assert merge_efficiency(mode, fraction, lanes=8, vectors=12) == reference
 
     def test_design_point_traffic_matches(self):
         # The shape _shuffle_efficiency measures at the 16-lane design point.
         for mode in (ShuffleMode.MRG0, ShuffleMode.MRG1, ShuffleMode.MRG16):
-            reference = merge_efficiency(
-                mode, 0.45, lanes=16, vectors=24, backend="reference"
-            )
-            array = merge_efficiency(mode, 0.45, lanes=16, vectors=24, backend="array")
-            assert reference == array
+            reference = merge_efficiency_reference(mode, 0.45, lanes=16, vectors=24)
+            assert merge_efficiency(mode, 0.45, lanes=16, vectors=24) == reference
 
 
 class TestPrefill:
