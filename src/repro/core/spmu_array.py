@@ -408,6 +408,17 @@ def _simulate_fully_ordered(
 # --------------------------------------------------------------------------- #
 
 
+def _input_speedup(variant: SpMUVariant) -> int:
+    """Allocation passes per cycle: the crossbar's issues per lane."""
+    return max(1, variant.config.crossbar_inputs // variant.lanes)
+
+
+def _bank_bits(banks: np.ndarray, words: int) -> np.ndarray:
+    """Bank numbers (``-1``: none) as one-bit sets of ``words`` ``uint64`` words."""
+    bit = np.left_shift(np.uint64(1), (banks & 63).astype(np.uint64))
+    return np.where((banks >> 6)[..., None] == np.arange(words), bit[..., None], np.uint64(0))
+
+
 class _LockStepState:
     """All per-variant state of the lock-step scheduled simulation.
 
@@ -415,28 +426,45 @@ class _LockStepState:
     variants are periodically compacted out so the tail of a heterogeneous
     grid does not pay tensor work for variants that already completed.
     ``orig`` maps rows back to positions in the caller's variant list.
+
+    ``pend[j, vector, :, lane]`` is that request's bank as a bit set of
+    ``words`` ``uint64`` words (bank ``b`` is bit ``b % 64`` of word ``b //
+    64``); it is all zero once the request issued, or if it was never kept.
+    Vector ``empty_slot`` is all zero: the one empty queue slots read.
+
+    Rows are ordered separable first, then greedy, and by descending
+    input speedup within each allocator, so the rows of one allocator that
+    bid in an input-speedup pass are a contiguous block.
     """
 
     def __init__(self, variants: Sequence[SpMUVariant], preps: Sequence[_PreparedTrace]):
         v_count = len(variants)
+        order = sorted(
+            range(v_count),
+            key=lambda i: (variants[i].allocator_kind != "separable", -_input_speedup(variants[i])),
+        )
+        variants = [variants[i] for i in order]
+        preps = [preps[i] for i in order]
         self.NV = max((p.n_vectors for p in preps), default=0)
         self.W = max((p.width for p in preps), default=0)
-        self.B = max(v.config.banks for v in variants)
+        self.words = -(-max(v.config.banks for v in variants) // 64)
         self.D = max(v.config.queue_depth for v in variants)
         nv_pad = max(self.NV, 1)
         w_pad = max(self.W, 1)
 
-        self.pend = np.full((v_count, nv_pad, w_pad), -1, dtype=np.int16)
+        self.pend = np.zeros((v_count, nv_pad + 1, self.words, w_pad), dtype=np.uint64)
+        self.empty_slot = nv_pad
         # Per (variant, vector): kept requests not yet *retired* (pending in
         # the queue or in flight through the pipeline). Issues leave it
         # unchanged -- only completions decrement -- so a vector's queue
         # slot frees exactly when its count reaches zero, which matches the
         # reference's "no pending and no outstanding" retirement test.
-        self.remaining = np.zeros((v_count, nv_pad), dtype=np.int32)
+        self.remaining = np.zeros((v_count, nv_pad + 1), dtype=np.int32)
         for j, (variant, prep) in enumerate(zip(variants, preps)):
             if prep.n_vectors and prep.width:
                 bank = prep.bank_mat(variant.bank_mapping, variant.config.banks)
-                self.pend[j, : prep.n_vectors, : prep.width] = bank
+                bits = _bank_bits(bank, self.words)
+                self.pend[j, : prep.n_vectors, :, : prep.width] = bits.transpose(0, 2, 1)
             self.remaining[j, : prep.n_vectors] = prep.kept_counts
 
         self.qvec = np.full((v_count, self.D), -1, dtype=np.int64)
@@ -447,9 +475,8 @@ class _LockStepState:
         self.executed = np.zeros(v_count, dtype=np.int64)
         self.stalls = np.zeros(v_count, dtype=np.int64)
         self.depth = np.array([v.config.queue_depth for v in variants], dtype=np.int64)
-        self.ipl = np.array(
-            [max(1, v.config.crossbar_inputs // v.lanes) for v in variants], dtype=np.int64
-        )
+        self.ipl = np.array([_input_speedup(v) for v in variants], dtype=np.int64)
+        self.width = np.array([p.width for p in preps], dtype=np.int64)
         self.latency = np.array([max(1, v.pipeline_latency) for v in variants], dtype=np.int64)
         self.sep = np.array([v.allocator_kind == "separable" for v in variants], dtype=bool)
         self.iters = np.array(
@@ -458,7 +485,8 @@ class _LockStepState:
             dtype=np.int64,
         )
         self.max_it = int(self.iters.max()) if self.sep.any() else 0
-        self.cutoffs = np.full((v_count, max(self.max_it, 1)), -1, dtype=np.int64)
+        # An age cutoff of 0 admits no queue slot: the iteration is off.
+        self.cutoffs = np.zeros((v_count, max(self.max_it, 1)), dtype=np.int64)
         for j, variant in enumerate(variants):
             if variant.allocator_kind != "separable":
                 continue
@@ -472,17 +500,14 @@ class _LockStepState:
             self.cutoffs[j, : len(allocator.age_cutoffs)] = allocator.age_cutoffs
         self.max_cycles = 64 * (self.total + self.nv + 8)
         self.active = self.nv > 0
-        self.orig = np.arange(v_count)
-        self.row_of = np.arange(v_count)
+        self.orig = np.array(order, dtype=np.int64)
+        self.row_of = np.argsort(self.orig)
         self.v2 = np.arange(v_count)[:, None]
-        # Static per-pass facts, hoisted so the cycle loop avoids per-cycle
-        # reductions: which input-speedup passes have separable / greedy
-        # bidders at all, and the eligibility mask per pass.
         self._derive_pass_tables()
 
-        # Address-ordered state: one Bloom counter row per AO variant plus a
-        # sentinel column that padded (non-kept) lane slots alias so batched
-        # inserts and membership checks need no masking.
+        # Address-ordered state: one flat Bloom counter row per AO variant
+        # plus a sentinel entry that padded (non-kept) lane slots alias, so
+        # batched inserts and membership checks need no masking.
         ao_idx = [j for j, v in enumerate(variants) if v.ordering is OrderingMode.ADDRESS_ORDERED]
         self.has_ao = bool(ao_idx)
         self.ao_row = np.full(v_count, -1, dtype=np.int64)
@@ -490,12 +515,15 @@ class _LockStepState:
         self.entries_max = max(
             (variants[j].config.bloom_filter_entries for j in ao_idx), default=1
         )
-        self.counters = np.zeros((max(len(ao_idx), 1), self.entries_max + 1), dtype=np.int32)
-        #: Both Bloom slots per (AO variant, vector, lane), stacked on the
-        #: last axis; padded (non-kept) entries alias the sentinel column.
+        row_size = self.entries_max + 1
+        self.counters = np.zeros(max(len(ao_idx), 1) * row_size, dtype=np.int32)
+        #: Both Bloom slots per (AO variant, vector, lane) as indices into
+        #: ``counters``, stacked on the last axis; padded (non-kept) entries
+        #: alias their row's sentinel.
         self.s01 = np.full(
             (max(len(ao_idx), 1), nv_pad, w_pad, 2), self.entries_max, dtype=np.int64
         )
+        self.s01 += row_size * np.arange(self.s01.shape[0])[:, None, None, None]
         self.ao_dup = np.zeros((max(len(ao_idx), 1), nv_pad), dtype=np.int64)
         for row, j in enumerate(ao_idx):
             prep = preps[j]
@@ -503,8 +531,8 @@ class _LockStepState:
             if prep.n_vectors and prep.width:
                 kv, kl = np.nonzero(prep.kept)
                 addr = prep.addr_mat[kv, kl]
-                self.s01[row, kv, kl, 0] = _bloom_slots(addr, entries, 0)
-                self.s01[row, kv, kl, 1] = _bloom_slots(addr, entries, 1)
+                self.s01[row, kv, kl, 0] = row * row_size + _bloom_slots(addr, entries, 0)
+                self.s01[row, kv, kl, 1] = row * row_size + _bloom_slots(addr, entries, 1)
             self.ao_dup[row, : prep.n_vectors] = prep.has_dup.astype(np.int64)
 
     def compact(self, results_cycles, results_stats):
@@ -515,7 +543,7 @@ class _LockStepState:
             results_stats[self.orig[j]] = (int(self.executed[j]), int(self.stalls[j]))
         for name in (
             "pend", "remaining", "qvec", "qn", "waiting", "nv", "total",
-            "executed", "stalls", "depth", "ipl", "latency", "sep", "iters", "cutoffs",
+            "executed", "stalls", "depth", "ipl", "width", "latency", "sep", "iters", "cutoffs",
             "max_cycles", "active", "orig", "ao_row",
         ):
             setattr(self, name, getattr(self, name)[keep])
@@ -525,27 +553,27 @@ class _LockStepState:
         self._derive_pass_tables()
 
     def _derive_pass_tables(self) -> None:
-        """Precompute static per-pass / per-iteration allocator tables.
+        """Precompute the static per-pass allocator tables.
 
-        A row that is inactive (or whose queue is empty) bids for nothing,
-        so pass 0 needs no runtime row mask at all: its separable cutoffs
-        and greedy row set are fixed at construction. Later input-speedup
-        passes still mask rows by their crossbar's ``issues_per_lane``.
+        A finished row's queue is empty, so it bids for nothing and needs no
+        mask. Input-speedup pass ``p`` runs the separable rows ``[0,
+        sep_rows[p])`` over lanes ``[0, sep_lanes[p])`` and the greedy rows
+        ``[n_sep, n_sep + greedy_rows[p])`` over lanes ``[0,
+        greedy_lanes[p])``.
         """
-        ipl_max = int(self.ipl.max()) if self.ipl.size else 1
-        self.pass_eligible = [self.ipl > p for p in range(ipl_max)]
-        self.pass_has_sep = [bool((self.sep & (self.ipl > p)).any()) for p in range(ipl_max)]
-        self.pass_has_greedy = [
-            bool((~self.sep & (self.ipl > p)).any()) for p in range(ipl_max)
+        self.passes = int(self.ipl.max()) if self.ipl.size else 1
+        self.n_sep = int(self.sep.sum())
+        sep_ipl, greedy_ipl = self.ipl[: self.n_sep], self.ipl[self.n_sep :]
+        sep_width, greedy_width = self.width[: self.n_sep], self.width[self.n_sep :]
+        self.sep_rows = [int((sep_ipl > p).sum()) for p in range(self.passes)]
+        self.greedy_rows = [int((greedy_ipl > p).sum()) for p in range(self.passes)]
+        self.sep_lanes = [int(sep_width[:n].max(initial=0)) for n in self.sep_rows]
+        self.greedy_lanes = [int(greedy_width[:n].max(initial=0)) for n in self.greedy_rows]
+        #: Per separable iteration, every separable row's age cutoff.
+        self.iter_cut = [
+            np.where(it < self.iters[: self.n_sep], self.cutoffs[: self.n_sep, it], 0)
+            for it in range(self.max_it)
         ]
-        max_it = self.max_it
-        self.iter_eligible = [self.sep & (it < self.iters) for it in range(max_it)]
-        #: Pass-0 separable cutoff columns, fully precomputed (-1 disables).
-        self.iter_cut0 = [
-            np.where(self.iter_eligible[it], self.cutoffs[:, it], -1) for it in range(max_it)
-        ]
-        #: Pass-0 greedy row set, fully precomputed.
-        self.greedy_rows0 = np.nonzero(~self.sep)[0]
 
 
 def _refill_lockstep(state: _LockStepState, pos: np.ndarray) -> None:
@@ -581,15 +609,13 @@ def _refill_lockstep(state: _LockStepState, pos: np.ndarray) -> None:
         aw = state.waiting[idx]
         state.stalls[idx] += state.ao_dup[arows, aw]
         s01 = state.s01[arows, aw]
-        flags = state.counters[arows[:, None, None], s01] > 0
-        may = flags.all(axis=2).any(axis=1)
+        hit = np.logical_and.reduce(state.counters[s01] > 0, axis=2)
+        may = np.logical_or.reduce(hit, axis=1)
         state.stalls[idx[may]] += 1
         acc = idx[~may]
         if acc.size:
-            acc_rows = arows[~may]
-            rep = np.repeat(acc_rows, 2 * s01.shape[1])
-            np.add.at(state.counters, (rep, s01[~may].reshape(acc.size, -1).ravel()), 1)
-            state.counters[:, state.entries_max] = 0
+            state.counters += np.bincount(s01[~may].ravel(), minlength=state.counters.size)
+            state.counters[state.entries_max :: state.entries_max + 1] = 0
             state.qvec[acc, state.qn[acc]] = state.waiting[acc]
             state.qn[acc] += 1
             state.waiting[acc] += 1
@@ -597,147 +623,104 @@ def _refill_lockstep(state: _LockStepState, pos: np.ndarray) -> None:
         open_mask &= (state.waiting < state.nv) & (state.qn < state.depth)
 
 
-#: Sentinel queue position marking "no pending request" in the min-age
-#: tensor; larger than any real position or age cutoff.
-_NO_POS = 1 << 20
+def _separable_pass(
+    state: _LockStepState, masks: np.ndarray, free: np.ndarray, granted: np.ndarray
+) -> None:
+    """The separable iterations of one allocation pass, for a block of rows.
 
-
-def _allocate_shallow(
-    state: _LockStepState, vb: np.ndarray, pass_row: np.ndarray, taken: np.ndarray
-) -> np.ndarray:
-    """Allocation fast path when no variant queues more than one vector.
-
-    With at most one age-0 candidate per lane, both allocators reduce to
-    "each bank accepts its lowest bidding lane": the separable stage-1
-    pick is the lane's only bank, stage 2 keeps the lowest lane, and later
-    iterations cannot add grants because a losing lane's only bank is
-    already taken; the greedy lane scan makes the same choices. This state
-    dominates address-ordered runs, where the Bloom filter admits vectors
-    one at a time.
+    Each iteration, every lane without a grant bids for the lowest free bank
+    among its candidates below the iteration's age cutoff (stage 1: the
+    lowest set bit of the lowest non-empty word), and a bid wins unless a
+    lower lane bid for the same bank (stage 2: an exclusive prefix-OR of the
+    bids along lanes).
     """
-    v_rows, _, lanes_dim = vb.shape
-    empty = np.zeros(0, dtype=np.int64)
-    head = vb[:, 0, :]
-    valid = (head >= 0) & pass_row[:, None]
-    if not valid.any():
-        return empty, empty, empty
-    valid &= ~taken[np.arange(v_rows)[:, None], np.where(head >= 0, head, 0)]
-    vi, li = np.nonzero(valid)
-    if not vi.size:
-        return empty, empty, empty
-    winner = np.full((v_rows, state.B), lanes_dim, dtype=np.int64)
-    np.minimum.at(winner, (vi, head[vi, li]), li)
-    gvi, gbi = np.nonzero(winner < lanes_dim)
-    gli = winner[gvi, gbi]
-    taken[gvi, gbi] = True
-    return gvi, gli, gbi
+    rows = np.arange(free.shape[0])
+    slots = masks.shape[0] - 1
+    for it in range(state.max_it):
+        bids = masks[np.minimum(state.iter_cut[it][: rows.size], slots), rows]
+        bids &= free[:, :, None]
+        if it:
+            bids *= np.logical_and.reduce(granted == 0, axis=1, keepdims=True)
+        if not bids.any():
+            continue
+        bids &= -bids
+        for word in range(1, state.words):
+            bids[:, word:] *= bids[:, word - 1 : word] == 0
+        below = np.bitwise_or.accumulate(bids, axis=-1)
+        bids[..., 1:] &= ~below[..., :-1]
+        granted |= bids
+        free &= ~np.bitwise_or.reduce(bids, axis=-1)
 
 
-def _min_position_tensor(state: _LockStepState, vb: np.ndarray) -> np.ndarray:
-    """``P[v, lane, bank]`` = oldest queue position bidding that pair.
+def _greedy_pass(masks: np.ndarray, free: np.ndarray, granted: np.ndarray) -> None:
+    """The greedy allocation of one pass, for a block of rows: lanes in
+    order, each taking the bank of its oldest queued request that is free.
 
-    A queued vector holds at most one request per lane, so per (lane,
-    bank) the candidate ages within one variant are distinct queue
-    positions and the minimum identifies the reference's
-    ``_oldest_request_for`` choice directly.
+    A lane's oldest request to a bank in a set ``open`` sits in the first
+    queue slot ``k`` whose prefix union ``masks[k + 1]`` meets ``open``,
+    and that intersection is its bank. Every lane bids for its oldest free
+    bank; then, until no bid is lost, each lane whose bank a lower lane
+    also bids for bids anew, skipping every bank a lower lane bids for.
+    Bids only move to younger requests, so this ends, and it ends at the
+    lane-ordered scan's grants: once a lower lane bids for a bank, the
+    lowest such bidder never gives it up, so a lane skips only banks a
+    lower lane ends up holding.
     """
-    v_rows, _, lanes_dim = vb.shape
-    min_pos = np.full((v_rows, lanes_dim, state.B), _NO_POS, dtype=np.int32)
-    vi, di, li = np.nonzero(vb >= 0)
-    if vi.size:
-        np.minimum.at(min_pos, (vi, li, vb[vi, di, li]), di)
-    return min_pos
+    slots = masks.shape[0] - 1
+    if not slots:
+        return
+    rows, words, lanes = masks.shape[1:]
+    reach = masks[1:] & free[:, :, None]
+    closed = np.logical_and.reduce(reach == 0, axis=2).sum(axis=0)
+    bid = reach[
+        np.minimum(closed, slots - 1)[:, None, :],
+        np.arange(rows)[:, None, None],
+        np.arange(words)[:, None],
+        np.arange(lanes),
+    ]
+    while True:
+        below = np.bitwise_or.accumulate(bid, axis=-1)
+        lost = np.logical_or.reduce(bid[..., 1:] & below[..., :-1], axis=1)
+        if not lost.any():
+            break
+        rk, lk = np.nonzero(lost)
+        open_banks = free[rk] & ~below[rk, :, lk]
+        lk += 1
+        reach = masks[1:, rk, :, lk] & open_banks[:, None, :]
+        closed = np.logical_and.reduce(reach == 0, axis=-1).sum(axis=1)
+        bid[rk, :, lk] = reach[np.arange(rk.size), np.minimum(closed, slots - 1)]
+    granted |= bid
+    free &= ~below[..., -1]
 
 
 def _allocate_lockstep(
-    state: _LockStepState,
-    min_pos: np.ndarray,
-    pass_index: int,
-    pass_row: np.ndarray,
-    taken: np.ndarray,
-    has_sep: bool,
-    has_greedy: bool,
+    state: _LockStepState, masks: np.ndarray, pass_index: int, free: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One allocation pass for every variant; returns per-lane grant banks.
+    """One allocation pass for every variant: its grants' rows, lanes and bank bits.
 
-    Separable variants run their configured number of two-stage iterations
-    with per-iteration age cutoffs; greedy variants scan lanes in order
-    granting each lane its oldest pending bank that is still free. Both
-    operate on the ``(variant, lane, bank)`` min-age tensor: a pair is an
-    eligible allocator input iff its oldest bidder is younger than the
-    iteration's cutoff (separable) or exists at all (greedy).
+    ``masks[k, v, :, lane]`` is the union of the bank sets of the lane's
+    requests in queue slots below ``k``: its candidate banks under age
+    cutoff ``k``. A queued vector holds at most one request per lane, so
+    these sets lose nothing the reference's per-lane candidate lists hold.
+    ``free`` (the banks no earlier grant of this cycle took) is updated in
+    place.
     """
-    v_rows, lanes_dim, _ = min_pos.shape
-    grants: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-
-    if has_sep:
-        lane_done = np.zeros((v_rows, lanes_dim), dtype=bool)
-        for it in range(state.max_it):
-            if pass_index == 0:
-                cut = state.iter_cut0[it]
-            else:
-                cut = np.where(
-                    pass_row & state.iter_eligible[it], state.cutoffs[:, it], -1
-                )
-            matrix = min_pos < cut[:, None, None]
-            matrix &= ~taken[:, None, :]
-            if it:
-                matrix &= ~lane_done[:, :, None]
-            rows_any = matrix.any(axis=-1)
-            rvi, rli = np.nonzero(rows_any)
-            if not rvi.size:
-                continue
-            choice = matrix[rvi, rli].argmax(axis=-1)
-            winner = np.full((v_rows, state.B), lanes_dim, dtype=np.int64)
-            np.minimum.at(winner, (rvi, choice), rli)
-            gvi, gbi = np.nonzero(winner < lanes_dim)
-            gli = winner[gvi, gbi]
-            lane_done[gvi, gli] = True
-            taken[gvi, gbi] = True
-            grants.append((gvi, gli, gbi))
-
-    if has_greedy:
-        # The reference greedy allocator walks lanes in order (lower lanes
-        # win), so the scan is sequential over lanes -- but each lane's
-        # pick is one masked argmin over its per-bank oldest bidders,
-        # computed on the greedy rows only. Granted banks are invalidated
-        # in the working tensor instead of re-masking every lane.
-        if pass_index == 0:
-            rows_all = state.greedy_rows0
-        else:
-            rows_all = np.nonzero(pass_row & ~state.sep)[0]
-        masked = np.where(taken[rows_all][:, None, :], _NO_POS, min_pos[rows_all])
-        live_lanes = np.nonzero((masked < _NO_POS).any(axis=(0, 2)))[0].tolist()
-        seq = np.arange(rows_all.size)
-        locals_: List[Tuple[int, np.ndarray, np.ndarray]] = []
-        for lane in live_lanes:
-            row = masked[:, lane, :]
-            banks = row.argmin(axis=1)
-            rows = np.nonzero(row[seq, banks] < _NO_POS)[0]
-            if rows.size:
-                won = banks[rows]
-                masked[rows, :, won] = _NO_POS
-                locals_.append((lane, rows, won))
-        if locals_:
-            g_rows = np.concatenate([entry[1] for entry in locals_])
-            g_banks = np.concatenate([entry[2] for entry in locals_])
-            g_lanes = np.repeat(
-                np.array([entry[0] for entry in locals_], dtype=np.int64),
-                [entry[1].size for entry in locals_],
-            )
-            g_rows = rows_all[g_rows]
-            taken[g_rows, g_banks] = True
-            grants.append((g_rows, g_lanes, g_banks))
-    if not grants:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty
-    if len(grants) == 1:
-        return grants[0]
-    return (
-        np.concatenate([g[0] for g in grants]),
-        np.concatenate([g[1] for g in grants]),
-        np.concatenate([g[2] for g in grants]),
-    )
+    granted = np.zeros(masks.shape[1:], dtype=np.uint64)
+    ns = state.n_sep
+    rows, lanes = state.sep_rows[pass_index], state.sep_lanes[pass_index]
+    if rows:
+        _separable_pass(
+            state, masks[:, :rows, :, :lanes], free[:rows], granted[:rows, :, :lanes]
+        )
+    rows, lanes = state.greedy_rows[pass_index], state.greedy_lanes[pass_index]
+    if rows:
+        _greedy_pass(
+            masks[:, ns : ns + rows, :, :lanes],
+            free[ns : ns + rows],
+            granted[ns : ns + rows, :, :lanes],
+        )
+    gvi, gli = np.nonzero(np.logical_or.reduce(granted, axis=1))
+    return gvi, gli, granted[gvi, :, gli]
 
 
 def _simulate_scheduled_lockstep(
@@ -776,31 +759,27 @@ def _simulate_scheduled_lockstep(
 
         v_rows = state.orig.size
         v2 = state.v2
-        validq = pos < state.qn[:, None]
-        qv = np.where(validq, state.qvec, 0)
-        vb = state.pend[v2, qv]
-        vb[~validq] = -1
+        # The queued requests' bank sets, ``(slot, row, word, lane)``, over
+        # the occupied slots only, and their unions below each age cutoff.
+        slots = int(state.qn.max())
+        validq = pos[:, :slots] < state.qn[:, None]
+        qv = np.where(validq, state.qvec[:, :slots], state.empty_slot)
+        queued = state.pend[v2.T, qv.T]
+        masks = np.zeros((slots + 1,) + queued.shape[1:], dtype=np.uint64)
+        for k in range(slots):  # a slot at a time beats accumulate's strided walk
+            np.bitwise_or(masks[k], queued[k], out=masks[k + 1])
 
-        taken = np.zeros((v_rows, state.B), dtype=bool)
+        free = np.full((v_rows, state.words), ~np.uint64(0))
         if record_trace:
             cycle_counts = np.zeros(v_rows, dtype=np.int64)
-        shallow = bool(state.qn.max(initial=0) <= 1)
-        min_pos = None if shallow else _min_position_tensor(state, vb)
-        for p in range(len(state.pass_eligible)):
-            pass_row = state.active if p == 0 else state.active & state.pass_eligible[p]
-            if shallow:
-                gvi, gli, gbi = _allocate_shallow(state, vb, pass_row, taken)
-            else:
-                gvi, gli, gbi = _allocate_lockstep(
-                    state, min_pos, p, pass_row, taken,
-                    state.pass_has_sep[p], state.pass_has_greedy[p],
-                )
+        for p in range(state.passes):
+            gvi, gli, gbits = _allocate_lockstep(state, masks, p, free)
             if not gvi.size:
                 break
-            if shallow:
-                gdi = np.zeros(gvi.size, dtype=np.int64)
-            else:
-                gdi = min_pos[gvi, gli, gbi]
+            # Per-lane priority encoder: the oldest queued request of the
+            # granted lane to the granted bank.
+            gcols = queued[:, gvi, :, gli]
+            gdi = np.logical_or.reduce(gcols & gbits[:, None, :], axis=-1).argmax(axis=1)
             gvecs = state.qvec[gvi, gdi]
 
             if state.has_ao:
@@ -810,22 +789,16 @@ def _simulate_scheduled_lockstep(
                     av = gvecs[ao_sel]
                     al = gli[ao_sel]
                     s01 = state.s01[arows, av, al]
-                    ok = (state.counters[arows[:, None], s01] > 0).all(axis=1)
-                    np.subtract.at(
-                        state.counters, (np.repeat(arows[ok], 2), s01[ok].ravel()), 1
-                    )
+                    ok = np.logical_and.reduce(state.counters[s01] > 0, axis=1)
+                    state.counters -= np.bincount(s01[ok].ravel(), minlength=state.counters.size)
 
-            state.pend[gvi, gvecs, gli] = -1
-            vb[gvi, gdi, gli] = -1
-            if not shallow and p + 1 < len(state.pass_eligible):
-                # Keep the min-age tensor valid for the next input-speedup
-                # pass: only the issued (lane, bank) pairs can change, and
-                # their new oldest bidder is re-derived from the gathered
-                # pending-bank columns.
-                cols = vb[gvi, :, gli]
-                min_pos[gvi, gli, gbi] = np.where(
-                    cols == gbi[:, None], pos, _NO_POS
-                ).min(axis=1)
+            state.pend[gvi, gvecs, :, gli] = 0
+            if p + 1 < state.passes:
+                # Only the issued (row, lane) columns change for the next
+                # input-speedup pass.
+                queued[gdi, gvi, :, gli] = 0
+                gcols[np.arange(gvi.size), gdi] = 0
+                masks[1:, gvi, :, gli] = np.bitwise_or.accumulate(gcols, axis=1)
             counts = np.bincount(gvi, minlength=v_rows)
             state.executed += counts
             if record_trace:
@@ -843,9 +816,8 @@ def _simulate_scheduled_lockstep(
                     )
             if collect_issues:
                 # Same-cycle requests hit distinct banks, so their order is
-                # immaterial -- but the allocation path (shallow or not) a
-                # batch takes would leak into it; lane order per pass keeps
-                # a variant's issue order independent of its batch-mates.
+                # immaterial; lane order per pass keeps it independent of
+                # how the allocator stages found the grants.
                 by_lane = np.argsort(gli, kind="stable")
                 issue_chunks.append((state.orig[gvi[by_lane]], gvecs[by_lane], gli[by_lane]))
 
@@ -870,7 +842,7 @@ def _simulate_scheduled_lockstep(
         if remove.any():
             keep_q = validq & ~remove
             order = np.argsort(~keep_q, axis=1, kind="stable")
-            state.qvec = state.qvec[v2, order]
+            state.qvec[:, :slots] = state.qvec[v2, order]
             state.qn = keep_q.sum(axis=1).astype(np.int64)
 
             finished = (
@@ -960,19 +932,19 @@ def _prepared_pairs(variants: Iterable[SpMUVariant], traces: Iterable[object]):
 def _variant_footprint(variant: SpMUVariant, prep: _PreparedTrace) -> int:
     """Rough lock-step working-set bytes one variant contributes.
 
-    The dominant tensors are the pending-bank matrix, the gathered queue
-    view, and the per-pass (lane, bank) min-age tensor; address-ordered
-    variants add the Bloom slot tensor. The estimate only needs to be
-    proportionate -- the budget planner divides it into the byte budget to
-    size chunks.
+    The dominant tensors are the pending requests' bank sets (one
+    ``uint64`` word per 64 banks per request) and, each cycle, the gathered
+    queue view of those sets plus their prefix unions over queue slots;
+    address-ordered variants add the Bloom slot tensor. The estimate only
+    needs to be proportionate -- the budget planner divides it into the
+    byte budget to size chunks.
     """
     nv = max(prep.n_vectors, 1)
     w = max(prep.width, 1)
     depth = variant.config.queue_depth
-    banks = variant.config.banks
-    footprint = nv * w * 2 + nv * 4  # pend row + remaining
-    footprint += depth * w * 4  # gathered queue view + masks
-    footprint += w * banks * 6  # min-age tensor + allocator matrices
+    words = -(-variant.config.banks // 64)
+    footprint = nv * w * 8 * words + nv * 4  # pending bank sets + remaining
+    footprint += 2 * depth * w * 8 * words  # queue view + prefix unions
     if variant.ordering is OrderingMode.ADDRESS_ORDERED:
         footprint += nv * w * 16 + nv * 8  # Bloom slots + duplicate flags
         footprint += variant.config.bloom_filter_entries * 4
@@ -1006,8 +978,9 @@ def _budget_chunks(pairs: Iterable[_Pair], budget: Optional[int]) -> Iterator[Li
 #: Estimated lock-step cycles a share must carry to be worth a process.
 #: Forking a share and pickling its results back costs ~4.4 ms (median of
 #: 20, 2-core x86-64 Linux, Python 3.11, numpy and the search stack
-#: imported); one variant's lock-step cycle costs 100-250 us there, so a
-#: share of 500 variant-cycles (~0.1 s) repays the fork some 20 times over.
+#: imported); a lone variant's lock-step cycle costs 180-260 us there and
+#: each further live variant ~45 us, so a share of 500 variant-cycles
+#: (upwards of 50 ms) repays the fork more than ten times over.
 _SHARE_MIN_CYCLES = 500
 
 #: True in executor worker processes (see :func:`mark_executor_worker`).
@@ -1055,9 +1028,10 @@ def _share_count(costs: Sequence[int]) -> int:
 
 
 #: Fixed per-cycle lock-step overhead, in variant-cycles: every cycle until
-#: a share's longest variant finishes costs ~140 us for the first variant,
-#: and each further live variant adds only 30-60 us (2-core x86-64 host).
-_CYCLE_OVERHEAD = 3
+#: a share's longest variant finishes costs ~290 us, and each further live
+#: variant adds only ~45 us (least-squares fit over batches of 1-48 random
+#: search-space variants, 2-core x86-64 host).
+_CYCLE_OVERHEAD = 6
 
 
 def _contiguous_shares(order: List[int], costs: Sequence[int], capacity: int) -> List[List[int]]:
@@ -1079,11 +1053,12 @@ def _deal_shares(pairs: Sequence[_Pair]) -> List[List[int]]:
 
     Variants are ordered by shape (lanes, banks, ordering) and cut into at
     most ``k`` contiguous runs with the smallest largest modelled cost. A
-    share of like-shaped variants pads its tensors to a narrower lane x
-    bank extent, and an all-unordered share skips the Bloom-filter work, so
-    a shape cut beats dealing variants round-robin by estimated cycles
-    (240 search-space projections in batches of 48 on 2 cores: 3.3 s dealt,
-    2.9 s cut, medians of 4). Each share keeps input order.
+    share of like-shaped variants pads its tensors to a narrower lane
+    extent (and, past 64 banks, fewer bank-set words), and an all-unordered
+    share skips the Bloom-filter work, so a shape cut beats dealing
+    variants to the least-loaded share by estimated cycles (240
+    search-space projections in batches of 48 on 2 cores: 2.77 s dealt,
+    2.51 s cut, medians of 3). Each share keeps input order.
     """
     costs = [_estimated_cycles(variant, prep) for variant, prep in pairs]
     k = _share_count(costs)

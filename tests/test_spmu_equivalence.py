@@ -229,6 +229,48 @@ class TestSimulatorEquivalence:
         for variant, vecs, result in zip(variants, vectors, batch):
             assert _stats_tuple(result) == _stats_tuple(_reference(variant).simulate(vecs))
 
+    def test_wide_bank_batch_matches_reference(self):
+        # Bank sets span several 64-bit words past 64 banks; one batch mixes
+        # single- and multi-word variants across both allocators, both
+        # scheduled orderings and crossbar speed-ups 1 and 2. The linear
+        # mapping reaches every bank (the nibble hash reaches 16 at most).
+        vectors = {
+            lanes: random_request_vectors(12, lanes=lanes, seed=lanes, write_fraction=0.3)
+            for lanes in (4, 32)
+        }
+        traces = {lanes: RequestTrace.from_vectors(v) for lanes, v in vectors.items()}
+        variants = [
+            SpMUVariant(
+                ordering=ordering,
+                bank_mapping="linear",
+                allocator_kind=allocator,
+                config=SpMUConfig(banks=banks, crossbar_inputs=lanes * speedup),
+                lanes=lanes,
+            )
+            for banks, lanes, allocator, ordering, speedup in itertools.product(
+                (8, 64, 128, 256),
+                (4, 32),
+                ("separable", "greedy"),
+                (OrderingMode.UNORDERED, OrderingMode.ADDRESS_ORDERED),
+                (1, 2),
+            )
+        ]
+        batch = simulate_variants(
+            variants,
+            [traces[v.lanes] for v in variants],
+            record_trace=True,
+            collect_issues=True,
+        )
+        for variant, result in zip(variants, batch):
+            reference = _reference(variant, record_trace=True)
+            stats = reference.simulate(vectors[variant.lanes])
+            assert _stats_tuple(stats) == _stats_tuple(result), variant
+            assert np.array_equal(stats.per_cycle_active_banks, result.per_cycle_active_banks)
+            assert np.array_equal(
+                reference.read_data(0, reference.capacity_words),
+                _replayed_image(variant, traces[variant.lanes], result),
+            )
+
 
 class TestEvaluationConfigurations:
     """Every configuration the table/figure harnesses measure must agree."""
