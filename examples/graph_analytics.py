@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps import (
+    best_source,
     bfs,
     estimate_cycles,
     pagerank_edge,
@@ -25,7 +26,6 @@ from repro.apps import (
     reference_sssp,
     sssp,
 )
-from repro.eval import best_source
 from repro.sim.stats import STALL_CATEGORIES
 from repro.workloads import load_dataset
 

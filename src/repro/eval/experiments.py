@@ -11,8 +11,7 @@ its own platform variants, which keeps the whole evaluation tractable.
 The application dispatch itself lives in :mod:`repro.runtime.registry`;
 each module in :mod:`repro.apps` registers its spec (name, Table 6
 datasets, input preparation, run callable). ``APP_ORDER`` and
-``APP_DATASETS`` below are derived views kept for compatibility with
-existing harness callers.
+``APP_DATASETS`` below are the harnesses' views of that registry.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
-from ..apps import best_source  # noqa: F401  (registers specs; legacy re-export)
+from .. import apps  # noqa: F401  (importing the package registers every app spec)
 from ..apps.profile import WorkloadProfile
 from ..runtime.cache import ProfileCache
 from ..runtime.registry import RunContext, app_datasets, app_order
@@ -42,10 +41,6 @@ class ProfileSet:
 
     profiles: Dict[tuple, WorkloadProfile]
     scale: float
-
-    def get(self, app: str, dataset: str) -> WorkloadProfile:
-        """Look up one profile (raises ``KeyError`` if absent)."""
-        return self.profiles[(app, dataset)]
 
     def for_app(self, app: str) -> List[WorkloadProfile]:
         """All profiles of one application, in dataset order."""

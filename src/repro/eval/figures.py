@@ -1,8 +1,9 @@
 """Figure harnesses: regenerate every figure of the evaluation section.
 
 Each function returns the series a plot of the corresponding figure would
-show (no plotting dependency is required offline; the benchmark harness and
-EXPERIMENTS.md render them as tables).
+show (no plotting dependency is required offline; the benchmarks render
+them as tables). A harness that reads profiles plots every application of
+the profile set it is given.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from ..core.spmu import (
 from ..core.spmu_array import simulate_variants
 from ..sim.dram import DRAMModel, TrafficSummary
 from ..sim.stats import STALL_CATEGORIES, geometric_mean
-from .experiments import APP_DATASETS, ProfileSet, collect_profiles
+from .experiments import APP_DATASETS, ProfileSet
 
 # --------------------------------------------------------------------------- #
 # Figure 4: traced request vector under the four ordering modes
@@ -83,45 +84,39 @@ def figure4_ordering_trace(vectors: int = THROUGHPUT_VECTORS) -> Dict:
 
 FIGURE5_BANDWIDTH_POINTS = (20, 50, 100, 200, 500, 1000, 2000)
 
-#: Apps plotted in Figure 5 (all except BiCGStab, following the legend).
-FIGURE5_APPS = (
-    "spmv-csr",
-    "spmv-coo",
-    "spmv-csc",
-    "conv",
-    "pagerank-pull",
-    "pagerank-edge",
-    "bfs",
-    "sssp",
-    "spadd",
-    "spmspm",
-)
+
+def _speedup_series(profiles: ProfileSet, points: tuple, cycles_at) -> Dict[str, List[float]]:
+    """Per-app speedup across ``points``, normalized to the first point.
+
+    Each point's runtime is the geometric mean of ``cycles_at(profile, point)``
+    over the app's datasets.
+    """
+    series: Dict[str, List[float]] = {}
+    for app in profiles.apps():
+        runtimes = [
+            geometric_mean([cycles_at(profile, point) for profile in profiles.for_app(app)])
+            for point in points
+        ]
+        series[app] = [runtimes[0] / r if r > 0 else 0.0 for r in runtimes]
+    return series
 
 
 def figure5a_bandwidth_sensitivity(
-    profiles: Optional[ProfileSet] = None,
+    profiles: ProfileSet,
     bandwidths_gbps: tuple = FIGURE5_BANDWIDTH_POINTS,
 ) -> Dict[str, List[float]]:
     """Speedup vs DRAM bandwidth, normalized to the lowest point per app."""
-    profiles = profiles or collect_profiles(apps=list(FIGURE5_APPS))
     platform = default_platform(MemoryTechnology.HBM2E)
-    series: Dict[str, List[float]] = {}
-    for app in profiles.apps():
-        app_profiles = profiles.for_app(app)
-        runtimes = []
-        for bandwidth in bandwidths_gbps:
-            seconds = []
-            for profile in app_profiles:
-                cycles, _ = _cycles_with_bandwidth(profile, platform, bandwidth)
-                seconds.append(cycles)
-            runtimes.append(geometric_mean(seconds))
-        base = runtimes[0]
-        series[app] = [base / r if r > 0 else 0.0 for r in runtimes]
+    series = _speedup_series(
+        profiles,
+        bandwidths_gbps,
+        lambda profile, bandwidth: _cycles_with_bandwidth(profile, platform, bandwidth),
+    )
     series["bandwidth_gbps"] = list(bandwidths_gbps)
     return series
 
 
-def _cycles_with_bandwidth(profile, platform: CapstanPlatform, bandwidth_gbps: float):
+def _cycles_with_bandwidth(profile, platform: CapstanPlatform, bandwidth_gbps: float) -> float:
     """Re-cost a profile with an overridden DRAM bandwidth."""
     cycles, breakdown = estimate_cycles(profile, platform)
     # Replace the DRAM component with one computed at the swept bandwidth.
@@ -134,29 +129,20 @@ def _cycles_with_bandwidth(profile, platform: CapstanPlatform, bandwidth_gbps: f
         random_accesses=profile.dram_random_reads + 2 * profile.dram_random_updates,
     )
     new_dram = max(0.0, dram_swept.traffic_cycles(traffic) - breakdown.load_store)
-    return cycles - breakdown.dram + new_dram, breakdown
+    return cycles - breakdown.dram + new_dram
 
 
 def figure5b_area_sensitivity(
-    profiles: Optional[ProfileSet] = None,
+    profiles: ProfileSet,
     parallelism_points: tuple = (2, 4, 8, 16, 32, 64),
 ) -> Dict[str, List[float]]:
     """Speedup vs outer-parallelism (a proxy for weighted on-chip area)."""
-    profiles = profiles or collect_profiles(apps=list(FIGURE5_APPS))
     platform = default_platform(MemoryTechnology.HBM2E)
-    series: Dict[str, List[float]] = {}
-    for app in profiles.apps():
-        app_profiles = profiles.for_app(app)
-        runtimes = []
-        for units in parallelism_points:
-            seconds = []
-            for profile in app_profiles:
-                scaled = _with_parallelism(profile, units)
-                cycles, _ = estimate_cycles(scaled, platform)
-                seconds.append(cycles)
-            runtimes.append(geometric_mean(seconds))
-        base = runtimes[0]
-        series[app] = [base / r if r > 0 else 0.0 for r in runtimes]
+    series = _speedup_series(
+        profiles,
+        parallelism_points,
+        lambda profile, units: estimate_cycles(_with_parallelism(profile, units), platform)[0],
+    )
     series["parallelism"] = list(parallelism_points)
     return series
 
@@ -179,29 +165,22 @@ def _with_parallelism(profile, units: int):
 
 
 def figure5c_compression_sensitivity(
-    profiles: Optional[ProfileSet] = None,
+    profiles: ProfileSet,
     bandwidths_gbps: tuple = FIGURE5_BANDWIDTH_POINTS,
 ) -> Dict[str, List[float]]:
     """Speedup from read-side DRAM compression across bandwidths."""
-    profiles = profiles or collect_profiles(apps=list(FIGURE5_APPS))
     enabled = default_platform(MemoryTechnology.HBM2E)
     series: Dict[str, List[float]] = {}
     for app in profiles.apps():
-        app_profiles = profiles.for_app(app)
+        compressed = profiles.for_app(app)
+        stripped = [copy.copy(profile) for profile in compressed]
+        for profile in stripped:
+            profile.pointer_compression_ratio = 1.0
         speedups = []
         for bandwidth in bandwidths_gbps:
-            with_compression = []
-            without_compression = []
-            for profile in app_profiles:
-                cycles_on, _ = _cycles_with_bandwidth(profile, enabled, bandwidth)
-                stripped = copy.copy(profile)
-                stripped.pointer_compression_ratio = 1.0
-                cycles_off, _ = _cycles_with_bandwidth(stripped, enabled, bandwidth)
-                with_compression.append(cycles_on)
-                without_compression.append(cycles_off)
-            speedups.append(
-                geometric_mean(without_compression) / max(geometric_mean(with_compression), 1e-9)
-            )
+            on = geometric_mean([_cycles_with_bandwidth(p, enabled, bandwidth) for p in compressed])
+            off = geometric_mean([_cycles_with_bandwidth(p, enabled, bandwidth) for p in stripped])
+            speedups.append(off / max(on, 1e-9))
         series[app] = speedups
     series["bandwidth_gbps"] = list(bandwidths_gbps)
     return series
@@ -229,6 +208,7 @@ def figure6_scanner_sensitivity(
     persist in the profile cache (:class:`~repro.runtime.cache.ScanCostStore`),
     so later calls re-cost the cached profiles and execute nothing. All
     slowdowns are relative to the maximal 512-input/16-output scanner.
+    ``profiles`` is unused: the runs are at ``scale``, profiled with their scans.
     """
     reference = ScannerConfig(bit_width=512, output_vectorization=16)
     bit_configs = [
@@ -310,9 +290,8 @@ def _scan_swept_cycles(
 # Figure 7: stall breakdown
 # --------------------------------------------------------------------------- #
 
-def figure7_stall_breakdown(profiles: Optional[ProfileSet] = None) -> Dict[str, Dict[str, float]]:
+def figure7_stall_breakdown(profiles: ProfileSet) -> Dict[str, Dict[str, float]]:
     """Fractional stall breakdown per application (averaged over datasets)."""
-    profiles = profiles or collect_profiles()
     platform = default_platform(MemoryTechnology.HBM2E)
     breakdown_by_app: Dict[str, Dict[str, float]] = {}
     for app in profiles.apps():

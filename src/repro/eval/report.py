@@ -1,7 +1,8 @@
 """Report rendering: turn the table/figure harness outputs into text.
 
-Used by the examples and by the EXPERIMENTS.md generator so that the rows
-the paper prints and the rows this reproduction measures sit side by side.
+Used by the benchmarks and the ``repro-eval`` grid report, so that the
+rows the paper prints and the rows this reproduction measures sit side by
+side.
 """
 
 from __future__ import annotations

@@ -1,14 +1,14 @@
 """Table harnesses: regenerate every table of the evaluation section.
 
 Each function returns plain dictionaries/lists so callers (tests,
-benchmarks, the EXPERIMENTS.md generator, and the examples) can render the
-same rows the paper reports, alongside the paper's published numbers for
-comparison.
+benchmarks and the ``table`` work unit) can render the same rows the paper
+reports, alongside the paper's published numbers for comparison.
+A harness that reads profiles costs the profile set it is given.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from ..core.spmu import SpMUVariant, effective_bank_throughput_batch
 from ..baselines import asic, cpu, gpu, plasticine
 from ..runtime.sweep import sweep
 from ..sim.stats import geometric_mean
-from .experiments import ProfileSet, collect_profiles
+from .experiments import ProfileSet
 
 # --------------------------------------------------------------------------- #
 # Table 4: SpMU throughput vs queue depth, crossbar size, priorities
@@ -170,9 +170,8 @@ TABLE9_PAPER_GMEAN = {
 _TABLE9_ALLOCATOR_LABELS = {"separable": "capstan", "greedy": "weak", "arbitrated": "arbitrated"}
 
 
-def table9_spmu_sensitivity(profiles: Optional[ProfileSet] = None) -> Dict:
+def table9_spmu_sensitivity(profiles: ProfileSet) -> Dict:
     """Per-app runtimes under SpMU variants, normalized to Capstan+hash."""
-    profiles = profiles or collect_profiles()
     variants = {"ideal": CapstanPlatform(ideal_sram=True, name="ideal")}
     variants.update(
         sweep(
@@ -208,9 +207,8 @@ TABLE10_PAPER_GMEAN = {"unordered": 1.00, "address-ordered": 1.35, "fully-ordere
 TABLE10_APPS = ("spmv-csr", "spmv-coo", "spmv-csc", "conv", "bicgstab")
 
 
-def table10_ordering_modes(profiles: Optional[ProfileSet] = None) -> Dict:
+def table10_ordering_modes(profiles: ProfileSet) -> Dict:
     """Slowdown of stricter ordering modes, normalized to unordered."""
-    profiles = profiles or collect_profiles(apps=list(TABLE10_APPS))
     variants = sweep(
         ordering=(
             OrderingMode.UNORDERED,
@@ -262,9 +260,8 @@ _TABLE11_MODE_LABELS = {
 }
 
 
-def table11_shuffle_sensitivity(profiles: Optional[ProfileSet] = None) -> Dict:
+def table11_shuffle_sensitivity(profiles: ProfileSet) -> Dict:
     """Runtime vs shuffle-network mode, normalized to Mrg-1."""
-    profiles = profiles or collect_profiles(apps=list(TABLE11_APPS))
     variants = sweep(
         shuffle=(ShuffleMode.NONE, ShuffleMode.MRG0, ShuffleMode.MRG1, ShuffleMode.MRG16),
         name=lambda combo: _TABLE11_MODE_LABELS[combo["shuffle"]],
@@ -300,9 +297,8 @@ TABLE12_PAPER_GMEAN = {
 }
 
 
-def table12_performance(profiles: Optional[ProfileSet] = None) -> Dict:
+def table12_performance(profiles: ProfileSet) -> Dict:
     """Runtimes of every platform, normalized to Capstan-HBM2E per app."""
-    profiles = profiles or collect_profiles()
     platforms = {"capstan-ideal": ideal_platform()}
     platforms.update(
         sweep(
@@ -310,63 +306,31 @@ def table12_performance(profiles: Optional[ProfileSet] = None) -> Dict:
             name=lambda combo: f"capstan-{combo['memory'].value}",
         )
     )
-    names = list(platforms)
     cycles_by_app = _batched_app_cycles(profiles, profiles.apps(), platforms)
-    baseline_column = names.index("capstan-hbm2e")
     per_app: Dict[str, Dict[str, float]] = {}
     for app in profiles.apps():
         app_profiles = profiles.for_app(app)
-        cycles = cycles_by_app[app]
-        per_app[app] = {}
         seconds_by_name = {
-            name: [
-                c / (platforms[name].config.clock_ghz * 1e9) for c in cycles[:, j]
-            ]
-            for j, name in enumerate(names)
+            name: [c / (platform.config.clock_ghz * 1e9) for c in cycles_by_app[app][:, j]]
+            for j, (name, platform) in enumerate(platforms.items())
         }
-        base_seconds = seconds_by_name[names[baseline_column]]
-        for name in names:
-            per_app[app][name] = geometric_mean(
-                [s / b for s, b in zip(seconds_by_name[name], base_seconds) if b > 0]
-            )
         # Plasticine (only for mappable apps), GPU, and CPU.
         if app in plasticine.PLASTICINE_MAPPABLE_APPS:
-            plasticine_platform = plasticine.PlasticinePlatform()
-            seconds = [
-                plasticine.run_metrics(p, plasticine_platform).runtime_seconds
-                for p in app_profiles
+            seconds_by_name["plasticine-hbm2e"] = [
+                plasticine.run_metrics(p).runtime_seconds for p in app_profiles
             ]
-            per_app[app]["plasticine-hbm2e"] = geometric_mean(
-                [s / b for s, b in zip(seconds, base_seconds) if b > 0]
-            )
-        gpu_platform = gpu.GPUPlatform()
-        seconds = [gpu.run_metrics(p, gpu_platform).runtime_seconds for p in app_profiles]
-        per_app[app]["gpu-v100"] = geometric_mean(
-            [s / b for s, b in zip(seconds, base_seconds) if b > 0]
-        )
-        cpu_platform = cpu.CPUPlatform()
-        seconds = [cpu.run_metrics(p, cpu_platform).runtime_seconds for p in app_profiles]
-        per_app[app]["cpu-xeon"] = geometric_mean(
-            [s / b for s, b in zip(seconds, base_seconds) if b > 0]
-        )
-    gmeans: Dict[str, float] = {}
-    for platform_name in (
-        "capstan-ideal",
-        "capstan-hbm2e",
-        "capstan-hbm2",
-        "capstan-ddr4",
-        "plasticine-hbm2e",
-        "gpu-v100",
-        "cpu-xeon",
-    ):
-        values = [row[platform_name] for row in per_app.values() if platform_name in row]
-        gmeans[platform_name] = geometric_mean(values)
+        seconds_by_name["gpu-v100"] = [gpu.run_metrics(p).runtime_seconds for p in app_profiles]
+        seconds_by_name["cpu-xeon"] = [cpu.run_metrics(p).runtime_seconds for p in app_profiles]
+        base_seconds = seconds_by_name["capstan-hbm2e"]
+        per_app[app] = {
+            name: geometric_mean([s / b for s, b in zip(seconds, base_seconds) if b > 0])
+            for name, seconds in seconds_by_name.items()
+        }
+    gmeans = {
+        name: geometric_mean([row[name] for row in per_app.values() if name in row])
+        for name in TABLE12_PAPER_GMEAN
+    }
     return {"per_app": per_app, "gmean": gmeans, "paper_gmean": TABLE12_PAPER_GMEAN}
-
-
-def _capstan_seconds(profile, platform: CapstanPlatform) -> float:
-    cycles, _ = estimate_cycles(profile, platform)
-    return cycles / (platform.config.clock_ghz * 1e9)
 
 
 # --------------------------------------------------------------------------- #
@@ -383,16 +347,13 @@ TABLE13_PAPER = {
 }
 
 
-def table13_asic_comparison(profiles: Optional[ProfileSet] = None) -> Dict:
+def table13_asic_comparison(profiles: ProfileSet) -> Dict:
     """Capstan speedup over each ASIC baseline (paper: Table 13, 1.6 GHz)."""
-    profiles = profiles or collect_profiles(
-        apps=["spmv-csc", "conv", "pagerank-edge", "bfs", "sssp", "spmspm"]
-    )
     results: Dict[str, float] = {}
 
     def capstan_seconds(app: str, platform: CapstanPlatform) -> float:
-        app_profiles = profiles.for_app(app)
-        return geometric_mean([_capstan_seconds(p, platform) for p in app_profiles])
+        hz = platform.config.clock_ghz * 1e9
+        return geometric_mean([estimate_cycles(p, platform)[0] / hz for p in profiles.for_app(app)])
 
     # EIE and SCNN are compared against an ideal Capstan (no network/memory).
     ideal = ideal_platform()

@@ -36,7 +36,7 @@ kinds are ``profile`` (one registry cell, served from / stored to the
 content-addressed profile cache), ``throughput`` (one SpMU calibration
 microbenchmark, persisted in the throughput store), ``dse_chunk`` (a
 budget-planned slice of a sweep cross-product costed to gmean cycles and
-area), ``table`` (one paper-table harness), and ``probe`` (a synthetic
+area), ``table`` (one paper harness), and ``probe`` (a synthetic
 unit used by the executor conformance tests and smoke sweeps).
 """
 
@@ -333,39 +333,12 @@ def _execute_dse_search(payload: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def _table_functions() -> Dict[str, Callable[..., Any]]:
-    """The paper-table harness callables by short name (``table4`` ...)."""
-    from ..eval import tables as tables_module
-
-    found: Dict[str, Callable[..., Any]] = {}
-    for attr in dir(tables_module):
-        if attr.startswith("table"):
-            short = attr.split("_", 1)[0]
-            found[short] = getattr(tables_module, attr)
-    return found
-
-
 def _execute_table(payload: Dict[str, Any]) -> Any:
-    """Render one paper table (profiles collected through the cache)."""
-    import inspect
+    """Run one harness of :data:`repro.eval.HARNESSES`, in its canonical JSON form."""
+    from ..eval import EVAL_SCALE, canonical, run_harnesses
 
-    from .cache import _json_default
-
-    functions = _table_functions()
-    name = payload["table"]
-    if name not in functions:
-        raise UnitSpecError(
-            f"unknown table {name!r}; known: {', '.join(sorted(functions))}"
-        )
-    fn = functions[name]
-    kwargs: Dict[str, Any] = {}
-    if "profiles" in inspect.signature(fn).parameters and payload.get("scale") is not None:
-        from ..eval.experiments import collect_profiles
-
-        kwargs["profiles"] = collect_profiles(scale=float(payload["scale"]))
-    result = fn(**kwargs)
-    # Normalize numpy scalars so the result is JSON-able for result_json.
-    return json.loads(json.dumps(result, default=_json_default))
+    [result] = run_harnesses([payload["table"]], payload.get("scale", EVAL_SCALE)).values()
+    return canonical(result)
 
 
 def _execute_probe(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -604,8 +577,10 @@ class JobSpec:
         scale: Optional[float] = None,
         name: str = "table-suite",
     ) -> "JobSpec":
-        """Shard the paper-table suite, one table harness per unit."""
-        known = sorted(_table_functions())
+        """Shard the paper reproduction, one harness of :data:`repro.eval.HARNESSES` per unit."""
+        from ..eval import HARNESSES
+
+        known = [harness.name for harness in HARNESSES]
         chosen = list(tables) if tables is not None else known
         unknown = set(chosen) - set(known)
         if unknown:

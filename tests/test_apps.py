@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.apps import (
+    best_source,
     bfs,
     bicgstab,
     pagerank_edge,
@@ -26,7 +27,6 @@ from repro.apps import (
 )
 from repro.baselines.cpu import reference_spmv_csr
 from repro.errors import WorkloadError
-from repro.eval import best_source
 from repro.formats import to_csc, to_csr
 from repro.workloads import (
     generate_conv_layer,

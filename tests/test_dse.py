@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import itertools
 import json
@@ -521,7 +522,39 @@ class TestExplore:
             assert row == by_name[row["name"]]
 
 
+#: ``repro-eval dse`` over a small grid holding hash-mapped 32-bank variants.
+DSE_GOLDEN_ARGS = [
+    "dse", "--scale", "1/256", "--apps", "spmv-csr,bfs,spmspm",
+    "--axis", "lanes=8,16,32", "--axis", "banks=8,16,32", "--axis", "queue_depth=8,16",
+]
+
+#: sha256 of the ``--json`` file of DSE_GOLDEN_ARGS per search mode (mode, extra args,
+#: digest). A change that moves DSE output on purpose re-records these from the
+#: printed hashes and names the move in CHANGES.md.
+DSE_GOLDENS = [
+    ("exhaustive", [], "f91eb7e866dbf44660c6254e67f80860e51fa065762b66476fafd4ef04fc7ba6"),
+    (
+        "evolve",
+        ["--search", "evolve", "--population", "8", "--generations", "3", "--seed", "0"],
+        "75c3b55335137667739963a093dc1114615caacab4bc9d618927f50bba53398b",
+    ),
+    (
+        "halving",
+        ["--search", "halving", "--population", "16", "--seed", "0"],
+        "34c30cbeff35f4d7673a4ecac22f3c31c6c0ee4724acaff172b918d77412cb42",
+    ),
+]
+
+
 class TestDseCli:
+    @pytest.mark.parametrize("mode, extra, golden", DSE_GOLDENS, ids=[g[0] for g in DSE_GOLDENS])
+    def test_dse_json_matches_golden(self, mode, extra, golden, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_SEARCH_STORE", str(tmp_path / "search"))
+        out_json = tmp_path / "dse.json"
+        assert cli_main(DSE_GOLDEN_ARGS + extra + ["--json", str(out_json)]) == 0
+        digest = hashlib.sha256(out_json.read_bytes()).hexdigest()
+        assert digest == golden, f"dse {mode} JSON moved; new sha256: {digest}"
+
     def test_dse_cli_end_to_end(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_THROUGHPUT_CACHE", str(tmp_path / "throughput"))
         out_json = tmp_path / "dse.json"

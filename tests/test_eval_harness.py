@@ -17,9 +17,12 @@ from repro.config import ScannerConfig, SpMUConfig
 from repro.core import spmu as spmu_module
 from repro.core.ordering import OrderingMode
 from repro.core.spmu import SpMUVariant, effective_bank_throughput_batch, measure_bank_utilization
+from repro.errors import ConfigurationError
 from repro.eval import (
     APP_DATASETS,
     APP_ORDER,
+    HARNESSES,
+    canonical,
     collect_profiles,
     figure4_ordering_trace,
     figure5a_bandwidth_sensitivity,
@@ -31,6 +34,7 @@ from repro.eval import (
     format_series,
     format_table,
     paper_vs_measured,
+    run_harnesses,
     table4_spmu_throughput,
     table5_scanner_area,
     table8_area,
@@ -43,12 +47,35 @@ from repro.eval import (
 from repro.eval.figures import _scan_swept_cycles
 from repro.runtime import registry as registry_module
 from repro.runtime.cache import ProfileCache, ScanCostStore
+from repro.runtime.executors import LocalExecutor
+from repro.runtime.jobs import JOB_DONE, UNIT_DONE, JobSpec, JobStore
 from repro.runtime.registry import RunContext
 
 #: sha256 of Figure 6 at scale 1/256 (``json.dumps(..., sort_keys=True)``),
 #: recorded when the sweep still re-executed every app per scanner config;
 #: re-costing recorded scans must reproduce it byte for byte.
 FIGURE6_GOLDEN_SHA256 = "3c02eecd0474dba3f91ec33a89755fcaa9f22ed629684cafeb20b583dba44300"
+
+#: sha256 of every harness's canonical JSON (``json.dumps(canonical(output),
+#: sort_keys=True)``) at scale 1/256 through ``run_harnesses``, in list order.
+#: A change that moves a harness on purpose re-records its hash from the
+#: failure message and names the harness in CHANGES.md.
+HARNESS_GOLDEN_SHA256 = {
+    "table4": "02ee9660d72a541847ba515be53613feb1a5d21a1835795f73ae48580de5f98e",
+    "table5": "4cd5ac5d12fb97075cd618277325c5da3e4d0d7f5679485799f2aed0bbbfcf0f",
+    "table8": "074e04f703ce19c334741e9a2f348d39b6f6e817f8052f255a0d9950adb5ba8e",
+    "table9": "973776c7ad9122175b6fce8f760f320ac8938421056afc52078d6a1c002e0c83",
+    "table10": "eac629b4e71271057fd4e1007d208a77fd71fca85b31ed14711541fcae6fb092",
+    "table11": "251eba7705e49e0bbac5e4d6f2ac2732c15f1d6805c10667357d32b456470ed2",
+    "table12": "2c6e5775acbfeb48c60a5409d9f73b2c2bc216570f96023dead977c7bc64c0e9",
+    "table13": "422211bbd4a79b12ca1bc7454e7847b317fb5f7906b80830b870c455a3254829",
+    "figure4": "5fb716bcc72cc55aa618a29133a2dd2ecc41fe037fce1888e7b50e328a2a515d",
+    "figure5a": "7d9ae8bd5fbcbbe9c8db0fed39739a57e43f289f66a04d195e6d368c826f5fa3",
+    "figure5b": "597ef680d7d2e16df0d6fc364265bf9535de33974c537f0f10bb68f05b2a8ce8",
+    "figure5c": "e6d9527511ba0702735fba36bbdf6afb43ba84b3a080091fc4a406a084e2bec7",
+    "figure6": FIGURE6_GOLDEN_SHA256,
+    "figure7": "483e6a0ba0d7e7576591a4be80e2b7e89f23a35c4cdbfc7583be2f0caea83974",
+}
 
 #: Small-but-representative subset used for the heavier harness tests.
 SUBSET_APPS = ["spmv-csr", "spmv-coo", "spmv-csc", "bfs", "pagerank-edge", "spadd"]
@@ -75,6 +102,15 @@ def executions(monkeypatch):
 
 def _figure6_sha256(result) -> str:
     return hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest()
+
+
+def _moved_harnesses(outputs) -> dict:
+    """``{name: new sha256}`` of every output whose canonical hash left its golden."""
+    digests = {
+        name: hashlib.sha256(json.dumps(canonical(output), sort_keys=True).encode()).hexdigest()
+        for name, output in outputs.items()
+    }
+    return {name: d for name, d in digests.items() if d != HARNESS_GOLDEN_SHA256.get(name)}
 
 
 class TestExperimentInfrastructure:
@@ -332,6 +368,30 @@ class TestFigures:
     def test_figure7_bfs_network_heavy(self, profile_set):
         breakdown = figure7_stall_breakdown(profile_set)
         assert breakdown["bfs"]["network"] > breakdown["spmv-csr"]["network"]
+
+
+class TestGoldens:
+    def test_every_harness_matches_golden(self):
+        outputs = run_harnesses(scale=1 / 256)
+        assert list(outputs) == [harness.name for harness in HARNESSES]
+        assert list(outputs) == list(HARNESS_GOLDEN_SHA256)
+        moved = _moved_harnesses(outputs)
+        assert not moved, f"harnesses moved; new sha256 per harness: {moved}"
+
+    def test_table_suite_job_units_match_golden(self, tmp_path):
+        with JobStore(tmp_path / "runs.sqlite") as store:
+            job = store.submit(JobSpec.table_suite(scale=1 / 256))
+            assert store.run_job(job.id, LocalExecutor()).state == JOB_DONE
+            units = store.units(job.id)
+        assert [(unit.state, unit.error) for unit in units] == [(UNIT_DONE, None)] * len(units)
+        outputs = {unit.payload["table"]: unit.result() for unit in units}
+        assert list(outputs) == list(HARNESS_GOLDEN_SHA256)
+        moved = _moved_harnesses(outputs)
+        assert not moved, f"harnesses moved; new sha256 per harness: {moved}"
+
+    def test_run_harnesses_rejects_unknown_names(self):
+        with pytest.raises(ConfigurationError, match="unknown harnesses: table99"):
+            run_harnesses(["table4", "table99"])
 
 
 class TestReportFormatting:

@@ -19,7 +19,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-PACKAGES = ("repro", "repro.formats", "repro.core", "repro.sim", "repro.workloads")
+PACKAGES = ("repro", "repro.eval", "repro.formats", "repro.core", "repro.sim", "repro.workloads")
 
 EXPORTS = [
     (package, name)
