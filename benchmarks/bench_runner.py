@@ -1,4 +1,4 @@
-"""Benchmark the experiment runner: cache states, pool sizes, backends, costing.
+"""Benchmark the experiment runner: cache states, worker counts, backends, costing.
 
 Times full-grid ``collect_profiles`` wall time under five configurations --
 cold serial, warm cache, cold parallel, cache-disabled serial, and the
@@ -721,7 +721,7 @@ def _run_benchmarks(args, scale: float) -> dict:
         "scale": scale,
         "workers": args.workers,
         "executor": args.executor
-        or ("pool" if args.workers and args.workers > 1 else "local"),
+        or ("subprocess" if args.workers and args.workers > 1 else "local"),
         "cpu_count": os.cpu_count(),
         "uncached_serial_s": round(uncached_s, 3),
         "cold_serial_s": round(cold_serial_s, 3),
@@ -755,11 +755,11 @@ def _run_benchmarks(args, scale: float) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale", default="1/16", help="dataset scale (default 1/16)")
-    parser.add_argument("--workers", type=int, default=4, help="parallel pool size")
+    parser.add_argument("--workers", type=int, default=4, help="parallel worker processes")
     parser.add_argument(
         "--executor",
         default=None,
-        choices=("local", "pool", "subprocess"),
+        choices=("local", "subprocess"),
         help="executor for the parallel pass (default: automatic)",
     )
     parser.add_argument(

@@ -48,7 +48,6 @@ from __future__ import annotations
 import os
 import pickle
 import signal
-import sys
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -1010,16 +1009,11 @@ def _share_count(costs: Sequence[int]) -> int:
     A batch fans out only on facts this process can observe: more than one
     usable core, a single Python thread (forking a threaded process can
     copy a lock some other thread holds; this excludes serve and the
-    executors' thread pools), not a multiprocessing child or an executor
-    worker (their executor already owns the cores), and at least
-    :data:`_SHARE_MIN_CYCLES` estimated cycles for every share.
+    executors' driver threads), not an executor worker (its executor
+    already owns the cores), and at least :data:`_SHARE_MIN_CYCLES`
+    estimated cycles for every share.
     """
     if _executor_worker or threading.active_count() != 1:
-        return 1
-    # A multiprocessing child has the module loaded (it bootstrapped it);
-    # a process that never imported it cannot be one.
-    multiprocessing = sys.modules.get("multiprocessing")
-    if multiprocessing is not None and multiprocessing.parent_process() is not None:
         return 1
     if not hasattr(os, "sched_getaffinity"):
         return 1

@@ -4,7 +4,7 @@ The evaluation section costs eleven application variants (CSR/COO/CSC SpMV,
 Conv, PR-Pull, PR-Edge, BFS, SSSP, M+M, SpMSpM, BiCGStab) on three datasets
 each (Table 6). :func:`collect_profiles` runs them all functionally once --
 through the registry-driven :class:`~repro.runtime.runner.ExperimentRunner`,
-so runs are cached on disk and can fan out over a process pool -- and every
+so runs are cached on disk and can fan out over worker processes -- and every
 table/figure harness then re-costs those platform-independent profiles under
 its own platform variants, which keeps the whole evaluation tractable.
 
@@ -69,7 +69,7 @@ def collect_profiles(
         scale: Dataset scale factor for the Table 6 stand-ins.
         pagerank_iterations: Power iterations per PageRank run.
         conv_scale: Channel scale for the ResNet layers.
-        workers: Process-pool size for the functional runs; ``None`` reads
+        workers: Worker processes for the functional runs; ``None`` reads
             ``REPRO_EVAL_WORKERS`` (default serial).
         cache: On-disk profile cache policy (``True`` uses the default
             cache, ``False`` disables it, or pass a
@@ -77,8 +77,8 @@ def collect_profiles(
         backend: Profiling-kernel backend (``"vectorized"`` or the
             per-element loop ``"reference"``); both produce identical
             profiles.
-        executor: Executor name (``"local"``, ``"pool"``, ``"subprocess"``)
-            forwarded to the runner; ``None`` picks automatically.
+        executor: Executor name (``"local"``, ``"subprocess"``) forwarded
+            to the runner; ``None`` picks automatically.
     """
     context = RunContext(
         scale=scale,

@@ -10,8 +10,9 @@ the evaluation harnesses (:mod:`repro.eval`). It owns these concerns:
   :class:`~repro.apps.profile.WorkloadProfile` objects keyed by
   (app, dataset, run context, code fingerprint);
 * :mod:`repro.runtime.runner` -- an :class:`ExperimentRunner` that fans the
-  (app x dataset) grid out over a process pool with structured per-task
-  results and deterministic ordering;
+  (app x dataset) grid out over ``repro-eval worker`` subprocesses (see
+  :mod:`repro.runtime.executors`) with structured per-task results and
+  deterministic ordering;
 * :mod:`repro.runtime.sweep` -- a declarative generator for the
   :class:`~repro.apps.timing.CapstanPlatform` variants the sensitivity
   studies cost profiles under;

@@ -38,13 +38,14 @@ from .._budget import ENV_MEMORY_BUDGET, parse_memory_budget
 from ..errors import CapstanError, ConfigurationError
 from .cache import ProfileCache, ScanCostStore, default_cache_dir, profile_to_dict
 from .dse import explore, prefill_throughputs
+from .executors import EXECUTORS
 from .registry import RunContext, app_datasets, app_order, parse_scale
 from .runner import ExperimentRunner
 from .runstore import RunStore, default_run_db
 from .sweep import AXIS_VALUE_PARSERS, parse_axis_value
 
 #: Executor names accepted by --executor flags.
-_EXECUTOR_CHOICES = ("local", "pool", "subprocess")
+_EXECUTOR_CHOICES = tuple(EXECUTORS)
 
 
 def _add_run_context_arguments(parser: argparse.ArgumentParser) -> None:
@@ -141,13 +142,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_context_arguments(parser)
     parser.add_argument(
         "-j", "--workers", type=int, default=None,
-        help="process-pool size (default: $REPRO_EVAL_WORKERS or serial)",
+        help="worker processes (default: $REPRO_EVAL_WORKERS or serial)",
     )
     parser.add_argument(
         "--executor",
         choices=_EXECUTOR_CHOICES,
         default=None,
-        help="execution backend (default: automatic local/pool choice)",
+        help=(
+            "execution backend "
+            "(default: subprocess workers under -j when they pay off, else local)"
+        ),
     )
     parser.add_argument("--no-cache", action="store_true", help="bypass the on-disk profile cache")
     parser.add_argument(
@@ -224,13 +228,16 @@ def build_dse_parser() -> argparse.ArgumentParser:
     _add_run_context_arguments(parser)
     parser.add_argument(
         "-j", "--workers", type=int, default=None,
-        help="process-pool size for profile collection",
+        help="worker processes for profile collection",
     )
     parser.add_argument(
         "--executor",
         choices=_EXECUTOR_CHOICES,
         default=None,
-        help="execution backend for profile collection (default: automatic local/pool)",
+        help=(
+            "execution backend for profile collection "
+            "(default: subprocess workers under -j when they pay off, else local)"
+        ),
     )
     parser.add_argument("--no-cache", action="store_true", help="bypass the on-disk profile cache")
     parser.add_argument(

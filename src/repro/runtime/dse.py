@@ -322,7 +322,8 @@ def explore(
             :class:`ExperimentRunner` (``executor`` picks the execution
             backend for profile collection: a name, an
             :class:`~repro.runtime.executors.base.Executor` instance, or
-            ``None`` for the automatic local/pool choice).
+            ``None`` for ``workers`` subprocess workers when they pay off,
+            else serial in process).
         memory_budget: Byte budget for the costing working set; the
             (profile x variant) cross-product streams through it chunk by
             chunk with the geometric-mean / Pareto state folded

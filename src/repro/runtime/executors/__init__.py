@@ -6,9 +6,9 @@ work-unit payloads, return one outcome per payload in input order, with
 shared per-unit timeout, bounded retries with backoff, and cancellation.
 
 * ``local`` -- serial, in process (the reference backend);
-* ``pool`` -- a :class:`~concurrent.futures.ProcessPoolExecutor` fan-out;
 * ``subprocess`` -- persistent ``repro-eval worker`` child processes
-  behind an arbitrary command prefix (the SSH-shaped seam).
+  behind an arbitrary command prefix (the SSH-shaped seam); the one
+  parallel backend, and the only one that kills a timed-out unit.
 
 :func:`create_executor` is the factory the runner, DSE, CLI, and serve
 layers use to resolve an executor name. Any backend can be wrapped in a
@@ -32,19 +32,17 @@ from .base import (
     WorkerError,
 )
 from .local import LocalExecutor
-from .pool import PoolExecutor
 from .subprocess import SubprocessExecutor
 
 #: Executor classes by CLI/serve-facing name.
 EXECUTORS: Dict[str, Type[Executor]] = {
     LocalExecutor.name: LocalExecutor,
-    PoolExecutor.name: PoolExecutor,
     SubprocessExecutor.name: SubprocessExecutor,
 }
 
 
 def create_executor(name: str, **options: Any) -> Executor:
-    """Instantiate the named executor (``local``/``pool``/``subprocess``).
+    """Instantiate the named executor (``local``/``subprocess``).
 
     Keyword options are forwarded to the constructor (``workers``,
     ``timeout_s``, ``retries``, ``backoff_s``, ``seed``, and for
@@ -67,7 +65,6 @@ __all__ = [
     "OUTCOME_ERROR",
     "OUTCOME_OK",
     "OUTCOME_TIMEOUT",
-    "PoolExecutor",
     "SubprocessExecutor",
     "UnitOutcome",
     "WorkerError",

@@ -23,9 +23,7 @@ class owns the policy knobs so every backend behaves identically:
   retries, outstanding units are cancelled instead of executed.
 
 Backends: :class:`~repro.runtime.executors.local.LocalExecutor` (serial,
-in process), :class:`~repro.runtime.executors.pool.PoolExecutor` (the
-process pool extracted from the old ``ExperimentRunner._run_parallel``),
-and :class:`~repro.runtime.executors.subprocess.SubprocessExecutor`
+in process) and :class:`~repro.runtime.executors.subprocess.SubprocessExecutor`
 (persistent ``repro-eval worker`` children behind an arbitrary command
 prefix -- the SSH-shaped seam).
 """
@@ -77,7 +75,8 @@ class UnitOutcome:
         error: One-line failure summary (``None`` when ok/cancelled).
         traceback: Full traceback text of the failing attempt, when known.
         exception: The exception object itself, when it exists in this
-            process (in-process executors; pool failures that unpickle).
+            process (the in-process executor); across a process boundary
+            a :class:`WorkerError` carrying the worker's traceback.
         duration_s: Wall time of the last attempt.
         attempts: Attempts consumed (0 for units cancelled before starting).
         classification: ``"transient"`` or ``"permanent"`` for failed

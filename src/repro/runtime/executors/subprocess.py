@@ -12,6 +12,8 @@ speaks a JSON-lines protocol over its stdin/stdout::
 The ``warmup`` handshake opens every fresh worker's conversation. It runs
 no unit, under its own ``WARMUP_TIMEOUT_S`` cap, so interpreter startup
 never counts against a unit's ``timeout_s`` and no unit fault fires on it.
+A worker that overruns the cap is retired and its attempt reports an
+``error`` naming the handshake, not a unit timeout: no unit ran.
 
 The worker command is an arbitrary prefix (default: this interpreter
 running ``repro.runtime.cli``) with ``worker`` appended -- the SSH-shaped
@@ -19,8 +21,9 @@ seam: point ``command`` at ``["ssh", "host", "repro-eval"]`` and the same
 executor drives remote workers, because everything a unit needs travels
 in its payload and results come back as JSON.
 
-Unlike the pool, a timed-out unit here is *actually* killed (the worker
-process is terminated and respawned), so ``timeout_s`` is a hard cap.
+A timed-out unit is *actually* killed (the worker process is terminated
+and respawned), so ``timeout_s`` is a hard cap and no attempt outlives its
+run.
 Results are deserialized per unit kind, so callers see the same native
 objects the in-process executors return.
 
@@ -90,7 +93,8 @@ def _worker_env() -> Dict[str, str]:
 
 
 class _WorkerDied(CapstanError):
-    """The worker process exited (or its pipe closed) mid-conversation."""
+    """The worker process exited (or its pipe closed) mid-conversation, or
+    never finished its start-up handshake."""
 
 
 class _ProtocolError(CapstanError):
@@ -157,9 +161,16 @@ class _Worker:
         """Block until the worker answers the spawn handshake.
 
         The handshake executes no unit, so an armed unit fault cannot turn
-        it into a stall that only ``WARMUP_TIMEOUT_S`` would cut.
+        it into a stall that only ``WARMUP_TIMEOUT_S`` would cut. A worker
+        that overruns the cap raises :class:`_WorkerDied`, not a unit
+        :class:`TimeoutError`.
         """
-        self._converse({"warmup": True}, WARMUP_TIMEOUT_S)
+        try:
+            self._converse({"warmup": True}, WARMUP_TIMEOUT_S)
+        except TimeoutError:
+            raise _WorkerDied(
+                f"worker start-up handshake exceeded its {WARMUP_TIMEOUT_S:g}s cap"
+            ) from None
 
     def _converse(self, message: Dict[str, Any], timeout_s: Optional[float]) -> Dict[str, Any]:
         self._next_id += 1
@@ -349,16 +360,14 @@ class SubprocessExecutor(Executor):
             response = worker.request(payload, self.timeout_s)
         except TimeoutError:
             self._retire(holder)  # the overrunning unit dies with its worker
-            # With no unit timeout, only the spawn handshake can time out.
-            limit = WARMUP_TIMEOUT_S if self.timeout_s is None else self.timeout_s
             return UnitOutcome(
                 status=OUTCOME_TIMEOUT,
-                error=f"unit exceeded {limit:g}s timeout",
+                error=f"unit exceeded {self.timeout_s:g}s timeout",
                 duration_s=time.perf_counter() - start,
             )
         except (_ProtocolError, _WorkerDied, OSError) as exc:
-            # A dead or garbling worker is retired; the next attempt on this
-            # slot spawns a fresh one instead of reusing the bad connection.
+            # A dead, stalled or garbling worker is retired; the next attempt
+            # on this slot spawns a fresh one instead of reusing it.
             self._retire(holder)
             if self.cancelled():
                 return UnitOutcome(status=OUTCOME_CANCELLED)

@@ -39,7 +39,7 @@ Injection reaches any backend through two seams: in-process,
 :func:`install_plan` (or :class:`FaultyExecutor`, which installs around
 each ``run_units`` call); across process boundaries, the
 ``REPRO_FAULT_PLAN`` environment variable carrying ``plan.to_json()``,
-which pool children inherit and ``repro-eval worker`` subprocesses read.
+which ``repro-eval worker`` subprocesses inherit and read.
 :func:`inject_unit_fault` is called by
 :func:`repro.runtime.jobs.execute_unit` -- the single entry point every
 executor drives -- so unit-level faults hit all backends identically.
@@ -329,8 +329,8 @@ class FaultyExecutor:
     """Wrap any executor so its runs execute under a :class:`FaultPlan`.
 
     The plan is installed (in-process and via ``REPRO_FAULT_PLAN``) around
-    every ``run_units`` call, so in-process units, pool children, and
-    freshly spawned ``repro-eval worker`` subprocesses all see it. After a
+    every ``run_units`` call, so in-process units and freshly spawned
+    ``repro-eval worker`` subprocesses both see it. After a
     wave returns -- and before the caller (``JobStore.run_job``) can commit
     it -- an armed ``exit_mid_wave`` fault kills this process, simulating a
     driver dying with executed-but-uncommitted work.

@@ -4,8 +4,8 @@ A *job* is any task grid -- the (application x dataset) profile grid, a
 design-space cross-product, or the table suite -- sharded into
 content-addressed *work units* whose states persist in the SQLite run
 store (:mod:`repro.runtime.runstore`, schema version 3). Each unit is a
-self-contained JSON payload any worker can execute: in process, in a pool
-worker, or in a ``repro-eval worker`` subprocess on another machine (see
+self-contained JSON payload any worker can execute: in process, or in a
+``repro-eval worker`` subprocess on this or another machine (see
 :mod:`repro.runtime.executors`). The lifecycle::
 
     spec = JobSpec.profile_grid(apps=["spmv-csr", "bfs"], context=context)
@@ -183,8 +183,8 @@ def unit_kind(name: str) -> UnitKind:
 def execute_unit(payload: Dict[str, Any]) -> Any:
     """Execute one work-unit payload and return its (native) result.
 
-    This is the single entry point every executor drives -- in process,
-    from a pool worker, or behind ``repro-eval worker`` -- which also
+    This is the single entry point every executor drives -- in process
+    or behind ``repro-eval worker`` -- which also
     makes it the seam where an active fault plan (see
     :mod:`repro.runtime.faults`) injects unit-level faults into every
     backend identically.
@@ -257,7 +257,7 @@ def _execute_dse_chunk(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Cost one contiguous slice of a sweep cross-product.
 
     Profiles come through the cached :class:`ExperimentRunner` (serial --
-    the parallelism axis of a DSE job is its units, not a nested pool), so
+    the parallelism axis of a DSE job is its units, not nested workers), so
     every chunk of the same job reuses the same cached profile set.
     """
     from .dse import cost_variants

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..apps.profile import WorkloadProfile
 from . import registry
 from .cache import ProfileCache, cache_enabled
-from .executors import Executor, LocalExecutor, PoolExecutor, UnitOutcome, create_executor
+from .executors import Executor, LocalExecutor, SubprocessExecutor, UnitOutcome, create_executor
 from .executors.base import OUTCOME_ERROR, OUTCOME_OK, OUTCOME_TIMEOUT, WorkerError
 from .jobs import context_to_dict
 from .registry import RunContext
@@ -96,8 +96,8 @@ class _RemoteTraceback(Exception):
         return f"\n{self.text}"
 
 
-#: Minimum pending tasks before a process pool is worth its spawn cost.
-MIN_TASKS_FOR_POOL = 2
+#: Minimum pending tasks before worker processes are worth their spawn cost.
+MIN_TASKS_FOR_WORKERS = 2
 
 #: One warning per process for a bad REPRO_EVAL_WORKERS, not one per call.
 _warned_bad_workers = False
@@ -125,15 +125,15 @@ def default_workers() -> int:
         return 1
 
 
-def pool_is_profitable(workers: int, pending_tasks: int) -> bool:
-    """Whether fanning ``pending_tasks`` over ``workers`` can pay off.
+def workers_are_profitable(workers: int, pending_tasks: int) -> bool:
+    """Whether fanning ``pending_tasks`` over ``workers`` processes can pay off.
 
-    A process pool on a single-core machine only adds spawn and pickling
-    overhead (the seed benchmark measured a 0.94x "speedup" on one core),
-    and so does a pool with almost nothing to run. Serial execution is
-    used whenever either holds.
+    Worker processes on a single-core machine only add spawn and
+    serialization overhead (the seed benchmark measured a 0.94x "speedup"
+    on one core), and so do workers with almost nothing to run. Serial
+    execution is used whenever either holds.
     """
-    if workers <= 1 or pending_tasks < MIN_TASKS_FOR_POOL:
+    if workers <= 1 or pending_tasks < MIN_TASKS_FOR_WORKERS:
         return False
     return (os.cpu_count() or 1) > 1
 
@@ -152,16 +152,17 @@ class ExperimentRunner:
             reads ``REPRO_EVAL_WORKERS`` (default serial). Even with
             ``workers > 1`` the default executor falls back to serial when
             the machine has a single core or too few tasks are pending for
-            a pool to pay off (see :func:`pool_is_profitable`).
+            worker processes to pay off (see :func:`workers_are_profitable`).
         cache: ``True`` (default) uses the default on-disk profile cache,
             ``False``/``None`` disables caching, or pass a
             :class:`ProfileCache` instance. The
             ``REPRO_PROFILE_CACHE_DISABLE`` kill switch overrides ``True``.
         raise_on_error: Re-raise the first task failure (default). When
             ``False``, failures are reported as ``"error"`` task results.
-        executor: ``None`` picks local/pool automatically per run; a name
-            (``"local"``/``"pool"``/``"subprocess"``) builds that executor
-            with ``workers``; or pass a configured
+        executor: ``None`` picks per run: ``workers`` ``repro-eval
+            worker`` subprocesses when they pay off, else serial in
+            process; a name (``"local"``/``"subprocess"``) builds that
+            executor with ``workers``; or pass a configured
             :class:`~repro.runtime.executors.base.Executor` instance.
     """
 
@@ -248,8 +249,8 @@ class ExperimentRunner:
             return self.executor
         if isinstance(self.executor, str):
             return create_executor(self.executor, workers=self.workers)
-        if pool_is_profitable(self.workers, pending_tasks):
-            return PoolExecutor(self.workers)
+        if workers_are_profitable(self.workers, pending_tasks):
+            return SubprocessExecutor(self.workers)
         return LocalExecutor(self.workers)
 
     def _key(self, app: str, dataset: str) -> str:

@@ -161,9 +161,12 @@ class TestWorkerFaults:
 
 
 class TestExactlyOnce:
-    def test_byte_identical_cache_vs_fault_free_run(self, tmp_path):
+    @pytest.mark.parametrize("claimants", [1, 2])
+    def test_byte_identical_cache_vs_fault_free_run(self, tmp_path, claimants):
         # The headline invariant: a sweep that crashed, retried, and
-        # resumed must leave exactly the bytes a clean serial run leaves.
+        # resumed must leave exactly the bytes a clean serial run leaves --
+        # also when two claimants, each with its own faulty executor, drain
+        # the same job at once.
         from repro.runtime.registry import RunContext
 
         context = RunContext(scale=1 / 512)
@@ -175,12 +178,36 @@ class TestExactlyOnce:
             job = store.submit(spec)
             assert store.run_job(job.id, LocalExecutor()).state == JOB_DONE
 
-        plan = FaultPlan([Fault(kind="error", times=2)], seed=11)
-        executor = FaultyExecutor(LocalExecutor(retries=2, backoff_s=0.0), plan)
-        with JobStore(tmp_path / "faulty.sqlite") as store:
+        db = tmp_path / "faulty.sqlite"
+        with JobStore(db) as store:
             spec = JobSpec.profile_grid(["spmv-csr"], context, cache_root=faulty_root)
-            job = store.submit(spec)
-            assert store.run_job(job.id, executor).state == JOB_DONE
+            job_id = store.submit(spec).id
+        plan = FaultPlan([Fault(kind="error", times=2)], seed=11)
+        errors = []
+
+        def drain():
+            executor = FaultyExecutor(LocalExecutor(retries=2, backoff_s=0.0), plan)
+            try:
+                with JobStore(db) as store:
+                    store.run_job(job_id, executor)
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        # Each claimant installs the plan around its waves; holding it
+        # installed across both keeps one claimant's exit from uninstalling
+        # it under the other.
+        with plan.installed():
+            threads = [threading.Thread(target=drain) for _ in range(claimants)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert plan._fired == {0: 2}  # both faults fired
+        with JobStore(db) as store:
+            assert store.job(job_id).state == JOB_DONE
+            assert all(unit.state == UNIT_DONE for unit in store.units(job_id))
 
         clean = {path.name: path.read_bytes() for path in sorted(clean_root.iterdir())}
         faulty = {path.name: path.read_bytes() for path in sorted(faulty_root.iterdir())}

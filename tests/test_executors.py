@@ -1,7 +1,7 @@
-"""Executor conformance suite: one contract, three backends.
+"""Executor conformance suite: one contract, two backends.
 
 Every test in ``TestExecutorConformance`` runs identically against the
-local, pool, and subprocess executors -- same assertions for ordering,
+local and subprocess executors -- same assertions for ordering,
 error propagation, retry accounting, timeouts, stop-on-error, and
 cancellation. The probe unit kind (``repro.runtime.jobs``) makes attempt
 counts observable across process boundaries by dropping one marker file
@@ -10,18 +10,22 @@ per execution into a scratch directory.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.runtime.executors import (
     EXECUTORS,
     LocalExecutor,
-    PoolExecutor,
     SubprocessExecutor,
     create_executor,
 )
+from repro.runtime.executors import subprocess as subprocess_module
 from repro.runtime.executors.base import (
     OUTCOME_CANCELLED,
     OUTCOME_ERROR,
@@ -40,7 +44,7 @@ def _attempt_markers(scratch) -> int:
     return len(list(scratch.glob("attempt-*"))) if scratch.is_dir() else 0
 
 
-@pytest.fixture(params=["local", "pool", "subprocess"])
+@pytest.fixture(params=["local", "subprocess"])
 def executor_name(request):
     return request.param
 
@@ -117,7 +121,7 @@ class TestExecutorConformance:
 
         # Cancel once the second unit has *started* (its attempt marker
         # appears); with one worker that means the first unit finished.
-        # A wall-clock timer would race worker/pool startup cost.
+        # A wall-clock timer would race worker startup cost.
         def cancel_after_second_start() -> None:
             deadline = time.perf_counter() + 30.0
             while time.perf_counter() < deadline:
@@ -163,10 +167,9 @@ class TestExecutorConformance:
 
 class TestExecutorRegistry:
     def test_factory_names(self):
-        assert set(EXECUTORS) == {"local", "pool", "subprocess"}
+        assert set(EXECUTORS) == {"local", "subprocess"}
         assert isinstance(create_executor("local"), LocalExecutor)
-        assert isinstance(create_executor("pool", workers=3), PoolExecutor)
-        assert isinstance(create_executor("subprocess"), SubprocessExecutor)
+        assert isinstance(create_executor("subprocess", workers=3), SubprocessExecutor)
 
     def test_unknown_name_rejected(self):
         from repro.errors import ConfigurationError
@@ -175,16 +178,96 @@ class TestExecutorRegistry:
             create_executor("ssh-someday")
 
     def test_options_forwarded(self):
-        executor = create_executor("pool", workers=7, timeout_s=1.5, retries=2)
+        command = [sys.executable, "-m", "repro.runtime.cli"]
+        executor = create_executor(
+            "subprocess", workers=7, timeout_s=1.5, retries=2, command=command
+        )
         assert executor.workers == 7
         assert executor.timeout_s == 1.5
         assert executor.retries == 2
+        assert executor.command == command
 
     def test_subprocess_worker_crash_surfaces_as_error(self):
         # A worker whose process dies mid-unit must not hang the run.
         executor = SubprocessExecutor(workers=1, command=["false"])
         outcomes = executor.run_units([_probe(1)])
         assert outcomes[0].status == OUTCOME_ERROR
+
+
+#: Runs one 30 s probe unit under a 0.5 s timeout on the named executor, then
+#: exits; the unit drops a marker naming the process that ran it.
+_HARD_CAP_SCRIPT = """
+import sys
+from repro.runtime.executors import create_executor
+executor = create_executor(sys.argv[1], workers=1, timeout_s=0.5)
+outcome, = executor.run_units(
+    [{"kind": "probe", "value": 1, "sleep_s": 30.0, "scratch": sys.argv[2]}]
+)
+print(outcome.status)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (a zombie awaiting its reaper is not)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    stat = Path(f"/proc/{pid}/stat")
+    return not stat.exists() or stat.read_text().rsplit(")", 1)[1].split()[0] != "Z"
+
+
+class TestHardTimeout:
+    @pytest.mark.parametrize("name", sorted(EXECUTORS))
+    def test_timed_out_unit_does_not_outlive_its_run(self, name, tmp_path):
+        # timeout_s is a hard cap: once run_units reports the timeout, the
+        # driver exits at once and no process is still running the unit.
+        scratch = tmp_path / "markers"
+        started = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-c", _HARD_CAP_SCRIPT, name, str(scratch)],
+            env=subprocess_module._worker_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        elapsed = time.perf_counter() - started
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["timeout"]
+        assert elapsed < 10.0
+        pids = [int(marker.name.split("-")[1]) for marker in scratch.glob("attempt-*")]
+        assert pids  # the unit did start
+        assert not [pid for pid in pids if _running(pid)]
+
+
+class TestSubprocessStartup:
+    def test_startup_stall_is_an_error_not_a_unit_timeout(self, monkeypatch):
+        # A worker that never answers its handshake ran no unit: the
+        # attempt is an error naming the handshake, and the retry spawns
+        # a fresh worker (which stalls too) instead of reusing the first.
+        monkeypatch.setattr(subprocess_module, "WARMUP_TIMEOUT_S", 0.5)
+        spawned = []
+        spawn = subprocess_module._Worker.__init__
+
+        def counting_spawn(worker, command):
+            spawn(worker, command)
+            spawned.append(worker.proc.pid)
+
+        monkeypatch.setattr(subprocess_module._Worker, "__init__", counting_spawn)
+        executor = SubprocessExecutor(
+            workers=1,
+            timeout_s=5.0,
+            retries=1,
+            command=[sys.executable, "-c", "import time; time.sleep(60)"],
+        )
+        started = time.perf_counter()
+        outcome, = executor.run_units([_probe(1)])
+        assert time.perf_counter() - started < 10.0
+        assert outcome.status == OUTCOME_ERROR
+        assert "start-up handshake" in outcome.error and "0.5s" in outcome.error
+        assert outcome.attempts == 2
+        assert len(set(spawned)) == 2
+        assert not [pid for pid in spawned if _running(pid)]
 
 
 class TestBackoffJitter:

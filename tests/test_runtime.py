@@ -29,15 +29,17 @@ from repro.runtime.cache import (
     write_json_atomic,
 )
 from repro.runtime import runner as runner_module
-from repro.runtime.executors import pool as pool_module
+from repro.runtime.executors import WorkerError
+from repro.runtime.executors import subprocess as subprocess_module
+from repro.runtime.faults import ENV_FAULT_PLAN, Fault, FaultPlan
 from repro.runtime.registry import AppSpec, RegistryError, RunContext, parse_scale, register
-from repro.runtime.runner import ExperimentRunner, default_workers, pool_is_profitable
+from repro.runtime.runner import ExperimentRunner, default_workers, workers_are_profitable
 from repro.runtime.sweep import sweep
 
 
 @pytest.fixture
 def multicore(monkeypatch):
-    """Pretend the machine has cores so worker pools are not elided."""
+    """Pretend the machine has cores so worker processes are not elided."""
     monkeypatch.setattr(runner_module.os, "cpu_count", lambda: 4)
 
 #: Expected Table 12 application order.
@@ -367,7 +369,7 @@ class TestExperimentRunner:
             (app, dataset) for app in EXPECTED_APPS for dataset in APP_DATASETS[app]
         ]
 
-    def test_error_reporting_without_raise(self, multicore):
+    def test_error_reporting_without_raise(self, multicore, monkeypatch):
         failing = AppSpec(
             name="always-fails",
             datasets=("ckt11752_dc_1", "Trefethen_20000"),
@@ -377,29 +379,39 @@ class TestExperimentRunner:
         )
         register(failing)
         try:
-            report = ExperimentRunner(cache=False, raise_on_error=False).run(
+            report = ExperimentRunner(cache=False, workers=1, raise_on_error=False).run(
                 apps=["always-fails"]
             )
             assert len(report.errors()) == 2
             assert "boom" in report.errors()[0].error
             with pytest.raises(RuntimeError):
-                ExperimentRunner(cache=False, raise_on_error=True).run(apps=["always-fails"])
-            # Across a process pool the worker traceback is chained on.
-            with pytest.raises(RuntimeError) as excinfo:
-                ExperimentRunner(cache=False, workers=2, raise_on_error=True).run(
-                    apps=["always-fails"]
-                )
-            assert "boom" in str(excinfo.value.__cause__)
+                ExperimentRunner(cache=False, workers=1).run(apps=["always-fails"])
         finally:
             registry_module._REGISTRY.pop("always-fails", None)
+        # Under -j every unit fails inside a real worker process (an app
+        # registered here would be unknown there, so a fault plan fails
+        # it); the worker's traceback is chained on.
+        plan = FaultPlan([Fault(kind="error", times=99)])
+        monkeypatch.setenv(ENV_FAULT_PLAN, plan.to_json())
+        context = RunContext(scale=TINY)
+        report = ExperimentRunner(
+            context=context, cache=False, workers=2, raise_on_error=False
+        ).run(apps=["spmv-csr"])
+        assert report.executor == "subprocess"
+        assert len(report.errors()) == 3
+        assert "FaultInjected: injected error fault" in report.errors()[0].error
+        with pytest.raises(WorkerError) as excinfo:
+            ExperimentRunner(context=context, cache=False, workers=2).run(apps=["spmv-csr"])
+        assert "FaultInjected" in str(excinfo.value)
+        assert "inject_unit_fault" in str(excinfo.value.__cause__)
 
-    def test_pool_elided_on_single_core(self, monkeypatch):
+    def test_workers_elided_on_single_core(self, monkeypatch):
         monkeypatch.setattr(runner_module.os, "cpu_count", lambda: 1)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("process pool used on a single-core machine")
+            raise AssertionError("worker process spawned on a single-core machine")
 
-        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", forbidden)
+        monkeypatch.setattr(subprocess_module, "_Worker", forbidden)
         report = ExperimentRunner(
             context=RunContext(scale=TINY), workers=4, cache=False
         ).run(apps=["spmv-csr"])
@@ -432,15 +444,15 @@ class TestExperimentRunner:
         monkeypatch.setenv("REPRO_EVAL_WORKERS", "6")
         assert default_workers() == 6
 
-    def test_pool_profitability_rules(self, monkeypatch):
+    def test_worker_profitability_rules(self, monkeypatch):
         monkeypatch.setattr(runner_module.os, "cpu_count", lambda: 8)
-        assert pool_is_profitable(4, 10)
-        assert not pool_is_profitable(1, 10)  # serial requested
-        assert not pool_is_profitable(4, 1)  # nothing to overlap
+        assert workers_are_profitable(4, 10)
+        assert not workers_are_profitable(1, 10)  # serial requested
+        assert not workers_are_profitable(4, 1)  # nothing to overlap
         monkeypatch.setattr(runner_module.os, "cpu_count", lambda: 1)
-        assert not pool_is_profitable(4, 10)  # no cores to use
+        assert not workers_are_profitable(4, 10)  # no cores to use
         monkeypatch.setattr(runner_module.os, "cpu_count", lambda: None)
-        assert not pool_is_profitable(4, 10)  # unknown counts as one
+        assert not workers_are_profitable(4, 10)  # unknown counts as one
 
 
 class TestBackendPlumbing:
@@ -549,6 +561,13 @@ class TestCLIRunContext:
         assert exited.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {flag}: invalid" in err and "'1/0'" in err
+
+    @pytest.mark.parametrize("subcommand", [[], ["dse"], ["sweep"]])
+    def test_pool_executor_is_a_usage_error(self, subcommand, capsys):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(subcommand + ["--executor", "pool"])
+        assert exited.value.code == 2
+        assert "argument --executor: invalid choice: 'pool'" in capsys.readouterr().err
 
     def test_cache_policy_follows_the_cache_flags(self, tmp_path):
         parse = cli.build_parser().parse_args

@@ -246,7 +246,7 @@ class TestErrors:
 #: Runs the batch in a fresh interpreter once per condition and prints,
 #: per condition, the forks made and the result digest.
 _FRESH_SCRIPT = """
-import json, multiprocessing, os, sys, threading
+import json, os, sys, threading
 sys.path.insert(0, sys.argv[1])
 import test_spmu_fanout as t
 from repro.core import spmu_array
@@ -274,14 +274,6 @@ thread.start()
 out["thread"] = run()
 stop.set()
 thread.join(60)
-
-def child(conn):
-    conn.send(run())
-parent_end, child_end = multiprocessing.get_context("fork").Pipe()
-process = multiprocessing.get_context("fork").Process(target=child, args=(child_end,))
-process.start()
-out["mp_child"] = parent_end.recv()
-process.join(60)
 
 cores = os.sched_getaffinity(0)
 os.sched_setaffinity(0, {min(cores)})
@@ -316,7 +308,7 @@ class TestFreshInterpreter:
         else:
             assert fresh["plain"]["n"] == 0
 
-    @pytest.mark.parametrize("condition", ["thread", "mp_child", "affinity_1", "executor_worker"])
+    @pytest.mark.parametrize("condition", ["thread", "affinity_1", "executor_worker"])
     def test_refusal_forks_nothing(self, fresh, serial, condition):
         assert fresh[condition]["n"] == 0
         assert fresh[condition]["digest"] == _digest(serial[3])
