@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -40,6 +40,8 @@ from ..config import ScannerConfig
 from ..errors import SimulationError
 from ..formats import packed
 from ..formats.bitvector import BitVector
+
+T = TypeVar("T")
 
 
 class ScanMode(Enum):
@@ -330,41 +332,66 @@ class BitVectorScanner:
         return mask, a_positions, b_positions
 
 
+def per_bit_width(
+    configs: Sequence[ScannerConfig], prepare: Callable[[int], Callable[[int], T]]
+) -> List[T]:
+    """One result per configuration, with the width-bound work done once per width.
+
+    ``prepare(bit_width)`` does everything that depends on the input width
+    alone (chunking, grouping, sorting) and returns ``cost(output_vectorization)``,
+    so configurations that share a ``bit_width`` share that work and each
+    pays only its own output reduction. One width's arrays are released
+    before the next width is prepared.
+    """
+    results: List[T] = [None] * len(configs)  # type: ignore[list-item]
+    for width in dict.fromkeys(config.bit_width for config in configs):
+        cost = prepare(width)
+        for index, config in enumerate(configs):
+            if config.bit_width == width:
+                results[index] = cost(config.output_vectorization)
+    return results
+
+
+def timing_sweep(
+    set_indices: np.ndarray, space_length: int, configs: Sequence[ScannerConfig]
+) -> List[ScanTiming]:
+    """Scanner cycle accounting from combined set-bit positions, per configuration.
+
+    The shared vectorized core behind :meth:`BitVectorScanner.timing` and
+    the application scan model: per bit width, one bincount over
+    ``set_indices // bit_width`` yields every chunk's occupancy, from which
+    each output vectorization's cycles, output-limited cycles and empty
+    chunks follow. A zero-length space still streams one (empty) chunk,
+    matching the hardware's minimum one-cycle scan.
+    """
+    positions = np.asarray(set_indices, dtype=np.int64)
+
+    def prepare(width: int) -> Callable[[int], ScanTiming]:
+        chunks = (max(space_length, 1) + width - 1) // width
+        counts = np.bincount(positions // width, minlength=chunks)
+        occupied = counts[counts > 0]
+        empty = chunks - int(occupied.size)
+
+        def timing(out_width: int) -> ScanTiming:
+            busy = int(((occupied + out_width - 1) // out_width).sum())
+            return ScanTiming(
+                cycles=busy + empty,
+                elements=int(positions.size),
+                bit_chunks=chunks,
+                output_limited_cycles=busy - int(occupied.size),
+                empty_chunks=empty,
+            )
+
+        return timing
+
+    return per_bit_width(configs, prepare)
+
+
 def timing_from_indices(
     set_indices: np.ndarray, space_length: int, config: ScannerConfig
 ) -> ScanTiming:
-    """Scanner cycle accounting from combined set-bit positions.
-
-    The shared vectorized core behind :meth:`BitVectorScanner.timing` and
-    the application scan model: one
-    bincount over ``set_indices // bit_width`` yields every chunk's
-    occupancy, from which cycles, output-limited cycles, and empty chunks
-    all follow. A zero-length space still streams one (empty) chunk,
-    matching the hardware's minimum one-cycle scan.
-    """
-    width = config.bit_width
-    out_width = config.output_vectorization
-    chunks = (max(space_length, 1) + width - 1) // width
-    positions = np.asarray(set_indices, dtype=np.int64)
-    if positions.size == 0:
-        return ScanTiming(
-            cycles=chunks,
-            elements=0,
-            bit_chunks=chunks,
-            output_limited_cycles=0,
-            empty_chunks=chunks,
-        )
-    counts = np.bincount(positions // width, minlength=chunks)
-    occupied = counts > 0
-    chunk_cycles = np.where(occupied, (counts + out_width - 1) // out_width, 1)
-    output_limited = int((chunk_cycles[occupied] - 1).sum())
-    return ScanTiming(
-        cycles=int(chunk_cycles.sum()),
-        elements=int(positions.size),
-        bit_chunks=int(chunks),
-        output_limited_cycles=output_limited,
-        empty_chunks=int(np.count_nonzero(~occupied)),
-    )
+    """:func:`timing_sweep` of one scanner configuration."""
+    return timing_sweep(set_indices, space_length, [config])[0]
 
 
 def scan_timing_from_mask_reference(

@@ -89,13 +89,17 @@ def read_json(path: Path) -> Optional[Dict[str, Any]]:
 
 
 def write_json_atomic(path: Path, payload: Dict[str, Any]) -> None:
-    """Write one compact JSON entry atomically (write-to-temp, then rename)."""
+    """Write one compact JSON entry atomically (write-to-temp, then rename).
+
+    ``json.dumps`` runs the C encoder; ``json.dump`` to a file always runs
+    the pure-Python one, for the same bytes.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle)
+            handle.write(json.dumps(payload))
         os.replace(tmp_name, path)
     except BaseException:
         try:

@@ -238,28 +238,52 @@ class FaultPlan:
 
     @contextmanager
     def installed(self) -> Iterator["FaultPlan"]:
-        """Install this plan in-process *and* in the environment seam."""
-        global _INSTALLED
-        previous_plan = _INSTALLED
-        previous_env = os.environ.get(ENV_FAULT_PLAN)
-        _INSTALLED = self
-        os.environ[ENV_FAULT_PLAN] = self.to_json()
+        """Install this plan in-process *and* in the environment seam.
+
+        Installs may overlap, also across threads: the live ones form a
+        stack whose newest entry is active, and each exit removes its own
+        entry. Once every install has exited, the plan and
+        ``REPRO_FAULT_PLAN`` from before the first one are back.
+        """
+        global _BASE
+        entry = (object(), self)
+        with _LIVE_LOCK:
+            if not _LIVE:
+                _BASE = (_INSTALLED, os.environ.get(ENV_FAULT_PLAN))
+            _LIVE.append(entry)
+            _expose_live()
         try:
             yield self
         finally:
-            _INSTALLED = previous_plan
-            if previous_env is None:
-                os.environ.pop(ENV_FAULT_PLAN, None)
-            else:
-                os.environ[ENV_FAULT_PLAN] = previous_env
+            with _LIVE_LOCK:
+                _LIVE.remove(entry)
+                _expose_live()
 
 
 # --------------------------------------------------------- the active plan
 
 _INSTALLED: Optional[FaultPlan] = None
+#: Live :meth:`FaultPlan.installed` entries, oldest first, and the plan and
+#: environment text from before the oldest; guarded by ``_LIVE_LOCK``.
+_LIVE: List[Tuple[object, FaultPlan]] = []
+_BASE: Tuple[Optional[FaultPlan], Optional[str]] = (None, None)
+_LIVE_LOCK = threading.Lock()
 #: (raw env text, parsed plan) -- the parse is cached per raw string so the
 #: plan object (and its in-memory ordinal state) survives across calls.
 _ENV_CACHE: Tuple[Optional[str], Optional[FaultPlan]] = (None, None)
+
+
+def _expose_live() -> None:
+    """Activate the newest live install, else what was there before the first."""
+    global _INSTALLED
+    if _LIVE:
+        _INSTALLED, env = _LIVE[-1][1], _LIVE[-1][1].to_json()
+    else:
+        _INSTALLED, env = _BASE
+    if env is None:
+        os.environ.pop(ENV_FAULT_PLAN, None)
+    else:
+        os.environ[ENV_FAULT_PLAN] = env
 
 
 def install_plan(plan: Optional[FaultPlan]) -> None:

@@ -8,6 +8,8 @@ on -- a plan that misfires here makes every chaos assertion meaningless.
 from __future__ import annotations
 
 import os
+import sys
+import threading
 
 import pytest
 
@@ -117,6 +119,70 @@ class TestSeams:
             assert os.environ[ENV_FAULT_PLAN] == plan.to_json()
         assert active_plan() is None
         assert ENV_FAULT_PLAN not in os.environ
+
+    def test_overlapping_installs_from_two_threads_leave_nothing_installed(self):
+        # a holds its install over 0-0.2 s, b over 0.1-0.4 s: a exits first.
+        a, b = FaultPlan([Fault(kind="error")], seed=1), FaultPlan([Fault(kind="hang")], seed=2)
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def hold_a():
+            with a.installed():
+                a_in.set()
+                b_in.wait(5)
+            a_out.set()
+
+        def hold_b():
+            a_in.wait(5)
+            with b.installed():
+                b_in.set()
+                a_out.wait(5)
+                seen["after_a"] = (active_plan(), os.environ.get(ENV_FAULT_PLAN))
+
+        threads = [threading.Thread(target=hold_a), threading.Thread(target=hold_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+        assert seen["after_a"] == (b, b.to_json())
+        assert active_plan() is None
+        assert ENV_FAULT_PLAN not in os.environ
+
+    def test_installs_racing_on_many_threads_leave_nothing_installed(self):
+        plans = [FaultPlan([Fault(kind="error")], seed=seed) for seed in range(8)]
+        live = set(plans)
+        bad = []
+
+        def churn(plan):
+            for _ in range(200):
+                with plan.installed():
+                    if active_plan() not in live:
+                        bad.append(active_plan())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn, args=(plan,)) for plan in plans]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not bad
+        assert active_plan() is None
+        assert ENV_FAULT_PLAN not in os.environ
+
+    def test_nested_installs_of_one_plan_unwind_in_order(self):
+        a, b = FaultPlan([Fault(kind="error")]), FaultPlan([Fault(kind="hang")])
+        with a.installed():
+            with b.installed():
+                with a.installed():
+                    assert active_plan() is a
+                assert active_plan() is b
+            assert active_plan() is a
+        assert active_plan() is None
 
     def test_env_seam_parse_is_cached(self):
         plan = FaultPlan([Fault(kind="error", times=1)])

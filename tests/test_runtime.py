@@ -302,6 +302,19 @@ class TestEntryLayer:
         assert path.read_text() == '{"b": [1, 2], "a": "x"}'
         assert not list(path.parent.glob("*.tmp"))
 
+    def test_stored_entry_is_the_compact_encoding(self, tmp_path):
+        payload = {"b": [1, 2.5, None, True], "a": {"x": "\u00e9", "y": 1e-300}, "n": float("inf")}
+        write_json_atomic(tmp_path / "entry.json", payload)
+        assert (tmp_path / "entry.json").read_bytes() == json.dumps(payload).encode()
+        cost = ScanCost(cycles=9, empty_cycles=2, elements=7, chunks=4)
+        ScanCostStore(tmp_path).store("b" * 64, cost)
+        stored = {
+            "version": cache_module.SCAN_COST_CACHE_VERSION,
+            "code": cache_module.code_fingerprint(),
+            "scan": dataclasses.asdict(cost),
+        }
+        assert (tmp_path / "scans" / f"{'b' * 64}.json").read_bytes() == json.dumps(stored).encode()
+
     def test_env_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SOME_STORE", str(tmp_path))
         assert env_root("REPRO_SOME_STORE", "some") == tmp_path

@@ -7,6 +7,8 @@ and both flat and bit-tree traversals.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from repro.apps.common import (
 )
 from repro.apps.profile import vector_slots_batch, vector_slots_for
 from repro.apps.scan_model import (
+    ScanCost,
     data_scan_cost,
     record_scans,
     scan_cost_growing_unions,
@@ -28,10 +31,21 @@ from repro.apps.scan_model import (
     zero_cost,
 )
 from repro.config import ScannerConfig
-from repro.core.scanner import ScanMode
+from repro.core.scanner import BitVectorScanner, ScanMode, scan_timing_from_mask_reference
 from repro.errors import SimulationError
-from repro.formats import CSRMatrix
+from repro.eval.figures import FIGURE6_BIT_WIDTHS, FIGURE6_OUTPUT_WIDTHS
+from repro.formats import BitVector, CSRMatrix
 from repro.workloads import balanced_partition
+
+#: Figure 6's sweep: its 512-bit reference, every swept bit width, and every
+#: swept output width (five configurations share the 512-bit width).
+FIGURE6_CONFIGS = list(
+    dict.fromkeys(
+        [ScannerConfig(bit_width=512)]
+        + [ScannerConfig(bit_width=width) for width in FIGURE6_BIT_WIDTHS]
+        + [ScannerConfig(bit_width=512, output_vectorization=out) for out in FIGURE6_OUTPUT_WIDTHS]
+    )
+)
 
 
 def _random_config(rng) -> ScannerConfig:
@@ -118,6 +132,40 @@ class TestScanCostRows:
             scan_cost_rows(np.array([2]), np.array([1]), 2, 5)
 
 
+def _growing_union_rows(rng, row_ids, space, pool=None, min_steps=0):
+    """Random growing-union steps for each of ``row_ids``, drawn from ``pool``.
+
+    Returns the ``scan_cost_growing_unions`` arguments but ``steps_per_row``
+    (as ``{row: steps}``) and each row's ``(operand, union before)`` pairs.
+    ``pool`` defaults to every position of the space.
+    """
+    pool = np.arange(space) if pool is None else pool
+    rows, positions, firsts, steps, pairs = [], [], [], {}, []
+    for row in row_ids:
+        steps[row] = int(rng.integers(min_steps, 6))
+        union = np.empty(0, dtype=np.int64)
+        first_seen = {}
+        for step in range(1, steps[row] + 1):
+            operand = np.unique(rng.choice(pool, size=int(rng.integers(1, min(space, 60) + 1))))
+            pairs.append((operand, union))
+            for position in operand.tolist():
+                first_seen.setdefault(position, step)
+            union = np.union1d(union, operand)
+        for position, step in first_seen.items():
+            rows.append(row)
+            positions.append(position)
+            firsts.append(step)
+    return np.asarray(rows), np.asarray(positions), np.asarray(firsts), steps, pairs
+
+
+def _sequential_union_scans(pairs, space, config):
+    """The step-by-step union scans a growing-union cost must merge to."""
+    expected = zero_cost()
+    for operand, union in pairs:
+        expected = expected.merge(scan_cost_pair(operand, union, space, ScanMode.UNION, config))
+    return expected
+
+
 class TestScanCostGrowingUnions:
     def test_matches_sequential_union_scans(self):
         rng = np.random.default_rng(5)
@@ -125,36 +173,10 @@ class TestScanCostGrowingUnions:
             n_rows = int(rng.integers(1, 5))
             space = int(rng.integers(1, 2000))
             config = _random_config(rng) if trial % 2 else ScannerConfig()
-            expected = zero_cost()
-            rows, positions, firsts, steps_per_row = [], [], [], []
-            for row in range(n_rows):
-                step_count = int(rng.integers(0, 6))
-                steps_per_row.append(step_count)
-                union = np.empty(0, dtype=np.int64)
-                first_seen = {}
-                for step in range(1, step_count + 1):
-                    operand = np.unique(
-                        rng.choice(space, size=int(rng.integers(1, min(space, 60) + 1)))
-                    )
-                    expected = expected.merge(
-                        scan_cost_pair(operand, union, space, ScanMode.UNION, config)
-                    )
-                    for position in operand.tolist():
-                        first_seen.setdefault(position, step)
-                    union = np.union1d(union, operand)
-                for position, step in first_seen.items():
-                    rows.append(row)
-                    positions.append(position)
-                    firsts.append(step)
-            got = scan_cost_growing_unions(
-                np.asarray(rows),
-                np.asarray(positions),
-                np.asarray(firsts),
-                np.asarray(steps_per_row),
-                space,
-                config,
-            )
-            assert got == expected
+            rows, positions, firsts, steps, pairs = _growing_union_rows(rng, range(n_rows), space)
+            steps_per_row = np.array([steps[row] for row in range(n_rows)])
+            got = scan_cost_growing_unions(rows, positions, firsts, steps_per_row, space, config)
+            assert got == _sequential_union_scans(pairs, space, config)
 
     def test_no_steps_is_free(self):
         empty = np.empty(0, dtype=np.int64)
@@ -234,6 +256,81 @@ class TestScanTrace:
         for helper, kwargs in calls:
             expected = expected.merge(helper(**kwargs, config=config))
         assert trace.cost(config) == expected
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), bittree=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_figure6_sweep_matches_one_config_calls(self, seed, bittree):
+        assert len(FIGURE6_CONFIGS) == 11
+        calls = _random_scan_calls(np.random.default_rng(seed), bittree)
+        with record_scans(FIGURE6_CONFIGS) as trace:
+            for helper, kwargs in calls:
+                helper(**kwargs)
+        for config in FIGURE6_CONFIGS:
+            expected = zero_cost()
+            for helper, kwargs in calls:
+                expected = expected.merge(helper(**kwargs, config=config))
+            assert trace.cost(config) == expected
+
+    @pytest.mark.parametrize("bittree", [False, True])
+    def test_sweep_keys_past_16_bits(self, bittree):
+        # Row ids past 2**16, and at narrow widths chunk ids past 2**16 too,
+        # so grouping keys no longer fit 16 bits. Rows and positions come in
+        # pairs 2**16 apart, which a 16-bit key would merge.
+        rng = np.random.default_rng(11)
+        n_rows, space = 70_000, 70_000
+        busy = [3, 4_000, 65_535, 2**16 + 3, 2**16 + 4_000]
+        pool = np.concatenate((np.arange(300), np.arange(300) + 2**16))
+        rows, positions, firsts, steps, pairs = _growing_union_rows(rng, busy, space, pool, 1)
+        steps_per_row = np.zeros(n_rows, dtype=np.int64)
+        steps_per_row[busy] = [steps[row] for row in busy]
+        with record_scans(FIGURE6_CONFIGS) as trace:
+            scan_cost_growing_unions(rows, positions, firsts, steps_per_row, space)
+            scan_cost_rows(rows, positions, n_rows, space, bittree=bittree)
+        for config in FIGURE6_CONFIGS:
+            expected = zero_cost()
+            for row in busy:
+                expected = expected.merge(
+                    scan_cost_single(positions[rows == row], space, config, bittree)
+                )
+            idle = scan_cost_single(np.empty(0, dtype=np.int64), space, config, bittree)
+            expected = expected.merge(
+                ScanCost(*(value * (n_rows - len(busy)) for value in dataclasses.astuple(idle)))
+            )
+            expected = expected.merge(_sequential_union_scans(pairs, space, config))
+            assert trace.cost(config) == expected
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        config=st.sampled_from(FIGURE6_CONFIGS),
+        mode=st.sampled_from([ScanMode.UNION, ScanMode.INTERSECT]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_single_config_call_matches_bit_vector_scanner(self, seed, config, mode):
+        rng = np.random.default_rng(seed)
+        space = int(rng.integers(1, 1500))
+        a, b = (
+            np.sort(rng.choice(space, size=int(rng.integers(0, space + 1)), replace=False))
+            for _ in range(2)
+        )
+        scanner = BitVectorScanner(config)
+        vector_a, vector_b = BitVector(space, a), BitVector(space, b)
+        single = scanner.timing(vector_a, mode=ScanMode.SINGLE)
+        assert single == scan_timing_from_mask_reference(vector_a.mask, config)
+        assert scan_cost_single(a, space, config) == ScanCost(
+            cycles=single.cycles,
+            empty_cycles=single.empty_chunks,
+            elements=single.elements,
+            chunks=single.bit_chunks,
+        )
+        # A pair streams the union's occupancy and emits the combined set.
+        streamed = scanner.timing(vector_a, vector_b, ScanMode.UNION)
+        emitted = scanner.timing(vector_a, vector_b, mode)
+        assert scan_cost_pair(a, b, space, mode, config) == ScanCost(
+            cycles=streamed.cycles,
+            empty_cycles=streamed.empty_chunks,
+            elements=emitted.elements,
+            chunks=streamed.bit_chunks,
+        )
 
     def test_calls_inside_run_under_the_first_config(self):
         narrow = ScannerConfig(bit_width=4, output_vectorization=1)
