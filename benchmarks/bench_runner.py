@@ -3,7 +3,8 @@
 Times full-grid ``collect_profiles`` wall time under five configurations --
 cold serial, warm cache, cold parallel, cache-disabled serial, and the
 per-element ``reference`` profiling backend (the pre-vectorization
-behaviour) -- plus the platform-costing layer (the per-call
+behaviour) -- and records the traced peak of one uncached collection
+(``collect_peak_mb``), plus the platform-costing layer (the per-call
 ``estimate_cycles`` loop against ``estimate_cycles_batch`` over a
 128-variant design-space grid) and the SpMU simulator layer (the reference
 per-cycle loop against the lock-step array engine over a cold 128-variant
@@ -699,6 +700,11 @@ def _run_benchmarks(args, scale: float) -> dict:
     # below measures profiling cost, not synthetic-matrix generation. The
     # returned profiles double as the costing benchmark's workload rows.
     profile_set = collect_profiles(scale=scale, workers=1, cache=False)
+    # Traced peak of one uncached full-grid collection over the warm
+    # datasets: the profiling kernels' own working set.
+    collect_peak_mb = _traced_peak_mb(
+        lambda: collect_profiles(scale=scale, workers=1, cache=False)
+    )
 
     with tempfile.TemporaryDirectory() as tmp_serial, tempfile.TemporaryDirectory() as tmp_par:
         uncached_s = _timed(scale=scale, workers=1, cache=False)
@@ -727,6 +733,7 @@ def _run_benchmarks(args, scale: float) -> dict:
         "cold_serial_s": round(cold_serial_s, 3),
         "warm_serial_s": round(warm_serial_s, 3),
         "cold_parallel_s": round(cold_parallel_s, 3),
+        "collect_peak_mb": round(collect_peak_mb, 2),
         "reference_serial_s": (
             None if reference_serial_s is None else round(reference_serial_s, 3)
         ),

@@ -13,6 +13,11 @@ For every output row ``i``:
 The bitset updates and compressed-tile accumulations are SpMU random
 read-modify-writes; the union/intersection scans are bit-vector scanner
 work; the row-pointer prefix sum is a dense reduction.
+
+The vectorized profiling backend follows the same row structure at a
+coarser grain: it streams over contiguous blocks of output rows, each
+bounded by :data:`ROW_BLOCK_MULTIPLIES`, so its working set stays a few
+tens of MiB however large the product.
 """
 
 from __future__ import annotations
@@ -42,6 +47,13 @@ from .scan_model import (
     zero_cost,
 )
 from .spmv import DEFAULT_OUTER_PARALLELISM, _pointer_compression
+
+# Most multiplies (and most dense keys) one block of output rows expands
+# at once in the vectorized backend. The block's arrays are a handful of
+# 8-byte words per multiply, so this caps the kernel's working set at a
+# few tens of MiB whatever the matrix; set from a sweep over 2**16..2**20
+# (DESIGN.md, "The two kernel backends").
+ROW_BLOCK_MULTIPLIES = 1 << 17
 
 
 def spmspm(
@@ -170,15 +182,38 @@ def _spmspm_reference(matrix_a: CSRMatrix, matrix_b: CSRMatrix):
     )
 
 
-def _spmspm_vectorized(matrix_a: CSRMatrix, matrix_b: CSRMatrix):
-    """Batch row-product profiling: one structural expansion, no row loop.
+def _row_blocks(multiplies_before: np.ndarray, cols_out: int):
+    """Cut the output rows into contiguous ``(r0, r1)`` blocks.
 
-    Expands every (A non-zero, B row entry) pair into flat arrays ordered
-    by (output row, inner step), from which the functional product, the
-    output structure, and all scan/update counters follow in single numpy
-    passes. The per-step union scans -- whose operand is the row's *growing*
-    index set -- are costed exactly by :func:`scan_cost_growing_unions`
-    using each output column's first step of appearance.
+    ``multiplies_before[r]`` counts the multiplies of rows ``0..r-1`` (one
+    entry per row plus the total). A block ends before its multiplies, or
+    its dense key space (``(r1 - r0) * cols_out``), pass
+    :data:`ROW_BLOCK_MULTIPLIES`. A row is never split: a row over the
+    bound on its own is a block of one.
+    """
+    rows_out = multiplies_before.size - 1
+    rows_per_block = max(1, ROW_BLOCK_MULTIPLIES // max(cols_out, 1))
+    r0 = 0
+    while r0 < rows_out:
+        limit = multiplies_before[r0] + ROW_BLOCK_MULTIPLIES
+        fits = int(np.searchsorted(multiplies_before, limit, "right"))
+        r1 = max(r0 + 1, min(fits - 1, r0 + rows_per_block, rows_out))
+        yield r0, r1
+        r0 = r1
+
+
+def _spmspm_vectorized(matrix_a: CSRMatrix, matrix_b: CSRMatrix):
+    """Batch row-product profiling, streamed over bounded blocks of output rows.
+
+    Within a block of rows (:func:`_row_blocks`), every (A non-zero, B row
+    entry) pair is expanded into flat arrays ordered by (output row, inner
+    step), from which the block's functional product and output structure
+    follow in single numpy passes. The per-step union scans -- whose
+    operand is the row's *growing* index set -- are costed once, after the
+    loop, by :func:`scan_cost_growing_unions` over every block's union
+    elements and their first step of appearance. Each output key
+    accumulates in the same (row, step) order whatever the block bound, so
+    the output does not depend on it.
     """
     rows_out = matrix_a.shape[0]
     cols_out = matrix_b.shape[1]
@@ -199,39 +234,50 @@ def _spmspm_vectorized(matrix_a: CSRMatrix, matrix_b: CSRMatrix):
     a_row_of_nonzero = np.repeat(np.arange(rows_out, dtype=np.int64), a_lengths)
     step_mask = fetch_lengths > 0
     step_rows = a_row_of_nonzero[step_mask]
+    step_b_rows = matrix_a.col_indices[step_mask]
+    step_a_values = matrix_a.values[step_mask]
+    step_lengths = fetch_lengths[step_mask]
     steps_per_row = np.bincount(step_rows, minlength=rows_out)
-    step_offsets = np.cumsum(steps_per_row) - steps_per_row
-    step_ids = (
-        np.arange(step_rows.size, dtype=np.int64) - step_offsets[step_rows] + 1
-    )
+    step_bounds = np.concatenate(([0], np.cumsum(steps_per_row)))
+    step_ids = np.arange(step_rows.size, dtype=np.int64) - step_bounds[step_rows] + 1
+    multiplies_before = np.concatenate(([0], np.cumsum(step_lengths)))[step_bounds]
 
-    # Expand the fetched B rows: one entry per multiply, in (row, step) order.
-    flat, lengths = expand_slices(
-        matrix_b.row_pointers, matrix_a.col_indices[step_mask]
-    )
-    expanded_steps = np.repeat(step_ids, lengths)
-    expanded_values = matrix_b.values[flat] * np.repeat(
-        matrix_a.values[step_mask], lengths
-    )
-    # Dense (row, col) key per multiply, built from per-step row bases.
-    keys = np.repeat(step_rows * cols_out, lengths) + matrix_b.col_indices[flat]
+    output = np.zeros((rows_out, cols_out), dtype=np.float64)
+    # (union rows, union cols, first steps) per block; the empty seed
+    # covers a matrix with no rows, which has no blocks.
+    unions = [(np.empty(0, dtype=np.int64),) * 3]
+    for r0, r1 in _row_blocks(multiplies_before, cols_out):
+        s0, s1 = step_bounds[r0], step_bounds[r1]
+        # Expand the block's fetched B rows: one entry per multiply, in
+        # (row, step) order.
+        flat, lengths = expand_slices(matrix_b.row_pointers, step_b_rows[s0:s1])
+        expanded_steps = np.repeat(step_ids[s0:s1], lengths)
+        expanded_values = matrix_b.values[flat] * np.repeat(step_a_values[s0:s1], lengths)
+        # Dense block-local (row, col) key per multiply.
+        row_bases = (step_rows[s0:s1] - r0) * cols_out
+        keys = np.repeat(row_bases, lengths) + matrix_b.col_indices[flat]
 
-    # Output structure: distinct (row, col) pairs; their first step of
-    # appearance drives the growing-union scan cost. The key space is the
-    # output's dense index space -- already materialized as the dense output
-    # -- so dedup by dense scatter rather than by sorting the expansion:
-    # the expansion is ordered by (row, step), so assigning in reverse
-    # leaves each key's earliest step in place, and a non-zero first step
-    # marks an occupied key.
-    key_space = rows_out * cols_out
-    first_by_key = np.zeros(key_space, dtype=np.int64)
-    first_by_key[keys[::-1]] = expanded_steps[::-1]
-    union_keys = np.flatnonzero(first_by_key)
-    union_rows = union_keys // cols_out
-    union_cols = union_keys % cols_out
-    first_steps = first_by_key[union_keys]
-    output_nnz = int(union_keys.size)
+        # Output structure: distinct (row, col) pairs; their first step of
+        # appearance drives the growing-union scan cost. Dedup by dense
+        # scatter over the block's key space rather than by sorting the
+        # expansion: the expansion is ordered by (row, step), so assigning
+        # in reverse leaves each key's earliest step in place, and a
+        # non-zero first step marks an occupied key.
+        key_space = (r1 - r0) * cols_out
+        first_by_key = np.zeros(key_space, dtype=np.int64)
+        first_by_key[keys[::-1]] = expanded_steps[::-1]
+        union_keys = np.flatnonzero(first_by_key)
+        unions.append(
+            (union_keys // cols_out + r0, union_keys % cols_out, first_by_key[union_keys])
+        )
 
+        # Functional product: accumulate duplicates per (row, col) in step order.
+        output[r0:r1] = np.bincount(keys, weights=expanded_values, minlength=key_space).reshape(
+            r1 - r0, cols_out
+        )
+
+    union_rows, union_cols, first_steps = (np.concatenate(part) for part in zip(*unions))
+    output_nnz = int(union_rows.size)
     scan_total = scan_cost_growing_unions(
         union_rows, union_cols, first_steps, steps_per_row, cols_out
     )
@@ -242,11 +288,6 @@ def _spmspm_vectorized(matrix_a: CSRMatrix, matrix_b: CSRMatrix):
     row_remap[nonempty_a] = np.arange(nonempty_a.size)
     scan_total = scan_total.merge(
         scan_cost_rows(row_remap[union_rows], union_cols, int(nonempty_a.size), cols_out)
-    )
-
-    # Functional product: accumulate duplicates per (row, col) in step order.
-    output = np.bincount(keys, weights=expanded_values, minlength=key_space).reshape(
-        rows_out, cols_out
     )
 
     return (
