@@ -845,14 +845,19 @@ def build_sweep_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--executor",
         choices=_EXECUTOR_CHOICES,
-        default="local",
-        help="execution backend for the units (default: local)",
+        default=None,
+        help="execution backend for the units (default: local, or subprocess with --timeout)",
     )
     parser.add_argument(
-        "-j", "--workers", type=int, default=1, help="executor parallelism (default: 1)"
+        "-j", "--workers", type=int, default=1,
+        help="worker processes of the subprocess executor (default: 1)",
     )
     parser.add_argument(
-        "--timeout", type=float, default=None, metavar="S", help="per-unit timeout in seconds"
+        "--timeout", type=float, default=None, metavar="S",
+        help=(
+            "per-unit timeout in seconds; units then run in repro-eval worker "
+            "processes, and a worker whose unit overruns is killed"
+        ),
     )
     parser.add_argument(
         "--retries", type=int, default=0, help="extra attempts per failed unit (default: 0)"
@@ -945,11 +950,16 @@ def _print_sweep_status(store: Any, job_id: int) -> Optional[str]:
 
 
 def _sweep_main(argv: List[str]) -> int:
-    from .executors import create_executor
+    from .executors import LocalExecutor, SubprocessExecutor
     from .jobs import DEFAULT_LEASE_S, JOB_DONE, JOB_FAILED, JobSpec, JobStore
 
     parser = build_sweep_parser()
     args = parser.parse_args(argv)
+    if args.timeout is not None and args.executor == LocalExecutor.name:
+        parser.error(
+            "--timeout needs worker processes: an in-process (--executor local) "
+            "unit cannot be stopped"
+        )
     _apply_memory_budget(parser, args)
     axes = _parse_axes(parser, args.axis)
     setup = _run_setup(args)
@@ -1005,12 +1015,12 @@ def _sweep_main(argv: List[str]) -> int:
             verb = "resuming" if existing is not None else "submitted"
             print(f"{verb} job {job.id} ({job.name}, {len(spec.units)} units)")
 
-        executor = create_executor(
-            args.executor,
-            workers=args.workers,
-            timeout_s=args.timeout,
-            retries=args.retries,
-        )
+        if args.executor == SubprocessExecutor.name or args.timeout is not None:
+            executor = SubprocessExecutor(
+                args.workers, timeout_s=args.timeout, retries=args.retries
+            )
+        else:
+            executor = LocalExecutor(retries=args.retries)
         try:
             summary = store.run_job(
                 job.id, executor, max_units=args.max_units,

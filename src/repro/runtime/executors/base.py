@@ -3,11 +3,9 @@
 Every executor takes a list of work-unit payloads (see
 :mod:`repro.runtime.jobs`) and returns one :class:`UnitOutcome` per
 payload **in input order**, regardless of completion order. The base
-class owns the policy knobs so every backend behaves identically:
+class owns the retry policy and cancellation so every backend behaves
+identically:
 
-* ``timeout_s`` -- per-unit wall-clock cap; an expired unit reports
-  ``"timeout"`` (and, where the backend owns a process, the worker is
-  killed and respawned);
 * ``retries`` -- extra attempts after a failed or timed-out attempt, with
   exponentially-growing full-jitter backoff: attempt ``n`` waits a uniform
   draw from ``[0, cap]`` where ``cap = backoff_s * 2**(n-1)``. Jitter
@@ -22,17 +20,18 @@ class owns the policy knobs so every backend behaves identically:
 * ``stop_on_error`` -- per-run flag: after the first unit exhausts its
   retries, outstanding units are cancelled instead of executed.
 
-Backends: :class:`~repro.runtime.executors.local.LocalExecutor` (serial,
-in process) and :class:`~repro.runtime.executors.subprocess.SubprocessExecutor`
-(persistent ``repro-eval worker`` children behind an arbitrary command
-prefix -- the SSH-shaped seam).
+Process options belong to the backend that owns processes: only
+:class:`~repro.runtime.executors.subprocess.SubprocessExecutor` takes
+``workers`` and a per-unit ``timeout_s``, because only a worker process
+can be killed when its unit overruns.
+:class:`~repro.runtime.executors.local.LocalExecutor` runs one unit at a
+time, inline on the calling thread.
 """
 
 from __future__ import annotations
 
 import random
 import threading
-import time
 import traceback
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
@@ -120,8 +119,6 @@ class Executor:
     (the conformance suite in ``tests/test_executors.py`` asserts this).
 
     Args:
-        workers: Degree of parallelism the backend may use.
-        timeout_s: Per-unit attempt cap in seconds (``None`` = unlimited).
         retries: Extra attempts after a failed/timed-out attempt.
         backoff_s: Base of the exponential inter-attempt backoff cap.
         seed: Seed for the backoff RNG; ``None`` draws entropy (tests pin
@@ -132,15 +129,11 @@ class Executor:
 
     def __init__(
         self,
-        workers: int = 1,
         *,
-        timeout_s: Optional[float] = None,
         retries: int = 0,
         backoff_s: float = 0.05,
         seed: Optional[int] = None,
     ):
-        self.workers = max(1, int(workers))
-        self.timeout_s = timeout_s
         self.retries = max(0, int(retries))
         self.backoff_s = max(0.0, float(backoff_s))
         self._rng = random.Random(seed)

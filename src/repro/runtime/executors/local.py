@@ -1,23 +1,23 @@
 """Serial in-process executor.
 
-Runs units one at a time in the calling process -- the baseline backend
-every other executor must match result-for-result. With no ``timeout_s``
-each unit executes inline (so monkeypatched registries and in-memory
-caches behave exactly as in direct calls); with a timeout each attempt
-runs on a daemon thread so an overrunning unit can be abandoned.
+Runs units one at a time, inline on the calling thread -- the baseline
+backend every other executor must match result-for-result, and the one
+under which monkeypatched registries and in-memory caches behave exactly
+as in direct calls. It takes only the retry policy: an in-process unit
+cannot be stopped, so a per-unit deadline needs a worker process
+(:class:`~repro.runtime.executors.subprocess.SubprocessExecutor`).
 """
 
 from __future__ import annotations
 
-import threading
 import time
+import traceback
 from typing import Any, Dict, List
 
 from ..jobs import execute_unit
 from .base import (
     OUTCOME_CANCELLED,
     OUTCOME_OK,
-    OUTCOME_TIMEOUT,
     Executor,
     UnitOutcome,
     outcome_from_exception,
@@ -25,9 +25,10 @@ from .base import (
 
 
 class LocalExecutor(Executor):
-    """Serial executor (``workers`` is accepted but always effectively 1)."""
+    """Serial executor: one unit at a time on the calling thread."""
 
     name = "local"
+    workers = 1
 
     def run_units(
         self, payloads: List[Dict[str, Any]], *, stop_on_error: bool = False
@@ -45,51 +46,15 @@ class LocalExecutor(Executor):
             outcomes.append(outcome)
         return outcomes
 
-    def _attempt(self, payload: Dict[str, Any]) -> UnitOutcome:
-        if self.timeout_s is None:
-            return self._attempt_inline(payload)
-        return self._attempt_with_timeout(payload)
-
     @staticmethod
-    def _attempt_inline(payload: Dict[str, Any]) -> UnitOutcome:
+    def _attempt(payload: Dict[str, Any]) -> UnitOutcome:
         start = time.perf_counter()
         try:
             result = execute_unit(payload)
         except Exception as exc:  # noqa: BLE001 - reported per unit
-            import traceback
-
             return outcome_from_exception(
                 exc, time.perf_counter() - start, traceback.format_exc()
             )
         return UnitOutcome(
             status=OUTCOME_OK, result=result, duration_s=time.perf_counter() - start
         )
-
-    def _attempt_with_timeout(self, payload: Dict[str, Any]) -> UnitOutcome:
-        box: Dict[str, UnitOutcome] = {}
-
-        def target() -> None:
-            box["outcome"] = self._attempt_inline(payload)
-
-        start = time.perf_counter()
-        deadline = start + self.timeout_s
-        thread = threading.Thread(target=target, daemon=True)
-        thread.start()
-        while thread.is_alive():
-            if self.cancelled():
-                # Abandon the attempt thread rather than riding out the
-                # full timeout: cancel() arriving mid-unit must return
-                # promptly so the job store can release the wave.
-                return UnitOutcome(status=OUTCOME_CANCELLED)
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                # The attempt thread is abandoned (daemon); in-process
-                # Python offers no safe preemption, which is why
-                # timeout-sensitive runs belong on the subprocess executor.
-                return UnitOutcome(
-                    status=OUTCOME_TIMEOUT,
-                    error=f"unit exceeded {self.timeout_s:g}s timeout",
-                    duration_s=time.perf_counter() - start,
-                )
-            thread.join(min(0.02, remaining))
-        return box["outcome"]

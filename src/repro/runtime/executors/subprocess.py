@@ -25,7 +25,7 @@ A timed-out unit is *actually* killed (the worker process is terminated
 and respawned), so ``timeout_s`` is a hard cap and no attempt outlives its
 run.
 Results are deserialized per unit kind, so callers see the same native
-objects the in-process executors return.
+objects the in-process executor returns.
 
 Any conversation failure -- the worker died, overran its deadline, or
 emitted a malformed or truncated protocol line -- retires that worker, and
@@ -244,9 +244,11 @@ class SubprocessExecutor(Executor):
 
     Args:
         workers: Worker process count (one driver thread each).
+        timeout_s: Per-unit attempt cap in seconds (``None`` = unlimited);
+            an overrunning unit's worker is killed, so the cap is hard.
         command: Worker command prefix; ``worker`` is appended. Defaults
             to :func:`default_worker_command`.
-        (plus the shared ``timeout_s``/``retries``/``backoff_s``/``seed``.)
+        (plus the shared ``retries``/``backoff_s``/``seed``.)
     """
 
     name = "subprocess"
@@ -261,9 +263,9 @@ class SubprocessExecutor(Executor):
         seed: Optional[int] = None,
         command: Optional[List[str]] = None,
     ):
-        super().__init__(
-            workers, timeout_s=timeout_s, retries=retries, backoff_s=backoff_s, seed=seed
-        )
+        super().__init__(retries=retries, backoff_s=backoff_s, seed=seed)
+        self.workers = max(1, int(workers))
+        self.timeout_s = timeout_s
         self.command = list(command) if command is not None else default_worker_command()
         self._live_workers: List[_Worker] = []
         self._workers_lock = threading.Lock()

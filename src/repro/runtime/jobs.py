@@ -157,7 +157,7 @@ def register_unit_kind(
 
     Note that subprocess workers only know the kinds registered at import
     time of :mod:`repro.runtime.jobs`; ad-hoc kinds registered by tests
-    run on the in-process executors.
+    run on the in-process executor.
     """
     kind = UnitKind(
         name=name,

@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..apps.profile import WorkloadProfile
+from ..errors import ConfigurationError
 from . import registry
 from .cache import ProfileCache, cache_enabled
-from .executors import Executor, LocalExecutor, SubprocessExecutor, UnitOutcome, create_executor
+from .executors import EXECUTORS, Executor, LocalExecutor, SubprocessExecutor, UnitOutcome
 from .executors.base import OUTCOME_ERROR, OUTCOME_OK, OUTCOME_TIMEOUT, WorkerError
 from .jobs import context_to_dict
 from .registry import RunContext
@@ -161,8 +162,9 @@ class ExperimentRunner:
             ``False``, failures are reported as ``"error"`` task results.
         executor: ``None`` picks per run: ``workers`` ``repro-eval
             worker`` subprocesses when they pay off, else serial in
-            process; a name (``"local"``/``"subprocess"``) builds that
-            executor with ``workers``; or pass a configured
+            process; ``"subprocess"`` always runs ``workers`` worker
+            processes and ``"local"`` always runs serially in process; or
+            pass a configured
             :class:`~repro.runtime.executors.base.Executor` instance.
     """
 
@@ -247,11 +249,17 @@ class ExperimentRunner:
         """The executor for this run (see the ``executor`` constructor arg)."""
         if isinstance(self.executor, Executor):
             return self.executor
-        if isinstance(self.executor, str):
-            return create_executor(self.executor, workers=self.workers)
-        if workers_are_profitable(self.workers, pending_tasks):
+        name = self.executor
+        if name is None:
+            profitable = workers_are_profitable(self.workers, pending_tasks)
+            name = SubprocessExecutor.name if profitable else LocalExecutor.name
+        if name == SubprocessExecutor.name:
             return SubprocessExecutor(self.workers)
-        return LocalExecutor(self.workers)
+        if name == LocalExecutor.name:
+            return LocalExecutor()
+        raise ConfigurationError(
+            f"unknown executor {name!r}; known: {', '.join(sorted(EXECUTORS))}"
+        )
 
     def _key(self, app: str, dataset: str) -> str:
         return self.cache.key(app, dataset, self.context)

@@ -96,6 +96,9 @@ DEFAULT_MAX_BODY_BYTES = 1 << 20
 #: How long shutdown waits for in-flight requests before cancelling them.
 DEFAULT_DRAIN_TIMEOUT_S = 5.0
 
+#: How often an idle ``--drain`` thread re-reads the job queue.
+DRAIN_POLL_S = 0.25
+
 
 class _BadRequest(CapstanError):
     """Client error -> HTTP 400."""
@@ -572,27 +575,22 @@ class CacheServer:
             task.cancel()
 
 
-def drain_pending_jobs(
-    db: Optional[Path],
-    *,
-    stop: threading.Event,
-    poll_s: float = 0.25,
-    workers: int = 1,
-) -> None:
+def drain_pending_jobs(db: Optional[Path], *, stop: threading.Event) -> None:
     """Run pending jobs with a local executor until ``stop`` is set.
 
     Runs on its own thread with its own store connection; this is the
     in-process stand-in for an external worker fleet draining the same
-    queue through ``repro-eval sweep --resume``.
+    queue through ``repro-eval sweep --resume``. An idle drain re-reads
+    the queue every :data:`DRAIN_POLL_S` seconds.
     """
     from .executors import LocalExecutor
 
-    executor = LocalExecutor(workers)
+    executor = LocalExecutor()
     with JobStore(db) as store:
         while not stop.is_set():
             pending = [job for job in store.jobs() if job.state == JOB_PENDING]
             if not pending:
-                stop.wait(poll_s)
+                stop.wait(DRAIN_POLL_S)
                 continue
             # jobs() is newest-first; drain oldest first.
             store.run_job(pending[-1].id, executor)

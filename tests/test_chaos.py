@@ -229,11 +229,13 @@ class TestExactlyOnce:
             "from repro.runtime.executors import LocalExecutor\n"
             "from repro.runtime.faults import Fault, FaultPlan, FaultyExecutor\n"
             "from repro.runtime.jobs import JobStore\n"
+            "class PairWaves(LocalExecutor):\n"
+            "    workers = 2  # the job store claims two units per wave\n"
             "plan = FaultPlan(\n"
             "    [Fault(kind='exit_mid_wave', unit_index=1, exit_code=17)],\n"
             "    state_dir=sys.argv[3],\n"
             ")\n"
-            "executor = FaultyExecutor(LocalExecutor(2), plan)\n"
+            "executor = FaultyExecutor(PairWaves(), plan)\n"
             "with JobStore(Path(sys.argv[1])) as store:\n"
             "    store.run_job(int(sys.argv[2]), executor)\n"
         )
@@ -260,7 +262,7 @@ class TestExactlyOnce:
             counts = store.unit_states(job_id)
             assert counts.get(UNIT_DONE, 0) == 2
 
-            summary = store.run_job(job_id, LocalExecutor(2))
+            summary = store.run_job(job_id, LocalExecutor())
             assert summary.state == JOB_DONE
             units = store.units(job_id)
             assert all(unit.state == UNIT_DONE for unit in units)
@@ -283,7 +285,7 @@ class TestExactlyOnce:
         def drain():
             try:
                 with JobStore(db) as store:
-                    store.run_job(job_id, LocalExecutor(2))
+                    store.run_job(job_id, LocalExecutor())
             except Exception as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 

@@ -2,14 +2,17 @@
 
 Every test in ``TestExecutorConformance`` runs identically against the
 local and subprocess executors -- same assertions for ordering,
-error propagation, retry accounting, timeouts, stop-on-error, and
-cancellation. The probe unit kind (``repro.runtime.jobs``) makes attempt
-counts observable across process boundaries by dropping one marker file
-per execution into a scratch directory.
+error propagation, retry accounting, stop-on-error, cancellation, and
+threads left behind. Timeouts run against the executors that take a
+deadline: only a worker process can be killed. The probe unit kind
+(``repro.runtime.jobs``) makes attempt counts observable across process
+boundaries by dropping one marker file per execution into a scratch
+directory.
 """
 
 from __future__ import annotations
 
+import inspect
 import os
 import subprocess
 import sys
@@ -23,7 +26,6 @@ from repro.runtime.executors import (
     EXECUTORS,
     LocalExecutor,
     SubprocessExecutor,
-    create_executor,
 )
 from repro.runtime.executors import subprocess as subprocess_module
 from repro.runtime.executors.base import (
@@ -44,6 +46,25 @@ def _attempt_markers(scratch) -> int:
     return len(list(scratch.glob("attempt-*"))) if scratch.is_dir() else 0
 
 
+#: The executors that take a per-unit ``timeout_s``.
+DEADLINE_EXECUTORS = sorted(
+    name for name, cls in EXECUTORS.items() if "timeout_s" in inspect.signature(cls).parameters
+)
+
+
+def _build(name, workers=1, **policy):
+    """The named executor; ``workers`` sizes the subprocess backend only,
+    since the local executor is serial and takes no process options."""
+    if name == LocalExecutor.name:
+        return LocalExecutor(**policy)
+    return SubprocessExecutor(workers, **policy)
+
+
+def _new_threads(before):
+    """Threads alive now that were not alive in ``before``."""
+    return [thread for thread in threading.enumerate() if thread not in before]
+
+
 @pytest.fixture(params=["local", "subprocess"])
 def executor_name(request):
     return request.param
@@ -59,7 +80,7 @@ class TestExecutorConformance:
             _probe(2, sleep_s=0.15),
             _probe(3, sleep_s=0.0),
         ]
-        executor = create_executor(executor_name, workers=4)
+        executor = _build(executor_name, workers=4)
         outcomes = executor.run_units(payloads)
         assert [o.status for o in outcomes] == [OUTCOME_OK] * 4
         assert [o.result["value"] for o in outcomes] == [0, 2, 4, 6]
@@ -67,7 +88,7 @@ class TestExecutorConformance:
         assert all(o.duration_s > 0 for o in outcomes)
 
     def test_error_propagates_with_summary(self, executor_name):
-        executor = create_executor(executor_name, workers=2)
+        executor = _build(executor_name, workers=2)
         outcomes = executor.run_units([_probe(1), _probe(2, boom="exploded")])
         assert outcomes[0].status == OUTCOME_OK
         assert outcomes[1].status == OUTCOME_ERROR
@@ -78,7 +99,7 @@ class TestExecutorConformance:
 
     def test_retries_are_bounded_and_counted(self, executor_name, tmp_path):
         scratch = tmp_path / "retry"
-        executor = create_executor(executor_name, workers=1, retries=2, backoff_s=0.01)
+        executor = _build(executor_name, retries=2, backoff_s=0.01)
         outcomes = executor.run_units(
             [_probe(5, fail_times=2, scratch=str(scratch))]
         )
@@ -88,7 +109,7 @@ class TestExecutorConformance:
 
     def test_retries_exhausted_reports_error(self, executor_name, tmp_path):
         scratch = tmp_path / "exhaust"
-        executor = create_executor(executor_name, workers=1, retries=1, backoff_s=0.01)
+        executor = _build(executor_name, retries=1, backoff_s=0.01)
         outcomes = executor.run_units(
             [_probe(5, fail_times=10, scratch=str(scratch))]
         )
@@ -96,8 +117,9 @@ class TestExecutorConformance:
         assert outcomes[0].attempts == 2
         assert _attempt_markers(scratch) == 2
 
+    @pytest.mark.parametrize("executor_name", DEADLINE_EXECUTORS)
     def test_timeout_reported(self, executor_name):
-        executor = create_executor(executor_name, workers=1, timeout_s=0.3)
+        executor = _build(executor_name, timeout_s=0.3)
         outcomes = executor.run_units([_probe(1, sleep_s=2.0), _probe(2)])
         assert outcomes[0].status == OUTCOME_TIMEOUT
         assert "timeout" in outcomes[0].error
@@ -106,7 +128,7 @@ class TestExecutorConformance:
         assert outcomes[1].result["value"] == 4
 
     def test_stop_on_error_cancels_outstanding(self, executor_name):
-        executor = create_executor(executor_name, workers=1)
+        executor = _build(executor_name)
         payloads = [_probe(1), _probe(2, boom="first failure"), _probe(3), _probe(4)]
         outcomes = executor.run_units(payloads, stop_on_error=True)
         assert outcomes[0].status == OUTCOME_OK
@@ -116,7 +138,7 @@ class TestExecutorConformance:
 
     def test_cancel_mid_run(self, executor_name, tmp_path):
         scratch = tmp_path / "cancel"
-        executor = create_executor(executor_name, workers=1)
+        executor = _build(executor_name)
         payloads = [_probe(i, sleep_s=0.4, scratch=str(scratch)) for i in range(8)]
 
         # Cancel once the second unit has *started* (its attempt marker
@@ -158,30 +180,62 @@ class TestExecutorConformance:
             "context": context_to_dict(RunContext(scale=1 / 512)),
             "cache_root": str(tmp_path / "cache"),
         }
-        executor = create_executor(executor_name, workers=1)
+        executor = _build(executor_name)
         outcomes = executor.run_units([payload])
         assert outcomes[0].status == OUTCOME_OK
         assert isinstance(outcomes[0].result, WorkloadProfile)
         assert len(list((tmp_path / "cache").glob("*.json"))) == 1
 
+    def test_no_thread_outlives_the_run(self, executor_name):
+        before = threading.enumerate()
+        executor = _build(executor_name, workers=2)
+        outcomes = executor.run_units(
+            [_probe(1, sleep_s=0.1), _probe(2, boom="exploded"), _probe(3)]
+        )
+        assert [o.status for o in outcomes] == [OUTCOME_OK, OUTCOME_ERROR, OUTCOME_OK]
+        assert not _new_threads(before)
+
+    @pytest.mark.parametrize("executor_name", DEADLINE_EXECUTORS)
+    def test_no_thread_outlives_a_timed_out_unit(self, executor_name, tmp_path):
+        # Every attempt of a unit that keeps overrunning is stopped, not
+        # left running beside the next one.
+        scratch = tmp_path / "markers"
+        before = threading.enumerate()
+        executor = _build(executor_name, timeout_s=0.3, retries=2, backoff_s=0.0)
+        outcome, = executor.run_units([_probe(1, sleep_s=1.5, scratch=str(scratch))])
+        assert outcome.status == OUTCOME_TIMEOUT
+        assert outcome.attempts == 3
+        assert _attempt_markers(scratch) == 3
+        assert not _new_threads(before)
+
 
 class TestExecutorRegistry:
-    def test_factory_names(self):
-        assert set(EXECUTORS) == {"local", "subprocess"}
-        assert isinstance(create_executor("local"), LocalExecutor)
-        assert isinstance(create_executor("subprocess", workers=3), SubprocessExecutor)
+    def test_names(self):
+        assert EXECUTORS == {"local": LocalExecutor, "subprocess": SubprocessExecutor}
+        assert DEADLINE_EXECUTORS == ["subprocess"]
 
     def test_unknown_name_rejected(self):
         from repro.errors import ConfigurationError
+        from repro.runtime.runner import ExperimentRunner
 
-        with pytest.raises(ConfigurationError, match="unknown executor"):
-            create_executor("ssh-someday")
+        runner = ExperimentRunner(cache=False, executor="ssh-someday")
+        with pytest.raises(ConfigurationError, match="unknown executor 'ssh-someday'"):
+            runner.run(apps=["spmv-csr"])
+
+    def test_local_takes_no_process_options(self):
+        # An in-process unit can be neither stopped nor spread over
+        # processes, so the local executor refuses both options.
+        with pytest.raises(TypeError, match="timeout_s"):
+            LocalExecutor(timeout_s=1.0)
+        with pytest.raises(TypeError, match="workers"):
+            LocalExecutor(workers=2)
+        with pytest.raises(TypeError):
+            LocalExecutor(2)
+        assert LocalExecutor.workers == 1
 
     def test_options_forwarded(self):
         command = [sys.executable, "-m", "repro.runtime.cli"]
-        executor = create_executor(
-            "subprocess", workers=7, timeout_s=1.5, retries=2, command=command
-        )
+        executor = SubprocessExecutor(7, timeout_s=1.5, retries=2, command=command)
         assert executor.workers == 7
         assert executor.timeout_s == 1.5
         assert executor.retries == 2
@@ -198,8 +252,8 @@ class TestExecutorRegistry:
 #: exits; the unit drops a marker naming the process that ran it.
 _HARD_CAP_SCRIPT = """
 import sys
-from repro.runtime.executors import create_executor
-executor = create_executor(sys.argv[1], workers=1, timeout_s=0.5)
+from repro.runtime.executors import EXECUTORS
+executor = EXECUTORS[sys.argv[1]](timeout_s=0.5)
 outcome, = executor.run_units(
     [{"kind": "probe", "value": 1, "sleep_s": 30.0, "scratch": sys.argv[2]}]
 )
@@ -218,7 +272,7 @@ def _running(pid: int) -> bool:
 
 
 class TestHardTimeout:
-    @pytest.mark.parametrize("name", sorted(EXECUTORS))
+    @pytest.mark.parametrize("name", DEADLINE_EXECUTORS)
     def test_timed_out_unit_does_not_outlive_its_run(self, name, tmp_path):
         # timeout_s is a hard cap: once run_units reports the timeout, the
         # driver exits at once and no process is still running the unit.
@@ -307,7 +361,7 @@ class TestBackoffJitter:
     def test_every_backend_takes_the_shared_backoff(self, executor_name):
         # The subprocess constructor forwards backoff_s and seed to the
         # base class like the others: same seed, same retry schedule.
-        executor = create_executor(executor_name, backoff_s=0.2, seed=11)
+        executor = _build(executor_name, backoff_s=0.2, seed=11)
         twin = LocalExecutor(backoff_s=0.2, seed=11)
         attempts = list(range(1, 6))
         assert executor.backoff_s == 0.2
@@ -320,7 +374,7 @@ class TestErrorClassification:
     def test_permanent_error_skips_retries(self, executor_name):
         # An unknown unit kind raises UnitSpecError on every worker in
         # existence; the retry budget must not be spent on it.
-        executor = create_executor(executor_name, workers=1, retries=3, backoff_s=0.01)
+        executor = _build(executor_name, retries=3, backoff_s=0.01)
         outcomes = executor.run_units([{"kind": "no_such_kind"}])
         assert outcomes[0].status == OUTCOME_ERROR
         assert outcomes[0].attempts == 1
@@ -329,7 +383,7 @@ class TestErrorClassification:
 
     def test_transient_failures_keep_their_retries(self, executor_name, tmp_path):
         scratch = tmp_path / "transient"
-        executor = create_executor(executor_name, workers=1, retries=1, backoff_s=0.01)
+        executor = _build(executor_name, retries=1, backoff_s=0.01)
         outcomes = executor.run_units(
             [_probe(1, fail_times=10, scratch=str(scratch))]
         )
@@ -338,7 +392,7 @@ class TestErrorClassification:
         assert outcomes[0].classification == "transient"
 
     def test_ok_outcomes_carry_no_classification(self, executor_name):
-        executor = create_executor(executor_name, workers=1)
+        executor = _build(executor_name)
         outcomes = executor.run_units([_probe(1)])
         assert outcomes[0].status == OUTCOME_OK
         assert outcomes[0].classification is None

@@ -14,7 +14,7 @@ import threading
 import pytest
 
 from repro.runtime import faults
-from repro.runtime.executors import LocalExecutor
+from repro.runtime.executors import LocalExecutor, SubprocessExecutor
 from repro.runtime.faults import (
     ENV_FAULT_PLAN,
     Fault,
@@ -211,11 +211,15 @@ class TestSeams:
 
 class TestFaultyExecutor:
     def test_delegates_to_inner(self):
-        inner = LocalExecutor(workers=3, retries=1)
+        inner = LocalExecutor(retries=1)
         wrapped = FaultyExecutor(inner, FaultPlan([]))
         assert wrapped.name == "faulty-local"
-        assert wrapped.workers == 3
+        assert wrapped.workers == 1
         assert wrapped.retries == 1
+        wrapped = FaultyExecutor(SubprocessExecutor(3, timeout_s=2.0), FaultPlan([]))
+        assert wrapped.name == "faulty-subprocess"
+        assert wrapped.workers == 3
+        assert wrapped.timeout_s == 2.0
 
     def test_injects_into_run_units(self):
         # One transient error on the second unit: with one retry the wave

@@ -590,6 +590,46 @@ class TestCLIRunContext:
         assert isinstance(cache, ProfileCache) and cache.root == tmp_path
 
 
+class TestSweepTimeout:
+    """``sweep --timeout`` runs its units in worker processes it can kill."""
+
+    @pytest.fixture
+    def stores(self, tmp_path, monkeypatch):
+        for variable, name in (
+            ("REPRO_PROFILE_CACHE", "profiles"),
+            ("REPRO_THROUGHPUT_CACHE", "throughput"),
+            ("REPRO_SEARCH_STORE", "search"),
+            ("REPRO_RUN_DB", "runs.sqlite"),
+        ):
+            monkeypatch.setenv(variable, str(tmp_path / name))
+        return ["--db", str(tmp_path / "runs.sqlite"), "--cache-dir", str(tmp_path / "cache")]
+
+    def test_hung_attempt_is_killed_and_the_job_completes(
+        self, stores, tmp_path, monkeypatch, capsys
+    ):
+        from repro.runtime.jobs import JOB_DONE, JobStore
+
+        plan = FaultPlan([Fault(kind="hang", times=1)], state_dir=tmp_path / "faults")
+        monkeypatch.setenv(ENV_FAULT_PLAN, plan.to_json())
+        argv = ["sweep", "--apps", "spmv-csr", "--scale", "1/256", "--timeout", "3"]
+        assert cli.main(argv + ["--retries", "1"] + stores) == 0
+        out = capsys.readouterr().out
+        assert "on subprocess/1" in out
+        assert len(list((tmp_path / "faults").rglob("fired-*"))) == 1  # the hang fired
+        with JobStore(tmp_path / "runs.sqlite") as store:
+            job, = store.jobs()
+            assert job.state == JOB_DONE
+            assert sorted(unit.attempts for unit in store.units(job.id)) == [1, 1, 2]
+
+    def test_local_executor_with_a_timeout_is_a_usage_error(self, stores, tmp_path, capsys):
+        argv = ["sweep", "--apps", "spmv-csr", "--executor", "local", "--timeout", "1"]
+        with pytest.raises(SystemExit) as exited:
+            cli.main(argv + stores)
+        assert exited.value.code == 2
+        assert "in-process (--executor local) unit cannot be stopped" in capsys.readouterr().err
+        assert not (tmp_path / "runs.sqlite").exists()
+
+
 class TestSweep:
     def test_cartesian_order_and_names(self):
         variants = sweep(
