@@ -771,7 +771,6 @@ def effective_bank_throughput_batch(
     variants: Sequence[SpMUVariant],
     *,
     vectors: int = THROUGHPUT_VECTORS,
-    memory_budget=None,
 ) -> np.ndarray:
     """Random-access requests per cycle each SpMU variant sustains.
 
@@ -790,14 +789,12 @@ def effective_bank_throughput_batch(
     simulated in one lock-step
     :func:`~repro.core.spmu_array.simulate_variants` call (variants with
     equal lane counts share one trace), and the fresh measurements are
-    persisted with a single ``store_many``.
+    persisted with a single ``store_many``. ``REPRO_MEMORY_BUDGET`` bounds
+    the lock-step state.
 
     Args:
         variants: The SpMU configuration points to measure.
         vectors: The random trace's length.
-        memory_budget: Byte budget bounding the cold-variant lock-step
-            state (see :func:`~repro.core.spmu_array.simulate_variants`);
-            ``None`` defers to ``REPRO_MEMORY_BUDGET``.
 
     Returns:
         Sustained random-access requests per cycle, aligned with
@@ -833,9 +830,7 @@ def effective_bank_throughput_batch(
         lanes: random_request_trace(vectors, lanes=lanes, seed=THROUGHPUT_SEED)
         for lanes in {variant.lanes for variant in cold}
     }
-    simulated = simulate_variants(
-        cold, [traces[variant.lanes] for variant in cold], memory_budget=memory_budget
-    )
+    simulated = simulate_variants(cold, [traces[variant.lanes] for variant in cold])
     fresh: Dict[str, float] = {}
     for variant, result in zip(cold, simulated):
         banks = variant.config.banks

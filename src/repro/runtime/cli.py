@@ -438,7 +438,7 @@ def _dse_main(argv: List[str]) -> int:
         from .sweep import spmu_projection_sweep
 
         try:
-            resolved = prefill_throughputs(spmu_projection_sweep(None, axes).values())
+            resolved = prefill_throughputs(spmu_projection_sweep(axes).values())
         except CapstanError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

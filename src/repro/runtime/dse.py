@@ -48,15 +48,12 @@ from .runner import ExperimentRunner
 from .sweep import sweep
 
 
-def prefill_throughputs(
-    platforms: Iterable[CapstanPlatform], *, memory_budget: Optional[int] = None
-) -> int:
+def prefill_throughputs(platforms: Iterable[CapstanPlatform]) -> int:
     """Warm the SpMU throughput caches for a family of platforms.
 
     Deduplicates the platforms' calibration microbenchmarks, simulates
     every cold one in a single batched lock-step pass (its state bounded by
-    ``memory_budget``; ``None`` defers to ``REPRO_MEMORY_BUDGET``), and
-    persists the results with one
+    ``REPRO_MEMORY_BUDGET``), and persists the results with one
     :class:`~repro.runtime.cache.ThroughputStore` transaction. Running this
     before launching parallel sweeps (``repro-eval dse --prefill``) means
     the workers find every microbenchmark warm instead of racing to
@@ -71,7 +68,7 @@ def prefill_throughputs(
     }
     if not variants:
         return 0
-    effective_bank_throughput_batch(sorted(variants, key=repr), memory_budget=memory_budget)
+    effective_bank_throughput_batch(sorted(variants, key=repr))
     return len(variants)
 
 

@@ -281,58 +281,6 @@ def _execute_dse_chunk(payload: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def _execute_dse_search(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Advance one adaptive search through one committed generation.
-
-    Unit ``generation`` g means "generation g is committed when this unit
-    is done". The engine resumes from the newest state the
-    :class:`~repro.runtime.search.SearchStore` holds -- its evaluation
-    caches ride along in the state -- so re-running a unit whose
-    generation is already committed does no work, and a SIGKILL mid-unit
-    replays only the uncommitted generation. Generations are serially
-    dependent: run these jobs with one worker (the parallelism lives
-    inside a generation's batched costing). A unit claimed ahead of its
-    predecessors steps the engine through every missing generation itself,
-    which stays correct but duplicates work across workers.
-    """
-    from .runner import ExperimentRunner
-    from .search import OBJECTIVES, AdaptiveSearch, SearchSpace, SearchStore, make_strategy
-
-    target = int(payload["generation"]) + 1
-    space = SearchSpace.from_axes({axis: values for axis, values in payload["axes"]})
-    strategy = make_strategy(payload["strategy"], **payload.get("params", {}))
-    context = context_from_dict(payload.get("context"))
-    runner = ExperimentRunner(context=context, workers=1, cache=payload.get("cache", True))
-    profiles = runner.run(apps=payload.get("apps")).profiles()
-    store_root = payload.get("store_root")
-    store = SearchStore(Path(store_root)) if store_root else SearchStore()
-    engine = AdaptiveSearch(
-        space,
-        strategy,
-        profiles,
-        objectives=tuple(payload.get("objectives") or OBJECTIVES),
-        seed=int(payload.get("seed", 0)),
-        memory_budget=payload.get("memory_budget"),
-        store=store,
-    )
-    while engine.generation < target and not engine.done:
-        engine.step()
-    frontier_size = None
-    if engine.done:
-        result = engine.result()
-        store.save_result(engine.key, result.to_dict())
-        frontier_size = len(result.frontier())
-    return {
-        "search_key": engine.key,
-        "target_generation": target - 1,
-        "committed_generations": engine.generation,
-        "evaluations": float(engine.evaluations),
-        "archive": len(engine.archive_combos()),
-        "done": engine.done,
-        "frontier_size": frontier_size,
-    }
-
-
 def _execute_table(payload: Dict[str, Any]) -> Any:
     """Run one harness of :data:`repro.eval.HARNESSES`, in its canonical JSON form."""
     from ..eval import EVAL_SCALE, canonical, run_harnesses
@@ -382,7 +330,6 @@ register_unit_kind(
 )
 register_unit_kind("throughput", _execute_throughput)
 register_unit_kind("dse_chunk", _execute_dse_chunk)
-register_unit_kind("dse_search", _execute_dse_search)
 register_unit_kind("table", _execute_table)
 register_unit_kind("probe", _execute_probe)
 
@@ -466,16 +413,15 @@ class JobSpec:
         *,
         apps: Optional[Sequence[str]] = None,
         context: Optional[RunContext] = None,
-        memory_budget: Optional[int] = None,
         max_chunk: int = DEFAULT_DSE_CHUNK,
         name: str = "dse-grid",
     ) -> "JobSpec":
         """Shard a sweep cross-product into budget-planned variant chunks.
 
-        The chunk size comes from the PR 6 budget planner: one chunk's
-        (profile x variant) costing working set fits ``memory_budget``
-        (``REPRO_MEMORY_BUDGET`` honored), capped at ``max_chunk`` variants
-        so even unbudgeted jobs stay resumable at useful granularity.
+        The chunk size comes from the memory-budget planner: one chunk's
+        (profile x variant) costing working set fits ``REPRO_MEMORY_BUDGET``,
+        capped at ``max_chunk`` variants so even unbudgeted jobs stay
+        resumable at useful granularity.
         """
         from .._budget import plan_chunks, resolve_memory_budget
         from ..apps.timing import COSTING_BYTES_PER_CELL
@@ -492,7 +438,7 @@ class JobSpec:
         plan = plan_chunks(
             len(variants),
             cells * COSTING_BYTES_PER_CELL,
-            resolve_memory_budget(memory_budget),
+            resolve_memory_budget(),
             max_items=max_chunk,
         )
         axes_json = {
@@ -514,60 +460,6 @@ class JobSpec:
             units.append(WorkUnit(key=key, kind="dse_chunk", payload=payload))
         if not units:
             raise JobError("DSE grid resolved to zero units")
-        return JobSpec(name=name, units=tuple(units))
-
-    @staticmethod
-    def dse_search(
-        axes: Optional[Dict[str, Sequence[Any]]] = None,
-        *,
-        strategy: str = "evolve",
-        params: Optional[Dict[str, Any]] = None,
-        seed: int = 0,
-        objectives: Optional[Sequence[str]] = None,
-        apps: Optional[Sequence[str]] = None,
-        context: Optional[RunContext] = None,
-        memory_budget: Optional[int] = None,
-        store_root: Optional[Union[str, Path]] = None,
-        name: str = "dse-search",
-    ) -> "JobSpec":
-        """Shard an adaptive search into one resumable unit per generation.
-
-        Each unit commits one generation to the
-        :class:`~repro.runtime.search.SearchStore`; done units never
-        re-run, and a killed unit's partial generation is replayed from
-        the last committed state, so the search as a whole resumes
-        mid-frontier with zero re-evaluation of committed generations.
-        Generations depend on each other serially -- run the job with one
-        worker. ``objectives`` defaults to every search objective. The
-        space is built here, so an illegal axis value fails at submit.
-        """
-        from .search import DEFAULT_SEARCH_AXES, OBJECTIVES, SearchSpace, make_strategy
-
-        space = SearchSpace.from_axes(axes if axes is not None else DEFAULT_SEARCH_AXES)
-        params = dict(params or {})
-        built = make_strategy(strategy, **params)
-        # A list of pairs: the payload is persisted with sorted keys, and
-        # axis order shapes the space (gene order, variant names).
-        axes_json = [[axis, values] for axis, values in space.to_json().items()]
-        context_dict = context_to_dict(context or RunContext())
-        units: List[WorkUnit] = []
-        for generation in range(built.total_generations()):
-            payload: Dict[str, Any] = {
-                "kind": "dse_search",
-                "axes": axes_json,
-                "strategy": strategy,
-                "params": params,
-                "seed": int(seed),
-                "objectives": list(objectives if objectives is not None else OBJECTIVES),
-                "generation": generation,
-                "apps": None if apps is None else list(apps),
-                "context": context_dict,
-            }
-            if memory_budget is not None:
-                payload["memory_budget"] = int(memory_budget)
-            if store_root:
-                payload["store_root"] = str(store_root)
-            units.append(WorkUnit(key=_unit_key(payload), kind="dse_search", payload=payload))
         return JobSpec(name=name, units=tuple(units))
 
     @staticmethod

@@ -24,11 +24,10 @@ Two strategies ship behind one :class:`SearchStrategy` protocol:
   per-axis mutation, always at full fidelity.
 
 Every generation is committed to a :class:`SearchStore` (JSON state files
-keyed by the search's content hash), so a killed search -- whether driven
-directly from ``repro-eval dse --search`` or through the job layer's
-``dse_search`` units -- resumes mid-frontier with zero re-evaluation of
-committed generations. ``GET /frontier`` on the serve layer answers from
-the store's latest persisted result.
+keyed by the search's content hash), so a killed ``repro-eval dse
+--search`` run, re-run with the same parameters, resumes mid-frontier
+with zero re-evaluation of committed generations. ``GET /frontier`` on
+the serve layer answers from the store's latest persisted result.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .._budget import resolve_memory_budget
 from ..apps.profile import WorkloadProfile
 from ..apps.timing import PLATFORM_ALLOCATORS, CapstanPlatform
 from ..core.bank_hash import BANK_MAPPINGS
@@ -132,11 +130,9 @@ class SearchSpace:
         """The sweep-style variant label of one design point."""
         return default_variant_name(self.combo_values(combo))
 
-    def platform(
-        self, combo: Combo, base: Optional[CapstanPlatform] = None
-    ) -> CapstanPlatform:
+    def platform(self, combo: Combo) -> CapstanPlatform:
         """Materialize one design point as a validated platform."""
-        return build_variant(base, self.combo_values(combo), self.variant_name(combo))
+        return build_variant(None, self.combo_values(combo), self.variant_name(combo))
 
     def random_combo(self, rng: np.random.Generator) -> Combo:
         """A uniformly random design point."""
@@ -168,11 +164,11 @@ class SearchSpace:
             a[k] if rng.random() < 0.5 else b[k] for k in range(len(self.axes))
         )
 
-    def default_combo(self, base: Optional[CapstanPlatform] = None) -> Combo:
-        """The point closest to ``base`` (the paper's design point by
-        default): per axis, the index of the base's current value when it
-        is a candidate, else the middle candidate."""
-        platform = base if base is not None else CapstanPlatform()
+    def default_combo(self) -> Combo:
+        """The point closest to the paper's design point: per axis, the
+        index of its value when that is a candidate, else the middle
+        candidate."""
+        platform = CapstanPlatform()
         combo = []
         for axis, values in self.axes:
             value = axis_value(platform, axis)
@@ -181,10 +177,10 @@ class SearchSpace:
             )
         return tuple(combo)
 
-    def seed_combos(self, base: Optional[CapstanPlatform] = None) -> List[Combo]:
+    def seed_combos(self) -> List[Combo]:
         """Deterministic seed points: the default design point plus, per
         axis, the default with that axis pushed to each extreme."""
-        default = self.default_combo(base)
+        default = self.default_combo()
         seeds = [default]
         for k, (_, values) in enumerate(self.axes):
             for extreme in (0, len(values) - 1):
@@ -420,7 +416,7 @@ class SuccessiveHalving(SearchStrategy):
     ) -> Generation:
         width = min(self.rung_width(generation), engine.space.size)
         if generation == 0:
-            combos = list(engine.space.seed_combos(engine.base))[:width]
+            combos = list(engine.space.seed_combos())[:width]
             _fill_random(engine.space, rng, width, set(combos), combos)
         else:
             if not self._ranked:
@@ -482,7 +478,7 @@ class Evolutionary(SearchStrategy):
         taken = set(engine.archive_combos())
         combos: List[Combo] = []
         if generation == 0:
-            for seed in engine.space.seed_combos(engine.base):
+            for seed in engine.space.seed_combos():
                 if len(combos) >= target:
                     break
                 if seed not in taken:
@@ -736,7 +732,8 @@ class AdaptiveSearch:
     the strategy only proposes batches and ranks survivors. Evaluation
     counts are tracked in *full-grid equivalents*: costing a batch on a
     profile subset charges ``len(batch) * subset / total`` evaluations, so
-    budgets compare one-to-one with exhaustive enumeration.
+    budgets compare one-to-one with exhaustive enumeration. Costing and the
+    projection prefill stream under ``REPRO_MEMORY_BUDGET``.
 
     When a :class:`SearchStore` is attached, every committed generation is
     persisted and a new engine constructed with the same parameters
@@ -749,12 +746,9 @@ class AdaptiveSearch:
         strategy: SearchStrategy,
         profiles: Sequence[WorkloadProfile],
         *,
-        base: Optional[CapstanPlatform] = None,
         objectives: Sequence[str] = OBJECTIVES,
         seed: int = 0,
-        memory_budget: Optional[int] = None,
         store: Optional[SearchStore] = None,
-        key: Optional[str] = None,
     ) -> None:
         if not profiles:
             raise ConfigurationError("adaptive search needs at least one profile")
@@ -769,26 +763,22 @@ class AdaptiveSearch:
         self.strategy = strategy
         self.profiles = list(profiles)
         self.tasks = [(p.app, p.dataset) for p in self.profiles]
-        self.base = base
         self.objectives = tuple(objectives)
         self.seed = seed
-        self.memory_budget = resolve_memory_budget(memory_budget)
         self.store = store
         self.rng = np.random.default_rng(seed)
         self.generation = 0
         self.evaluations = 0.0
         self._full: Dict[Combo, Tuple[float, ...]] = {}
         self._partial: Dict[float, Dict[Combo, Tuple[float, ...]]] = {}
-        if key is None:
-            key = search_key(
-                axes=dict(space.to_json()),
-                strategy=strategy.name,
-                params=_strategy_params(strategy),
-                seed=seed,
-                objectives=self.objectives,
-                tasks=self.tasks,
-            )
-        self.key = key
+        self.key = search_key(
+            axes=dict(space.to_json()),
+            strategy=strategy.name,
+            params=_strategy_params(strategy),
+            seed=seed,
+            objectives=self.objectives,
+            tasks=self.tasks,
+        )
         if self.store is not None:
             latest = self.store.load_latest_state(self.key)
             if latest is not None:
@@ -864,13 +854,8 @@ class AdaptiveSearch:
         if fresh:
             indices = self._subset_indices(fraction)
             subset = [self.profiles[i] for i in indices]
-            platforms = [self.space.platform(c, self.base) for c in fresh]
-            costs = cost_variants(
-                subset,
-                platforms,
-                energy="energy" in self.objectives,
-                memory_budget=self.memory_budget,
-            )
+            platforms = [self.space.platform(c) for c in fresh]
+            costs = cost_variants(subset, platforms, energy="energy" in self.objectives)
             columns = {
                 "cycles": costs.gmean_cycles,
                 "area": costs.area_mm2,
@@ -898,9 +883,7 @@ class AdaptiveSearch:
         axes = dict(self.space.axes)
         if spmu_projection_bound(axes) > width * self.strategy.fresh_generations():
             return
-        prefill_throughputs(
-            spmu_projection_sweep(self.base, axes).values(), memory_budget=self.memory_budget
-        )
+        prefill_throughputs(spmu_projection_sweep(axes).values())
 
     # -- stepping ----------------------------------------------------------- #
 

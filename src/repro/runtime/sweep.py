@@ -251,9 +251,7 @@ def spmu_projection_bound(axes: Mapping[str, Sequence[Any]]) -> int:
     return math.prod(len(values) for axis, values in axes.items() if axis in SPMU_AXES)
 
 
-def spmu_projection_sweep(
-    base: Optional[CapstanPlatform], axes: Mapping[str, Iterable[Any]]
-) -> Dict[str, CapstanPlatform]:
+def spmu_projection_sweep(axes: Mapping[str, Iterable[Any]]) -> Dict[str, CapstanPlatform]:
     """Platforms covering every SpMU projection of the ``axes`` grid.
 
     The :data:`SPMU_AXES` sub-grid, with every other axis at its first
@@ -267,5 +265,5 @@ def spmu_projection_sweep(
             for value in values:
                 _check_axis(axis, value)
     return sweep(
-        base, **{axis: values if axis in SPMU_AXES else values[:1] for axis, values in grid.items()}
+        **{axis: values if axis in SPMU_AXES else values[:1] for axis, values in grid.items()}
     )

@@ -292,7 +292,7 @@ class TestSpmuAxes:
             "allocator": PLATFORM_ALLOCATORS,
             "ideal_sram": (False, True),
         }
-        projections = spmu_projection_sweep(None, axes)
+        projections = spmu_projection_sweep(axes)
         assert len(projections) == spmu_projection_bound(axes) == 12
         assert {_projection(p) for p in projections.values()} == {
             _projection(p) for p in sweep(**axes).values()
@@ -302,9 +302,9 @@ class TestSpmuAxes:
         # compute_units is not enumerated past its first value, but an
         # illegal later value still fails as it does in the full sweep.
         with pytest.raises(ConfigurationError, match="positive integers"):
-            spmu_projection_sweep(None, {"lanes": (8,), "compute_units": (64, 0)})
+            spmu_projection_sweep({"lanes": (8,), "compute_units": (64, 0)})
         with pytest.raises(ConfigurationError, match="lanes must be a power of two"):
-            spmu_projection_sweep(None, {"lanes": (8, 12), "compute_units": (64,)})
+            spmu_projection_sweep({"lanes": (8, 12), "compute_units": (64,)})
 
     def test_cli_prefill_builds_only_the_projection_sweep(
         self, isolated_store, monkeypatch, capsys

@@ -97,6 +97,19 @@ class TestJobSpecBuilders:
             assert start == stop
         assert all(stop - start <= 2 for start, stop in bounds)
 
+    def test_dse_grid_chunks_follow_the_memory_budget_env(self, monkeypatch):
+        # The budget reaches the planner only through REPRO_MEMORY_BUDGET
+        # (`sweep --memory-budget` exports it): 3 spmv-csr cells cost
+        # 3 * COSTING_BYTES_PER_CELL bytes per variant, so this budget fits 2.
+        from repro.apps.timing import COSTING_BYTES_PER_CELL
+
+        axes = {"allocator": ["separable", "greedy", "arbitrated"], "lanes": [8, 16]}
+        assert len(JobSpec.dse_grid(axes, apps=["spmv-csr"]).units) == 1
+        monkeypatch.setenv("REPRO_MEMORY_BUDGET", str(2 * 3 * COSTING_BYTES_PER_CELL))
+        spec = JobSpec.dse_grid(axes, apps=["spmv-csr"])
+        bounds = [(u.payload["start"], u.payload["stop"]) for u in spec.units]
+        assert bounds == [(0, 2), (2, 4), (4, 6)]
+
     def test_table_suite_rejects_unknown_table(self):
         with pytest.raises(JobError, match="unknown tables"):
             JobSpec.table_suite(tables=["table99"])
@@ -292,6 +305,16 @@ class TestShardedEqualsUnsharded:
 
 
 class TestUnitKindRegistry:
+    def test_import_registers_exactly_the_documented_kinds(self):
+        # DESIGN.md "Jobs" lists these; a fresh interpreter sees only the
+        # kinds the module registers, not ones a test added at run time.
+        code = "from repro.runtime import jobs; print(' '.join(jobs._KINDS))"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=_worker_env(), capture_output=True,
+            text=True, check=True,
+        ).stdout
+        assert out.split() == ["profile", "throughput", "dse_chunk", "table", "probe"]
+
     def test_unknown_kind_rejected(self):
         from repro.runtime.jobs import execute_unit
 

@@ -3,10 +3,10 @@
 Quality is pinned against exhaustive enumeration on a small space: both
 strategies must recover >= 95% of the exhaustive frontier's hypervolume
 while charging <= 25% of its evaluations (the ISSUE's acceptance bar,
-reproduced here at test scale). Durability mirrors the job layer's
-SIGKILL discipline: a killed ``dse_search`` job resumes from the last
-committed generation and finishes byte-identical to an uninterrupted
-run, with an equal evaluation count.
+reproduced here at test scale). Durability: a SIGKILLed ``repro-eval dse
+--search`` run, re-run with the same command, resumes from the search
+store's last committed generation and writes JSON byte-identical to an
+uninterrupted run, with an equal evaluation count.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import signal
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,14 +26,12 @@ from repro.apps.timing import platform_throughput_variant
 from repro.errors import ConfigurationError
 from repro.runtime.cli import main as cli_main
 from repro.runtime.dse import explore
-from repro.runtime.executors import LocalExecutor
 from repro.runtime.executors.subprocess import _worker_env
-from repro.runtime.jobs import UNIT_DONE, JobSpec, JobStore, execute_unit
+from repro.runtime.jobs import JobSpec, execute_unit
 from repro.runtime import search as search_module
 from repro.runtime.registry import RunContext
 from repro.runtime.runner import ExperimentRunner
 from repro.runtime.search import (
-    OBJECTIVES,
     AdaptiveSearch,
     SearchSpace,
     SearchStore,
@@ -263,6 +260,14 @@ class TestSearchQuality:
         ]
         assert explored[0] != explored[1]
 
+    def test_engine_takes_no_base_key_or_budget(self):
+        # A search is named by its parameters and costed under
+        # REPRO_MEMORY_BUDGET; there is no other way to set either.
+        space = SearchSpace.from_axes(AXES)
+        for knob in ("base", "key", "memory_budget"):
+            with pytest.raises(TypeError, match=knob):
+                AdaptiveSearch(space, make_strategy("evolve"), _profiles(), **{knob: None})
+
     def test_objectives_validated(self):
         space = SearchSpace.from_axes(AXES)
         with pytest.raises(ConfigurationError):
@@ -334,162 +339,6 @@ def isolated_caches(tmp_path, monkeypatch):
     return tmp_path
 
 
-class TestDseSearchJob:
-    SMALL_AXES = {
-        "lanes": [8, 16],
-        "banks": [16, 32],
-        "memory": ["ddr4", "hbm2e"],
-    }
-
-    def _spec(self, store_root, generations=3):
-        return JobSpec.dse_search(
-            self.SMALL_AXES,
-            strategy="evolve",
-            params={"population": 4, "generations": generations},
-            seed=5,
-            apps=["spmv-csr"],
-            context=RunContext(scale=1 / 512),
-            store_root=store_root,
-        )
-
-    def test_payload_axes_are_the_parsed_space(self, tmp_path):
-        spec = self._spec(tmp_path / "search", generations=1)
-        payload = spec.units[0].payload
-        # Unchanged unit material for inputs without duplicate values.
-        assert payload["axes"] == [[axis, values] for axis, values in self.SMALL_AXES.items()]
-        assert payload["objectives"] == list(OBJECTIVES)
-        deduped = JobSpec.dse_search({"lanes": ["8", 16, "8"]}, params={"generations": 1})
-        assert deduped.units[0].payload["axes"] == [["lanes", [8, 16]]]
-
-    def test_illegal_axis_value_fails_at_submit(self, tmp_path):
-        with JobStore(tmp_path / "runs.sqlite") as store:
-            with pytest.raises(ConfigurationError, match="lanes must be a power of two"):
-                store.submit(
-                    JobSpec.dse_search(
-                        {"lanes": [8, 12, 16]},
-                        params={"population": 4, "generations": 2},
-                        store_root=tmp_path / "search",
-                    )
-                )
-            assert store.jobs() == []
-        assert not (tmp_path / "search").exists()
-
-    def test_one_unit_per_generation(self, tmp_path):
-        spec = self._spec(tmp_path / "search", generations=3)
-        assert len(spec.units) == 3
-        assert len({unit.key for unit in spec.units}) == 3
-        assert all(unit.kind == "dse_search" for unit in spec.units)
-        assert spec.key == self._spec(tmp_path / "search", generations=3).key
-
-    def test_job_equals_direct_engine(self, isolated_caches, tmp_path):
-        job_store_root = tmp_path / "job-search"
-        with JobStore(tmp_path / "runs.sqlite") as store:
-            job = store.submit(self._spec(job_store_root))
-            summary = store.run_job(job.id, LocalExecutor())
-            assert summary.failed == 0
-            final = store.results(job.id)[-1][1]
-        assert final["done"] is True
-
-        profiles = (
-            ExperimentRunner(context=RunContext(scale=1 / 512), workers=1)
-            .run(apps=["spmv-csr"])
-            .profiles()
-        )
-        direct = AdaptiveSearch(
-            SearchSpace.from_axes(self.SMALL_AXES),
-            make_strategy("evolve", population=4, generations=3),
-            profiles,
-            seed=5,
-        ).run()
-
-        persisted = SearchStore(job_store_root).load_result(final["search_key"])
-        assert persisted is not None
-        persisted.pop("search_key")
-        assert json.dumps(persisted, sort_keys=True) == json.dumps(
-            direct.to_dict(), sort_keys=True
-        )
-
-    def test_sigkill_mid_search_then_resume(self, isolated_caches, tmp_path):
-        """A killed search job resumes from the last committed generation
-        and finishes byte-identical, with zero extra evaluations."""
-        db = tmp_path / "runs.sqlite"
-        search_root = tmp_path / "killed-search"
-        spec = self._spec(search_root, generations=8)
-        with JobStore(db) as store:
-            job_id = store.submit(spec).id
-
-        child_code = (
-            "import sys\n"
-            "from pathlib import Path\n"
-            "from repro.runtime.executors import LocalExecutor\n"
-            "from repro.runtime.jobs import JobStore\n"
-            "with JobStore(Path(sys.argv[1])) as store:\n"
-            "    store.run_job(int(sys.argv[2]), LocalExecutor())\n"
-        )
-        proc = subprocess.Popen(
-            [sys.executable, "-c", child_code, str(db), str(job_id)],
-            env=_worker_env(),
-        )
-        try:
-            # Kill as soon as at least one generation state is committed.
-            deadline = time.perf_counter() + 120.0
-            while time.perf_counter() < deadline:
-                if list(search_root.glob("*/gen-*.json")):
-                    break
-                if proc.poll() is not None:
-                    break  # finished before we could kill: resume is a no-op
-                time.sleep(0.01)
-            else:
-                pytest.fail("child never committed a generation")
-            if proc.poll() is None:
-                os.kill(proc.pid, signal.SIGKILL)
-        finally:
-            proc.wait(timeout=10)
-
-        committed_dirs = list(search_root.glob("*/"))
-        assert committed_dirs, "no search state survived the kill"
-        key = committed_dirs[0].name
-        committed_after_kill = SearchStore(search_root).committed_generations(key)
-        assert committed_after_kill == list(range(1, len(committed_after_kill) + 1))
-
-        # The resumed engine starts from the committed frontier, not zero.
-        profiles = (
-            ExperimentRunner(context=RunContext(scale=1 / 512), workers=1)
-            .run(apps=["spmv-csr"])
-            .profiles()
-        )
-        probe = AdaptiveSearch(
-            SearchSpace.from_axes(self.SMALL_AXES),
-            make_strategy("evolve", population=4, generations=8),
-            profiles,
-            seed=5,
-            store=SearchStore(search_root),
-        )
-        assert probe.key == key
-        assert probe.generation == len(committed_after_kill)
-
-        with JobStore(db) as store:
-            summary = store.run_job(job_id, LocalExecutor())
-            assert summary.failed == 0
-            assert store.unit_states(job_id)[UNIT_DONE] == 8
-
-        # Byte-identical to an uninterrupted in-process reference, with an
-        # equal evaluation budget: committed generations were never redone.
-        reference = AdaptiveSearch(
-            SearchSpace.from_axes(self.SMALL_AXES),
-            make_strategy("evolve", population=4, generations=8),
-            profiles,
-            seed=5,
-        ).run()
-        persisted = SearchStore(search_root).load_result(key)
-        assert persisted is not None
-        persisted.pop("search_key")
-        assert json.dumps(persisted, sort_keys=True) == json.dumps(
-            reference.to_dict(), sort_keys=True
-        )
-        assert persisted["evaluations"] == reference.evaluations
-
-
 class TestSearchCli:
     def test_search_cli_same_seed_byte_identical(self, isolated_caches, tmp_path):
         outputs = []
@@ -541,6 +390,91 @@ class TestSearchCli:
         assert not out.exists()
         assert not (isolated_caches / "search-default").exists()
         assert not (isolated_caches / "profiles").exists()
+
+    def test_sigkill_mid_search_then_rerun_resumes(self, isolated_caches, tmp_path):
+        """A search killed after its first commit, re-run with the same
+        command, resumes from the store and writes the uninterrupted JSON."""
+        store = tmp_path / "search"
+        search = ["--apps", "spmv-csr", "--scale", "1/512", "--search", "evolve"]
+        generations = 8
+        search += ["--population", "8", "--generations", str(generations), "--seed", "5"]
+
+        def command(store_arg, out):
+            return [sys.executable, "-m", "repro.runtime.cli", "dse", *search,
+                    "--search-store", str(store_arg), "--json", str(out)]
+
+        proc = subprocess.Popen(
+            command(store, tmp_path / "killed.json"), env=_worker_env(),
+            stdout=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.perf_counter() + 120.0
+            while not list(store.glob("*/gen-*.json")):
+                assert proc.poll() is None, "the search exited before it was killed"
+                assert time.perf_counter() < deadline, "no generation was committed"
+                time.sleep(0.01)
+            os.kill(proc.pid, signal.SIGKILL)
+        finally:
+            proc.wait(timeout=10)
+        assert proc.returncode == -signal.SIGKILL
+        assert not (tmp_path / "killed.json").exists()
+
+        [search_dir] = store.iterdir()
+        committed = SearchStore(store).committed_generations(search_dir.name)
+        assert committed == list(range(1, len(committed) + 1))
+        assert len(committed) < generations
+        before = {path: path.stat() for path in search_dir.glob("gen-*.json")}
+
+        for name, store_arg in {"resumed": store, "reference": "none"}.items():
+            subprocess.run(
+                command(store_arg, tmp_path / f"{name}.json"), env=_worker_env(),
+                stdout=subprocess.DEVNULL, check=True,
+            )
+        resumed = (tmp_path / "resumed.json").read_bytes()
+        assert resumed == (tmp_path / "reference.json").read_bytes()
+        reference = json.loads(resumed)
+        assert reference["generations"] == generations
+        # The rerun wrote no committed generation again: a rewrite replaces
+        # the file (temp file, then rename) and so changes its inode.
+        for path, stat in before.items():
+            after = path.stat()
+            assert (after.st_ino, after.st_mtime_ns) == (stat.st_ino, stat.st_mtime_ns)
+        assert SearchStore(store).committed_generations(search_dir.name) == list(
+            range(1, generations + 1)
+        )
+        persisted = SearchStore(store).load_result(search_dir.name)
+        assert persisted["evaluations"] == reference["evaluations"]
+
+    def test_memory_budget_streams_the_costing_and_keeps_the_bytes(
+        self, isolated_caches, tmp_path, monkeypatch
+    ):
+        from repro.runtime import dse as dse_module
+
+        # Registered with monkeypatch, so the value the CLI exports is undone.
+        monkeypatch.setenv("REPRO_MEMORY_BUDGET", "")
+        chunks = []
+        original = dse_module.iter_cycles_batches
+
+        def counting(*args, **kwargs):
+            batches = list(original(*args, **kwargs))
+            chunks.append(len(batches))
+            return iter(batches)
+
+        monkeypatch.setattr(dse_module, "iter_cycles_batches", counting)
+        outputs = []
+        for budget in ([], ["--memory-budget", "4K"]):
+            chunks.clear()
+            out = tmp_path / f"search-{len(budget)}.json"
+            rc = cli_main(
+                ["dse", "--apps", "spmv-csr,bfs", "--scale", "1/512", "--search", "evolve"]
+                + ["--population", "8", "--generations", "3", "--seed", "5"]
+                + ["--search-store", "none", "--json", str(out), *budget]
+            )
+            assert rc == 0
+            outputs.append((out.read_bytes(), max(chunks)))
+        (unbudgeted, whole), (budgeted, streamed) = outputs
+        assert whole == 1 and streamed > 1
+        assert budgeted == unbudgeted
 
     def test_search_flags_require_search(self):
         with pytest.raises(SystemExit):
@@ -615,14 +549,15 @@ class TestProjectionPrefill:
 
     @pytest.fixture
     def simulated(self, isolated_store, monkeypatch):
-        """Every lock-step batch: its variants and its memory budget."""
+        """Every lock-step batch: its variants and the memory budget it runs under."""
+        from repro._budget import resolve_memory_budget
         from repro.core import spmu as spmu_module
 
         calls = []
         original = spmu_module.simulate_variants
 
         def recording(variants, *args, **kwargs):
-            calls.append((list(variants), kwargs.get("memory_budget")))
+            calls.append((list(variants), resolve_memory_budget(kwargs.get("memory_budget"))))
             return original(variants, *args, **kwargs)
 
         monkeypatch.setattr(spmu_module, "simulate_variants", recording)
@@ -635,18 +570,20 @@ class TestProjectionPrefill:
 
         return {platform_throughput_variant(p) for p in sweep(**dict(space.axes)).values()}
 
-    def test_fresh_small_space_simulates_every_projection_up_front(self, simulated):
+    def test_fresh_small_space_simulates_every_projection_up_front(
+        self, simulated, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_MEMORY_BUDGET", str(1 << 20))
         space = SearchSpace.from_axes(self.SMALL_AXES)
         engine = AdaptiveSearch(
-            space, make_strategy("evolve", population=4, generations=3), _profiles(),
-            seed=1, memory_budget=1 << 20,
+            space, make_strategy("evolve", population=4, generations=3), _profiles(), seed=1
         )
         engine.step()
         assert len(simulated) == 1
         variants, budget = simulated[0]
         assert set(variants) == self._projections(space)
         assert len(variants) == 4
-        assert budget == engine.memory_budget
+        assert budget == 1 << 20
         engine.run()
         assert len(simulated) == 1
 
