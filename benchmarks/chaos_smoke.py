@@ -61,7 +61,7 @@ executor = FaultyExecutor(
     SubprocessExecutor(workers=1, timeout_s=30.0, retries=2),
     driver_plan,
 )
-with JobStore(Path(sys.argv[1])) as store:
+with JobStore(Path(sys.argv[1])) as store, executor:
     store.run_job(int(sys.argv[2]), executor)
 """
 
@@ -147,7 +147,8 @@ def main(argv=None) -> int:
             print(f"[3/4] resume: {len(done_before)} units survived the dead driver as done")
             from repro.runtime.executors import SubprocessExecutor
 
-            summary = store.run_job(job_id, SubprocessExecutor(workers=2))
+            with SubprocessExecutor(workers=2) as executor:
+                summary = store.run_job(job_id, executor)
             if summary.state != "done":
                 return _fail(f"resumed job ended {summary.state!r}: {summary.to_dict()}")
             if summary.dead:

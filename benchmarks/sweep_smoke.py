@@ -44,8 +44,8 @@ from pathlib import Path
 from repro.runtime.executors import SubprocessExecutor
 from repro.runtime.jobs import JobStore
 
-with JobStore(Path(sys.argv[1])) as store:
-    store.run_job(int(sys.argv[2]), SubprocessExecutor(workers=1))
+with JobStore(Path(sys.argv[1])) as store, SubprocessExecutor(workers=1) as executor:
+    store.run_job(int(sys.argv[2]), executor)
 """
 
 
@@ -109,7 +109,8 @@ def main(argv=None) -> int:
                 unit.seq: unit.attempts for unit in store.units(job_id, state=UNIT_DONE)
             }
             print(f"[3/4] resume: {len(done_before)} units survived the kill as done")
-            summary = store.run_job(job_id, SubprocessExecutor(workers=2))
+            with SubprocessExecutor(workers=2) as executor:
+                summary = store.run_job(job_id, executor)
             if summary.state != "done":
                 return _fail(f"resumed job ended {summary.state!r}: {summary.to_dict()}")
             for seq, attempts in done_before.items():

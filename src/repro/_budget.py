@@ -123,11 +123,6 @@ class ChunkPlan:
         for start in range(0, self.total_items, self.chunk_items):
             yield start, min(start + self.chunk_items, self.total_items)
 
-    def slices(self) -> Iterator[slice]:
-        """Yield ``slice`` objects covering the item ranges in order."""
-        for start, stop in self.bounds():
-            yield slice(start, stop)
-
 
 def plan_chunks(
     total_items: int,

@@ -17,7 +17,7 @@ baseline snapshot. Typical uses::
     repro-eval --no-cache --json out.json # cold run, machine-readable report
     repro-eval dse --axis lanes=8,16,32 --axis banks=8,16,32
     repro-eval dse --axis memory=hbm2e,ddr4 --apps bfs,sssp --pareto-only
-    repro-eval sweep --executor subprocess -j 4   # sharded resumable grid job
+    repro-eval sweep -j 4                         # sharded resumable grid job
     repro-eval sweep --resume 3                   # continue a killed sweep
     repro-eval worker                             # JSON-lines unit worker (stdin)
     repro-eval bench-history --limit 10 --trends
@@ -846,11 +846,11 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         "--executor",
         choices=_EXECUTOR_CHOICES,
         default=None,
-        help="execution backend for the units (default: local, or subprocess with --timeout)",
+        help="execution backend (default: subprocess with --timeout or -j when it pays off)",
     )
     parser.add_argument(
         "-j", "--workers", type=int, default=1,
-        help="worker processes of the subprocess executor (default: 1)",
+        help="worker processes of the subprocess executor, kept for the whole sweep (default: 1)",
     )
     parser.add_argument(
         "--timeout", type=float, default=None, metavar="S",
@@ -950,7 +950,7 @@ def _print_sweep_status(store: Any, job_id: int) -> Optional[str]:
 
 
 def _sweep_main(argv: List[str]) -> int:
-    from .executors import LocalExecutor, SubprocessExecutor
+    from .executors import LocalExecutor, choose_executor
     from .jobs import DEFAULT_LEASE_S, JOB_DONE, JOB_FAILED, JobSpec, JobStore
 
     parser = build_sweep_parser()
@@ -1015,19 +1015,18 @@ def _sweep_main(argv: List[str]) -> int:
             verb = "resuming" if existing is not None else "submitted"
             print(f"{verb} job {job.id} ({job.name}, {len(spec.units)} units)")
 
-        if args.executor == SubprocessExecutor.name or args.timeout is not None:
-            executor = SubprocessExecutor(
-                args.workers, timeout_s=args.timeout, retries=args.retries
-            )
-        else:
-            executor = LocalExecutor(retries=args.retries)
+        pending = len(store.claimable_units(job.id)[: args.max_units])
         try:
-            summary = store.run_job(
-                job.id, executor, max_units=args.max_units,
-                stop_on_error=args.stop_on_error,
-                max_attempts=args.max_attempts,
-                lease_s=args.lease if args.lease is not None else DEFAULT_LEASE_S,
-            )
+            with choose_executor(
+                args.executor, workers=args.workers, pending=pending,
+                timeout_s=args.timeout, retries=args.retries,
+            ) as executor:
+                summary = store.run_job(
+                    job.id, executor, max_units=args.max_units,
+                    stop_on_error=args.stop_on_error,
+                    max_attempts=args.max_attempts,
+                    lease_s=args.lease if args.lease is not None else DEFAULT_LEASE_S,
+                )
         except CapstanError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

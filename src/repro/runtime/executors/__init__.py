@@ -12,16 +12,19 @@ bounded retries with backoff and cancellation.
   parallel backend, and the one that takes a per-unit ``timeout_s``,
   because it can kill a worker whose unit overruns.
 
-:data:`EXECUTORS` maps the ``--executor`` names to the classes. Any
-backend can be wrapped in a :class:`~repro.runtime.faults.FaultyExecutor`
-to run under a declarative :class:`~repro.runtime.faults.FaultPlan`;
-error classification lives in :mod:`repro.runtime.health`.
+:data:`EXECUTORS` maps the ``--executor`` names to the classes, and
+:func:`choose_executor` picks one for a run. Any backend can be wrapped
+in a :class:`~repro.runtime.faults.FaultyExecutor` to run under a
+declarative :class:`~repro.runtime.faults.FaultPlan`; error
+classification lives in :mod:`repro.runtime.health`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Type
+import os
+from typing import Dict, Optional, Type
 
+from ...errors import ConfigurationError
 from .base import (
     OUTCOME_CANCELLED,
     OUTCOME_ERROR,
@@ -41,6 +44,41 @@ EXECUTORS: Dict[str, Type[Executor]] = {
 }
 
 
+def workers_are_profitable(workers: int, pending_tasks: int) -> bool:
+    """Whether fanning ``pending_tasks`` over ``workers`` processes can pay off.
+
+    Not on one core (the seed benchmark measured a 0.94x "speedup" there)
+    and not for fewer than two units: workers would only add start-up cost.
+    """
+    return workers > 1 and pending_tasks >= 2 and (os.cpu_count() or 1) > 1
+
+
+def choose_executor(
+    name: Optional[str],
+    *,
+    workers: int,
+    pending: int,
+    timeout_s: Optional[float] = None,
+    retries: int = 0,
+) -> Executor:
+    """The executor for a run of ``pending`` units, which the caller closes.
+
+    A named executor is used as named (``local`` takes no timeout: an
+    in-process unit cannot be stopped). With no name, ``subprocess`` runs
+    the units when a timeout is set or its workers pay off, else ``local``.
+    """
+    if name is None:
+        wanted = timeout_s is not None or workers_are_profitable(workers, pending)
+        name = SubprocessExecutor.name if wanted else LocalExecutor.name
+    if name == SubprocessExecutor.name:
+        return SubprocessExecutor(workers, timeout_s=timeout_s, retries=retries)
+    if name == LocalExecutor.name and timeout_s is None:
+        return LocalExecutor(retries=retries)
+    if name == LocalExecutor.name:
+        raise ConfigurationError("a timeout needs worker processes, not the local executor")
+    raise ConfigurationError(f"unknown executor {name!r}; known: {', '.join(sorted(EXECUTORS))}")
+
+
 __all__ = [
     "EXECUTORS",
     "Executor",
@@ -52,4 +90,6 @@ __all__ = [
     "SubprocessExecutor",
     "UnitOutcome",
     "WorkerError",
+    "choose_executor",
+    "workers_are_profitable",
 ]

@@ -20,12 +20,16 @@ identically:
 * ``stop_on_error`` -- per-run flag: after the first unit exhausts its
   retries, outstanding units are cancelled instead of executed.
 
-Process options belong to the backend that owns processes: only
+The base class also drains the units: slot 0 on the calling thread and
+each further slot of ``workers`` on a thread of its own, every slot
+running one unit at a time through the backend's ``_attempt``. Process
+options belong to the backend that owns processes: only
 :class:`~repro.runtime.executors.subprocess.SubprocessExecutor` takes
 ``workers`` and a per-unit ``timeout_s``, because only a worker process
 can be killed when its unit overruns.
 :class:`~repro.runtime.executors.local.LocalExecutor` runs one unit at a
-time, inline on the calling thread.
+time, inline on the calling thread. An executor is a context manager:
+what it holds between runs lives until :meth:`Executor.close`.
 """
 
 from __future__ import annotations
@@ -33,8 +37,9 @@ from __future__ import annotations
 import random
 import threading
 import traceback
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ...errors import CapstanError
 from ..health import PERMANENT, classify_error
@@ -114,9 +119,10 @@ def outcome_from_exception(
 class Executor:
     """Base class implementing the shared retry/backoff/cancel contract.
 
-    Subclasses implement :meth:`run_units`; the helpers here keep the
-    retry arithmetic and cancellation semantics identical across backends
-    (the conformance suite in ``tests/test_executors.py`` asserts this).
+    Subclasses implement ``_attempt`` (one attempt of one unit on one
+    slot); :meth:`run_units` here keeps the ordering, retry arithmetic and
+    cancellation semantics identical across backends (the conformance
+    suite in ``tests/test_executors.py`` asserts this).
 
     Args:
         retries: Extra attempts after a failed/timed-out attempt.
@@ -126,6 +132,8 @@ class Executor:
     """
 
     name = "base"
+    #: Units one run executes at once (the job store's claim-wave size).
+    workers = 1
 
     def __init__(
         self,
@@ -149,9 +157,14 @@ class Executor:
     def cancelled(self) -> bool:
         return self._cancel_event.is_set()
 
-    def _begin_run(self) -> None:
-        """Reset per-run state (a fresh run starts uncancelled)."""
-        self._cancel_event.clear()
+    def close(self) -> None:
+        """Release what the executor holds between runs (nothing here)."""
+
+    def __enter__(self) -> "Executor":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # ----------------------------------------------------------- helpers
 
@@ -181,8 +194,8 @@ class Executor:
             outcome.exception if outcome.exception is not None else outcome.error
         )
 
-    def _run_with_retries(self, attempt_once: Callable[[], UnitOutcome]) -> UnitOutcome:
-        """Drive one unit's attempt/retry loop to a final outcome.
+    def _run_with_retries(self, slot: int, payload: Dict[str, Any]) -> UnitOutcome:
+        """Drive one unit's attempt/retry loop on ``slot`` to a final outcome.
 
         Permanent failures (see :mod:`repro.runtime.health`) return after
         the first attempt -- retrying a bad spec or a missing import burns
@@ -193,7 +206,7 @@ class Executor:
             if self.cancelled():
                 return UnitOutcome(status=OUTCOME_CANCELLED, attempts=attempts)
             attempts += 1
-            outcome = attempt_once()
+            outcome = self._attempt(slot, payload)
             outcome.attempts = attempts
             outcome.classification = self.classify_outcome(outcome)
             if outcome.status in (OUTCOME_OK, OUTCOME_CANCELLED):
@@ -206,4 +219,38 @@ class Executor:
         self, payloads: List[Dict[str, Any]], *, stop_on_error: bool = False
     ) -> List[UnitOutcome]:
         """Execute the payloads; one outcome per payload, in input order."""
+        self._cancel_event.clear()  # a fresh run starts uncancelled
+        outcomes = [UnitOutcome(status=OUTCOME_CANCELLED) for _ in payloads]
+        queue = deque(range(len(payloads)))
+        failed = threading.Event()
+        lock = threading.Lock()
+
+        def drain(slot: int) -> None:
+            while True:
+                with lock:
+                    if self.cancelled() or (stop_on_error and failed.is_set()) or not queue:
+                        return
+                    index = queue.popleft()
+                outcomes[index] = self._run_with_retries(slot, payloads[index])
+                if outcomes[index].status not in (OUTCOME_OK, OUTCOME_CANCELLED):
+                    failed.set()
+
+        threads = [
+            threading.Thread(target=drain, args=(slot,), daemon=True, name=f"repro-exec-{slot}")
+            for slot in range(1, min(self.workers, len(payloads)))
+        ]
+        for thread in threads:
+            thread.start()
+        try:
+            drain(0)
+        except BaseException:
+            self.cancel()  # an interrupt (Ctrl-C) stops every slot before it unwinds
+            raise
+        finally:
+            for thread in threads:
+                thread.join()
+        return outcomes
+
+    def _attempt(self, slot: int, payload: Dict[str, Any]) -> UnitOutcome:
+        """Run one attempt of ``payload`` on ``slot`` (the backend's part)."""
         raise NotImplementedError

@@ -12,42 +12,18 @@ from __future__ import annotations
 
 import time
 import traceback
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 from ..jobs import execute_unit
-from .base import (
-    OUTCOME_CANCELLED,
-    OUTCOME_OK,
-    Executor,
-    UnitOutcome,
-    outcome_from_exception,
-)
+from .base import OUTCOME_OK, Executor, UnitOutcome, outcome_from_exception
 
 
 class LocalExecutor(Executor):
     """Serial executor: one unit at a time on the calling thread."""
 
     name = "local"
-    workers = 1
 
-    def run_units(
-        self, payloads: List[Dict[str, Any]], *, stop_on_error: bool = False
-    ) -> List[UnitOutcome]:
-        self._begin_run()
-        outcomes: List[UnitOutcome] = []
-        failed = False
-        for payload in payloads:
-            if self.cancelled() or (failed and stop_on_error):
-                outcomes.append(UnitOutcome(status=OUTCOME_CANCELLED))
-                continue
-            outcome = self._run_with_retries(lambda p=payload: self._attempt(p))
-            if outcome.status not in (OUTCOME_OK, OUTCOME_CANCELLED):
-                failed = True
-            outcomes.append(outcome)
-        return outcomes
-
-    @staticmethod
-    def _attempt(payload: Dict[str, Any]) -> UnitOutcome:
+    def _attempt(self, slot: int, payload: Dict[str, Any]) -> UnitOutcome:
         start = time.perf_counter()
         try:
             result = execute_unit(payload)

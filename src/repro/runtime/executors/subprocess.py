@@ -1,7 +1,9 @@
 """Subprocess executor: persistent ``repro-eval worker`` children.
 
-Each of ``workers`` driver threads owns one long-lived worker process and
-speaks a JSON-lines protocol over its stdin/stdout::
+Each of the ``workers`` slots keeps one worker process from its first unit
+until ``close()``, across ``run_units`` calls (the job store's claim
+waves), so start-up is paid once per executor, not once per call. The
+slot's driver speaks a JSON-lines protocol over the worker's stdin/stdout::
 
     -> {"id": 1, "warmup": true}
     <- {"id": 1, "ok": true}
@@ -30,7 +32,9 @@ objects the in-process executor returns.
 Any conversation failure -- the worker died, overran its deadline, or
 emitted a malformed or truncated protocol line -- retires that worker, and
 the slot's next attempt spawns a fresh one: one corrupted line must not
-fail every unit subsequently routed to that worker.
+fail every unit subsequently routed to that worker. ``cancel()`` kills
+every worker too; nothing else replaces one, so a worker keeps what it
+inherited at spawn (a fault plan's ``REPRO_FAULT_PLAN``, say).
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ import subprocess
 import sys
 import threading
 import time
-from collections import deque
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -243,7 +246,7 @@ class SubprocessExecutor(Executor):
     """Executor fanning units out over persistent worker subprocesses.
 
     Args:
-        workers: Worker process count (one driver thread each).
+        workers: Worker process count (one slot each).
         timeout_s: Per-unit attempt cap in seconds (``None`` = unlimited);
             an overrunning unit's worker is killed, so the cap is hard.
         command: Worker command prefix; ``worker`` is appended. Defaults
@@ -267,101 +270,62 @@ class SubprocessExecutor(Executor):
         self.workers = max(1, int(workers))
         self.timeout_s = timeout_s
         self.command = list(command) if command is not None else default_worker_command()
-        self._live_workers: List[_Worker] = []
-        self._workers_lock = threading.Lock()
+        self._slots: List[Optional[_Worker]] = [None] * self.workers
+        self._slots_lock = threading.Lock()
 
     def cancel(self) -> None:
         """Cancel the run and kill live workers (interrupts blocked reads)."""
         super().cancel()
-        with self._workers_lock:
-            workers = list(self._live_workers)
+        with self._slots_lock:
+            workers = [worker for worker in self._slots if worker is not None]
         for worker in workers:
             worker.interrupt()
 
-    def run_units(
-        self, payloads: List[Dict[str, Any]], *, stop_on_error: bool = False
-    ) -> List[UnitOutcome]:
-        self._begin_run()
-        total = len(payloads)
-        outcomes: List[Optional[UnitOutcome]] = [None] * total
-        queue = deque(range(total))
-        state = {"failed": False}
-        lock = threading.Lock()
+    def close(self) -> None:
+        """Cancel any run still in flight and retire every worker."""
+        self.cancel()
+        for slot in range(self.workers):
+            self._retire(slot)
 
-        def drain() -> None:
-            holder: Dict[str, Any] = {"worker": None}
-            try:
-                while True:
-                    with lock:
-                        stop = (
-                            self.cancelled()
-                            or (state["failed"] and stop_on_error)
-                            or not queue
-                        )
-                        index = None if stop else queue.popleft()
-                    if index is None:
-                        return
-                    outcome = self._run_with_retries(
-                        lambda: self._attempt(holder, payloads[index])
-                    )
-                    outcomes[index] = outcome
-                    if outcome.status not in (OUTCOME_OK, OUTCOME_CANCELLED):
-                        with lock:
-                            state["failed"] = True
-            finally:
-                self._retire(holder)
-
-        threads = [
-            threading.Thread(target=drain, daemon=True, name=f"repro-exec-{i}")
-            for i in range(min(self.workers, max(1, total)))
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        for index in range(total):
-            if outcomes[index] is None:
-                outcomes[index] = UnitOutcome(status=OUTCOME_CANCELLED)
-        return [outcome for outcome in outcomes if outcome is not None]
+    def __del__(self) -> None:
+        # An executor dropped without close() must not strand its workers.
+        if hasattr(self, "_slots"):
+            self.close()
 
     # ------------------------------------------------------ worker mgmt
 
-    def _obtain(self, holder: Dict[str, Any]) -> _Worker:
-        worker = holder.get("worker")
-        if worker is None or worker.proc.poll() is not None:
-            if worker is not None:
-                self._retire(holder)
-            worker = _Worker(self.command)
-            holder["worker"] = worker
-            with self._workers_lock:
-                self._live_workers.append(worker)
-            if self.cancelled():
-                # cancel() may have listed the live workers before this one
-                # joined them, and would then never kill it.
-                raise _WorkerDied("run cancelled while the worker spawned")
-            # Warm the fresh worker with a handshake so its startup cost
-            # (interpreter + imports) is paid here, not inside the first
-            # real unit's timeout window.
-            worker.warm_up()
+    def _obtain(self, slot: int) -> _Worker:
+        """The slot's live worker, spawning and warming one if it has none."""
+        worker = self._slots[slot]
+        if worker is not None and not worker.interrupted and worker.proc.poll() is None:
+            return worker
+        self._retire(slot)
+        worker = _Worker(self.command)
+        with self._slots_lock:
+            self._slots[slot] = worker
+        if self.cancelled():
+            # cancel() may have listed the live workers before this one
+            # joined them, and would then never kill it.
+            raise _WorkerDied("run cancelled while the worker spawned")
+        # Warm the fresh worker with a handshake so its startup cost
+        # (interpreter + imports) is paid here, not inside the first
+        # real unit's timeout window.
+        worker.warm_up()
         return worker
 
-    def _retire(self, holder: Dict[str, Any]) -> None:
-        worker = holder.get("worker")
-        holder["worker"] = None
-        if worker is None:
-            return
-        with self._workers_lock:
-            if worker in self._live_workers:
-                self._live_workers.remove(worker)
-        worker.kill()
+    def _retire(self, slot: int) -> None:
+        with self._slots_lock:
+            worker, self._slots[slot] = self._slots[slot], None
+        if worker is not None:
+            worker.kill()
 
-    def _attempt(self, holder: Dict[str, Any], payload: Dict[str, Any]) -> UnitOutcome:
+    def _attempt(self, slot: int, payload: Dict[str, Any]) -> UnitOutcome:
         start = time.perf_counter()
         try:
-            worker = self._obtain(holder)
+            worker = self._obtain(slot)
             response = worker.request(payload, self.timeout_s)
         except TimeoutError:
-            self._retire(holder)  # the overrunning unit dies with its worker
+            self._retire(slot)  # the overrunning unit dies with its worker
             return UnitOutcome(
                 status=OUTCOME_TIMEOUT,
                 error=f"unit exceeded {self.timeout_s:g}s timeout",
@@ -370,7 +334,7 @@ class SubprocessExecutor(Executor):
         except (_ProtocolError, _WorkerDied, OSError) as exc:
             # A dead, stalled or garbling worker is retired; the next attempt
             # on this slot spawns a fresh one instead of reusing it.
-            self._retire(holder)
+            self._retire(slot)
             if self.cancelled():
                 return UnitOutcome(status=OUTCOME_CANCELLED)
             return UnitOutcome(

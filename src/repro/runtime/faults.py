@@ -102,8 +102,9 @@ class Fault:
             ``{"value": 3}`` or ``{"dataset": "wikipedia"}``); empty
             matches every payload.
         unit_index: Arm only on the Nth (0-based) *matched* unit seen by
-            this process -- "crash on unit 2". For ``exit_mid_wave`` this
-            counts waves instead of units.
+            this process -- "crash on unit 2"; a subprocess worker serves
+            every wave of its executor, so the count spans waves. For
+            ``exit_mid_wave`` this counts waves instead of units.
         times: Total firings allowed (bounded across respawns via the
             plan's ``state_dir`` markers).
         probability: Chance of firing once armed, decided by a hash of
@@ -359,9 +360,10 @@ class FaultyExecutor:
     it -- an armed ``exit_mid_wave`` fault kills this process, simulating a
     driver dying with executed-but-uncommitted work.
 
-    Everything else (``workers``, ``timeout_s``, ``cancel`` ...) delegates
-    to the wrapped executor, so a ``FaultyExecutor`` drops into any seam an
-    :class:`~repro.runtime.executors.base.Executor` fits.
+    Everything else (``workers``, ``timeout_s``, ``cancel``, ``close`` ...)
+    delegates to the wrapped executor, so a ``FaultyExecutor`` drops into
+    any seam an :class:`~repro.runtime.executors.base.Executor` fits (the
+    ``with`` methods explicitly: Python looks dunders up on the class).
     """
 
     def __init__(self, inner: Any, plan: FaultPlan):
@@ -374,6 +376,12 @@ class FaultyExecutor:
 
     def __getattr__(self, attribute: str) -> Any:
         return getattr(self._inner, attribute)
+
+    def __enter__(self) -> "FaultyExecutor":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._inner.close()
 
     def run_units(
         self, payloads: List[Dict[str, Any]], *, stop_on_error: bool = False

@@ -50,7 +50,7 @@ import threading
 import time
 import uuid
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..config import SpMUConfig
 from ..core.ordering import OrderingMode
@@ -69,6 +69,9 @@ from .cache import (
 from .registry import RunContext
 from .runstore import RunStore, _utc_now
 from .sweep import axis_value_to_json, parse_axis_value
+
+if TYPE_CHECKING:  # the executors import this module
+    from .executors import Executor
 
 #: Work-unit states persisted in the ``work_units`` table. ``dead`` is the
 #: dead-letter state: the unit exhausted ``max_attempts`` (or failed
@@ -799,7 +802,7 @@ class JobStore:
     def run_job(
         self,
         job_id: int,
-        executor: Any,
+        executor: Union[Executor, faults.FaultyExecutor],
         *,
         max_units: Optional[int] = None,
         stop_on_error: bool = False,
@@ -811,7 +814,8 @@ class JobStore:
 
         Args:
             job_id: The job to advance.
-            executor: Any :class:`~repro.runtime.executors.base.Executor`.
+            executor: Any :class:`~repro.runtime.executors.base.Executor`,
+                plain or fault-wrapped; the caller closes it.
             max_units: Process at most this many units, then return with
                 the job still resumable (deterministic partial progress --
                 also the seam the kill/resume tests and smoke sweep use).
@@ -849,15 +853,9 @@ class JobStore:
             self._connection.execute(
                 "UPDATE jobs SET state=?, executor=?, workers=?, updated_at=?"
                 " WHERE id=?",
-                (
-                    JOB_RUNNING,
-                    getattr(executor, "name", type(executor).__name__),
-                    getattr(executor, "workers", None),
-                    _utc_now(),
-                    job_id,
-                ),
+                (JOB_RUNNING, executor.name, executor.workers, _utc_now(), job_id),
             )
-        wave_size = max(1, int(getattr(executor, "workers", 1) or 1))
+        wave_size = executor.workers
         completed = failed = cancelled = dead = 0
         processed = 0
         # Snapshot the claimable set once: a unit that fails during *this*
@@ -899,9 +897,7 @@ class JobStore:
                         else:
                             error = outcome.error or outcome.status
                             result_json = None
-                            permanent = (
-                                getattr(outcome, "classification", None) == PERMANENT
-                            )
+                            permanent = outcome.classification == PERMANENT
                             exhausted = (
                                 max_attempts is not None
                                 and unit.attempts + outcome.attempts >= max_attempts
@@ -936,10 +932,10 @@ class JobStore:
                 processed += len(wave)
                 if any(outcome.status == "cancelled" for outcome in outcomes):
                     halt = True  # executor was cancelled; leave the rest pending
-                elif getattr(executor, "cancelled", lambda: False)():
+                elif executor.cancelled():
                     # A cancel that landed after the wave's last check
                     # produced no cancelled outcome, and the next wave's
-                    # _begin_run would silently erase it -- honor it here.
+                    # run_units would silently erase it -- honor it here.
                     halt = True
                 if stop_on_error and any(
                     outcome.status not in ("ok", "cancelled") for outcome in outcomes

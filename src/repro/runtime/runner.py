@@ -13,14 +13,14 @@ from __future__ import annotations
 import os
 import time
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import ContextManager, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..apps.profile import WorkloadProfile
-from ..errors import ConfigurationError
 from . import registry
 from .cache import ProfileCache, cache_enabled
-from .executors import EXECUTORS, Executor, LocalExecutor, SubprocessExecutor, UnitOutcome
+from .executors import Executor, UnitOutcome, choose_executor
 from .executors.base import OUTCOME_ERROR, OUTCOME_OK, OUTCOME_TIMEOUT, WorkerError
 from .jobs import context_to_dict
 from .registry import RunContext
@@ -97,9 +97,6 @@ class _RemoteTraceback(Exception):
         return f"\n{self.text}"
 
 
-#: Minimum pending tasks before worker processes are worth their spawn cost.
-MIN_TASKS_FOR_WORKERS = 2
-
 #: One warning per process for a bad REPRO_EVAL_WORKERS, not one per call.
 _warned_bad_workers = False
 
@@ -126,19 +123,6 @@ def default_workers() -> int:
         return 1
 
 
-def workers_are_profitable(workers: int, pending_tasks: int) -> bool:
-    """Whether fanning ``pending_tasks`` over ``workers`` processes can pay off.
-
-    Worker processes on a single-core machine only add spawn and
-    serialization overhead (the seed benchmark measured a 0.94x "speedup"
-    on one core), and so do workers with almost nothing to run. Serial
-    execution is used whenever either holds.
-    """
-    if workers <= 1 or pending_tasks < MIN_TASKS_FOR_WORKERS:
-        return False
-    return (os.cpu_count() or 1) > 1
-
-
 class ExperimentRunner:
     """Runs registered applications over their datasets, cached and parallel.
 
@@ -153,7 +137,8 @@ class ExperimentRunner:
             reads ``REPRO_EVAL_WORKERS`` (default serial). Even with
             ``workers > 1`` the default executor falls back to serial when
             the machine has a single core or too few tasks are pending for
-            worker processes to pay off (see :func:`workers_are_profitable`).
+            worker processes to pay off (see
+            :func:`~repro.runtime.executors.choose_executor`).
         cache: ``True`` (default) uses the default on-disk profile cache,
             ``False``/``None`` disables caching, or pass a
             :class:`ProfileCache` instance. The
@@ -163,9 +148,10 @@ class ExperimentRunner:
         executor: ``None`` picks per run: ``workers`` ``repro-eval
             worker`` subprocesses when they pay off, else serial in
             process; ``"subprocess"`` always runs ``workers`` worker
-            processes and ``"local"`` always runs serially in process; or
-            pass a configured
-            :class:`~repro.runtime.executors.base.Executor` instance.
+            processes and ``"local"`` always runs serially in process. A
+            run closes the executor it builds. Or pass a configured
+            :class:`~repro.runtime.executors.base.Executor` instance,
+            which the caller closes.
     """
 
     def __init__(
@@ -217,25 +203,29 @@ class ExperimentRunner:
             else:
                 pending.append((app, dataset))
 
-        executor = self._resolve_executor(len(pending))
-        if pending:
-            context_dict = context_to_dict(self.context)
-            payloads = [
-                # cache=False: the runner owns caching through self.cache
-                # (possibly a custom instance), so units run bare.
-                {"kind": "profile", "app": app, "dataset": dataset,
-                 "context": context_dict, "cache": False}
-                for app, dataset in pending
-            ]
-            outcomes = executor.run_units(payloads, stop_on_error=self.raise_on_error)
-            if self.raise_on_error:
-                # Surface the actual failure, not a unit that merely got
-                # cancelled in its wake (stop_on_error cancels the rest).
+        if isinstance(self.executor, Executor):
+            held: ContextManager[Executor] = nullcontext(self.executor)
+        else:
+            held = choose_executor(self.executor, workers=self.workers, pending=len(pending))
+        with held as executor:
+            if pending:
+                context_dict = context_to_dict(self.context)
+                payloads = [
+                    # cache=False: the runner owns caching through self.cache
+                    # (possibly a custom instance), so units run bare.
+                    {"kind": "profile", "app": app, "dataset": dataset,
+                     "context": context_dict, "cache": False}
+                    for app, dataset in pending
+                ]
+                outcomes = executor.run_units(payloads, stop_on_error=self.raise_on_error)
+                if self.raise_on_error:
+                    # Surface the actual failure, not a unit that merely got
+                    # cancelled in its wake (stop_on_error cancels the rest).
+                    for (app, dataset), outcome in zip(pending, outcomes):
+                        if outcome.status in (OUTCOME_ERROR, OUTCOME_TIMEOUT):
+                            raise self._failure_exception(app, dataset, outcome)
                 for (app, dataset), outcome in zip(pending, outcomes):
-                    if outcome.status in (OUTCOME_ERROR, OUTCOME_TIMEOUT):
-                        raise self._failure_exception(app, dataset, outcome)
-            for (app, dataset), outcome in zip(pending, outcomes):
-                self._record(app, dataset, outcome, results)
+                    self._record(app, dataset, outcome, results)
 
         return RunReport(
             context=self.context,
@@ -243,22 +233,6 @@ class ExperimentRunner:
             workers=self.workers,
             wall_time_s=time.perf_counter() - started,
             executor=executor.name,
-        )
-
-    def _resolve_executor(self, pending_tasks: int) -> Executor:
-        """The executor for this run (see the ``executor`` constructor arg)."""
-        if isinstance(self.executor, Executor):
-            return self.executor
-        name = self.executor
-        if name is None:
-            profitable = workers_are_profitable(self.workers, pending_tasks)
-            name = SubprocessExecutor.name if profitable else LocalExecutor.name
-        if name == SubprocessExecutor.name:
-            return SubprocessExecutor(self.workers)
-        if name == LocalExecutor.name:
-            return LocalExecutor()
-        raise ConfigurationError(
-            f"unknown executor {name!r}; known: {', '.join(sorted(EXECUTORS))}"
         )
 
     def _key(self, app: str, dataset: str) -> str:

@@ -95,7 +95,7 @@ class TestBudgetPrimitives:
     def test_plan_chunks_without_budget_is_one_chunk(self):
         plan = plan_chunks(17, bytes_per_item=8, memory_budget=None)
         assert plan.n_chunks == 1
-        assert list(plan.slices()) == [slice(0, 17)]
+        assert list(plan.bounds()) == [(0, 17)]
 
     def test_empty_plan(self):
         assert ChunkPlan(0, 4).n_chunks == 0

@@ -294,6 +294,68 @@ class TestHardTimeout:
         assert not [pid for pid in pids if _running(pid)]
 
 
+def _marker_pids(scratch: Path) -> set:
+    """The pids of the processes that ran probe units (from marker names)."""
+    return {int(marker.name.split("-")[1]) for marker in scratch.rglob("attempt-*")}
+
+
+#: Runs two waves of two probe units in a ``with SubprocessExecutor(2)``
+#: block (raising KeyboardInterrupt after the first wave when asked), then
+#: reports that the block closed and waits for stdin to close.
+_WITH_BLOCK_SCRIPT = """
+import sys
+from repro.runtime.executors import SubprocessExecutor
+try:
+    with SubprocessExecutor(2) as executor:
+        for wave in range(2):
+            executor.run_units(
+                [{"kind": "probe", "value": i, "scratch": sys.argv[1]} for i in range(2)]
+            )
+            if sys.argv[2] == "interrupt":
+                raise KeyboardInterrupt
+except KeyboardInterrupt:
+    pass
+print("closed", flush=True)
+sys.stdin.read()
+"""
+
+
+class TestWorkerLifetime:
+    """Subprocess workers live as long as their executor, not one run."""
+
+    def test_one_worker_per_slot_serves_every_wave_of_a_job(self, tmp_path):
+        from repro.runtime.jobs import JOB_DONE, JobSpec, JobStore
+
+        scratch = tmp_path / "markers"
+        with JobStore(tmp_path / "runs.sqlite") as store, SubprocessExecutor(2) as executor:
+            job = store.submit(JobSpec.probes(6, scratch=scratch))
+            summary = store.run_job(job.id, executor)  # three waves of two
+        assert summary.state == JOB_DONE
+        assert len(list(scratch.rglob("attempt-*"))) == 6
+        assert 1 <= len(_marker_pids(scratch)) <= 2
+
+    @pytest.mark.parametrize("body", ["clean", "interrupt"])
+    def test_no_worker_outlives_the_with_block(self, body, tmp_path):
+        # The check runs while the driver is still alive: its exit would
+        # close the workers' stdin and end them whether or not it closed.
+        scratch = tmp_path / "markers"
+        child = subprocess.Popen(
+            [sys.executable, "-c", _WITH_BLOCK_SCRIPT, str(scratch), body],
+            env=subprocess_module._worker_env(),
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            assert child.stdout.readline().split() == ["closed"]
+            pids = _marker_pids(scratch)
+            assert pids  # the units did run
+            assert not [pid for pid in pids if _running(pid)]
+        finally:
+            child.communicate(timeout=60)
+        assert child.returncode == 0
+
+
 class TestSubprocessStartup:
     def test_startup_stall_is_an_error_not_a_unit_timeout(self, monkeypatch):
         # A worker that never answers its handshake ran no unit: the

@@ -221,6 +221,14 @@ class TestFaultyExecutor:
         assert wrapped.workers == 3
         assert wrapped.timeout_s == 2.0
 
+    def test_with_block_closes_the_inner_executor(self):
+        from test_executors import _running
+
+        with FaultyExecutor(SubprocessExecutor(1), FaultPlan([])) as wrapped:
+            outcome, = wrapped.run_units([{"kind": "probe", "value": 1}])
+            assert _running(outcome.result["pid"])  # the worker outlives the run
+        assert not _running(outcome.result["pid"])
+
     def test_injects_into_run_units(self):
         # One transient error on the second unit: with one retry the wave
         # still completes, and the fault never leaks outside the run.

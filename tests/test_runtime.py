@@ -29,11 +29,11 @@ from repro.runtime.cache import (
     write_json_atomic,
 )
 from repro.runtime import runner as runner_module
-from repro.runtime.executors import WorkerError
+from repro.runtime.executors import WorkerError, workers_are_profitable
 from repro.runtime.executors import subprocess as subprocess_module
 from repro.runtime.faults import ENV_FAULT_PLAN, Fault, FaultPlan
 from repro.runtime.registry import AppSpec, RegistryError, RunContext, parse_scale, register
-from repro.runtime.runner import ExperimentRunner, default_workers, workers_are_profitable
+from repro.runtime.runner import ExperimentRunner, default_workers
 from repro.runtime.sweep import sweep
 
 
@@ -418,6 +418,25 @@ class TestExperimentRunner:
         assert "FaultInjected" in str(excinfo.value)
         assert "inject_unit_fault" in str(excinfo.value.__cause__)
 
+    def test_no_worker_outlives_the_run(self, monkeypatch):
+        from test_executors import _running
+
+        spawned = []
+        spawn = subprocess_module._Worker.__init__
+
+        def counting_spawn(worker, command):
+            spawn(worker, command)
+            spawned.append(worker.proc.pid)
+
+        monkeypatch.setattr(subprocess_module._Worker, "__init__", counting_spawn)
+        report = ExperimentRunner(
+            context=RunContext(scale=TINY), workers=2, cache=False, executor="subprocess"
+        ).run(apps=["spmv-csr"])
+        assert report.executor == "subprocess"
+        assert report.executed_count() == len(report.results)
+        assert spawned
+        assert not [pid for pid in spawned if _running(pid)]
+
     def test_workers_elided_on_single_core(self, monkeypatch):
         monkeypatch.setattr(runner_module.os, "cpu_count", lambda: 1)
 
@@ -590,19 +609,34 @@ class TestCLIRunContext:
         assert isinstance(cache, ProfileCache) and cache.root == tmp_path
 
 
+@pytest.fixture
+def stores(tmp_path, monkeypatch):
+    """``sweep`` arguments and environment that keep every store in ``tmp_path``."""
+    for variable, name in (
+        ("REPRO_PROFILE_CACHE", "profiles"),
+        ("REPRO_THROUGHPUT_CACHE", "throughput"),
+        ("REPRO_SEARCH_STORE", "search"),
+        ("REPRO_RUN_DB", "runs.sqlite"),
+    ):
+        monkeypatch.setenv(variable, str(tmp_path / name))
+    return ["--db", str(tmp_path / "runs.sqlite"), "--cache-dir", str(tmp_path / "cache")]
+
+
+class TestSweepExecutor:
+    def test_workers_alone_pick_the_executor_by_the_shared_rule(self, stores, capsys):
+        from repro.runtime.executors import choose_executor
+
+        argv = ["sweep", "--apps", "spmv-csr,bfs", "--scale", "1/256", "-j", "2"]
+        assert cli.main(argv + stores) == 0
+        out = capsys.readouterr().out
+        assert "(profile-grid, 6 units)" in out
+        with choose_executor(None, workers=2, pending=6) as expected:
+            # subprocess/2 on a multi-core host, local/1 on one core.
+            assert f"on {expected.name}/{expected.workers};" in out
+
+
 class TestSweepTimeout:
     """``sweep --timeout`` runs its units in worker processes it can kill."""
-
-    @pytest.fixture
-    def stores(self, tmp_path, monkeypatch):
-        for variable, name in (
-            ("REPRO_PROFILE_CACHE", "profiles"),
-            ("REPRO_THROUGHPUT_CACHE", "throughput"),
-            ("REPRO_SEARCH_STORE", "search"),
-            ("REPRO_RUN_DB", "runs.sqlite"),
-        ):
-            monkeypatch.setenv(variable, str(tmp_path / name))
-        return ["--db", str(tmp_path / "runs.sqlite"), "--cache-dir", str(tmp_path / "cache")]
 
     def test_hung_attempt_is_killed_and_the_job_completes(
         self, stores, tmp_path, monkeypatch, capsys

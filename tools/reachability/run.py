@@ -78,6 +78,11 @@ def steps(out: Path):
         ("sweep-resume", sweep + ["--resume", "2"], {0}, None),
         ("sweep-axis", sweep + ["--axis", "lanes=8,16", "--axis", "banks=16,32", *SMALL],
          {0}, None),
+        # The deadline path, and -j alone picking workers (five waves of two).
+        ("sweep-timeout", sweep + ["--apps", "spmv-csr,bfs", "--scale", "1/1024",
+                                   "--timeout", "60"], {0}, None),
+        ("sweep-workers", sweep + ["--apps", "spmv-csr,bfs,sssp", "--scale", "1/4096",
+                                   "-j", "2"], {0}, None),
         ("sweep-status", sweep + ["--status", "2"], {0}, None),
         ("sweep-jobs", sweep + ["--jobs"], {0}, None),
         ("worker-once", CLI + ["worker", "--once"], {0}, probe),
