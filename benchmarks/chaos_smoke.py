@@ -14,6 +14,9 @@ as one script (CI's ``chaos-smoke`` job):
    before the driver died must keep their attempt counts (zero
    re-execution), no unit may be dead or lost, and cache B must end up
    **byte-identical** to cache A.
+4. Every worker fault kind must have fired at least once (its firing
+   markers under the plan's ``state_dir``), or the run proved nothing
+   about surviving it.
 
 Exit code 0 means every check held.
 
@@ -35,44 +38,54 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.runtime.cache import ProfileCache  # noqa: E402
-from repro.runtime.faults import ENV_FAULT_PLAN, Fault, FaultPlan  # noqa: E402
+from repro.runtime.faults import Fault, FaultPlan  # noqa: E402
 from repro.runtime.jobs import UNIT_DONE, JobSpec, JobStore  # noqa: E402
 from repro.runtime.registry import RunContext  # noqa: E402
 from repro.runtime.runner import ExperimentRunner  # noqa: E402
 
 DRIVER_EXIT_CODE = 23
 
-# The child wraps the subprocess executor in a FaultyExecutor so the
-# driver-level exit_mid_wave fault fires in the child, while the
-# worker-level faults (crash/hang/malformed_line) reach the workers
-# through the REPRO_FAULT_PLAN environment seam.
+#: The worker fault kinds the smoke injects; each must fire.
+WORKER_FAULT_KINDS = ("crash", "hang", "malformed_line")
+
+# The child wraps the subprocess executor in a FaultyExecutor under one
+# plan. The driver-level exit_mid_wave fault fires in the child; the
+# FaultyExecutor exports the same plan as REPRO_FAULT_PLAN around each
+# wave, so the workers it spawns inherit the worker-level faults
+# (crash/hang/malformed_line). A separate worker plan in the child's
+# environment would be overridden by that export and never reach them.
 _CHILD_CODE = """
 import sys
 from pathlib import Path
 from repro.runtime.executors import SubprocessExecutor
-from repro.runtime.faults import Fault, FaultPlan, FaultyExecutor
+from repro.runtime.faults import FaultPlan, FaultyExecutor
 from repro.runtime.jobs import JobStore
 
-driver_plan = FaultPlan(
-    [Fault(kind="exit_mid_wave", unit_index=2, exit_code=int(sys.argv[4]))],
-    state_dir=sys.argv[3],
-)
 executor = FaultyExecutor(
-    SubprocessExecutor(workers=1, timeout_s=30.0, retries=2),
-    driver_plan,
+    SubprocessExecutor(workers=1, timeout_s=10.0, retries=2),
+    FaultPlan.from_json(sys.argv[3]),
 )
 with JobStore(Path(sys.argv[1])) as store, executor:
     store.run_job(int(sys.argv[2]), executor)
 """
 
 
-def _child_env(worker_plan: FaultPlan) -> dict:
+def _child_env() -> dict:
     env = dict(os.environ)
     src = str(REPO_ROOT / "src")
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = src if not existing else src + os.pathsep + existing
-    env[ENV_FAULT_PLAN] = worker_plan.to_json()
     return env
+
+
+def _firings(plan: FaultPlan) -> dict:
+    """Recorded firings per fault kind, read from the plan's markers."""
+    counts: dict = {}
+    for index, fault in enumerate(plan.faults):
+        markers = Path(plan.state_dir) / f"fault-{index}"
+        fired = len(list(markers.glob("fired-*"))) if markers.is_dir() else 0
+        counts[fault.kind] = counts.get(fault.kind, 0) + fired
+    return counts
 
 
 def _fail(message: str) -> int:
@@ -106,15 +119,13 @@ def main(argv=None) -> int:
         with JobStore(db) as store:
             job_id = store.submit(spec).id
 
-        # Worker-level faults, bounded across respawns by the state_dir.
-        worker_plan = FaultPlan(
-            [
-                Fault(kind="crash", times=1),
-                Fault(kind="hang", times=1),
-                Fault(kind="malformed_line", times=1),
-            ],
+        # Worker-level faults, bounded across respawns by the state_dir,
+        # and the driver's death on its third wave.
+        plan = FaultPlan(
+            [Fault(kind=kind, times=1) for kind in WORKER_FAULT_KINDS]
+            + [Fault(kind="exit_mid_wave", unit_index=2, exit_code=DRIVER_EXIT_CODE)],
             seed=7,
-            state_dir=str(root / "worker-faults"),
+            state_dir=str(root / "faults"),
         )
         print(
             f"[2/4] sharded job {job_id} ({len(spec.units)} units) via a child "
@@ -127,10 +138,9 @@ def main(argv=None) -> int:
                 _CHILD_CODE,
                 str(db),
                 str(job_id),
-                str(root / "driver-faults"),
-                str(DRIVER_EXIT_CODE),
+                plan.to_json(),
             ],
-            env=_child_env(worker_plan),
+            env=_child_env(),
             timeout=300,
         )
         if proc.returncode != DRIVER_EXIT_CODE:
@@ -160,6 +170,15 @@ def main(argv=None) -> int:
                         f"unit {seq} re-executed on resume "
                         f"(attempts {attempts} -> {unit.attempts})"
                     )
+
+        firings = _firings(plan)
+        print(
+            "       fault firings: "
+            + ", ".join(f"{kind} {count}" for kind, count in firings.items())
+        )
+        silent = [kind for kind in WORKER_FAULT_KINDS if not firings.get(kind)]
+        if silent:
+            return _fail(f"worker fault(s) never fired: {', '.join(silent)}")
 
         print("[4/4] comparing caches byte-for-byte ...")
         names_a = sorted(path.name for path in cache_a.glob("*.json"))

@@ -17,15 +17,15 @@ import numpy as np
 
 from repro.apps import (
     best_source,
-    bfs,
     estimate_cycles,
     pagerank_edge,
     pagerank_pull,
     reference_bfs_levels,
     reference_pagerank,
     reference_sssp,
-    sssp,
 )
+from repro.apps.bfs import bfs
+from repro.apps.sssp import sssp
 from repro.sim.stats import STALL_CATEGORIES
 from repro.workloads import load_dataset
 

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps import estimate_cycles, reference_add, reference_spmspm, sparse_add, spmspm
-from repro.apps.timing import default_platform
+from repro.apps import estimate_cycles, reference_add, reference_spmspm, sparse_add
+from repro.apps.spmspm import spmspm
 from repro.baselines.asic import matraptor_runtime_seconds
+from repro.config import CLOCK_GHZ
 from repro.formats import to_csr
 from repro.workloads import load_dataset
 
@@ -31,8 +32,7 @@ def main() -> None:
     run = spmspm(a, b, dataset=dataset.name)
     assert np.allclose(run.output, reference_spmspm(a, b)), "SpMSpM mismatch"
     cycles, breakdown = estimate_cycles(run.profile)
-    platform = default_platform()
-    capstan_seconds = cycles / (platform.config.clock_ghz * 1e9)
+    capstan_seconds = cycles / (CLOCK_GHZ * 1e9)
     matraptor_seconds = matraptor_runtime_seconds(run.profile)
     print("\nGustavson SpMSpM (C = A @ B)")
     print(f"  multiplies           : {int(run.profile.extra['multiplies'])}")

@@ -21,9 +21,7 @@ The package is organized by layer:
 from .config import (
     CapstanConfig,
     MemoryTechnology,
-    PlasticineConfig,
     ScannerConfig,
-    ShuffleConfig,
     ShuffleMode,
     SpMUConfig,
 )
@@ -39,10 +37,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapstanConfig",
-    "PlasticineConfig",
     "SpMUConfig",
     "ScannerConfig",
-    "ShuffleConfig",
     "ShuffleMode",
     "MemoryTechnology",
     "CapstanError",

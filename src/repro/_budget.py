@@ -111,13 +111,6 @@ class ChunkPlan:
     total_items: int
     chunk_items: int
 
-    @property
-    def n_chunks(self) -> int:
-        """Number of chunks the plan produces."""
-        if self.total_items == 0:
-            return 0
-        return -(-self.total_items // self.chunk_items)
-
     def bounds(self) -> Iterator[Tuple[int, int]]:
         """Yield ``(start, stop)`` item ranges in order."""
         for start in range(0, self.total_items, self.chunk_items):

@@ -4,10 +4,15 @@ Importing this package also populates the experiment registry
 (:mod:`repro.runtime.registry`): each application module registers an
 ``AppSpec`` naming its Table 6 datasets and input preparation, which is what
 ``repro.eval`` and the ``repro-eval`` runner dispatch on.
+
+An application whose module shares its name (``bfs``, ``bicgstab``,
+``spmspm``, ``sssp``) is imported from that module, e.g.
+``from repro.apps.bfs import bfs``: the package attribute of that name is the
+module.
 """
 
-from .bfs import bfs, reference_bfs_levels
-from .bicgstab import BiCGStabResult, bicgstab
+from .bfs import reference_bfs_levels
+from .bicgstab import BiCGStabResult
 from .common import BACKENDS, AppRun, best_source, check_backend
 from .conv import sparse_convolution
 from .pagerank import pagerank_edge, pagerank_pull, reference_pagerank
@@ -21,9 +26,9 @@ from .scan_model import (
     scan_cost_single,
 )
 from .spadd import reference_add, sparse_add
-from .spmspm import reference_spmspm, spmspm
+from .spmspm import reference_spmspm
 from .spmv import reference_spmv, spmv_coo, spmv_csc, spmv_csr
-from .sssp import reference_sssp, sssp
+from .sssp import reference_sssp
 from .timing import CapstanPlatform, default_platform, estimate_cycles, ideal_platform, run_metrics
 
 __all__ = [
@@ -47,16 +52,12 @@ __all__ = [
     "pagerank_pull",
     "pagerank_edge",
     "reference_pagerank",
-    "bfs",
     "reference_bfs_levels",
-    "sssp",
     "reference_sssp",
     "sparse_add",
     "reference_add",
-    "spmspm",
     "reference_spmspm",
     "sparse_convolution",
-    "bicgstab",
     "BiCGStabResult",
     "CapstanPlatform",
     "default_platform",

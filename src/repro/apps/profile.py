@@ -99,6 +99,15 @@ class WorkloadProfile:
         return self.dram_stream_read_bytes + self.dram_stream_write_bytes
 
     @property
+    def compressed_stream_read_bytes(self) -> float:
+        """Streamed DRAM read bytes after read-side compression (Section
+        3.4) shrinks the pointer stream by its measured ratio."""
+        if self.pointer_stream_bytes <= 0:
+            return self.dram_stream_read_bytes
+        saved = self.pointer_stream_bytes * (1.0 - 1.0 / max(self.pointer_compression_ratio, 1.0))
+        return max(0.0, self.dram_stream_read_bytes - saved)
+
+    @property
     def imbalance_fraction(self) -> float:
         """Extra critical-path work from uneven tiles (0 = balanced)."""
         if not self.tile_work:

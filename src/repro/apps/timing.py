@@ -31,7 +31,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Un
 import numpy as np
 
 from .._budget import iter_chunked, plan_chunks, resolve_memory_budget
-from ..config import CapstanConfig, MemoryTechnology, ShuffleConfig, ShuffleMode
+from ..config import CLOCK_GHZ, CapstanConfig, MemoryTechnology, ShuffleMode
 from ..core.allocator import ALLOCATOR_KINDS
 from ..core.ordering import OrderingMode
 from ..core.spmu import SpMUVariant, effective_bank_throughput_batch
@@ -43,7 +43,7 @@ from ..sim.dram import (
     DRAMModel,
     TrafficSummary,
 )
-from ..sim.network import NetworkConfig, OnChipNetwork
+from ..sim.network import OnChipNetwork
 from ..sim.stats import STALL_CATEGORIES, RunMetrics, StallBreakdown
 from .profile import WorkloadProfile
 
@@ -58,7 +58,7 @@ class CapstanPlatform:
 
     Attributes:
         config: The architecture configuration (grid, memory technology,
-            scanner, SpMU, shuffle parameters).
+            scanner, SpMU, shuffle mode).
         ordering: SpMU memory ordering mode (Table 10).
         bank_mapping: ``"hash"`` or ``"linear"`` (Table 9).
         allocator: ``"separable"``, ``"greedy"``, or ``"arbitrated"``
@@ -95,10 +95,8 @@ def ideal_platform() -> CapstanPlatform:
     )
 
 
-#: Merge-efficiency cache keyed by (full shuffle config, lanes, rounded
-#: cross fraction). Keying by the whole configuration (not just the mode)
-#: keeps platforms that share a mode but differ in crossbar parameters from
-#: aliasing each other's cached efficiency.
+#: Merge-efficiency cache keyed by (shuffle mode, lanes, rounded cross
+#: fraction).
 _MERGE_EFFICIENCY_CACHE: dict = {}
 
 #: Request slots sampled by the merge-efficiency microbenchmark; the vector
@@ -106,9 +104,9 @@ _MERGE_EFFICIENCY_CACHE: dict = {}
 _MERGE_CALIBRATION_SLOTS = 384
 
 
-def _shuffle_efficiency(shuffle: ShuffleConfig, lanes: int, cross_fraction: float) -> float:
+def _shuffle_efficiency(shuffle: ShuffleMode, lanes: int, cross_fraction: float) -> float:
     """Delivered-slot efficiency of the shuffle network for a traffic mix."""
-    if shuffle.mode is ShuffleMode.NONE:
+    if shuffle is ShuffleMode.NONE:
         # Without a shuffle network every cross-partition request is a
         # scalar transfer; efficiency collapses towards 1/lanes for
         # cross-heavy traffic.
@@ -117,11 +115,10 @@ def _shuffle_efficiency(shuffle: ShuffleConfig, lanes: int, cross_fraction: floa
     cached = _MERGE_EFFICIENCY_CACHE.get(key)
     if cached is None:
         cached = merge_efficiency(
-            shuffle.mode,
+            shuffle,
             cross_partition_fraction=key[2],
             lanes=lanes,
             vectors=max(8, _MERGE_CALIBRATION_SLOTS // lanes),
-            config=shuffle,
         )
         _MERGE_EFFICIENCY_CACHE[key] = cached
     return max(cached, 1.0 / lanes)
@@ -131,7 +128,7 @@ def _shuffle_efficiency(shuffle: ShuffleConfig, lanes: int, cross_fraction: floa
 #: stateless, so sharing one instance across estimates cannot change any
 #: result -- it only removes per-call construction from sweeps.
 _NETWORK_CACHE: Dict[int, OnChipNetwork] = {}
-_DRAM_CACHE: Dict[Tuple[MemoryTechnology, float], DRAMModel] = {}
+_DRAM_CACHE: Dict[MemoryTechnology, DRAMModel] = {}
 
 
 def _network_for(units: int) -> OnChipNetwork:
@@ -139,18 +136,17 @@ def _network_for(units: int) -> OnChipNetwork:
     grid_width = max(2, int(round(units**0.5)))
     network = _NETWORK_CACHE.get(grid_width)
     if network is None:
-        network = OnChipNetwork(NetworkConfig(grid_width=grid_width))
+        network = OnChipNetwork(grid_width)
         _NETWORK_CACHE[grid_width] = network
     return network
 
 
-def _dram_for(memory: MemoryTechnology, clock_ghz: float) -> DRAMModel:
-    """The DRAM model for one (technology, clock) combination."""
-    key = (memory, clock_ghz)
-    dram = _DRAM_CACHE.get(key)
+def _dram_for(memory: MemoryTechnology) -> DRAMModel:
+    """The DRAM model for one technology."""
+    dram = _DRAM_CACHE.get(memory)
     if dram is None:
-        dram = DRAMModel(memory, clock_ghz=clock_ghz)
-        _DRAM_CACHE[key] = dram
+        dram = DRAMModel(memory)
+        _DRAM_CACHE[memory] = dram
     return dram
 
 
@@ -255,15 +251,9 @@ def estimate_cycles(
 
     # --- DRAM: bandwidth-limited traffic beyond the ideal-DRAM baseline. ---- #
     if not platform.ideal_memory:
-        dram = _dram_for(config.memory, config.clock_ghz)
-        stream_read = profile.dram_stream_read_bytes
-        if config.compression_enabled and profile.pointer_stream_bytes > 0:
-            saved = profile.pointer_stream_bytes * (
-                1.0 - 1.0 / max(profile.pointer_compression_ratio, 1.0)
-            )
-            stream_read = max(0.0, stream_read - saved)
+        dram = _dram_for(config.memory)
         traffic = TrafficSummary(
-            streaming_read_bytes=stream_read,
+            streaming_read_bytes=profile.compressed_stream_read_bytes,
             streaming_write_bytes=profile.dram_stream_write_bytes,
             random_accesses=profile.dram_random_reads + 2 * profile.dram_random_updates,
         )
@@ -365,22 +355,11 @@ def _estimate_cycles_batch_columns(
     pipelinable = np.array([p.pipelinable for p in profiles], dtype=bool).reshape(
         n_profiles, 1
     )
-    stream_read_bytes = fcol([p.dram_stream_read_bytes for p in profiles])
+    stream_read_bytes = fcol([p.compressed_stream_read_bytes for p in profiles])
     stream_write_bytes = fcol([p.dram_stream_write_bytes for p in profiles])
     dram_accesses = icol(
         [p.dram_random_reads + 2 * p.dram_random_updates for p in profiles]
     )
-
-    def _compressed_stream_read(p: WorkloadProfile) -> float:
-        stream_read = p.dram_stream_read_bytes
-        if p.pointer_stream_bytes > 0:
-            saved = p.pointer_stream_bytes * (
-                1.0 - 1.0 / max(p.pointer_compression_ratio, 1.0)
-            )
-            stream_read = max(0.0, stream_read - saved)
-        return stream_read
-
-    compressed_read_bytes = fcol([_compressed_stream_read(p) for p in profiles])
 
     # --- Stack platform fields into (1, Q) rows. ---------------------------- #
     def frow(values) -> np.ndarray:
@@ -399,7 +378,6 @@ def _estimate_cycles_batch_columns(
     ideal_sram = brow([p.ideal_sram for p in platforms])
     ideal_memory = brow([p.ideal_memory for p in platforms])
     linear_mapping = brow([p.bank_mapping == "linear" for p in platforms])
-    compression = brow([p.config.compression_enabled for p in platforms])
     # Calibrated SpMU throughput per platform (1.0 placeholder when the
     # scalar model would never consult it), resolved in one batched call so
     # a cold sweep simulates all of its SpMU variants in a single lock-step
@@ -413,7 +391,7 @@ def _estimate_cycles_batch_columns(
         throughput_values[needs_throughput] = np.maximum(batched, 1.0)
     throughput = throughput_values.reshape(1, n_platforms)
     # DRAM denominators: the scalar model divides by (peak * efficiency).
-    drams = [_dram_for(p.config.memory, p.config.clock_ghz) for p in platforms]
+    drams = [_dram_for(p.config.memory) for p in platforms]
     stream_denominator = frow(
         [
             d.bytes_per_cycle_peak * STREAM_ACCESS_EFFICIENCY[d.technology]
@@ -454,7 +432,7 @@ def _estimate_cycles_batch_columns(
     average_latency = latency_lut[np.searchsorted(unique_units, units)]
     round_trip = (sequential_rounds * 2.0) * average_latency
     efficiency = np.ones((n_profiles, n_platforms))
-    efficiency_columns: Dict[Tuple[ShuffleConfig, int], np.ndarray] = {}
+    efficiency_columns: Dict[Tuple[ShuffleMode, int], np.ndarray] = {}
     for j, platform in enumerate(platforms):
         if platform.ideal_network:
             continue
@@ -486,8 +464,7 @@ def _estimate_cycles_batch_columns(
     sram = np.maximum(0.0, sram_cycles - np.minimum(ideal_sram_cycles, active))
 
     # DRAM: bandwidth-limited traffic beyond the ideal-DRAM baseline.
-    stream_read = np.where(compression, compressed_read_bytes, stream_read_bytes)
-    streaming_cycles = (stream_read + stream_write_bytes) / stream_denominator
+    streaming_cycles = (stream_read_bytes + stream_write_bytes) / stream_denominator
     random_cycles = (dram_accesses * BURST_BYTES) / random_denominator
     dram_cycles = streaming_cycles + random_cycles
     dram = np.where(ideal_memory, 0.0, np.maximum(0.0, dram_cycles - load_store))
@@ -634,7 +611,7 @@ def run_metrics(
         dataset=profile.dataset,
         platform=platform.name,
         cycles=cycles,
-        clock_ghz=platform.config.clock_ghz,
+        clock_ghz=CLOCK_GHZ,
         breakdown=breakdown,
         extra=dict(profile.extra),
     )

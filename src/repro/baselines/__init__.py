@@ -12,9 +12,7 @@ from .asic import (
     matraptor_runtime_seconds,
     scnn_runtime_seconds,
 )
-from .cpu import CPUPlatform
-from .gpu import GPUPlatform
-from .plasticine import PLASTICINE_MAPPABLE_APPS, PlasticinePlatform
+from .plasticine import PLASTICINE_MAPPABLE_APPS
 
 __all__ = [
     "asic",
@@ -30,8 +28,5 @@ __all__ = [
     "scnn_runtime_seconds",
     "graphicionado_runtime_seconds",
     "matraptor_runtime_seconds",
-    "CPUPlatform",
-    "GPUPlatform",
-    "PlasticinePlatform",
     "PLASTICINE_MAPPABLE_APPS",
 ]

@@ -18,9 +18,6 @@ times slower.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from ..apps.profile import WorkloadProfile
@@ -28,67 +25,56 @@ from ..formats.convert import to_scipy_csr
 from ..sim.stats import RunMetrics
 
 
-@dataclass(frozen=True)
-class CPUPlatform:
-    """Analytic model of the paper's four-socket Xeon baseline.
+# Analytic model of the paper's four-socket Xeon baseline.
 
-    Attributes:
-        cores: Physical cores across all sockets (4 x 18 = 72; the paper
-            runs 128 threads with SMT, which we fold into efficiency).
-        clock_ghz: Sustained all-core clock.
-        dram_bandwidth_gbps: Aggregate four-socket DRAM bandwidth.
-        flops_per_cycle_per_core: Sustained sparse-kernel operations per
-            cycle per core (sparse codes are nowhere near peak AVX).
-        random_access_penalty: Effective cycles per random (cache-missing)
-            memory access.
-        atomic_penalty: Effective cycles per contended atomic update.
-        sync_overhead_cycles: Cycles per parallel-region barrier
-            (kernel-launch / OpenMP overhead); multiplied by the number of
-            sequential rounds.
-    """
-
-    cores: int = 72
-    clock_ghz: float = 2.5
-    dram_bandwidth_gbps: float = 272.0
-    flops_per_cycle_per_core: float = 0.5
-    random_access_penalty: float = 40.0
-    atomic_penalty: float = 120.0
-    sync_overhead_cycles: float = 40_000.0
-    name: str = "cpu-xeon-e7-8890v3"
+#: Physical cores across all sockets (4 x 18 = 72; the paper runs 128
+#: threads with SMT, which the efficiencies below fold in).
+CORES = 72
+#: Sustained all-core clock.
+CLOCK_GHZ = 2.5
+#: Aggregate four-socket DRAM bandwidth.
+DRAM_BANDWIDTH_GBPS = 272.0
+#: Sustained sparse-kernel operations per cycle per core (sparse codes are
+#: nowhere near peak AVX).
+FLOPS_PER_CYCLE_PER_CORE = 0.5
+#: Effective cycles per random (cache-missing) memory access.
+RANDOM_ACCESS_PENALTY = 40.0
+#: Effective cycles per contended atomic update.
+ATOMIC_PENALTY = 120.0
+#: Cycles per parallel-region barrier (kernel-launch / OpenMP overhead),
+#: paid once per sequential round.
+SYNC_OVERHEAD_CYCLES = 40_000.0
+#: Platform label in reports.
+NAME = "cpu-xeon-e7-8890v3"
 
 
-def estimate_cycles(profile: WorkloadProfile, platform: Optional[CPUPlatform] = None) -> float:
+def estimate_cycles(profile: WorkloadProfile) -> float:
     """Estimate CPU cycles (at the CPU clock) for a workload profile."""
-    platform = platform or CPUPlatform()
-    cores = platform.cores
-
-    compute = profile.compute_iterations / (platform.flops_per_cycle_per_core * cores)
+    compute = profile.compute_iterations / (FLOPS_PER_CYCLE_PER_CORE * CORES)
     random_accesses = profile.sram_random_accesses + profile.dram_random_reads
-    random = random_accesses * platform.random_access_penalty / cores
+    random = random_accesses * RANDOM_ACCESS_PENALTY / CORES
     atomics = (
         (profile.sram_random_updates + profile.dram_random_updates)
-        * platform.atomic_penalty
-        / cores
+        * ATOMIC_PENALTY
+        / CORES
     )
     bytes_total = profile.total_stream_bytes + 64.0 * profile.dram_random_accesses
-    bytes_per_cycle = platform.dram_bandwidth_gbps / platform.clock_ghz
+    bytes_per_cycle = DRAM_BANDWIDTH_GBPS / CLOCK_GHZ
     bandwidth = bytes_total / bytes_per_cycle
-    sync = profile.sequential_rounds * platform.sync_overhead_cycles
+    sync = profile.sequential_rounds * SYNC_OVERHEAD_CYCLES
     # Un-fused kernels (the BiCGStab comparison) also pay per-kernel
     # bandwidth: intermediate vectors bounce through DRAM between kernels.
     return max(compute + random + atomics, bandwidth) + sync
 
 
-def run_metrics(profile: WorkloadProfile, platform: Optional[CPUPlatform] = None) -> RunMetrics:
+def run_metrics(profile: WorkloadProfile) -> RunMetrics:
     """Wrap the CPU cycle estimate in a :class:`RunMetrics` record."""
-    platform = platform or CPUPlatform()
-    cycles = estimate_cycles(profile, platform)
     return RunMetrics(
         app=profile.app,
         dataset=profile.dataset,
-        platform=platform.name,
-        cycles=cycles,
-        clock_ghz=platform.clock_ghz,
+        platform=NAME,
+        cycles=estimate_cycles(profile),
+        clock_ghz=CLOCK_GHZ,
     )
 
 

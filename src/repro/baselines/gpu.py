@@ -16,67 +16,55 @@ on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from ..apps.profile import WorkloadProfile
 from ..sim.stats import RunMetrics
 
 
-@dataclass(frozen=True)
-class GPUPlatform:
-    """Analytic V100 model.
+# Analytic V100 model.
 
-    Attributes:
-        sms: Streaming multiprocessors.
-        clock_ghz: Sustained SM clock.
-        dram_bandwidth_gbps: HBM2 bandwidth.
-        flops_per_cycle_per_sm: Sustained sparse-kernel operations per cycle
-            per SM (far below the dense peak).
-        sector_bytes: Bytes moved per random element access (L2 sector).
-        atomic_throughput_per_cycle: Atomic updates the L2 can retire per
-            cycle under moderate contention.
-        kernel_launch_cycles: Cycles of launch + sync overhead per
-            sequential round (at the SM clock).
-    """
-
-    sms: int = 80
-    clock_ghz: float = 1.4
-    dram_bandwidth_gbps: float = 900.0
-    flops_per_cycle_per_sm: float = 8.0
-    sector_bytes: float = 48.0
-    atomic_throughput_per_cycle: float = 8.0
-    kernel_launch_cycles: float = 15_000.0
-    name: str = "gpu-v100"
+#: Streaming multiprocessors.
+SMS = 80
+#: Sustained SM clock.
+CLOCK_GHZ = 1.4
+#: HBM2 bandwidth.
+DRAM_BANDWIDTH_GBPS = 900.0
+#: Sustained sparse-kernel operations per cycle per SM (far below the dense
+#: peak).
+FLOPS_PER_CYCLE_PER_SM = 8.0
+#: Bytes moved per random element access (L2 sector).
+SECTOR_BYTES = 48.0
+#: Atomic updates the L2 can retire per cycle under moderate contention.
+ATOMIC_THROUGHPUT_PER_CYCLE = 8.0
+#: Cycles of launch + sync overhead per sequential round (at the SM clock).
+KERNEL_LAUNCH_CYCLES = 15_000.0
+#: Platform label in reports.
+NAME = "gpu-v100"
 
 
-def estimate_cycles(profile: WorkloadProfile, platform: Optional[GPUPlatform] = None) -> float:
+def estimate_cycles(profile: WorkloadProfile) -> float:
     """Estimate V100 cycles (at the GPU clock) for a workload profile."""
-    platform = platform or GPUPlatform()
-    bytes_per_cycle = platform.dram_bandwidth_gbps / platform.clock_ghz
+    bytes_per_cycle = DRAM_BANDWIDTH_GBPS / CLOCK_GHZ
 
-    compute = profile.compute_iterations / (platform.flops_per_cycle_per_sm * platform.sms)
+    compute = profile.compute_iterations / (FLOPS_PER_CYCLE_PER_SM * SMS)
     streaming = profile.total_stream_bytes / bytes_per_cycle
     # Random element accesses: on-chip data on Capstan is DRAM-resident and
     # cache-resident (at best) on the GPU; charge a sector per access at a
     # derated random-access bandwidth.
     random_accesses = profile.sram_random_accesses + profile.dram_random_accesses
-    random = random_accesses * platform.sector_bytes / (bytes_per_cycle * 0.6)
+    random = random_accesses * SECTOR_BYTES / (bytes_per_cycle * 0.6)
     atomics = (
         profile.sram_random_updates + profile.dram_random_updates
-    ) / platform.atomic_throughput_per_cycle
-    launches = profile.sequential_rounds * platform.kernel_launch_cycles
+    ) / ATOMIC_THROUGHPUT_PER_CYCLE
+    launches = profile.sequential_rounds * KERNEL_LAUNCH_CYCLES
     return max(compute, streaming) + random + atomics + launches
 
 
-def run_metrics(profile: WorkloadProfile, platform: Optional[GPUPlatform] = None) -> RunMetrics:
+def run_metrics(profile: WorkloadProfile) -> RunMetrics:
     """Wrap the GPU cycle estimate in a :class:`RunMetrics` record."""
-    platform = platform or GPUPlatform()
-    cycles = estimate_cycles(profile, platform)
     return RunMetrics(
         app=profile.app,
         dataset=profile.dataset,
-        platform=platform.name,
-        cycles=cycles,
-        clock_ghz=platform.clock_ghz,
+        platform=NAME,
+        cycles=estimate_cycles(profile),
+        clock_ghz=CLOCK_GHZ,
     )

@@ -20,11 +20,8 @@ those constraints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
-
-from ..config import PlasticineConfig
 from ..apps.profile import WorkloadProfile
+from ..config import CLOCK_GHZ, CapstanConfig
 from ..sim.dram import DRAMModel, TrafficSummary
 from ..sim.sram import StaticBankTiming
 from ..sim.stats import RunMetrics
@@ -39,12 +36,12 @@ PLASTICINE_MAPPABLE_APPS = {
 }
 
 
-@dataclass(frozen=True)
-class PlasticinePlatform:
-    """One Plasticine configuration to cost workloads on."""
+#: Plasticine shares Capstan's Table 7 grid, vector lanes, clock and HBM2E
+#: memory.
+_GRID = CapstanConfig()
 
-    config: PlasticineConfig = field(default_factory=PlasticineConfig)
-    name: str = "plasticine-hbm2e"
+#: Platform label in reports.
+NAME = "plasticine-hbm2e"
 
 
 def is_mappable(profile: WorkloadProfile) -> bool:
@@ -52,23 +49,19 @@ def is_mappable(profile: WorkloadProfile) -> bool:
     return profile.app in PLASTICINE_MAPPABLE_APPS
 
 
-def estimate_cycles(
-    profile: WorkloadProfile, platform: Optional[PlasticinePlatform] = None
-) -> float:
+def estimate_cycles(profile: WorkloadProfile) -> float:
     """Estimate Plasticine cycles for a workload profile.
 
     Sparse-iteration apps that the paper does not map raise ``ValueError``
     so callers cannot silently compare against a meaningless number.
     """
-    platform = platform or PlasticinePlatform()
     if not is_mappable(profile):
         raise ValueError(
             f"{profile.app} cannot be mapped efficiently to Plasticine "
             "(no sparse iteration / RMW support)"
         )
-    config = platform.config
-    lanes = config.lanes
-    units = max(1, min(config.compute_units, profile.outer_parallelism))
+    lanes = _GRID.lanes
+    units = max(1, min(_GRID.compute_units, profile.outer_parallelism))
     timing = StaticBankTiming()
 
     # Dense compute is identical to Capstan: same lanes, same clock.
@@ -88,7 +81,7 @@ def estimate_cycles(
 
     # DRAM traffic: same streaming volume; random DRAM updates must be
     # emulated with read-then-write bursts and full serialization.
-    dram = DRAMModel(config.memory, clock_ghz=config.clock_ghz)
+    dram = DRAMModel(_GRID.memory)
     traffic = TrafficSummary(
         streaming_read_bytes=profile.dram_stream_read_bytes,
         streaming_write_bytes=profile.dram_stream_write_bytes,
@@ -109,16 +102,12 @@ def estimate_cycles(
     )
 
 
-def run_metrics(
-    profile: WorkloadProfile, platform: Optional[PlasticinePlatform] = None
-) -> RunMetrics:
+def run_metrics(profile: WorkloadProfile) -> RunMetrics:
     """Wrap the cycle estimate in a :class:`RunMetrics` record."""
-    platform = platform or PlasticinePlatform()
-    cycles = estimate_cycles(profile, platform)
     return RunMetrics(
         app=profile.app,
         dataset=profile.dataset,
-        platform=platform.name,
-        cycles=cycles,
-        clock_ghz=platform.config.clock_ghz,
+        platform=NAME,
+        cycles=estimate_cycles(profile),
+        clock_ghz=CLOCK_GHZ,
     )

@@ -1,9 +1,16 @@
-"""Architecture configuration objects for Capstan and its baselines.
+"""Architecture configuration objects for Capstan.
 
 The numbers here come from Section 4.1 and Table 7 of the paper: a 20x20
 checkerboard of compute units (CUs) and sparse memory units (SpMUs) ringed by
 80 DRAM address generators (AGs), 16 vector lanes per CU, 16 banks per SpMU,
 a 16-entry reorder queue, and a choice of DDR4 / HBM2 / HBM2E memory.
+
+What a sensitivity study or the design-space search varies is a field of
+:class:`CapstanConfig`. The rest of Table 7 is fixed at the evaluated design
+point and lives in module constants: :data:`MEMORY_UNITS` (200 SpMUs),
+:data:`ADDRESS_GENERATORS` (80 AGs) and :data:`CLOCK_GHZ` (1.6 GHz).
+Read-side DRAM compression is always on, and every unit carries the sparse
+logic.
 """
 
 from __future__ import annotations
@@ -13,6 +20,15 @@ from enum import Enum
 from typing import Dict
 
 from .errors import ConfigurationError
+
+#: Sparse memory units on the chip (Table 7).
+MEMORY_UNITS = 200
+
+#: DRAM address generators ringing the grid (Table 7).
+ADDRESS_GENERATORS = 80
+
+#: Accelerator clock in GHz (Table 7), shared by Capstan and Plasticine.
+CLOCK_GHZ = 1.6
 
 
 class MemoryTechnology(Enum):
@@ -31,15 +47,6 @@ MEMORY_BANDWIDTH_GBPS: Dict[MemoryTechnology, float] = {
     MemoryTechnology.HBM2E: 1800.0,
     MemoryTechnology.IDEAL: float("inf"),
 }
-
-#: Typical random-access (closed-page) latency in nanoseconds.
-MEMORY_LATENCY_NS: Dict[MemoryTechnology, float] = {
-    MemoryTechnology.DDR4: 80.0,
-    MemoryTechnology.HBM2: 100.0,
-    MemoryTechnology.HBM2E: 100.0,
-    MemoryTechnology.IDEAL: 0.0,
-}
-
 
 @dataclass(frozen=True)
 class SpMUConfig:
@@ -136,78 +143,26 @@ class ShuffleMode(Enum):
 
 
 @dataclass(frozen=True)
-class ShuffleConfig:
-    """Configuration of the butterfly shuffle networks (Section 3.2)."""
-
-    mode: ShuffleMode = ShuffleMode.MRG1
-    on_chip_networks: int = 2
-    off_chip_networks: int = 4
-    endpoints: int = 16
-    permutation_fifo_depth: int = 64
-
-    def validate(self) -> None:
-        """Raise :class:`ConfigurationError` if the configuration is invalid."""
-        if self.endpoints <= 0 or self.endpoints & (self.endpoints - 1):
-            raise ConfigurationError("endpoints must be a power of two")
-        if self.permutation_fifo_depth <= 0:
-            raise ConfigurationError("permutation_fifo_depth must be positive")
-
-
-@dataclass(frozen=True)
 class CapstanConfig:
     """Top-level Capstan architecture configuration (Table 7).
 
-    The defaults describe the paper's evaluated design point: a 20x20 grid of
-    200 CUs and 200 SpMUs, 80 DRAM address generators, 16 vector lanes, and
-    a 1.6 GHz clock.
+    The defaults describe the paper's evaluated design point: a 20x20 grid
+    with 200 CUs, 16 vector lanes, HBM2E memory and the Mrg-1 shuffle
+    network (the fixed rest of Table 7 is in the module constants).
     """
 
     compute_units: int = 200
-    memory_units: int = 200
-    address_generators: int = 80
     lanes: int = 16
-    vector_stages: int = 6
-    clock_ghz: float = 1.6
     memory: MemoryTechnology = MemoryTechnology.HBM2E
     spmu: SpMUConfig = field(default_factory=SpMUConfig)
     scanner: ScannerConfig = field(default_factory=ScannerConfig)
-    shuffle: ShuffleConfig = field(default_factory=ShuffleConfig)
-    dram_burst_bytes: int = 64
-    compression_enabled: bool = True
-    sparse_fraction: float = 1.0
+    shuffle: ShuffleMode = ShuffleMode.MRG1
 
     def validate(self) -> None:
         """Validate the whole configuration tree."""
         if self.lanes <= 0 or self.lanes & (self.lanes - 1):
             raise ConfigurationError("lanes must be a power of two")
-        if self.clock_ghz <= 0:
-            raise ConfigurationError("clock_ghz must be positive")
-        if self.compute_units <= 0 or self.memory_units <= 0:
-            raise ConfigurationError("grid must have compute and memory units")
-        if not 0.0 <= self.sparse_fraction <= 1.0:
-            raise ConfigurationError("sparse_fraction must be within [0, 1]")
+        if self.compute_units <= 0:
+            raise ConfigurationError("compute_units must be positive")
         self.spmu.validate()
         self.scanner.validate()
-        self.shuffle.validate()
-
-    @property
-    def cycle_time_ns(self) -> float:
-        """Clock period in nanoseconds."""
-        return 1.0 / self.clock_ghz
-
-
-@dataclass(frozen=True)
-class PlasticineConfig:
-    """Configuration of the dense Plasticine baseline (Section 5).
-
-    Plasticine shares Capstan's grid and clock but its memories are
-    statically banked (one random access per cycle per memory), it has no
-    read-modify-write support, and no sparse-iteration hardware.
-    """
-
-    compute_units: int = 200
-    memory_units: int = 200
-    address_generators: int = 80
-    lanes: int = 16
-    clock_ghz: float = 1.6
-    memory: MemoryTechnology = MemoryTechnology.HBM2E

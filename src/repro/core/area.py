@@ -9,7 +9,7 @@ reproduces the published numbers as a calibrated analytic model:
   scale with the structural parameters (lane count, bank count, queue
   depth, scanner width) using standard first-order scaling rules
   (crossbars ~ inputs x outputs, encoders ~ n log n, SRAM ~ capacity);
-* scanner areas reproduce Table 5's grid (and interpolate between points);
+* scanner areas reproduce Table 5's grid;
 * scheduler (issue queue + allocator) areas reproduce Table 4's column.
 
 This keeps the area sensitivity studies (Table 5, Table 8, Figure 5b)
@@ -18,11 +18,10 @@ meaningful without a synthesis tool.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict
 
-from ..config import CapstanConfig, PlasticineConfig
+from ..config import ADDRESS_GENERATORS, MEMORY_UNITS, CapstanConfig
 
 # --------------------------------------------------------------------------- #
 # Calibration constants (paper's published numbers at the default design point)
@@ -49,8 +48,6 @@ CU_SCANNER_FRACTION = 0.047
 CU_FORMAT_CONV_FRACTION = 0.005
 MU_FUNC_UNITS_FRACTION = 0.045
 MU_ALLOCATOR_FRACTION = 0.008
-AG_FUNC_UNITS_FRACTION = 0.138
-AG_DECOMPRESSOR_FRACTION = 0.060
 
 #: Scanner area grid in um^2: {input_bits: {output_vectorization: area}} (Table 5).
 SCANNER_AREA_UM2: Dict[int, Dict[int, float]] = {
@@ -103,33 +100,14 @@ class AreaBreakdown:
 
 
 def scanner_area_um2(bit_width: int, output_vectorization: int) -> float:
-    """Scanner area for a given input width and output vectorization.
-
-    Exact Table 5 points are returned verbatim; other points are obtained by
-    log-linear interpolation/extrapolation in both dimensions, reflecting
-    the roughly n*log(n) growth of the select-and-encode logic.
-    """
-    if bit_width <= 0 or output_vectorization <= 0:
-        raise ValueError("scanner dimensions must be positive")
-    widths = sorted(SCANNER_AREA_UM2)
-    outputs = sorted(next(iter(SCANNER_AREA_UM2.values())))
-    if bit_width in SCANNER_AREA_UM2 and output_vectorization in SCANNER_AREA_UM2[bit_width]:
+    """Scanner area of one Table 5 point (input width, output vectorization)."""
+    try:
         return float(SCANNER_AREA_UM2[bit_width][output_vectorization])
-
-    def interp(axis_values, target, lookup):
-        """Log-linear interpolation helper along one axis."""
-        below = max((v for v in axis_values if v <= target), default=axis_values[0])
-        above = min((v for v in axis_values if v >= target), default=axis_values[-1])
-        if below == above:
-            return lookup(below)
-        t = (math.log2(target) - math.log2(below)) / (math.log2(above) - math.log2(below))
-        return lookup(below) * (1 - t) + lookup(above) * t
-
-    def area_at_width(width):
-        table = SCANNER_AREA_UM2[width]
-        return interp(outputs, output_vectorization, lambda o: float(table[o]))
-
-    return interp(widths, bit_width, area_at_width)
+    except KeyError:
+        raise ValueError(
+            f"no Table 5 scanner area for {bit_width} input bits and "
+            f"{output_vectorization} outputs"
+        ) from None
 
 
 def scheduler_area_um2(queue_depth: int, crossbar_inputs: int, banks: int = 16) -> float:
@@ -149,17 +127,13 @@ def scheduler_area_um2(queue_depth: int, crossbar_inputs: int, banks: int = 16) 
     return float(base + alpha * queue_depth + beta * crossbar_inputs * banks)
 
 
-def plasticine_area(config: PlasticineConfig | None = None) -> AreaBreakdown:
-    """Area/power of the Plasticine baseline (Table 8, left column)."""
-    config = config or PlasticineConfig()
-    cu_total = PLASTICINE_CU_MM2 * config.compute_units
-    mu_total = PLASTICINE_MU_MM2 * config.memory_units
-    ag_total = PLASTICINE_AG_MM2 * config.address_generators
+def plasticine_area() -> AreaBreakdown:
+    """Area/power of the Plasticine baseline (Table 8, left column), on
+    Capstan's Table 7 grid."""
+    cu_total = PLASTICINE_CU_MM2 * CapstanConfig().compute_units
+    mu_total = PLASTICINE_MU_MM2 * MEMORY_UNITS
+    ag_total = PLASTICINE_AG_MM2 * ADDRESS_GENERATORS
     total = cu_total + mu_total + ag_total + PLASTICINE_NET_MM2_TOTAL
-    scale = total / (
-        PLASTICINE_CU_MM2 * 200 + PLASTICINE_MU_MM2 * 200 + PLASTICINE_AG_MM2 * 80
-        + PLASTICINE_NET_MM2_TOTAL
-    )
     return AreaBreakdown(
         compute_unit_each=PLASTICINE_CU_MM2,
         compute_units_total=cu_total,
@@ -170,26 +144,24 @@ def plasticine_area(config: PlasticineConfig | None = None) -> AreaBreakdown:
         shuffle_networks_total=0.0,
         on_chip_network_total=PLASTICINE_NET_MM2_TOTAL,
         total_mm2=total,
-        power_w=PLASTICINE_POWER_W * scale,
+        power_w=PLASTICINE_POWER_W,
     )
 
 
 def capstan_area(config: CapstanConfig | None = None) -> AreaBreakdown:
     """Area/power of Capstan (Table 8, right column), scaled to ``config``.
 
-    The ``sparse_fraction`` knob models the heterogeneous-provisioning
-    option discussed in Section 4.2: provisioning only a fraction of units
-    with sparse logic linearly reduces the sparse area/power overhead.
+    Every unit carries the sparse logic, and every address generator its
+    decompressor: the paper evaluates no other provisioning.
     """
     config = config or CapstanConfig()
-    sparse = config.sparse_fraction
 
     # Per-unit areas: Plasticine base plus Capstan additions scaled by the
     # structural parameters relative to the paper's design point.
     scanner_scale = scanner_area_um2(
         config.scanner.bit_width, config.scanner.output_vectorization
     ) / scanner_area_um2(256, 16)
-    cu_each = PLASTICINE_CU_MM2 + sparse * (
+    cu_each = PLASTICINE_CU_MM2 + (
         CAPSTAN_CU_MM2 - PLASTICINE_CU_MM2
     ) * (CU_SCANNER_FRACTION * scanner_scale + CU_FORMAT_CONV_FRACTION) / (
         CU_SCANNER_FRACTION + CU_FORMAT_CONV_FRACTION
@@ -201,20 +173,19 @@ def capstan_area(config: CapstanConfig | None = None) -> AreaBreakdown:
     mu_added = (CAPSTAN_MU_MM2 - PLASTICINE_MU_MM2) * (
         MU_FUNC_UNITS_FRACTION + MU_ALLOCATOR_FRACTION * scheduler_scale
     ) / (MU_FUNC_UNITS_FRACTION + MU_ALLOCATOR_FRACTION)
-    mu_each = PLASTICINE_MU_MM2 + sparse * mu_added
+    mu_each = PLASTICINE_MU_MM2 + mu_added
 
-    ag_each = PLASTICINE_AG_MM2 + sparse * (CAPSTAN_AG_MM2 - PLASTICINE_AG_MM2) * (
-        (AG_FUNC_UNITS_FRACTION + (AG_DECOMPRESSOR_FRACTION if config.compression_enabled else 0.0))
-        / (AG_FUNC_UNITS_FRACTION + AG_DECOMPRESSOR_FRACTION)
-    )
+    # The address generator's additions (function units and the read-side
+    # decompressor) scale with no configuration field. The sum stays
+    # written out: it is the float every recorded output was costed with.
+    ag_each = PLASTICINE_AG_MM2 + (CAPSTAN_AG_MM2 - PLASTICINE_AG_MM2)
 
     cu_total = cu_each * config.compute_units
-    mu_total = mu_each * config.memory_units
-    ag_total = ag_each * config.address_generators
-    shuffle_total = CAPSTAN_SHUFFLE_MM2_TOTAL * sparse * (
-        (config.compute_units + config.memory_units) / 400.0
-    )
-    net_total = PLASTICINE_NET_MM2_TOTAL * ((config.compute_units + config.memory_units) / 400.0)
+    mu_total = mu_each * MEMORY_UNITS
+    ag_total = ag_each * ADDRESS_GENERATORS
+    grid_scale = (config.compute_units + MEMORY_UNITS) / 400.0
+    shuffle_total = CAPSTAN_SHUFFLE_MM2_TOTAL * grid_scale
+    net_total = PLASTICINE_NET_MM2_TOTAL * grid_scale
     total = cu_total + mu_total + ag_total + shuffle_total + net_total
 
     power_scale = total / CAPSTAN_TOTAL_MM2

@@ -30,7 +30,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..config import MemoryTechnology, SpMUConfig
+from ..config import CLOCK_GHZ, MemoryTechnology, SpMUConfig
 from ..sim.dram import BURST_BYTES
 from .area import CAPSTAN_CU_MM2, capstan_area, scanner_area_um2, scheduler_area_um2
 
@@ -178,7 +178,7 @@ def platform_energy_params(platform) -> EnergyParams:
     # Static: a fixed fraction of the area model's chip power, integrated
     # per cycle (W * s = J; x1000 to mJ).
     static_w = STATIC_POWER_FRACTION * area.power_w
-    static_mj_per_cycle = static_w * (config.cycle_time_ns * 1e-9) * 1000.0
+    static_mj_per_cycle = static_w * ((1.0 / CLOCK_GHZ) * 1e-9) * 1000.0
 
     params = EnergyParams(
         compute_mj=compute_mj,
@@ -223,12 +223,7 @@ def estimate_energy(
         profile.cross_tile_request_fraction * profile.sram_random_accesses
     ) * params.shuffle_mj
 
-    stream_read = profile.dram_stream_read_bytes
-    if platform.config.compression_enabled and profile.pointer_stream_bytes > 0:
-        saved = profile.pointer_stream_bytes * (
-            1.0 - 1.0 / max(profile.pointer_compression_ratio, 1.0)
-        )
-        stream_read = max(0.0, stream_read - saved)
+    stream_read = profile.compressed_stream_read_bytes
     dram = (stream_read + profile.dram_stream_write_bytes) * params.dram_stream_mj_per_byte + (
         profile.dram_random_reads + 2 * profile.dram_random_updates
     ) * params.dram_random_mj
@@ -313,22 +308,11 @@ def estimate_energy_batch(
     cross_requests = fcol(
         [p.cross_tile_request_fraction * p.sram_random_accesses for p in profiles]
     )
-    stream_read_bytes = fcol([p.dram_stream_read_bytes for p in profiles])
+    stream_read_bytes = fcol([p.compressed_stream_read_bytes for p in profiles])
     stream_write_bytes = fcol([p.dram_stream_write_bytes for p in profiles])
     dram_accesses = icol(
         [p.dram_random_reads + 2 * p.dram_random_updates for p in profiles]
     )
-
-    def _compressed_stream_read(p) -> float:
-        stream_read = p.dram_stream_read_bytes
-        if p.pointer_stream_bytes > 0:
-            saved = p.pointer_stream_bytes * (
-                1.0 - 1.0 / max(p.pointer_compression_ratio, 1.0)
-            )
-            stream_read = max(0.0, stream_read - saved)
-        return stream_read
-
-    compressed_read_bytes = fcol([_compressed_stream_read(p) for p in profiles])
 
     params = [platform_energy_params(p) for p in platforms]
     compute_mj = frow([q.compute_mj for q in params])
@@ -338,16 +322,12 @@ def estimate_energy_batch(
     stream_mj = frow([q.dram_stream_mj_per_byte for q in params])
     random_mj = frow([q.dram_random_mj for q in params])
     static_mj = frow([q.static_mj_per_cycle for q in params])
-    compression = np.array(
-        [p.config.compression_enabled for p in platforms], dtype=bool
-    ).reshape(1, n_platforms)
 
     compute = compute_iterations * compute_mj
     sram = sram_accesses * sram_mj
     scanner = scan_total_cycles * scan_mj
     network = cross_requests * shuffle_mj
-    stream_read = np.where(compression, compressed_read_bytes, stream_read_bytes)
-    dram = (stream_read + stream_write_bytes) * stream_mj + dram_accesses * random_mj
+    dram = (stream_read_bytes + stream_write_bytes) * stream_mj + dram_accesses * random_mj
     static = cycles * static_mj
 
     categories = {

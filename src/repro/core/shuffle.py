@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..config import ShuffleConfig, ShuffleMode
+from ..config import ShuffleMode
 from ..errors import SimulationError
 
 
@@ -112,52 +112,47 @@ class ShuffleNetwork:
     the oracle of :func:`merge_efficiency`'s bitmask path.
 
     Args:
-        config: Shuffle configuration (mode, endpoints).
+        mode: Merge-unit lane-shifting flexibility.
         lanes: Vector width of each request vector.
     """
 
-    def __init__(self, config: Optional[ShuffleConfig] = None, lanes: int = 16):
-        self._config = config or ShuffleConfig()
-        self._config.validate()
+    def __init__(self, mode: ShuffleMode = ShuffleMode.MRG1, lanes: int = 16):
+        self._mode = mode
         self._lanes = lanes
-        self._max_shift = self._config.mode.max_shift
+        self._max_shift = mode.max_shift
 
     def route(
         self,
         vectors_by_source: Dict[int, List[ShuffleRequest]],
-        partition_of: Optional[Dict[int, int]] = None,
-        partitions: Optional[int] = None,
+        partitions: int,
     ) -> Dict[int, List[List[Optional[ShuffleRequest]]]]:
         """Route request vectors from CUs to destination memory partitions.
 
         Args:
             vectors_by_source: One request vector per source CU.
-            partition_of: Optional explicit address -> partition mapping; if
-                omitted, the address's high bits select the partition.
-            partitions: Number of destination partitions (defaults to the
-                configured endpoint count).
+            partitions: Number of destination partitions; an address's high
+                bits select its partition.
 
         Returns:
             A mapping from destination partition to the list of output
             vectors delivered there.
         """
-        n_partitions = partitions or self._config.endpoints
-        if self._config.mode is ShuffleMode.NONE:
+        if self._mode is ShuffleMode.NONE:
             # No network: every request is a separate scalar transfer (one
             # output vector per request).
             outputs: Dict[int, List[List[Optional[ShuffleRequest]]]] = {}
             for vector in vectors_by_source.values():
                 for request in vector:
-                    destination = self._destination(request, partition_of, n_partitions)
+                    destination = self._destination(request, partitions)
                     padded: List[Optional[ShuffleRequest]] = [None] * self._lanes
                     padded[request.lane % self._lanes] = request
                     outputs.setdefault(destination, []).append(padded)
             return outputs
 
-        grouped: Dict[int, List[ShuffleRequest]] = {p: [] for p in range(n_partitions)}
+        grouped: Dict[int, List[ShuffleRequest]] = {p: [] for p in range(partitions)}
         for vector in vectors_by_source.values():
             for request in vector:
-                grouped[self._destination(request, partition_of, n_partitions)].append(request)
+                grouped[self._destination(request, partitions)].append(request)
 
         outputs = {}
         merge_unit = MergeUnit(self._lanes, self._max_shift)
@@ -183,17 +178,8 @@ class ShuffleNetwork:
             outputs[destination] = pending
         return outputs
 
-    def _destination(
-        self,
-        request: ShuffleRequest,
-        partition_of: Optional[Dict[int, int]],
-        n_partitions: int,
-    ) -> int:
-        if partition_of is not None:
-            try:
-                return partition_of[request.address] % n_partitions
-            except KeyError as exc:
-                raise SimulationError(f"no partition for address {request.address}") from exc
+    @staticmethod
+    def _destination(request: ShuffleRequest, n_partitions: int) -> int:
         return (request.address // max(1, 2 ** 16 // n_partitions)) % n_partitions
 
     def _initial_vectors(
@@ -311,22 +297,11 @@ MERGE_PARTITIONS = 4
 MERGE_SEED = 3
 
 
-def _network_config(mode: ShuffleMode, config: Optional[ShuffleConfig]) -> ShuffleConfig:
-    """``config`` (or the default) reshaped to the microbenchmark, validated."""
-    import dataclasses
-
-    base = config if config is not None else ShuffleConfig()
-    network_config = dataclasses.replace(base, mode=mode, endpoints=MERGE_PARTITIONS)
-    network_config.validate()
-    return network_config
-
-
 def merge_efficiency(
     mode: ShuffleMode,
     cross_partition_fraction: float,
     lanes: int = 16,
     vectors: int = 64,
-    config: Optional[ShuffleConfig] = None,
 ) -> float:
     """Measure how well a shuffle mode compacts cross-partition traffic.
 
@@ -340,15 +315,7 @@ def merge_efficiency(
     the identical random request stream and gives exactly the same value,
     because every (source, lane) carries at most one request and each
     address stays inside its partition.
-
-    Args:
-        config: Optional full shuffle configuration to validate; ``mode``
-            and the microbenchmark's partition count override its routing
-            shape, and its crossbar parameters (e.g. the inverse-permutation
-            FIFO depth) cannot change where a request lands. ``None``
-            measures a default-parameter network.
     """
-    _network_config(mode, config)
     rng = _RawStreamReplay(MERGE_SEED)
     candidates = _candidate_lane_order(lanes, mode.max_shift)
     none_mode = mode is ShuffleMode.NONE
@@ -398,7 +365,6 @@ def merge_efficiency_reference(
     cross_partition_fraction: float,
     lanes: int = 16,
     vectors: int = 64,
-    config: Optional[ShuffleConfig] = None,
 ) -> float:
     """The object-at-a-time oracle of :func:`merge_efficiency`.
 
@@ -406,7 +372,7 @@ def merge_efficiency_reference(
     :class:`ShuffleNetwork`; the equivalence tests pin the two equal.
     """
     rng = np.random.default_rng(MERGE_SEED)
-    network = ShuffleNetwork(_network_config(mode, config), lanes=lanes)
+    network = ShuffleNetwork(mode, lanes=lanes)
     stride = 2**16 // MERGE_PARTITIONS
     total_requests = 0
     total_vector_slots = 0

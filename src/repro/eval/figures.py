@@ -120,9 +120,7 @@ def _cycles_with_bandwidth(profile, platform: CapstanPlatform, bandwidth_gbps: f
     """Re-cost a profile with an overridden DRAM bandwidth."""
     cycles, breakdown = estimate_cycles(profile, platform)
     # Replace the DRAM component with one computed at the swept bandwidth.
-    dram_swept = DRAMModel(
-        platform.config.memory, bandwidth_gbps=bandwidth_gbps, clock_ghz=platform.config.clock_ghz
-    )
+    dram_swept = DRAMModel(platform.config.memory, bandwidth_gbps=bandwidth_gbps)
     traffic = TrafficSummary(
         streaming_read_bytes=profile.dram_stream_read_bytes,
         streaming_write_bytes=profile.dram_stream_write_bytes,

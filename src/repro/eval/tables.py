@@ -19,7 +19,7 @@ from ..apps.timing import (
     estimate_cycles_batch,
     ideal_platform,
 )
-from ..config import CapstanConfig, MemoryTechnology, ShuffleMode, SpMUConfig
+from ..config import CLOCK_GHZ, CapstanConfig, MemoryTechnology, ShuffleMode, SpMUConfig
 from ..core.area import (
     capstan_area,
     plasticine_area,
@@ -311,8 +311,8 @@ def table12_performance(profiles: ProfileSet) -> Dict:
     for app in profiles.apps():
         app_profiles = profiles.for_app(app)
         seconds_by_name = {
-            name: [c / (platform.config.clock_ghz * 1e9) for c in cycles_by_app[app][:, j]]
-            for j, (name, platform) in enumerate(platforms.items())
+            name: [c / (CLOCK_GHZ * 1e9) for c in cycles_by_app[app][:, j]]
+            for j, name in enumerate(platforms)
         }
         # Plasticine (only for mappable apps), GPU, and CPU.
         if app in plasticine.PLASTICINE_MAPPABLE_APPS:
@@ -352,7 +352,7 @@ def table13_asic_comparison(profiles: ProfileSet) -> Dict:
     results: Dict[str, float] = {}
 
     def capstan_seconds(app: str, platform: CapstanPlatform) -> float:
-        hz = platform.config.clock_ghz * 1e9
+        hz = CLOCK_GHZ * 1e9
         return geometric_mean([estimate_cycles(p, platform)[0] / hz for p in profiles.for_app(app)])
 
     # EIE and SCNN are compared against an ideal Capstan (no network/memory).

@@ -45,7 +45,6 @@ from .cache import (
 from .dse import DSEResult, explore, pareto_frontier, prefill_throughputs
 from .runner import ExperimentRunner, RunReport, TaskResult
 from .runstore import BaselineRecord, RunRecord, RunStore, default_run_db
-from .sweep import sweep
 
 __all__ = [
     "DSEResult",
@@ -73,5 +72,4 @@ __all__ = [
     "RunRecord",
     "RunStore",
     "default_run_db",
-    "sweep",
 ]

@@ -35,6 +35,10 @@ the slot's next attempt spawns a fresh one: one corrupted line must not
 fail every unit subsequently routed to that worker. ``cancel()`` kills
 every worker too; nothing else replaces one, so a worker keeps what it
 inherited at spawn (a fault plan's ``REPRO_FAULT_PLAN``, say).
+
+``close()`` lets a worker exit normally: EOF on its stdin ends the
+worker's request loop, so its interpreter shuts down and runs its exit
+hooks. Only a worker still alive after ``CLOSE_GRACE_S`` is killed.
 """
 
 from __future__ import annotations
@@ -73,6 +77,10 @@ WARMUP_TIMEOUT_S = 120.0
 
 #: Longest a blocked read sleeps before re-checking for an interrupt.
 INTERRUPT_POLL_S = 0.1
+
+#: How long ``close()`` waits for workers to exit on EOF before it kills
+#: the ones still running.
+CLOSE_GRACE_S = 2.0
 
 
 def _worker_env() -> Dict[str, str]:
@@ -137,6 +145,13 @@ class _Worker:
         self.interrupted = True
         self.proc.kill()
 
+    def finish(self) -> None:
+        """Ask the worker to exit: EOF on stdin ends its request loop."""
+        try:
+            self.proc.stdin.close()
+        except OSError:
+            pass
+
     def kill(self) -> None:
         if self.proc.poll() is None:
             self.proc.kill()
@@ -184,7 +199,8 @@ class _Worker:
         try:
             stdin.write(line.encode())
             stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
+        except (OSError, ValueError) as exc:
+            # ValueError: close() shut the pipe under this request.
             raise _WorkerDied(f"worker stdin closed: {exc}") from None
         deadline = None if timeout_s is None else time.perf_counter() + timeout_s
         while True:
@@ -282,7 +298,22 @@ class SubprocessExecutor(Executor):
             worker.interrupt()
 
     def close(self) -> None:
-        """Cancel any run still in flight and retire every worker."""
+        """Cancel any run still in flight and retire every worker.
+
+        Every worker gets EOF and ``CLOSE_GRACE_S`` to exit on its own;
+        :meth:`cancel` then kills whatever is still alive.
+        """
+        Executor.cancel(self)  # no further attempt starts meanwhile
+        with self._slots_lock:
+            workers = [worker for worker in self._slots if worker is not None]
+        for worker in workers:
+            worker.finish()
+        deadline = time.perf_counter() + CLOSE_GRACE_S
+        for worker in workers:
+            try:
+                worker.proc.wait(timeout=max(0.0, deadline - time.perf_counter()))
+            except subprocess.TimeoutExpired:
+                pass
         self.cancel()
         for slot in range(self.workers):
             self._retire(slot)

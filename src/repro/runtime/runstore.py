@@ -345,13 +345,6 @@ class RunStore:
         rows = self._connection.execute(query, parameters).fetchall()
         return [self._run_from_row(row) for row in rows]
 
-    def sections(self, run_id: int) -> Dict[str, Dict[str, Any]]:
-        """The stored sections of one run, name -> section dict."""
-        rows = self._connection.execute(
-            "SELECT name, metrics_json FROM sections WHERE run_id=?", (run_id,)
-        ).fetchall()
-        return {row["name"]: json.loads(row["metrics_json"]) for row in rows}
-
     def metric_history(
         self, section: str, metric: str, limit: int = 20
     ) -> List[Tuple[int, float]]:
@@ -382,13 +375,6 @@ class RunStore:
             fingerprint=row["code_fingerprint"],
             record=json.loads(row["snapshot_json"]),
         )
-
-    def baselines(self) -> List[BaselineRecord]:
-        rows = self._connection.execute(
-            "SELECT name FROM baselines ORDER BY name"
-        ).fetchall()
-        found = [self.baseline(row["name"]) for row in rows]
-        return [baseline for baseline in found if baseline is not None]
 
     def __len__(self) -> int:
         return int(self._connection.execute("SELECT COUNT(*) FROM runs").fetchone()[0])

@@ -110,11 +110,6 @@ class SearchSpace:
         return cls(axes=tuple(parsed))
 
     @property
-    def names(self) -> List[str]:
-        """Axis names in declaration order."""
-        return [axis for axis, _ in self.axes]
-
-    @property
     def size(self) -> int:
         """Number of points in the cartesian space."""
         size = 1

@@ -157,11 +157,7 @@ def axis_value(platform: CapstanPlatform, axis: str) -> Any:
     of the axis -> field mapping :func:`build_variant` writes through)."""
     if axis in _PLATFORM_FIELDS:
         return getattr(platform, axis)
-    if axis == "memory":
-        return platform.config.memory
-    if axis == "shuffle":
-        return platform.config.shuffle.mode
-    if axis in _CONFIG_FIELDS:
+    if axis in ("memory", "shuffle") or axis in _CONFIG_FIELDS:
         return getattr(platform.config, axis)
     if axis in _SPMU_FIELDS:
         return getattr(platform.config.spmu, axis)
@@ -179,7 +175,7 @@ def build_variant(
     The values are grouped by the level they live on (platform,
     :class:`~repro.config.CapstanConfig`, :class:`~repro.config.SpMUConfig`)
     and each level is rebuilt once, so a variant costs at most three
-    ``replace`` calls (four with a ``shuffle`` axis) whatever its axis count.
+    ``replace`` calls whatever its axis count.
     """
     platform = base if base is not None else CapstanPlatform()
     platform_fields: Dict[str, Any] = {"name": name}
@@ -191,8 +187,6 @@ def build_variant(
             platform_fields[axis] = value
         elif axis in _SPMU_FIELDS:
             spmu_fields[axis] = value
-        elif axis == "shuffle":
-            config_fields["shuffle"] = replace(platform.config.shuffle, mode=value)
         else:
             config_fields[axis] = value
     config = platform.config

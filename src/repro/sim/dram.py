@@ -4,15 +4,16 @@ The paper uses Ramulator behind 80 address generators; the applications it
 studies are dominated by bandwidth, not detailed bank timing, so this model
 captures the first-order effects:
 
-* peak bandwidth and latency per technology (DDR4-2133, HBM2, HBM2E, ideal);
+* peak bandwidth per technology (DDR4-2133, HBM2, HBM2E, ideal);
 * burst (64 B) granularity -- a random 4 B access still moves a whole burst;
 * reduced efficiency for random versus streaming traffic (row-buffer
   locality), calibrated so random-access bandwidth lands near the commonly
   measured ~60% (HBM) / ~40% (DDR4) of peak;
 * read-modify-write traffic counting both the read and the write-back
-  (the caller counts an update as two random accesses); and
-* optional read-side compression (Section 3.4), which shrinks the bytes
-  moved for compressible pointer streams.
+  (the caller counts an update as two random accesses).
+
+Read-side compression (Section 3.4) shrinks the streamed bytes before they
+reach this model (``WorkloadProfile.compressed_stream_read_bytes``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..config import MEMORY_BANDWIDTH_GBPS, MEMORY_LATENCY_NS, MemoryTechnology
+from ..config import CLOCK_GHZ, MEMORY_BANDWIDTH_GBPS, MemoryTechnology
 from ..errors import SimulationError
 
 #: DRAM burst size in bytes (Section 4.1: AGs send burst-level 64 B requests).
@@ -51,48 +52,37 @@ class TrafficSummary:
         streaming_read_bytes: Sequentially read bytes (tile loads, pointer
             streams).
         streaming_write_bytes: Sequentially written bytes (result stores).
-        random_read_bytes: Randomly read bytes, already inflated to burst
-            granularity by the caller or counted per element.
-        random_write_bytes: Randomly written bytes (atomic update
-            write-backs).
-        random_accesses: Number of individual random element accesses (used
-            for burst-granularity inflation when byte counts are per
-            element).
+        random_accesses: Number of individual random element accesses; each
+            moves a whole burst.
     """
 
     streaming_read_bytes: float = 0.0
     streaming_write_bytes: float = 0.0
-    random_read_bytes: float = 0.0
-    random_write_bytes: float = 0.0
     random_accesses: int = 0
 
 
 class DRAMModel:
-    """Bandwidth/latency model of one memory technology.
+    """Bandwidth model of one memory technology.
 
     Args:
         technology: Which off-chip memory to model.
         bandwidth_gbps: Override the peak bandwidth (used by the Figure 5a
             bandwidth sweep); defaults to the technology's peak.
-        clock_ghz: Accelerator clock used to convert time into cycles.
+
+    Time converts into cycles of the accelerator clock, :data:`CLOCK_GHZ`.
     """
 
     def __init__(
         self,
         technology: MemoryTechnology = MemoryTechnology.HBM2E,
         bandwidth_gbps: Optional[float] = None,
-        clock_ghz: float = 1.6,
     ):
-        if clock_ghz <= 0:
-            raise SimulationError("clock_ghz must be positive")
         self._technology = technology
         self._peak_gbps = (
             bandwidth_gbps if bandwidth_gbps is not None else MEMORY_BANDWIDTH_GBPS[technology]
         )
         if self._peak_gbps <= 0:
             raise SimulationError("bandwidth must be positive")
-        self._latency_ns = MEMORY_LATENCY_NS[technology]
-        self._clock_ghz = clock_ghz
 
     @property
     def technology(self) -> MemoryTechnology:
@@ -104,7 +94,7 @@ class DRAMModel:
         """Peak bytes transferred per accelerator cycle."""
         if self._peak_gbps == float("inf"):
             return float("inf")
-        return self._peak_gbps / self._clock_ghz
+        return self._peak_gbps / CLOCK_GHZ
 
     def streaming_cycles(self, data_bytes: float) -> float:
         """Cycles to stream ``data_bytes`` sequentially."""
@@ -128,10 +118,7 @@ class DRAMModel:
         peak = self.bytes_per_cycle_peak
         if peak == float("inf"):
             return streaming
-        if traffic.random_accesses:
-            # Each random access moves a whole 64 B burst regardless of the
-            # element size (one burst per access, no coalescing).
-            random_bytes = traffic.random_accesses * BURST_BYTES
-        else:
-            random_bytes = traffic.random_read_bytes + traffic.random_write_bytes
+        # Each random access moves a whole 64 B burst regardless of the
+        # element size (one burst per access, no coalescing).
+        random_bytes = traffic.random_accesses * BURST_BYTES
         return streaming + random_bytes / (peak * RANDOM_ACCESS_EFFICIENCY[self._technology])

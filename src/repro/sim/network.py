@@ -9,42 +9,28 @@ algorithms such as BFS/SSSP, the "Network" stall source of Figure 7).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import SimulationError
 
-
-@dataclass(frozen=True)
-class NetworkConfig:
-    """On-chip network parameters.
-
-    Attributes:
-        grid_width: Tiles per row of the checkerboard (20 in the paper).
-        hop_latency_cycles: Cycles per router hop, including link traversal.
-    """
-
-    grid_width: int = 20
-    hop_latency_cycles: int = 2
-
-    def validate(self) -> None:
-        """Raise :class:`SimulationError` on invalid parameters."""
-        if self.grid_width <= 0:
-            raise SimulationError("grid_width must be positive")
-        if self.hop_latency_cycles <= 0:
-            raise SimulationError("hop_latency_cycles must be positive")
+#: Cycles per router hop, including link traversal.
+HOP_LATENCY_CYCLES = 2
 
 
 class OnChipNetwork:
-    """Analytic model of the hybrid static-dynamic on-chip network."""
+    """Analytic model of the hybrid static-dynamic on-chip network.
 
-    def __init__(self, config: NetworkConfig | None = None):
-        self._config = config or NetworkConfig()
-        self._config.validate()
+    Args:
+        grid_width: Tiles per row of the checkerboard (20 in the paper).
+    """
+
+    def __init__(self, grid_width: int = 20):
+        if grid_width <= 0:
+            raise SimulationError("grid_width must be positive")
+        self._grid_width = grid_width
 
     @property
     def average_hops(self) -> float:
         """Average Manhattan distance between two random tiles in the grid."""
-        width = self._config.grid_width
+        width = self._grid_width
         # E|x1-x2| for uniform integers in [0, w) is (w^2 - 1) / (3 w).
         per_axis = (width * width - 1) / (3.0 * width)
         return 2.0 * per_axis
@@ -52,7 +38,7 @@ class OnChipNetwork:
     @property
     def average_latency_cycles(self) -> float:
         """Average one-way latency between two random tiles."""
-        return self.average_hops * self._config.hop_latency_cycles
+        return self.average_hops * HOP_LATENCY_CYCLES
 
     def round_trip_cycles(self, round_trips: int) -> float:
         """Cycles for latency-bound request/response round trips.

@@ -7,8 +7,6 @@ import pytest
 
 from repro.apps import (
     best_source,
-    bfs,
-    bicgstab,
     pagerank_edge,
     pagerank_pull,
     reference_add,
@@ -19,12 +17,14 @@ from repro.apps import (
     reference_sssp,
     sparse_add,
     sparse_convolution,
-    spmspm,
     spmv_coo,
     spmv_csc,
     spmv_csr,
-    sssp,
 )
+from repro.apps.bfs import bfs
+from repro.apps.bicgstab import bicgstab
+from repro.apps.spmspm import spmspm
+from repro.apps.sssp import sssp
 from repro.baselines.cpu import reference_spmv_csr
 from repro.errors import WorkloadError
 from repro.formats import to_csc, to_csr

@@ -12,8 +12,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.apps import BACKENDS, bfs, sparse_add, spmv_csr, sssp
+from repro.apps import BACKENDS, sparse_add, spmv_csr
+from repro.apps.bfs import bfs
 from repro.apps.scan_model import record_scans
+from repro.apps.sssp import sssp
 from repro.config import ScannerConfig
 from repro.errors import WorkloadError
 from repro.eval.figures import FIGURE6_BIT_APPS

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import importlib
 import itertools
 import json
 import math
@@ -232,11 +231,7 @@ def _fold_build(base, combo, name):
             platform = replace(platform, **{axis: value})
             continue
         config = platform.config
-        if axis == "memory":
-            config = replace(config, memory=value)
-        elif axis == "shuffle":
-            config = replace(config, shuffle=replace(config.shuffle, mode=value))
-        elif axis in ("lanes", "compute_units"):
+        if axis in ("memory", "shuffle", "lanes", "compute_units"):
             config = replace(config, **{axis: value})
         else:
             config = replace(config, spmu=replace(config.spmu, **{axis: value}))
@@ -309,8 +304,8 @@ class TestSpmuAxes:
     def test_cli_prefill_builds_only_the_projection_sweep(
         self, isolated_store, monkeypatch, capsys
     ):
-        # ``repro.runtime.sweep`` the attribute is the re-exported function.
-        sweep_module = importlib.import_module("repro.runtime.sweep")
+        from repro.runtime import sweep as sweep_module
+
         built = []
         original = sweep_module.build_variant
 

@@ -356,6 +356,18 @@ class TestWorkerLifetime:
         assert child.returncode == 0
 
 
+    def test_close_lets_idle_workers_exit_normally(self):
+        # EOF on stdin ends an idle worker's loop: it exits 0 and runs its
+        # exit hooks, where a kill would leave -SIGKILL.
+        executor = SubprocessExecutor(2)
+        outcomes = executor.run_units([_probe(i) for i in range(2)])
+        assert [outcome.status for outcome in outcomes] == [OUTCOME_OK] * 2
+        procs = [worker.proc for worker in executor._slots if worker is not None]
+        assert procs
+        executor.close()
+        assert [proc.returncode for proc in procs] == [0] * len(procs)
+
+
 class TestSubprocessStartup:
     def test_startup_stall_is_an_error_not_a_unit_timeout(self, monkeypatch):
         # A worker that never answers its handshake ran no unit: the

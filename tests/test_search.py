@@ -82,7 +82,7 @@ def _profiles():
 class TestSearchSpace:
     def test_from_axes_parses_and_dedupes(self):
         space = SearchSpace.from_axes({"lanes": ["8", "16", "8"], "memory": ["hbm2e"]})
-        assert space.names == ["lanes", "memory"]
+        assert [axis for axis, _ in space.axes] == ["lanes", "memory"]
         assert space.size == 2
         assert space.combo_values((1, 0))["lanes"] == 16
 

@@ -8,9 +8,9 @@ import pytest
 
 from repro.config import MEMORY_BANDWIDTH_GBPS, MemoryTechnology
 from repro.errors import SimulationError
+from repro.sim.network import HOP_LATENCY_CYCLES
 from repro.sim import (
     DRAMModel,
-    NetworkConfig,
     OnChipNetwork,
     RunMetrics,
     StallBreakdown,
@@ -37,12 +37,6 @@ class TestDRAMModel:
         assert model.streaming_cycles(1e9) == 0.0
         assert model.traffic_cycles(TrafficSummary(random_accesses=1000)) == 0.0
 
-    def test_random_access_moves_a_whole_burst(self):
-        model = DRAMModel(MemoryTechnology.HBM2E)
-        per_access = model.traffic_cycles(TrafficSummary(random_accesses=20))
-        per_byte = model.traffic_cycles(TrafficSummary(random_read_bytes=20 * 64))
-        assert per_access == pytest.approx(per_byte)
-
     def test_traffic_summary(self):
         model = DRAMModel(MemoryTechnology.DDR4)
         traffic = TrafficSummary(streaming_read_bytes=1e6, random_accesses=100)
@@ -60,7 +54,7 @@ class TestDRAMModel:
     @pytest.mark.parametrize("technology", list(MemoryTechnology))
     def test_peak_bytes_per_cycle(self, technology):
         # GB/s over Gcycles/s: the technology's table bandwidth per cycle.
-        model = DRAMModel(technology, clock_ghz=1.6)
+        model = DRAMModel(technology)
         assert model.technology is technology
         assert model.bytes_per_cycle_peak == pytest.approx(
             MEMORY_BANDWIDTH_GBPS[technology] / 1.6
@@ -100,7 +94,7 @@ class TestNetwork:
 
     def test_invalid_config(self):
         with pytest.raises(SimulationError):
-            NetworkConfig(grid_width=0).validate()
+            OnChipNetwork(grid_width=0)
 
     @pytest.mark.parametrize("width", [1, 2, 3, 5])
     def test_average_hops_matches_enumeration(self, width):
@@ -110,9 +104,11 @@ class TestNetwork:
             abs(x1 - x2) + abs(y1 - y2)
             for (x1, y1), (x2, y2) in itertools.product(tiles, repeat=2)
         )
-        network = OnChipNetwork(NetworkConfig(grid_width=width, hop_latency_cycles=3))
+        network = OnChipNetwork(grid_width=width)
         assert network.average_hops == pytest.approx(total / len(tiles) ** 2)
-        assert network.average_latency_cycles == pytest.approx(3 * network.average_hops)
+        assert network.average_latency_cycles == pytest.approx(
+            HOP_LATENCY_CYCLES * network.average_hops
+        )
 
 
 class TestStats:

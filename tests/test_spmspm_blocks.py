@@ -11,7 +11,6 @@ ceiling test pins that on the largest registered dataset.
 
 from __future__ import annotations
 
-import importlib
 import tracemalloc
 
 import numpy as np
@@ -19,13 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import spmspm as spmspm_module
 from repro.formats import CSRMatrix
 from repro.runtime import registry
 from repro.runtime.cache import profile_to_dict
 from repro.runtime.registry import RunContext
-
-# ``repro.apps.spmspm`` is also the name of the package's exported function.
-spmspm_module = importlib.import_module("repro.apps.spmspm")
 
 #: 1 and a small prime cut blocks inside most products (every row with more
 #: than one multiply is over the bound on its own); 2**40 is one block.
