@@ -16,11 +16,13 @@ Capstan configuration. The model follows the paper's additive methodology:
    the ideal-memory baseline.
 
 Every sensitivity study in the evaluation is a re-costing of the same
-profile under a different :class:`CapstanPlatform`. Single pairs go through
-:func:`estimate_cycles`; design-space sweeps go through
+profile under a different :class:`CapstanPlatform`. The paper harnesses
+(all but Figures 5a/5c) and design-space sweeps go through
 :func:`estimate_cycles_batch`, which stacks profile fields into numpy
 arrays and costs the whole (profile x platform) matrix in vectorized
-passes while producing bit-identical numbers.
+passes. :func:`estimate_cycles` costs one pair in scalar Python; it is
+the oracle the batch is pinned against, bit for bit, and what
+:func:`run_metrics` calls.
 """
 
 from __future__ import annotations

@@ -17,10 +17,11 @@ datasets, input preparation, run callable). ``APP_ORDER`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from .. import apps  # noqa: F401  (importing the package registers every app spec)
 from ..apps.profile import WorkloadProfile
+from ..apps.timing import BatchCostResult, CapstanPlatform, estimate_cycles_batch
 from ..runtime.cache import ProfileCache
 from ..runtime.registry import RunContext, app_datasets, app_order
 from ..runtime.runner import ExperimentRunner
@@ -50,6 +51,30 @@ class ProfileSet:
         """Applications present in the set, in Table 12 order."""
         present = {app for app, _ in self.profiles}
         return [app for app in APP_ORDER if app in present]
+
+    def cost_by_app(
+        self, apps: Sequence[str], platforms: Iterable[CapstanPlatform]
+    ) -> Dict[str, BatchCostResult]:
+        """Cost every profile of ``apps`` under every platform in one batch.
+
+        Returns each application's rows (its datasets, in order) with
+        columns in ``platforms`` order; each cell equals the corresponding
+        per-call :func:`~repro.apps.timing.estimate_cycles` result exactly.
+        """
+        rows = {app: self.for_app(app) for app in apps}
+        result = estimate_cycles_batch(
+            [profile for app_rows in rows.values() for profile in app_rows], platforms
+        )
+        by_app: Dict[str, BatchCostResult] = {}
+        start = 0
+        for app, app_rows in rows.items():
+            span = slice(start, start + len(app_rows))
+            by_app[app] = BatchCostResult(
+                cycles=result.cycles[span],
+                categories={name: column[span] for name, column in result.categories.items()},
+            )
+            start = span.stop
+        return by_app
 
 
 def collect_profiles(

@@ -13,9 +13,15 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..apps.profile import WorkloadProfile
 from ..apps.scan_model import record_scans
-from ..apps.timing import CapstanPlatform, default_platform, estimate_cycles
-from ..config import CapstanConfig, MemoryTechnology, ScannerConfig
+from ..apps.timing import (
+    CapstanPlatform,
+    default_platform,
+    estimate_cycles,
+    estimate_cycles_batch,
+)
+from ..config import MemoryTechnology, ScannerConfig
 from ..core.ordering import OrderingMode
 from ..core.spmu import (
     THROUGHPUT_SEED,
@@ -135,11 +141,24 @@ def figure5b_area_sensitivity(
     parallelism_points: tuple = (2, 4, 8, 16, 32, 64),
 ) -> Dict[str, List[float]]:
     """Speedup vs outer-parallelism (a proxy for weighted on-chip area)."""
-    platform = default_platform(MemoryTechnology.HBM2E)
+    pairs = [
+        (profile, units)
+        for app in profiles.apps()
+        for profile in profiles.for_app(app)
+        for units in parallelism_points
+    ]
+    result = estimate_cycles_batch(
+        [_with_parallelism(profile, units) for profile, units in pairs],
+        [default_platform(MemoryTechnology.HBM2E)],
+    )
+    cycles = {
+        (profile.app, profile.dataset, units): c
+        for (profile, units), c in zip(pairs, result.cycles[:, 0])
+    }
     series = _speedup_series(
         profiles,
         parallelism_points,
-        lambda profile, units: estimate_cycles(_with_parallelism(profile, units), platform)[0],
+        lambda profile, units: cycles[profile.app, profile.dataset, units],
     )
     series["parallelism"] = list(parallelism_points)
     return series
@@ -204,8 +223,10 @@ def figure6_scanner_sensitivity(
     profile, so each (app, dataset) runs once per code version with its
     scans costed under every swept scanner configuration; the costs
     persist in the profile cache (:class:`~repro.runtime.cache.ScanCostStore`),
-    so later calls re-cost the cached profiles and execute nothing. All
-    slowdowns are relative to the maximal 512-input/16-output scanner.
+    so later calls re-cost the cached profiles and execute nothing. The
+    cycle model reads no scanner field of the platform, so every swept
+    profile is costed on one default :class:`CapstanPlatform`, in one batch.
+    All slowdowns are relative to the maximal 512-input/16-output scanner.
     ``profiles`` is unused: the runs are at ``scale``, profiled with their scans.
     """
     reference = ScannerConfig(bit_width=512, output_vectorization=16)
@@ -217,6 +238,7 @@ def figure6_scanner_sensitivity(
     ]
     bit_series: Dict[str, List[float]] = {}
     out_series: Dict[str, List[float]] = {}
+    plan, swept_profiles = [], []
     for app in dict.fromkeys(FIGURE6_BIT_APPS + FIGURE6_OUTPUT_APPS):
         sweeps = []
         if app in FIGURE6_BIT_APPS:
@@ -224,9 +246,12 @@ def figure6_scanner_sensitivity(
         if app in FIGURE6_OUTPUT_APPS:
             sweeps.append((out_series, out_configs))
         configs = list(dict.fromkeys([reference] + [c for _, swept in sweeps for c in swept]))
-        per_dataset = [
-            _scan_swept_cycles(app, dataset, scale, configs) for dataset in APP_DATASETS[app]
-        ]
+        plan.append((app, sweeps, configs))
+        for dataset in APP_DATASETS[app]:
+            swept_profiles += _scan_swept_profiles(app, dataset, scale, configs)
+    swept_cycles = iter(estimate_cycles_batch(swept_profiles, [CapstanPlatform()]).cycles[:, 0])
+    for app, sweeps, configs in plan:
+        per_dataset = [[next(swept_cycles) for _ in configs] for _ in APP_DATASETS[app]]
         runtime = {
             config: geometric_mean([cycles[i] for cycles in per_dataset])
             for i, config in enumerate(configs)
@@ -241,10 +266,10 @@ def figure6_scanner_sensitivity(
     }
 
 
-def _scan_swept_cycles(
+def _scan_swept_profiles(
     app: str, dataset: str, scale: float, configs: List[ScannerConfig]
-) -> List[float]:
-    """Capstan cycles of one run costed under each scanner configuration.
+) -> List[WorkloadProfile]:
+    """One run's profile with its scans costed under each scanner configuration.
 
     With the run's profile and its scan cost under every configuration in
     the profile cache, nothing executes. Otherwise the app runs once with
@@ -276,12 +301,7 @@ def _scan_swept_cycles(
             for key, cost in zip(scan_keys, costs):
                 scans.store(key, cost)
         profile = run
-    cycles = []
-    for config, cost in zip(configs, costs):
-        swept = profile.with_scan(cost)
-        platform = CapstanPlatform(config=CapstanConfig(scanner=config))
-        cycles.append(estimate_cycles(swept, platform)[0])
-    return cycles
+    return [profile.with_scan(cost) for cost in costs]
 
 
 # --------------------------------------------------------------------------- #
@@ -290,15 +310,14 @@ def _scan_swept_cycles(
 
 def figure7_stall_breakdown(profiles: ProfileSet) -> Dict[str, Dict[str, float]]:
     """Fractional stall breakdown per application (averaged over datasets)."""
-    platform = default_platform(MemoryTechnology.HBM2E)
+    costs = profiles.cost_by_app(profiles.apps(), [default_platform(MemoryTechnology.HBM2E)])
     breakdown_by_app: Dict[str, Dict[str, float]] = {}
-    for app in profiles.apps():
+    for app, costed in costs.items():
         totals = {name: 0.0 for name in STALL_CATEGORIES}
-        for profile in profiles.for_app(app):
-            _, breakdown = estimate_cycles(profile, platform)
-            fractions = breakdown.fractions()
+        for row in range(len(costed.cycles)):
+            fractions = costed.breakdown(row, 0).fractions()
             for name in STALL_CATEGORIES:
                 totals[name] += fractions[name]
-        count = max(1, len(profiles.for_app(app)))
+        count = max(1, len(costed.cycles))
         breakdown_by_app[app] = {name: totals[name] / count for name in STALL_CATEGORIES}
     return breakdown_by_app

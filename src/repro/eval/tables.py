@@ -10,15 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-import numpy as np
-
-from ..apps.timing import (
-    CapstanPlatform,
-    default_platform,
-    estimate_cycles,
-    estimate_cycles_batch,
-    ideal_platform,
-)
+from ..apps.timing import CapstanPlatform, default_platform, ideal_platform
 from ..config import CLOCK_GHZ, CapstanConfig, MemoryTechnology, ShuffleMode, SpMUConfig
 from ..core.area import (
     capstan_area,
@@ -127,30 +119,6 @@ def table8_area() -> Dict:
 
 
 # --------------------------------------------------------------------------- #
-# Shared batched-costing helper for the sensitivity tables (9-12)
-# --------------------------------------------------------------------------- #
-
-
-def _batched_app_cycles(
-    profiles: ProfileSet, apps: List[str], platforms: Dict[str, CapstanPlatform]
-) -> Dict[str, np.ndarray]:
-    """Cost every application profile under every platform in one batch.
-
-    Returns one ``(n_datasets, n_platforms)`` cycle matrix per application,
-    with columns in ``platforms`` order; each cell equals the corresponding
-    per-call :func:`estimate_cycles` result exactly.
-    """
-    ordered = []
-    spans: Dict[str, Tuple[int, int]] = {}
-    for app in apps:
-        app_profiles = profiles.for_app(app)
-        spans[app] = (len(ordered), len(ordered) + len(app_profiles))
-        ordered.extend(app_profiles)
-    result = estimate_cycles_batch(ordered, list(platforms.values()))
-    return {app: result.cycles[start:stop, :] for app, (start, stop) in spans.items()}
-
-
-# --------------------------------------------------------------------------- #
 # Table 9: SpMU architecture sensitivity
 # --------------------------------------------------------------------------- #
 
@@ -183,10 +151,11 @@ def table9_spmu_sensitivity(profiles: ProfileSet) -> Dict:
         )
     )
     names = list(variants)
-    cycles_by_app = _batched_app_cycles(profiles, profiles.apps(), variants)
+    costs = profiles.cost_by_app(profiles.apps(), variants.values())
     baseline_column = names.index("capstan-hash")
     results: Dict[str, Dict[str, float]] = {name: {} for name in variants}
-    for app, cycles in cycles_by_app.items():
+    for app, costed in costs.items():
+        cycles = costed.cycles
         baseline_cycles = cycles[:, baseline_column]
         for j, name in enumerate(names):
             ratios = [c / b for c, b in zip(cycles[:, j], baseline_cycles) if b > 0]
@@ -218,10 +187,11 @@ def table10_ordering_modes(profiles: ProfileSet) -> Dict:
     )
     names = list(variants)
     apps = [app for app in TABLE10_APPS if app in profiles.apps()]
-    cycles_by_app = _batched_app_cycles(profiles, apps, variants)
+    costs = profiles.cost_by_app(apps, variants.values())
     baseline_column = names.index("unordered")
     per_app: Dict[str, Dict[str, float]] = {name: {} for name in variants}
-    for app, cycles in cycles_by_app.items():
+    for app, costed in costs.items():
+        cycles = costed.cycles
         base = cycles[:, baseline_column]
         for j, name in enumerate(names):
             per_app[name][app] = geometric_mean(
@@ -268,10 +238,11 @@ def table11_shuffle_sensitivity(profiles: ProfileSet) -> Dict:
     )
     names = list(variants)
     apps = [app for app in TABLE11_APPS if app in profiles.apps()]
-    cycles_by_app = _batched_app_cycles(profiles, apps, variants)
+    costs = profiles.cost_by_app(apps, variants.values())
     baseline_column = names.index("mrg-1")
     results: Dict[str, Dict[str, float]] = {}
-    for app, cycles in cycles_by_app.items():
+    for app, costed in costs.items():
+        cycles = costed.cycles
         base = cycles[:, baseline_column]
         results[app] = {}
         for j, name in enumerate(names):
@@ -306,12 +277,12 @@ def table12_performance(profiles: ProfileSet) -> Dict:
             name=lambda combo: f"capstan-{combo['memory'].value}",
         )
     )
-    cycles_by_app = _batched_app_cycles(profiles, profiles.apps(), platforms)
+    costs = profiles.cost_by_app(profiles.apps(), platforms.values())
     per_app: Dict[str, Dict[str, float]] = {}
     for app in profiles.apps():
         app_profiles = profiles.for_app(app)
         seconds_by_name = {
-            name: [c / (CLOCK_GHZ * 1e9) for c in cycles_by_app[app][:, j]]
+            name: [c / (CLOCK_GHZ * 1e9) for c in costs[app].cycles[:, j]]
             for j, name in enumerate(platforms)
         }
         # Plasticine (only for mappable apps), GPU, and CPU.
@@ -349,41 +320,28 @@ TABLE13_PAPER = {
 
 def table13_asic_comparison(profiles: ProfileSet) -> Dict:
     """Capstan speedup over each ASIC baseline (paper: Table 13, 1.6 GHz)."""
-    results: Dict[str, float] = {}
-
-    def capstan_seconds(app: str, platform: CapstanPlatform) -> float:
-        hz = CLOCK_GHZ * 1e9
-        return geometric_mean([estimate_cycles(p, platform)[0] / hz for p in profiles.for_app(app)])
-
     # EIE and SCNN are compared against an ideal Capstan (no network/memory).
-    ideal = ideal_platform()
-    csc_profiles = profiles.for_app("spmv-csc")
-    eie_seconds = geometric_mean([asic.eie_runtime_seconds(p) for p in csc_profiles])
-    results["eie"] = eie_seconds / capstan_seconds("spmv-csc", ideal)
-
-    conv_profiles = profiles.for_app("conv")
-    scnn_seconds = geometric_mean([asic.scnn_runtime_seconds(p) for p in conv_profiles])
-    results["scnn"] = scnn_seconds / capstan_seconds("conv", ideal)
-
     # Graphicionado and MatRaptor comparisons include load/store time and use
     # DDR4 Capstan for the DRAM-bound graph kernels.
-    ddr4 = default_platform(MemoryTechnology.DDR4)
-    for app, key in (
-        ("pagerank-edge", "graphicionado-pagerank"),
-        ("bfs", "graphicionado-bfs"),
-        ("sssp", "graphicionado-sssp"),
-    ):
-        app_profiles = profiles.for_app(app)
-        graphicionado_seconds = geometric_mean(
-            [asic.graphicionado_runtime_seconds(p) for p in app_profiles]
-        )
-        results[key] = graphicionado_seconds / capstan_seconds(app, ddr4)
-
-    spmspm_profiles = profiles.for_app("spmspm")
-    matraptor_seconds = geometric_mean(
-        [asic.matraptor_runtime_seconds(p) for p in spmspm_profiles]
+    platforms = {
+        "ideal": ideal_platform(),
+        "ddr4": default_platform(MemoryTechnology.DDR4),
+        "hbm2e": default_platform(MemoryTechnology.HBM2E),
+    }
+    comparisons = (
+        ("eie", "spmv-csc", asic.eie_runtime_seconds, "ideal"),
+        ("scnn", "conv", asic.scnn_runtime_seconds, "ideal"),
+        ("graphicionado-pagerank", "pagerank-edge", asic.graphicionado_runtime_seconds, "ddr4"),
+        ("graphicionado-bfs", "bfs", asic.graphicionado_runtime_seconds, "ddr4"),
+        ("graphicionado-sssp", "sssp", asic.graphicionado_runtime_seconds, "ddr4"),
+        ("matraptor", "spmspm", asic.matraptor_runtime_seconds, "hbm2e"),
     )
-    results["matraptor"] = matraptor_seconds / capstan_seconds(
-        "spmspm", default_platform(MemoryTechnology.HBM2E)
-    )
+    costs = profiles.cost_by_app([app for _, app, _, _ in comparisons], platforms.values())
+    columns = list(platforms)
+    hz = CLOCK_GHZ * 1e9
+    results: Dict[str, float] = {}
+    for key, app, asic_seconds, platform in comparisons:
+        capstan_cycles = costs[app].cycles[:, columns.index(platform)]
+        baseline = geometric_mean([asic_seconds(p) for p in profiles.for_app(app)])
+        results[key] = baseline / geometric_mean([c / hz for c in capstan_cycles])
     return {"speedup": results, "paper": TABLE13_PAPER}

@@ -57,7 +57,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from ..errors import CapstanError
+from ..errors import CapstanError, ConfigurationError
 
 #: Environment variable carrying ``FaultPlan.to_json()`` across processes.
 ENV_FAULT_PLAN = "REPRO_FAULT_PLAN"
@@ -360,6 +360,11 @@ class FaultyExecutor:
     it -- an armed ``exit_mid_wave`` fault kills this process, simulating a
     driver dying with executed-but-uncommitted work.
 
+    Installing the plan would hide any other active plan (installed, or in
+    ``REPRO_FAULT_PLAN``) from the units and the workers they spawn, so
+    ``run_units`` refuses to run while one is active: put every fault in
+    this executor's plan.
+
     Everything else (``workers``, ``timeout_s``, ``cancel``, ``close`` ...)
     delegates to the wrapped executor, so a ``FaultyExecutor`` drops into
     any seam an :class:`~repro.runtime.executors.base.Executor` fits (the
@@ -386,6 +391,12 @@ class FaultyExecutor:
     def run_units(
         self, payloads: List[Dict[str, Any]], *, stop_on_error: bool = False
     ) -> List[Any]:
+        active = active_plan()
+        if active not in (None, self.plan) and active.to_json() != self.plan.to_json():
+            raise ConfigurationError(
+                f"another fault plan is active ({active.to_json()}); "
+                "put its faults in this FaultyExecutor's plan"
+            )
         with self.plan.installed():
             outcomes = self._inner.run_units(payloads, stop_on_error=stop_on_error)
         fault = self.plan.take(WAVE_FAULT_KINDS)

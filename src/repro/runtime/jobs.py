@@ -1069,9 +1069,3 @@ class JobStore:
             (job_id,),
         ).fetchall()
         return {row["state"]: row["n"] for row in rows}
-
-    def results(self, job_id: int) -> List[Tuple[UnitRecord, Any]]:
-        """(unit, deserialized result) for every done unit, in grid order."""
-        return [
-            (unit, unit.result()) for unit in self.units(job_id, state=UNIT_DONE)
-        ]

@@ -8,6 +8,7 @@ import pytest
 from repro.apps import spmv_csr
 from repro.apps import timing as timing_module
 from repro.apps.profile import WorkloadProfile
+from repro.apps.scan_model import record_scans
 from repro.apps.timing import (
     CapstanPlatform,
     default_platform,
@@ -15,9 +16,11 @@ from repro.apps.timing import (
     estimate_cycles_batch,
     ideal_platform,
 )
-from repro.config import CapstanConfig, MemoryTechnology, ShuffleMode
+from repro.config import CapstanConfig, MemoryTechnology, ScannerConfig, ShuffleMode
 from repro.core.ordering import OrderingMode
+from repro.eval.figures import FIGURE6_BIT_WIDTHS, FIGURE6_OUTPUT_WIDTHS
 from repro.formats import to_csr
+from repro.runtime.registry import RunContext, app_datasets, execute
 from repro.runtime.sweep import sweep
 from repro.sim.stats import STALL_CATEGORIES
 
@@ -89,23 +92,49 @@ def spmv_profile(tiny_matrix_dataset):
     return spmv_csr(csr, vector, dataset=tiny_matrix_dataset.name).profile
 
 
+@pytest.fixture(scope="module")
+def scanner_swept():
+    """(scanner, profile) pairs of one SpMSpM run with its scans costed
+    under every Figure 6 scanner configuration."""
+    configs = [ScannerConfig(bit_width=width) for width in FIGURE6_BIT_WIDTHS]
+    configs += [ScannerConfig(output_vectorization=out) for out in FIGURE6_OUTPUT_WIDTHS]
+    with record_scans(configs) as trace:
+        run = execute("spmspm", app_datasets()["spmspm"][0], RunContext(scale=1 / 256))
+    return [(config, run.with_scan(trace.cost(config))) for config in configs]
+
+
+def _assert_cell_matches_scalar(result, i, j, profile, platform):
+    """Cell ``(i, j)`` of ``result`` equals the scalar model, every category."""
+    cycles, breakdown = estimate_cycles(profile, platform)
+    assert result.cycles[i, j] == cycles, (profile.app, platform.name)
+    batched = result.breakdown(i, j)
+    for name in STALL_CATEGORIES:
+        assert getattr(batched, name) == getattr(breakdown, name), (
+            profile.app,
+            platform.name,
+            name,
+        )
+
+
 class TestBatchEquivalence:
-    def test_bit_identical_across_grid(self, spmv_profile):
+    def test_bit_identical_across_grid(self, spmv_profile, scanner_swept):
         profiles = _profile_zoo() + [spmv_profile]
         platforms = _platform_zoo()
         result = estimate_cycles_batch(profiles, platforms)
         assert result.cycles.shape == (len(profiles), len(platforms))
         for i, profile in enumerate(profiles):
             for j, platform in enumerate(platforms):
-                cycles, breakdown = estimate_cycles(profile, platform)
-                assert result.cycles[i, j] == cycles, (profile.app, platform.name)
-                batched = result.breakdown(i, j)
-                for name in STALL_CATEGORIES:
-                    assert getattr(batched, name) == getattr(breakdown, name), (
-                        profile.app,
-                        platform.name,
-                        name,
-                    )
+                _assert_cell_matches_scalar(result, i, j, profile, platform)
+        # Scanner-swept rows, costed as Figure 6 costs them: all on one
+        # default platform, which equals costing each on a platform with
+        # its scanner because the cycle model reads no scanner field.
+        swept = estimate_cycles_batch(
+            [profile for _, profile in scanner_swept], [CapstanPlatform()]
+        )
+        assert len(set(swept.cycles[:, 0])) > 1  # the sweep moves the cost
+        for i, (scanner, profile) in enumerate(scanner_swept):
+            platform = CapstanPlatform(config=CapstanConfig(scanner=scanner))
+            _assert_cell_matches_scalar(swept, i, 0, profile, platform)
 
     def test_breakdown_total_matches_cycles(self, spmv_profile):
         result = estimate_cycles_batch([spmv_profile], [default_platform()])

@@ -44,7 +44,7 @@ from repro.eval import (
     table12_performance,
     table13_asic_comparison,
 )
-from repro.eval.figures import _scan_swept_cycles
+from repro.eval.figures import _scan_swept_profiles
 from repro.runtime import registry as registry_module
 from repro.runtime.cache import ProfileCache, ScanCostStore
 from repro.runtime.executors import LocalExecutor
@@ -328,7 +328,7 @@ class TestFigures:
         monkeypatch.setenv("REPRO_PROFILE_CACHE", str(tmp_path))
         dataset = APP_DATASETS["bfs"][0]
         configs = [ScannerConfig(bit_width=512), ScannerConfig(bit_width=16)]
-        cold = _scan_swept_cycles("bfs", dataset, 1 / 256, configs)
+        cold = _scan_swept_profiles("bfs", dataset, 1 / 256, configs)
         store = ScanCostStore()
         profile_key = ProfileCache().key("bfs", dataset, RunContext(scale=1 / 256))
         path = store.root / f"{store.key(profile_key, configs[1])}.json"
@@ -341,10 +341,10 @@ class TestFigures:
             "malformed": json.dumps(dict(payload, scan=dict(payload["scan"], cycles="9"))),
         }[damage]
         path.write_text(damaged)
-        assert _scan_swept_cycles("bfs", dataset, 1 / 256, configs) == cold
+        assert _scan_swept_profiles("bfs", dataset, 1 / 256, configs) == cold
         assert executions == [("bfs", dataset)] * 2
         assert path.read_text() == entry
-        assert _scan_swept_cycles("bfs", dataset, 1 / 256, configs) == cold
+        assert _scan_swept_profiles("bfs", dataset, 1 / 256, configs) == cold
         assert len(executions) == 2
 
     def test_disabled_cache_executes_every_call_and_writes_nothing(
@@ -354,8 +354,8 @@ class TestFigures:
         monkeypatch.setenv("REPRO_PROFILE_CACHE_DISABLE", "1")
         dataset = APP_DATASETS["bfs"][0]
         configs = [ScannerConfig(bit_width=512), ScannerConfig(bit_width=16)]
-        first = _scan_swept_cycles("bfs", dataset, 1 / 256, configs)
-        assert _scan_swept_cycles("bfs", dataset, 1 / 256, configs) == first
+        first = _scan_swept_profiles("bfs", dataset, 1 / 256, configs)
+        assert _scan_swept_profiles("bfs", dataset, 1 / 256, configs) == first
         assert executions == [("bfs", dataset)] * 2
         assert not (tmp_path / "profiles").exists()
 

@@ -13,6 +13,7 @@ import threading
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.runtime import faults
 from repro.runtime.executors import LocalExecutor, SubprocessExecutor
 from repro.runtime.faults import (
@@ -239,3 +240,21 @@ class TestFaultyExecutor:
         assert [o.status for o in outcomes] == ["ok", "ok", "ok"]
         assert [o.attempts for o in outcomes] == [1, 2, 1]
         assert active_plan() is None
+
+    @pytest.mark.parametrize("seam", ["installed", "environment"])
+    def test_refuses_to_hide_another_active_plan(self, seam):
+        # Installing its own plan would silently drop the outer one for the
+        # wave's units and for every worker it spawns.
+        outer = FaultPlan([Fault(kind="error", permanent=True)])
+        if seam == "installed":
+            install_plan(outer)
+        else:
+            os.environ[ENV_FAULT_PLAN] = outer.to_json()
+        wrapped = FaultyExecutor(LocalExecutor(), FaultPlan([Fault(kind="slow", delay_s=0.0)]))
+        with pytest.raises(ConfigurationError, match="another fault plan is active"):
+            wrapped.run_units([{"kind": "probe", "value": 0}])
+        assert active_plan().to_json() == outer.to_json()
+        # The executor's own plan, already active, is not another plan.
+        same = FaultyExecutor(LocalExecutor(), FaultPlan.from_json(outer.to_json()))
+        [outcome] = same.run_units([{"kind": "probe", "value": 0}])
+        assert outcome.status == "error"

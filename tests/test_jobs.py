@@ -147,10 +147,10 @@ class TestJobStore:
             # Zero re-execution: the first two units still ran exactly once.
             assert [_markers(scratch, i) for i in range(4)] == [1, 1, 1, 1]
 
-            results = store.results(job.id)
-            assert [unit.seq for unit, _ in results] == [0, 1, 2, 3]
-            assert [value["value"] for _, value in results] == [0, 2, 4, 6]
-            assert all(unit.attempts == 1 for unit, _ in results)
+            done = store.units(job.id, state=UNIT_DONE)
+            assert [unit.seq for unit in done] == [0, 1, 2, 3]
+            assert [unit.result()["value"] for unit in done] == [0, 2, 4, 6]
+            assert all(unit.attempts == 1 for unit in done)
 
     def test_stale_running_units_are_reclaimed(self, tmp_path):
         spec = JobSpec.probes(2)
@@ -259,8 +259,8 @@ class TestKillDurability:
             summary = store.run_job(job_id, LocalExecutor())
             assert summary.state == JOB_DONE
             assert store.unit_states(job_id) == {UNIT_DONE: 6}
-            results = store.results(job_id)
-            assert [value["value"] for _, value in results] == [0, 2, 4, 6, 8, 10]
+            done = store.units(job_id, state=UNIT_DONE)
+            assert [unit.result()["value"] for unit in done] == [0, 2, 4, 6, 8, 10]
 
         markers_final = [_markers(scratch, i) for i in range(6)]
         # Every unit that finished before the kill ran exactly once, before
