@@ -326,11 +326,15 @@ def _forks_during(fn) -> int:
 
 
 def _bench_spmu() -> dict:
-    """Time the cold 128-variant SpMU grid on the reference and the lock-step engine.
+    """Time the cold 144-variant SpMU grid on the reference and the lock-step engine.
 
     The grid crosses the paper's Table 4 structural axes (queue depth,
     crossbar size, allocator priorities) with the Table 9/10 policy axes
-    (ordering, bank mapping, allocator kind). The reference side runs the
+    (ordering, bank mapping, allocator kind), plus 16 corners of the
+    design-space search's axes (4 and 32 lanes, 8 and 64 banks, 32-deep
+    queues, 64 crossbar inputs: input speedups of 16 and 2) across both
+    scheduled orderings and both allocators. Their linear mapping reaches
+    all 64 banks; the nibble hash reaches 16 at most. The reference side runs the
     per-cycle :class:`~repro.core.spmu.SparseMemoryUnit` variant by variant
     (``banks * measure_bank_utilization``); the array side runs
     one lock-step :func:`effective_bank_throughput_batch` pass, which forks
@@ -360,6 +364,20 @@ def _bench_spmu() -> dict:
             (8, 16),
             (16, 32),
             (1, 3),
+        )
+    ] + [
+        SpMUVariant(
+            ordering=ordering,
+            bank_mapping="linear",
+            allocator_kind=allocator,
+            config=SpMUConfig(banks=banks, queue_depth=32, crossbar_inputs=64),
+            lanes=lanes,
+        )
+        for ordering, allocator, lanes, banks in itertools.product(
+            (OrderingMode.UNORDERED, OrderingMode.ADDRESS_ORDERED),
+            ("separable", "greedy"),
+            (4, 32),
+            (8, 64),
         )
     ]
     saved_disable = os.environ.get("REPRO_THROUGHPUT_CACHE_DISABLE")

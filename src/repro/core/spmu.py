@@ -25,7 +25,7 @@ scalar microbenchmark.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -43,6 +43,7 @@ from .spmu_array import (
     OP_READ,
     OP_SUB,
     SpMUVariant,
+    _input_speedup,
     simulate_variants,
 )
 
@@ -788,9 +789,10 @@ def effective_bank_throughput_batch(
     values are loaded with a single ``load_many``, the cold remainder is
     simulated in one lock-step
     :func:`~repro.core.spmu_array.simulate_variants` call (variants with
-    equal lane counts share one trace), and the fresh measurements are
-    persisted with a single ``store_many``. ``REPRO_MEMORY_BUDGET`` bounds
-    the lock-step state.
+    equal lane counts share one trace, and variants equal but for
+    ``crossbar_inputs`` with equal input speedup share one simulation),
+    and the fresh measurements are persisted with a single ``store_many``.
+    ``REPRO_MEMORY_BUDGET`` bounds the lock-step state.
 
     Args:
         variants: The SpMU configuration points to measure.
@@ -825,23 +827,31 @@ def effective_bank_throughput_batch(
     if not missing:
         return results
 
-    cold = list(missing)
+    # Both engines read ``crossbar_inputs`` only through the input speedup,
+    # so each group of cold variants equal but for it simulates once.
+    groups: Dict[SpMUVariant, List[SpMUVariant]] = {}
+    for variant in missing:
+        speedup = _input_speedup(variant)
+        config = replace(variant.config, crossbar_inputs=speedup * variant.lanes)
+        groups.setdefault(replace(variant, config=config), []).append(variant)
+    cold = [members[0] for members in groups.values()]
     traces = {
         lanes: random_request_trace(vectors, lanes=lanes, seed=THROUGHPUT_SEED)
         for lanes in {variant.lanes for variant in cold}
     }
     simulated = simulate_variants(cold, [traces[variant.lanes] for variant in cold])
     fresh: Dict[str, float] = {}
-    for variant, result in zip(cold, simulated):
-        banks = variant.config.banks
+    for members, result in zip(groups.values(), simulated):
+        banks = members[0].config.banks
         utilization = (
             result.bank_busy_cycles / (result.cycles * banks) if result.cycles else 0.0
         )
         throughput = utilization * banks
-        _THROUGHPUT_CACHE[(variant, vectors)] = throughput
-        results[missing[variant]] = throughput
-        if variant in store_keys:
-            fresh[store_keys[variant]] = throughput
+        for variant in members:
+            _THROUGHPUT_CACHE[(variant, vectors)] = throughput
+            results[missing[variant]] = throughput
+            if variant in store_keys:
+                fresh[store_keys[variant]] = throughput
     if store is not None and fresh:
         try:
             store.store_many(fresh)

@@ -430,6 +430,8 @@ class _LockStepState:
     ``words`` ``uint64`` words (bank ``b`` is bit ``b % 64`` of word ``b //
     64``); it is all zero once the request issued, or if it was never kept.
     Vector ``empty_slot`` is all zero: the one empty queue slots read.
+    ``remaining`` is indexed by caller position, not by row, so it survives
+    compaction unchanged.
 
     Rows are ordered separable first, then greedy, and by descending
     input speedup within each allocator, so the rows of one allocator that
@@ -464,7 +466,7 @@ class _LockStepState:
                 bank = prep.bank_mat(variant.bank_mapping, variant.config.banks)
                 bits = _bank_bits(bank, self.words)
                 self.pend[j, : prep.n_vectors, :, : prep.width] = bits.transpose(0, 2, 1)
-            self.remaining[j, : prep.n_vectors] = prep.kept_counts
+            self.remaining[order[j], : prep.n_vectors] = prep.kept_counts
 
         self.qvec = np.full((v_count, self.D), -1, dtype=np.int64)
         self.qn = np.zeros(v_count, dtype=np.int64)
@@ -500,30 +502,26 @@ class _LockStepState:
         self.max_cycles = 64 * (self.total + self.nv + 8)
         self.active = self.nv > 0
         self.orig = np.array(order, dtype=np.int64)
-        self.row_of = np.argsort(self.orig)
-        self.v2 = np.arange(v_count)[:, None]
-        self._derive_pass_tables()
 
-        # Address-ordered state: one flat Bloom counter row per AO variant
-        # plus a sentinel entry that padded (non-kept) lane slots alias, so
-        # batched inserts and membership checks need no masking.
+        # Address-ordered state: one flat Bloom counter row per AO variant,
+        # each ending in a sentinel entry that padded (non-kept) lane slots
+        # alias, plus a last row that every unordered variant aliases whole
+        # (``ao_row``), so batched inserts, removes and membership checks
+        # need neither masking nor row selection. A sentinel reads as empty:
+        # inserts zero it again and removes only take it below zero.
         ao_idx = [j for j, v in enumerate(variants) if v.ordering is OrderingMode.ADDRESS_ORDERED]
-        self.has_ao = bool(ao_idx)
-        self.ao_row = np.full(v_count, -1, dtype=np.int64)
+        self.ao_row = np.full(v_count, len(ao_idx), dtype=np.int64)
         self.ao_row[ao_idx] = np.arange(len(ao_idx))
         self.entries_max = max(
             (variants[j].config.bloom_filter_entries for j in ao_idx), default=1
         )
         row_size = self.entries_max + 1
-        self.counters = np.zeros(max(len(ao_idx), 1) * row_size, dtype=np.int32)
+        self.counters = np.zeros((len(ao_idx) + 1) * row_size, dtype=np.int32)
         #: Both Bloom slots per (AO variant, vector, lane) as indices into
-        #: ``counters``, stacked on the last axis; padded (non-kept) entries
-        #: alias their row's sentinel.
-        self.s01 = np.full(
-            (max(len(ao_idx), 1), nv_pad, w_pad, 2), self.entries_max, dtype=np.int64
-        )
+        #: ``counters``, stacked on the last axis.
+        self.s01 = np.full((len(ao_idx) + 1, nv_pad, w_pad, 2), self.entries_max, dtype=np.int64)
         self.s01 += row_size * np.arange(self.s01.shape[0])[:, None, None, None]
-        self.ao_dup = np.zeros((max(len(ao_idx), 1), nv_pad), dtype=np.int64)
+        self.ao_dup = np.zeros((len(ao_idx) + 1, nv_pad + 1), dtype=np.int64)
         for row, j in enumerate(ao_idx):
             prep = preps[j]
             entries = variants[j].config.bloom_filter_entries
@@ -532,115 +530,163 @@ class _LockStepState:
                 addr = prep.addr_mat[kv, kl]
                 self.s01[row, kv, kl, 0] = row * row_size + _bloom_slots(addr, entries, 0)
                 self.s01[row, kv, kl, 1] = row * row_size + _bloom_slots(addr, entries, 1)
-            self.ao_dup[row, : prep.n_vectors] = prep.has_dup.astype(np.int64)
+            self.ao_dup[row, : prep.n_vectors] = prep.has_dup
+            # Every vector pays its split stall once on the attempt that
+            # admits it; the refill adds the stalls of refused attempts.
+            self.stalls[j] = int(prep.has_dup.sum())
+        self._derive_row_tables()
 
-    def compact(self, results_cycles, results_stats):
+    def compact(self, results_stats):
         """Drop finished rows, flushing their accumulated statistics."""
         keep = np.nonzero(self.active)[0]
         dropped = np.nonzero(~self.active)[0]
         for j in dropped:
             results_stats[self.orig[j]] = (int(self.executed[j]), int(self.stalls[j]))
         for name in (
-            "pend", "remaining", "qvec", "qn", "waiting", "nv", "total",
-            "executed", "stalls", "depth", "ipl", "width", "latency", "sep", "iters", "cutoffs",
-            "max_cycles", "active", "orig", "ao_row",
+            "pend", "qvec", "qn", "waiting", "nv", "total", "executed", "stalls", "depth",
+            "ipl", "width", "latency", "sep", "iters", "cutoffs", "max_cycles", "active",
+            "orig", "ao_row",
         ):
             setattr(self, name, getattr(self, name)[keep])
-        self.row_of = np.full(self.row_of.size, -1, dtype=np.int64)
-        self.row_of[self.orig] = np.arange(keep.size)
-        self.v2 = np.arange(keep.size)[:, None]
-        self._derive_pass_tables()
+        self._derive_row_tables()
 
-    def _derive_pass_tables(self) -> None:
-        """Precompute the static per-pass allocator tables.
+    def _derive_row_tables(self) -> None:
+        """Precompute the per-row index columns and the static allocator tables.
 
-        A finished row's queue is empty, so it bids for nothing and needs no
-        mask. Input-speedup pass ``p`` runs the separable rows ``[0,
-        sep_rows[p])`` over lanes ``[0, sep_lanes[p])`` and the greedy rows
-        ``[n_sep, n_sep + greedy_rows[p])`` over lanes ``[0,
-        greedy_lanes[p])``.
+        Input-speedup pass ``p`` runs at most the separable rows ``[0,
+        sep_rows[p])`` and the greedy rows ``[n_sep, n_sep +
+        greedy_rows[p])``; the first ``n`` rows of a block span lanes ``[0,
+        sep_lanes[n])`` (``greedy_lanes[n]``).
         """
-        self.passes = int(self.ipl.max()) if self.ipl.size else 1
+        rows = self.orig.size
+        self.row_index = np.arange(rows)
+        self.word_index = np.arange(self.words)[:, None]
+        self.lane_index = np.arange(max(self.W, 1))
+        self.v2 = self.row_index[:, None]
+        self.o2 = self.orig[:, None]
+        self.ao_rows = np.nonzero(self.ao_row < self.s01.shape[0] - 1)[0]
+        self.has_ao = bool(self.ao_rows.size)
+        self.passes = int(self.ipl.max()) if rows else 1
         self.n_sep = int(self.sep.sum())
         sep_ipl, greedy_ipl = self.ipl[: self.n_sep], self.ipl[self.n_sep :]
-        sep_width, greedy_width = self.width[: self.n_sep], self.width[self.n_sep :]
         self.sep_rows = [int((sep_ipl > p).sum()) for p in range(self.passes)]
         self.greedy_rows = [int((greedy_ipl > p).sum()) for p in range(self.passes)]
-        self.sep_lanes = [int(sep_width[:n].max(initial=0)) for n in self.sep_rows]
-        self.greedy_lanes = [int(greedy_width[:n].max(initial=0)) for n in self.greedy_rows]
+        self.sep_lanes = [0] + np.maximum.accumulate(self.width[: self.n_sep]).tolist()
+        self.greedy_lanes = [0] + np.maximum.accumulate(self.width[self.n_sep :]).tolist()
         #: Per separable iteration, every separable row's age cutoff.
-        self.iter_cut = [
-            np.where(it < self.iters[: self.n_sep], self.cutoffs[: self.n_sep, it], 0)
-            for it in range(self.max_it)
-        ]
+        self.iter_cut = np.where(
+            np.arange(self.max_it)[:, None] < self.iters[: self.n_sep],
+            self.cutoffs[: self.n_sep, : self.max_it].T,
+            0,
+        )
 
 
 def _refill_lockstep(state: _LockStepState, pos: np.ndarray) -> None:
-    """One cycle's queue-refill stage, vectorized across variants.
+    """One cycle's queue-refill stage (the reference ``_refill_queue``),
+    vectorized across variants.
 
-    Mirrors the reference ``_refill_queue``. Unordered variants accept
-    unconditionally, so their whole refill (consecutive vector ids into
-    consecutive queue slots) lands in one scatter. Address-ordered
-    variants go attempt by attempt: each pays the intra-vector-duplicate
-    split stall on every attempt and stops for the cycle on a Bloom-filter
-    hit, with the accepted vector's addresses inserted before the next
-    attempt so an in-cycle follow-up sees them.
+    Row ``j`` has room for the next ``min(depth - qn, nv - waiting)``
+    waiting vectors. An unordered variant takes them all; an
+    address-ordered variant takes the prefix :func:`_admit_address_ordered`
+    admits. The accepted vectors land in consecutive queue slots.
     """
-    can = state.active & (state.waiting < state.nv) & (state.qn < state.depth)
-    if state.has_ao:
-        plain = can & (state.ao_row < 0)
-    else:
-        plain = can
-    if plain.any():
-        accept = np.where(
-            plain, np.minimum(state.depth - state.qn, state.nv - state.waiting), 0
-        )
-        write = (pos >= state.qn[:, None]) & (pos < (state.qn + accept)[:, None])
-        state.qvec[write] = (state.waiting[:, None] + pos - state.qn[:, None])[write]
-        state.qn += accept
-        state.waiting += accept
-    if not state.has_ao:
+    room = np.minimum(state.depth - state.qn, state.nv - state.waiting)
+    if not np.maximum.reduce(room):
         return
-    open_mask = can & (state.ao_row >= 0)
-    while open_mask.any():
-        idx = np.nonzero(open_mask)[0]
-        arows = state.ao_row[idx]
-        aw = state.waiting[idx]
-        state.stalls[idx] += state.ao_dup[arows, aw]
-        s01 = state.s01[arows, aw]
-        hit = np.logical_and.reduce(state.counters[s01] > 0, axis=2)
-        may = np.logical_or.reduce(hit, axis=1)
-        state.stalls[idx[may]] += 1
-        acc = idx[~may]
-        if acc.size:
-            state.counters += np.bincount(s01[~may].ravel(), minlength=state.counters.size)
-            state.counters[state.entries_max :: state.entries_max + 1] = 0
-            state.qvec[acc, state.qn[acc]] = state.waiting[acc]
-            state.qn[acc] += 1
-            state.waiting[acc] += 1
-        open_mask[idx[may]] = False
-        open_mask &= (state.waiting < state.nv) & (state.qn < state.depth)
+    accept = room
+    if state.has_ao:
+        accept = room.copy()
+        accept[state.ao_rows] = _admit_address_ordered(state, state.ao_rows, room[state.ao_rows])
+    np.copyto(
+        state.qvec, (state.waiting - state.qn)[:, None] + pos, where=pos >= state.qn[:, None]
+    )
+    state.qn += accept
+    state.waiting += accept
+
+
+#: Waiting vectors an address-ordered row first tries per cycle; a row that
+#: admits them all and has room left tries twice as many next. Most rows
+#: admit at most one vector a cycle, and a window of 3 beat windows of 1
+#: and 2 on the captured kilovariant batches.
+_ADMIT_WINDOW = 3
+
+
+def _admit_address_ordered(
+    state: _LockStepState, rows: np.ndarray, room: np.ndarray
+) -> np.ndarray:
+    """How many of its next ``room`` waiting vectors each address-ordered
+    row admits this cycle, in closed form over a window of candidates.
+
+    The reference tries the vectors in order: each attempt pays the
+    intra-vector-duplicate split stall, an attempt whose addresses the
+    Bloom filter may hold stalls and ends the cycle's refill, and an
+    accepted vector's addresses are inserted before the next attempt. So a
+    candidate hits where both counter slots of one of its addresses are
+    held already or first written by an earlier candidate. One scatter-min
+    of the candidate index over the flat counter slots gives every slot's
+    first writer; the accepted prefix ends at the first hit, and one
+    ``bincount`` inserts it. A row that admits its whole window with room
+    left goes on with the next window. Each vector's split stall for the
+    attempt that admits it is counted up front (:class:`_LockStepState`),
+    so a refused attempt adds its split stall and the Bloom stall.
+    """
+    accept = np.zeros_like(room)
+    sentinels = slice(state.entries_max, None, state.entries_max + 1)
+    at = np.arange(rows.size)
+    base = state.waiting[rows]
+    arows = state.ao_row[rows][:, None]
+    left = room
+    window = _ADMIT_WINDOW
+    while True:
+        m = min(window, int(np.maximum.reduce(left)))
+        if not m:
+            return accept
+        cand = np.arange(m)
+        vecs = np.minimum(base[:, None] + cand, state.s01.shape[1] - 1)
+        slots = state.s01[arows, vecs]
+        # Each slot's first writer: -1 if the filter holds it already.
+        first = np.where(state.counters > 0, -1, m)
+        if m > 1:
+            writer = np.empty(slots.shape, dtype=np.int64)
+            writer[...] = cand[:, None, None]
+            np.minimum.at(first, slots.ravel(), writer.ravel())
+            first[sentinels] = m
+        held = first[slots] < cand[:, None, None]
+        refused = np.logical_or.reduce(held[..., 0] & held[..., 1], axis=2)
+        stop = np.minimum(left, m)
+        refused |= cand >= stop[:, None]
+        got = np.where(np.logical_or.reduce(refused, axis=1), refused.argmax(axis=1), m)
+        hit = got < stop
+        state.stalls[rows] += hit * (1 + state.ao_dup[arows[:, 0], base + got])
+        state.counters += np.bincount(
+            slots[cand < got[:, None]].ravel(), minlength=state.counters.size
+        )
+        state.counters[sentinels] = 0
+        accept[at] += got
+        more = (got == m) & (left > m)
+        if not np.logical_or.reduce(more):
+            return accept
+        at, rows, arows = at[more], rows[more], arows[more]
+        base, left = base[more] + m, left[more] - m
+        window *= 2
 
 
 def _separable_pass(
-    state: _LockStepState, masks: np.ndarray, free: np.ndarray, granted: np.ndarray
+    state: _LockStepState, cands: np.ndarray, free: np.ndarray, granted: np.ndarray
 ) -> None:
     """The separable iterations of one allocation pass, for a block of rows.
 
     Each iteration, every lane without a grant bids for the lowest free bank
-    among its candidates below the iteration's age cutoff (stage 1: the
-    lowest set bit of the lowest non-empty word), and a bid wins unless a
-    lower lane bid for the same bank (stage 2: an exclusive prefix-OR of the
-    bids along lanes).
+    among its candidates ``cands[it]`` below the iteration's age cutoff
+    (stage 1: the lowest set bit of the lowest non-empty word), and a bid
+    wins unless a lower lane bid for the same bank (stage 2: an exclusive
+    prefix-OR of the bids along lanes).
     """
-    rows = np.arange(free.shape[0])
-    slots = masks.shape[0] - 1
     for it in range(state.max_it):
-        bids = masks[np.minimum(state.iter_cut[it][: rows.size], slots), rows]
-        bids &= free[:, :, None]
+        bids = cands[it] & free[:, :, None]
         if it:
             bids *= np.logical_and.reduce(granted == 0, axis=1, keepdims=True)
-        if not bids.any():
+        if not np.logical_or.reduce(bids, axis=None):
             continue
         bids &= -bids
         for word in range(1, state.words):
@@ -648,78 +694,109 @@ def _separable_pass(
         below = np.bitwise_or.accumulate(bids, axis=-1)
         bids[..., 1:] &= ~below[..., :-1]
         granted |= bids
-        free &= ~np.bitwise_or.reduce(bids, axis=-1)
+        free &= ~below[..., -1]
 
 
-def _greedy_pass(masks: np.ndarray, free: np.ndarray, granted: np.ndarray) -> None:
+def _greedy_pass(
+    state: _LockStepState, queued: np.ndarray, free: np.ndarray, granted: np.ndarray
+) -> None:
     """The greedy allocation of one pass, for a block of rows: lanes in
     order, each taking the bank of its oldest queued request that is free.
 
     A lane's oldest request to a bank in a set ``open`` sits in the first
-    queue slot ``k`` whose prefix union ``masks[k + 1]`` meets ``open``,
-    and that intersection is its bank. Every lane bids for its oldest free
-    bank; then, until no bid is lost, each lane whose bank a lower lane
-    also bids for bids anew, skipping every bank a lower lane bids for.
-    Bids only move to younger requests, so this ends, and it ends at the
-    lane-ordered scan's grants: once a lower lane bids for a bank, the
+    queue slot whose bank set meets ``open``. Every lane bids for its oldest
+    bank that is free and no lower lane bids for; this repeats until no bid
+    moves. Bids only move to younger requests, so this ends, and it ends at
+    the lane-ordered scan's grants: once a lower lane bids for a bank, the
     lowest such bidder never gives it up, so a lane skips only banks a
     lower lane ends up holding.
     """
-    slots = masks.shape[0] - 1
-    if not slots:
-        return
-    rows, words, lanes = masks.shape[1:]
-    reach = masks[1:] & free[:, :, None]
-    closed = np.logical_and.reduce(reach == 0, axis=2).sum(axis=0)
-    bid = reach[
-        np.minimum(closed, slots - 1)[:, None, :],
-        np.arange(rows)[:, None, None],
-        np.arange(words)[:, None],
-        np.arange(lanes),
-    ]
+    rows, words, lanes = queued.shape[1:]
+    index = (state.row_index[:rows, None, None], state.word_index, state.lane_index[:lanes])
+    open_banks = free[:, :, None]
     while True:
+        hits = queued & open_banks
+        oldest = np.logical_or.reduce(hits, axis=2).argmax(axis=0)
+        bid = hits[(oldest[:, None, :],) + index]
         below = np.bitwise_or.accumulate(bid, axis=-1)
-        lost = np.logical_or.reduce(bid[..., 1:] & below[..., :-1], axis=1)
-        if not lost.any():
+        if not np.logical_or.reduce(bid[..., 1:] & below[..., :-1], axis=None):
             break
-        rk, lk = np.nonzero(lost)
-        open_banks = free[rk] & ~below[rk, :, lk]
-        lk += 1
-        reach = masks[1:, rk, :, lk] & open_banks[:, None, :]
-        closed = np.logical_and.reduce(reach == 0, axis=-1).sum(axis=1)
-        bid[rk, :, lk] = reach[np.arange(rk.size), np.minimum(closed, slots - 1)]
+        open_banks = np.empty_like(bid)
+        open_banks[..., :1] = free[:, :, None]
+        np.bitwise_and(free[:, :, None], ~below[..., :-1], out=open_banks[..., 1:])
     granted |= bid
     free &= ~below[..., -1]
 
 
 def _allocate_lockstep(
-    state: _LockStepState, masks: np.ndarray, pass_index: int, free: np.ndarray
+    state: _LockStepState,
+    queued: np.ndarray,
+    cands: np.ndarray,
+    free: np.ndarray,
+    sep_rows: int,
+    greedy_rows: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One allocation pass for every variant: its grants' rows, lanes and bank bits.
+    """One allocation pass for the first ``sep_rows`` separable and
+    ``greedy_rows`` greedy rows: its grants' rows, lanes and bank bits.
 
-    ``masks[k, v, :, lane]`` is the union of the bank sets of the lane's
-    requests in queue slots below ``k``: its candidate banks under age
-    cutoff ``k``. A queued vector holds at most one request per lane, so
-    these sets lose nothing the reference's per-lane candidate lists hold.
     ``free`` (the banks no earlier grant of this cycle took) is updated in
     place.
     """
-    granted = np.zeros(masks.shape[1:], dtype=np.uint64)
+    granted = np.zeros(queued.shape[1:], dtype=np.uint64)
     ns = state.n_sep
-    rows, lanes = state.sep_rows[pass_index], state.sep_lanes[pass_index]
-    if rows:
+    if sep_rows:
+        lanes = state.sep_lanes[sep_rows]
         _separable_pass(
-            state, masks[:, :rows, :, :lanes], free[:rows], granted[:rows, :, :lanes]
+            state, cands[:, :sep_rows, :, :lanes], free[:sep_rows], granted[:sep_rows, :, :lanes]
         )
-    rows, lanes = state.greedy_rows[pass_index], state.greedy_lanes[pass_index]
-    if rows:
+    if greedy_rows:
+        lanes = state.greedy_lanes[greedy_rows]
         _greedy_pass(
-            masks[:, ns : ns + rows, :, :lanes],
-            free[ns : ns + rows],
-            granted[ns : ns + rows, :, :lanes],
+            state,
+            queued[:, ns : ns + greedy_rows, :, :lanes],
+            free[ns : ns + greedy_rows],
+            granted[ns : ns + greedy_rows, :, :lanes],
         )
-    gvi, gli = np.nonzero(np.logical_or.reduce(granted, axis=1))
+    gvi, gli = np.logical_or.reduce(granted, axis=1).nonzero()
     return gvi, gli, granted[gvi, :, gli]
+
+
+def _issue_lockstep(
+    state: _LockStepState, queued: np.ndarray, cands: np.ndarray
+) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every input-speedup pass of one cycle: per pass that granted, the
+    grants' rows, lanes and queue slots.
+
+    ``queued[k, v, :, lane]`` is the bank set of the request of the lane
+    in queue slot ``k``, and ``cands[it, v, :, lane]`` the union of those
+    below separable iteration ``it``'s age cutoff. A queued vector holds at
+    most one request per lane, so these sets lose nothing the reference's
+    per-lane candidate lists hold. A granted bank stays taken for the rest
+    of the cycle and every later bid is cut to the free banks, so an issued
+    request's bit is never read again: neither set needs updating between
+    passes. A row that issues nothing in a pass issues nothing in the next
+    (its bids would repeat), so each allocator's block of rows for the next
+    pass ends at its last row that issued.
+    """
+    free = np.full((state.orig.size, state.words), ~np.uint64(0))
+    issued = []
+    sep_rows, greedy_rows = state.n_sep, state.orig.size - state.n_sep
+    for p in range(state.passes):
+        sep_rows = min(sep_rows, state.sep_rows[p])
+        greedy_rows = min(greedy_rows, state.greedy_rows[p])
+        if not (sep_rows or greedy_rows):
+            break
+        gvi, gli, gbits = _allocate_lockstep(state, queued, cands, free, sep_rows, greedy_rows)
+        if not gvi.size:
+            break
+        # Per-lane priority encoder: the oldest queued request of the
+        # granted lane to the granted bank.
+        hits = np.logical_or.reduce(queued[:, gvi, :, gli] & gbits[:, None, :], axis=-1)
+        issued.append((gvi, gli, hits.argmax(axis=1)))
+        split = int(gvi.searchsorted(state.n_sep))
+        sep_rows = int(gvi[split - 1]) + 1 if split else 0
+        greedy_rows = int(gvi[-1]) + 1 - state.n_sep if split < gvi.size else 0
+    return issued
 
 
 def _simulate_scheduled_lockstep(
@@ -756,52 +833,43 @@ def _simulate_scheduled_lockstep(
 
         _refill_lockstep(state, pos)
 
-        v_rows = state.orig.size
-        v2 = state.v2
         # The queued requests' bank sets, ``(slot, row, word, lane)``, over
-        # the occupied slots only, and their unions below each age cutoff.
-        slots = int(state.qn.max())
+        # the occupied slots only, and the separable rows' unions of them
+        # below each iteration's age cutoff.
+        slots = int(np.maximum.reduce(state.qn))
         validq = pos[:, :slots] < state.qn[:, None]
         qv = np.where(validq, state.qvec[:, :slots], state.empty_slot)
-        queued = state.pend[v2.T, qv.T]
-        masks = np.zeros((slots + 1,) + queued.shape[1:], dtype=np.uint64)
-        for k in range(slots):  # a slot at a time beats accumulate's strided walk
-            np.bitwise_or(masks[k], queued[k], out=masks[k + 1])
+        queued = state.pend[state.v2.T, qv.T]
+        cands = None
+        if state.n_sep:
+            sep_queued = queued[:, : state.n_sep]
+            below_cut = (pos[0, :slots, None] < state.iter_cut[:, None, :])[..., None, None]
+            cands = np.empty((state.max_it,) + sep_queued.shape[1:], dtype=np.uint64)
+            for it in range(state.max_it):
+                np.bitwise_or.reduce(
+                    sep_queued, axis=0, where=below_cut[it], initial=0, out=cands[it]
+                )
 
-        free = np.full((v_rows, state.words), ~np.uint64(0))
+        issued = _issue_lockstep(state, queued, cands) if slots else []
         if record_trace:
-            cycle_counts = np.zeros(v_rows, dtype=np.int64)
-        for p in range(state.passes):
-            gvi, gli, gbits = _allocate_lockstep(state, masks, p, free)
-            if not gvi.size:
-                break
-            # Per-lane priority encoder: the oldest queued request of the
-            # granted lane to the granted bank.
-            gcols = queued[:, gvi, :, gli]
-            gdi = np.logical_or.reduce(gcols & gbits[:, None, :], axis=-1).argmax(axis=1)
+            cycle_counts = np.zeros(state.orig.size, dtype=np.int64)
+        if issued:
+            gvi, gli, gdi = (
+                issued[0] if len(issued) == 1 else map(np.concatenate, zip(*issued))
+            )
             gvecs = state.qvec[gvi, gdi]
-
-            if state.has_ao:
-                ao_sel = state.ao_row[gvi] >= 0
-                if ao_sel.any():
-                    arows = state.ao_row[gvi[ao_sel]]
-                    av = gvecs[ao_sel]
-                    al = gli[ao_sel]
-                    s01 = state.s01[arows, av, al]
-                    ok = np.logical_and.reduce(state.counters[s01] > 0, axis=1)
-                    state.counters -= np.bincount(s01[ok].ravel(), minlength=state.counters.size)
-
             state.pend[gvi, gvecs, :, gli] = 0
-            if p + 1 < state.passes:
-                # Only the issued (row, lane) columns change for the next
-                # input-speedup pass.
-                queued[gdi, gvi, :, gli] = 0
-                gcols[np.arange(gvi.size), gdi] = 0
-                masks[1:, gvi, :, gli] = np.bitwise_or.accumulate(gcols, axis=1)
-            counts = np.bincount(gvi, minlength=v_rows)
+            if state.has_ao:
+                # Every issued request was inserted when its vector entered,
+                # so no removal underflows (the reference's never raises).
+                state.counters -= np.bincount(
+                    state.s01[state.ao_row[gvi], gvecs, gli].ravel(),
+                    minlength=state.counters.size,
+                )
+            counts = np.bincount(gvi, minlength=state.orig.size)
             state.executed += counts
             if record_trace:
-                cycle_counts += counts
+                cycle_counts = counts
             if uniform_latency is not None:
                 completions.setdefault(cycle + uniform_latency, []).append(
                     (state.orig[gvi], gvecs)
@@ -817,8 +885,12 @@ def _simulate_scheduled_lockstep(
                 # Same-cycle requests hit distinct banks, so their order is
                 # immaterial; lane order per pass keeps it independent of
                 # how the allocator stages found the grants.
-                by_lane = np.argsort(gli, kind="stable")
-                issue_chunks.append((state.orig[gvi[by_lane]], gvecs[by_lane], gli[by_lane]))
+                for rows, lanes, queue_slots in issued:
+                    by_lane = np.argsort(lanes, kind="stable")
+                    rows, lanes = rows[by_lane], lanes[by_lane]
+                    issue_chunks.append(
+                        (state.orig[rows], state.qvec[rows, queue_slots[by_lane]], lanes)
+                    )
 
         if record_trace:
             full = np.zeros(v_total, dtype=np.int64)
@@ -828,21 +900,23 @@ def _simulate_scheduled_lockstep(
         retired = completions.pop(cycle, None)
         if retired is not None:
             for orig_ids, vecs in retired:
-                rows = state.row_of[orig_ids]
-                np.subtract.at(state.remaining, (rows, vecs), 1)
+                np.subtract.at(state.remaining, (orig_ids, vecs), 1)
 
-        # Queue occupancy is unchanged since the refill, so the gathered
-        # (validq, qv) still describe it; a queue entry retires once all of
-        # its kept requests completed (``remaining`` hits zero, i.e. no
-        # pending requests and no in-flight completions). A variant can
-        # only newly finish on a cycle that retired an entry.
-        remove = validq & (state.remaining[v2, qv] == 0)
+        # Queue occupancy is unchanged since the refill, so ``qv`` still
+        # describes it; a queue entry retires once all of its kept requests
+        # completed (``remaining`` hits zero, i.e. no pending requests and
+        # no in-flight completions; empty slots read the padding vector's
+        # zero). Vector ids ascend along every queue, so sorting the kept
+        # ones with empties last compacts it. A variant can only newly
+        # finish on a cycle that retired an entry.
+        kept = state.remaining[state.o2, qv] > 0
+        queued_after = np.add.reduce(kept, axis=1)
         cycle += 1
-        if remove.any():
-            keep_q = validq & ~remove
-            order = np.argsort(~keep_q, axis=1, kind="stable")
-            state.qvec[:, :slots] = state.qvec[v2, order]
-            state.qn = keep_q.sum(axis=1).astype(np.int64)
+        if np.logical_or.reduce(queued_after != state.qn):
+            compacted = np.where(kept, qv, state.empty_slot)
+            compacted.sort(axis=1)
+            state.qvec[:, :slots] = compacted
+            state.qn = queued_after
 
             finished = (
                 state.active
@@ -854,8 +928,8 @@ def _simulate_scheduled_lockstep(
                 cycles_out[state.orig[finished]] = cycle
                 state.active &= ~finished
                 live = int(state.active.sum())
-                if live and live <= state.orig.size // 2 and state.orig.size > 4:
-                    state.compact(cycles_out, stats_out)
+                if live:
+                    state.compact(stats_out)
 
     for j in range(state.orig.size):
         stats_out[state.orig[j]] = (int(state.executed[j]), int(state.stalls[j]))
@@ -933,8 +1007,11 @@ def _variant_footprint(variant: SpMUVariant, prep: _PreparedTrace) -> int:
 
     The dominant tensors are the pending requests' bank sets (one
     ``uint64`` word per 64 banks per request) and, each cycle, the gathered
-    queue view of those sets plus their prefix unions over queue slots;
-    address-ordered variants add the Bloom slot tensor. The estimate only
+    queue view of those sets plus one tensor of at most its size (the
+    separable candidate unions or the greedy bids' hits); address-ordered
+    variants add the Bloom slot tensor and, each cycle, the Bloom slots of
+    the waiting vectors one refill tries (at most a queue's worth, and at
+    most the trace). The estimate only
     needs to be proportionate -- the budget planner divides it into the
     byte budget to size chunks.
     """
@@ -943,9 +1020,10 @@ def _variant_footprint(variant: SpMUVariant, prep: _PreparedTrace) -> int:
     depth = variant.config.queue_depth
     words = -(-variant.config.banks // 64)
     footprint = nv * w * 8 * words + nv * 4  # pending bank sets + remaining
-    footprint += 2 * depth * w * 8 * words  # queue view + prefix unions
+    footprint += 2 * depth * w * 8 * words  # queue view + unions or hits
     if variant.ordering is OrderingMode.ADDRESS_ORDERED:
         footprint += nv * w * 16 + nv * 8  # Bloom slots + duplicate flags
+        footprint += min(depth, nv) * w * 16  # Bloom slots of one refill's candidates
         footprint += variant.config.bloom_filter_entries * 4
     return max(footprint, 1024)
 
@@ -977,9 +1055,9 @@ def _budget_chunks(pairs: Iterable[_Pair], budget: Optional[int]) -> Iterator[Li
 #: Estimated lock-step cycles a share must carry to be worth a process.
 #: Forking a share and pickling its results back costs ~4.4 ms (median of
 #: 20, 2-core x86-64 Linux, Python 3.11, numpy and the search stack
-#: imported); a lone variant's lock-step cycle costs 180-260 us there and
-#: each further live variant ~45 us, so a share of 500 variant-cycles
-#: (upwards of 50 ms) repays the fork more than ten times over.
+#: imported); a lock-step cycle costs 130-215 us there plus ~27 us per live
+#: variant, so a share of 500 variant-cycles (upwards of 20 ms) repays the
+#: fork several times over.
 _SHARE_MIN_CYCLES = 500
 
 #: True in executor worker processes (see :func:`mark_executor_worker`).
@@ -1022,9 +1100,10 @@ def _share_count(costs: Sequence[int]) -> int:
 
 
 #: Fixed per-cycle lock-step overhead, in variant-cycles: every cycle until
-#: a share's longest variant finishes costs ~290 us, and each further live
-#: variant adds only ~45 us (least-squares fit over batches of 1-48 random
-#: search-space variants, 2-core x86-64 host).
+#: a share's longest variant finishes costs ~160 us, and each further live
+#: variant adds only ~27 us (least-squares fits of time against longest and
+#: total cycles over 40-60 batches of 1-48 random search-space variants,
+#: 2-core x86-64 host; four fits gave ratios 4.5-7.6, median 6.3).
 _CYCLE_OVERHEAD = 6
 
 

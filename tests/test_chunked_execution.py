@@ -302,9 +302,10 @@ class TestChunkedSpMU:
         monkeypatch.setattr(spmu_array, "_run_shares", lambda f, shares: list(map(f, shares)))
         monkeypatch.setattr(spmu_array, "_simulate_scheduled_lockstep", lockstep)
         assert self._stats(simulate_variants(variants, traces, memory_budget=budget)) == full
-        # Two chunks (five variants, then one): three shares, one of which
-        # exceeds budget / 2 as a whole and streams as two lock-step runs.
-        assert len(chunks) == 4
+        # Two chunks (four variants, then two), each dealt into two shares:
+        # the first chunk's address-ordered share exceeds budget / 2 as a
+        # whole and streams as two lock-step runs.
+        assert len(chunks) == 5
         assert max(chunks) <= budget // 2
 
     def test_accepts_generators(self):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -140,6 +141,73 @@ class TestSimulatorEquivalence:
             write_fraction=write_fraction,
         )
         _assert_equivalent(config, lanes, ordering, "hash", allocator, vectors)
+
+    @given(
+        count=st.integers(min_value=6, max_value=20),
+        seed=st.integers(min_value=0, max_value=10_000),
+        lanes=st.integers(min_value=2, max_value=4),
+        depths=st.lists(st.integers(min_value=16, max_value=32), min_size=4, max_size=4),
+        speedups=st.lists(st.integers(min_value=4, max_value=8), min_size=4, max_size=4),
+        priorities=st.integers(min_value=1, max_value=3),
+        address_space=st.sampled_from((4, 12, 40)),
+        write_fraction=st.sampled_from((0.5, 1.0)),
+        bloom_entries=st.sampled_from((8, 128)),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_deep_queues_few_lanes_high_speedup(
+        self,
+        count,
+        seed,
+        lanes,
+        depths,
+        speedups,
+        priorities,
+        address_space,
+        write_fraction,
+        bloom_entries,
+    ):
+        # Deep queues, few lanes and several allocation passes per cycle,
+        # over a few addresses that repeat within and across vectors: cycles
+        # that admit several address-ordered vectors (or refuse one on a
+        # Bloom hit), lanes that re-bid, and banks taken by an earlier pass.
+        # One lock-step batch holds both scheduled orderings and both
+        # allocators, each with its own queue depth and input speedup.
+        vectors = random_request_vectors(
+            count, lanes=lanes, address_space=address_space, seed=seed,
+            write_fraction=write_fraction,
+        )
+        trace = RequestTrace.from_vectors(vectors)
+        kinds = itertools.product(
+            (OrderingMode.UNORDERED, OrderingMode.ADDRESS_ORDERED), ("separable", "greedy")
+        )
+        variants = [
+            SpMUVariant(
+                ordering=ordering,
+                allocator_kind=allocator,
+                config=SpMUConfig(
+                    banks=8,
+                    words_per_bank=8,
+                    queue_depth=depth,
+                    crossbar_inputs=lanes * speedup,
+                    allocator_priorities=priorities,
+                    bloom_filter_entries=bloom_entries,
+                ),
+                lanes=lanes,
+            )
+            for (ordering, allocator), depth, speedup in zip(kinds, depths, speedups)
+        ]
+        batch = simulate_variants(
+            variants, [trace] * len(variants), record_trace=True, collect_issues=True
+        )
+        for variant, result in zip(variants, batch):
+            reference = _reference(variant, record_trace=True)
+            stats = reference.simulate(vectors)
+            assert _stats_tuple(stats) == _stats_tuple(result), variant
+            assert np.array_equal(stats.per_cycle_active_banks, result.per_cycle_active_banks)
+            assert np.array_equal(
+                reference.read_data(0, reference.capacity_words),
+                _replayed_image(variant, trace, result),
+            )
 
     @pytest.mark.parametrize("mapping", ("hash", "linear"))
     @pytest.mark.parametrize(
@@ -445,6 +513,25 @@ class TestBatchedThroughput:
         values = effective_bank_throughput_batch([variant] * 5)
         assert calls == [1]
         assert np.unique(values).size == 1
+
+        # Variants equal but for ``crossbar_inputs`` simulate once per input
+        # speedup (8 lanes: 4 and 12 inputs are speedup 1, 17 and 20 are
+        # 2), yet each keeps its own memo entry and store entry.
+        crossbars = (4, 12, 17, 20)
+        variants = [
+            replace(variant, config=replace(variant.config, crossbar_inputs=inputs))
+            for inputs in crossbars
+        ]
+        values = effective_bank_throughput_batch(variants)
+        assert calls == [1, 2]
+        assert values[0] == values[1] and values[2] == values[3]
+        assert len(isolated_store) == 1 + len(variants)
+        for v, value in zip(variants, values):
+            assert spmu_module._THROUGHPUT_CACHE[(v, spmu_module.THROUGHPUT_VECTORS)] == value
+            alone = SparseMemoryUnit(
+                config=v.config, lanes=v.lanes, ordering=v.ordering
+            ).simulate(random_request_trace(spmu_module.THROUGHPUT_VECTORS, lanes=8, seed=7))
+            assert alone.bank_utilization * v.config.banks == value
 
     def test_store_many_roundtrip(self, tmp_path):
         store = ThroughputStore(root=tmp_path)
