@@ -290,6 +290,20 @@ def _bench_formats() -> dict:
 
 
 @contextlib.contextmanager
+def _memory_budget(budget: int):
+    """Run the block under ``REPRO_MEMORY_BUDGET=budget``, then restore it."""
+    saved = os.environ.get("REPRO_MEMORY_BUDGET")
+    os.environ["REPRO_MEMORY_BUDGET"] = str(budget)
+    try:
+        yield
+    finally:
+        if saved is None:
+            del os.environ["REPRO_MEMORY_BUDGET"]
+        else:
+            os.environ["REPRO_MEMORY_BUDGET"] = saved
+
+
+@contextlib.contextmanager
 def _fanout_refused():
     """Keep every lock-step batch in-process while the block runs.
 
@@ -489,9 +503,10 @@ def _bench_chunked(profiles) -> dict:
         full = estimate_cycles_batch(profiles, platforms)
         unchunked_s = time.perf_counter() - start
 
-        start = time.perf_counter()
-        chunked = estimate_cycles_batch(profiles, platforms, memory_budget=budget)
-        chunked_s = time.perf_counter() - start
+        with _memory_budget(budget):
+            start = time.perf_counter()
+            chunked = estimate_cycles_batch(profiles, platforms)
+            chunked_s = time.perf_counter() - start
 
         identical = np.array_equal(full.cycles, chunked.cycles) and all(
             np.array_equal(full.categories[name], chunked.categories[name])
@@ -505,16 +520,15 @@ def _bench_chunked(profiles) -> dict:
 
         def _streamed_gmeans():
             gmeans = []
-            for _, part in iter_cycles_batches(
-                profiles, platforms, memory_budget=budget
-            ):
-                gmeans.extend(
-                    geometric_mean([float(c) for c in part.cycles[:, j]])
-                    for j in range(part.cycles.shape[1])
-                )
-                # Release this chunk before the generator builds the next
-                # one, keeping the live set at one chunk.
-                del part
+            with _memory_budget(budget):
+                for _, part in iter_cycles_batches(profiles, platforms):
+                    gmeans.extend(
+                        geometric_mean([float(c) for c in part.cycles[:, j]])
+                        for j in range(part.cycles.shape[1])
+                    )
+                    # Release this chunk before the generator builds the next
+                    # one, keeping the live set at one chunk.
+                    del part
             return gmeans
 
         identical = identical and _streamed_gmeans() == gmean_full
@@ -711,7 +725,7 @@ def _resolve_expectations(args) -> dict:
 def _run_benchmarks(args, scale: float) -> dict:
     """Execute every enabled benchmark section and build the record."""
     # An ambient budget would silently chunk every section; the chunked
-    # section sets its own explicit budget where one is wanted.
+    # section sets REPRO_MEMORY_BUDGET around its budgeted calls only.
     os.environ.pop("REPRO_MEMORY_BUDGET", None)
 
     # Warm the in-process dataset-generation cache so every configuration

@@ -2,37 +2,38 @@
 
 The batch engines (platform costing, lock-step SpMU simulation, DSE)
 materialize whole grids as numpy tensors. A memory budget bounds that:
-given a byte budget and a per-item cost model, :func:`plan_chunks` picks a
-chunk size and the engines stream chunk by chunk, aggregating results that
-are bit-identical to the unchunked pass.
-Each engine owns its cost model and its chunked axis:
+given the byte budget and a per-item cost model, :func:`iter_chunks` cuts
+the grid's chunked axis into in-order chunks that fit it, and the engines
+stream chunk by chunk, aggregating results that are bit-identical to the
+unchunked pass. Each engine owns its cost model and its chunked axis:
 
-* :func:`~repro.apps.timing.estimate_cycles_batch` chunks the platform
+* :func:`~repro.apps.timing.iter_cycles_batches` chunks the platform
   axis (``COSTING_BYTES_PER_CELL`` per cell) -- every cost-model term is
-  column-independent, so chunk columns concatenate exactly.
+  column-independent, so chunk columns concatenate exactly;
+  :func:`~repro.apps.timing.estimate_cycles_batch` joins them and
+  :func:`~repro.runtime.dse.cost_variants` folds them into per-variant
+  geometric means instead of materializing the grid.
 * :func:`~repro.core.spmu_array.simulate_variants` chunks the variant grid
   by each variant's lock-step state -- variants are independent, so
   per-chunk simulation is exact. A chunk that fans out over ``k`` forked
-  processes gives each share ``budget / k``.
-* :func:`~repro.runtime.dse.explore` streams the (profile x platform)
-  cross-product, folding each chunk into running geometric-mean / Pareto
-  state instead of materializing the grid.
+  processes gives each share ``budget // k``.
+* :meth:`~repro.runtime.jobs.JobSpec.dse_grid` cuts a sweep into
+  ``dse_chunk`` units the same way, capped at ``max_chunk`` variants.
+
+The budget has one source, the ``REPRO_MEMORY_BUDGET`` environment
+variable (``--memory-budget`` on ``repro-eval`` and its subcommands
+exports it); unset, the engines run unchunked.
 
 This module is deliberately low-level (stdlib-only, importable from
 ``repro.core`` and ``repro.apps`` without layering cycles).
-
-The budget can come from three places, in precedence order: an explicit
-argument to the engine, the ``REPRO_MEMORY_BUDGET`` environment variable
-(set by ``repro-eval --memory-budget``), or no budget at all (the engines
-then run unchunked, exactly as before).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
-from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Tuple, TypeVar, Union
+from typing import Callable, Iterable, Iterator, List, Optional, TypeVar, Union
 
 from .errors import ConfigurationError
 
@@ -72,7 +73,7 @@ def parse_memory_budget(value: Union[int, float, str, None]) -> Optional[int]:
     if isinstance(value, bool):
         raise ConfigurationError("memory budget must be a byte count, not a bool")
     if isinstance(value, (int, float)):
-        budget = int(value)
+        size = value
     else:
         text = str(value).strip().lower().replace(" ", "")
         number = text.rstrip("abgikmt")
@@ -80,89 +81,64 @@ def parse_memory_budget(value: Union[int, float, str, None]) -> Optional[int]:
         if unit not in _UNIT_FACTORS:
             raise ConfigurationError(f"unknown memory-budget unit {unit!r} in {value!r}")
         try:
-            scale = float(number)
+            size = float(number) * _UNIT_FACTORS[unit]
         except ValueError:
             raise ConfigurationError(f"invalid memory budget {value!r}") from None
-        budget = int(scale * _UNIT_FACTORS[unit])
+    if isinstance(size, float) and not math.isfinite(size):
+        raise ConfigurationError(f"memory budget must be finite, got {value!r}")
+    budget = int(size)
     if budget <= 0:
         raise ConfigurationError(f"memory budget must be positive, got {value!r}")
     return budget
 
 
-def resolve_memory_budget(
-    value: Union[int, float, str, None] = None,
-) -> Optional[int]:
-    """Resolve the effective budget: explicit argument, else the environment.
+def resolve_memory_budget() -> Optional[int]:
+    """The process-wide budget: ``REPRO_MEMORY_BUDGET``, parsed.
 
-    ``None`` with no (or empty) ``REPRO_MEMORY_BUDGET`` means unbudgeted.
+    An unset or empty variable means unbudgeted.
     """
-    if value is not None:
-        return parse_memory_budget(value)
     env = os.environ.get(ENV_MEMORY_BUDGET, "").strip()
     if not env:
         return None
     return parse_memory_budget(env)
 
 
-@dataclass(frozen=True)
-class ChunkPlan:
-    """A chunking decision: ``total_items`` processed ``chunk_items`` at a time."""
-
-    total_items: int
-    chunk_items: int
-
-    def bounds(self) -> Iterator[Tuple[int, int]]:
-        """Yield ``(start, stop)`` item ranges in order."""
-        for start in range(0, self.total_items, self.chunk_items):
-            yield start, min(start + self.chunk_items, self.total_items)
-
-
-def plan_chunks(
-    total_items: int,
-    bytes_per_item: Union[int, float],
-    memory_budget: Optional[int],
+def iter_chunks(
+    items: Iterable[_T],
+    size: Union[int, Callable[[_T], int]],
+    budget: Optional[int],
     *,
-    min_items: int = 1,
     max_items: Optional[int] = None,
-) -> ChunkPlan:
-    """Pick a chunk size so one chunk's working set fits the budget.
+) -> Iterator[List[_T]]:
+    """Cut ``items``, in order, into the lists one pass works on.
 
-    Args:
-        total_items: Grid extent along the chunked axis.
-        bytes_per_item: Cost-model estimate of one item's working set.
-        memory_budget: Byte budget, or ``None`` for a single chunk.
-        min_items: Floor on the chunk size (a chunk must make progress
-            even when one item alone exceeds the budget).
-        max_items: Optional ceiling on the chunk size.
-
-    Returns:
-        A :class:`ChunkPlan`; with no budget it holds everything in one chunk.
+    ``size`` estimates one item's working-set bytes: a constant, or a
+    function of the item. The estimates of a chunk's items sum to at most
+    ``budget``, except that a chunk always holds at least one item, and a
+    chunk holds at most ``max_items``; with a constant size that is
+    ``max(1, budget // size)`` items a chunk. With neither a budget nor a
+    cap the whole input is one chunk and no item is sized. The input is
+    consumed one chunk at a time, and an empty input is one empty chunk,
+    so every pass sees at least one.
     """
-    if total_items < 0:
-        raise ConfigurationError("total_items must be non-negative")
-    if min_items < 1:
-        raise ConfigurationError("min_items must be at least 1")
-    if memory_budget is None:
-        chunk = max(total_items, min_items)
-    else:
-        per_item = max(float(bytes_per_item), 1.0)
-        chunk = max(int(memory_budget / per_item), min_items)
-    if max_items is not None:
-        chunk = min(chunk, max(max_items, min_items))
-    return ChunkPlan(total_items=total_items, chunk_items=max(chunk, min_items))
-
-
-def iter_chunked(items: Iterable[_T], chunk_items: int) -> Iterator[List[_T]]:
-    """Yield successive lists of up to ``chunk_items`` from any iterable.
-
-    The source is consumed lazily (one chunk ahead at most), so generators
-    stream through without up-front materialization.
-    """
-    if chunk_items < 1:
-        raise ConfigurationError("chunk_items must be at least 1")
+    if max_items is not None and max_items < 1:
+        raise ConfigurationError("max_items must be at least 1")
     iterator = iter(items)
-    while True:
-        chunk = list(itertools.islice(iterator, chunk_items))
-        if not chunk:
-            return
-        yield chunk
+    if budget is not None and not callable(size):
+        fits = max(budget // max(size, 1), 1)
+        max_items = fits if max_items is None else min(fits, max_items)
+        budget = None
+    if budget is None:
+        yield list(itertools.islice(iterator, max_items))
+        while chunk := list(itertools.islice(iterator, max_items)):
+            yield chunk
+        return
+    chunk, used = [], 0
+    for item in iterator:
+        cost = size(item)
+        if chunk and (used + cost > budget or len(chunk) == max_items):
+            yield chunk
+            chunk, used = [], 0
+        chunk.append(item)
+        used += cost
+    yield chunk

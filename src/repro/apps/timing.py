@@ -28,11 +28,11 @@ the oracle the batch is pinned against, bit for bit, and what
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .._budget import iter_chunked, plan_chunks, resolve_memory_budget
+from .._budget import iter_chunks, resolve_memory_budget
 from ..config import CLOCK_GHZ, CapstanConfig, MemoryTechnology, ShuffleMode
 from ..core.allocator import ALLOCATOR_KINDS
 from ..core.ordering import OrderingMode
@@ -501,26 +501,22 @@ def iter_cycles_batches(
     profiles: Iterable[WorkloadProfile],
     platforms: Iterable[CapstanPlatform],
     *,
-    memory_budget: Union[int, str, None] = None,
     energy: bool = False,
 ) -> Iterator[Tuple[List[CapstanPlatform], BatchCostResult]]:
     """Stream a costing grid as (platform chunk, chunk result) pairs.
 
     The platform axis is cut into chunks sized so one chunk's working set
-    (:data:`COSTING_BYTES_PER_CELL` per cell) fits the memory budget; each
-    chunk's :class:`BatchCostResult` is bit-identical to the corresponding
-    columns of the unchunked grid. ``platforms`` may be any iterable
-    (including a generator) and is consumed one chunk at a time; profiles
-    are materialized once (they are the small axis).
+    (:data:`COSTING_BYTES_PER_CELL` per cell) fits ``REPRO_MEMORY_BUDGET``
+    (one chunk without a budget); each chunk's :class:`BatchCostResult` is
+    bit-identical to the corresponding columns of the unchunked grid.
+    ``platforms`` may be any iterable (including a generator) and is
+    consumed one chunk at a time; profiles are materialized once (they are
+    the small axis). At least one pair is yielded, an empty one for no
+    platforms.
     """
     profiles = list(profiles)
-    budget = resolve_memory_budget(memory_budget)
-    if budget is None:
-        chunk = list(platforms)
-        yield chunk, _estimate_cycles_batch_columns(profiles, chunk, energy=energy)
-        return
     per_platform = max(len(profiles), 1) * COSTING_BYTES_PER_CELL
-    for chunk in iter_chunked(platforms, plan_chunks(0, per_platform, budget).chunk_items):
+    for chunk in iter_chunks(platforms, per_platform, resolve_memory_budget()):
         yield chunk, _estimate_cycles_batch_columns(profiles, chunk, energy=energy)
 
 
@@ -528,7 +524,6 @@ def estimate_cycles_batch(
     profiles: Iterable[WorkloadProfile],
     platforms: Iterable[CapstanPlatform],
     *,
-    memory_budget: Union[int, str, None] = None,
     energy: bool = False,
 ) -> BatchCostResult:
     """Cost every (profile, platform) pair of a grid in vectorized passes.
@@ -546,11 +541,10 @@ def estimate_cycles_batch(
     Args:
         profiles: Application profiles (grid rows); any iterable.
         platforms: Capstan configurations to cost them on (grid columns);
-            any iterable, consumed lazily when chunking.
-        memory_budget: Byte budget for the costing temporaries; the
-            platform axis is streamed in budget-sized chunks and the chunk
-            columns concatenated (bit-identical to the unchunked pass).
-            ``None`` defers to ``REPRO_MEMORY_BUDGET``.
+            any iterable. Under ``REPRO_MEMORY_BUDGET`` the platform axis
+            streams through :func:`iter_cycles_batches` in budget-sized
+            chunks whose columns are concatenated (bit-identical to the
+            unchunked pass).
         energy: Also cost per-cell energy through
             :func:`~repro.core.energy.estimate_energy_batch` (attached as
             ``energy_mj`` / ``energy_categories``).
@@ -558,21 +552,9 @@ def estimate_cycles_batch(
     Returns:
         A :class:`BatchCostResult` with per-cell cycles and stall categories.
     """
-    profiles = list(profiles)
-    if resolve_memory_budget(memory_budget) is None:
-        return _estimate_cycles_batch_columns(profiles, list(platforms), energy=energy)
-    parts = [
-        result
-        for _chunk, result in iter_cycles_batches(
-            profiles,
-            platforms,
-            memory_budget=memory_budget,
-            energy=energy,
-        )
-    ]
-    if not parts:
-        return _estimate_cycles_batch_columns(profiles, [], energy=energy)
-    return merge_batches(parts)
+    return merge_batches(
+        [result for _chunk, result in iter_cycles_batches(profiles, platforms, energy=energy)]
+    )
 
 
 def merge_batches(parts: Sequence[BatchCostResult]) -> BatchCostResult:

@@ -50,11 +50,11 @@ import pickle
 import signal
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .._budget import resolve_memory_budget
+from .._budget import iter_chunks, resolve_memory_budget
 from ..config import SpMUConfig
 from ..errors import ConfigurationError, SimulationError
 from .allocator import ALLOCATOR_KINDS, SeparableAllocator
@@ -1002,8 +1002,12 @@ def _prepared_pairs(variants: Iterable[SpMUVariant], traces: Iterable[object]):
         yield variant, cached[1]
 
 
-def _variant_footprint(variant: SpMUVariant, prep: _PreparedTrace) -> int:
-    """Rough lock-step working-set bytes one variant contributes.
+_Pair = Tuple[SpMUVariant, _PreparedTrace]
+
+
+def _variant_footprint(pair: _Pair) -> int:
+    """Rough lock-step working-set bytes one (variant, prepared trace) pair
+    contributes.
 
     The dominant tensors are the pending requests' bank sets (one
     ``uint64`` word per 64 banks per request) and, each cycle, the gathered
@@ -1012,9 +1016,10 @@ def _variant_footprint(variant: SpMUVariant, prep: _PreparedTrace) -> int:
     variants add the Bloom slot tensor and, each cycle, the Bloom slots of
     the waiting vectors one refill tries (at most a queue's worth, and at
     most the trace). The estimate only
-    needs to be proportionate -- the budget planner divides it into the
-    byte budget to size chunks.
+    needs to be proportionate -- the budget chunker sums it against the
+    byte budget to cut chunks.
     """
+    variant, prep = pair
     nv = max(prep.n_vectors, 1)
     w = max(prep.width, 1)
     depth = variant.config.queue_depth
@@ -1026,25 +1031,6 @@ def _variant_footprint(variant: SpMUVariant, prep: _PreparedTrace) -> int:
         footprint += min(depth, nv) * w * 16  # Bloom slots of one refill's candidates
         footprint += variant.config.bloom_filter_entries * 4
     return max(footprint, 1024)
-
-
-_Pair = Tuple[SpMUVariant, _PreparedTrace]
-
-
-def _budget_chunks(pairs: Iterable[_Pair], budget: Optional[int]) -> Iterator[List[_Pair]]:
-    """Group pairs, in order, into chunks whose footprints fit ``budget``."""
-    chunk: List[_Pair] = []
-    chunk_bytes = 0
-    for variant, prep in pairs:
-        footprint = _variant_footprint(variant, prep)
-        if chunk and budget is not None and chunk_bytes + footprint > budget:
-            yield chunk
-            chunk = []
-            chunk_bytes = 0
-        chunk.append((variant, prep))
-        chunk_bytes += footprint
-    if chunk:
-        yield chunk
 
 
 # --------------------------------------------------------------------------- #
@@ -1262,7 +1248,7 @@ def _simulate_chunk(
 
     def simulate(share: List[int]) -> List[SimResult]:
         out: List[SimResult] = []
-        for part in _budget_chunks([pairs[i] for i in share], share_budget):
+        for part in iter_chunks([pairs[i] for i in share], _variant_footprint, share_budget):
             out.extend(
                 _simulate_scheduled_lockstep(
                     [variant for variant, _ in part],
@@ -1285,7 +1271,6 @@ def simulate_variants(
     *,
     record_trace: bool = False,
     collect_issues: bool = False,
-    memory_budget: Union[int, str, None] = None,
 ) -> List[SimResult]:
     """Simulate one request trace per variant, batched across variants.
 
@@ -1298,19 +1283,19 @@ def simulate_variants(
         record_trace: Collect the per-cycle active-bank trace.
         collect_issues: Collect every request's ``(vector, lane)`` issue
             coordinates in issue order (what the SRAM image depends on).
-        memory_budget: Byte budget bounding the lock-step state; the
-            variant grid is streamed through in budget-sized chunks whose
-            results are bit-identical to one unchunked pass. A chunk that
-            fans out over ``k`` processes gives each share ``budget / k``,
-            so the shares together stay within the budget. ``None``
-            defers to ``REPRO_MEMORY_BUDGET``.
+
+    Under ``REPRO_MEMORY_BUDGET`` the variant grid streams through in
+    chunks whose lock-step state (:func:`_variant_footprint`) fits the
+    budget, with results bit-identical to one unchunked pass. A chunk that
+    fans out over ``k`` processes gives each share ``budget // k``, so the
+    shares together stay within the budget.
 
     Returns:
         One :class:`SimResult` per variant, stat-for-stat equal to the
         reference simulator on the same trace.
     """
-    budget = resolve_memory_budget(memory_budget)
+    budget = resolve_memory_budget()
     results: List[SimResult] = []
-    for chunk in _budget_chunks(_prepared_pairs(variants, traces), budget):
+    for chunk in iter_chunks(_prepared_pairs(variants, traces), _variant_footprint, budget):
         results.extend(_simulate_chunk(chunk, record_trace, collect_issues, budget))
     return results

@@ -22,54 +22,7 @@ the evaluation harnesses (:mod:`repro.eval`). It owns these concerns:
 * :mod:`repro.runtime.runstore` -- the SQLite experiment store recording
   every bench run (schema in ``schema.sql``, ``REPRO_RUN_DB`` seam); the
   regression analytics in :mod:`repro.eval.regression` read it.
+
+The package re-exports nothing: import names from their submodule, so
+importing one layer does not load the others.
 """
-
-from .registry import (
-    AppSpec,
-    RegistryError,
-    RunContext,
-    app_datasets,
-    app_order,
-    execute,
-    get_spec,
-    register_app,
-    registered_specs,
-)
-from .cache import (
-    ProfileCache,
-    ThroughputStore,
-    code_fingerprint,
-    profile_from_dict,
-    profile_to_dict,
-)
-from .dse import DSEResult, explore, pareto_frontier, prefill_throughputs
-from .runner import ExperimentRunner, RunReport, TaskResult
-from .runstore import BaselineRecord, RunRecord, RunStore, default_run_db
-
-__all__ = [
-    "DSEResult",
-    "ThroughputStore",
-    "explore",
-    "pareto_frontier",
-    "prefill_throughputs",
-    "AppSpec",
-    "RegistryError",
-    "RunContext",
-    "app_datasets",
-    "app_order",
-    "execute",
-    "get_spec",
-    "register_app",
-    "registered_specs",
-    "ProfileCache",
-    "code_fingerprint",
-    "profile_to_dict",
-    "profile_from_dict",
-    "ExperimentRunner",
-    "RunReport",
-    "TaskResult",
-    "BaselineRecord",
-    "RunRecord",
-    "RunStore",
-    "default_run_db",
-]

@@ -26,15 +26,11 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 import numpy as np
 
-from .._budget import resolve_memory_budget
 from ..apps.profile import WorkloadProfile
 from ..apps.timing import (
-    COSTING_BYTES_PER_CELL,
     BatchCostResult,
     CapstanPlatform,
-    estimate_cycles_batch,
     iter_cycles_batches,
-    merge_batches,
     platform_throughput_variant,
 )
 from ..core.area import capstan_area
@@ -253,39 +249,30 @@ def cost_variants(
     platforms: Sequence[CapstanPlatform],
     *,
     energy: bool = False,
-    memory_budget: Optional[int] = None,
-    keep_grid: bool = False,
 ) -> VariantCosts:
     """Cost every platform on every profile, reduced per variant.
 
-    The grid streams in ``memory_budget``-sized platform chunks (``None``
-    defers to ``REPRO_MEMORY_BUDGET``). Each chunk holds whole profile
-    columns, so the per-variant gmeans are the floats of the full grid,
-    which is only kept (joined by ``merge_batches``) under ``keep_grid``.
+    The grid streams in ``REPRO_MEMORY_BUDGET``-sized platform chunks
+    (:func:`~repro.apps.timing.iter_cycles_batches`). Each chunk holds
+    whole profile columns, so the per-variant gmeans are the floats of the
+    full grid, which is kept as ``batch`` exactly when it arrived as one
+    chunk: always without a budget, and under one when the whole grid fits
+    it or holds a single variant.
     """
     cycles: List[float] = []
     energies: List[float] = []
-    parts: List[BatchCostResult] = []
-    for _chunk, batch in iter_cycles_batches(
-        profiles, platforms, memory_budget=memory_budget, energy=energy
-    ):
+    chunks = 0
+    for _chunk, batch in iter_cycles_batches(profiles, platforms, energy=energy):
+        chunks += 1
         for j in range(batch.cycles.shape[1]):
             cycles.append(geometric_mean([float(c) for c in batch.cycles[:, j]]))
             if energy:
                 energies.append(geometric_mean([float(e) for e in batch.energy_mj[:, j]]))
-        if keep_grid:
-            parts.append(batch)
-    grid: Optional[BatchCostResult] = None
-    if keep_grid:
-        # A budgeted pass over zero platforms yields no chunk at all.
-        grid = merge_batches(parts) if parts else estimate_cycles_batch(
-            profiles, [], energy=energy
-        )
     return VariantCosts(
         gmean_cycles=np.asarray(cycles, dtype=np.float64),
         area_mm2=np.array([capstan_area(p.config).total_mm2 for p in platforms]),
         gmean_energy_mj=np.asarray(energies, dtype=np.float64) if energy else None,
-        batch=grid,
+        batch=batch if chunks == 1 else None,
     )
 
 
@@ -299,7 +286,6 @@ def explore(
     workers: Optional[int] = None,
     cache: Union[ProfileCache, bool, None] = True,
     executor: Union[str, Executor, None] = None,
-    memory_budget: Optional[int] = None,
     energy: bool = False,
     seed: Optional[int] = None,
     **axes: Iterable[Any],
@@ -321,15 +307,6 @@ def explore(
             :class:`~repro.runtime.executors.base.Executor` instance, or
             ``None`` for ``workers`` subprocess workers when they pay off,
             else serial in process).
-        memory_budget: Byte budget for the costing working set; the
-            (profile x variant) cross-product streams through it chunk by
-            chunk with the geometric-mean / Pareto state folded
-            incrementally (identical floats -- each chunk carries complete
-            profile columns). ``None`` defers to ``REPRO_MEMORY_BUDGET``.
-            The full :class:`BatchCostResult` grid is kept as ``batch``
-            without a budget, or when the whole grid fits in it; otherwise
-            ``batch`` is ``None`` and only the aggregate arrays (gmean
-            cycles, area, frontier) are kept.
         energy: Also cost per-variant energy through the
             :mod:`repro.core.energy` model (fills ``gmean_energy_mj`` and
             enables the energy-aware frontier).
@@ -338,6 +315,12 @@ def explore(
             same order (and therefore byte-identical reports); ``None``
             keeps cartesian sweep order.
         **axes: Sweep axes, e.g. ``lanes=(8, 16, 32), banks=(8, 16)``.
+
+    Under ``REPRO_MEMORY_BUDGET`` the (profile x variant) cross-product
+    streams through :func:`cost_variants` chunk by chunk, and the full
+    per-cell grid is kept as ``batch`` only when it arrives as one chunk;
+    otherwise ``batch`` is ``None`` and only the aggregate arrays (gmean
+    cycles, area, frontier) are kept.
 
     Returns:
         A :class:`DSEResult` with the cost grid, areas, and Pareto frontier.
@@ -358,10 +341,6 @@ def explore(
         collected = runner.run(apps=list(apps) if apps is not None else None).profiles()
     else:
         collected = list(profiles)
-    budget = resolve_memory_budget(memory_budget)
-    keep_grid = budget is None or len(collected) * len(variants) * COSTING_BYTES_PER_CELL <= budget
-    costs = cost_variants(
-        collected, list(variants.values()), energy=energy, memory_budget=budget, keep_grid=keep_grid
-    )
+    costs = cost_variants(collected, list(variants.values()), energy=energy)
     tasks = [(p.app, p.dataset) for p in collected]
     return DSEResult(variants=variants, tasks=tasks, **vars(costs))

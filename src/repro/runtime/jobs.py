@@ -421,12 +421,12 @@ class JobSpec:
     ) -> "JobSpec":
         """Shard a sweep cross-product into budget-planned variant chunks.
 
-        The chunk size comes from the memory-budget planner: one chunk's
+        The chunk size comes from the memory-budget chunker: one chunk's
         (profile x variant) costing working set fits ``REPRO_MEMORY_BUDGET``,
         capped at ``max_chunk`` variants so even unbudgeted jobs stay
         resumable at useful granularity.
         """
-        from .._budget import plan_chunks, resolve_memory_budget
+        from .._budget import iter_chunks, resolve_memory_budget
         from ..apps.timing import COSTING_BYTES_PER_CELL
         from .sweep import sweep
 
@@ -435,34 +435,32 @@ class JobSpec:
             for axis, values in axes.items()
         }
         variants = sweep(**parsed)
+        if not variants:
+            raise JobError("DSE grid resolved to zero units")
         context = context or RunContext()
         app_names = list(apps) if apps is not None else list(registry.app_order())
         cells = sum(len(registry.get_spec(app).datasets) for app in app_names)
-        plan = plan_chunks(
-            len(variants),
-            cells * COSTING_BYTES_PER_CELL,
-            resolve_memory_budget(),
-            max_items=max_chunk,
-        )
         axes_json = {
             axis: [axis_value_to_json(value) for value in values]
             for axis, values in parsed.items()
         }
         context_dict = context_to_dict(context)
         units: List[WorkUnit] = []
-        for start, stop in plan.bounds():
+        start = 0
+        for chunk in iter_chunks(
+            variants, cells * COSTING_BYTES_PER_CELL, resolve_memory_budget(), max_items=max_chunk
+        ):
             payload = {
                 "kind": "dse_chunk",
                 "axes": axes_json,
-                "start": int(start),
-                "stop": int(stop),
+                "start": start,
+                "stop": start + len(chunk),
                 "apps": None if apps is None else list(apps),
                 "context": context_dict,
             }
+            start += len(chunk)
             key = _unit_key(payload)
             units.append(WorkUnit(key=key, kind="dse_chunk", payload=payload))
-        if not units:
-            raise JobError("DSE grid resolved to zero units")
         return JobSpec(name=name, units=tuple(units))
 
     @staticmethod

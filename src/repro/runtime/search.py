@@ -61,6 +61,19 @@ OBJECTIVES = ("cycles", "area", "energy")
 #: A design point: one value index per search-space axis.
 Combo = Tuple[int, ...]
 
+#: Successive halving keeps the best ``1/HALVING_ETA`` of each rung, but
+#: at least ``HALVING_MIN_RUNG`` points, and costs its first rung on
+#: ``HALVING_MIN_FIDELITY`` of the profiles.
+HALVING_ETA = 4
+HALVING_MIN_FIDELITY = 0.1
+HALVING_MIN_RUNG = 4
+
+#: The evolutionary loop's per-axis mutation rate, crossover probability
+#: and tournament size.
+EVOLVE_MUTATION = 0.25
+EVOLVE_CROSSOVER = 0.6
+EVOLVE_TOURNAMENT = 3
+
 #: Default kilovariant search space (110,592 points): every structural
 #: axis the SpMU/CU models expose plus the platform-policy axes. Lanes and
 #: banks stay powers of two (``CapstanConfig.validate`` requires it).
@@ -196,10 +209,8 @@ class SearchSpace:
 # --------------------------------------------------------------------------- #
 
 
-def scalarize(
-    costs: np.ndarray, weights: Optional[Sequence[float]] = None
-) -> np.ndarray:
-    """Log-normalized weighted sum of a (points x objectives) cost matrix.
+def scalarize(costs: np.ndarray) -> np.ndarray:
+    """Log-normalized mean of a (points x objectives) cost matrix.
 
     Each objective is normalized by the population's best value before the
     log, so the scalar is scale-free: a point one "doubling" worse than
@@ -212,16 +223,10 @@ def scalarize(
         raise ConfigurationError("costs must be a 2-D (points x objectives) array")
     if costs.shape[0] == 0:
         return np.zeros(0)
-    w = (
-        np.ones(costs.shape[1])
-        if weights is None
-        else np.asarray(weights, dtype=np.float64)
-    )
-    if w.shape != (costs.shape[1],) or np.any(w < 0) or w.sum() <= 0:
-        raise ConfigurationError("weights must be non-negative, one per objective")
     floor = np.maximum(costs, 1e-12)
     best = floor.min(axis=0)
-    return np.log(floor / best) @ (w / w.sum())
+    objectives = costs.shape[1]
+    return np.log(floor / best) @ np.full(objectives, 1.0 / objectives)
 
 
 def pareto_ranks(costs: np.ndarray) -> np.ndarray:
@@ -239,14 +244,14 @@ def pareto_ranks(costs: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def rank_order(costs: np.ndarray, weights: Optional[Sequence[float]] = None) -> np.ndarray:
+def rank_order(costs: np.ndarray) -> np.ndarray:
     """Indices of ``costs`` from best to worst: by Pareto rank, scalarized
     score within a rank, and input order as the final (stable) tie-break."""
     costs = np.asarray(costs, dtype=np.float64)
     if costs.shape[0] == 0:
         return np.zeros(0, dtype=np.int64)
     ranks = pareto_ranks(costs)
-    scores = scalarize(costs, weights)
+    scores = scalarize(costs)
     return np.lexsort((np.arange(costs.shape[0]), scores, ranks))
 
 
@@ -366,33 +371,24 @@ class SuccessiveHalving(SearchStrategy):
 
     Rung 0 evaluates ``population`` points (seeds plus random samples) on
     a small profile subset; each following rung keeps the Pareto-best
-    ``1/eta`` of the previous rung and costs them on a geometrically
+    ``1/HALVING_ETA`` of the previous rung and costs them on a geometrically
     growing subset, ending with full-grid costing on the final rung. Only
     final-rung (full-fidelity) points enter the result archive.
     """
 
     name = "halving"
 
-    def __init__(
-        self,
-        population: int = 256,
-        generations: int = 4,
-        eta: int = 4,
-        min_fidelity: float = 0.1,
-        min_rung: int = 4,
-    ) -> None:
-        if population < 1 or generations < 1 or eta < 2:
-            raise ConfigurationError("halving needs population/generations >= 1, eta >= 2")
+    def __init__(self, population: int = 256, generations: int = 4) -> None:
+        if population < 1 or generations < 1:
+            raise ConfigurationError("halving needs population/generations >= 1")
         self.population = population
         self.generations = generations
-        self.eta = eta
-        self.min_rung = min_rung
         if generations == 1:
             self.fidelities = [1.0]
         else:
-            ratio = (1.0 / min_fidelity) ** (1.0 / (generations - 1))
+            ratio = (1.0 / HALVING_MIN_FIDELITY) ** (1.0 / (generations - 1))
             self.fidelities = [
-                min(1.0, min_fidelity * ratio**r) for r in range(generations)
+                min(1.0, HALVING_MIN_FIDELITY * ratio**r) for r in range(generations)
             ]
             self.fidelities[-1] = 1.0
         self._ranked: List[Combo] = []
@@ -404,7 +400,7 @@ class SuccessiveHalving(SearchStrategy):
         return 1  # later rungs promote from rung 0
 
     def rung_width(self, generation: int) -> int:
-        return max(self.min_rung, self.population // (self.eta**generation))
+        return max(HALVING_MIN_RUNG, self.population // (HALVING_ETA**generation))
 
     def propose(
         self, generation: int, rng: np.random.Generator, engine: "AdaptiveSearch"
@@ -445,23 +441,11 @@ class Evolutionary(SearchStrategy):
 
     name = "evolve"
 
-    def __init__(
-        self,
-        population: int = 64,
-        generations: int = 8,
-        mutation: float = 0.25,
-        crossover: float = 0.6,
-        tournament: int = 3,
-    ) -> None:
+    def __init__(self, population: int = 64, generations: int = 8) -> None:
         if population < 2 or generations < 1:
             raise ConfigurationError("evolve needs population >= 2, generations >= 1")
-        if not 0.0 < mutation <= 1.0:
-            raise ConfigurationError("mutation rate must be in (0, 1]")
         self.population = population
         self.generations = generations
-        self.mutation = mutation
-        self.crossover = crossover
-        self.tournament = max(2, tournament)
 
     def total_generations(self) -> int:
         return self.generations
@@ -487,18 +471,18 @@ class Evolutionary(SearchStrategy):
             rank_of[order] = np.arange(len(parents))
 
             def select() -> Combo:
-                picks = rng.integers(len(parents), size=self.tournament)
+                picks = rng.integers(len(parents), size=EVOLVE_TOURNAMENT)
                 return parents[int(picks[int(np.argmin(rank_of[picks]))])]
 
             attempts = 0
             limit = 20 * max(1, target)
             while len(combos) < target and attempts < limit:
                 attempts += 1
-                if len(parents) >= 2 and rng.random() < self.crossover:
+                if len(parents) >= 2 and rng.random() < EVOLVE_CROSSOVER:
                     child = engine.space.crossover(select(), select(), rng)
                 else:
                     child = select()
-                child = engine.space.mutate(child, rng, self.mutation)
+                child = engine.space.mutate(child, rng, EVOLVE_MUTATION)
                 if child in taken:
                     continue
                 taken.add(child)
@@ -512,10 +496,9 @@ def make_strategy(
     *,
     population: Optional[int] = None,
     generations: Optional[int] = None,
-    **kwargs: Any,
 ) -> SearchStrategy:
     """Build a strategy by CLI name (``halving`` or ``evolve``)."""
-    options: Dict[str, Any] = dict(kwargs)
+    options: Dict[str, int] = {}
     if population is not None:
         options["population"] = population
     if generations is not None:
@@ -887,8 +870,8 @@ class AdaptiveSearch:
         """Whether every generation has been committed."""
         return self.generation >= self.strategy.total_generations()
 
-    def step(self) -> Dict[str, Any]:
-        """Run and commit one generation; returns a progress summary."""
+    def step(self) -> None:
+        """Run and commit one generation."""
         if self.done:
             raise ConfigurationError("search already finished; nothing to step")
         current = self.generation
@@ -900,18 +883,6 @@ class AdaptiveSearch:
         self.generation = current + 1
         if self.store is not None:
             self.store.save_state(self.key, self.generation, self.state_dict())
-        _, archive_costs = self.archive()
-        frontier_size = (
-            len(pareto_frontier(archive_costs)) if len(archive_costs) else 0
-        )
-        return {
-            "generation": current,
-            "proposed": len(proposal.combos),
-            "fidelity": proposal.fidelity,
-            "evaluations": self.evaluations,
-            "archive": len(self._full),
-            "frontier": frontier_size,
-        }
 
     def result(self) -> SearchResult:
         """The current full-fidelity archive as a :class:`SearchResult`."""
@@ -947,16 +918,16 @@ def _strategy_params(strategy: SearchStrategy) -> Dict[str, Any]:
         return {
             "population": strategy.population,
             "generations": strategy.generations,
-            "eta": strategy.eta,
-            "min_rung": strategy.min_rung,
+            "eta": HALVING_ETA,
+            "min_rung": HALVING_MIN_RUNG,
             "fidelities": [round(f, 6) for f in strategy.fidelities],
         }
     if isinstance(strategy, Evolutionary):
         return {
             "population": strategy.population,
             "generations": strategy.generations,
-            "mutation": strategy.mutation,
-            "crossover": strategy.crossover,
-            "tournament": strategy.tournament,
+            "mutation": EVOLVE_MUTATION,
+            "crossover": EVOLVE_CROSSOVER,
+            "tournament": EVOLVE_TOURNAMENT,
         }
     return {"name": strategy.name}

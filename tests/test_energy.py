@@ -110,7 +110,7 @@ class TestBatchScalarIdentity:
                 assert result.total[i, j] == total
                 assert result.breakdown(i, j) == breakdown
 
-    def test_chunked_batch_is_bit_identical(self):
+    def test_chunked_batch_is_bit_identical(self, monkeypatch):
         profiles = [
             WorkloadProfile(
                 app="a", dataset="d", compute_iterations=10_000,
@@ -121,9 +121,8 @@ class TestBatchScalarIdentity:
         whole = estimate_cycles_batch(profiles, platforms, energy=True)
         for chunk in (1, 3, 10_000):
             budget = chunk * len(profiles) * COSTING_BYTES_PER_CELL
-            split = estimate_cycles_batch(
-                profiles, platforms, energy=True, memory_budget=budget
-            )
+            monkeypatch.setenv("REPRO_MEMORY_BUDGET", str(budget))
+            split = estimate_cycles_batch(profiles, platforms, energy=True)
             assert np.array_equal(split.cycles, whole.cycles)
             assert np.array_equal(split.energy_mj, whole.energy_mj)
             for name in ENERGY_CATEGORIES:

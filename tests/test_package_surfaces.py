@@ -8,7 +8,8 @@ scipy, which only the CPU baselines' reference kernels load, and without
 ``multiprocessing``: the SpMU fan-out forks without it, and executor
 workers are ``repro-eval worker`` subprocesses. No package attribute
 shadows a submodule of the same name, so ``repro.apps.spmspm`` is always
-the module.
+the module. ``repro.runtime`` re-exports nothing, so ``import repro.apps``
+loads no runtime layer but the registry the applications register into.
 """
 
 from __future__ import annotations
@@ -70,18 +71,34 @@ def test_no_attribute_shadows_a_submodule(package):
             )
 
 
-@pytest.mark.parametrize(
-    "module", ("repro", "repro.eval", "repro.runtime.cli", "repro.runtime.serve")
-)
-def test_import_leaves_scipy_and_multiprocessing_unloaded(module):
+def _fresh_interpreter(code: str) -> str:
+    """What ``code`` prints in a fresh interpreter with ``src`` on its path."""
     paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
-    probe = f"import sys, {module}; print({{'scipy', 'multiprocessing'}} & set(sys.modules))"
     result = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "set()"
+    return result.stdout.strip()
+
+
+@pytest.mark.parametrize(
+    "module", ("repro", "repro.eval", "repro.runtime.cli", "repro.runtime.serve")
+)
+def test_import_leaves_scipy_and_multiprocessing_unloaded(module):
+    probe = f"import sys, {module}; print({{'scipy', 'multiprocessing'}} & set(sys.modules))"
+    assert _fresh_interpreter(probe) == "set()"
+
+
+def test_apps_load_only_the_registry_of_the_runtime():
+    # The applications register into repro.runtime.registry; the package
+    # re-exports nothing, so no other runtime layer (nor sqlite3, which
+    # the run store needs) loads with them.
+    probe = (
+        "import sys, repro.apps; print(sorted(m for m in sys.modules"
+        " if m.startswith('repro.runtime') or m == 'sqlite3'))"
+    )
+    assert _fresh_interpreter(probe) == "['repro.runtime', 'repro.runtime.registry']"

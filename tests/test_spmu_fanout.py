@@ -84,8 +84,8 @@ def _digest(results) -> str:
     return hashlib.sha256(json.dumps([_fields(r) for r in results]).encode()).hexdigest()
 
 
-def _simulate(variants, traces, **kwargs):
-    return simulate_variants(variants, traces, record_trace=True, collect_issues=True, **kwargs)
+def _simulate(variants, traces):
+    return simulate_variants(variants, traces, record_trace=True, collect_issues=True)
 
 
 @pytest.fixture(autouse=True)
@@ -142,7 +142,8 @@ class TestEquivalence:
     def test_fanned_under_a_budget_equals_serial(self, serial, monkeypatch, forks):
         variants, traces, _, expected = serial
         _force_shares(monkeypatch, 2)
-        assert _digest(_simulate(variants, traces, memory_budget="256K")) == _digest(expected)
+        monkeypatch.setenv(ENV_MEMORY_BUDGET, "256K")
+        assert _digest(_simulate(variants, traces)) == _digest(expected)
         assert forks
 
     def test_fanned_matches_reference(self, serial, monkeypatch):

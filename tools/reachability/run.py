@@ -54,12 +54,14 @@ def steps(out: Path):
                                   "reference", "--memory-budget", "1M", "--no-cache"],
          {0}, None),
         ("prune-cache", CLI + ["--prune-cache"], {0}, None),
+        # First of the dse steps: its SpMU projections are still cold, so
+        # the lock-step simulation is chunked under the budget too.
+        ("dse-budget", CLI + ["dse", *SMALL, "--memory-budget", "64K"], {0}, None),
         ("dse-objectives", CLI + ["dse", *SMALL, "--objective", "cycles,area,energy",
                                   "--seed", "3", "--json", str(out / "dse.json")], {0}, None),
         ("dse-prefill-pareto", CLI + ["dse", *SMALL, "--prefill", "--top", "3",
                                       "--pareto-only"], {0}, None),
         ("dse-top", CLI + ["dse", *SMALL, "--top", "3"], {0}, None),
-        ("dse-budget", CLI + ["dse", *SMALL, "--memory-budget", "64K"], {0}, None),
     ]
     search = ["--population", "8", "--generations", "3", "--seed", "5"]
     for strategy in ("evolve", "halving"):
