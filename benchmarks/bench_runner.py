@@ -290,17 +290,18 @@ def _bench_formats() -> dict:
 
 
 @contextlib.contextmanager
-def _memory_budget(budget: int):
-    """Run the block under ``REPRO_MEMORY_BUDGET=budget``, then restore it."""
-    saved = os.environ.get("REPRO_MEMORY_BUDGET")
-    os.environ["REPRO_MEMORY_BUDGET"] = str(budget)
+def _env(name: str, value: str):
+    """Run the block with environment variable ``name`` set to ``value``,
+    then restore its previous state."""
+    saved = os.environ.get(name)
+    os.environ[name] = value
     try:
         yield
     finally:
         if saved is None:
-            del os.environ["REPRO_MEMORY_BUDGET"]
+            del os.environ[name]
         else:
-            os.environ["REPRO_MEMORY_BUDGET"] = saved
+            os.environ[name] = saved
 
 
 @contextlib.contextmanager
@@ -394,50 +395,45 @@ def _bench_spmu() -> dict:
             (8, 64),
         )
     ]
-    saved_disable = os.environ.get("REPRO_THROUGHPUT_CACHE_DISABLE")
-    os.environ["REPRO_THROUGHPUT_CACHE_DISABLE"] = "1"
 
     def cold_array():
         spmu_module._THROUGHPUT_CACHE.clear()
         return effective_bank_throughput_batch(variants)
 
-    try:
-        array_s = serial_s = reference_s = float("inf")
-        array_values = serial_values = reference_values = None
-        for _ in range(2):  # best-of-2, like the costing benchmark
-            start = time.perf_counter()
-            array_values = cold_array()
-            array_s = min(array_s, time.perf_counter() - start)
-            with _fanout_refused():
+    with _env("REPRO_THROUGHPUT_CACHE_DISABLE", "1"):
+        try:
+            array_s = serial_s = reference_s = float("inf")
+            array_values = serial_values = reference_values = None
+            for _ in range(2):  # best-of-2, like the costing benchmark
                 start = time.perf_counter()
-                serial_values = cold_array()
-                serial_s = min(serial_s, time.perf_counter() - start)
-            start = time.perf_counter()
-            reference_values = [
-                variant.config.banks
-                * spmu_module.measure_bank_utilization(
-                    variant.config,
-                    ordering=variant.ordering,
-                    vectors=spmu_module.THROUGHPUT_VECTORS,
-                    lanes=variant.lanes,
-                    bank_mapping=variant.bank_mapping,
-                    allocator_kind=variant.allocator_kind,
-                    seed=spmu_module.THROUGHPUT_SEED,
-                )
-                for variant in variants
-            ]
-            reference_s = min(reference_s, time.perf_counter() - start)
-        shares = 1 + _forks_during(cold_array)
-        # A forked share's allocations are invisible to tracemalloc, so the
-        # peak is taken with the whole batch in this process.
-        with _fanout_refused():
-            peak_mb = _traced_peak_mb(cold_array)
-    finally:
-        spmu_module._THROUGHPUT_CACHE.clear()
-        if saved_disable is None:
-            del os.environ["REPRO_THROUGHPUT_CACHE_DISABLE"]
-        else:
-            os.environ["REPRO_THROUGHPUT_CACHE_DISABLE"] = saved_disable
+                array_values = cold_array()
+                array_s = min(array_s, time.perf_counter() - start)
+                with _fanout_refused():
+                    start = time.perf_counter()
+                    serial_values = cold_array()
+                    serial_s = min(serial_s, time.perf_counter() - start)
+                start = time.perf_counter()
+                reference_values = [
+                    variant.config.banks
+                    * spmu_module.measure_bank_utilization(
+                        variant.config,
+                        ordering=variant.ordering,
+                        vectors=spmu_module.THROUGHPUT_VECTORS,
+                        lanes=variant.lanes,
+                        bank_mapping=variant.bank_mapping,
+                        allocator_kind=variant.allocator_kind,
+                        seed=spmu_module.THROUGHPUT_SEED,
+                    )
+                    for variant in variants
+                ]
+                reference_s = min(reference_s, time.perf_counter() - start)
+            shares = 1 + _forks_during(cold_array)
+            # A forked share's allocations are invisible to tracemalloc, so the
+            # peak is taken with the whole batch in this process.
+            with _fanout_refused():
+                peak_mb = _traced_peak_mb(cold_array)
+        finally:
+            spmu_module._THROUGHPUT_CACHE.clear()
     return {
         "variants": len(variants),
         "vectors": spmu_module.THROUGHPUT_VECTORS,
@@ -494,55 +490,50 @@ def _bench_chunked(profiles) -> dict:
     small = platforms[:128]
     budget = 128 * len(profiles) * COSTING_BYTES_PER_CELL
 
-    saved_disable = os.environ.get("REPRO_THROUGHPUT_CACHE_DISABLE")
-    os.environ["REPRO_THROUGHPUT_CACHE_DISABLE"] = "1"
-    try:
-        prefill_throughputs(platforms)
+    with _env("REPRO_THROUGHPUT_CACHE_DISABLE", "1"):
+        try:
+            prefill_throughputs(platforms)
 
-        start = time.perf_counter()
-        full = estimate_cycles_batch(profiles, platforms)
-        unchunked_s = time.perf_counter() - start
-
-        with _memory_budget(budget):
             start = time.perf_counter()
-            chunked = estimate_cycles_batch(profiles, platforms)
-            chunked_s = time.perf_counter() - start
+            full = estimate_cycles_batch(profiles, platforms)
+            unchunked_s = time.perf_counter() - start
 
-        identical = np.array_equal(full.cycles, chunked.cycles) and all(
-            np.array_equal(full.categories[name], chunked.categories[name])
-            for name in full.categories
-        )
+            with _env("REPRO_MEMORY_BUDGET", str(budget)):
+                start = time.perf_counter()
+                chunked = estimate_cycles_batch(profiles, platforms)
+                chunked_s = time.perf_counter() - start
 
-        gmean_full = [
-            geometric_mean([float(c) for c in full.cycles[:, j]])
-            for j in range(len(platforms))
-        ]
+            identical = np.array_equal(full.cycles, chunked.cycles) and all(
+                np.array_equal(full.categories[name], chunked.categories[name])
+                for name in full.categories
+            )
 
-        def _streamed_gmeans():
-            gmeans = []
-            with _memory_budget(budget):
-                for _, part in iter_cycles_batches(profiles, platforms):
-                    gmeans.extend(
-                        geometric_mean([float(c) for c in part.cycles[:, j]])
-                        for j in range(part.cycles.shape[1])
-                    )
-                    # Release this chunk before the generator builds the next
-                    # one, keeping the live set at one chunk.
-                    del part
-            return gmeans
+            gmean_full = [
+                geometric_mean([float(c) for c in full.cycles[:, j]])
+                for j in range(len(platforms))
+            ]
 
-        identical = identical and _streamed_gmeans() == gmean_full
+            def _streamed_gmeans():
+                gmeans = []
+                with _env("REPRO_MEMORY_BUDGET", str(budget)):
+                    for _, part in iter_cycles_batches(profiles, platforms):
+                        gmeans.extend(
+                            geometric_mean([float(c) for c in part.cycles[:, j]])
+                            for j in range(part.cycles.shape[1])
+                        )
+                        # Release this chunk before the generator builds the next
+                        # one, keeping the live set at one chunk.
+                        del part
+                return gmeans
 
-        peak_small_mb = _traced_peak_mb(
-            lambda: estimate_cycles_batch(profiles, small)
-        )
-        peak_streamed_mb = _traced_peak_mb(_streamed_gmeans)
-    finally:
-        spmu_module._THROUGHPUT_CACHE.clear()
-        if saved_disable is None:
-            del os.environ["REPRO_THROUGHPUT_CACHE_DISABLE"]
-        else:
-            os.environ["REPRO_THROUGHPUT_CACHE_DISABLE"] = saved_disable
+            identical = identical and _streamed_gmeans() == gmean_full
+
+            peak_small_mb = _traced_peak_mb(
+                lambda: estimate_cycles_batch(profiles, small)
+            )
+            peak_streamed_mb = _traced_peak_mb(_streamed_gmeans)
+        finally:
+            spmu_module._THROUGHPUT_CACHE.clear()
 
     return {
         "variants": len(platforms),
@@ -615,69 +606,64 @@ def _bench_dse(profiles, workers, executor) -> dict:
         )
         return engine.run()
 
-    saved_disable = os.environ.get("REPRO_THROUGHPUT_CACHE_DISABLE")
-    os.environ["REPRO_THROUGHPUT_CACHE_DISABLE"] = "1"
-    try:
-        spmu_module._THROUGHPUT_CACHE.clear()
-        start = time.perf_counter()
-        exhaustive = explore(profiles=profiles, energy=True, **axes)
-        exhaustive_s = time.perf_counter() - start
+    with _env("REPRO_THROUGHPUT_CACHE_DISABLE", "1"):
+        try:
+            spmu_module._THROUGHPUT_CACHE.clear()
+            start = time.perf_counter()
+            exhaustive = explore(profiles=profiles, energy=True, **axes)
+            exhaustive_s = time.perf_counter() - start
 
-        exhaustive_costs = np.column_stack(
-            (
-                exhaustive.gmean_cycles,
-                np.array([row["area_mm2"] for row in exhaustive.rows()]),
-                exhaustive.gmean_energy_mj,
+            exhaustive_costs = np.column_stack(
+                (
+                    exhaustive.gmean_cycles,
+                    np.array([row["area_mm2"] for row in exhaustive.rows()]),
+                    exhaustive.gmean_energy_mj,
+                )
             )
-        )
-        # A reference point strictly dominated by every candidate, so each
-        # one contributes volume; both frontiers are scored against it.
-        reference = exhaustive_costs.max(axis=0) * 1.1
-        exhaustive_hv = hypervolume(exhaustive_costs, reference)
+            # A reference point strictly dominated by every candidate, so each
+            # one contributes volume; both frontiers are scored against it.
+            reference = exhaustive_costs.max(axis=0) * 1.1
+            exhaustive_hv = hypervolume(exhaustive_costs, reference)
 
-        space = SearchSpace.from_axes(axes)
-        spmu_module._THROUGHPUT_CACHE.clear()
-        start = time.perf_counter()
-        result = _search(space, population=48, generations=8)
-        search_s = time.perf_counter() - start
-        hv_ratio = result.hypervolume(reference) / exhaustive_hv
+            space = SearchSpace.from_axes(axes)
+            spmu_module._THROUGHPUT_CACHE.clear()
+            start = time.perf_counter()
+            result = _search(space, population=48, generations=8)
+            search_s = time.perf_counter() - start
+            hv_ratio = result.hypervolume(reference) / exhaustive_hv
 
-        # Same seed, fresh engine: the result payload must be byte-identical.
-        deterministic = json.dumps(_search(space, 48, 8).to_dict()) == json.dumps(
-            result.to_dict()
-        )
-
-        # The energy batch the search consumes must match the per-call
-        # reference exactly (spot check over a corner of the grid).
-        spot_platforms = list(exhaustive.variants.values())[:16]
-        spot_profiles = profiles[:4]
-        batch = estimate_cycles_batch(spot_profiles, spot_platforms, energy=True)
-        energy_identical = all(
-            batch.energy_mj[i, j] == estimate_energy(profile, platform)[0]
-            and all(
-                batch.energy_categories[name][i, j]
-                == getattr(estimate_energy(profile, platform)[1], name)
-                for name in ENERGY_CATEGORIES
+            # Same seed, fresh engine: the result payload must be byte-identical.
+            deterministic = json.dumps(_search(space, 48, 8).to_dict()) == json.dumps(
+                result.to_dict()
             )
-            for i, profile in enumerate(spot_profiles)
-            for j, platform in enumerate(spot_platforms)
-        )
 
-        # Warm memo: the traced pass measures search machinery, not the
-        # SpMU simulations already counted in the timing above.
-        peak_mb = _traced_peak_mb(lambda: _search(space, 48, 8))
+            # The energy batch the search consumes must match the per-call
+            # reference exactly (spot check over a corner of the grid).
+            spot_platforms = list(exhaustive.variants.values())[:16]
+            spot_profiles = profiles[:4]
+            batch = estimate_cycles_batch(spot_profiles, spot_platforms, energy=True)
+            energy_identical = all(
+                batch.energy_mj[i, j] == estimate_energy(profile, platform)[0]
+                and all(
+                    batch.energy_categories[name][i, j]
+                    == getattr(estimate_energy(profile, platform)[1], name)
+                    for name in ENERGY_CATEGORIES
+                )
+                for i, profile in enumerate(spot_profiles)
+                for j, platform in enumerate(spot_platforms)
+            )
 
-        kilovariant = SearchSpace.from_axes(dict(DEFAULT_SEARCH_AXES))
-        spmu_module._THROUGHPUT_CACHE.clear()
-        start = time.perf_counter()
-        kv_result = _search(kilovariant, population=64, generations=8)
-        kilovariant_s = time.perf_counter() - start
-    finally:
-        spmu_module._THROUGHPUT_CACHE.clear()
-        if saved_disable is None:
-            del os.environ["REPRO_THROUGHPUT_CACHE_DISABLE"]
-        else:
-            os.environ["REPRO_THROUGHPUT_CACHE_DISABLE"] = saved_disable
+            # Warm memo: the traced pass measures search machinery, not the
+            # SpMU simulations already counted in the timing above.
+            peak_mb = _traced_peak_mb(lambda: _search(space, 48, 8))
+
+            kilovariant = SearchSpace.from_axes(dict(DEFAULT_SEARCH_AXES))
+            spmu_module._THROUGHPUT_CACHE.clear()
+            start = time.perf_counter()
+            kv_result = _search(kilovariant, population=64, generations=8)
+            kilovariant_s = time.perf_counter() - start
+        finally:
+            spmu_module._THROUGHPUT_CACHE.clear()
 
     return {
         "space_size": space.size,

@@ -30,10 +30,9 @@ This module is deliberately low-level (stdlib-only, importable from
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
-from typing import Callable, Iterable, Iterator, List, Optional, TypeVar, Union
+from typing import Callable, Iterable, Iterator, List, Optional, TypeVar
 
 from .errors import ConfigurationError
 
@@ -61,34 +60,27 @@ _UNIT_FACTORS = {
 }
 
 
-def parse_memory_budget(value: Union[int, float, str, None]) -> Optional[int]:
+def parse_memory_budget(text: str) -> int:
     """Parse a memory budget into bytes.
 
-    Accepts ``None`` (no budget), plain byte counts (``1048576``), and
-    suffixed sizes (``"512M"``, ``"1.5G"``, ``"64KiB"``); suffixes are
-    binary (``M`` = MiB). The result must be a positive byte count.
+    Accepts plain byte counts (``"1048576"``) and suffixed sizes
+    (``"512M"``, ``"1.5G"``, ``"64KiB"``); suffixes are binary (``M`` =
+    MiB). The result must be a finite, positive byte count.
     """
-    if value is None:
-        return None
-    if isinstance(value, bool):
-        raise ConfigurationError("memory budget must be a byte count, not a bool")
-    if isinstance(value, (int, float)):
-        size = value
-    else:
-        text = str(value).strip().lower().replace(" ", "")
-        number = text.rstrip("abgikmt")
-        unit = text[len(number):]
-        if unit not in _UNIT_FACTORS:
-            raise ConfigurationError(f"unknown memory-budget unit {unit!r} in {value!r}")
-        try:
-            size = float(number) * _UNIT_FACTORS[unit]
-        except ValueError:
-            raise ConfigurationError(f"invalid memory budget {value!r}") from None
-    if isinstance(size, float) and not math.isfinite(size):
-        raise ConfigurationError(f"memory budget must be finite, got {value!r}")
+    compact = text.strip().lower().replace(" ", "")
+    number = compact.rstrip("abgikmt")
+    unit = compact[len(number):]
+    if unit not in _UNIT_FACTORS:
+        raise ConfigurationError(f"unknown memory-budget unit {unit!r} in {text!r}")
+    try:
+        size = float(number) * _UNIT_FACTORS[unit]
+    except ValueError:
+        raise ConfigurationError(f"invalid memory budget {text!r}") from None
+    if not math.isfinite(size):
+        raise ConfigurationError(f"memory budget must be finite, got {text!r}")
     budget = int(size)
     if budget <= 0:
-        raise ConfigurationError(f"memory budget must be positive, got {value!r}")
+        raise ConfigurationError(f"memory budget must be positive, got {text!r}")
     return budget
 
 
@@ -105,38 +97,33 @@ def resolve_memory_budget() -> Optional[int]:
 
 def iter_chunks(
     items: Iterable[_T],
-    size: Union[int, Callable[[_T], int]],
+    size: Callable[[_T], int],
     budget: Optional[int],
     *,
     max_items: Optional[int] = None,
 ) -> Iterator[List[_T]]:
     """Cut ``items``, in order, into the lists one pass works on.
 
-    ``size`` estimates one item's working-set bytes: a constant, or a
-    function of the item. The estimates of a chunk's items sum to at most
-    ``budget``, except that a chunk always holds at least one item, and a
-    chunk holds at most ``max_items``; with a constant size that is
-    ``max(1, budget // size)`` items a chunk. With neither a budget nor a
-    cap the whole input is one chunk and no item is sized. The input is
-    consumed one chunk at a time, and an empty input is one empty chunk,
-    so every pass sees at least one.
+    ``size`` estimates one item's working-set bytes (at least 1 is
+    counted). The estimates of a chunk's items sum to at most ``budget``,
+    except that a chunk always holds at least one item, and a chunk holds
+    at most ``max_items``; with a constant size that is
+    ``max(1, budget // size)`` items a chunk. Without a budget no item is
+    sized, and with neither a budget nor a cap the whole input is one
+    chunk. The input is consumed one chunk at a time, and an empty input
+    is one empty chunk, so every pass sees at least one.
     """
     if max_items is not None and max_items < 1:
         raise ConfigurationError("max_items must be at least 1")
-    iterator = iter(items)
-    if budget is not None and not callable(size):
-        fits = max(budget // max(size, 1), 1)
-        max_items = fits if max_items is None else min(fits, max_items)
-        budget = None
-    if budget is None:
-        yield list(itertools.islice(iterator, max_items))
-        while chunk := list(itertools.islice(iterator, max_items)):
-            yield chunk
+    if budget is None and max_items is None:
+        yield list(items)
         return
-    chunk, used = [], 0
-    for item in iterator:
-        cost = size(item)
-        if chunk and (used + cost > budget or len(chunk) == max_items):
+    limit = math.inf if budget is None else budget
+    chunk: List[_T] = []
+    used = 0
+    for item in items:
+        cost = 0 if budget is None else max(size(item), 1)
+        if chunk and (used + cost > limit or len(chunk) == max_items):
             yield chunk
             chunk, used = [], 0
         chunk.append(item)

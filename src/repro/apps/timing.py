@@ -516,7 +516,7 @@ def iter_cycles_batches(
     """
     profiles = list(profiles)
     per_platform = max(len(profiles), 1) * COSTING_BYTES_PER_CELL
-    for chunk in iter_chunks(platforms, per_platform, resolve_memory_budget()):
+    for chunk in iter_chunks(platforms, lambda _: per_platform, resolve_memory_budget()):
         yield chunk, _estimate_cycles_batch_columns(profiles, chunk, energy=energy)
 
 

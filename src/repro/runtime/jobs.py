@@ -445,10 +445,11 @@ class JobSpec:
             for axis, values in parsed.items()
         }
         context_dict = context_to_dict(context)
+        per_variant = cells * COSTING_BYTES_PER_CELL
         units: List[WorkUnit] = []
         start = 0
         for chunk in iter_chunks(
-            variants, cells * COSTING_BYTES_PER_CELL, resolve_memory_budget(), max_items=max_chunk
+            variants, lambda _: per_variant, resolve_memory_budget(), max_items=max_chunk
         ):
             payload = {
                 "kind": "dse_chunk",

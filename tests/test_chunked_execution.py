@@ -55,22 +55,17 @@ class TestBudgetPrimitives:
             ("2G", 2 << 30),
             ("1T", 1 << 40),
             ("128B", 128),
-            (4096, 4096),
-            (4096.0, 4096),
         ],
     )
     def test_parse(self, text, expected):
         assert parse_memory_budget(text) == expected
 
     @pytest.mark.parametrize(
-        "bad", ["", "64Q", "lots", "-1", "0", -5, 0, True, "inf", "nan", "1e400"]
+        "bad", ["", "64Q", "lots", "-1", "0", "-5K", "inf", "nan", "1e400"]
     )
     def test_parse_rejects(self, bad):
         with pytest.raises(ConfigurationError):
             parse_memory_budget(bad)
-
-    def test_parse_none_passes_through(self):
-        assert parse_memory_budget(None) is None
 
     def test_resolve_reads_the_env(self, monkeypatch):
         monkeypatch.setenv(ENV_MEMORY_BUDGET, "1M")
@@ -82,24 +77,22 @@ class TestBudgetPrimitives:
             resolve_memory_budget()
 
     def test_constant_size_divides_the_budget(self):
-        chunks = list(iter_chunks(range(100), 64, 640))
+        chunks = list(iter_chunks(range(100), lambda _: 64, 640))
         assert [len(chunk) for chunk in chunks] == [10] * 10
         assert chunks[-1] == list(range(90, 100))
 
     def test_a_chunk_holds_at_least_one_item(self):
-        assert list(iter_chunks(range(3), 1 << 20, 1024)) == [[0], [1], [2]]
-        assert list(iter_chunks(range(3), lambda i: 1 << 20, 1024)) == [[0], [1], [2]]
+        assert list(iter_chunks(range(3), lambda _: 1 << 20, 1024)) == [[0], [1], [2]]
 
-    def test_without_budget_or_cap_is_one_unsized_chunk(self):
+    def test_without_budget_no_item_is_sized(self):
         def unsized(item):
             raise AssertionError("an unbudgeted pass sizes no item")
 
         assert list(iter_chunks(range(17), unsized, None)) == [list(range(17))]
-        assert list(iter_chunks(range(17), 8, None, max_items=5))[-1] == [15, 16]
+        assert list(iter_chunks(range(17), unsized, None, max_items=5))[-1] == [15, 16]
 
     def test_empty_input_is_one_empty_chunk(self):
-        assert list(iter_chunks([], 8, None)) == [[]]
-        assert list(iter_chunks([], 8, 64)) == [[]]
+        assert list(iter_chunks([], len, None)) == [[]]
         assert list(iter_chunks([], len, 64)) == [[]]
 
     def test_is_lazy(self):
@@ -107,13 +100,13 @@ class TestBudgetPrimitives:
             yield from range(10)
             raise AssertionError("over-consumed")
 
-        chunks = iter_chunks(generator(), 16, 64)
+        chunks = iter_chunks(generator(), lambda _: 16, 64)
         assert next(chunks) == [0, 1, 2, 3]
         assert next(chunks) == [4, 5, 6, 7]
 
     def test_rejects_a_nonpositive_cap(self):
         with pytest.raises(ConfigurationError):
-            list(iter_chunks([1, 2], 8, None, max_items=0))
+            list(iter_chunks([1, 2], len, None, max_items=0))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -123,7 +116,7 @@ class TestBudgetPrimitives:
         max_items=st.one_of(st.none(), st.integers(1, 20)),
     )
     def test_constant_size_chunks(self, count, size, budget, max_items):
-        chunks = list(iter_chunks(range(count), size, budget, max_items=max_items))
+        chunks = list(iter_chunks(range(count), lambda _: size, budget, max_items=max_items))
         assert [item for chunk in chunks for item in chunk] == list(range(count))
         assert all(chunks[:-1]) and len(chunks) >= 1
         width = count if budget is None else max(1, budget // max(size, 1))
